@@ -482,26 +482,7 @@ func BenchmarkShardedReplay1M(b *testing.B) {
 			b.ReportAllocs()
 			var offered uint64
 			for i := 0; i < b.N; i++ {
-				res, err := cluster.RunSharded(cluster.GenShards(spec), topo, opts, n)
-				if err != nil {
-					b.Fatal(err)
-				}
-				offered = res.Offered
-			}
-			b.ReportMetric(float64(offered), "requests")
-		})
-	}
-	// The pipelined backend on the identical workload: benchjson folds
-	// these into a second shard-scaling curve (family ".../pipelined"),
-	// so the artifact carries barrier and pipelined curves side by side.
-	popts := opts
-	popts.Pipeline = true
-	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("pipelined/shards-%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			var offered uint64
-			for i := 0; i < b.N; i++ {
-				res, err := cluster.RunSharded(cluster.GenShards(spec), topo, popts, n)
+				res, err := cluster.RunPipelined(cluster.GenShards(spec), topo, opts, n)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -543,16 +524,11 @@ func resetPeakRSS() {
 }
 
 // BenchmarkShowcaseMillionSites replays 10⁸ requests through a
-// million-station edge backed by a shared cloud pool — the pipelined
-// tentpole's target scale — on the barrier and pipelined sharded
-// backends (bit-identical results; the equivalence suite asserts it at
-// small scale). Reported metrics: peak RSS (the pipelined run's
-// boundary memory is bounded by ring capacity where the barrier run
-// holds every boundary record of the slowest shard's span) and, for
-// the pipelined run, the peak resident boundary backlog. Speedup vs
-// barrier needs real cores (CI's multi-core bench job); on one CPU the
-// phases serialize and only the memory bound shows. In short mode the
-// same pipeline runs 10⁶ requests over 10⁴ sites. Run with -benchmem.
+// million-station edge backed by a shared cloud pool on 4 sharded
+// engines. Reported metrics: peak RSS (boundary memory is bounded by
+// ring capacity, not by the boundary count) and the peak resident
+// boundary backlog. In short mode the same pipeline runs 10⁶ requests
+// over 10⁴ sites. Run with -benchmem.
 func BenchmarkShowcaseMillionSites(b *testing.B) {
 	sites := 1_000_000
 	if testing.Short() {
@@ -576,39 +552,21 @@ func BenchmarkShowcaseMillionSites(b *testing.B) {
 	opts := cluster.Options{
 		Warmup: 2, Seed: 98, Summary: stats.Bounded, NoPerSiteLatency: true,
 	}
-	b.Run("barrier", func(b *testing.B) {
-		b.ReportAllocs()
-		resetPeakRSS()
-		var offered uint64
-		for i := 0; i < b.N; i++ {
-			res, err := cluster.RunSharded(cluster.GenShards(spec), topo, opts, shards)
-			if err != nil {
-				b.Fatal(err)
-			}
-			offered = res.Offered
+	b.ReportAllocs()
+	resetPeakRSS()
+	var backlog int
+	opts.BacklogProbe = func(p int) { backlog = p }
+	var offered uint64
+	for i := 0; i < b.N; i++ {
+		res, err := cluster.RunPipelined(cluster.GenShards(spec), topo, opts, shards)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.ReportMetric(float64(offered), "requests")
-		b.ReportMetric(peakRSSMB(b), "peak-RSS-MB")
-	})
-	b.Run("pipelined", func(b *testing.B) {
-		b.ReportAllocs()
-		resetPeakRSS()
-		popts := opts
-		popts.Pipeline = true
-		var backlog int
-		popts.BacklogProbe = func(p int) { backlog = p }
-		var offered uint64
-		for i := 0; i < b.N; i++ {
-			res, err := cluster.RunSharded(cluster.GenShards(spec), topo, popts, shards)
-			if err != nil {
-				b.Fatal(err)
-			}
-			offered = res.Offered
-		}
-		b.ReportMetric(float64(offered), "requests")
-		b.ReportMetric(peakRSSMB(b), "peak-RSS-MB")
-		b.ReportMetric(float64(backlog), "peak-backlog-records")
-	})
+		offered = res.Offered
+	}
+	b.ReportMetric(float64(offered), "requests")
+	b.ReportMetric(peakRSSMB(b), "peak-RSS-MB")
+	b.ReportMetric(float64(backlog), "peak-backlog-records")
 }
 
 // BenchmarkEngineBackends pits the calendar-queue event calendar

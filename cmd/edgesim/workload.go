@@ -161,7 +161,7 @@ type shardChoice struct {
 
 // resolve maps the flag onto a replay engine: 0 selects the classic
 // single-engine cluster.Run, a positive count that many sharded engines
-// through cluster.RunSharded. Unset picks one shard per CPU when the
+// through cluster.RunPipelined. Unset picks one shard per CPU when the
 // graph shards and quietly falls back to the single engine when it
 // cannot (pass -v to hear why); an explicit count refuses unshardable
 // graphs with the planner's reason.

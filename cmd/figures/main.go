@@ -16,6 +16,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -39,6 +40,10 @@ func main() {
 	csvDir := flag.String("csv", "", "directory to write CSV series into (optional)")
 	workers := flag.Int("workers", 0, "worker pool size for sweep points and replications (0 = all CPUs, 1 = serial)")
 	flag.Parse()
+	if err := checkFig(*fig); err != nil {
+		fmt.Fprintln(os.Stderr, "figures:", err)
+		os.Exit(2)
+	}
 
 	if *workers > 0 {
 		experiments.DefaultWorkers = *workers
@@ -51,30 +56,57 @@ func main() {
 		}
 	}
 
-	run := func(name string, fn func()) {
-		if *fig == "all" || *fig == name {
-			fmt.Printf("\n================ Figure/Table %s ================\n", name)
-			fn()
+	a := figArgs{duration: *duration, seed: *seed, csvDir: *csvDir}
+	for _, f := range figures {
+		if *fig == "all" || *fig == f.name {
+			fmt.Printf("\n================ Figure/Table %s ================\n", f.name)
+			f.run(a)
 		}
 	}
+}
 
-	run("2", func() { fig2(*seed) })
-	run("3", func() { fig345("3", "typical-25ms", experiments.Mean, *duration, *seed, *csvDir) })
-	run("4", func() { fig345("4", "distant-54ms", experiments.Mean, *duration, *seed, *csvDir) })
-	run("5", func() { fig345("5", "distant-54ms", experiments.P95, *duration, *seed, *csvDir) })
-	run("6", func() { fig6(*duration, *seed) })
-	run("7", func() { fig7(*duration, *seed) })
-	run("8", func() { fig8(*seed, *csvDir) })
-	run("9", func() { fig910(*seed, true) })
-	run("10", func() { fig910(*seed, false) })
-	run("three-tier", func() { threeTier(*duration, *seed, *csvDir) })
-	run("scaler", func() { scalerFrontier(*duration, *seed, *csvDir) })
-	run("grid", func() { gridSurface(*duration, *seed, *csvDir) })
-	run("validation", func() { validation(*duration, *seed) })
-	run("capacity", func() { capacity() })
-	run("tail", func() { tailAnalytic() })
-	run("cost", func() { cost() })
-	run("admission", func() { admissionCost(*duration, *seed, *csvDir) })
+// figArgs carries the flags every figure renderer may read.
+type figArgs struct {
+	duration float64
+	seed     int64
+	csvDir   string
+}
+
+// figures lists every -fig name in the order -fig all renders them.
+var figures = []struct {
+	name string
+	run  func(figArgs)
+}{
+	{"2", func(a figArgs) { fig2(a.seed) }},
+	{"3", func(a figArgs) { fig345("3", "typical-25ms", experiments.Mean, a.duration, a.seed, a.csvDir) }},
+	{"4", func(a figArgs) { fig345("4", "distant-54ms", experiments.Mean, a.duration, a.seed, a.csvDir) }},
+	{"5", func(a figArgs) { fig345("5", "distant-54ms", experiments.P95, a.duration, a.seed, a.csvDir) }},
+	{"6", func(a figArgs) { fig6(a.duration, a.seed) }},
+	{"7", func(a figArgs) { fig7(a.duration, a.seed) }},
+	{"8", func(a figArgs) { fig8(a.seed, a.csvDir) }},
+	{"9", func(a figArgs) { fig910(a.seed, true) }},
+	{"10", func(a figArgs) { fig910(a.seed, false) }},
+	{"three-tier", func(a figArgs) { threeTier(a.duration, a.seed, a.csvDir) }},
+	{"scaler", func(a figArgs) { scalerFrontier(a.duration, a.seed, a.csvDir) }},
+	{"grid", func(a figArgs) { gridSurface(a.duration, a.seed, a.csvDir) }},
+	{"validation", func(a figArgs) { validation(a.duration, a.seed) }},
+	{"capacity", func(figArgs) { capacity() }},
+	{"tail", func(figArgs) { tailAnalytic() }},
+	{"cost", func(figArgs) { cost() }},
+	{"admission", func(a figArgs) { admissionCost(a.duration, a.seed, a.csvDir) }},
+}
+
+// checkFig rejects a -fig value that names no figure, listing the
+// valid names.
+func checkFig(name string) error {
+	names := []string{"all"}
+	for _, f := range figures {
+		names = append(names, f.name)
+	}
+	if slices.Contains(names, name) {
+		return nil
+	}
+	return fmt.Errorf("unknown -fig %q (want one of %s)", name, strings.Join(names, ", "))
 }
 
 // admissionCost renders the rejection-vs-cost trade: one overloaded

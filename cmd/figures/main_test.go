@@ -1,0 +1,38 @@
+package main
+
+import (
+	"strings"
+	"testing"
+)
+
+func TestCheckFig(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ok   bool
+	}{
+		{"all", true},
+		{"2", true},
+		{"10", true},
+		{"three-tier", true},
+		{"admission", true},
+		{"", false},
+		{"1", false},
+		{"11", false},
+		{"ALL", false},
+		{"fig3", false},
+		{" 3", false},
+	} {
+		err := checkFig(tc.name)
+		if (err == nil) != tc.ok {
+			t.Errorf("checkFig(%q) = %v, want ok=%v", tc.name, err, tc.ok)
+			continue
+		}
+		if err != nil {
+			for _, want := range []string{"all", "2", "admission"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("checkFig(%q) error %q does not list %q", tc.name, err, want)
+				}
+			}
+		}
+	}
+}

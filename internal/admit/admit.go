@@ -25,7 +25,7 @@
 //
 // Every policy is a deterministic function of the arrival sequence it
 // observes — no randomness — so admission-enabled replays stay
-// byte-identical across the sharded, pipelined and broadcast backends.
+// byte-identical across shard counts and broadcast replays.
 package admit
 
 import (

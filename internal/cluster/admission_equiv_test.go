@@ -3,7 +3,7 @@ package cluster_test
 // Admission control must not perturb determinism: admission-off runs
 // stay bit-identical to runs with a no-op policy, and admission-on
 // runs are byte-identical across the serial, sharded (every shard
-// count), pipelined and broadcast backends. Every policy is a
+// count) and broadcast backends, and to the sharded barrier oracle. Every policy is a
 // deterministic function of the arrival sequence it observes, so these
 // suites are the proof the -admit flag rests on.
 
@@ -43,8 +43,8 @@ func admissionSpec(sites int, seed int64) cluster.GenSpec {
 }
 
 // TestAdmissionShardCountInvariance: admission-enabled sharded runs
-// are bit-identical for every shard count and for the pipelined
-// backend, across warmup and summary modes. Token-bucket state is
+// are bit-identical for every shard count and to the barrier oracle,
+// across warmup and summary modes. Token-bucket state is
 // per-site and shared-tier policies observe the canonical merged
 // order, so no partition can change a single admission decision.
 func TestAdmissionShardCountInvariance(t *testing.T) {
@@ -65,22 +65,21 @@ func TestAdmissionShardCountInvariance(t *testing.T) {
 			{"exact-warmup", 30, stats.Exact},
 			{"bounded", 0, stats.Bounded},
 		} {
-			run := func(shards int, pipeline bool) *cluster.TopologyResult {
-				res, err := cluster.RunSharded(cluster.GenShards(admissionSpec(sites, seed)), topo,
+			run := func(backend func(cluster.ShardedSource, cluster.Topology, cluster.Options, int) (*cluster.TopologyResult, error), shards int) *cluster.TopologyResult {
+				res, err := backend(cluster.GenShards(admissionSpec(sites, seed)), topo,
 					cluster.Options{Warmup: tc.warmup, Seed: seed, Summary: tc.mode,
-						Pricing: &pricing, Pipeline: pipeline}, shards)
+						Pricing: &pricing}, shards)
 				if err != nil {
 					t.Fatalf("%s/shards=%d: %v", tc.label, shards, err)
 				}
 				return res
 			}
-			want := run(1, false)
+			want := run(cluster.RunBarrier, 1)
 			if want.Rejected == 0 {
 				t.Fatalf("%s: no rejections; test is vacuous", tc.label)
 			}
-			for _, shards := range []int{2, 3, 5} {
-				compareTopologyResults(t, tc.label+"/shards", want, run(shards, false))
-				compareTopologyResults(t, tc.label+"/pipelined", want, run(shards, true))
+			for _, shards := range []int{1, 2, 3, 5} {
+				compareTopologyResults(t, tc.label+"/shards", want, run(cluster.RunPipelined, shards))
 			}
 		}
 	}
@@ -159,7 +158,7 @@ func TestAdmissionBroadcastMatchesPerRow(t *testing.T) {
 func TestAdmissionSerialMatchesShardedInvariants(t *testing.T) {
 	const sites = 5
 	topo := admissionTopology(sites)
-	res, err := cluster.RunSharded(cluster.GenShards(admissionSpec(sites, 19)), topo,
+	res, err := cluster.RunPipelined(cluster.GenShards(admissionSpec(sites, 19)), topo,
 		cluster.Options{Seed: 19}, 3)
 	if err != nil {
 		t.Fatal(err)

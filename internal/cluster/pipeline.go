@@ -10,8 +10,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Pipelined sharded replay overlaps the two phases of RunSharded
-// instead of barriering between them:
+// Sharded replay runs its two phases (shard.go) concurrently instead of
+// barriering between them:
 //
 //		shard 0  ──captures──▶ ring 0 ─┐
 //		shard 1  ──captures──▶ ring 1 ─┼─▶ merger ──▶ phase-2 engine(s)
@@ -32,8 +32,9 @@ import (
 //	  - Each phase-2 engine replays its records through a pump event that
 //	    blocks inside its callback until the merger supplies the next
 //	    record, so the engine can never run ahead of the merge: it sees
-//	    exactly the event sequence the barrier backend replays, which is
-//	    why the results are byte-identical by construction.
+//	    exactly the event sequence a single engine replaying the fully
+//	    sorted boundary harvest would, which is why the results are
+//	    byte-identical for every shard count by construction.
 //
 // Memory: ring backpressure (Push blocks when full) bounds resident
 // boundary records by ring capacity, not boundary count; the pending
@@ -50,10 +51,11 @@ import (
 // partition, and the pinned stream seeds (deriveP2Streams) keep every
 // dispatcher's random sequence identical to the serial build's.
 const (
-	// defaultPipelineRing bounds each shard's boundary ring when
-	// Options.PipelineRing is zero: deep enough to ride out merge
-	// stalls, small enough that k rings stay cache-resident.
-	defaultPipelineRing = 4096
+	// boundaryRing bounds each shard's boundary ring in records:
+	// deep enough to ride out merge stalls, small enough that k rings
+	// stay cache-resident. Smaller rings mean more backpressure stalls;
+	// results are identical either way.
+	boundaryRing = 4096
 	// pipeFlushStride caps how many source records a shard processes
 	// between watermark publications, so an idle-boundary shard still
 	// unblocks the merge.
@@ -228,8 +230,9 @@ func phase2Partitions(topo Topology, plan shardPlan) (parts [][]int, compOf []in
 // runPhase2Pump replays one partition's share of the merged boundary
 // stream on its engine. The pump event blocks inside its callback until
 // the next record is known, so the engine processes events in exactly
-// the order the barrier backend would — including autoscaler ticks,
-// which fire only once the clock is allowed to reach them.
+// the order a single engine over the whole sorted stream would —
+// including autoscaler ticks, which fire only once the clock is allowed
+// to reach them.
 func runPhase2Pump(b *p2build, feed <-chan []p2rec, free chan<- []p2rec, total *uint64, gauge *backlogGauge) {
 	var (
 		buf     []p2rec
@@ -313,26 +316,30 @@ func runPhase2Pump(b *p2build, feed <-chan []p2rec, free chan<- []p2rec, total *
 // RunPipelined replays the source through the topology on `shards`
 // parallel engines whose boundary records stream through watermarked
 // bounded rings into the shared phase while the shards are still
-// running. Results are byte-identical to RunSharded at every shard
-// count — the equivalence suite asserts it across presets, sources and
-// summary modes — while phase 2 overlaps phase 1 and resident boundary
-// memory is bounded by Options.PipelineRing instead of the boundary
-// count. Where the shared tiers split into independent spill components
-// (and none autoscale), each component replays on its own engine.
+// running. The result is bit-identical for every shard count
+// (including 1); shards <= 0 selects GOMAXPROCS and the count is
+// clamped to the site count. Resident boundary memory is bounded by
+// ring capacity, not the boundary count. Where the shared tiers split
+// into independent spill components (and none autoscale), each
+// component replays on its own engine. See Shardable for what
+// disqualifies a topology.
 //
-// Options.TimelineBin and Options.Probe are rejected as in RunSharded;
+// Options.TimelineBin and Options.Probe are rejected: both observe
+// global event order, which sharding does not preserve.
 // Options.BacklogProbe, when set, receives the run's peak resident
 // boundary-record count.
 func RunPipelined(src ShardedSource, topo Topology, opts Options, shards int) (*TopologyResult, error) {
+	return runPipelined(src, topo, opts, shards, boundaryRing)
+}
+
+// runPipelined is RunPipelined with an explicit per-shard ring
+// capacity in records.
+func runPipelined(src ShardedSource, topo Topology, opts Options, shards, ringCap int) (*TopologyResult, error) {
 	r, err := newShardRun(src, topo, opts, shards)
 	if err != nil {
 		return nil, err
 	}
 	opts = r.opts
-	ringCap := opts.PipelineRing
-	if ringCap <= 0 {
-		ringCap = defaultPipelineRing
-	}
 
 	// Build phase 2 before launching any producer, so a construction
 	// error cannot strand shards blocked on a full ring.

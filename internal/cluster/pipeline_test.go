@@ -1,12 +1,11 @@
 package cluster_test
 
-// The pipelined backend's contract is byte-identity with the barrier
-// backend: RunSharded with Options.Pipeline produces the same
-// TopologyResult as without, for every preset, seed, warmup and summary
-// mode, shard count, ring size and source adapter. These tests are the
-// proof the -pipeline flag rests on; the CI race job runs them under
-// -race to also certify the shard goroutines, the merger and the
-// phase-2 pumps share nothing unsynchronized.
+// The sharded backend's concurrent machinery — watermarked rings, the
+// merger goroutine, parallel phase-2 partitions — must reorder nothing:
+// RunPipelined produces the same TopologyResult as the barrier oracle
+// (barrier_test.go), which sorts the full boundary harvest and replays
+// it on one engine, for every preset, seed, warmup and summary mode,
+// shard count and ring size.
 
 import (
 	"bytes"
@@ -19,28 +18,13 @@ import (
 	"repro/internal/trace"
 )
 
-func runPipelined(t *testing.T, preset string, shards, ring int, warmup float64, mode stats.Mode, seed int64) *cluster.TopologyResult {
-	t.Helper()
-	topo, ok := cluster.PresetTopology(preset)
-	if !ok {
-		t.Fatalf("unknown preset %q", preset)
-	}
-	src := cluster.GenShards(presetSpec(topo.Tiers[0].Sites, seed))
-	res, err := cluster.RunSharded(src, topo, cluster.Options{
-		Warmup:       warmup,
-		Seed:         seed,
-		Summary:      mode,
-		Pipeline:     true,
-		PipelineRing: ring,
-	}, shards)
-	if err != nil {
-		t.Fatalf("preset %s pipelined with %d shards: %v", preset, shards, err)
-	}
-	return res
+// ring4 runs the sharded backend with 4-record boundary rings.
+func ring4(src cluster.ShardedSource, topo cluster.Topology, opts cluster.Options, shards int) (*cluster.TopologyResult, error) {
+	return cluster.RunPipelinedRing(src, topo, opts, shards, 4)
 }
 
 // TestPipelinedMatchesBarrier: whole TopologyResults are bit-identical
-// between the pipelined and barrier backends across all shipped
+// between the sharded backend and the barrier oracle across all shipped
 // presets (hetero-paths carries a shared-tier autoscaler, so the
 // blocking-pump discipline under controller ticks is covered), seeds,
 // warmup and summary modes, and shard counts. The ring-4 variant
@@ -60,16 +44,16 @@ func TestPipelinedMatchesBarrier(t *testing.T) {
 				{"bounded", 0, stats.Bounded},
 				{"bounded-warmup", 30, stats.Bounded},
 			} {
-				want := runSharded(t, preset, 1, tc.warmup, tc.mode, seed)
+				want := presetRun(t, cluster.RunBarrier, preset, 1, tc.warmup, tc.mode, seed)
 				if want.Offered == 0 {
 					t.Fatalf("%s/%s: no requests offered; test is vacuous", preset, tc.label)
 				}
 				for _, shards := range []int{1, 2, 3, 8} {
-					got := runPipelined(t, preset, shards, 0, tc.warmup, tc.mode, seed)
+					got := presetRun(t, cluster.RunPipelined, preset, shards, tc.warmup, tc.mode, seed)
 					compareTopologyResults(t,
 						preset+"/"+tc.label+"/pipelined", want, got)
 				}
-				got := runPipelined(t, preset, 4, 4, tc.warmup, tc.mode, seed)
+				got := presetRun(t, ring4, preset, 4, tc.warmup, tc.mode, seed)
 				compareTopologyResults(t,
 					preset+"/"+tc.label+"/pipelined-ring4", want, got)
 			}
@@ -77,53 +61,66 @@ func TestPipelinedMatchesBarrier(t *testing.T) {
 	}
 }
 
-// TestPipelinedSourcesAgree: the pipelined backend is source-agnostic —
+// TestPipelinedSourcesAgree: the sharded backend is source-agnostic —
 // lazy generator ranges, materialized trace filtering and re-scanned
-// streaming CSV decoders all reproduce the barrier generator baseline.
+// streaming CSV and .etb decoders all reproduce the barrier oracle's
+// generator baseline, with default and 4-record rings.
 func TestPipelinedSourcesAgree(t *testing.T) {
 	const sites = 5
 	topo := spillTopology(sites)
 	opts := cluster.Options{Warmup: 20, Seed: 11, Summary: stats.Exact}
-	popts := opts
-	popts.Pipeline = true
 	mk := func() cluster.GenSpec { return presetSpec(sites, 7) }
 
-	want, err := cluster.RunSharded(cluster.GenShards(mk()), topo, opts, 1)
+	want, err := cluster.RunBarrier(cluster.GenShards(mk()), topo, opts, 1)
 	if err != nil {
-		t.Fatalf("generator baseline: %v", err)
+		t.Fatalf("barrier baseline: %v", err)
 	}
 	if want.Offered == 0 {
 		t.Fatal("baseline offered no requests; test is vacuous")
 	}
 
-	got, err := cluster.RunSharded(cluster.GenShards(mk()), topo, popts, 2)
-	if err != nil {
-		t.Fatalf("pipelined generator: %v", err)
-	}
-	compareTopologyResults(t, "pipelined-gen", want, got)
-
-	got, err = cluster.RunSharded(cluster.TraceShards(cluster.Generate(mk())), topo, popts, 3)
-	if err != nil {
-		t.Fatalf("pipelined trace source: %v", err)
-	}
-	compareTopologyResults(t, "pipelined-trace", want, got)
-
-	var buf bytes.Buffer
-	if _, err := trace.WriteRequestsCSV(&buf, cluster.Stream(mk())); err != nil {
+	var csvBuf, etbBuf bytes.Buffer
+	if _, err := trace.WriteRequestsCSV(&csvBuf, cluster.Stream(mk())); err != nil {
 		t.Fatalf("encode CSV: %v", err)
 	}
-	csv := buf.String()
-	factory := func() cluster.Source { return trace.StreamRequestsCSV(strings.NewReader(csv)) }
-	got, err = cluster.RunSharded(cluster.SourceShards(factory, sites), topo, popts, 4)
-	if err != nil {
-		t.Fatalf("pipelined csv source: %v", err)
+	if _, err := trace.WriteBinary(&etbBuf, cluster.Stream(mk())); err != nil {
+		t.Fatalf("encode .etb: %v", err)
 	}
-	compareTopologyResults(t, "pipelined-csv", want, got)
+	csv, etb := csvBuf.String(), etbBuf.Bytes()
+
+	for _, tc := range []struct {
+		label  string
+		shards int
+		src    func() cluster.ShardedSource
+	}{
+		{"gen", 2, func() cluster.ShardedSource { return cluster.GenShards(mk()) }},
+		{"trace", 3, func() cluster.ShardedSource { return cluster.TraceShards(cluster.Generate(mk())) }},
+		{"csv", 4, func() cluster.ShardedSource {
+			return cluster.SourceShards(func() cluster.Source {
+				return trace.StreamRequestsCSV(strings.NewReader(csv))
+			}, sites)
+		}},
+		{"etb", 3, func() cluster.ShardedSource {
+			return cluster.SourceShards(func() cluster.Source {
+				return trace.StreamBinary(bytes.NewReader(etb))
+			}, sites)
+		}},
+	} {
+		got, err := cluster.RunPipelined(tc.src(), topo, opts, tc.shards)
+		if err != nil {
+			t.Fatalf("pipelined %s source: %v", tc.label, err)
+		}
+		compareTopologyResults(t, "pipelined-"+tc.label, want, got)
+		got, err = ring4(tc.src(), topo, opts, tc.shards)
+		if err != nil {
+			t.Fatalf("pipelined %s source, ring 4: %v", tc.label, err)
+		}
+		compareTopologyResults(t, "pipelined-"+tc.label+"-ring4", want, got)
+	}
 }
 
 // TestPipelinedAzureSource: the Azure per-bin decoder through the
-// pipelined backend matches the barrier baseline at several shard
-// counts.
+// sharded backend matches the barrier oracle at several shard counts.
 func TestPipelinedAzureSource(t *testing.T) {
 	const azureCSV = `bin,s0,s1,s2,s3
 0,40,55,35,20
@@ -140,17 +137,16 @@ func TestPipelinedAzureSource(t *testing.T) {
 	sites := probe.Sites()
 
 	topo := spillTopology(sites)
-	want, err := cluster.RunSharded(cluster.SourceShards(factory, sites), topo,
-		cluster.Options{Seed: 5, Summary: stats.Exact}, 1)
+	opts := cluster.Options{Seed: 5, Summary: stats.Exact}
+	want, err := cluster.RunBarrier(cluster.SourceShards(factory, sites), topo, opts, 1)
 	if err != nil {
-		t.Fatalf("azure baseline: %v", err)
+		t.Fatalf("azure barrier baseline: %v", err)
 	}
 	if want.Offered == 0 {
 		t.Fatal("azure baseline offered no requests; test is vacuous")
 	}
 	for _, shards := range []int{2, sites} {
-		got, err := cluster.RunSharded(cluster.SourceShards(factory, sites), topo,
-			cluster.Options{Seed: 5, Summary: stats.Exact, Pipeline: true}, shards)
+		got, err := cluster.RunPipelined(cluster.SourceShards(factory, sites), topo, opts, shards)
 		if err != nil {
 			t.Fatalf("pipelined azure %d shards: %v", shards, err)
 		}
@@ -159,33 +155,66 @@ func TestPipelinedAzureSource(t *testing.T) {
 }
 
 // TestPipelinedSourceErrorSurfaces: a decode failure inside a shard
-// worker surfaces as an error without deadlocking the merger or the
-// phase-2 pumps — the failing shard still closes its ring, so the
-// whole pipeline drains and RunSharded returns.
+// worker surfaces as the same error the barrier oracle reports,
+// without deadlocking the merger or the phase-2 pumps — also under a
+// 4-record ring, where the healthy shard is blocked on backpressure
+// when its sibling fails.
 func TestPipelinedSourceErrorSurfaces(t *testing.T) {
 	const bad = "time,site,service\n0.5,0,0.01\n1.0,1,0.02\nnot-a-number,0,0.01\n"
 	factory := func() cluster.Source { return trace.StreamRequestsCSV(strings.NewReader(bad)) }
 	topo := spillTopology(2)
-	_, err := cluster.RunSharded(cluster.SourceShards(factory, 2), topo,
-		cluster.Options{Seed: 1, Pipeline: true}, 2)
-	if err == nil {
-		t.Fatal("want a decode error from the pipelined run, got none")
+	opts := cluster.Options{Seed: 1}
+	_, want := cluster.RunBarrier(cluster.SourceShards(factory, 2), topo, opts, 2)
+	if want == nil {
+		t.Fatal("want a decode error from the barrier run, got none")
 	}
-	if !strings.Contains(err.Error(), "source failed") {
-		t.Fatalf("error does not identify the source failure: %v", err)
+	for _, tc := range []struct {
+		label string
+		run   func(cluster.ShardedSource, cluster.Topology, cluster.Options, int) (*cluster.TopologyResult, error)
+	}{
+		{"default-ring", cluster.RunPipelined},
+		{"ring4", ring4},
+	} {
+		_, err := tc.run(cluster.SourceShards(factory, 2), topo, opts, 2)
+		if err == nil {
+			t.Fatalf("%s: want a decode error from the pipelined run, got none", tc.label)
+		}
+		if !strings.Contains(err.Error(), "source failed") {
+			t.Fatalf("%s: error does not identify the source failure: %v", tc.label, err)
+		}
+		if err.Error() != want.Error() {
+			t.Fatalf("%s: pipelined error %q, barrier error %q", tc.label, err, want)
+		}
 	}
 }
 
-// TestPipelinedRejections: the pipelined backend refuses exactly what
-// the barrier backend refuses, with the same error text.
+// TestPipelinedRejections: the sharded backend refuses exactly what
+// the barrier oracle refuses, with the same error text.
 func TestPipelinedRejections(t *testing.T) {
 	topo := spillTopology(3)
-	src := func() cluster.ShardedSource { return cluster.GenShards(presetSpec(3, 1)) }
-	if _, err := cluster.RunSharded(src(), topo, cluster.Options{Pipeline: true, TimelineBin: 1}, 2); err == nil || !strings.Contains(err.Error(), "TimelineBin") {
-		t.Fatalf("want timeline rejection, got %v", err)
-	}
-	if _, err := cluster.RunSharded(src(), topo, cluster.Options{Pipeline: true, Probe: func(int) {}}, 2); err == nil || !strings.Contains(err.Error(), "Probe") {
-		t.Fatalf("want probe rejection, got %v", err)
+	jockey := spillTopology(3)
+	jockey.Tiers[0].JockeyThreshold = 2
+	src := func(sites int) cluster.ShardedSource { return cluster.GenShards(presetSpec(sites, 1)) }
+	for _, tc := range []struct {
+		label string
+		src   cluster.ShardedSource
+		topo  cluster.Topology
+		opts  cluster.Options
+		text  string
+	}{
+		{"timeline", src(3), topo, cluster.Options{TimelineBin: 1}, "TimelineBin"},
+		{"probe", src(3), topo, cluster.Options{Probe: func(int) {}}, "Probe"},
+		{"site-mismatch", src(4), topo, cluster.Options{}, "sites"},
+		{"jockeying", src(3), jockey, cluster.Options{}, "jockeys"},
+	} {
+		_, want := cluster.RunBarrier(tc.src, tc.topo, tc.opts, 2)
+		_, got := cluster.RunPipelined(tc.src, tc.topo, tc.opts, 2)
+		if got == nil || !strings.Contains(got.Error(), tc.text) {
+			t.Fatalf("%s: want a rejection naming %q, got %v", tc.label, tc.text, got)
+		}
+		if want == nil || want.Error() != got.Error() {
+			t.Fatalf("%s: pipelined error %v, barrier error %v", tc.label, got, want)
+		}
 	}
 }
 
@@ -233,7 +262,7 @@ func TestPipelinedParallelPartitions(t *testing.T) {
 	mk := func() cluster.GenSpec { return presetSpec(sites, 13) }
 	opts := cluster.Options{Warmup: 15, Seed: 9, Summary: stats.Exact}
 
-	want, err := cluster.RunSharded(cluster.GenShards(mk()), topo, opts, 1)
+	want, err := cluster.RunBarrier(cluster.GenShards(mk()), topo, opts, 1)
 	if err != nil {
 		t.Fatalf("barrier baseline: %v", err)
 	}
@@ -248,13 +277,10 @@ func TestPipelinedParallelPartitions(t *testing.T) {
 		shards int
 		ring   int
 	}{
-		{"shards2", 2, 0},
+		{"shards2", 2, cluster.BoundaryRing},
 		{"shards4-ring8", 4, 8},
 	} {
-		popts := opts
-		popts.Pipeline = true
-		popts.PipelineRing = tc.ring
-		got, err := cluster.RunSharded(cluster.GenShards(mk()), topo, popts, tc.shards)
+		got, err := cluster.RunPipelinedRing(cluster.GenShards(mk()), topo, opts, tc.shards, tc.ring)
 		if err != nil {
 			t.Fatalf("pipelined %s: %v", tc.label, err)
 		}
@@ -292,13 +318,11 @@ func TestPipelinedBacklogBounded(t *testing.T) {
 			Sites: sites, Duration: scale.duration, PerSiteRate: 16, Seed: 21,
 		}
 		peak := -1
-		res, err := cluster.RunSharded(cluster.GenShards(spec), topo, cluster.Options{
+		res, err := cluster.RunPipelinedRing(cluster.GenShards(spec), topo, cluster.Options{
 			Seed:         21,
 			Summary:      stats.Bounded,
-			Pipeline:     true,
-			PipelineRing: ring,
 			BacklogProbe: func(p int) { peak = p },
-		}, shards)
+		}, shards, ring)
 		if err != nil {
 			t.Fatalf("%s: %v", scale.label, err)
 		}

@@ -1,19 +1,14 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
-	"runtime/pprof"
-	"sort"
-	"sync"
 
 	"repro/internal/admit"
 	"repro/internal/autoscale"
 	"repro/internal/econ"
 	"repro/internal/lb"
-	"repro/internal/merge"
 	"repro/internal/queue"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -31,8 +26,9 @@ import (
 //     autoscaled pools), which couple all sites. Every request crossing
 //     from phase 1 — a spill out of a saturated home tier, or a class
 //     pinned straight to a shared tier — is captured as a boundary
-//     record; the per-shard buffers are merged into one canonical
-//     (time, site, per-site order) sequence and replayed on one engine.
+//     record; the per-shard streams are merged into one canonical
+//     (time, site, per-site order) sequence and replayed on the shared
+//     tiers' engine(s).
 //
 // Because phase-1 dynamics are site-local and the boundary sequence is
 // canonical, the result is bit-identical for every shard count: the
@@ -42,15 +38,12 @@ import (
 // than Run's single generation-order stream — so its numbers are a
 // deterministic function of the seed but need not equal Run's.)
 //
-// Two backends replay the same two phases: RunSharded barriers between
-// them (phase 2 starts after the slowest shard finishes, boundary
-// memory is O(boundary count)), and RunPipelined (pipeline.go) overlaps
-// them through watermarked bounded rings (phase 2 starts immediately,
-// boundary memory is O(ring capacity)). Both produce bit-identical
-// results because both feed phase 2 the identical canonical sequence.
+// RunPipelined (pipeline.go) runs the two phases concurrently: boundary
+// records stream through watermarked bounded rings, so phase 2 starts
+// immediately and boundary memory is O(ring capacity).
 
-// Shardable reports whether the topology can be replayed by RunSharded,
-// or an error naming the first coupling that prevents it. The
+// Shardable reports whether the topology can be replayed by the sharded
+// backend (RunPipelined), or an error naming the first coupling that prevents it. The
 // disqualifiers are exactly the features that couple home sites:
 // geographic jockeying and autoscalers on home tiers, Bernoulli class
 // fractions (one global stream), sampled detours on non-entry home
@@ -140,44 +133,8 @@ func boundaryBefore(a, b *boundaryRec) bool {
 	return a.seq < b.seq
 }
 
-// sortBoundary canonicalizes a phase-1 harvest in place. Captures are
-// appended in shard event order, which is already the canonical order
-// whenever the shard's crossings carry uniform detour offsets (pinned
-// classes, a single spill edge) — so first verify sortedness in one
-// O(n) scan and return without moving anything. Otherwise the sequence
-// is a sorted prefix with displaced records behind it: sort the suffix
-// and merge the two runs backward through one suffix-sized buffer,
-// which beats re-sorting the whole harvest when few records are out of
-// place and degrades to an ordinary sort plus an O(n) pass when many
-// are. boundaryBefore is a strict total order, so the merge is
-// deterministic.
-func sortBoundary(recs []boundaryRec) {
-	p := 1
-	for p < len(recs) && !boundaryBefore(&recs[p], &recs[p-1]) {
-		p++
-	}
-	if p >= len(recs) {
-		return
-	}
-	tail := recs[p:]
-	sort.Slice(tail, func(i, j int) bool { return boundaryBefore(&tail[i], &tail[j]) })
-	tmp := append([]boundaryRec(nil), tail...)
-	i, k := p-1, len(recs)-1
-	for j := len(tmp) - 1; j >= 0; {
-		if i >= 0 && boundaryBefore(&tmp[j], &recs[i]) {
-			recs[k] = recs[i]
-			i--
-		} else {
-			recs[k] = tmp[j]
-			j--
-		}
-		k--
-	}
-}
-
 // boundaryPublisher receives one shard's boundary captures during phase
-// 1. The barrier backend buffers the full harvest; the pipelined
-// backend streams releases through a watermarked ring. capture is
+// 1; pipePublisher streams them through a watermarked ring. capture is
 // called in shard event order; advance reports the shard clock reaching
 // now (from the feeder, once per source record); finish runs once after
 // the shard engine drains, including on source error.
@@ -186,18 +143,6 @@ type boundaryPublisher interface {
 	advance(now float64)
 	finish()
 }
-
-// harvestPublisher is the barrier backend's publisher: append
-// everything, canonicalize once at the end.
-type harvestPublisher struct{ st *shardState }
-
-func (h *harvestPublisher) capture(rec boundaryRec) {
-	h.st.boundary = append(h.st.boundary, rec)
-}
-
-func (h *harvestPublisher) advance(float64) {}
-
-func (h *harvestPublisher) finish() { sortBoundary(h.st.boundary) }
 
 // homeSpill is one home tier's outgoing spill edge, pre-resolved.
 type homeSpill struct {
@@ -217,7 +162,6 @@ type shardState struct {
 	slot   []int // tier index -> home slot (shared shardPlan.homeSlot)
 
 	stations [][]*queue.Station // per home slot, per local site
-	boundary []boundaryRec      // barrier backend's harvest
 	siteSeq  []uint64           // per local site: boundary capture counter
 
 	offered  uint64
@@ -463,7 +407,7 @@ func runShardPhase1(topo Topology, plan shardPlan, st *shardState, src Source, o
 			}
 			// The shard clock sits at rec.Time: every boundary capture
 			// from here on carries at >= rec.Time, which is what lets the
-			// pipelined publisher release and watermark.
+			// publisher release and watermark.
 			pub.advance(rec.Time)
 			entry, class := 0, 0
 			if len(topo.Classes) > 0 {
@@ -497,9 +441,8 @@ func runShardPhase1(topo Topology, plan shardPlan, st *shardState, src Source, o
 				st.lo, st.hi, f.count, err)
 		}
 	}
-	// Flush the tail captures (and, for the barrier backend,
-	// canonicalize the harvest). Runs on the error path too, so a
-	// pipelined ring always closes and the merger cannot stall.
+	// Flush the tail captures. Runs on the error path too, so the ring
+	// always closes and the merger cannot stall.
 	pub.finish()
 }
 
@@ -554,8 +497,7 @@ func (s *phase2Sink) Consume(e *sim.Engine, r *queue.Request) {
 	}
 }
 
-// shardRun is the state the barrier and pipelined backends share: the
-// validated plan, the partition-independent seed derivation, the shard
+// shardRun is one sharded run's shared state: the validated plan, the partition-independent seed derivation, the shard
 // site ranges and the result skeleton.
 type shardRun struct {
 	topo       Topology
@@ -569,7 +511,7 @@ type shardRun struct {
 	res        *TopologyResult
 }
 
-// newShardRun validates the run and derives everything both backends
+// newShardRun validates the run and derives everything both phases
 // need. Per-site stream seeds are derived exactly as siteStreams
 // derives the generator's: one master stream hands each site a seed in
 // site order, then one more seeds the phase-2 engine. The derivation
@@ -584,10 +526,10 @@ func newShardRun(src ShardedSource, topo Topology, opts Options, shards int) (*s
 		return nil, err
 	}
 	if opts.TimelineBin > 0 {
-		return nil, fmt.Errorf("cluster: RunSharded does not support Options.TimelineBin (order-dependent timeline); use Run")
+		return nil, fmt.Errorf("cluster: sharded replay does not support Options.TimelineBin (order-dependent timeline); use Run")
 	}
 	if opts.Probe != nil {
-		return nil, fmt.Errorf("cluster: RunSharded does not support Options.Probe; use Run")
+		return nil, fmt.Errorf("cluster: sharded replay does not support Options.Probe; use Run")
 	}
 	if opts.Pricing != nil {
 		if err := opts.Pricing.Check(); err != nil {
@@ -685,8 +627,8 @@ func deriveP2Streams(topo Topology, plan shardPlan, phase2Seed int64) p2streams 
 
 // p2build is one phase-2 engine's constructed world: the runtimes for
 // its subset of the shared tiers, its request pool, sink and
-// controllers. The barrier backend builds exactly one over all shared
-// tiers; the pipelined backend builds one per independent partition.
+// controllers. RunPipelined builds one per independent partition of the
+// shared tiers.
 type p2build struct {
 	eng   *sim.Engine
 	x     *topoExec
@@ -790,8 +732,10 @@ func buildPhase2(r *shardRun, tiers []int, streams p2streams) (*p2build, error) 
 
 // finishSharded closes every engine at the global end time, harvests
 // the phase-1 and phase-2 counters, merges per-site latency in
-// canonical order and assembles the per-tier tables — identical for
-// both backends, which is what makes them bit-identical.
+// canonical order and assembles the per-tier tables. Every merge runs
+// in global site or tier order, independent of the shard partition and
+// the phase-2 partitioning, which is what keeps the result
+// bit-identical for every shard count.
 func finishSharded(r *shardRun, builds []*p2build, perSite []stats.Digest) *TopologyResult {
 	topo, plan, opts, res := r.topo, r.plan, r.opts, r.res
 
@@ -985,144 +929,4 @@ func finishSharded(r *shardRun, builds []*p2build, perSite []stats.Digest) *Topo
 		res.CostPerRequest = res.TotalCost / float64(res.Completed)
 	}
 	return res
-}
-
-// RunSharded replays the source through the topology on `shards`
-// parallel engines plus one serial shared phase, producing a result
-// that is bit-identical for every shard count (including 1). shards <=
-// 0 selects GOMAXPROCS; the count is clamped to the site count. See
-// Shardable for what disqualifies a topology.
-//
-// This is the barrier backend: phase 2 starts after every shard
-// finishes and the full boundary harvest is materialized. Setting
-// Options.Pipeline delegates to RunPipelined, which overlaps the
-// phases and bounds boundary memory by ring capacity — same results,
-// byte for byte.
-//
-// Options.TimelineBin and Options.Probe are not supported here: both
-// observe global event order, which sharding does not preserve.
-func RunSharded(src ShardedSource, topo Topology, opts Options, shards int) (*TopologyResult, error) {
-	if opts.Pipeline {
-		return RunPipelined(src, topo, opts, shards)
-	}
-	r, err := newShardRun(src, topo, opts, shards)
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 1: all shards to completion, full harvests. The pprof
-	// label makes the parallel home-tier replay separable from the
-	// shared phase in -cpuprofile/-memprofile output.
-	var wg sync.WaitGroup
-	for _, st := range r.states {
-		wg.Add(1)
-		go pprof.Do(context.Background(), pprof.Labels("phase", "phase-1"), func(context.Context) {
-			defer wg.Done()
-			runShardPhase1(r.topo, r.plan, st, src.Shard(st.lo, st.hi), r.opts, r.netSeeds, &harvestPublisher{st: st})
-		})
-	}
-	wg.Wait()
-	for _, st := range r.states {
-		if st.err != nil {
-			return nil, st.err
-		}
-	}
-
-	// Phase 2: one serial engine over all shared tiers.
-	b, err := buildPhase2(r, r.plan.shared, deriveP2Streams(r.topo, r.plan, r.phase2Seed))
-	if err != nil {
-		return nil, err
-	}
-	perSite := newDigests(r.opts.Summary, r.sites)
-	b.sink.perSite = perSite
-
-	// Canonical k-way merge over the sorted per-shard buffers. heads
-	// maps heap entries to shard indices; pos tracks each shard's next
-	// unread record.
-	states := r.states
-	var total uint64
-	for _, st := range states {
-		total += uint64(len(st.boundary))
-	}
-	pos := make([]int, r.shards)
-	var heads []int
-	for k := range states {
-		if len(states[k].boundary) > 0 {
-			heads = append(heads, k)
-		}
-	}
-	var mh merge.Heap
-	mh.Less = func(a, b int) bool {
-		ka, kb := heads[a], heads[b]
-		return boundaryBefore(&states[ka].boundary[pos[ka]], &states[kb].boundary[pos[kb]])
-	}
-	mh.Build(len(heads))
-
-	var pending *boundaryRec
-	advance := func() bool {
-		if mh.Len() == 0 {
-			pending = nil
-			return false
-		}
-		k := heads[mh.Min()]
-		pending = &states[k].boundary[pos[k]]
-		pos[k]++
-		if pos[k] < len(states[k].boundary) {
-			mh.FixMin()
-		} else {
-			mh.PopMin()
-		}
-		return true
-	}
-
-	var drained bool
-	stopAll := func() {
-		if drained && b.sink.consumed == total {
-			for _, c := range b.ctrls {
-				c.Stop()
-			}
-		}
-	}
-	if len(b.ctrls) > 0 {
-		b.sink.pre = stopAll
-	}
-	var nextID uint64
-	var pump sim.Event
-	pump = func(e *sim.Engine) {
-		rec := pending
-		req := b.pool.Get()
-		nextID++
-		req.ID = nextID
-		req.Site = rec.site
-		req.Generated = rec.generated
-		req.Done = b.sink
-		req.NetworkRTT = rec.rtt
-		req.AuxRTT = rec.aux
-		req.ServiceTime = rec.service
-		req.Tag = uint64(rec.tier)
-		req.Class = rec.class
-		b.x.admit(rec.tier, req)
-		if advance() {
-			e.AtFront(pending.at, pump)
-		} else {
-			drained = true
-			stopAll()
-		}
-	}
-	if advance() {
-		b.eng.AtFront(pending.at, pump)
-	} else {
-		drained = true
-		stopAll()
-	}
-	// The barrier backend interleaves the k-way merge with the shared
-	// replay inside the pump, so one label covers both.
-	pprof.Do(context.Background(), pprof.Labels("phase", "phase-2"), func(context.Context) {
-		b.eng.Run()
-	})
-	for _, c := range b.ctrls {
-		c.Stop()
-	}
-
-	return finishSharded(r, []*p2build{b}, perSite), nil
 }

@@ -1,16 +1,19 @@
 package cluster_test
 
-// Sharded replay must be bit-identical across shard counts: RunSharded
+// Sharded replay must be bit-identical across shard counts: RunPipelined
 // with N engines produces the same TopologyResult as with 1, for every
-// preset, seed, warmup and summary mode, and for generator, trace and
-// streaming-CSV sources. These tests are the determinism proof the
-// -shards flag rests on; the CI race job runs them under -race to also
-// certify the phase-1 goroutines share nothing mutable.
+// preset, seed, warmup and summary mode, and for generator, trace,
+// streaming-CSV and Azure sources. These tests are the determinism
+// proof the -shards flag rests on; the CI race job runs them under
+// -race to also certify the shard goroutines, the merger and the
+// phase-2 pumps share nothing unsynchronized.
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/autoscale"
 	"repro/internal/cluster"
@@ -28,18 +31,17 @@ func presetSpec(sites int, seed int64) cluster.GenSpec {
 	}
 }
 
-func runSharded(t *testing.T, preset string, shards int, warmup float64, mode stats.Mode, seed int64) *cluster.TopologyResult {
+// presetRun replays a shipped preset through run (RunPipelined or a
+// test variant of it) on a generator workload derived from seed.
+func presetRun(t *testing.T, run func(cluster.ShardedSource, cluster.Topology, cluster.Options, int) (*cluster.TopologyResult, error),
+	preset string, shards int, warmup float64, mode stats.Mode, seed int64) *cluster.TopologyResult {
 	t.Helper()
 	topo, ok := cluster.PresetTopology(preset)
 	if !ok {
 		t.Fatalf("unknown preset %q", preset)
 	}
 	src := cluster.GenShards(presetSpec(topo.Tiers[0].Sites, seed))
-	res, err := cluster.RunSharded(src, topo, cluster.Options{
-		Warmup:  warmup,
-		Seed:    seed,
-		Summary: mode,
-	}, shards)
+	res, err := run(src, topo, cluster.Options{Warmup: warmup, Seed: seed, Summary: mode}, shards)
 	if err != nil {
 		t.Fatalf("preset %s with %d shards: %v", preset, shards, err)
 	}
@@ -69,7 +71,7 @@ func TestShardCountInvariance(t *testing.T) {
 				{"bounded", 0, stats.Bounded},
 				{"bounded-warmup", 30, stats.Bounded},
 			} {
-				want := runSharded(t, preset, 1, tc.warmup, tc.mode, seed)
+				want := presetRun(t, cluster.RunPipelined, preset, 1, tc.warmup, tc.mode, seed)
 				if want.Offered == 0 {
 					t.Fatalf("%s/%s: no requests offered; test is vacuous", preset, tc.label)
 				}
@@ -78,7 +80,7 @@ func TestShardCountInvariance(t *testing.T) {
 						want.Offered, want.Consumed)
 				}
 				for _, shards := range []int{2, 3, 4, 8} {
-					got := runSharded(t, preset, shards, tc.warmup, tc.mode, seed)
+					got := presetRun(t, cluster.RunPipelined, preset, shards, tc.warmup, tc.mode, seed)
 					compareTopologyResults(t,
 						preset+"/"+tc.label+"/shards", want, got)
 				}
@@ -87,17 +89,17 @@ func TestShardCountInvariance(t *testing.T) {
 	}
 }
 
-// TestShardedSourcesAgree: the three ShardedSource adapters — lazy
-// generator ranges, materialized trace filtering, and re-scanned
-// streaming CSV decoders — feed bit-identical sharded runs, at
-// different shard counts.
+// TestShardedSourcesAgree: the ShardedSource adapters — lazy generator
+// ranges, materialized trace filtering, and re-scanned streaming CSV
+// and .etb decoders — feed bit-identical sharded runs, at
+// different shard counts, all matching the one-shard generator run.
 func TestShardedSourcesAgree(t *testing.T) {
 	const sites = 5
 	topo := spillTopology(sites)
 	opts := cluster.Options{Warmup: 20, Seed: 11, Summary: stats.Exact}
 	mk := func() cluster.GenSpec { return presetSpec(sites, 7) }
 
-	want, err := cluster.RunSharded(cluster.GenShards(mk()), topo, opts, 1)
+	want, err := cluster.RunPipelined(cluster.GenShards(mk()), topo, opts, 1)
 	if err != nil {
 		t.Fatalf("generator baseline: %v", err)
 	}
@@ -105,7 +107,13 @@ func TestShardedSourcesAgree(t *testing.T) {
 		t.Fatal("baseline offered no requests; test is vacuous")
 	}
 
-	got, err := cluster.RunSharded(cluster.TraceShards(cluster.Generate(mk())), topo, opts, 3)
+	got, err := cluster.RunPipelined(cluster.GenShards(mk()), topo, opts, 2)
+	if err != nil {
+		t.Fatalf("generator source: %v", err)
+	}
+	compareTopologyResults(t, "gen-shards", want, got)
+
+	got, err = cluster.RunPipelined(cluster.TraceShards(cluster.Generate(mk())), topo, opts, 3)
 	if err != nil {
 		t.Fatalf("trace source: %v", err)
 	}
@@ -117,11 +125,22 @@ func TestShardedSourcesAgree(t *testing.T) {
 	}
 	csv := buf.String()
 	factory := func() cluster.Source { return trace.StreamRequestsCSV(strings.NewReader(csv)) }
-	got, err = cluster.RunSharded(cluster.SourceShards(factory, sites), topo, opts, 4)
+	got, err = cluster.RunPipelined(cluster.SourceShards(factory, sites), topo, opts, 4)
 	if err != nil {
 		t.Fatalf("csv source: %v", err)
 	}
 	compareTopologyResults(t, "csv-shards", want, got)
+
+	var etb bytes.Buffer
+	if _, err := trace.WriteBinary(&etb, cluster.Stream(mk())); err != nil {
+		t.Fatalf("encode .etb: %v", err)
+	}
+	etbFactory := func() cluster.Source { return trace.StreamBinary(bytes.NewReader(etb.Bytes())) }
+	got, err = cluster.RunPipelined(cluster.SourceShards(etbFactory, sites), topo, opts, 3)
+	if err != nil {
+		t.Fatalf("etb source: %v", err)
+	}
+	compareTopologyResults(t, "etb-shards", want, got)
 }
 
 // TestShardedAzureSourceDeterministic: the Azure per-bin decoder,
@@ -147,7 +166,7 @@ func TestShardedAzureSourceDeterministic(t *testing.T) {
 
 	topo := spillTopology(sites)
 	opts := cluster.Options{Seed: 5, Summary: stats.Exact}
-	want, err := cluster.RunSharded(cluster.SourceShards(factory, sites), topo, opts, 1)
+	want, err := cluster.RunPipelined(cluster.SourceShards(factory, sites), topo, opts, 1)
 	if err != nil {
 		t.Fatalf("azure baseline: %v", err)
 	}
@@ -155,7 +174,7 @@ func TestShardedAzureSourceDeterministic(t *testing.T) {
 		t.Fatal("azure baseline offered no requests; test is vacuous")
 	}
 	for _, shards := range []int{2, sites} {
-		got, err := cluster.RunSharded(cluster.SourceShards(factory, sites), topo, opts, shards)
+		got, err := cluster.RunPipelined(cluster.SourceShards(factory, sites), topo, opts, shards)
 		if err != nil {
 			t.Fatalf("azure %d shards: %v", shards, err)
 		}
@@ -165,22 +184,34 @@ func TestShardedAzureSourceDeterministic(t *testing.T) {
 
 // TestShardedSourceErrorSurfaces: a decode failure inside a shard
 // worker comes back as an error, not a panic or a silently truncated
-// result.
+// result, without deadlocking the merger or the phase-2 pumps — the
+// failing shard still closes its ring, so the whole pipeline drains —
+// and every goroutine the run started exits.
 func TestShardedSourceErrorSurfaces(t *testing.T) {
 	const bad = "time,site,service\n0.5,0,0.01\n1.0,1,0.02\nnot-a-number,0,0.01\n"
 	factory := func() cluster.Source { return trace.StreamRequestsCSV(strings.NewReader(bad)) }
 	topo := spillTopology(2)
-	_, err := cluster.RunSharded(cluster.SourceShards(factory, 2), topo, cluster.Options{Seed: 1}, 2)
+	before := runtime.NumGoroutine()
+	_, err := cluster.RunPipelined(cluster.SourceShards(factory, 2), topo, cluster.Options{Seed: 1}, 2)
 	if err == nil {
 		t.Fatal("want a decode error from the sharded run, got none")
 	}
 	if !strings.Contains(err.Error(), "source failed") {
 		t.Fatalf("error does not identify the source failure: %v", err)
 	}
+	// Goroutines that have finished their work may take a moment to be
+	// reaped, so poll briefly before calling any survivor a leak.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after the failed run, %d before: the error path leaks", n, before)
+	}
 }
 
 // TestShardableRejections: every coupling feature is named and
-// rejected, and RunSharded refuses the options it cannot honor.
+// rejected, and RunPipelined refuses the options it cannot honor.
 func TestShardableRejections(t *testing.T) {
 	home := func() cluster.Topology {
 		return cluster.Topology{
@@ -253,21 +284,21 @@ func TestShardableRejections(t *testing.T) {
 	})
 	t.Run("timeline-unsupported", func(t *testing.T) {
 		src := cluster.GenShards(presetSpec(3, 1))
-		_, err := cluster.RunSharded(src, home(), cluster.Options{TimelineBin: 1}, 2)
+		_, err := cluster.RunPipelined(src, home(), cluster.Options{TimelineBin: 1}, 2)
 		if err == nil || !strings.Contains(err.Error(), "TimelineBin") {
 			t.Fatalf("want timeline rejection, got %v", err)
 		}
 	})
 	t.Run("probe-unsupported", func(t *testing.T) {
 		src := cluster.GenShards(presetSpec(3, 1))
-		_, err := cluster.RunSharded(src, home(), cluster.Options{Probe: func(int) {}}, 2)
+		_, err := cluster.RunPipelined(src, home(), cluster.Options{Probe: func(int) {}}, 2)
 		if err == nil || !strings.Contains(err.Error(), "Probe") {
 			t.Fatalf("want probe rejection, got %v", err)
 		}
 	})
 	t.Run("site-mismatch", func(t *testing.T) {
 		src := cluster.GenShards(presetSpec(4, 1))
-		_, err := cluster.RunSharded(src, home(), cluster.Options{}, 2)
+		_, err := cluster.RunPipelined(src, home(), cluster.Options{}, 2)
 		if err == nil || !strings.Contains(err.Error(), "sites") {
 			t.Fatalf("want site-count rejection, got %v", err)
 		}

@@ -1,13 +1,13 @@
 package cluster
 
 // ShardedSource is a workload that can hand out its record sequence in
-// per-site-range slices, the input contract of RunSharded. Shard(lo, hi)
+// per-site-range slices, the input contract of RunPipelined. Shard(lo, hi)
 // must return a fresh time-ordered Source over exactly the records whose
 // Site lies in [lo, hi) — with every record identical to the one the
 // full sequence carries, so disjoint ranges partition the workload.
 // Shards over disjoint ranges may be consumed concurrently.
 type ShardedSource interface {
-	// Sites reports the workload's site count; RunSharded partitions
+	// Sites reports the workload's site count; RunPipelined partitions
 	// [0, Sites) into contiguous ranges.
 	Sites() int
 	// Shard returns a fresh Source over the sites in [lo, hi).

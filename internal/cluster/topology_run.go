@@ -47,16 +47,7 @@ type Options struct {
 	// strict event order, so results are bit-identical either way; the
 	// equivalence suite runs both to prove it.
 	Backend sim.Backend
-	// Pipeline selects the watermark-pipelined sharded backend: phase 2
-	// overlaps phase 1 and boundary memory is bounded by PipelineRing.
-	// Read by RunSharded (which delegates to RunPipelined); ignored by
-	// Run.
-	Pipeline bool
-	// PipelineRing bounds each shard's boundary ring in records (0 =
-	// default). Smaller rings mean tighter memory and more backpressure
-	// stalls; results are identical either way.
-	PipelineRing int
-	// BacklogProbe, when set on a pipelined run, receives the peak
+	// BacklogProbe, when set on a sharded run, receives the peak
 	// count of resident boundary records — captured by phase 1 but not
 	// yet admitted to a phase-2 engine — after the run completes (a
 	// diagnostic for the bounded-memory property). Ignored elsewhere.
@@ -652,7 +643,7 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 // priceTier applies the cost overlay to one assembled tier: capacity
 // integral priced at the tier's override or the run pricing's rate for
 // its shape, plus the lost-request penalty on rejected traffic. Shared
-// by Run and RunSharded so the two paths cannot drift. The tier's
+// by Run and RunPipelined so the two paths cannot drift. The tier's
 // Rejected counter must be final before this runs.
 func priceTier(tr *TierResult, home bool, override float64, pricing econ.Pricing, duration float64) {
 	price := override

@@ -43,8 +43,10 @@ type TopologySweepConfig struct {
 	Source func(cluster.GenSpec) cluster.Source
 	// Shards selects the per-point replay engine. 0 replays every
 	// point with cluster.Run (the single-engine path, back-compatible
-	// bit-for-bit). AutoShards replays shardable topologies with
-	// cluster.RunSharded, splitting each point across the CPUs the
+	// bit-for-bit). AutoShards replays shardable topologies through
+	// the sharded backend (cluster.RunPipelined: parallel home-tier
+	// shards streaming into the shared phase), splitting each point
+	// across the CPUs the
 	// worker pool leaves idle, and silently falls back to Run for
 	// unshardable ones. N > 0 forces exactly N shards per point and
 	// fails the sweep when a topology is not shardable. Sharded
@@ -179,7 +181,7 @@ func RunTopologySweep(cfg TopologySweepConfig) (TopologySweepResult, error) {
 		}
 		runPoint := func(topo cluster.Topology, shards int, seed int64) (*cluster.TopologyResult, error) {
 			if shards != 0 {
-				return cluster.RunSharded(cluster.GenShards(spec), topo, pointOpts(seed), shards)
+				return cluster.RunPipelined(cluster.GenShards(spec), topo, pointOpts(seed), shards)
 			}
 			return cluster.Run(src(spec), topo, pointOpts(seed))
 		}
@@ -233,7 +235,7 @@ func RunTopologySweep(cfg TopologySweepConfig) (TopologySweepResult, error) {
 // CPUs not already busy running other sweep points across each point
 // (falling back to the single engine when the topology cannot shard),
 // and an explicit count is validated against Shardable. The returned
-// count only affects wall-clock: RunSharded is bit-identical at every
+// count only affects wall-clock: RunPipelined is bit-identical at every
 // shard count.
 func resolveShards(setting int, topo cluster.Topology, workers, points int) (int, error) {
 	switch {

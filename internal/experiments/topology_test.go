@@ -102,7 +102,7 @@ func TestRunFigThreeTier(t *testing.T) {
 }
 
 // TestTopologySweepSharded: sharded sweeps are bit-identical at every
-// shard count (the RunSharded determinism contract surfaced through
+// shard count (the sharded determinism contract surfaced through
 // the sweep), auto mode picks a usable count, and the incompatible
 // Source+Shards combination is rejected.
 func TestTopologySweepSharded(t *testing.T) {

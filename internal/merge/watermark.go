@@ -4,7 +4,7 @@ import "sync"
 
 // Group is a set of k bounded producer rings feeding one consumer
 // through a watermark-gated k-way merge — the coordination core of the
-// pipelined sharded replay. Each producer pushes records in
+// sharded replay (cluster.RunPipelined). Each producer pushes records in
 // nondecreasing Less order into its own ring (blocking while the ring
 // is full, which is the backpressure that bounds memory by ring
 // capacity instead of record count) and advances a monotone watermark:

@@ -1,7 +1,7 @@
 // Package queue implements queueing stations on top of the sim engine:
 // a G/G/c FCFS station (the model for both an edge site and the cloud
-// cluster in the paper), alternative disciplines (LIFO, SJF) for
-// ablations, and a processor-sharing station. Stations collect the
+// cluster in the paper) with alternative disciplines (LIFO, SJF) for
+// ablations. Stations collect the
 // waiting-time, sojourn-time, queue-length and utilization metrics that
 // the paper's analysis (§3) reasons about.
 package queue
@@ -366,4 +366,35 @@ func (s *Station) Finish() {
 // String describes the station.
 func (s *Station) String() string {
 	return fmt.Sprintf("Station(%s, c=%d, %s)", s.Name, s.Servers, s.Disc)
+}
+
+// Server is the station interface dispatchers and the cluster model
+// program against.
+type Server interface {
+	Arrive(r *Request)
+	Load() int
+	Metrics() *Metrics
+	Finish()
+}
+
+var _ Server = (*Station)(nil)
+
+// MergedWaits merges the per-request waits from several stations, used
+// to compute the edge-wide weighted averages of Lemma 3.3. The result
+// is exact when every station collects exact metrics.
+func MergedWaits(stations []Server) *stats.Digest {
+	out := &stats.Digest{}
+	for _, s := range stations {
+		out.Merge(&s.Metrics().Wait)
+	}
+	return out
+}
+
+// MergedSojourns merges per-request sojourn times across stations.
+func MergedSojourns(stations []Server) *stats.Digest {
+	out := &stats.Digest{}
+	for _, s := range stations {
+		out.Merge(&s.Metrics().Sojourn)
+	}
+	return out
 }

@@ -347,3 +347,28 @@ func TestStationServiceDistExplicitDemandWins(t *testing.T) {
 		t.Errorf("explicit service time overridden: departure %v, want 0.25", req.Departure)
 	}
 }
+
+func TestMergedWaits(t *testing.T) {
+	eng := sim.NewEngine(1)
+	a := NewStation(eng, "a", 1, FCFS)
+	b := NewStation(eng, "b", 1, FCFS)
+	eng.At(0, func(*sim.Engine) {
+		a.Arrive(&Request{ServiceTime: 1})
+		a.Arrive(&Request{ServiceTime: 1}) // waits 1s
+		b.Arrive(&Request{ServiceTime: 2})
+	})
+	eng.Run()
+	a.Finish()
+	b.Finish()
+	merged := MergedWaits([]Server{a, b})
+	if merged.N() != 3 {
+		t.Fatalf("merged N = %d, want 3", merged.N())
+	}
+	if got := merged.Quantile(1); math.Abs(got-1) > 1e-9 {
+		t.Errorf("max merged wait = %v, want 1", got)
+	}
+	soj := MergedSojourns([]Server{a, b})
+	if soj.N() != 3 {
+		t.Errorf("merged sojourns N = %d, want 3", soj.N())
+	}
+}

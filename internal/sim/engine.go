@@ -151,9 +151,9 @@ func (h Handle) Cancel() {
 	e := h.engine
 	e.canceled++
 	// Compact once dead entries dominate the calendar, so models that
-	// cancel aggressively (e.g. processor sharing rescheduling its next
-	// departure on every arrival) keep the calendar proportional to the
-	// number of live events.
+	// cancel aggressively (e.g. rescheduling a pending departure on
+	// every arrival) keep the calendar proportional to the number of
+	// live events.
 	if e.canceled*2 > e.cal.len() {
 		e.compact()
 	}
