@@ -653,17 +653,6 @@ func BenchmarkStatsSampleQuantile(b *testing.B) {
 	}
 }
 
-// BenchmarkStatsP2Quantile measures the streaming estimator.
-func BenchmarkStatsP2Quantile(b *testing.B) {
-	est := stats.NewP2Quantile(0.95)
-	rng := sim.NewEngine(1).RNG()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		est.Add(rng.ExpFloat64())
-	}
-	_ = est.Value()
-}
-
 // BenchmarkWorkloadGenerate measures trace synthesis.
 func BenchmarkWorkloadGenerate(b *testing.B) {
 	for i := 0; i < b.N; i++ {

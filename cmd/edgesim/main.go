@@ -105,7 +105,7 @@ func main() {
 	detour := flag.Float64("detour-ms", 5, "extra RTT for jockeyed requests (ms)")
 	skew := flag.String("skew", "", "comma-separated per-site weights (e.g. 5,2,1,1,1)")
 	queueCap := flag.Int("queue-cap", 0, "bound each queue at this many waiting requests (0=unbounded)")
-	summary := flag.String("summary", "exact", "latency summary memory model: exact (retain every sample) | bounded (O(1) streaming moments + P2 quantiles, for huge replays)")
+	summary := flag.String("summary", "exact", "latency summary memory model: exact (retain every sample) | bounded (streaming moments + a mergeable log-bucket sketch, quantiles within 0.78%, for huge replays)")
 	autoscaleMax := flag.Int("autoscale-max", 0, "also run an autoscaled edge growing each site up to this many servers (0=off)")
 	overflowAt := flag.Int("overflow-at", 0, "also run a hierarchical edge overflowing to the cloud at this site load (0=off)")
 	topology := flag.String("topology", "", "replay through a deployment graph instead: preset name ("+

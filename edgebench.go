@@ -137,7 +137,8 @@ type SourceFactory = cluster.SourceFactory
 
 // SummaryMode selects a run's latency-collection memory model (see
 // EdgeConfig.Summary): ExactSummary retains every observation,
-// BoundedSummary keeps O(1) streaming moments and P² quantiles.
+// BoundedSummary keeps streaming moments and a mergeable log-bucket
+// sketch whose quantiles lie within 0.78% of the exact ones.
 type SummaryMode = stats.Mode
 
 // Latency summary memory models.

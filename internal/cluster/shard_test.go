@@ -10,6 +10,7 @@ package cluster_test
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -86,6 +87,42 @@ func TestShardCountInvariance(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestBoundedTailsMatchExact: a bounded-summary sharded replay of the
+// edge-regional-cloud preset (200 s at 20 req/s per site, 60 s warmup)
+// reports the same tails as the exact-summary replay, within the
+// bounded digest's 1% error bound, at the aggregate and on every tier.
+// Every per-station and per-site digest reaches those figures through
+// cross-shard merges, which must not distort the mixture.
+func TestBoundedTailsMatchExact(t *testing.T) {
+	topo, _ := cluster.PresetTopology("edge-regional-cloud")
+	spec := cluster.GenSpec{Sites: topo.Tiers[0].Sites, Duration: 200, PerSiteRate: 20, Seed: 1}
+	run := func(mode stats.Mode) *cluster.TopologyResult {
+		res, err := cluster.RunPipelined(cluster.GenShards(spec), topo,
+			cluster.Options{Warmup: 60, Seed: 2, Summary: mode}, 2)
+		if err != nil {
+			t.Fatalf("%s replay: %v", mode, err)
+		}
+		return res
+	}
+	exact, bounded := run(stats.Exact), run(stats.Bounded)
+	if bounded.EndToEnd.Mode() != stats.Bounded || bounded.EndToEnd.N() != exact.EndToEnd.N() {
+		t.Fatalf("bounded aggregate: %s digest of %d, want bounded of %d",
+			bounded.EndToEnd.Mode(), bounded.EndToEnd.N(), exact.EndToEnd.N())
+	}
+	check := func(what string, b, e *stats.Digest) {
+		for _, q := range []float64{0.5, 0.95, 0.99} {
+			want, got := e.Quantile(q), b.Quantile(q)
+			if rel := math.Abs(got-want) / want; rel > 0.01 {
+				t.Errorf("%s p%v: bounded %.4g vs exact %.4g (rel err %.4f)", what, q*100, got, want, rel)
+			}
+		}
+	}
+	check("aggregate", &bounded.EndToEnd, &exact.EndToEnd)
+	for i := range exact.Tiers {
+		check(exact.Tiers[i].Name+" end-to-end", &bounded.Tiers[i].EndToEnd, &exact.Tiers[i].EndToEnd)
 	}
 }
 

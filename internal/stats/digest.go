@@ -10,10 +10,13 @@ const (
 	// O(N) memory. The right choice for small runs and for figures that
 	// need full distributions (box-plot outliers, violin curves).
 	Exact Mode = iota
-	// Bounded keeps O(1) state: running moments via Stream plus P²
-	// streaming estimators at fixed probe quantiles. The right choice
-	// for long trace replays where retaining millions of latencies
-	// would dominate memory.
+	// Bounded keeps running moments via Stream plus a mergeable
+	// log-linear bucket sketch: every quantile lies within 2⁻⁷ ≈ 0.78%
+	// relative error of Exact's, merges are exact and order-independent,
+	// and memory is bounded by the data's dynamic range (about 64 × 4 B
+	// per octave spanned), not by its count. The right choice for long
+	// trace replays where retaining millions of latencies would
+	// dominate memory.
 	Bounded
 )
 
@@ -25,14 +28,10 @@ func (m Mode) String() string {
 	return "exact"
 }
 
-// digestProbes are the quantiles tracked in Bounded mode. P95 and P99
-// are the paper's tail metrics; the quartiles feed box plots.
-var digestProbes = [...]float64{0.25, 0.5, 0.75, 0.9, 0.95, 0.99}
-
 // Digest is a latency collector with a selectable memory model: Exact
 // mode wraps a Sample (every observation retained), Bounded mode keeps
-// running moments and P² quantile estimates in constant space. The zero
-// value is an empty Exact digest, ready to use.
+// running moments and a log-linear bucket sketch. The zero value is an
+// empty Exact digest, ready to use.
 //
 // A Digest is a value type but shares internal state with its copies;
 // copy one only after the run that fills it has finished.
@@ -40,13 +39,7 @@ type Digest struct {
 	mode   Mode
 	stream Stream  // moments, min/max, count — maintained in both modes
 	sample *Sample // Exact mode, lazily allocated
-	p2     *[len(digestProbes)]*P2Quantile
-
-	// Merging two bounded digests cannot replay observations through
-	// the P² estimators, so foreign data folds into a count-weighted
-	// overlay of probe estimates instead.
-	mergedQ [len(digestProbes)]float64
-	mergedN int64
+	sketch *sketch // Bounded mode
 }
 
 // NewDigest returns a digest in the given mode. In Exact mode sizeHint
@@ -57,22 +50,14 @@ func NewDigest(mode Mode, sizeHint int) Digest {
 		d.sample = NewSample(sizeHint)
 	}
 	if mode == Bounded {
-		d.initP2()
+		d.sketch = &sketch{}
 	}
 	return d
 }
 
-func (d *Digest) initP2() {
-	var bank [len(digestProbes)]*P2Quantile
-	for i, p := range digestProbes {
-		bank[i] = NewP2Quantile(p)
-	}
-	d.p2 = &bank
-}
-
 // SetBounded switches an empty digest to Bounded mode. Switching after
-// observations have been recorded panics: the retained data cannot be
-// replayed through the streaming estimators.
+// observations have been recorded panics: the mode is chosen before a
+// collector's run, not halfway through it.
 func (d *Digest) SetBounded() {
 	if d.mode == Bounded {
 		return
@@ -82,7 +67,7 @@ func (d *Digest) SetBounded() {
 	}
 	d.mode = Bounded
 	d.sample = nil
-	d.initP2()
+	d.sketch = &sketch{}
 }
 
 // Mode reports the digest's memory model.
@@ -92,9 +77,7 @@ func (d *Digest) Mode() Mode { return d.mode }
 func (d *Digest) Add(x float64) {
 	d.stream.Add(x)
 	if d.mode == Bounded {
-		for _, est := range d.p2 {
-			est.Add(x)
-		}
+		d.sketch.add(x)
 		return
 	}
 	if d.sample == nil {
@@ -104,10 +87,10 @@ func (d *Digest) Add(x float64) {
 }
 
 // Merge folds other into d. Two Exact digests merge exactly. When either
-// side is Bounded the moments (mean, variance, min, max, count) still
-// merge exactly, but quantiles become a count-weighted combination of
-// the two sides' probe estimates — an approximation adequate for the
-// aggregate wait summaries it serves.
+// side is Bounded, d becomes Bounded: every retained Exact observation
+// folds into the sketch, and two sketches merge by summing buckets. The
+// moments (mean, variance, min, max, count) merge exactly either way,
+// and the merged quantiles do not depend on merge order.
 func (d *Digest) Merge(other *Digest) {
 	if other.stream.N() == 0 {
 		return
@@ -122,24 +105,16 @@ func (d *Digest) Merge(other *Digest) {
 		}
 		return
 	}
-	// At least one side is bounded: snapshot both sides' probe
-	// estimates, rebuild the overlay as their count-weighted average,
-	// and reset the live estimators (their information now lives in the
-	// overlay).
-	dN, oN := d.stream.N(), other.stream.N()
-	for i, p := range digestProbes {
-		ov := other.Quantile(p)
-		if dN == 0 {
-			d.mergedQ[i] = ov
-			continue
-		}
-		dv := d.Quantile(p)
-		d.mergedQ[i] = (dv*float64(dN) + ov*float64(oN)) / float64(dN+oN)
+	if d.mode == Exact {
+		d.sketch = &sketch{}
+		d.sketch.addAll(d.sample)
+		d.mode, d.sample = Bounded, nil
 	}
-	d.mergedN = dN + oN
-	d.mode = Bounded
-	d.sample = nil
-	d.initP2()
+	if other.mode == Bounded {
+		d.sketch.merge(other.sketch)
+	} else {
+		d.sketch.addAll(other.sample)
+	}
 	d.stream.Merge(&other.stream)
 }
 
@@ -162,8 +137,9 @@ func (d *Digest) Min() float64 { return d.stream.Min() }
 func (d *Digest) Max() float64 { return d.stream.Max() }
 
 // Quantile returns the q-th quantile. Exact mode computes it from the
-// retained sample; Bounded mode interpolates between the tracked probe
-// estimates, anchored at the true min and max.
+// retained sample. Bounded mode reads it from the sketch, within 2⁻⁷
+// relative error of the exact value for positive observations, with
+// q ≤ 0 and q ≥ 1 giving the true min and max.
 func (d *Digest) Quantile(q float64) float64 {
 	if d.mode == Exact {
 		if d.sample == nil {
@@ -180,38 +156,7 @@ func (d *Digest) Quantile(q float64) float64 {
 	if q >= 1 {
 		return d.stream.Max()
 	}
-	// Piecewise-linear through (0, min), (probe_i, est_i)..., (1, max).
-	prevQ, prevV := 0.0, d.stream.Min()
-	for i, p := range digestProbes {
-		v := d.probeValue(i)
-		if q <= p {
-			return interp(q, prevQ, prevV, p, v)
-		}
-		prevQ, prevV = p, v
-	}
-	return interp(q, prevQ, prevV, 1, d.stream.Max())
-}
-
-// probeValue returns the digest's estimate at digestProbes[i], blending
-// the live P² estimator with the merge overlay when both hold data.
-func (d *Digest) probeValue(i int) float64 {
-	own := int64(d.p2[i].N())
-	switch {
-	case d.mergedN == 0:
-		return d.p2[i].Value()
-	case own == 0:
-		return d.mergedQ[i]
-	default:
-		return (d.p2[i].Value()*float64(own) + d.mergedQ[i]*float64(d.mergedN)) /
-			float64(own+d.mergedN)
-	}
-}
-
-func interp(q, q0, v0, q1, v1 float64) float64 {
-	if q1 <= q0 {
-		return v1
-	}
-	return v0 + (q-q0)/(q1-q0)*(v1-v0)
+	return d.sketch.quantile(q, d.stream.N(), d.stream.Min(), d.stream.Max())
 }
 
 // Median returns the 50th percentile.
@@ -243,7 +188,7 @@ func (d *Digest) ExactSample() *Sample {
 
 // Box computes the box-plot summary. Exact mode delegates to BoxPlotOf
 // (including outlier counting); Bounded mode builds the five-number
-// summary from the probe estimates with no outlier count.
+// summary from the sketch with no outlier count.
 func (d *Digest) Box(label string) BoxPlot {
 	if d.mode == Exact {
 		if d.sample == nil {
@@ -268,7 +213,7 @@ func (d *Digest) Box(label string) BoxPlot {
 }
 
 // Summarize computes a DistSummary at the given probes (nil = 1%..99%).
-// Bounded mode interpolates each probe from the digest's estimates.
+// Bounded mode reads each probe from the sketch.
 func (d *Digest) Summarize(label string, probes []float64) DistSummary {
 	if d.mode == Exact {
 		s := d.sample

@@ -62,7 +62,7 @@ func TestDigestBoundedQuantileAccuracy(t *testing.T) {
 	for _, q := range []float64{0.25, 0.5, 0.75, 0.95, 0.99} {
 		exact := e.Quantile(q)
 		approx := d.Quantile(q)
-		if rel := math.Abs(approx-exact) / exact; rel > 0.05 {
+		if rel := math.Abs(approx-exact) / exact; rel > 0.01 {
 			t.Errorf("q=%v: bounded %v vs exact %v (rel err %.3f)", q, approx, exact, rel)
 		}
 	}
@@ -131,7 +131,7 @@ func TestDigestBoundedMerge(t *testing.T) {
 	}
 	for _, q := range []float64{0.5, 0.95} {
 		exact := all.Quantile(q)
-		if rel := math.Abs(a.Quantile(q)-exact) / exact; rel > 0.1 {
+		if rel := math.Abs(a.Quantile(q)-exact) / exact; rel > 0.01 {
 			t.Errorf("merged q=%v: %v vs exact %v", q, a.Quantile(q), exact)
 		}
 	}
@@ -158,7 +158,7 @@ func TestDigestMergeIntoEmpty(t *testing.T) {
 		t.Error("merge into empty digest should preserve the mean exactly")
 	}
 	if math.Abs(a.Quantile(0.5)-b.Quantile(0.5)) > 1e-12 {
-		t.Error("merge into empty digest should carry probe estimates over")
+		t.Error("merge into empty digest should carry the sketch over")
 	}
 }
 

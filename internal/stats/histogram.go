@@ -124,61 +124,3 @@ func (h *Histogram) Render(width int) string {
 	}
 	return b.String()
 }
-
-// LogHistogram buckets positive observations into exponentially growing
-// bins, suitable for latency distributions spanning decades.
-type LogHistogram struct {
-	base    float64
-	minExp  int
-	maxExp  int
-	bins    []int64
-	zeroNeg int64
-	total   int64
-}
-
-// NewLogHistogram returns a histogram with bins [base^e, base^(e+1)) for
-// e in [minExp, maxExp]. base must exceed 1.
-func NewLogHistogram(base float64, minExp, maxExp int) *LogHistogram {
-	if base <= 1 || maxExp < minExp {
-		panic("stats: invalid log histogram parameters")
-	}
-	return &LogHistogram{
-		base:   base,
-		minExp: minExp,
-		maxExp: maxExp,
-		bins:   make([]int64, maxExp-minExp+1),
-	}
-}
-
-// Add records one observation. Non-positive values go to a dedicated
-// bucket.
-func (h *LogHistogram) Add(x float64) {
-	h.total++
-	if x <= 0 {
-		h.zeroNeg++
-		return
-	}
-	e := int(math.Floor(math.Log(x) / math.Log(h.base)))
-	if e < h.minExp {
-		e = h.minExp
-	}
-	if e > h.maxExp {
-		e = h.maxExp
-	}
-	h.bins[e-h.minExp]++
-}
-
-// N returns the total number of observations.
-func (h *LogHistogram) N() int64 { return h.total }
-
-// NonPositive returns the count of observations ≤ 0.
-func (h *LogHistogram) NonPositive() int64 { return h.zeroNeg }
-
-// Bucket returns the count and lower/upper bounds of bucket i.
-func (h *LogHistogram) Bucket(i int) (count int64, lo, hi float64) {
-	e := h.minExp + i
-	return h.bins[i], math.Pow(h.base, float64(e)), math.Pow(h.base, float64(e+1))
-}
-
-// NumBuckets returns the number of exponential buckets.
-func (h *LogHistogram) NumBuckets() int { return len(h.bins) }

@@ -96,38 +96,3 @@ func TestHistogramPanics(t *testing.T) {
 	}()
 	NewHistogram(5, 1, 10)
 }
-
-func TestLogHistogram(t *testing.T) {
-	h := NewLogHistogram(10, -3, 2)
-	for _, x := range []float64{0.001, 0.05, 0.5, 5, 50, 500} {
-		h.Add(x)
-	}
-	h.Add(0)
-	h.Add(-1)
-	if h.N() != 8 {
-		t.Fatalf("N = %d, want 8", h.N())
-	}
-	if h.NonPositive() != 2 {
-		t.Errorf("non-positive = %d, want 2", h.NonPositive())
-	}
-	c, lo, hi := h.Bucket(0) // [1e-3, 1e-2)
-	if c != 1 || !almostEqual(lo, 1e-3, 1e-12) || !almostEqual(hi, 1e-2, 1e-12) {
-		t.Errorf("bucket 0: count=%d lo=%v hi=%v", c, lo, hi)
-	}
-	// 500 exceeds 10^3 bound? maxExp=2 → last bucket [100,1000); 500 in it.
-	cLast, _, _ := h.Bucket(h.NumBuckets() - 1)
-	if cLast != 1 {
-		t.Errorf("last bucket = %d, want 1", cLast)
-	}
-}
-
-func TestLogHistogramClamping(t *testing.T) {
-	h := NewLogHistogram(2, 0, 3)
-	h.Add(0.001) // below min exponent → clamped into bucket 0
-	h.Add(1e9)   // above max → clamped into last bucket
-	c0, _, _ := h.Bucket(0)
-	cN, _, _ := h.Bucket(h.NumBuckets() - 1)
-	if c0 != 1 || cN != 1 {
-		t.Errorf("clamping failed: first=%d last=%d", c0, cN)
-	}
-}

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -123,121 +122,3 @@ func (s *Sample) Reset() {
 	s.xs = s.xs[:0]
 	s.sorted = true
 }
-
-// P2Quantile is a streaming quantile estimator using the P² algorithm
-// (Jain & Chlamtac, 1985). It uses O(1) memory, making it suitable for
-// long trace replays where storing every latency would be wasteful.
-type P2Quantile struct {
-	p       float64
-	n       [5]int     // marker positions (1-based counts)
-	np      [5]float64 // desired marker positions
-	dn      [5]float64 // desired position increments
-	q       [5]float64 // marker heights
-	count   int
-	initBuf []float64
-}
-
-// NewP2Quantile returns an estimator for quantile p in (0, 1).
-func NewP2Quantile(p float64) *P2Quantile {
-	if p <= 0 || p >= 1 {
-		panic(fmt.Sprintf("stats: P2 quantile p=%v out of (0,1)", p))
-	}
-	est := &P2Quantile{p: p}
-	est.dn = [5]float64{0, p / 2, p, (1 + p) / 2, 1}
-	return est
-}
-
-// Add records one observation.
-func (e *P2Quantile) Add(x float64) {
-	e.count++
-	if e.count <= 5 {
-		e.initBuf = append(e.initBuf, x)
-		if e.count == 5 {
-			sort.Float64s(e.initBuf)
-			for i := 0; i < 5; i++ {
-				e.q[i] = e.initBuf[i]
-				e.n[i] = i + 1
-			}
-			p := e.p
-			e.np = [5]float64{1, 1 + 2*p, 1 + 4*p, 3 + 2*p, 5}
-			e.initBuf = nil
-		}
-		return
-	}
-
-	// Find cell k such that q[k] <= x < q[k+1], adjusting extremes.
-	var k int
-	switch {
-	case x < e.q[0]:
-		e.q[0] = x
-		k = 0
-	case x >= e.q[4]:
-		e.q[4] = x
-		k = 3
-	default:
-		for i := 0; i < 4; i++ {
-			if x >= e.q[i] && x < e.q[i+1] {
-				k = i
-				break
-			}
-		}
-	}
-	for i := k + 1; i < 5; i++ {
-		e.n[i]++
-	}
-	for i := 0; i < 5; i++ {
-		e.np[i] += e.dn[i]
-	}
-
-	// Adjust interior markers if needed.
-	for i := 1; i <= 3; i++ {
-		d := e.np[i] - float64(e.n[i])
-		if (d >= 1 && e.n[i+1]-e.n[i] > 1) || (d <= -1 && e.n[i-1]-e.n[i] < -1) {
-			sign := 1.0
-			if d < 0 {
-				sign = -1.0
-			}
-			qNew := e.parabolic(i, sign)
-			if e.q[i-1] < qNew && qNew < e.q[i+1] {
-				e.q[i] = qNew
-			} else {
-				e.q[i] = e.linear(i, sign)
-			}
-			e.n[i] += int(sign)
-		}
-	}
-}
-
-func (e *P2Quantile) parabolic(i int, d float64) float64 {
-	ni := float64(e.n[i])
-	nip := float64(e.n[i+1])
-	nim := float64(e.n[i-1])
-	return e.q[i] + d/(nip-nim)*((ni-nim+d)*(e.q[i+1]-e.q[i])/(nip-ni)+
-		(nip-ni-d)*(e.q[i]-e.q[i-1])/(ni-nim))
-}
-
-func (e *P2Quantile) linear(i int, d float64) float64 {
-	di := int(d)
-	return e.q[i] + d*(e.q[i+di]-e.q[i])/float64(e.n[i+di]-e.n[i])
-}
-
-// Value returns the current quantile estimate. With fewer than five
-// observations it falls back to the exact quantile of the buffer.
-func (e *P2Quantile) Value() float64 {
-	if e.count == 0 {
-		return 0
-	}
-	if e.count < 5 {
-		buf := append([]float64(nil), e.initBuf...)
-		sort.Float64s(buf)
-		idx := int(e.p * float64(len(buf)))
-		if idx >= len(buf) {
-			idx = len(buf) - 1
-		}
-		return buf[idx]
-	}
-	return e.q[2]
-}
-
-// N returns the number of observations recorded.
-func (e *P2Quantile) N() int { return e.count }

@@ -123,64 +123,3 @@ func TestSampleStdDev(t *testing.T) {
 		t.Errorf("Mean = %v, want 5", got)
 	}
 }
-
-// TestP2AgainstExact: the P² streaming estimate should land near the
-// exact quantile for smooth distributions.
-func TestP2AgainstExact(t *testing.T) {
-	for _, q := range []float64{0.5, 0.9, 0.95, 0.99} {
-		rng := rand.New(rand.NewSource(42))
-		est := NewP2Quantile(q)
-		exact := NewSample(100000)
-		for i := 0; i < 100000; i++ {
-			x := rng.ExpFloat64()
-			est.Add(x)
-			exact.Add(x)
-		}
-		want := exact.Quantile(q)
-		got := est.Value()
-		if !almostEqual(got, want, 0.05) {
-			t.Errorf("P2(%v) = %v, exact = %v", q, got, want)
-		}
-	}
-}
-
-func TestP2SmallCounts(t *testing.T) {
-	est := NewP2Quantile(0.5)
-	if est.Value() != 0 {
-		t.Error("empty estimator should return 0")
-	}
-	est.Add(3)
-	est.Add(1)
-	est.Add(2)
-	v := est.Value()
-	if v < 1 || v > 3 {
-		t.Errorf("small-count estimate %v outside data range", v)
-	}
-	if est.N() != 3 {
-		t.Errorf("N = %d, want 3", est.N())
-	}
-}
-
-func TestP2PanicsOnBadQuantile(t *testing.T) {
-	for _, q := range []float64{0, 1, -0.5, 2} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewP2Quantile(%v) should panic", q)
-				}
-			}()
-			NewP2Quantile(q)
-		}()
-	}
-}
-
-// TestP2Deterministic: feeding a constant keeps the estimate at it.
-func TestP2Deterministic(t *testing.T) {
-	est := NewP2Quantile(0.95)
-	for i := 0; i < 1000; i++ {
-		est.Add(7)
-	}
-	if !almostEqual(est.Value(), 7, 1e-9) {
-		t.Errorf("constant stream estimate = %v, want 7", est.Value())
-	}
-}
