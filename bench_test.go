@@ -19,6 +19,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dist"
 	"repro/internal/experiments"
+	"repro/internal/lb"
 	"repro/internal/netem"
 	"repro/internal/queue"
 	"repro/internal/sim"
@@ -216,6 +217,40 @@ func BenchmarkTheoryAccuracy(b *testing.B) {
 
 // --- Ablation benches (DESIGN.md §4) ---
 
+// benchEdge is the paper's edge: one home-routed tier of sites.
+func benchEdge(sites, servers int, path netem.Path) cluster.Topology {
+	return cluster.Topology{Name: "edge", Tiers: []cluster.Tier{
+		{Name: "edge", Sites: sites, ServersPerSite: servers, Path: path},
+	}}
+}
+
+// benchCloud is the paper's cloud: servers behind one dispatch policy.
+func benchCloud(servers int, path netem.Path, dispatch string) cluster.Topology {
+	return cluster.Topology{Name: "cloud", Tiers: []cluster.Tier{cluster.CloudTier(servers, path, dispatch)}}
+}
+
+// benchOverflow is the hierarchical edge: servers per site, spilling to
+// a pooled cloud of cloudServers at the given site load.
+func benchOverflow(sites, servers, cloudServers, threshold int, sc netem.Scenario) cluster.Topology {
+	return cluster.Topology{
+		Name:   "edge+overflow",
+		Tiers:  []cluster.Tier{benchEdge(sites, servers, sc.Edge).Tiers[0], cluster.CloudTier(cloudServers, sc.Cloud, "")},
+		Spills: []cluster.SpillEdge{{From: "edge", To: "cloud", Threshold: threshold, DetourPath: &sc.Cloud}},
+	}
+}
+
+// replayTrace runs tr through topo with digests sized to the trace,
+// failing the benchmark on error.
+func replayTrace(b *testing.B, tr *cluster.WorkloadTrace, topo cluster.Topology, opts cluster.Options) *cluster.TopologyResult {
+	b.Helper()
+	opts.SizeHint = tr.Len()
+	res, err := cluster.Run(tr.Source(), topo, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 func ablationTrace(seed int64) *cluster.WorkloadTrace {
 	return cluster.Generate(cluster.GenSpec{
 		Sites: 5, Duration: benchDuration, PerSiteRate: 11, Seed: seed,
@@ -225,19 +260,17 @@ func ablationTrace(seed int64) *cluster.WorkloadTrace {
 // BenchmarkAblationDispatch compares cloud dispatch policies at high
 // load: central queue vs least-conn vs round robin vs random.
 func BenchmarkAblationDispatch(b *testing.B) {
-	policies := []cluster.DispatchPolicy{
-		cluster.CentralQueue, cluster.LeastConn, cluster.PowerOfTwo,
-		cluster.RoundRobin, cluster.RandomSplit,
+	policies := []string{
+		cluster.CentralQueueDispatch, lb.PolicyLeastConn, lb.PolicyPowerOfTwo,
+		lb.PolicyRoundRobin, lb.PolicyRandom,
 	}
 	for _, pol := range policies {
-		b.Run(string(pol), func(b *testing.B) {
+		b.Run(pol, func(b *testing.B) {
 			var mean float64
 			for i := 0; i < b.N; i++ {
 				tr := ablationTrace(17)
-				res := cluster.RunCloud(tr, cluster.CloudConfig{
-					Servers: 5, Path: netem.Constant("zero", 0),
-					Policy: pol, Warmup: 20, Seed: 18,
-				})
+				res := replayTrace(b, tr, benchCloud(5, netem.Constant("zero", 0), pol),
+					cluster.Options{Warmup: 20, Seed: 18})
 				mean = res.MeanLatency()
 			}
 			b.ReportMetric(mean*1000, "mean-ms")
@@ -248,7 +281,7 @@ func BenchmarkAblationDispatch(b *testing.B) {
 // BenchmarkAblationGeoLB measures §5.1 geographic load balancing under
 // skew: plain edge vs jockeying edge vs cloud.
 func BenchmarkAblationGeoLB(b *testing.B) {
-	mk := func(jockey int) float64 {
+	mk := func(b *testing.B, jockey int) float64 {
 		procs := make([]workload.ArrivalProcess, 5)
 		rates := []float64{14, 8, 6, 3, 3}
 		for i, r := range rates {
@@ -258,23 +291,21 @@ func BenchmarkAblationGeoLB(b *testing.B) {
 			Sites: 5, Duration: benchDuration, Seed: 19, Arrivals: procs,
 		})
 		sc, _ := netem.ScenarioByName("typical-25ms")
-		res := cluster.RunEdge(tr, cluster.EdgeConfig{
-			Sites: 5, ServersPerSite: 1, Path: sc.Edge, Warmup: 20, Seed: 20,
-			JockeyThreshold: jockey, DetourRTT: 0.005,
-		})
-		return res.MeanLatency()
+		topo := benchEdge(5, 1, sc.Edge)
+		topo.Tiers[0].JockeyThreshold, topo.Tiers[0].DetourRTT = jockey, 0.005
+		return replayTrace(b, tr, topo, cluster.Options{Warmup: 20, Seed: 20}).MeanLatency()
 	}
 	b.Run("no-jockeying", func(b *testing.B) {
 		var m float64
 		for i := 0; i < b.N; i++ {
-			m = mk(0)
+			m = mk(b, 0)
 		}
 		b.ReportMetric(m*1000, "mean-ms")
 	})
 	b.Run("jockey-3", func(b *testing.B) {
 		var m float64
 		for i := 0; i < b.N; i++ {
-			m = mk(3)
+			m = mk(b, 3)
 		}
 		b.ReportMetric(m*1000, "mean-ms")
 	})
@@ -318,7 +349,7 @@ func scvName(scv float64) string {
 // BenchmarkAblationSkewProvisioning compares fair-share vs load-matched
 // per-site capacity under skew (Lemma 3.3's takeaway).
 func BenchmarkAblationSkewProvisioning(b *testing.B) {
-	run := func(perSite []int) float64 {
+	run := func(b *testing.B, perSite []int) float64 {
 		procs := make([]workload.ArrivalProcess, 5)
 		for i, r := range []float64{20, 10, 6, 6, 6} {
 			procs[i] = workload.NewPoisson(r)
@@ -326,23 +357,21 @@ func BenchmarkAblationSkewProvisioning(b *testing.B) {
 		tr := cluster.Generate(cluster.GenSpec{
 			Sites: 5, Duration: benchDuration, Seed: 23, Arrivals: procs,
 		})
-		res := cluster.RunEdge(tr, cluster.EdgeConfig{
-			Sites: 5, Path: netem.Constant("zero", 0), Warmup: 20, Seed: 24,
-			PerSiteServers: perSite,
-		})
-		return res.MeanLatency()
+		topo := benchEdge(5, 0, netem.Constant("zero", 0))
+		topo.Tiers[0].PerSiteServers = perSite
+		return replayTrace(b, tr, topo, cluster.Options{Warmup: 20, Seed: 24}).MeanLatency()
 	}
 	b.Run("fair-share-2-each", func(b *testing.B) {
 		var m float64
 		for i := 0; i < b.N; i++ {
-			m = run([]int{2, 2, 2, 2, 2})
+			m = run(b, []int{2, 2, 2, 2, 2})
 		}
 		b.ReportMetric(m*1000, "mean-ms")
 	})
 	b.Run("load-matched", func(b *testing.B) {
 		var m float64
 		for i := 0; i < b.N; i++ {
-			m = run([]int{3, 2, 2, 2, 1})
+			m = run(b, []int{3, 2, 2, 2, 1})
 		}
 		b.ReportMetric(m*1000, "mean-ms")
 	})
@@ -369,10 +398,8 @@ func BenchmarkReplayStreaming1M(b *testing.B) {
 		b.ReportAllocs()
 		var mean float64
 		for i := 0; i < b.N; i++ {
-			res := cluster.RunEdge(tr, cluster.EdgeConfig{
-				Sites: 5, ServersPerSite: 2, Path: sc.Edge,
-				Warmup: 100, Seed: 62, Summary: stats.Bounded,
-			})
+			res := replayTrace(b, tr, benchEdge(5, 2, sc.Edge),
+				cluster.Options{Warmup: 100, Seed: 62, Summary: stats.Bounded})
 			mean = res.MeanLatency()
 		}
 		b.ReportMetric(mean*1000, "mean-ms")
@@ -382,10 +409,8 @@ func BenchmarkReplayStreaming1M(b *testing.B) {
 		b.ReportAllocs()
 		var mean float64
 		for i := 0; i < b.N; i++ {
-			res := cluster.RunCloud(tr, cluster.CloudConfig{
-				Servers: 10, Path: sc.Cloud,
-				Warmup: 100, Seed: 63, Summary: stats.Bounded,
-			})
+			res := replayTrace(b, tr, benchCloud(10, sc.Cloud, ""),
+				cluster.Options{Warmup: 100, Seed: 63, Summary: stats.Bounded})
 			mean = res.MeanLatency()
 		}
 		b.ReportMetric(mean*1000, "mean-ms")
@@ -409,11 +434,7 @@ func BenchmarkStream100M(b *testing.B) {
 	}
 	spec := cluster.GenSpec{Sites: 5, Duration: duration, PerSiteRate: 20, Seed: 71}
 	sc, _ := netem.ScenarioByName("typical-25ms")
-	topo := cluster.OverflowTopology(cluster.OverflowConfig{
-		Sites: 5, ServersPerSite: 2,
-		EdgePath: sc.Edge, CloudPath: sc.Cloud,
-		CloudServers: 10, OverflowThreshold: 4,
-	})
+	topo := benchOverflow(5, 2, 10, 4, sc)
 	b.ReportAllocs()
 	var offered uint64
 	var mean float64
@@ -576,11 +597,7 @@ func BenchmarkShowcaseMillionSites(b *testing.B) {
 func BenchmarkEngineBackends(b *testing.B) {
 	spec := cluster.GenSpec{Sites: 5, Duration: 2000, PerSiteRate: 20, Seed: 91}
 	sc, _ := netem.ScenarioByName("typical-25ms")
-	topo := cluster.OverflowTopology(cluster.OverflowConfig{
-		Sites: 5, ServersPerSite: 2,
-		EdgePath: sc.Edge, CloudPath: sc.Cloud,
-		CloudServers: 10, OverflowThreshold: 4,
-	})
+	topo := benchOverflow(5, 2, 10, 4, sc)
 	for _, bk := range []struct {
 		name string
 		b    sim.Backend
@@ -689,9 +706,7 @@ func BenchmarkAblationOverflow(b *testing.B) {
 	b.Run("plain-edge", func(b *testing.B) {
 		var m float64
 		for i := 0; i < b.N; i++ {
-			res := cluster.RunEdge(mkTrace(), cluster.EdgeConfig{
-				Sites: 5, ServersPerSite: 1, Path: sc.Edge, Warmup: 20, Seed: 52,
-			})
+			res := replayTrace(b, mkTrace(), benchEdge(5, 1, sc.Edge), cluster.Options{Warmup: 20, Seed: 52})
 			m = res.MeanLatency()
 		}
 		b.ReportMetric(m*1000, "mean-ms")
@@ -699,12 +714,8 @@ func BenchmarkAblationOverflow(b *testing.B) {
 	b.Run("overflow-to-cloud", func(b *testing.B) {
 		var m float64
 		for i := 0; i < b.N; i++ {
-			res := cluster.RunEdgeWithOverflow(mkTrace(), cluster.OverflowConfig{
-				Sites: 5, ServersPerSite: 1,
-				EdgePath: sc.Edge, CloudPath: sc.Cloud,
-				CloudServers: 5, OverflowThreshold: 4,
-				Warmup: 20, Seed: 52,
-			})
+			res := replayTrace(b, mkTrace(), benchOverflow(5, 1, 5, 4, sc),
+				cluster.Options{Warmup: 20, Seed: 52, NoPerSiteLatency: true})
 			m = res.MeanLatency()
 		}
 		b.ReportMetric(m*1000, "mean-ms")
@@ -727,9 +738,7 @@ func BenchmarkAblationAutoscale(b *testing.B) {
 	b.Run("static", func(b *testing.B) {
 		var m float64
 		for i := 0; i < b.N; i++ {
-			res := cluster.RunEdge(mkTrace(), cluster.EdgeConfig{
-				Sites: 5, ServersPerSite: 1, Path: sc.Edge, Warmup: 20, Seed: 54,
-			})
+			res := replayTrace(b, mkTrace(), benchEdge(5, 1, sc.Edge), cluster.Options{Warmup: 20, Seed: 54})
 			m = res.MeanLatency()
 		}
 		b.ReportMetric(m*1000, "mean-ms")
@@ -738,14 +747,15 @@ func BenchmarkAblationAutoscale(b *testing.B) {
 		var m float64
 		var peak int
 		for i := 0; i < b.N; i++ {
-			res := cluster.RunEdgeAutoscaled(mkTrace(), cluster.EdgeConfig{
-				Sites: 5, ServersPerSite: 1, Path: sc.Edge, Warmup: 20, Seed: 54,
-			}, autoscale.Config{
+			topo := benchEdge(5, 1, sc.Edge)
+			reactive := autoscale.ReactiveSpec(autoscale.Config{
 				Interval: 2, Min: 1, Max: 4,
 				UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 6,
 			})
+			topo.Tiers[0].Scaler = &reactive
+			res := replayTrace(b, mkTrace(), topo, cluster.Options{Warmup: 20, Seed: 54, NoPerSiteLatency: true})
 			m = res.MeanLatency()
-			peak = res.PeakServers
+			peak = res.Tiers[0].PeakServers
 		}
 		b.ReportMetric(m*1000, "mean-ms")
 		b.ReportMetric(float64(peak), "peak-servers")
@@ -814,9 +824,7 @@ func broadcastBenchSpec(duration float64) cluster.GenSpec {
 func broadcastBenchVariants() []cluster.Variant {
 	variants := make([]cluster.Variant, 4)
 	for i := range variants {
-		topo := cluster.EdgeTopology(cluster.EdgeConfig{
-			Sites: 4, ServersPerSite: 6 + 2*i, Path: netem.EdgePath,
-		})
+		topo := benchEdge(4, 6+2*i, netem.EdgePath)
 		topo.Name = fmt.Sprintf("fanout-%d", 6+2*i)
 		variants[i] = cluster.Variant{
 			Label:    topo.Name,

@@ -90,7 +90,7 @@ func scenarioNames() []string {
 }
 
 func main() {
-	sites := flag.Int("sites", 5, "number of edge sites")
+	sites := flag.Int("sites", 5, "number of edge sites (with -topology, must match a home-routed entry tier when set)")
 	servers := flag.Int("servers", 1, "servers per edge site")
 	rate := flag.Float64("rate", 8, "request rate per server (req/s)")
 	scenario := flag.String("scenario", "typical-25ms", "netem scenario: nearby-13ms|typical-25ms|distant-54ms|transcontinental-80ms")
@@ -103,7 +103,7 @@ func main() {
 	slowdown := flag.Float64("edge-slowdown", 1, "edge service-time slowdown factor (resource-constrained edge)")
 	jockey := flag.Int("jockey", 0, "geographic LB: redirect when home-site load >= this (0=off)")
 	detour := flag.Float64("detour-ms", 5, "extra RTT for jockeyed requests (ms)")
-	skew := flag.String("skew", "", "comma-separated per-site weights (e.g. 5,2,1,1,1)")
+	skew := flag.String("skew", "", "comma-separated per-site weights (e.g. 5,2,1,1,1); classic paired mode only")
 	queueCap := flag.Int("queue-cap", 0, "bound each queue at this many waiting requests (0=unbounded)")
 	summary := flag.String("summary", "exact", "latency summary memory model: exact (retain every sample) | bounded (streaming moments + a mergeable log-bucket sketch, quantiles within 0.78%, for huge replays)")
 	autoscaleMax := flag.Int("autoscale-max", 0, "also run an autoscaled edge growing each site up to this many servers (0=off)")
@@ -151,10 +151,13 @@ func main() {
 		"labels (generate, phase-1, merge, phase-2) for go tool pprof -tagfocus")
 	memprofile := flag.String("memprofile", "", "write an end-of-run heap profile to this file")
 	flag.Parse()
-	shardsSet := false
+	shardsSet, sitesSet := false, false
 	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "shards" {
+		switch f.Name {
+		case "shards":
 			shardsSet = true
+		case "sites":
+			sitesSet = true
 		}
 	})
 	sh := shardChoice{set: shardsSet, n: *shards, verbose: *verbose}
@@ -174,15 +177,15 @@ func main() {
 	default:
 		fail("unknown -summary %q (want exact|bounded)", *summary)
 	}
-	if *policy != string(cluster.CentralQueue) && !lb.Known(*policy) {
+	if *policy != cluster.CentralQueueDispatch && !lb.Known(*policy) {
 		fail("unknown -policy %q (want %s or one of %v)",
-			*policy, cluster.CentralQueue, lb.Policies())
+			*policy, cluster.CentralQueueDispatch, lb.Policies())
 	}
 	model := app.NewInferenceModelWith(1/app.SaturationRate, *serviceSCV)
 
 	if *stream && *topology == "" {
 		fail("-stream requires -topology (the classic paired edge/cloud mode materializes its trace; " +
-			"replay a streamed workload through EdgeTopology/CloudTopology graphs instead)")
+			"pass a one-tier edge or cloud graph via -topology to stream the same deployment)")
 	}
 	if *shards < 0 {
 		fail("-shards must be >= 0 (got %d)", *shards)
@@ -289,17 +292,24 @@ func main() {
 		return
 	}
 
-	if *sweep != "" {
-		if *topology == "" {
-			fail("-sweep requires -topology (the deployment graph to sweep)")
-		}
-		runTopologySweepCLI(*topology, *sweep, *scaler, *admitFlag, *autoscaleMax, *stream, in, sh, gc, sc,
-			*duration, *warmup, *arrivalSCV, *seed, model, mode)
-		return
+	if *sweep != "" && *topology == "" {
+		fail("-sweep requires -topology (the deployment graph to sweep)")
 	}
 	if *topology != "" {
-		runTopology(*topology, *scaler, *admitFlag, *autoscaleMax, *stream, in, sh, gc, *sites, *servers, *rate,
-			*duration, *warmup, *arrivalSCV, *seed, *rejectPenalty, model, mode)
+		topo, err := loadTopologyWithScaler(*topology, *scaler, *admitFlag, *autoscaleMax, model.Mu())
+		if err != nil {
+			fail("-topology: %v", err)
+		}
+		if err := checkTopologyFlags(topo, *skew, *sites, sitesSet); err != nil {
+			fail("%v", err)
+		}
+		if *sweep != "" {
+			runTopologySweepCLI(topo, *sweep, *stream, in, sh, gc, sc,
+				*duration, *warmup, *arrivalSCV, *seed, model, mode)
+		} else {
+			runTopology(topo, *stream, in, sh, gc, *sites, *servers, *rate,
+				*duration, *warmup, *arrivalSCV, *seed, *rejectPenalty, model, mode)
+		}
 		return
 	}
 
@@ -342,81 +352,86 @@ func main() {
 	}
 	tr := generate(spec, gw)
 
-	// The edge and cloud replays share the trace but nothing else; run
-	// them concurrently through the paired runner.
-	edge, cloud := cluster.RunPaired(tr, cluster.EdgeConfig{
-		Sites:           *sites,
-		ServersPerSite:  *servers,
-		Path:            sc.Edge,
-		Warmup:          *warmup,
-		Seed:            *seed + 1,
-		SlowdownFactor:  *slowdown,
-		JockeyThreshold: *jockey,
-		DetourRTT:       *detour / 1000,
-		QueueCap:        *queueCap,
-		Summary:         mode,
-	}, cluster.CloudConfig{
-		Servers: *sites * *servers,
-		Path:    sc.Cloud,
-		Policy:  cluster.DispatchPolicy(*policy),
-		Warmup:  *warmup,
-		Seed:    *seed + 2,
-		Summary: mode,
-	})
+	// Every deployment replays the same trace and nothing else is
+	// shared, so one broadcast pass runs them all concurrently. Only
+	// the baseline edge keeps per-site latency for the site table.
+	variant := func(name string, seed int64, perSiteLatency bool, tiers ...cluster.Tier) cluster.Variant {
+		return cluster.Variant{Label: name, Topology: cluster.Topology{Name: name, Tiers: tiers},
+			Opts: cluster.Options{Warmup: *warmup, Seed: seed, Summary: mode, SizeHint: tr.Len(),
+				NoPerSiteLatency: !perSiteLatency}}
+	}
+	edgeTier := cluster.Tier{
+		Name: "edge", Sites: *sites, ServersPerSite: *servers, Path: sc.Edge,
+		SlowdownFactor: *slowdown, QueueCap: *queueCap,
+		JockeyThreshold: *jockey, DetourRTT: *detour / 1000,
+	}
+	variants := []cluster.Variant{
+		variant("edge", *seed+1, true, edgeTier),
+		variant("cloud", *seed+2, false, cluster.CloudTier(*sites**servers, sc.Cloud, *policy)),
+	}
+	// The mitigation rows start from the plain edge. With -scaler set,
+	// -autoscale-max only supplies the scaler's upper bound; the
+	// fixed-threshold edge+autoscale row would duplicate the scaled row
+	// under different hardcoded parameters.
+	plainEdge := cluster.Tier{Name: "edge", Sites: *sites, ServersPerSite: *servers, Path: sc.Edge}
+	autoscaled := *autoscaleMax > 0 && *scaler == ""
+	if autoscaled {
+		reactive := autoscale.ReactiveSpec(autoscale.Config{
+			Interval: 2, Min: *servers, Max: *autoscaleMax,
+			UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 6,
+		})
+		tier := plainEdge
+		tier.Scaler = &reactive
+		variants = append(variants, variant("edge+autoscale", *seed+1, false, tier))
+	}
+	if *overflowAt > 0 {
+		over := variant("edge+overflow", *seed+1, false, plainEdge, cluster.CloudTier(*sites**servers, sc.Cloud, ""))
+		over.Topology.Spills = []cluster.SpillEdge{{From: "edge", To: "cloud", Threshold: *overflowAt, DetourPath: &sc.Cloud}}
+		variants = append(variants, over)
+	}
+	if scalerSpec != nil {
+		// Carry every edge-shaping flag the baseline row uses, so the
+		// scaled row differs from "edge" by the controller alone.
+		tier := edgeTier
+		tier.Scaler = scalerSpec
+		variants = append(variants, variant("edge+"+scalerSpec.Label(), *seed+1, false, tier))
+	}
+	runs, err := cluster.RunBroadcast(tr.Source(), variants, 0)
+	if err != nil {
+		fail("%v", err)
+	}
+	edge, cloud := runs[0], runs[1]
 
 	fmt.Printf("scenario %s: edge RTT %.1fms, cloud RTT %.1fms, Δn %.1fms\n",
 		sc.Name, sc.Edge.MeanRTT()*1000, sc.Cloud.MeanRTT()*1000, sc.DeltaN()*1000)
 	fmt.Printf("workload: %d requests over %.0fs (%.1f req/s aggregate), mean service %.1fms\n\n",
 		tr.Len(), tr.Duration(), tr.TotalRate(), tr.MeanServiceTime()*1000)
 
-	rows := [][]interface{}{
-		latencyRow("edge", edge),
-		latencyRow("cloud", cloud),
-	}
-	// With -scaler set, -autoscale-max only supplies the scaler's upper
-	// bound; the legacy edge+autoscale row would duplicate the scaled
-	// row under different hardcoded parameters.
-	if *autoscaleMax > 0 && *scaler == "" {
-		scaled := cluster.RunEdgeAutoscaled(tr, cluster.EdgeConfig{
-			Sites: *sites, ServersPerSite: *servers, Path: sc.Edge,
-			Warmup: *warmup, Seed: *seed + 1, Summary: mode,
-		}, autoscale.Config{
-			Interval: 2, Min: *servers, Max: *autoscaleMax,
-			UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 6,
-		})
-		rows = append(rows, latencyRow("edge+autoscale", &scaled.Result))
+	rows := [][]interface{}{latencyRow("edge", &edge.Result), latencyRow("cloud", &cloud.Result)}
+	next := 2
+	if autoscaled {
+		scaled := runs[next]
+		next++
+		rows = append(rows, latencyRow(scaled.Label, &scaled.Result))
+		tier := scaled.Tiers[0]
 		defer fmt.Printf("autoscaler: %d scale-ups, %d scale-downs, peak %d servers/site\n",
-			scaled.ScaleUps, scaled.ScaleDowns, scaled.PeakServers)
+			tier.ScaleUps, tier.ScaleDowns, tier.PeakServers)
 	}
 	if *overflowAt > 0 {
-		over := cluster.RunEdgeWithOverflow(tr, cluster.OverflowConfig{
-			Sites: *sites, ServersPerSite: *servers,
-			EdgePath: sc.Edge, CloudPath: sc.Cloud,
-			CloudServers: *sites * *servers, OverflowThreshold: *overflowAt,
-			Warmup: *warmup, Seed: *seed + 1, Summary: mode,
-		})
-		rows = append(rows, latencyRow("edge+overflow", &over.Result))
+		over := runs[next]
+		next++
+		// The backstop absorbs overflow; utilization reports the edge
+		// investment only.
+		row := over.Result
+		row.Utilization = over.Tiers[0].Utilization
+		rows = append(rows, latencyRow(over.Label, &row))
+		spilled := over.Tiers[0].Spilled
 		defer fmt.Printf("overflow: %d requests (%.1f%%) served by the cloud backstop\n",
-			over.Overflowed, 100*float64(over.Overflowed)/float64(tr.Len()))
+			spilled, 100*float64(spilled)/float64(tr.Len()))
 	}
 	if scalerSpec != nil {
-		// Carry every edge-shaping flag the baseline row uses, so the
-		// scaled row differs from "edge" by the controller alone.
-		topo := cluster.EdgeTopology(cluster.EdgeConfig{
-			Sites: *sites, ServersPerSite: *servers, Path: sc.Edge, Summary: mode,
-			SlowdownFactor: *slowdown, QueueCap: *queueCap,
-			JockeyThreshold: *jockey, DetourRTT: *detour / 1000,
-		})
-		topo.Name = "edge+" + scalerSpec.Label()
-		topo.Tiers[0].Scaler = scalerSpec
-		scaled, err := cluster.Run(tr.Source(), topo, cluster.Options{
-			Warmup: *warmup, Seed: *seed + 1, Summary: mode,
-			SizeHint: tr.Len(), NoPerSiteLatency: true,
-		})
-		if err != nil {
-			fail("-scaler: %v", err)
-		}
-		rows = append(rows, latencyRow(topo.Name, &scaled.Result))
+		scaled := runs[next]
+		rows = append(rows, latencyRow(scaled.Label, &scaled.Result))
 		tier := scaled.Tiers[0]
 		defer fmt.Printf("scaler[%s]: %d ups, %d downs, peak %d servers, %.0f server-sec, $%.4f total (%.4f $/kreq)\n",
 			tier.ScalerPolicy, tier.ScaleUps, tier.ScaleDowns, tier.PeakServers,
@@ -429,7 +444,7 @@ func main() {
 
 	fmt.Println()
 	var siteRows [][]interface{}
-	for _, s := range edge.Sites {
+	for _, s := range edge.Tiers[0].Sites {
 		siteRows = append(siteRows, []interface{}{
 			fmt.Sprintf("edge-%d", s.Site), s.MeanRate,
 			s.Utilization, s.EndToEnd.Mean() * 1000, s.EndToEnd.P95() * 1000, s.EndToEnd.N(),
@@ -471,6 +486,22 @@ func loadTopology(arg string) (cluster.Topology, error) {
 	}
 	return cluster.Topology{}, fmt.Errorf("not a preset (%v), @file, or inline JSON: %q",
 		cluster.TopologyPresets(), arg)
+}
+
+// checkTopologyFlags rejects classic-mode workload flags that a
+// -topology run would otherwise ignore without a word: -skew (graph
+// replays generate uniform per-site load) and an explicitly set -sites
+// that disagrees with a home-routed ingress tier, whose station count
+// fixes the trace's site count.
+func checkTopologyFlags(topo cluster.Topology, skew string, sites int, sitesSet bool) error {
+	if skew != "" {
+		return fmt.Errorf("-skew applies to the classic paired mode only; -topology replays uniform per-site load")
+	}
+	if ingress := topo.Tiers[0]; sitesSet && ingress.Dispatch == "" && sites != ingress.Sites {
+		return fmt.Errorf("-sites %d disagrees with topology %q, whose home-routed ingress tier %q has %d sites",
+			sites, topo.Name, ingress.Name, ingress.Sites)
+	}
+	return nil
 }
 
 // parseScalerSpec resolves the -scaler flag: "reactive" or
@@ -587,13 +618,9 @@ func loadTopologyWithScaler(arg, scalerArg, admitArg string, maxFlag int, mu flo
 // and the file decoders always stream. With a positive shard
 // resolution the replay fans out across engines via cluster.RunPipelined,
 // bit-identical for every shard count.
-func runTopology(arg, scalerArg, admitArg string, maxFlag int, stream bool, in workloadInput, sh shardChoice,
+func runTopology(topo cluster.Topology, stream bool, in workloadInput, sh shardChoice,
 	gc genChoice, sites, servers int, rate, duration, warmup, arrivalSCV float64, seed int64,
 	rejectPenalty float64, model app.InferenceModel, mode stats.Mode) {
-	topo, err := loadTopologyWithScaler(arg, scalerArg, admitArg, maxFlag, model.Mu())
-	if err != nil {
-		fail("-topology: %v", err)
-	}
 	nShards, err := sh.resolve(topo)
 	if err != nil {
 		fail("-shards: %v", err)
@@ -842,13 +869,9 @@ func genSpec(sites, perSite int, rate, duration, arrivalSCV float64, seed int64,
 // per-tier tables, plus the inversion crossover against a pooled cloud
 // of equal total capacity on the -scenario's cloud path — the paper's
 // edge-vs-cloud question generalized to arbitrary hierarchies.
-func runTopologySweepCLI(arg, sweepArg, scalerArg, admitArg string, maxFlag int, stream bool,
+func runTopologySweepCLI(topo cluster.Topology, sweepArg string, stream bool,
 	in workloadInput, sh shardChoice, gc genChoice, sc netem.Scenario,
 	duration, warmup, arrivalSCV float64, seed int64, model app.InferenceModel, mode stats.Mode) {
-	topo, err := loadTopologyWithScaler(arg, scalerArg, admitArg, maxFlag, model.Mu())
-	if err != nil {
-		fail("-topology: %v", err)
-	}
 	rates, err := parseRates(sweepArg)
 	if err != nil {
 		fail("-sweep: %v", err)
@@ -877,9 +900,7 @@ func runTopologySweepCLI(arg, sweepArg, scalerArg, admitArg string, maxFlag int,
 			total += t.Sites * per
 		}
 	}
-	baseline := cluster.CloudTopology(cluster.CloudConfig{
-		Servers: total, Path: sc.Cloud, Policy: cluster.CentralQueue,
-	})
+	baseline := cluster.Topology{Name: "cloud", Tiers: []cluster.Tier{cluster.CloudTier(total, sc.Cloud, "")}}
 	sweepCfg := experiments.TopologySweepConfig{
 		Topology:   topo,
 		Rates:      rates,

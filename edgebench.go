@@ -16,8 +16,8 @@
 //
 //   - Simulation: a discrete-event simulator of edge and cloud
 //     deployments under synthetic or trace-driven workloads, which
-//     substitutes for the paper's EC2 testbed. See Generate, RunEdge,
-//     RunCloud.
+//     substitutes for the paper's EC2 testbed. See Generate, Topology,
+//     CloudTier, RunTopology and RunBroadcast.
 //
 //   - Live testbed: a real net/http inference-service emulator, reverse
 //     proxy and open-loop load generator for end-to-end wall-clock
@@ -136,7 +136,7 @@ type FallibleSource = cluster.FallibleSource
 type SourceFactory = cluster.SourceFactory
 
 // SummaryMode selects a run's latency-collection memory model (see
-// EdgeConfig.Summary): ExactSummary retains every observation,
+// TopologyOptions.Summary): ExactSummary retains every observation,
 // BoundedSummary keeps streaming moments and a mergeable log-bucket
 // sketch whose quantiles lie within 0.78% of the exact ones.
 type SummaryMode = stats.Mode
@@ -151,29 +151,16 @@ const (
 // (the type of Result.EndToEnd and friends).
 type LatencyDigest = stats.Digest
 
-// EdgeConfig configures a simulated edge deployment.
-type EdgeConfig = cluster.EdgeConfig
-
-// CloudConfig configures a simulated cloud deployment.
-type CloudConfig = cluster.CloudConfig
-
-// Result is one deployment run's measurements.
+// Result is one deployment run's aggregate measurements.
 type Result = cluster.Result
 
-// SiteResult is one edge site's measurements.
+// SiteResult is one station's measurements (TierResult.Sites).
 type SiteResult = cluster.SiteResult
 
-// DispatchPolicy selects the cloud load-balancing policy.
-type DispatchPolicy = cluster.DispatchPolicy
-
-// Cloud dispatch policies.
-const (
-	CentralQueue = cluster.CentralQueue
-	RoundRobin   = cluster.RoundRobin
-	LeastConn    = cluster.LeastConn
-	PowerOfTwo   = cluster.PowerOfTwo
-	RandomSplit  = cluster.RandomSplit
-)
+// CentralQueue is the Tier.Dispatch value for one pooled queue; the
+// other dispatch values are the lb policy names (round-robin,
+// least-connections, power-of-two, random).
+const CentralQueue = cluster.CentralQueueDispatch
 
 // Queue service disciplines.
 const (
@@ -186,8 +173,8 @@ const (
 
 // Topology is a declarative deployment graph: tiers connected by spill
 // edges with optional class pinning, executed by RunTopology. The
-// legacy RunEdge/RunCloud/RunEdgeWithOverflow/RunEdgeAutoscaled
-// entry points are thin constructors over this layer.
+// paper's edge is a one-tier Topology of home-routed sites, its cloud a
+// one-tier Topology holding CloudTier.
 type Topology = cluster.Topology
 
 // Tier is one layer of a deployment graph.
@@ -212,33 +199,27 @@ type TierResult = cluster.TierResult
 // TopologySpec is the serializable (JSON) form of a Topology.
 type TopologySpec = cluster.TopologySpec
 
-// Topology entry points: the generic executor, the JSON codec, the
-// shipped multi-tier presets, and the legacy-shape constructors.
+// Variant is one deployment of a broadcast replay: a labeled Topology
+// and its run options.
+type Variant = cluster.Variant
+
+// Topology entry points: the generic executor, its one-pass fan-out
+// over several deployments, the pooled-or-balanced cloud tier, the JSON
+// codec and the shipped multi-tier presets.
 var (
-	RunTopology            = cluster.Run
-	ParseTopology          = cluster.ParseTopology
-	ParseTopologySpec      = cluster.ParseTopologySpec
-	TopologyPresets        = cluster.TopologyPresets
-	PresetTopology         = cluster.PresetTopology
-	EdgeTopology           = cluster.EdgeTopology
-	CloudTopology          = cluster.CloudTopology
-	OverflowTopology       = cluster.OverflowTopology
-	AutoscaledEdgeTopology = cluster.AutoscaledEdgeTopology
+	RunTopology       = cluster.Run
+	RunBroadcast      = cluster.RunBroadcast
+	CloudTier         = cluster.CloudTier
+	ParseTopology     = cluster.ParseTopology
+	ParseTopologySpec = cluster.ParseTopologySpec
+	TopologyPresets   = cluster.TopologyPresets
+	PresetTopology    = cluster.PresetTopology
 )
 
-// OverflowConfig configures a hierarchical edge deployment in which
-// overloaded sites forward requests to a cloud backstop.
-type OverflowConfig = cluster.OverflowConfig
-
-// OverflowResult is a hierarchical run's measurements.
-type OverflowResult = cluster.OverflowResult
-
 // AutoscaleConfig parameterizes the reactive per-site capacity
-// controller (the paper's future-work direction).
+// controller (the paper's future-work direction); ReactiveScaler
+// converts it to a ScalerSpec.
 type AutoscaleConfig = autoscale.Config
-
-// AutoscaleResult is an autoscaled edge run's measurements.
-type AutoscaleResult = cluster.AutoscaleResult
 
 // Scaler is the policy-pluggable capacity controller a Tier attaches
 // via ScalerSpec: reactive thresholds or forecast-driven predictive
@@ -269,11 +250,6 @@ var (
 	Generate               = cluster.Generate
 	Stream                 = cluster.Stream
 	StreamFactory          = cluster.StreamFactory
-	RunEdge                = cluster.RunEdge
-	RunCloud               = cluster.RunCloud
-	RunPaired              = cluster.RunPaired
-	RunEdgeWithOverflow    = cluster.RunEdgeWithOverflow
-	RunEdgeAutoscaled      = cluster.RunEdgeAutoscaled
 	DefaultAutoscaleConfig = autoscale.DefaultConfig
 )
 

@@ -27,12 +27,18 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if !ok {
 		t.Fatal("scenario missing")
 	}
-	edge := edgebench.RunEdge(tr, edgebench.EdgeConfig{
-		Sites: 5, ServersPerSite: 1, Path: sc.Edge, Warmup: 20, Seed: 2,
-	})
-	cloud := edgebench.RunCloud(tr, edgebench.CloudConfig{
-		Servers: 5, Path: sc.Cloud, Warmup: 20, Seed: 3,
-	})
+	runs, err := edgebench.RunBroadcast(tr.Source(), []edgebench.Variant{
+		{Label: "edge", Opts: edgebench.TopologyOptions{Warmup: 20, Seed: 2},
+			Topology: edgebench.Topology{Name: "edge", Tiers: []edgebench.Tier{
+				{Name: "edge", Sites: 5, ServersPerSite: 1, Path: sc.Edge}}}},
+		{Label: "cloud", Opts: edgebench.TopologyOptions{Warmup: 20, Seed: 3},
+			Topology: edgebench.Topology{Name: "cloud", Tiers: []edgebench.Tier{
+				edgebench.CloudTier(5, sc.Cloud, edgebench.CentralQueue)}}},
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge, cloud := runs[0], runs[1]
 	if edge.EndToEnd.N() == 0 || cloud.EndToEnd.N() == 0 {
 		t.Fatal("runs produced no measurements")
 	}
@@ -152,20 +158,26 @@ func TestPublicAPIMitigations(t *testing.T) {
 	tr := edgebench.Generate(edgebench.GenSpec{
 		Sites: 3, Duration: 200, Model: model, Seed: 9, Arrivals: arrivals,
 	})
-	over := edgebench.RunEdgeWithOverflow(tr, edgebench.OverflowConfig{
-		Sites: 3, ServersPerSite: 1,
-		EdgePath: sc.Edge, CloudPath: sc.Cloud,
-		CloudServers: 3, OverflowThreshold: 4, Warmup: 20, Seed: 10,
+	edge := edgebench.Tier{Name: "edge", Sites: 3, ServersPerSite: 1, Path: sc.Edge}
+	run := func(topo edgebench.Topology) *edgebench.TopologyResult {
+		res, err := edgebench.RunTopology(tr.Source(), topo, edgebench.TopologyOptions{Warmup: 20, Seed: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	over := run(edgebench.Topology{
+		Tiers:  []edgebench.Tier{edge, edgebench.CloudTier(3, sc.Cloud, edgebench.CentralQueue)},
+		Spills: []edgebench.SpillEdge{{From: "edge", To: "cloud", Threshold: 4, DetourPath: &sc.Cloud}},
 	})
-	if over.Overflowed == 0 {
+	if over.Tiers[0].Spilled == 0 {
 		t.Error("hot site should overflow")
 	}
-	scaled := edgebench.RunEdgeAutoscaled(tr, edgebench.EdgeConfig{
-		Sites: 3, ServersPerSite: 1, Path: sc.Edge, Warmup: 20, Seed: 10,
-	}, edgebench.AutoscaleConfig{
+	reactive := edgebench.ReactiveScaler(edgebench.AutoscaleConfig{
 		Interval: 2, Min: 1, Max: 3, UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 5,
 	})
-	if scaled.ScaleUps == 0 {
+	edge.Scaler = &reactive
+	if scaled := run(edgebench.Topology{Tiers: []edgebench.Tier{edge}}); scaled.Tiers[0].ScaleUps == 0 {
 		t.Error("autoscaler should scale up the hot site")
 	}
 	// Timeline tooling over a replay.

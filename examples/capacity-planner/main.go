@@ -40,29 +40,38 @@ func main() {
 		Sites: 5, Duration: 600, Model: model, Seed: 3, Arrivals: arrivals,
 	})
 
-	naive, cloud := edgebench.RunPaired(tr, edgebench.EdgeConfig{
-		Sites: 5, ServersPerSite: 1, Path: sc.Edge, Warmup: 60, Seed: 4,
-	}, edgebench.CloudConfig{
-		Servers: 5, Path: sc.Cloud, Warmup: 60, Seed: 5,
-	})
-	planned := edgebench.RunEdge(tr, edgebench.EdgeConfig{
-		Sites: 5, Path: sc.Edge, Warmup: 60, Seed: 4,
-		PerSiteServers: plan.PerSite,
-	})
+	// Every deployment replays the same trace in one broadcast pass.
+	edge := edgebench.Tier{Name: "edge", Sites: 5, ServersPerSite: 1, Path: sc.Edge}
+	planTier := edge
+	planTier.PerSiteServers = plan.PerSite
+	cloudTier := edgebench.CloudTier(5, sc.Cloud, edgebench.CentralQueue)
 
-	// (3) Run-time mitigations on the unplanned 1-server-per-site edge.
-	scaled := edgebench.RunEdgeAutoscaled(tr, edgebench.EdgeConfig{
-		Sites: 5, ServersPerSite: 1, Path: sc.Edge, Warmup: 60, Seed: 4,
-	}, edgebench.AutoscaleConfig{
+	// (3) Run-time mitigations on the unplanned 1-server-per-site edge:
+	// a reactive autoscaler, or overflow into the cloud at site load 4.
+	reactive := edgebench.ReactiveScaler(edgebench.AutoscaleConfig{
 		Interval: 2, Min: 1, Max: 4,
 		UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 6,
 	})
-	overflow := edgebench.RunEdgeWithOverflow(tr, edgebench.OverflowConfig{
-		Sites: 5, ServersPerSite: 1,
-		EdgePath: sc.Edge, CloudPath: sc.Cloud,
-		CloudServers: 5, OverflowThreshold: 4,
-		Warmup: 60, Seed: 4,
-	})
+	scaledTier := edge
+	scaledTier.Scaler = &reactive
+
+	variant := func(name string, seed int64, tiers ...edgebench.Tier) edgebench.Variant {
+		return edgebench.Variant{Label: name, Topology: edgebench.Topology{Name: name, Tiers: tiers},
+			Opts: edgebench.TopologyOptions{Warmup: 60, Seed: seed}}
+	}
+	over := variant("edge+overflow", 4, edge, cloudTier)
+	over.Topology.Spills = []edgebench.SpillEdge{{From: "edge", To: "cloud", Threshold: 4, DetourPath: &sc.Cloud}}
+	runs, err := edgebench.RunBroadcast(tr.Source(), []edgebench.Variant{
+		variant("edge", 4, edge),
+		variant("cloud", 5, cloudTier),
+		variant("edge+plan", 4, planTier),
+		variant("edge+autoscale", 4, scaledTier),
+		over,
+	}, 0)
+	if err != nil {
+		panic(err)
+	}
+	naive, cloud, planned, scaled, overflow := runs[0], runs[1], runs[2], runs[3], runs[4]
 
 	fmt.Println("\nmeasured end-to-end latency:")
 	fmt.Printf("  %-34s mean %8.1f ms   p95 %9.1f ms\n", "cloud (5 servers, 25 ms away)",
@@ -72,10 +81,10 @@ func main() {
 	fmt.Printf("  %-34s mean %8.1f ms   p95 %9.1f ms   (%d servers)\n", "edge, planned capacity",
 		planned.MeanLatency()*1000, planned.P95Latency()*1000, plan.TotalEdge)
 	fmt.Printf("  %-34s mean %8.1f ms   p95 %9.1f ms   (peak %d servers at one site)\n",
-		"edge, autoscaled", scaled.MeanLatency()*1000, scaled.P95Latency()*1000, scaled.PeakServers)
+		"edge, autoscaled", scaled.MeanLatency()*1000, scaled.P95Latency()*1000, scaled.Tiers[0].PeakServers)
 	fmt.Printf("  %-34s mean %8.1f ms   p95 %9.1f ms   (%.0f%% overflowed to cloud)\n",
 		"edge, cloud overflow", overflow.MeanLatency()*1000, overflow.P95Latency()*1000,
-		100*float64(overflow.Overflowed)/float64(tr.Len()))
+		100*float64(overflow.Tiers[0].Spilled)/float64(tr.Len()))
 
 	fmt.Println("\n§5.2 capacity cost: the planned edge uses",
 		plan.TotalEdge, "servers where the cloud pools", plan.CloudTotal, "—")

@@ -34,18 +34,25 @@ func main() {
 	fmt.Printf("skewed workload: per-site shares %v, aggregate %.1f req/s (60%% of capacity)\n\n",
 		fmtWeights(weights), aggregate)
 
-	baseline, cloud := edgebench.RunPaired(tr, edgebench.EdgeConfig{
-		Sites: sites, ServersPerSite: 1, Path: sc.Edge, Warmup: 60, Seed: 21,
-	}, edgebench.CloudConfig{
-		Servers: sites, Path: sc.Cloud, Warmup: 60, Seed: 22,
-	})
-	jockeyed := edgebench.RunEdge(tr, edgebench.EdgeConfig{
-		Sites: sites, ServersPerSite: 1, Path: sc.Edge, Warmup: 60, Seed: 21,
-		JockeyThreshold: 3,     // redirect when 3+ requests at the home site
-		DetourRTT:       0.005, // 5 ms extra to reach a neighbor site
-	})
+	edge := edgebench.Tier{Name: "edge", Sites: sites, ServersPerSite: 1, Path: sc.Edge}
+	jockeying := edge
+	jockeying.JockeyThreshold = 3 // redirect when 3+ requests at the home site
+	jockeying.DetourRTT = 0.005   // 5 ms extra to reach a neighbor site
+	oneTier := func(name string, t edgebench.Tier, seed int64) edgebench.Variant {
+		return edgebench.Variant{Label: name, Topology: edgebench.Topology{Name: name, Tiers: []edgebench.Tier{t}},
+			Opts: edgebench.TopologyOptions{Warmup: 60, Seed: seed}}
+	}
+	runs, err := edgebench.RunBroadcast(tr.Source(), []edgebench.Variant{
+		oneTier("edge", edge, 21),
+		oneTier("cloud", edgebench.CloudTier(sites, sc.Cloud, edgebench.CentralQueue), 22),
+		oneTier("edge+jockey", jockeying, 21),
+	}, 0)
+	if err != nil {
+		panic(err)
+	}
+	baseline, cloud, jockeyed := runs[0], runs[1], runs[2]
 
-	show := func(name string, r *edgebench.Result) {
+	show := func(name string, r *edgebench.TopologyResult) {
 		fmt.Printf("%-22s mean %7.1f ms   p95 %8.1f ms\n",
 			name, r.MeanLatency()*1000, r.P95Latency()*1000)
 	}
@@ -56,7 +63,7 @@ func main() {
 		jockeyed.Redirected, 100*float64(jockeyed.Redirected)/float64(tr.Len()))
 
 	fmt.Println("\nper-site utilization without balancing:")
-	for _, s := range baseline.Sites {
+	for _, s := range baseline.Tiers[0].Sites {
 		fmt.Printf("  site %d: %.0f%% utilized, mean %7.1f ms\n",
 			s.Site+1, s.Utilization*100, s.EndToEnd.Mean()*1000)
 	}

@@ -37,11 +37,23 @@ func main() {
 	}
 	tr := edgebench.Generate(spec)
 	sc, _ := edgebench.ScenarioByName("typical-25ms")
-	edge, cloud := edgebench.RunPaired(tr, edgebench.EdgeConfig{
-		Sites: 5, ServersPerSite: 1, Path: sc.Edge, Warmup: 60, Seed: 2,
-	}, edgebench.CloudConfig{
-		Servers: 5, Path: sc.Cloud, Warmup: 60, Seed: 3,
-	})
+	// Each deployment is a one-tier Topology: five home-routed sites, or
+	// five servers pooled behind one cloud queue. RunBroadcast replays
+	// the one trace through both concurrently.
+	edgeTopo := edgebench.Topology{Name: "edge", Tiers: []edgebench.Tier{
+		{Name: "edge", Sites: 5, ServersPerSite: 1, Path: sc.Edge},
+	}}
+	cloudTopo := edgebench.Topology{Name: "cloud", Tiers: []edgebench.Tier{
+		edgebench.CloudTier(5, sc.Cloud, edgebench.CentralQueue),
+	}}
+	runs, err := edgebench.RunBroadcast(tr.Source(), []edgebench.Variant{
+		{Label: "edge", Topology: edgeTopo, Opts: edgebench.TopologyOptions{Warmup: 60, Seed: 2}},
+		{Label: "cloud", Topology: cloudTopo, Opts: edgebench.TopologyOptions{Warmup: 60, Seed: 3}},
+	}, 0)
+	if err != nil {
+		panic(err)
+	}
+	edge, cloud := runs[0], runs[1]
 
 	fmt.Printf("edge : mean %5.1f ms   p95 %6.1f ms   (utilization %.0f%%)\n",
 		edge.MeanLatency()*1000, edge.P95Latency()*1000, edge.Utilization*100)
@@ -64,14 +76,8 @@ func main() {
 	// so the same run shape works unchanged at 10⁸ requests (see
 	// `edgesim -topology ... -stream -summary bounded`). Replaying the
 	// identical spec+seed streamed reproduces the edge numbers exactly.
-	streamed, err := edgebench.RunTopology(
-		edgebench.Stream(spec),
-		edgebench.EdgeTopology(edgebench.EdgeConfig{
-			Sites: 5, ServersPerSite: 1, Path: sc.Edge,
-		}),
-		edgebench.TopologyOptions{
-			Warmup: 60, Seed: 2, Summary: edgebench.BoundedSummary,
-		})
+	streamed, err := edgebench.RunTopology(edgebench.Stream(spec), edgeTopo,
+		edgebench.TopologyOptions{Warmup: 60, Seed: 2, Summary: edgebench.BoundedSummary})
 	if err != nil {
 		panic(err)
 	}

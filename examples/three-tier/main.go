@@ -49,17 +49,22 @@ func main() {
 		},
 	}
 
-	edge, cloud := edgebench.RunPaired(tr, edgebench.EdgeConfig{
-		Sites: sites, ServersPerSite: 2, Path: sc.Edge, Warmup: 60, Seed: 41,
-	}, edgebench.CloudConfig{
-		Servers: 10, Path: sc.Cloud, Warmup: 60, Seed: 42,
-	})
-	chained, err := edgebench.RunTopology(tr.Source(), chain, edgebench.TopologyOptions{
-		Warmup: 60, Seed: 43, SizeHint: tr.Len(),
-	})
+	opts := func(seed int64) edgebench.TopologyOptions {
+		return edgebench.TopologyOptions{Warmup: 60, Seed: seed, SizeHint: tr.Len()}
+	}
+	runs, err := edgebench.RunBroadcast(tr.Source(), []edgebench.Variant{
+		{Label: "edge", Opts: opts(41), Topology: edgebench.Topology{Name: "edge", Tiers: []edgebench.Tier{
+			{Name: "edge", Sites: sites, ServersPerSite: 2, Path: sc.Edge},
+		}}},
+		{Label: "cloud", Opts: opts(42), Topology: edgebench.Topology{Name: "cloud", Tiers: []edgebench.Tier{
+			edgebench.CloudTier(10, sc.Cloud, edgebench.CentralQueue),
+		}}},
+		{Label: chain.Name, Opts: opts(43), Topology: chain},
+	}, 0)
 	if err != nil {
 		panic(err)
 	}
+	edge, cloud, chained := runs[0], runs[1], runs[2]
 
 	fmt.Printf("skewed workload: %.1f req/s aggregate, hottest site %.0f%%\n\n",
 		aggregate, weights[0]*100)

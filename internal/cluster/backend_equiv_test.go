@@ -5,8 +5,8 @@ package cluster_test
 // strict (time, front, sequence) order, so whole topology runs — every
 // preset, trace and generator workloads, warmup on and off, exact and
 // bounded summaries — must come out bit-identical. This extends the
-// repo's equivalence discipline (materialized == streaming == legacy
-// runners) to the PR 6 engine swap.
+// repo's equivalence discipline (materialized seed runners == streaming
+// Run) to the calendar-queue engine swap.
 
 import (
 	"testing"
@@ -69,8 +69,8 @@ func TestCalendarQueueMatchesHeapOnPresets(t *testing.T) {
 }
 
 // TestCalendarQueueMatchesHeapOnTrace: a materialized trace replayed
-// through the legacy-shaped overflow topology (spill edge, sampled
-// detours, bounded queues) is bit-identical across backends.
+// through an overflow topology (spill edge, sampled detours, bounded
+// queues) is bit-identical across backends.
 func TestCalendarQueueMatchesHeapOnTrace(t *testing.T) {
 	tr := cluster.Generate(cluster.GenSpec{Sites: 4, Duration: 150, PerSiteRate: 10, Seed: 3})
 	topo := spillTopology(4)

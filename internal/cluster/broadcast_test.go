@@ -26,11 +26,11 @@ func broadcastVariants(sites int, mode stats.Mode) []cluster.Variant {
 	return []cluster.Variant{
 		{Label: "spill", Topology: spillTopology(sites),
 			Opts: cluster.Options{Seed: 5, Summary: mode}},
-		{Label: "pure-edge", Topology: cluster.EdgeTopology(cluster.EdgeConfig{
-			Sites: sites, ServersPerSite: 2, Path: netem.EdgePath}),
+		{Label: "pure-edge", Topology: cluster.Topology{Name: "edge", Tiers: []cluster.Tier{
+			{Name: "edge", Sites: sites, ServersPerSite: 2, Path: netem.EdgePath}}},
 			Opts: cluster.Options{Seed: 6, Summary: mode, Warmup: 20}},
-		{Label: "pooled-cloud", Topology: cluster.CloudTopology(cluster.CloudConfig{
-			Servers: 2 * sites, Path: netem.CloudTypical}),
+		{Label: "pooled-cloud", Topology: cluster.Topology{Name: "cloud", Tiers: []cluster.Tier{
+			cluster.CloudTier(2*sites, netem.CloudTypical, "")}},
 			Opts: cluster.Options{Seed: 7, Summary: mode}},
 	}
 }

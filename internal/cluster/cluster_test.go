@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/app"
+	"repro/internal/lb"
 	"repro/internal/netem"
 	"repro/internal/theory"
 	"repro/internal/workload"
@@ -93,10 +95,10 @@ func TestRunEdgeMatchesMM1Theory(t *testing.T) {
 		Sites: 5, Duration: 3000, PerSiteRate: 8,
 		ArrivalSCV: 1, Model: model, Seed: 4,
 	})
-	res := RunEdge(tr, EdgeConfig{
+	res := edgeConfig{
 		Sites: 5, ServersPerSite: 1, Path: netem.Constant("zero", 0),
 		Warmup: 300, Seed: 5,
-	})
+	}.run(t, tr)
 	rho := 8.0 / 13
 	want := theory.MM1Sojourn(rho, 13)
 	got := res.EndToEnd.Mean()
@@ -116,9 +118,9 @@ func TestRunCloudMatchesMMcTheory(t *testing.T) {
 		Sites: 5, Duration: 3000, PerSiteRate: 8,
 		ArrivalSCV: 1, Model: model, Seed: 6,
 	})
-	res := RunCloud(tr, CloudConfig{
+	res := cloudConfig{
 		Servers: 5, Path: netem.Constant("zero", 0), Warmup: 300, Seed: 7,
-	})
+	}.run(t, tr)
 	want := theory.MMcSojourn(5, 8.0/13, 13)
 	got := res.EndToEnd.Mean()
 	if math.Abs(got-want) > 0.12*want {
@@ -133,8 +135,8 @@ func TestPerformanceInversionIntegration(t *testing.T) {
 	sc, _ := netem.ScenarioByName("typical-25ms")
 	run := func(rate float64) (edge, cloud float64) {
 		tr := Generate(GenSpec{Sites: 5, Duration: 1200, PerSiteRate: rate, Seed: 8})
-		e := RunEdge(tr, EdgeConfig{Sites: 5, ServersPerSite: 1, Path: sc.Edge, Warmup: 120, Seed: 9})
-		c := RunCloud(tr, CloudConfig{Servers: 5, Path: sc.Cloud, Warmup: 120, Seed: 10})
+		e := edgeConfig{Sites: 5, ServersPerSite: 1, Path: sc.Edge, Warmup: 120, Seed: 9}.run(t, tr)
+		c := cloudConfig{Servers: 5, Path: sc.Cloud, Warmup: 120, Seed: 10}.run(t, tr)
 		return e.MeanLatency(), c.MeanLatency()
 	}
 	eLow, cLow := run(6)
@@ -152,8 +154,8 @@ func TestPerformanceInversionIntegration(t *testing.T) {
 func TestK1EdgeAlwaysWins(t *testing.T) {
 	sc, _ := netem.ScenarioByName("typical-25ms")
 	tr := Generate(GenSpec{Sites: 1, Duration: 1000, PerSiteRate: 11 * 5, Seed: 11})
-	e := RunEdge(tr, EdgeConfig{Sites: 1, ServersPerSite: 5, Path: sc.Edge, Warmup: 100, Seed: 12})
-	c := RunCloud(tr, CloudConfig{Servers: 5, Path: sc.Cloud, Warmup: 100, Seed: 13})
+	e := edgeConfig{Sites: 1, ServersPerSite: 5, Path: sc.Edge, Warmup: 100, Seed: 12}.run(t, tr)
+	c := cloudConfig{Servers: 5, Path: sc.Cloud, Warmup: 100, Seed: 13}.run(t, tr)
 	if e.MeanLatency() >= c.MeanLatency() {
 		t.Errorf("k=1 edge should always win: edge %v vs cloud %v", e.MeanLatency(), c.MeanLatency())
 	}
@@ -164,11 +166,11 @@ func TestK1EdgeAlwaysWins(t *testing.T) {
 func TestEdgeSlowdownCausesK1Inversion(t *testing.T) {
 	sc, _ := netem.ScenarioByName("nearby-13ms")
 	tr := Generate(GenSpec{Sites: 1, Duration: 1000, PerSiteRate: 10 * 5, Seed: 14})
-	e := RunEdge(tr, EdgeConfig{
+	e := edgeConfig{
 		Sites: 1, ServersPerSite: 5, Path: sc.Edge, Warmup: 100, Seed: 15,
 		SlowdownFactor: 1.25, // edge servers 25% slower
-	})
-	c := RunCloud(tr, CloudConfig{Servers: 5, Path: sc.Cloud, Warmup: 100, Seed: 16})
+	}.run(t, tr)
+	c := cloudConfig{Servers: 5, Path: sc.Cloud, Warmup: 100, Seed: 16}.run(t, tr)
 	if e.MeanLatency() <= c.MeanLatency() {
 		t.Errorf("slowed k=1 edge should invert: edge %v vs cloud %v", e.MeanLatency(), c.MeanLatency())
 	}
@@ -178,9 +180,9 @@ func TestEdgeSlowdownCausesK1Inversion(t *testing.T) {
 func TestCentralQueueBeatsRoundRobin(t *testing.T) {
 	tr := Generate(GenSpec{Sites: 5, Duration: 1500, PerSiteRate: 11, Seed: 17})
 	path := netem.Constant("zero", 0)
-	cq := RunCloud(tr, CloudConfig{Servers: 5, Path: path, Policy: CentralQueue, Warmup: 150, Seed: 18})
-	rr := RunCloud(tr, CloudConfig{Servers: 5, Path: path, Policy: RoundRobin, Warmup: 150, Seed: 18})
-	lc := RunCloud(tr, CloudConfig{Servers: 5, Path: path, Policy: LeastConn, Warmup: 150, Seed: 18})
+	cq := cloudConfig{Servers: 5, Path: path, Policy: CentralQueueDispatch, Warmup: 150, Seed: 18}.run(t, tr)
+	rr := cloudConfig{Servers: 5, Path: path, Policy: lb.PolicyRoundRobin, Warmup: 150, Seed: 18}.run(t, tr)
+	lc := cloudConfig{Servers: 5, Path: path, Policy: lb.PolicyLeastConn, Warmup: 150, Seed: 18}.run(t, tr)
 	if cq.MeanLatency() >= rr.MeanLatency() {
 		t.Errorf("central queue %v should beat round robin %v", cq.MeanLatency(), rr.MeanLatency())
 	}
@@ -195,11 +197,11 @@ func TestGeoLBMitigatesSkew(t *testing.T) {
 	procs := siteProcs([]float64{14, 5, 5, 3, 3})
 	tr := Generate(GenSpec{Sites: 5, Duration: 800, Seed: 19, Arrivals: procs})
 	sc, _ := netem.ScenarioByName("typical-25ms")
-	plain := RunEdge(tr, EdgeConfig{Sites: 5, ServersPerSite: 1, Path: sc.Edge, Warmup: 80, Seed: 20})
-	geo := RunEdge(tr, EdgeConfig{
+	plain := edgeConfig{Sites: 5, ServersPerSite: 1, Path: sc.Edge, Warmup: 80, Seed: 20}.run(t, tr)
+	geo := edgeConfig{
 		Sites: 5, ServersPerSite: 1, Path: sc.Edge, Warmup: 80, Seed: 20,
 		JockeyThreshold: 3, DetourRTT: 0.005,
-	})
+	}.run(t, tr)
 	if geo.Redirected == 0 {
 		t.Fatal("expected jockeyed requests")
 	}
@@ -214,14 +216,14 @@ func TestGeoLBMitigatesSkew(t *testing.T) {
 func TestPerSiteCapacityMatchesSkew(t *testing.T) {
 	procs := siteProcs([]float64{20, 10, 5, 5, 5})
 	tr := Generate(GenSpec{Sites: 5, Duration: 800, Seed: 21, Arrivals: procs})
-	res := RunEdge(tr, EdgeConfig{
+	res := edgeConfig{
 		Sites: 5, Path: netem.Constant("zero", 0), Warmup: 80, Seed: 22,
 		PerSiteServers: []int{2, 1, 1, 1, 1},
-	})
-	u0 := res.Sites[0].Utilization
+	}.run(t, tr)
+	u0 := res.Tiers[0].Sites[0].Utilization
 	for i := 1; i < 5; i++ {
-		if res.Sites[i].Utilization > 1.01 {
-			t.Errorf("site %d saturated: %v", i, res.Sites[i].Utilization)
+		if res.Tiers[0].Sites[i].Utilization > 1.01 {
+			t.Errorf("site %d saturated: %v", i, res.Tiers[0].Sites[i].Utilization)
 		}
 	}
 	if u0 > 0.95 {
@@ -243,10 +245,10 @@ func siteProcs(rates []float64) []workload.ArrivalProcess {
 // generation time.
 func TestTimelineCollection(t *testing.T) {
 	tr := Generate(GenSpec{Sites: 2, Duration: 300, PerSiteRate: 5, Seed: 23})
-	res := RunEdge(tr, EdgeConfig{
+	res := edgeConfig{
 		Sites: 2, ServersPerSite: 1, Path: netem.Constant("zero", 0),
 		Seed: 24, TimelineBin: 60,
-	})
+	}.run(t, tr)
 	if res.Timeline == nil {
 		t.Fatal("timeline not collected")
 	}
@@ -266,29 +268,33 @@ func TestTimelineCollection(t *testing.T) {
 // request records (paired comparison).
 func TestPairedTraceIdentical(t *testing.T) {
 	tr := Generate(GenSpec{Sites: 3, Duration: 200, PerSiteRate: 6, Seed: 25})
-	e := RunEdge(tr, EdgeConfig{Sites: 3, ServersPerSite: 1, Path: netem.Constant("z", 0), Seed: 26})
-	c := RunCloud(tr, CloudConfig{Servers: 3, Path: netem.Constant("z", 0), Seed: 27})
+	e := edgeConfig{Sites: 3, ServersPerSite: 1, Path: netem.Constant("z", 0), Seed: 26}.run(t, tr)
+	c := cloudConfig{Servers: 3, Path: netem.Constant("z", 0), Seed: 27}.run(t, tr)
 	if e.Completed != c.Completed || int(e.Completed) != tr.Len() {
 		t.Errorf("completions differ: edge %d cloud %d trace %d", e.Completed, c.Completed, tr.Len())
 	}
 }
 
-func TestRunEdgeConfigValidation(t *testing.T) {
-	tr := Generate(GenSpec{Sites: 2, Duration: 10, PerSiteRate: 1, Seed: 1})
-	defer func() {
-		if recover() == nil {
-			t.Error("site-count mismatch should panic")
-		}
-	}()
-	RunEdge(tr, EdgeConfig{Sites: 3, Path: netem.Constant("z", 0)})
+// wantRunError runs a sites-wide trace through topo and fails unless
+// Run returns an error containing want (and no result).
+func wantRunError(t *testing.T, sites int, topo Topology, want string) {
+	t.Helper()
+	tr := Generate(GenSpec{Sites: sites, Duration: 10, PerSiteRate: 1, Seed: 1})
+	res, err := Run(tr.Source(), topo, Options{})
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("got result %v, error %v; want an error containing %q", res != nil, err, want)
+	}
 }
 
+// TestRunEdgeConfigValidation: a source whose sites overflow the
+// home-routed edge is an error from Run, not a panic.
+func TestRunEdgeConfigValidation(t *testing.T) {
+	edge := Tier{Name: "edge", Sites: 2, Path: netem.Constant("z", 0)}
+	wantRunError(t, 3, Topology{Tiers: []Tier{edge}}, "home site 2 outside tier")
+}
+
+// TestRunCloudPanicsOnZeroServers: a cloud tier with no servers is an
+// error from Run (the name predates Run returning errors).
 func TestRunCloudPanicsOnZeroServers(t *testing.T) {
-	tr := Generate(GenSpec{Sites: 1, Duration: 10, PerSiteRate: 1, Seed: 1})
-	defer func() {
-		if recover() == nil {
-			t.Error("zero-server cloud should panic")
-		}
-	}()
-	RunCloud(tr, CloudConfig{Servers: 0, Path: netem.Constant("z", 0)})
+	wantRunError(t, 1, Topology{Tiers: []Tier{CloudTier(0, netem.Constant("z", 0), "")}}, "at least one site")
 }

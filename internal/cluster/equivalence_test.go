@@ -4,8 +4,9 @@ package cluster
 // seed's materialized runner, which scheduled one arrival event and one
 // Done closure per trace record before starting the clock. The
 // materialized runners below are verbatim ports of that seed code
-// (adapted only to the Sink/Digest types); the tests assert the
-// streaming path reproduces their results bit for bit on fixed traces.
+// (adapted only to the Sink/Digest types and to test-local copies of
+// the seed's config shapes); the tests assert Run on the equivalent
+// topology reproduces their results bit for bit on fixed traces.
 
 import (
 	"fmt"
@@ -19,9 +20,151 @@ import (
 	"repro/internal/stats"
 )
 
+// edgeConfig is the seed's edge deployment config.
+type edgeConfig struct {
+	Sites           int
+	ServersPerSite  int
+	Path            netem.Path
+	Discipline      queue.Discipline
+	Warmup          float64
+	Seed            int64
+	QueueCap        int
+	SlowdownFactor  float64
+	JockeyThreshold int
+	DetourRTT       float64
+	PerSiteServers  []int
+	TimelineBin     float64
+	Summary         stats.Mode
+}
+
+// topology is the one-tier topology equivalent to the seed's edge.
+func (c edgeConfig) topology() Topology {
+	return Topology{Name: "edge", Tiers: []Tier{{
+		Name: "edge", Sites: c.Sites, ServersPerSite: c.ServersPerSite,
+		PerSiteServers: c.PerSiteServers, Path: c.Path, Discipline: c.Discipline,
+		QueueCap: c.QueueCap, SlowdownFactor: c.SlowdownFactor,
+		JockeyThreshold: c.JockeyThreshold, DetourRTT: c.DetourRTT,
+	}}}
+}
+
+// cloudConfig is the seed's cloud deployment config; Policy is a
+// Tier.Dispatch value ("" selects the central queue).
+type cloudConfig struct {
+	Servers     int
+	Path        netem.Path
+	Policy      string
+	Discipline  queue.Discipline
+	Warmup      float64
+	Seed        int64
+	TimelineBin float64
+	QueueCap    int
+}
+
+// topology is the one-tier topology equivalent to the seed's cloud.
+func (c cloudConfig) topology() Topology {
+	t := CloudTier(c.Servers, c.Path, c.Policy)
+	t.Discipline = c.Discipline
+	t.QueueCap = c.QueueCap
+	return Topology{Name: "cloud", Tiers: []Tier{t}}
+}
+
+// overflowConfig is the seed's hierarchical edge config: home sites
+// forwarding to a pooled cloud backstop at OverflowThreshold.
+type overflowConfig struct {
+	Sites             int
+	ServersPerSite    int
+	EdgePath          netem.Path
+	CloudPath         netem.Path
+	CloudServers      int
+	OverflowThreshold int
+	Warmup            float64
+	Seed              int64
+}
+
+// topology is the two-tier topology equivalent to the seed's overflow
+// deployment: the backstop's RTT rides the spill edge as its detour.
+func (c overflowConfig) topology() Topology {
+	cloud := c.CloudPath
+	return Topology{
+		Name: "edge+overflow",
+		Tiers: []Tier{
+			{Name: "edge", Sites: c.Sites, ServersPerSite: c.ServersPerSite, Path: c.EdgePath},
+			{Name: "cloud-backstop", Sites: 1, ServersPerSite: c.CloudServers, Path: c.CloudPath,
+				Dispatch: CentralQueueDispatch},
+		},
+		Spills: []SpillEdge{{From: "edge", To: "cloud-backstop", Threshold: c.OverflowThreshold,
+			DetourPath: &cloud}},
+	}
+}
+
+// oracleResult is the seed runners' result shape: the aggregate plus
+// the per-site rows the seed's Result carried.
+type oracleResult struct {
+	Result
+	Sites []SiteResult
+}
+
+// overflowOracle adds the seed overflow runner's edge/cloud split.
+type overflowOracle struct {
+	oracleResult
+	EdgeServed  uint64
+	CloudServed uint64
+	Overflowed  uint64
+	EdgeOnly    stats.Digest
+	CloudOnly   stats.Digest
+}
+
+// replay runs tr through topo with SizeHint at the trace length, as
+// the seed runners sized their digests, failing the test on error.
+func replay(t testing.TB, tr *WorkloadTrace, topo Topology, opts Options) *TopologyResult {
+	t.Helper()
+	opts.SizeHint = tr.Len()
+	res, err := Run(tr.Source(), topo, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// options are the Run options equivalent to the seed edge config.
+func (c edgeConfig) options() Options {
+	return Options{Warmup: c.Warmup, Seed: c.Seed, Summary: c.Summary, TimelineBin: c.TimelineBin}
+}
+
+// options are the Run options equivalent to the seed cloud config.
+func (c cloudConfig) options() Options {
+	return Options{Warmup: c.Warmup, Seed: c.Seed, TimelineBin: c.TimelineBin}
+}
+
+// options are the Run options equivalent to the seed overflow config;
+// its per-site rows carried queueing metrics only.
+func (c overflowConfig) options() Options {
+	return Options{Warmup: c.Warmup, Seed: c.Seed, NoPerSiteLatency: true}
+}
+
+// run replays tr through the equivalent edge topology.
+func (c edgeConfig) run(t testing.TB, tr *WorkloadTrace) *TopologyResult {
+	return replay(t, tr, c.topology(), c.options())
+}
+
+// run replays tr through the equivalent cloud topology.
+func (c cloudConfig) run(t testing.TB, tr *WorkloadTrace) *TopologyResult {
+	return replay(t, tr, c.topology(), c.options())
+}
+
+// run replays tr through the equivalent overflow topology.
+func (c overflowConfig) run(t testing.TB, tr *WorkloadTrace) *TopologyResult {
+	return replay(t, tr, c.topology(), c.options())
+}
+
+// edgeView is a home-routed entry tier's run in the oracle's shape.
+func edgeView(res *TopologyResult) *oracleResult {
+	return &oracleResult{Result: res.Result, Sites: res.Tiers[0].Sites}
+}
+
 // materializedRunEdge is the seed's RunEdge: full trace expansion into
 // per-request events and closures up front.
-func materializedRunEdge(tr *WorkloadTrace, cfg EdgeConfig) *Result {
+func materializedRunEdge(tr *WorkloadTrace, cfg edgeConfig) *oracleResult {
 	if cfg.Sites <= 0 {
 		cfg.Sites = tr.Sites
 	}
@@ -49,7 +192,7 @@ func materializedRunEdge(tr *WorkloadTrace, cfg EdgeConfig) *Result {
 		geo = lb.NewGeographic(servers, cfg.JockeyThreshold, cfg.DetourRTT, eng.NewStream())
 	}
 
-	res := &Result{Label: "edge"}
+	res := &oracleResult{Result: Result{Label: "edge"}}
 	if cfg.TimelineBin > 0 {
 		res.Timeline = stats.NewTimeSeries(0, cfg.TimelineBin)
 	}
@@ -126,10 +269,12 @@ func materializedRunEdge(tr *WorkloadTrace, cfg EdgeConfig) *Result {
 	return res
 }
 
-// materializedRunCloud is the seed's RunCloud.
-func materializedRunCloud(tr *WorkloadTrace, cfg CloudConfig) *Result {
+// materializedRunCloud is the seed's RunCloud. The seed also reported
+// one per-site row repeating the aggregate; the aggregate comparison
+// already covers it, so the port drops it.
+func materializedRunCloud(tr *WorkloadTrace, cfg cloudConfig) *oracleResult {
 	if cfg.Policy == "" {
-		cfg.Policy = CentralQueue
+		cfg.Policy = CentralQueueDispatch
 	}
 	eng := sim.NewEngine(cfg.Seed)
 	netRng := eng.NewStream()
@@ -137,7 +282,7 @@ func materializedRunCloud(tr *WorkloadTrace, cfg CloudConfig) *Result {
 	var stations []*queue.Station
 	var dispatch func(r *queue.Request)
 	switch cfg.Policy {
-	case CentralQueue:
+	case CentralQueueDispatch:
 		st := queue.NewStation(eng, "cloud", cfg.Servers, cfg.Discipline)
 		st.QueueCap = cfg.QueueCap
 		st.SetWarmup(cfg.Warmup)
@@ -154,19 +299,19 @@ func materializedRunCloud(tr *WorkloadTrace, cfg CloudConfig) *Result {
 		}
 		var d lb.Dispatcher
 		switch cfg.Policy {
-		case RoundRobin:
+		case lb.PolicyRoundRobin:
 			d = lb.NewRoundRobin(servers)
-		case LeastConn:
+		case lb.PolicyLeastConn:
 			d = lb.NewLeastConnections(servers, eng.NewStream())
-		case PowerOfTwo:
+		case lb.PolicyPowerOfTwo:
 			d = lb.NewPowerOfTwo(servers, eng.NewStream())
-		case RandomSplit:
+		case lb.PolicyRandom:
 			d = lb.NewRandom(servers, eng.NewStream())
 		}
 		dispatch = d.Dispatch
 	}
 
-	res := &Result{Label: "cloud"}
+	res := &oracleResult{Result: Result{Label: "cloud"}}
 	if cfg.TimelineBin > 0 {
 		res.Timeline = stats.NewTimeSeries(0, cfg.TimelineBin)
 	}
@@ -212,12 +357,11 @@ func materializedRunCloud(tr *WorkloadTrace, cfg CloudConfig) *Result {
 	if capSum > 0 {
 		res.Utilization = busySum / capSum
 	}
-	res.Sites = []SiteResult{{Site: -1, EndToEnd: res.EndToEnd, Wait: res.Wait, Utilization: res.Utilization}}
 	return res
 }
 
 // materializedRunOverflow is the seed's RunEdgeWithOverflow.
-func materializedRunOverflow(tr *WorkloadTrace, cfg OverflowConfig) *OverflowResult {
+func materializedRunOverflow(tr *WorkloadTrace, cfg overflowConfig) *overflowOracle {
 	if cfg.Sites <= 0 {
 		cfg.Sites = tr.Sites
 	}
@@ -235,7 +379,7 @@ func materializedRunOverflow(tr *WorkloadTrace, cfg OverflowConfig) *OverflowRes
 	cloud := queue.NewStation(eng, "cloud-backstop", cfg.CloudServers, queue.FCFS)
 	cloud.SetWarmup(cfg.Warmup)
 
-	res := &OverflowResult{Result: Result{Label: "edge+overflow"}}
+	res := &overflowOracle{oracleResult: oracleResult{Result: Result{Label: "edge+overflow"}}}
 
 	var nextID uint64
 	for _, rec := range tr.Records {
@@ -302,8 +446,9 @@ func materializedRunOverflow(tr *WorkloadTrace, cfg OverflowConfig) *OverflowRes
 	return res
 }
 
-// compareResults asserts bit-identical aggregate results.
-func compareResults(t *testing.T, name string, want, got *Result) {
+// compareResults asserts bit-identical aggregate results and per-site
+// rows.
+func compareResults(t *testing.T, name string, want, got *oracleResult) {
 	t.Helper()
 	if got.Completed != want.Completed {
 		t.Errorf("%s: Completed %d != materialized %d", name, got.Completed, want.Completed)
@@ -352,7 +497,7 @@ func equivalenceTrace(seed int64) *WorkloadTrace {
 func TestStreamingEdgeMatchesMaterialized(t *testing.T) {
 	tr := equivalenceTrace(101)
 	sc, _ := netem.ScenarioByName("typical-25ms")
-	cfgs := map[string]EdgeConfig{
+	cfgs := map[string]edgeConfig{
 		"plain": {Sites: 5, ServersPerSite: 1, Path: sc.Edge, Warmup: 40, Seed: 7},
 		"geo-jockey": {Sites: 5, ServersPerSite: 1, Path: sc.Edge, Warmup: 40, Seed: 7,
 			JockeyThreshold: 3, DetourRTT: 0.005},
@@ -367,23 +512,28 @@ func TestStreamingEdgeMatchesMaterialized(t *testing.T) {
 	}
 	for name, cfg := range cfgs {
 		want := materializedRunEdge(tr, cfg)
-		got := RunEdge(tr, cfg)
-		compareResults(t, "edge/"+name, want, got)
+		got := cfg.run(t, tr)
+		compareResults(t, "edge/"+name, want, edgeView(got))
 	}
 }
 
 func TestStreamingCloudMatchesMaterialized(t *testing.T) {
 	tr := equivalenceTrace(102)
 	sc, _ := netem.ScenarioByName("typical-25ms")
-	for _, pol := range []DispatchPolicy{CentralQueue, RoundRobin, LeastConn, PowerOfTwo, RandomSplit} {
-		cfg := CloudConfig{Servers: 5, Path: sc.Cloud, Policy: pol, Warmup: 40, Seed: 9}
-		want := materializedRunCloud(tr, cfg)
-		got := RunCloud(tr, cfg)
-		compareResults(t, "cloud/"+string(pol), want, got)
+	cloudView := func(cfg cloudConfig) *oracleResult {
+		return &oracleResult{Result: cfg.run(t, tr).Result}
 	}
-	// Bounded queues on the central station.
-	cfg := CloudConfig{Servers: 3, Path: sc.Cloud, Warmup: 40, Seed: 9, QueueCap: 4}
-	compareResults(t, "cloud/central-capped", materializedRunCloud(tr, cfg), RunCloud(tr, cfg))
+	policies := []string{CentralQueueDispatch, lb.PolicyRoundRobin, lb.PolicyLeastConn,
+		lb.PolicyPowerOfTwo, lb.PolicyRandom}
+	for _, pol := range policies {
+		cfg := cloudConfig{Servers: 5, Path: sc.Cloud, Policy: pol, Warmup: 40, Seed: 9}
+		compareResults(t, "cloud/"+pol, materializedRunCloud(tr, cfg), cloudView(cfg))
+	}
+	// Bounded queues on the central station and on per-server stations.
+	cfg := cloudConfig{Servers: 3, Path: sc.Cloud, Warmup: 40, Seed: 9, QueueCap: 4}
+	compareResults(t, "cloud/central-capped", materializedRunCloud(tr, cfg), cloudView(cfg))
+	cfg.Policy, cfg.QueueCap = lb.PolicyLeastConn, 1
+	compareResults(t, "cloud/least-conn-capped", materializedRunCloud(tr, cfg), cloudView(cfg))
 }
 
 func TestStreamingOverflowMatchesMaterialized(t *testing.T) {
@@ -391,27 +541,37 @@ func TestStreamingOverflowMatchesMaterialized(t *testing.T) {
 	procs := siteProcs([]float64{18, 5, 5, 3, 3})
 	tr := Generate(GenSpec{Sites: 5, Duration: 400, Seed: 103, Arrivals: procs})
 	sc, _ := netem.ScenarioByName("typical-25ms")
-	cfg := OverflowConfig{
+	cfg := overflowConfig{
 		Sites: 5, ServersPerSite: 1,
 		EdgePath: sc.Edge, CloudPath: sc.Cloud,
 		CloudServers: 5, OverflowThreshold: 3,
 		Warmup: 40, Seed: 11,
 	}
 	want := materializedRunOverflow(tr, cfg)
-	got := RunEdgeWithOverflow(tr, cfg)
-	compareResults(t, "overflow", &want.Result, &got.Result)
-	if got.Overflowed == 0 {
+	got := cfg.run(t, tr)
+	compareResults(t, "overflow", &want.oracleResult, overflowView(got))
+	edge, cloud := got.Tiers[0], got.Tiers[1]
+	if edge.Spilled == 0 {
 		t.Fatal("overflow path never engaged; test is vacuous")
 	}
-	if got.Overflowed != want.Overflowed || got.CloudServed != want.CloudServed ||
-		got.EdgeServed != want.EdgeServed {
+	if edge.Spilled != want.Overflowed || cloud.Served != want.CloudServed ||
+		edge.Served != want.EdgeServed {
 		t.Errorf("overflow split diverges: overflowed %d/%d cloud %d/%d edge %d/%d",
-			got.Overflowed, want.Overflowed, got.CloudServed, want.CloudServed,
-			got.EdgeServed, want.EdgeServed)
+			edge.Spilled, want.Overflowed, cloud.Served, want.CloudServed,
+			edge.Served, want.EdgeServed)
 	}
-	if got.CloudOnly.Mean() != want.CloudOnly.Mean() || got.EdgeOnly.Mean() != want.EdgeOnly.Mean() {
+	if cloud.EndToEnd.Mean() != want.CloudOnly.Mean() || edge.EndToEnd.Mean() != want.EdgeOnly.Mean() {
 		t.Error("overflow per-path latency digests diverge")
 	}
+}
+
+// overflowView is an overflow run in the oracle's shape: the seed
+// reported the edge tier's utilization only, since the backstop
+// absorbs overflow.
+func overflowView(res *TopologyResult) *oracleResult {
+	v := edgeView(res)
+	v.Utilization = res.Tiers[0].Utilization
+	return v
 }
 
 // TestStreamingTiedEventsMatchMaterialized: with deterministic RTTs and
@@ -426,21 +586,21 @@ func TestStreamingTiedEventsMatchMaterialized(t *testing.T) {
 		{Time: 0, Site: 0, ServiceTime: 1},
 		{Time: 1, Site: 0, ServiceTime: 1},
 	}, 1)
-	cfg := OverflowConfig{
+	cfg := overflowConfig{
 		Sites: 1, ServersPerSite: 1,
 		EdgePath: netem.Constant("zero", 0), CloudPath: netem.Constant("zero", 0),
 		CloudServers: 1, OverflowThreshold: 1, Seed: 1,
 	}
 	want := materializedRunOverflow(tr, cfg)
-	got := RunEdgeWithOverflow(tr, cfg)
+	got := cfg.run(t, tr)
 	if want.Overflowed != 1 {
 		t.Fatalf("materialized Overflowed = %d, scenario should overflow the tied arrival", want.Overflowed)
 	}
-	if got.Overflowed != want.Overflowed {
+	if got.Tiers[0].Spilled != want.Overflowed {
 		t.Errorf("streaming Overflowed = %d, materialized = %d: tied arrival lost its FIFO win",
-			got.Overflowed, want.Overflowed)
+			got.Tiers[0].Spilled, want.Overflowed)
 	}
-	compareResults(t, "overflow/tied", &want.Result, &got.Result)
+	compareResults(t, "overflow/tied", &want.oracleResult, overflowView(got))
 
 	// Same property through the edge path: deterministic service and
 	// zero RTT make every completion tie with the next arrival.
@@ -449,20 +609,20 @@ func TestStreamingTiedEventsMatchMaterialized(t *testing.T) {
 		recs[i] = RequestRecord{Time: float64(i), Site: 0, ServiceTime: 1}
 	}
 	dtr := FromRecords(recs, 1)
-	ecfg := EdgeConfig{Sites: 1, ServersPerSite: 1, Path: netem.Constant("zero", 0),
+	ecfg := edgeConfig{Sites: 1, ServersPerSite: 1, Path: netem.Constant("zero", 0),
 		Seed: 2, QueueCap: 1}
-	compareResults(t, "edge/tied", materializedRunEdge(dtr, ecfg), RunEdge(dtr, ecfg))
+	compareResults(t, "edge/tied", materializedRunEdge(dtr, ecfg), edgeView(ecfg.run(t, dtr)))
 }
 
 // TestScalerTierMatchesLegacyReactiveConfig: the unified Scaler
 // interface is a pure refactor for the reactive path — a Tier carrying
 // the legacy reactive config (as a converted Spec) must reproduce the
 // pre-Scaler direct runner bit for bit, telemetry included, whether the
-// spec arrives via Go construction or the legacy JSON autoscale block.
+// spec arrives via Go construction or a JSON "scaler" block.
 func TestScalerTierMatchesLegacyReactiveConfig(t *testing.T) {
 	procs := siteProcs([]float64{24, 9, 7, 4, 4})
 	tr := Generate(GenSpec{Sites: 5, Duration: 400, Seed: 109, Arrivals: procs})
-	cfg := EdgeConfig{Sites: 5, ServersPerSite: 1, Path: netem.Jittered("edge-1ms", 0.001, 0.0002),
+	cfg := edgeConfig{Sites: 5, ServersPerSite: 1, Path: netem.Jittered("edge-1ms", 0.001, 0.0002),
 		Warmup: 40, Seed: 19}
 	asCfg := autoscale.Config{Interval: 2, Min: 1, Max: 4, UpThreshold: 1.5,
 		DownThreshold: 0.2, Cooldown: 6}
@@ -470,59 +630,19 @@ func TestScalerTierMatchesLegacyReactiveConfig(t *testing.T) {
 	if want.ScaleUps == 0 {
 		t.Fatal("controller never scaled; test is vacuous")
 	}
+	opts := cfg.options()
+	opts.NoPerSiteLatency = true
+	checkAutoscaled(t, "scaler-spec", want, replay(t, tr, autoscaledTopology(cfg, asCfg), opts))
 
-	topo := Topology{
-		Name: "edge+autoscale",
-		Tiers: []Tier{{
-			Name: "edge", Sites: 5, ServersPerSite: 1, Path: cfg.Path,
-			Scaler: reactiveSpec(asCfg),
-		}},
-	}
-	run := func(tp Topology) *TopologyResult {
-		res, err := Run(tr.Source(), tp, Options{
-			Warmup: cfg.Warmup, Seed: cfg.Seed, SizeHint: tr.Len(), NoPerSiteLatency: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	check := func(name string, res *TopologyResult) {
-		t.Helper()
-		got := res.Result
-		got.Label = want.Label
-		got.Sites = res.Tiers[0].Sites
-		compareResults(t, name, &want.Result, &got)
-		tier := res.Tiers[0]
-		if tier.ScalerPolicy != "reactive" {
-			t.Errorf("%s: scaler policy = %q, want reactive", name, tier.ScalerPolicy)
-		}
-		if tier.ScaleUps != want.ScaleUps || tier.ScaleDowns != want.ScaleDowns ||
-			tier.PeakServers != want.PeakServers {
-			t.Errorf("%s: telemetry diverges: ups %d/%d downs %d/%d peak %d/%d", name,
-				tier.ScaleUps, want.ScaleUps, tier.ScaleDowns, want.ScaleDowns,
-				tier.PeakServers, want.PeakServers)
-		}
-		if len(tier.Events) != len(want.Events) {
-			t.Fatalf("%s: %d events != direct %d", name, len(tier.Events), len(want.Events))
-		}
-		for i := range want.Events {
-			if tier.Events[i] != want.Events[i] {
-				t.Errorf("%s: event %d diverges: %+v vs %+v", name, i, tier.Events[i], want.Events[i])
-			}
-		}
-	}
-	check("scaler-spec", run(topo))
-
-	// The same tier declared through the legacy JSON autoscale block.
-	legacy := `{"name":"edge+autoscale","tiers":[{"name":"edge","sites":5,"servers":1,
+	// The same tier declared through the JSON scaler block.
+	spec := `{"name":"edge+autoscale","tiers":[{"name":"edge","sites":5,"servers":1,
 		"rttMs":1,"jitterMs":0.2,
-		"autoscale":{"intervalS":2,"min":1,"max":4,"up":1.5,"down":0.2,"cooldownS":6}}]}`
-	fromJSON, err := ParseTopology([]byte(legacy))
+		"scaler":{"policy":"reactive","intervalS":2,"min":1,"max":4,"up":1.5,"down":0.2,"cooldownS":6}}]}`
+	fromJSON, err := ParseTopology([]byte(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("legacy-json", run(fromJSON))
+	checkAutoscaled(t, "scaler-json", want, replay(t, tr, fromJSON, opts))
 }
 
 // TestBoundedSummaryConsistent: the bounded memory model must agree with
@@ -531,11 +651,11 @@ func TestScalerTierMatchesLegacyReactiveConfig(t *testing.T) {
 func TestBoundedSummaryConsistent(t *testing.T) {
 	tr := equivalenceTrace(104)
 	sc, _ := netem.ScenarioByName("typical-25ms")
-	base := EdgeConfig{Sites: 5, ServersPerSite: 1, Path: sc.Edge, Warmup: 40, Seed: 13}
-	exact := RunEdge(tr, base)
+	base := edgeConfig{Sites: 5, ServersPerSite: 1, Path: sc.Edge, Warmup: 40, Seed: 13}
+	exact := base.run(t, tr)
 	bounded := base
 	bounded.Summary = stats.Bounded
-	got := RunEdge(tr, bounded)
+	got := bounded.run(t, tr)
 	if got.Completed != exact.Completed || got.EndToEnd.N() != exact.EndToEnd.N() {
 		t.Fatalf("bounded run lost observations: %d vs %d", got.Completed, exact.Completed)
 	}

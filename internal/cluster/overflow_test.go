@@ -20,25 +20,26 @@ func TestOverflowForwardsHotSiteTraffic(t *testing.T) {
 	// Site 0 at ~150% of one server; others cool.
 	tr := skewedTrace([]float64{20, 4, 4, 4, 4}, 400, 31)
 	sc, _ := netem.ScenarioByName("typical-25ms")
-	res := RunEdgeWithOverflow(tr, OverflowConfig{
+	res := overflowConfig{
 		Sites: 5, ServersPerSite: 1,
 		EdgePath: sc.Edge, CloudPath: sc.Cloud,
 		CloudServers: 5, OverflowThreshold: 4,
 		Warmup: 40, Seed: 32,
-	})
-	if res.Overflowed == 0 {
+	}.run(t, tr)
+	edge, cloud := res.Tiers[0], res.Tiers[1]
+	if edge.Spilled == 0 {
 		t.Fatal("expected overflow from the saturated site")
 	}
-	if res.EdgeServed == 0 || res.CloudServed == 0 {
-		t.Fatalf("split wrong: edge %d cloud %d", res.EdgeServed, res.CloudServed)
+	if edge.Served == 0 || cloud.Served == 0 {
+		t.Fatalf("split wrong: edge %d cloud %d", edge.Served, cloud.Served)
 	}
 	// Overflowed requests pay the cloud RTT: their mean latency should
 	// exceed the home-served mean at the cool sites, but stay bounded.
-	if res.CloudOnly.Mean() <= sc.Cloud.MeanRTT() {
+	if cloud.EndToEnd.Mean() <= sc.Cloud.MeanRTT() {
 		t.Error("overflowed latency should include the cloud RTT")
 	}
 	// Every record is accounted for.
-	if res.EdgeServed+res.CloudServed != uint64(res.EndToEnd.N()) {
+	if edge.Served+cloud.Served != uint64(res.EndToEnd.N()) {
 		t.Error("split does not sum to total")
 	}
 }
@@ -48,15 +49,15 @@ func TestOverflowForwardsHotSiteTraffic(t *testing.T) {
 func TestOverflowBeatsPlainEdgeUnderSaturation(t *testing.T) {
 	tr := skewedTrace([]float64{18, 5, 5, 3, 3}, 500, 33)
 	sc, _ := netem.ScenarioByName("typical-25ms")
-	plain := RunEdge(tr, EdgeConfig{
+	plain := edgeConfig{
 		Sites: 5, ServersPerSite: 1, Path: sc.Edge, Warmup: 50, Seed: 34,
-	})
-	over := RunEdgeWithOverflow(tr, OverflowConfig{
+	}.run(t, tr)
+	over := overflowConfig{
 		Sites: 5, ServersPerSite: 1,
 		EdgePath: sc.Edge, CloudPath: sc.Cloud,
 		CloudServers: 5, OverflowThreshold: 4,
 		Warmup: 50, Seed: 34,
-	})
+	}.run(t, tr)
 	if over.MeanLatency() >= plain.MeanLatency()/2 {
 		t.Errorf("overflow mean %v should be far below plain edge %v",
 			over.MeanLatency(), plain.MeanLatency())
@@ -68,36 +69,32 @@ func TestOverflowBeatsPlainEdgeUnderSaturation(t *testing.T) {
 func TestOverflowRareWhenUnderloaded(t *testing.T) {
 	tr := skewedTrace([]float64{3, 3, 3, 3, 3}, 300, 35)
 	sc, _ := netem.ScenarioByName("typical-25ms")
-	res := RunEdgeWithOverflow(tr, OverflowConfig{
+	res := overflowConfig{
 		Sites: 5, ServersPerSite: 1,
 		EdgePath: sc.Edge, CloudPath: sc.Cloud,
 		CloudServers: 5, OverflowThreshold: 6,
 		Seed: 36,
-	})
-	frac := float64(res.Overflowed) / float64(tr.Len())
+	}.run(t, tr)
+	frac := float64(res.Tiers[0].Spilled) / float64(tr.Len())
 	if frac > 0.02 {
 		t.Errorf("%.1f%% of a light workload overflowed", frac*100)
 	}
 }
 
+// TestOverflowConfigPanics: each bad spill deployment is an error from
+// Run (the name predates Run returning errors) — a zero-server cloud, a
+// zero spill threshold, and a 2-site source into a 1-site edge.
 func TestOverflowConfigPanics(t *testing.T) {
-	tr := skewedTrace([]float64{1}, 10, 1)
-	for _, cfg := range []OverflowConfig{
-		{Sites: 1, CloudServers: 0, OverflowThreshold: 1},
-		{Sites: 1, CloudServers: 2, OverflowThreshold: 0},
-		{Sites: 2, CloudServers: 2, OverflowThreshold: 1},
-	} {
-		cfg.EdgePath = netem.Constant("z", 0)
-		cfg.CloudPath = netem.Constant("z", 0)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("config %+v should panic", cfg)
-				}
-			}()
-			RunEdgeWithOverflow(tr, cfg)
-		}()
+	z := netem.Constant("z", 0)
+	spill := func(edgeSites, cloudServers, threshold int) Topology {
+		return Topology{
+			Tiers:  []Tier{{Name: "edge", Sites: edgeSites, Path: z}, CloudTier(cloudServers, z, "")},
+			Spills: []SpillEdge{{From: "edge", To: "cloud", Threshold: threshold}},
+		}
 	}
+	wantRunError(t, 1, spill(1, 0, 1), "at least one site")
+	wantRunError(t, 1, spill(1, 2, 0), "positive threshold")
+	wantRunError(t, 2, spill(1, 2, 1), "home site 1 outside tier")
 }
 
 // TestAutoscaledEdgeAvoidsInversion: the paper's future-work claim made
@@ -106,17 +103,16 @@ func TestOverflowConfigPanics(t *testing.T) {
 func TestAutoscaledEdgeAvoidsInversion(t *testing.T) {
 	tr := skewedTrace([]float64{16, 8, 6, 3, 3}, 500, 37)
 	sc, _ := netem.ScenarioByName("typical-25ms")
-	static := RunEdge(tr, EdgeConfig{
+	static := edgeConfig{
 		Sites: 5, ServersPerSite: 1, Path: sc.Edge, Warmup: 50, Seed: 38,
-	})
-	scaled := RunEdgeAutoscaled(tr, EdgeConfig{
-		Sites: 5, ServersPerSite: 1, Path: sc.Edge, Warmup: 50, Seed: 38,
-	}, autoscale.Config{
+	}.run(t, tr)
+	scaledCfg := edgeConfig{Sites: 5, ServersPerSite: 1, Path: sc.Edge, Warmup: 50, Seed: 38}
+	scaled := replay(t, tr, autoscaledTopology(scaledCfg, autoscale.Config{
 		Interval: 2, Min: 1, Max: 4, UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 6,
-	})
-	cloud := RunCloud(tr, CloudConfig{Servers: 5, Path: sc.Cloud, Warmup: 50, Seed: 39})
+	}), scaledCfg.options())
+	cloud := cloudConfig{Servers: 5, Path: sc.Cloud, Warmup: 50, Seed: 39}.run(t, tr)
 
-	if scaled.ScaleUps == 0 {
+	if scaled.Tiers[0].ScaleUps == 0 {
 		t.Fatal("autoscaler never scaled up")
 	}
 	if scaled.MeanLatency() >= static.MeanLatency() {
@@ -127,10 +123,10 @@ func TestAutoscaledEdgeAvoidsInversion(t *testing.T) {
 	if static.MeanLatency() > cloud.MeanLatency() && scaled.MeanLatency() > cloud.MeanLatency()*2 {
 		t.Errorf("autoscaled edge %v still far above cloud %v", scaled.MeanLatency(), cloud.MeanLatency())
 	}
-	if len(scaled.FinalPerSite) != 5 {
+	if len(scaled.Tiers[0].FinalServers) != 5 {
 		t.Error("per-site server counts missing")
 	}
-	if scaled.PeakServers < 2 {
+	if scaled.Tiers[0].PeakServers < 2 {
 		t.Error("peak servers should exceed the starting allocation")
 	}
 }
@@ -140,10 +136,10 @@ func TestAutoscaledEdgeAvoidsInversion(t *testing.T) {
 // "starts dropping requests").
 func TestBoundedQueueDropsUnderOverload(t *testing.T) {
 	tr := skewedTrace([]float64{30, 2, 2, 2, 2}, 300, 40)
-	res := RunEdge(tr, EdgeConfig{
+	res := edgeConfig{
 		Sites: 5, ServersPerSite: 1, Path: netem.Constant("z", 0),
 		Warmup: 30, Seed: 41, QueueCap: 10,
-	})
+	}.run(t, tr)
 	if res.Dropped == 0 {
 		t.Fatal("saturated bounded queue should drop requests")
 	}

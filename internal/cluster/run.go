@@ -2,87 +2,14 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 
-	"repro/internal/lb"
-	"repro/internal/netem"
 	"repro/internal/queue"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
-// DispatchPolicy selects the cloud load-balancing policy.
-type DispatchPolicy string
-
-// Supported cloud dispatch policies. All but CentralQueue resolve
-// through the lb.New registry.
-const (
-	CentralQueue DispatchPolicy = CentralQueueDispatch // one station, k·m servers (M/M/k semantics)
-	RoundRobin   DispatchPolicy = lb.PolicyRoundRobin  // HAProxy default
-	LeastConn    DispatchPolicy = lb.PolicyLeastConn   // HAProxy leastconn
-	PowerOfTwo   DispatchPolicy = lb.PolicyPowerOfTwo
-	RandomSplit  DispatchPolicy = lb.PolicyRandom
-)
-
-// EdgeConfig configures an edge deployment run.
-type EdgeConfig struct {
-	Sites          int
-	ServersPerSite int
-	Path           netem.Path
-	Discipline     queue.Discipline
-	Warmup         float64 // seconds of measurements to discard
-	Seed           int64
-	// QueueCap bounds each site's waiting queue (0 = unbounded);
-	// overflowing requests are dropped and counted in Result.Dropped.
-	QueueCap int
-	// SlowdownFactor > 1 inflates service times at the edge relative to
-	// the trace's reference values (resource-constrained edge servers,
-	// §3.1.1). 0 or 1 means identical hardware.
-	SlowdownFactor float64
-	// JockeyThreshold enables §5.1 geographic load balancing: requests
-	// arriving at a site whose load is at or beyond the threshold are
-	// redirected to the least-loaded site at DetourRTT extra latency.
-	JockeyThreshold int
-	DetourRTT       float64
-	// PerSiteServers optionally overrides ServersPerSite per site
-	// (capacity matched to skew, Lemma 3.3 takeaway).
-	PerSiteServers []int
-	// TimelineBin > 0 additionally collects a latency timeline with the
-	// given bin width (Figure 9).
-	TimelineBin float64
-	// Summary selects the latency-collection memory model: stats.Exact
-	// (default) retains every observation for exact quantiles;
-	// stats.Bounded keeps per-collector state independent of the
-	// request count (running moments plus a mergeable log-bucket
-	// sketch, quantiles within 2⁻⁷ ≈ 0.78% relative error), the right
-	// choice for replays of millions of requests.
-	Summary stats.Mode
-
-	// probe, when set by tests, observes the event-calendar size at
-	// every generated arrival.
-	probe func(pending int)
-}
-
-// CloudConfig configures a cloud deployment run.
-type CloudConfig struct {
-	Servers     int
-	Path        netem.Path
-	Policy      DispatchPolicy
-	Discipline  queue.Discipline
-	Warmup      float64
-	Seed        int64
-	TimelineBin float64
-	// QueueCap bounds the waiting queue (total for the central queue,
-	// per server otherwise); 0 = unbounded.
-	QueueCap int
-	// Summary selects the latency-collection memory model; see
-	// EdgeConfig.Summary.
-	Summary stats.Mode
-
-	probe func(pending int)
-}
-
-// SiteResult captures one edge site's measurements.
+// SiteResult captures one station's measurements (one edge site on a
+// home-routed tier).
 type SiteResult struct {
 	Site        int
 	EndToEnd    stats.Digest // client-observed latency, seconds
@@ -92,12 +19,12 @@ type SiteResult struct {
 	MeanRate    float64
 }
 
-// Result captures one deployment run.
+// Result captures one deployment run, aggregated across every tier;
+// TopologyResult.Tiers carries the per-tier and per-site detail.
 type Result struct {
 	Label       string
 	EndToEnd    stats.Digest // all requests, client-observed latency
 	Wait        stats.Digest // all requests, queueing delay
-	Sites       []SiteResult // per-site detail (len 1 for the cloud)
 	Utilization float64      // load-weighted mean utilization
 	Completed   uint64
 	Duration    float64
@@ -105,7 +32,7 @@ type Result struct {
 	Redirected  uint64            // jockeyed requests (edge with geographic LB)
 	Dropped     uint64            // requests rejected by bounded queues
 	// Rejected counts requests refused by tier admission policies before
-	// they reached any station (topology runs only; warmup included).
+	// they reached any station (warmup included).
 	Rejected uint64
 }
 
@@ -230,87 +157,4 @@ func newStation(eng *sim.Engine, name string, servers int, disc queue.Discipline
 	st.SetSummaryMode(mode)
 	st.Recycle = pool
 	return st
-}
-
-// mustRun executes a wrapper-built topology; construction errors there
-// indicate invalid legacy configs, which the pre-topology runners
-// reported by panicking.
-func mustRun(src Source, topo Topology, opts Options) *TopologyResult {
-	res, err := Run(src, topo, opts)
-	if err != nil {
-		panic(err.Error())
-	}
-	return res
-}
-
-// RunEdge replays the trace through an edge deployment: each request
-// incurs the edge network RTT and queues at its home site. It is a
-// thin wrapper over Run with EdgeTopology.
-func RunEdge(tr *WorkloadTrace, cfg EdgeConfig) *Result {
-	if cfg.Sites <= 0 {
-		cfg.Sites = tr.Sites
-	}
-	if cfg.Sites != tr.Sites {
-		panic(fmt.Sprintf("cluster: edge config has %d sites, trace has %d", cfg.Sites, tr.Sites))
-	}
-	if cfg.ServersPerSite <= 0 {
-		cfg.ServersPerSite = 1
-	}
-	res := mustRun(tr.Source(), EdgeTopology(cfg), Options{
-		Warmup:      cfg.Warmup,
-		Seed:        cfg.Seed,
-		Summary:     cfg.Summary,
-		TimelineBin: cfg.TimelineBin,
-		SizeHint:    tr.Len(),
-		Probe:       cfg.probe,
-	})
-	out := res.Result
-	out.Label = "edge"
-	out.Sites = res.Tiers[0].Sites
-	return &out
-}
-
-// RunPaired replays the same trace through an edge and a cloud
-// deployment concurrently and returns both results. Each run owns a
-// private sim.Engine seeded from its own config and only reads the
-// shared trace, so the pairing is bit-identical to running the two
-// serially — the concurrency halves the wall-clock of every paired
-// comparison (the shape of all the paper's experiments).
-func RunPaired(tr *WorkloadTrace, ecfg EdgeConfig, ccfg CloudConfig) (edge, cloud *Result) {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		cloud = RunCloud(tr, ccfg)
-	}()
-	edge = RunEdge(tr, ecfg)
-	wg.Wait()
-	return edge, cloud
-}
-
-// RunCloud replays the trace through a cloud deployment: every request
-// incurs the cloud RTT and is served by k·m servers behind the chosen
-// dispatch policy. It is a thin wrapper over Run with CloudTopology.
-func RunCloud(tr *WorkloadTrace, cfg CloudConfig) *Result {
-	if cfg.Servers <= 0 {
-		panic("cluster: cloud needs at least one server")
-	}
-	if cfg.Policy == "" {
-		cfg.Policy = CentralQueue
-	}
-	if cfg.Policy != CentralQueue && !lb.Known(string(cfg.Policy)) {
-		panic(fmt.Sprintf("cluster: unknown dispatch policy %q", cfg.Policy))
-	}
-	res := mustRun(tr.Source(), CloudTopology(cfg), Options{
-		Warmup:      cfg.Warmup,
-		Seed:        cfg.Seed,
-		Summary:     cfg.Summary,
-		TimelineBin: cfg.TimelineBin,
-		SizeHint:    tr.Len(),
-		Probe:       cfg.probe,
-	})
-	out := res.Result
-	out.Label = "cloud"
-	out.Sites = []SiteResult{{Site: -1, EndToEnd: out.EndToEnd, Wait: out.Wait, Utilization: out.Utilization}}
-	return &out
 }

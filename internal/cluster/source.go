@@ -43,5 +43,5 @@ func (s *sliceSource) Next() (RequestRecord, bool) {
 }
 
 // Source returns a fresh iterator over the trace. Each call starts at
-// the beginning, so concurrent runs (RunPaired) each take their own.
+// the beginning, so concurrent runs each take their own.
 func (w *WorkloadTrace) Source() Source { return &sliceSource{recs: w.Records} }

@@ -288,9 +288,9 @@ func TestStreamFactoryReplaysIdenticalSequence(t *testing.T) {
 // the offered request count.
 func streamProbeRun(t *testing.T, duration float64) (maxPending int, offered uint64) {
 	t.Helper()
-	topo := cluster.EdgeTopology(cluster.EdgeConfig{
-		Sites: 5, ServersPerSite: 1, Path: netem.Constant("zero", 0),
-	})
+	topo := cluster.Topology{Name: "edge", Tiers: []cluster.Tier{
+		{Name: "edge", Sites: 5, ServersPerSite: 1, Path: netem.Constant("zero", 0)},
+	}}
 	res, err := cluster.Run(
 		cluster.Stream(cluster.GenSpec{Sites: 5, Duration: duration, PerSiteRate: 8, Seed: 42}),
 		topo,
@@ -341,9 +341,9 @@ func TestStreamCalendarBounded(t *testing.T) {
 func TestStreamMemoryBounded(t *testing.T) {
 	replay := func(duration float64) func() {
 		return func() {
-			topo := cluster.EdgeTopology(cluster.EdgeConfig{
-				Sites: 5, ServersPerSite: 1, Path: netem.Constant("zero", 0),
-			})
+			topo := cluster.Topology{Name: "edge", Tiers: []cluster.Tier{
+				{Name: "edge", Sites: 5, ServersPerSite: 1, Path: netem.Constant("zero", 0)},
+			}}
 			if _, err := cluster.Run(
 				cluster.Stream(cluster.GenSpec{Sites: 5, Duration: duration, PerSiteRate: 8, Seed: 47}),
 				topo,

@@ -3,6 +3,7 @@ package cluster
 import (
 	"testing"
 
+	"repro/internal/lb"
 	"repro/internal/netem"
 	"repro/internal/stats"
 )
@@ -39,18 +40,22 @@ func TestSourceIteration(t *testing.T) {
 // maxPending replays a trace of the given duration through the edge and
 // reports the largest event-calendar size observed at any generated
 // arrival, plus the trace length.
-func maxPendingEdge(duration float64, mode stats.Mode) (maxP, traceLen int) {
+func maxPendingEdge(t *testing.T, duration float64, mode stats.Mode) (maxP, traceLen int) {
 	tr := Generate(GenSpec{Sites: 5, Duration: duration, PerSiteRate: 8, Seed: 42})
-	cfg := EdgeConfig{
-		Sites: 5, ServersPerSite: 1, Path: netem.Constant("zero", 0),
+	edge := Topology{Name: "edge", Tiers: []Tier{
+		{Name: "edge", Sites: 5, ServersPerSite: 1, Path: netem.Constant("zero", 0)},
+	}}
+	_, err := Run(tr.Source(), edge, Options{
 		Warmup: 10, Seed: 43, Summary: mode,
-		probe: func(p int) {
+		Probe: func(p int) {
 			if p > maxP {
 				maxP = p
 			}
 		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	RunEdge(tr, cfg)
 	return maxP, tr.Len()
 }
 
@@ -59,8 +64,8 @@ func maxPendingEdge(duration float64, mode stats.Mode) (maxP, traceLen int) {
 // independent of trace length. A 10x longer trace must not grow the
 // calendar at all.
 func TestCalendarBoundedDuringReplay(t *testing.T) {
-	shortMax, shortLen := maxPendingEdge(100, stats.Exact)
-	longMax, longLen := maxPendingEdge(1000, stats.Exact)
+	shortMax, shortLen := maxPendingEdge(t, 100, stats.Exact)
+	longMax, longLen := maxPendingEdge(t, 1000, stats.Exact)
 	if longLen < 5*shortLen {
 		t.Fatalf("trace scaling broken: %d vs %d records", shortLen, longLen)
 	}
@@ -86,16 +91,18 @@ func TestCalendarBoundedCloud(t *testing.T) {
 	run := func(duration float64) (maxP, n int) {
 		tr := Generate(GenSpec{Sites: 5, Duration: duration, PerSiteRate: 8, Seed: 44})
 		sc, _ := netem.ScenarioByName("typical-25ms")
-		cfg := CloudConfig{
-			Servers: 5, Path: sc.Cloud, Policy: LeastConn,
+		cloud := Topology{Name: "cloud", Tiers: []Tier{CloudTier(5, sc.Cloud, lb.PolicyLeastConn)}}
+		_, err := Run(tr.Source(), cloud, Options{
 			Warmup: 10, Seed: 45, Summary: stats.Bounded,
-			probe: func(p int) {
+			Probe: func(p int) {
 				if p > maxP {
 					maxP = p
 				}
 			},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		RunCloud(tr, cfg)
 		return maxP, tr.Len()
 	}
 	shortMax, _ := run(100)

@@ -20,9 +20,8 @@ const CentralQueueDispatch = "central-queue"
 // network path, a routing rule, and optional per-tier behaviors
 // (bounded queues, geographic jockeying, an autoscaler). The paper's
 // "edge" is a home-routed tier with one station per site; its "cloud"
-// is a single central-queue tier with pooled servers. A Topology
-// composes any number of tiers into hierarchies the four legacy
-// runners could not express.
+// is a single central-queue tier with pooled servers (see CloudTier).
+// A Topology composes any number of tiers into deeper hierarchies.
 type Tier struct {
 	// Name identifies the tier; spill edges and class rules refer to it.
 	Name string
@@ -282,95 +281,18 @@ func (tp Topology) Validate() error {
 	return nil
 }
 
-// EdgeTopology builds the single-tier topology equivalent to RunEdge:
-// home-routed sites, optional geographic jockeying, bounded queues,
-// per-site capacity and a service-time slowdown.
-func EdgeTopology(cfg EdgeConfig) Topology {
-	return Topology{
-		Name: "edge",
-		Tiers: []Tier{{
-			Name:            "edge",
-			Sites:           cfg.Sites,
-			ServersPerSite:  cfg.ServersPerSite,
-			PerSiteServers:  cfg.PerSiteServers,
-			Path:            cfg.Path,
-			Discipline:      cfg.Discipline,
-			QueueCap:        cfg.QueueCap,
-			SlowdownFactor:  cfg.SlowdownFactor,
-			JockeyThreshold: cfg.JockeyThreshold,
-			DetourRTT:       cfg.DetourRTT,
-		}},
-	}
-}
-
-// CloudTopology builds the single-tier topology equivalent to
-// RunCloud: one central queue of pooled servers, or per-server
-// stations behind the configured load-balancing policy.
-func CloudTopology(cfg CloudConfig) Topology {
-	t := Tier{
-		Name:       "cloud",
-		Path:       cfg.Path,
-		Discipline: cfg.Discipline,
-		QueueCap:   cfg.QueueCap,
-	}
-	if cfg.Policy == CentralQueue {
-		t.Sites = 1
-		t.ServersPerSite = cfg.Servers
+// CloudTier returns the paper's cloud as one tier named "cloud": servers
+// pooled behind one central queue (an M/M/k station) when dispatch is
+// CentralQueueDispatch or empty, otherwise that many single-server
+// stations behind the named lb policy. A tier of fewer than one server
+// has no stations, so Run rejects it.
+func CloudTier(servers int, path netem.Path, dispatch string) Tier {
+	t := Tier{Name: "cloud", Sites: servers, ServersPerSite: 1, Path: path, Dispatch: dispatch}
+	if dispatch == "" || dispatch == CentralQueueDispatch {
 		t.Dispatch = CentralQueueDispatch
-	} else {
-		t.Sites = cfg.Servers
-		t.ServersPerSite = 1
-		t.Dispatch = string(cfg.Policy)
+		if servers > 0 {
+			t.Sites, t.ServersPerSite = 1, servers
+		}
 	}
-	return Topology{Name: "cloud", Tiers: []Tier{t}}
-}
-
-// OverflowTopology builds the two-tier topology equivalent to
-// RunEdgeWithOverflow: home-routed edge sites spilling to a pooled
-// cloud backstop on the cloud path's sampled RTT.
-func OverflowTopology(cfg OverflowConfig) Topology {
-	cloudPath := cfg.CloudPath
-	return Topology{
-		Name: "edge+overflow",
-		Tiers: []Tier{
-			{
-				Name:           "edge",
-				Sites:          cfg.Sites,
-				ServersPerSite: cfg.ServersPerSite,
-				Path:           cfg.EdgePath,
-			},
-			{
-				Name:           "cloud-backstop",
-				Sites:          1,
-				ServersPerSite: cfg.CloudServers,
-				Path:           cfg.CloudPath,
-				Dispatch:       CentralQueueDispatch,
-			},
-		},
-		Spills: []SpillEdge{{
-			From:       "edge",
-			To:         "cloud-backstop",
-			Threshold:  cfg.OverflowThreshold,
-			DetourPath: &cloudPath,
-		}},
-	}
-}
-
-// AutoscaledEdgeTopology builds the single-tier topology equivalent to
-// RunEdgeAutoscaled: home-routed sites whose server counts are managed
-// by the reactive controller. Matching the legacy runner, jockeying,
-// queue bounds, per-site overrides and slowdown are not applied.
-func AutoscaledEdgeTopology(cfg EdgeConfig, asCfg autoscale.Config) Topology {
-	spec := autoscale.ReactiveSpec(asCfg)
-	return Topology{
-		Name: "edge+autoscale",
-		Tiers: []Tier{{
-			Name:           "edge",
-			Sites:          cfg.Sites,
-			ServersPerSite: cfg.ServersPerSite,
-			Path:           cfg.Path,
-			Discipline:     cfg.Discipline,
-			Scaler:         &spec,
-		}},
-	}
+	return t
 }

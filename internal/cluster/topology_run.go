@@ -21,8 +21,12 @@ type Options struct {
 	Warmup float64
 	// Seed derives every random stream of the run.
 	Seed int64
-	// Summary selects the latency-collection memory model (see
-	// EdgeConfig.Summary).
+	// Summary selects the latency-collection memory model: stats.Exact
+	// (the zero value) retains every observation for exact quantiles;
+	// stats.Bounded keeps per-collector state independent of the
+	// request count (running moments plus a mergeable log-bucket
+	// sketch, quantiles within 2⁻⁷ ≈ 0.78% relative error), the right
+	// choice for replays of millions of requests.
 	Summary stats.Mode
 	// TimelineBin > 0 additionally collects a latency timeline with
 	// the given bin width.
@@ -76,7 +80,7 @@ type TierResult struct {
 	Name string
 	// Served counts measured completions at the tier; Spilled counts
 	// requests the tier forwarded across its spill edge (counted at
-	// the arrival instant, warmup included, matching the legacy
+	// the arrival instant, warmup included, matching the seed's
 	// overflow runner); Dropped counts measured queue rejections.
 	Served  uint64
 	Spilled uint64
@@ -203,6 +207,9 @@ type topoExec struct {
 	res     *TopologyResult
 	pool    *queue.FreeList
 	admitEv sim.PayloadEvent
+	// err records the first request the run could not route; the
+	// engine stops at that event and Run returns it.
+	err error
 }
 
 // admPressure returns the admission bucket key and pressure signal for
@@ -267,6 +274,12 @@ func (x *topoExec) wouldSpill(t *tierRuntime, req *queue.Request) bool {
 // tier's stations.
 func (x *topoExec) admit(ti int, req *queue.Request) {
 	t := x.tiers[ti]
+	if t.home && uint(req.Site) >= uint(len(t.stations)) {
+		x.err = fmt.Errorf("cluster: request home site %d outside tier %q (%d sites)",
+			req.Site, t.spec.Name, len(t.stations))
+		x.eng.Stop()
+		return
+	}
 	if t.adm != nil {
 		bucket, waiting := admPressure(t, req)
 		if !t.adm.Admit(x.eng.Now(), bucket, waiting, req.Class) {
@@ -295,10 +308,6 @@ func (x *topoExec) admit(ti int, req *queue.Request) {
 	case t.geo != nil:
 		t.geo.Dispatch(req)
 	case t.home:
-		if req.Site < 0 || req.Site >= len(t.stations) {
-			panic(fmt.Sprintf("cluster: request home site %d outside tier %q (%d sites)",
-				req.Site, t.spec.Name, len(t.stations)))
-		}
 		t.stations[req.Site].Arrive(req)
 	case t.central:
 		t.stations[0].Arrive(req)
@@ -361,9 +370,11 @@ func (s *topoSink) Consume(e *sim.Engine, r *queue.Request) {
 // Run replays the source through the deployment graph on the streaming
 // core: one pending arrival in the calendar, a shared sink, recycled
 // requests. It returns per-tier breakdowns alongside the aggregate
-// Result. The four legacy runners are thin wrappers over Run and stay
-// bit-identical to their pre-topology implementations (see the
-// equivalence suite).
+// Result. The paper's edge and cloud deployments are one-tier
+// topologies, and Run reproduces the seed's dedicated runners for them
+// bit for bit (see the equivalence suite). A record whose home site
+// lies outside a home-routed tier it enters fails the run with an
+// error.
 func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 	topo = topo.normalized()
 	if err := topo.Validate(); err != nil {
@@ -382,8 +393,8 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 	// Build tiers in declaration order. Stream creation order is part
 	// of the reproducibility contract: the network stream first, then
 	// each tier's jockey/dispatcher stream, then lazy spill streams,
-	// then the class stream — so every legacy topology consumes
-	// streams exactly as its pre-topology runner did.
+	// then the class stream — so the paper's one-tier deployments
+	// consume streams exactly as the seed's runners did.
 	x := &topoExec{eng: eng, tiers: make([]*tierRuntime, len(topo.Tiers))}
 	for ti := range topo.Tiers {
 		t := topo.Tiers[ti]
@@ -428,8 +439,8 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 	}
 
 	// Attach spill edges; the entry tier's sampled detour is drawn at
-	// generation time from the network stream (legacy-overflow
-	// compatible), deeper sampled edges get their own streams.
+	// generation time from the network stream (compatible with the
+	// seed's overflow runner), deeper sampled edges get their own streams.
 	var genSpill *spillRuntime
 	for _, sp := range topo.Spills {
 		from, to := topo.tierIndex(sp.From), topo.tierIndex(sp.To)
@@ -453,7 +464,7 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 	}
 
 	// Controllers tick from the moment the calendar starts, exactly as
-	// in the legacy autoscaled runner: construct-then-Start in tier
+	// in the seed's autoscaled runner: construct-then-Start in tier
 	// order arms each ticker in the same calendar sequence the
 	// pre-Scaler code produced.
 	var ctrls []autoscale.Scaler
@@ -524,7 +535,9 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 			req.Class = class
 			et := x.tiers[entry]
 			path := et.spec.Path
-			if et.spec.PerSitePaths != nil {
+			// An out-of-range site keeps the tier path; admit then
+			// fails the run on it.
+			if et.spec.PerSitePaths != nil && uint(rec.Site) < uint(len(et.spec.PerSitePaths)) {
 				path = et.spec.PerSitePaths[rec.Site]
 			}
 			req.NetworkRTT = path.Sample(netRng)
@@ -566,6 +579,9 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 	for _, c := range ctrls {
 		c.Stop()
 	}
+	if x.err != nil {
+		return nil, x.err
+	}
 	// A source that ended on a decode failure (FallibleSource) must
 	// surface it: a replay over the decoded prefix would look like a
 	// clean result over a silently truncated workload.
@@ -578,7 +594,7 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 
 	// Assemble per-tier and aggregate measurements. The aggregate wait
 	// digest merges station by station in global order, matching the
-	// legacy runners' merge sequence exactly.
+	// seed runners' merge sequence exactly.
 	pricing := econ.DefaultPricing()
 	if opts.Pricing != nil {
 		pricing = *opts.Pricing

@@ -133,11 +133,23 @@ func TestTopologyValidate(t *testing.T) {
 	}
 }
 
+// autoscaleOracle adds the seed autoscaled runner's controller
+// telemetry to its result.
+type autoscaleOracle struct {
+	oracleResult
+	ScaleUps     int
+	ScaleDowns   int
+	PeakServers  int
+	FinalPerSite []int
+	Events       []autoscale.Event
+}
+
 // directRunEdgeAutoscaled is the pre-topology RunEdgeAutoscaled,
 // ported verbatim onto the feeder API: stations built by hand, the
-// controller stopped on drain, results assembled inline. The topology
-// wrapper must reproduce it bit for bit.
-func directRunEdgeAutoscaled(tr *WorkloadTrace, cfg EdgeConfig, asCfg autoscale.Config) *AutoscaleResult {
+// controller stopped on drain, results assembled inline. Run on a
+// home-routed tier carrying the equivalent reactive scaler must
+// reproduce it bit for bit.
+func directRunEdgeAutoscaled(tr *WorkloadTrace, cfg edgeConfig, asCfg autoscale.Config) *autoscaleOracle {
 	if cfg.Sites <= 0 {
 		cfg.Sites = tr.Sites
 	}
@@ -156,7 +168,7 @@ func directRunEdgeAutoscaled(tr *WorkloadTrace, cfg EdgeConfig, asCfg autoscale.
 	ctrl := autoscale.NewReactive(eng, stations, asCfg)
 	ctrl.Start()
 
-	res := &AutoscaleResult{Result: *newResult("edge+autoscale", cfg.Summary, tr.Len())}
+	res := &autoscaleOracle{oracleResult: oracleResult{Result: *newResult("edge+autoscale", cfg.Summary, tr.Len())}}
 	if cfg.TimelineBin > 0 {
 		res.Timeline = stats.NewTimeSeries(0, cfg.TimelineBin)
 	}
@@ -231,39 +243,61 @@ func directRunEdgeAutoscaled(tr *WorkloadTrace, cfg EdgeConfig, asCfg autoscale.
 	return res
 }
 
+// autoscaledTopology is the one-tier edge equivalent to the seed's
+// autoscaled runner: home-routed sites under the reactive controller.
+func autoscaledTopology(cfg edgeConfig, asCfg autoscale.Config) Topology {
+	topo := cfg.topology()
+	topo.Name = "edge+autoscale"
+	topo.Tiers[0].Scaler = reactiveSpec(asCfg)
+	return topo
+}
+
+// checkAutoscaled asserts an autoscaled run reproduces the direct
+// runner bit for bit, controller telemetry included. The seed's
+// per-site rows carried queueing metrics only, so res must come from a
+// run with NoPerSiteLatency.
+func checkAutoscaled(t *testing.T, name string, want *autoscaleOracle, res *TopologyResult) {
+	t.Helper()
+	compareResults(t, name, &want.oracleResult, edgeView(res))
+	tier := res.Tiers[0]
+	if tier.ScalerPolicy != autoscale.PolicyReactive {
+		t.Errorf("%s: scaler policy = %q, want reactive", name, tier.ScalerPolicy)
+	}
+	if tier.ScaleUps != want.ScaleUps || tier.ScaleDowns != want.ScaleDowns ||
+		tier.PeakServers != want.PeakServers {
+		t.Errorf("%s: telemetry diverges: ups %d/%d downs %d/%d peak %d/%d", name,
+			tier.ScaleUps, want.ScaleUps, tier.ScaleDowns, want.ScaleDowns,
+			tier.PeakServers, want.PeakServers)
+	}
+	if len(tier.Events) != len(want.Events) {
+		t.Fatalf("%s: %d events != direct %d", name, len(tier.Events), len(want.Events))
+	}
+	for i := range want.Events {
+		if tier.Events[i] != want.Events[i] {
+			t.Errorf("%s: event %d diverges: %+v vs %+v", name, i, tier.Events[i], want.Events[i])
+		}
+	}
+	for i := range want.FinalPerSite {
+		if tier.FinalServers[i] != want.FinalPerSite[i] {
+			t.Errorf("%s: final servers at site %d: %d vs %d", name, i, tier.FinalServers[i], want.FinalPerSite[i])
+		}
+	}
+}
+
 func TestAutoscaledTopologyMatchesDirect(t *testing.T) {
 	procs := siteProcs([]float64{22, 8, 8, 4, 4})
 	tr := Generate(GenSpec{Sites: 5, Duration: 400, Seed: 107, Arrivals: procs})
-	cfg := EdgeConfig{Sites: 5, ServersPerSite: 1, Path: edgePath(), Warmup: 40, Seed: 17}
+	cfg := edgeConfig{Sites: 5, ServersPerSite: 1, Path: edgePath(), Warmup: 40, Seed: 17}
 	asCfg := autoscale.Config{Interval: 2, Min: 1, Max: 4, UpThreshold: 1.5,
 		DownThreshold: 0.2, Cooldown: 6}
 
 	want := directRunEdgeAutoscaled(tr, cfg, asCfg)
-	got := RunEdgeAutoscaled(tr, cfg, asCfg)
-
-	compareResults(t, "autoscale", &want.Result, &got.Result)
 	if want.ScaleUps == 0 {
 		t.Fatal("controller never scaled; test is vacuous")
 	}
-	if got.ScaleUps != want.ScaleUps || got.ScaleDowns != want.ScaleDowns ||
-		got.PeakServers != want.PeakServers {
-		t.Errorf("controller telemetry diverges: ups %d/%d downs %d/%d peak %d/%d",
-			got.ScaleUps, want.ScaleUps, got.ScaleDowns, want.ScaleDowns,
-			got.PeakServers, want.PeakServers)
-	}
-	if len(got.Events) != len(want.Events) {
-		t.Fatalf("%d events != direct %d", len(got.Events), len(want.Events))
-	}
-	for i := range want.Events {
-		if got.Events[i] != want.Events[i] {
-			t.Errorf("event %d diverges: %+v vs %+v", i, got.Events[i], want.Events[i])
-		}
-	}
-	for i := range want.FinalPerSite {
-		if got.FinalPerSite[i] != want.FinalPerSite[i] {
-			t.Errorf("final servers at site %d: %d vs %d", i, got.FinalPerSite[i], want.FinalPerSite[i])
-		}
-	}
+	opts := cfg.options()
+	opts.NoPerSiteLatency = true
+	checkAutoscaled(t, "autoscale", want, replay(t, tr, autoscaledTopology(cfg, asCfg), opts))
 }
 
 // chainTopology is a three-tier edge→regional→cloud overflow chain

@@ -53,10 +53,6 @@ type TierSpec struct {
 	// Scaler attaches a capacity controller by policy name (reactive
 	// or predictive; see autoscale.Policies).
 	Scaler *ScalerSpec `json:"scaler,omitempty"`
-	// Autoscale is the legacy reactive-only block, kept decoding for
-	// pre-scaler topology files; it is equivalent to a Scaler block
-	// with policy "reactive". Setting both is an error.
-	Autoscale *AutoscaleSpec `json:"autoscale,omitempty"`
 	// PricePerServerHour prices the tier's capacity for the cost
 	// overlay (0 = the run pricing's default for the tier's shape).
 	PricePerServerHour float64 `json:"pricePerServerHour,omitempty"`
@@ -86,17 +82,6 @@ func (s AdmitSpec) spec() admit.Spec {
 		Threshold: s.Threshold,
 		Cutoff:    s.Cutoff,
 	}
-}
-
-// AutoscaleSpec serializes an autoscale.Config (legacy reactive block).
-type AutoscaleSpec struct {
-	IntervalS float64 `json:"intervalS"`
-	Min       int     `json:"min"`
-	Max       int     `json:"max"`
-	Up        float64 `json:"up"`
-	Down      float64 `json:"down"`
-	CooldownS float64 `json:"cooldownS"`
-	Step      int     `json:"step,omitempty"`
 }
 
 // ScalerSpec serializes an autoscale.Spec: the policy name plus the
@@ -149,7 +134,7 @@ type SpillSpec struct {
 	To        string `json:"to"`
 	Threshold int    `json:"threshold"`
 	// DetourMs adds a fixed round trip per crossing; SampleToRTT
-	// additionally samples the target tier's client path (the legacy
+	// additionally samples the target tier's client path (the seed's
 	// overflow runner's behavior).
 	DetourMs    float64 `json:"detourMs,omitempty"`
 	SampleToRTT bool    `json:"sampleToRtt,omitempty"`
@@ -217,22 +202,6 @@ func (s TopologySpec) Build() (Topology, error) {
 			spec := a.spec()
 			t.Admission = &spec
 		}
-		if ts.Autoscale != nil && ts.Scaler != nil {
-			return Topology{}, fmt.Errorf("cluster: tier %q sets both the legacy %q and the %q block; use %q",
-				ts.Name, "autoscale", "scaler", "scaler")
-		}
-		if a := ts.Autoscale; a != nil {
-			spec := autoscale.ReactiveSpec(autoscale.Config{
-				Interval:      a.IntervalS,
-				Min:           a.Min,
-				Max:           a.Max,
-				UpThreshold:   a.Up,
-				DownThreshold: a.Down,
-				Cooldown:      a.CooldownS,
-				Step:          a.Step,
-			})
-			t.Scaler = &spec
-		}
 		if sc := ts.Scaler; sc != nil {
 			spec := sc.spec()
 			t.Scaler = &spec
@@ -293,7 +262,7 @@ func ParseTopology(data []byte) (Topology, error) {
 }
 
 // presetSpecs are the named multi-tier deployments shipped with the
-// simulator — the scenarios the four legacy runners could not express.
+// simulator, beyond the paper's one-tier edge and cloud.
 var presetSpecs = map[string]TopologySpec{
 	// A three-level hierarchy: overloaded edge sites spill to a small
 	// regional cluster, and a saturated regional cluster spills on to

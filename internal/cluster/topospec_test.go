@@ -190,33 +190,30 @@ func TestTopologySpecRejectsBothScalerBlocks(t *testing.T) {
 	spec := `{"name":"x","tiers":[{"name":"e","sites":1,"servers":1,"rttMs":1,
 		"autoscale":{"intervalS":5,"min":1,"max":2,"up":1.5,"down":0.3,"cooldownS":15},
 		"scaler":{"policy":"reactive","intervalS":5,"min":1,"max":2,"up":1.5,"down":0.3}}]}`
-	if _, err := ParseTopology([]byte(spec)); err == nil {
-		t.Fatal("tier with both autoscale and scaler blocks accepted")
+	if _, err := ParseTopology([]byte(spec)); err == nil || !strings.Contains(err.Error(), "autoscale") {
+		t.Fatalf("tier with both autoscale and scaler blocks: error %v, want one naming the retired block", err)
 	}
 }
 
-// TestLegacyAutoscaleBlockDecodes: pre-scaler topology files keep
-// working, and the legacy block builds the identical reactive Spec the
-// equivalent scaler block does.
-func TestLegacyAutoscaleBlockDecodes(t *testing.T) {
+// TestLegacyAutoscaleBlockRejected: the retired reactive-only
+// "autoscale" block fails loudly as an unknown field instead of
+// decoding; the "scaler" block with policy "reactive" replaces it.
+func TestLegacyAutoscaleBlockRejected(t *testing.T) {
 	legacy := `{"name":"x","tiers":[{"name":"e","sites":2,"servers":1,"rttMs":1,
 		"autoscale":{"intervalS":2,"min":1,"max":5,"up":1.5,"down":0.2,"cooldownS":6,"step":2}}]}`
+	if _, err := ParseTopology([]byte(legacy)); err == nil || !strings.Contains(err.Error(), "autoscale") {
+		t.Fatalf("legacy autoscale block: error %v, want one naming the unknown field", err)
+	}
 	modern := `{"name":"x","tiers":[{"name":"e","sites":2,"servers":1,"rttMs":1,
 		"scaler":{"policy":"reactive","intervalS":2,"min":1,"max":5,"up":1.5,"down":0.2,"cooldownS":6,"step":2}}]}`
-	lt, err := ParseTopology([]byte(legacy))
-	if err != nil {
-		t.Fatalf("legacy autoscale block no longer decodes: %v", err)
-	}
 	mt, err := ParseTopology([]byte(modern))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lt.Tiers[0].Scaler == nil || mt.Tiers[0].Scaler == nil {
-		t.Fatal("scaler spec not attached")
-	}
-	if *lt.Tiers[0].Scaler != *mt.Tiers[0].Scaler {
-		t.Errorf("legacy block builds %+v, scaler block builds %+v",
-			*lt.Tiers[0].Scaler, *mt.Tiers[0].Scaler)
+	want := autoscale.ReactiveSpec(autoscale.Config{Interval: 2, Min: 1, Max: 5,
+		UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 6, Step: 2})
+	if mt.Tiers[0].Scaler == nil || *mt.Tiers[0].Scaler != want {
+		t.Errorf("scaler block builds %+v, want %+v", mt.Tiers[0].Scaler, want)
 	}
 }
 

@@ -84,25 +84,14 @@ func RunFig6(duration float64, seed int64) []Fig6Scenario {
 			Model:       model,
 			Seed:        seed + int64(i),
 		})
-		var sample *stats.Digest
+		topo := cluster.Topology{Name: "edge", Tiers: []cluster.Tier{{
+			Name: "edge", Sites: 5, ServersPerSite: s.serversPerSite, Path: sc.Edge,
+		}}}
 		if s.cloud {
-			res := cluster.RunCloud(tr, cluster.CloudConfig{
-				Servers: s.cloudServers,
-				Path:    sc.Cloud,
-				Warmup:  duration / 10,
-				Seed:    seed + 100 + int64(i),
-			})
-			sample = &res.EndToEnd
-		} else {
-			res := cluster.RunEdge(tr, cluster.EdgeConfig{
-				Sites:          5,
-				ServersPerSite: s.serversPerSite,
-				Path:           sc.Edge,
-				Warmup:         duration / 10,
-				Seed:           seed + 100 + int64(i),
-			})
-			sample = &res.EndToEnd
+			topo = cluster.Topology{Name: "cloud", Tiers: []cluster.Tier{cluster.CloudTier(s.cloudServers, sc.Cloud, "")}}
 		}
+		sample := &runVariants(tr, cluster.Variant{Topology: topo,
+			Opts: cluster.Options{Warmup: duration / 10, Seed: seed + 100 + int64(i)}})[0].EndToEnd
 		out[i] = Fig6Scenario{
 			Label:   s.label,
 			Summary: sample.Summarize(s.label, nil),
@@ -168,8 +157,8 @@ type AzureReplayResult struct {
 	CloudTimeline *stats.TimeSeries
 	EdgeBoxes     []stats.BoxPlot // one per edge site
 	CloudBox      stats.BoxPlot
-	EdgeResult    *cluster.Result
-	CloudResult   *cluster.Result
+	EdgeResult    *cluster.TopologyResult
+	CloudResult   *cluster.TopologyResult
 }
 
 // RunAzureReplay reproduces the §4.5 experiment: generate (or accept)
@@ -199,21 +188,14 @@ func RunAzureReplay(spec trace.AzureSpec, scale float64, seed int64) AzureReplay
 	})
 
 	const binWidth = 60 // one-minute bins, as in Figures 8–9
-	edge := cluster.RunEdge(tr, cluster.EdgeConfig{
-		Sites:          spec.Sites,
-		ServersPerSite: 1,
-		Path:           sc.Edge,
-		Warmup:         0,
-		Seed:           seed + 1,
-		TimelineBin:    binWidth,
-	})
-	cloud := cluster.RunCloud(tr, cluster.CloudConfig{
-		Servers:     spec.Sites,
-		Path:        sc.Cloud,
-		Warmup:      0,
-		Seed:        seed + 2,
-		TimelineBin: binWidth,
-	})
+	runs := runVariants(tr,
+		cluster.Variant{Topology: cluster.Topology{Name: "edge", Tiers: []cluster.Tier{{
+			Name: "edge", Sites: spec.Sites, Path: sc.Edge,
+		}}}, Opts: cluster.Options{Seed: seed + 1, TimelineBin: binWidth}},
+		cluster.Variant{Topology: cluster.Topology{Name: "cloud", Tiers: []cluster.Tier{
+			cluster.CloudTier(spec.Sites, sc.Cloud, ""),
+		}}, Opts: cluster.Options{Seed: seed + 2, TimelineBin: binWidth}})
+	edge, cloud := runs[0], runs[1]
 
 	res := AzureReplayResult{
 		Series:        series,
@@ -222,9 +204,8 @@ func RunAzureReplay(spec trace.AzureSpec, scale float64, seed int64) AzureReplay
 		EdgeResult:    edge,
 		CloudResult:   cloud,
 	}
-	for i := range edge.Sites {
-		label := fmt.Sprintf("Edge %d", i+1)
-		res.EdgeBoxes = append(res.EdgeBoxes, edge.Sites[i].EndToEnd.Box(label))
+	for i, site := range edge.Tiers[0].Sites {
+		res.EdgeBoxes = append(res.EdgeBoxes, site.EndToEnd.Box(fmt.Sprintf("Edge %d", i+1)))
 	}
 	res.CloudBox = cloud.EndToEnd.Box("Cloud")
 	return res

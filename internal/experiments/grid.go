@@ -232,11 +232,10 @@ func gridTopology(sites, budget, depth int) (cluster.Topology, error) {
 
 // gridBaseline pools the budget in one central cloud queue.
 func gridBaseline(budget int) cluster.Topology {
-	topo := cluster.CloudTopology(cluster.CloudConfig{
-		Servers: budget, Path: netem.CloudTypical, Policy: cluster.CentralQueue,
-	})
-	topo.Name = fmt.Sprintf("grid-b%d-pooled", budget)
-	return topo
+	return cluster.Topology{
+		Name:  fmt.Sprintf("grid-b%d-pooled", budget),
+		Tiers: []cluster.Tier{cluster.CloudTier(budget, netem.CloudTypical, "")},
+	}
 }
 
 // RunGrid evaluates the crossover surface. Cells are grouped by

@@ -76,9 +76,10 @@ func TestRunSweepParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunPairedMatchesUnpaired is implied by the sweep test above (the
-// sweep routes through cluster.RunPaired), but the replication path has
-// its own merge order to defend.
+// Paired edge/cloud determinism is implied by the sweep test above (each
+// point replays its trace through both deployments in one
+// cluster.RunBroadcast pass), but the replication path has its own
+// merge order to defend.
 func TestReplicatedSweepParallelMatchesSerial(t *testing.T) {
 	cfg := DefaultSweepConfig()
 	cfg.Rates = []float64{8, 10}

@@ -112,7 +112,9 @@ func TestTopologySweepStreamingMatchesMaterialized(t *testing.T) {
 	if !ok {
 		t.Fatal("preset edge-regional-cloud missing")
 	}
-	baseline := cluster.CloudTopology(cluster.CloudConfig{Servers: 10, Path: topo.Tiers[len(topo.Tiers)-1].Path})
+	baseline := cluster.Topology{Name: "cloud", Tiers: []cluster.Tier{
+		cluster.CloudTier(10, topo.Tiers[len(topo.Tiers)-1].Path, ""),
+	}}
 	cfg := TopologySweepConfig{
 		Topology: topo,
 		Rates:    []float64{6, 10},

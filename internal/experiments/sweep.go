@@ -32,8 +32,11 @@ type SweepConfig struct {
 	Seed           int64
 	Model          app.InferenceModel
 	ArrivalSCV     float64
-	CloudPolicy    cluster.DispatchPolicy
-	Discipline     queue.Discipline
+	// CloudPolicy is the cloud tier's dispatch: cluster.CentralQueueDispatch
+	// (or empty) for one pooled queue, or an lb policy name (see
+	// cluster.CloudTier).
+	CloudPolicy string
+	Discipline  queue.Discipline
 	// Workers bounds the worker pool that evaluates sweep points (and,
 	// in RunReplicatedSweep, replications) concurrently. 0 uses
 	// DefaultWorkers; 1 forces serial execution. Every point derives its
@@ -57,7 +60,7 @@ func DefaultSweepConfig() SweepConfig {
 		Seed:           42,
 		Model:          app.NewInferenceModel(),
 		ArrivalSCV:     cluster.DefaultArrivalSCV,
-		CloudPolicy:    cluster.CentralQueue,
+		CloudPolicy:    cluster.CentralQueueDispatch,
 	}
 }
 
@@ -127,21 +130,16 @@ func runSweepPoint(cfg SweepConfig, i int) SweepPoint {
 		Model:       cfg.Model,
 		Seed:        cfg.Seed + int64(i)*7919,
 	})
-	edge, cloud := cluster.RunPaired(tr, cluster.EdgeConfig{
-		Sites:          cfg.Sites,
-		ServersPerSite: cfg.ServersPerSite,
-		Path:           cfg.Scenario.Edge,
-		Discipline:     cfg.Discipline,
-		Warmup:         cfg.Warmup,
-		Seed:           cfg.Seed + int64(i)*104729,
-	}, cluster.CloudConfig{
-		Servers:    cfg.Sites * cfg.ServersPerSite,
-		Path:       cfg.Scenario.Cloud,
-		Policy:     cfg.CloudPolicy,
-		Discipline: cfg.Discipline,
-		Warmup:     cfg.Warmup,
-		Seed:       cfg.Seed + int64(i)*1299709,
-	})
+	cloudTier := cluster.CloudTier(cfg.Sites*cfg.ServersPerSite, cfg.Scenario.Cloud, cfg.CloudPolicy)
+	cloudTier.Discipline = cfg.Discipline
+	runs := runVariants(tr,
+		cluster.Variant{Topology: cluster.Topology{Name: "edge", Tiers: []cluster.Tier{{
+			Name: "edge", Sites: cfg.Sites, ServersPerSite: cfg.ServersPerSite,
+			Path: cfg.Scenario.Edge, Discipline: cfg.Discipline,
+		}}}, Opts: cluster.Options{Warmup: cfg.Warmup, Seed: cfg.Seed + int64(i)*104729}},
+		cluster.Variant{Topology: cluster.Topology{Name: "cloud", Tiers: []cluster.Tier{cloudTier}},
+			Opts: cluster.Options{Warmup: cfg.Warmup, Seed: cfg.Seed + int64(i)*1299709}})
+	edge, cloud := runs[0], runs[1]
 	return SweepPoint{
 		RatePerServer: rate,
 		Utilization:   rate / cfg.Model.Mu(),
@@ -155,6 +153,21 @@ func runSweepPoint(cfg SweepConfig, i int) SweepPoint {
 		EdgeN:         edge.EndToEnd.N(),
 		CloudN:        cloud.EndToEnd.N(),
 	}
+}
+
+// runVariants replays tr through every variant in one broadcast pass
+// (each variant's SizeHint set to the trace length) and returns the
+// results in variant order. The figure runners build fixed deployments
+// that always validate, so an error here is a bug and panics.
+func runVariants(tr *cluster.WorkloadTrace, variants ...cluster.Variant) []*cluster.TopologyResult {
+	for i := range variants {
+		variants[i].Opts.SizeHint = tr.Len()
+	}
+	runs, err := cluster.RunBroadcast(tr.Source(), variants, 0)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
+	return runs
 }
 
 // Metric selects which latency statistic a crossover search compares.

@@ -360,24 +360,29 @@ func RunFigThreeTier(duration float64, seed int64) (ThreeTierResult, error) {
 			Seed:        seed + int64(i)*7919,
 		})
 		warmup := duration / 10
-		edge, cloud := cluster.RunPaired(tr, cluster.EdgeConfig{
-			Sites: 5, ServersPerSite: 2, Path: netem.EdgePath,
-			Warmup: warmup, Seed: seed + int64(i)*104729,
-		}, cluster.CloudConfig{
-			Servers: 10, Path: netem.CloudTypical,
-			Warmup: warmup, Seed: seed + int64(i)*1299709,
-		})
-		over := cluster.RunEdgeWithOverflow(tr, cluster.OverflowConfig{
-			Sites: 5, ServersPerSite: 1,
-			EdgePath: netem.EdgePath, CloudPath: netem.CloudTypical,
-			CloudServers: 5, OverflowThreshold: 3,
-			Warmup: warmup, Seed: seed + int64(i)*15485863,
-		})
-		chained, err := cluster.Run(tr.Source(), chain, cluster.Options{
-			Warmup:   warmup,
-			Seed:     seed + int64(i)*32452843,
-			SizeHint: tr.Len(),
-		})
+		opts := func(seed int64) cluster.Options {
+			return cluster.Options{Warmup: warmup, Seed: seed, SizeHint: tr.Len()}
+		}
+		cloudPath := netem.CloudTypical
+		runs, err := cluster.RunBroadcast(tr.Source(), []cluster.Variant{
+			{Label: "edge", Opts: opts(seed + int64(i)*104729), Topology: cluster.Topology{
+				Name:  "edge",
+				Tiers: []cluster.Tier{{Name: "edge", Sites: 5, ServersPerSite: 2, Path: netem.EdgePath}},
+			}},
+			{Label: "cloud", Opts: opts(seed + int64(i)*1299709), Topology: cluster.Topology{
+				Name:  "cloud",
+				Tiers: []cluster.Tier{cluster.CloudTier(10, cloudPath, "")},
+			}},
+			{Label: "edge+overflow", Opts: opts(seed + int64(i)*15485863), Topology: cluster.Topology{
+				Name: "edge+overflow",
+				Tiers: []cluster.Tier{
+					{Name: "edge", Sites: 5, ServersPerSite: 1, Path: netem.EdgePath},
+					cluster.CloudTier(5, cloudPath, ""),
+				},
+				Spills: []cluster.SpillEdge{{From: "edge", To: "cloud", Threshold: 3, DetourPath: &cloudPath}},
+			}},
+			{Label: chain.Name, Opts: opts(seed + int64(i)*32452843), Topology: chain},
+		}, 0)
 		if err != nil {
 			mu.Lock()
 			if firstErr == nil {
@@ -386,6 +391,7 @@ func RunFigThreeTier(duration float64, seed int64) (ThreeTierResult, error) {
 			mu.Unlock()
 			return
 		}
+		edge, cloud, over, chained := runs[0], runs[1], runs[2], runs[3]
 		n := float64(tr.Len())
 		res.Points[i] = ThreeTierPoint{
 			RatePerServer: rate,
@@ -397,7 +403,7 @@ func RunFigThreeTier(duration float64, seed int64) (ThreeTierResult, error) {
 			OverflowP95:   over.P95Latency(),
 			ChainMean:     chained.MeanLatency(),
 			ChainP95:      chained.P95Latency(),
-			OverflowSpill: float64(over.Overflowed) / n,
+			OverflowSpill: float64(over.Tiers[0].Spilled) / n,
 			ChainSpillReg: float64(chained.Tier("edge").Spilled) / n,
 			ChainSpillCld: float64(chained.Tier("regional").Spilled) / n,
 		}

@@ -279,8 +279,9 @@ func TestBinaryThroughTopology(t *testing.T) {
 	if _, err := WriteBinary(&etbBuf, cluster.Stream(spec)); err != nil {
 		t.Fatal(err)
 	}
-	topo := cluster.EdgeTopology(cluster.EdgeConfig{Sites: spec.Sites, ServersPerSite: 2,
-		Path: netem.EdgePath})
+	topo := cluster.Topology{Name: "edge", Tiers: []cluster.Tier{
+		{Name: "edge", Sites: spec.Sites, ServersPerSite: 2, Path: netem.EdgePath},
+	}}
 	run := func(src cluster.Source) *cluster.TopologyResult {
 		res, err := cluster.Run(src, topo, cluster.Options{Warmup: 10, Seed: 3})
 		if err != nil {

@@ -284,8 +284,9 @@ func TestAzureCSVErrors(t *testing.T) {
 // a replay panic at the out-of-range arrival.
 func TestLimitSitesTurnsMismatchIntoError(t *testing.T) {
 	in := "time,site,service\n1,0,0.1\n2,7,0.1\n"
-	topo := cluster.EdgeTopology(cluster.EdgeConfig{Sites: 3, ServersPerSite: 1,
-		Path: netem.Constant("zero", 0)})
+	topo := cluster.Topology{Name: "edge", Tiers: []cluster.Tier{
+		{Name: "edge", Sites: 3, ServersPerSite: 1, Path: netem.Constant("zero", 0)},
+	}}
 	src := StreamRequestsCSV(strings.NewReader(in))
 	src.LimitSites(3)
 	if _, err := cluster.Run(src, topo, cluster.Options{}); err == nil {
@@ -298,8 +299,9 @@ func TestLimitSitesTurnsMismatchIntoError(t *testing.T) {
 // decoded prefix.
 func TestRunSurfacesDecoderError(t *testing.T) {
 	corrupt := "time,site,service\n1,0,0.1\n2,0,0.1\n3,0,broken\n"
-	topo := cluster.EdgeTopology(cluster.EdgeConfig{Sites: 1, ServersPerSite: 1,
-		Path: netem.Constant("zero", 0)})
+	topo := cluster.Topology{Name: "edge", Tiers: []cluster.Tier{
+		{Name: "edge", Sites: 1, ServersPerSite: 1, Path: netem.Constant("zero", 0)},
+	}}
 	res, err := cluster.Run(StreamRequestsCSV(strings.NewReader(corrupt)), topo, cluster.Options{})
 	if err == nil {
 		t.Fatalf("Run returned a clean result (%d offered) over a corrupt source", res.Offered)
@@ -318,8 +320,9 @@ func TestAzureCSVThroughTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := AzureStreamOptions{BinWidth: 60, Seed: 7}
-	topo := cluster.EdgeTopology(cluster.EdgeConfig{Sites: 3, ServersPerSite: 2,
-		Path: netem.EdgePath})
+	topo := cluster.Topology{Name: "edge", Tiers: []cluster.Tier{
+		{Name: "edge", Sites: 3, ServersPerSite: 2, Path: netem.EdgePath},
+	}}
 	run := func(src cluster.Source, hint int) *cluster.TopologyResult {
 		res, err := cluster.Run(src, topo, cluster.Options{Warmup: 30, Seed: 3, SizeHint: hint})
 		if err != nil {
@@ -415,8 +418,9 @@ func TestTimeScaleSingleRecord(t *testing.T) {
 func TestTimeScaleRegressionPropagates(t *testing.T) {
 	const regressing = "time,site,service\n2,0,0.5\n1,0,0.5\n"
 	src := TimeScale(StreamRequestsCSV(strings.NewReader(regressing)), 0.5)
-	topo := cluster.EdgeTopology(cluster.EdgeConfig{Sites: 1, ServersPerSite: 1,
-		Path: netem.Constant("zero", 0)})
+	topo := cluster.Topology{Name: "edge", Tiers: []cluster.Tier{
+		{Name: "edge", Sites: 1, ServersPerSite: 1, Path: netem.Constant("zero", 0)},
+	}}
 	res, err := cluster.Run(src, topo, cluster.Options{})
 	if err == nil {
 		t.Fatalf("Run returned a clean result (%d offered) over a regressing scaled source", res.Offered)
