@@ -1,28 +1,27 @@
 // Benchmarks regenerating every table and figure of the paper (one bench
-// per artifact), plus ablation benches for the design choices DESIGN.md
-// calls out and micro-benchmarks of the hot kernels. Latency/shape
-// metrics are attached to each bench via b.ReportMetric so `go test
-// -bench` output records the reproduced numbers alongside timing.
+// per artifact), plus ablation benches for the simulator's design
+// choices, theory benches, and the scale benches no replaybench workload
+// covers (10⁸-request streaming, 10⁶ sites, parallel generation, trace
+// decoding). Latency/shape metrics are attached to each bench via
+// b.ReportMetric so `go test -bench` output records the reproduced
+// numbers alongside timing. None of them gates CI: the performance gate
+// is the replay benchmark (replaybench/), whose end-to-end metrics
+// cmd/benchgate compares against the parent commit.
 package edgebench_test
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"strconv"
 	"strings"
 	"testing"
 
-	"repro/internal/admit"
 	"repro/internal/app"
 	"repro/internal/autoscale"
 	"repro/internal/cluster"
-	"repro/internal/dist"
 	"repro/internal/experiments"
 	"repro/internal/lb"
 	"repro/internal/netem"
-	"repro/internal/queue"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/theory"
 	"repro/internal/trace"
@@ -215,7 +214,7 @@ func BenchmarkTheoryAccuracy(b *testing.B) {
 	b.ReportMetric(maxErr*100, "max-rel-err-%%")
 }
 
-// --- Ablation benches (DESIGN.md §4) ---
+// --- Ablation benches ---
 
 // benchEdge is the paper's edge: one home-routed tier of sites.
 func benchEdge(sites, servers int, path netem.Path) cluster.Topology {
@@ -377,56 +376,14 @@ func BenchmarkAblationSkewProvisioning(b *testing.B) {
 	})
 }
 
-// BenchmarkReplayStreaming1M measures the streaming replay core on a
-// million-request trace in bounded-summary mode: the event calendar
-// holds O(#stations) events, request objects and event nodes recycle
-// through free lists, and latency collectors keep constant state. The
-// pre-refactor materialized runner allocated ~6 objects per request
-// (request + Done closure + arrival closure + two event nodes + service
-// closure; measured 1,201,755 allocs for a 200k-request edge replay);
-// the streaming core must stay at least 10x below that per request.
-// Run with -benchmem (the CI short-bench step does) to see allocs/op.
-func BenchmarkReplayStreaming1M(b *testing.B) {
-	tr := cluster.Generate(cluster.GenSpec{
-		Sites: 5, Duration: 10000, PerSiteRate: 20, Seed: 61,
-	})
-	if tr.Len() < 900000 {
-		b.Fatalf("trace has %d requests, want ~1M", tr.Len())
-	}
-	sc, _ := netem.ScenarioByName("typical-25ms")
-	b.Run("edge", func(b *testing.B) {
-		b.ReportAllocs()
-		var mean float64
-		for i := 0; i < b.N; i++ {
-			res := replayTrace(b, tr, benchEdge(5, 2, sc.Edge),
-				cluster.Options{Warmup: 100, Seed: 62, Summary: stats.Bounded})
-			mean = res.MeanLatency()
-		}
-		b.ReportMetric(mean*1000, "mean-ms")
-		b.ReportMetric(float64(tr.Len()), "requests")
-	})
-	b.Run("cloud", func(b *testing.B) {
-		b.ReportAllocs()
-		var mean float64
-		for i := 0; i < b.N; i++ {
-			res := replayTrace(b, tr, benchCloud(10, sc.Cloud, ""),
-				cluster.Options{Warmup: 100, Seed: 63, Summary: stats.Bounded})
-			mean = res.MeanLatency()
-		}
-		b.ReportMetric(mean*1000, "mean-ms")
-		b.ReportMetric(float64(tr.Len()), "requests")
-	})
-}
-
 // BenchmarkStream100M replays a 10⁸-request generated workload through
 // the two-tier edge+overflow topology on a streaming generator source —
 // nothing trace-sized is ever materialized, summaries stay bounded, so
 // the run's resident memory is independent of the request count (the
-// ISSUE 5 acceptance scale). In short mode (the CI short-bench step
-// passes -short) the same pipeline runs at 10⁶ requests, keeping the
-// allocs/op figure in every CI artifact: with O(1) streaming the
-// allocation count barely moves with scale, so any per-request
-// regression is glaring. Run with -benchmem.
+// 10⁸-request acceptance scale). In short mode the same pipeline runs
+// at 10⁶ requests: with O(1) streaming the allocation count barely
+// moves with scale, so any per-request regression is glaring. Run with
+// -benchmem.
 func BenchmarkStream100M(b *testing.B) {
 	duration := 1_000_000.0 // 5 sites × 20 req/s × 10⁶ s = 10⁸ requests
 	if testing.Short() {
@@ -450,68 +407,6 @@ func BenchmarkStream100M(b *testing.B) {
 	}
 	b.ReportMetric(float64(offered), "requests")
 	b.ReportMetric(mean*1000, "mean-ms")
-}
-
-// BenchmarkShardedReplay1M measures the sharded topology replay on a
-// ~10⁶-request three-tier hierarchy at shard counts 1/2/4/8, next to
-// the single-engine cluster.Run on the identical workload. benchjson
-// turns the shards-N sub-bench timings into BENCH_PR7.json's
-// shard-scaling curve; sharded results are bit-identical across counts
-// (the shard-determinism suite asserts it), so the curve measures
-// wall-clock alone. Speedup beyond shards-1 needs real cores: on a
-// single-CPU runner the goroutines serialize and the curve is flat. In
-// short mode (CI's short-bench step) the same pipeline replays 10⁵
-// requests. Run with -benchmem.
-func BenchmarkShardedReplay1M(b *testing.B) {
-	const sites = 8
-	duration := 6250.0 // 8 sites × 20 req/s × 6250 s = 10⁶ requests
-	if testing.Short() {
-		duration = 625
-	}
-	spec := cluster.GenSpec{Sites: sites, Duration: duration, PerSiteRate: 20, Seed: 81}
-	regional := netem.Jittered("regional-13ms", 0.013, 0.002)
-	cloud := netem.CloudTypical
-	topo := cluster.Topology{
-		Name: "bench-three-tier",
-		Tiers: []cluster.Tier{
-			{Name: "edge", Sites: sites, ServersPerSite: 2, Path: netem.EdgePath},
-			{Name: "regional", Sites: 1, ServersPerSite: 6, Path: regional,
-				Dispatch: cluster.CentralQueueDispatch},
-			{Name: "cloud", Sites: 1, ServersPerSite: 8, Path: cloud,
-				Dispatch: cluster.CentralQueueDispatch},
-		},
-		Spills: []cluster.SpillEdge{
-			{From: "edge", To: "regional", Threshold: 3, DetourPath: &regional},
-			{From: "regional", To: "cloud", Threshold: 8, DetourPath: &cloud},
-		},
-	}
-	opts := cluster.Options{Warmup: 100, Seed: 82, Summary: stats.Bounded, NoPerSiteLatency: true}
-	b.Run("single-engine", func(b *testing.B) {
-		b.ReportAllocs()
-		var offered uint64
-		for i := 0; i < b.N; i++ {
-			res, err := cluster.Run(cluster.Stream(spec), topo, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			offered = res.Offered
-		}
-		b.ReportMetric(float64(offered), "requests")
-	})
-	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards-%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			var offered uint64
-			for i := 0; i < b.N; i++ {
-				res, err := cluster.RunPipelined(cluster.GenShards(spec), topo, opts, n)
-				if err != nil {
-					b.Fatal(err)
-				}
-				offered = res.Offered
-			}
-			b.ReportMetric(float64(offered), "requests")
-		})
-	}
 }
 
 // peakRSSMB reads the process peak resident set (VmHWM) in MB.
@@ -588,98 +483,6 @@ func BenchmarkShowcaseMillionSites(b *testing.B) {
 	b.ReportMetric(float64(offered), "requests")
 	b.ReportMetric(peakRSSMB(b), "peak-RSS-MB")
 	b.ReportMetric(float64(backlog), "peak-backlog-records")
-}
-
-// BenchmarkEngineBackends pits the calendar-queue event calendar
-// against the retired binary heap on the same replay, the PR 6 tentpole
-// comparison: allocs/op must not regress and the calendar's O(1)
-// schedule/pop should at least match the heap's O(log n).
-func BenchmarkEngineBackends(b *testing.B) {
-	spec := cluster.GenSpec{Sites: 5, Duration: 2000, PerSiteRate: 20, Seed: 91}
-	sc, _ := netem.ScenarioByName("typical-25ms")
-	topo := benchOverflow(5, 2, 10, 4, sc)
-	for _, bk := range []struct {
-		name string
-		b    sim.Backend
-	}{
-		{"calendar-queue", sim.CalendarQueue},
-		{"binary-heap", sim.BinaryHeap},
-	} {
-		b.Run(bk.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, err := cluster.Run(cluster.Stream(spec), topo, cluster.Options{
-					Warmup: 100, Seed: 92, Summary: stats.Bounded,
-					NoPerSiteLatency: true, Backend: bk.b,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// --- Microbenchmarks of the hot kernels ---
-
-// BenchmarkSimEngineEventThroughput measures raw event processing.
-func BenchmarkSimEngineEventThroughput(b *testing.B) {
-	eng := sim.NewEngine(1)
-	var next func(e *sim.Engine)
-	count := 0
-	next = func(e *sim.Engine) {
-		count++
-		if count < b.N {
-			e.After(0.001, next)
-		}
-	}
-	b.ResetTimer()
-	eng.After(0.001, next)
-	eng.Run()
-}
-
-// BenchmarkStationMM1 measures the queueing station's per-request cost.
-func BenchmarkStationMM1(b *testing.B) {
-	eng := sim.NewEngine(1)
-	st := queue.NewStation(eng, "bench", 1, queue.FCFS)
-	svc := dist.NewExponentialMean(1.0 / 13)
-	arr := dist.NewExponentialMean(1.0 / 9)
-	rng := eng.NewStream()
-	t := 0.0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t += arr.Sample(rng)
-		req := &queue.Request{ID: uint64(i), ServiceTime: svc.Sample(rng)}
-		eng.At(t, func(e *sim.Engine) { st.Arrive(req) })
-	}
-	eng.Run()
-	st.Finish()
-}
-
-// BenchmarkStatsSampleQuantile measures the exact-quantile kernel.
-func BenchmarkStatsSampleQuantile(b *testing.B) {
-	s := stats.NewSample(100000)
-	rng := sim.NewEngine(1).RNG()
-	for i := 0; i < 100000; i++ {
-		s.Add(rng.ExpFloat64())
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Add(rng.ExpFloat64())
-		_ = s.P95()
-	}
-}
-
-// BenchmarkWorkloadGenerate measures trace synthesis.
-func BenchmarkWorkloadGenerate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tr := cluster.Generate(cluster.GenSpec{
-			Sites: 5, Duration: 100, PerSiteRate: 10, Seed: int64(i),
-		})
-		if tr.Len() == 0 {
-			b.Fatal("empty trace")
-		}
-	}
 }
 
 // BenchmarkTheoryCutoffBisect measures the numeric cutoff solver.
@@ -797,14 +600,11 @@ func BenchmarkBoundedQueueLoss(b *testing.B) {
 	b.ReportMetric(lossTheory*100, "loss%%-rho1.1-K11")
 }
 
-// broadcastBenchSpec builds a generation-bound workload: an NHPP
-// envelope whose peak sits ~1000x above its mean rate makes the
-// generator's thinning loop draw ~1000 candidates per accepted
-// arrival (thinning proposes at the envelope maximum), so generation —
-// not replay — dominates each pass. That is the regime broadcast
-// replay targets: N variant engines re-deriving this trace pay the
-// thinning cost N times, one broadcast pass pays it once.
-func broadcastBenchSpec(duration float64) cluster.GenSpec {
+// genBoundSpec builds a generation-bound workload: an NHPP envelope
+// whose peak sits ~1000x above its mean rate makes the generator's
+// thinning loop draw ~1000 candidates per accepted arrival (thinning
+// proposes at the envelope maximum).
+func genBoundSpec(duration float64) cluster.GenSpec {
 	const sites = 4
 	envelope := make([]float64, 1000)
 	for i := range envelope {
@@ -818,74 +618,6 @@ func broadcastBenchSpec(duration float64) cluster.GenSpec {
 	return cluster.GenSpec{Sites: sites, Duration: duration, Seed: 91, Arrivals: procs}
 }
 
-// broadcastBenchVariants are deliberately cheap to replay (ample
-// servers, bounded summaries, no per-site digests), keeping the
-// benchmark generation-bound; the four shapes differ only in capacity.
-func broadcastBenchVariants() []cluster.Variant {
-	variants := make([]cluster.Variant, 4)
-	for i := range variants {
-		topo := benchEdge(4, 6+2*i, netem.EdgePath)
-		topo.Name = fmt.Sprintf("fanout-%d", 6+2*i)
-		variants[i] = cluster.Variant{
-			Label:    topo.Name,
-			Topology: topo,
-			Opts: cluster.Options{
-				Warmup: 50, Seed: 92,
-				Summary: stats.Bounded, NoPerSiteLatency: true,
-			},
-		}
-	}
-	return variants
-}
-
-// BenchmarkBroadcastFanout measures the tentpole claim: comparing 4
-// deployment variants over one generation-bound trace via per-row
-// re-derivation (each variant re-runs the generator) versus one
-// broadcast pass fanning out to all 4 engines. The two paths produce
-// bit-identical rows (the broadcast equivalence suite asserts it), so
-// the ratio is pure generation savings: per-row costs 4·(G+S),
-// broadcast G+4·S, with generation G ≫ replay S by construction.
-// benchjson gates the broadcast/per-row ratio via BENCH_PR8.json. In
-// short mode (CI's short-bench step) the trace shrinks ~10x.
-func BenchmarkBroadcastFanout(b *testing.B) {
-	duration := 3000.0
-	if testing.Short() {
-		duration = 300
-	}
-	spec := broadcastBenchSpec(duration)
-	variants := broadcastBenchVariants()
-	b.Run("per-row", func(b *testing.B) {
-		b.ReportAllocs()
-		var offered uint64
-		for i := 0; i < b.N; i++ {
-			offered = 0
-			for _, v := range variants {
-				res, err := cluster.Run(cluster.Stream(spec), v.Topology, v.Opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				offered += res.Offered
-			}
-		}
-		b.ReportMetric(float64(offered), "requests")
-	})
-	b.Run("broadcast", func(b *testing.B) {
-		b.ReportAllocs()
-		var offered uint64
-		for i := 0; i < b.N; i++ {
-			offered = 0
-			runs, err := cluster.RunBroadcast(cluster.Stream(spec), variants, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, res := range runs {
-				offered += res.Offered
-			}
-		}
-		b.ReportMetric(float64(offered), "requests")
-	})
-}
-
 // drainCount pulls src dry, returning the record count.
 func drainCount(src cluster.Source) uint64 {
 	var n uint64
@@ -897,23 +629,21 @@ func drainCount(src cluster.Source) uint64 {
 	}
 }
 
-// BenchmarkParallelGen measures the PR 9 generation front-end on the
-// same generation-bound NHPP workload BenchmarkBroadcastFanout uses:
-// gen-serial drains cluster.Stream, gen-parallel the worker fan-out
-// through ParallelStream (bit-identical records; the equivalence suite
-// asserts it), and gen-piecewise the serial stream with the
-// PiecewiseEnvelope flag — exact per-segment simulation instead of
-// thinning against the 4000x envelope peak, the algorithmic half of
-// the speedup. benchjson folds the serial/parallel pair into
-// BENCH_PR9.json's gen_speedup; real speedup needs real cores — on a
-// single-CPU runner the workers serialize and the pair measures merge
-// overhead (parity acceptable). In short mode the trace shrinks ~10x.
+// BenchmarkParallelGen measures the generation front-end on a
+// generation-bound NHPP workload: gen-serial drains cluster.Stream,
+// gen-parallel the worker fan-out through ParallelStream (bit-identical
+// records; the equivalence suite asserts it), and gen-piecewise the
+// serial stream with the PiecewiseEnvelope flag — exact per-segment
+// simulation instead of thinning against the 4000x envelope peak, the
+// algorithmic half of the speedup. Real parallel speedup needs real
+// cores: on a single-CPU runner the workers serialize and the pair
+// measures merge overhead. In short mode the trace shrinks ~10x.
 func BenchmarkParallelGen(b *testing.B) {
 	duration := 3000.0
 	if testing.Short() {
 		duration = 300
 	}
-	spec := broadcastBenchSpec(duration)
+	spec := genBoundSpec(duration)
 	b.Run("gen-serial", func(b *testing.B) {
 		b.ReportAllocs()
 		var n uint64
@@ -989,61 +719,4 @@ func BenchmarkTraceDecode(b *testing.B) {
 		b.ReportMetric(float64(n), "requests")
 		b.ReportMetric(float64(len(etbData)), "file-bytes")
 	})
-}
-
-// BenchmarkAdmissionOverhead prices the ISSUE 10 admission gate on the
-// streaming replay core: the same 10⁶-request replay with no
-// admission, with a never-rejecting entry token bucket (pure
-// policy-check overhead — the event sequence is bit-identical, as the
-// admission equivalence suite asserts), and with an active bucket
-// shedding ~a third of traffic (rejections shortcut the service path,
-// bounding the other side). benchjson gates all three against the
-// committed BENCH_PR10.json. In short mode the replay scales to 10⁵
-// requests.
-func BenchmarkAdmissionOverhead(b *testing.B) {
-	const sites = 8
-	duration := 6250.0 // 8 sites × 20 req/s × 6250 s = 10⁶ requests
-	if testing.Short() {
-		duration = 625
-	}
-	spec := cluster.GenSpec{Sites: sites, Duration: duration, PerSiteRate: 20, Seed: 81}
-	cloud := netem.CloudTypical
-	topology := func(a *admit.Spec) cluster.Topology {
-		return cluster.Topology{
-			Name: "bench-admit",
-			Tiers: []cluster.Tier{
-				{Name: "edge", Sites: sites, ServersPerSite: 2, Path: netem.EdgePath,
-					Admission: a},
-				{Name: "cloud", Sites: 1, ServersPerSite: 8, Path: cloud,
-					Dispatch: cluster.CentralQueueDispatch},
-			},
-			Spills: []cluster.SpillEdge{
-				{From: "edge", To: "cloud", Threshold: 3, DetourPath: &cloud},
-			},
-		}
-	}
-	opts := cluster.Options{Warmup: 100, Seed: 82, Summary: stats.Bounded, NoPerSiteLatency: true}
-	for _, tc := range []struct {
-		name string
-		spec *admit.Spec
-	}{
-		{"admit-off", nil},
-		{"admit-noop", &admit.Spec{Policy: admit.TokenBucket, Rate: 1e9}},
-		{"admit-active", &admit.Spec{Policy: admit.TokenBucket, Rate: 13}},
-	} {
-		topo := topology(tc.spec)
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var offered, rejected uint64
-			for i := 0; i < b.N; i++ {
-				res, err := cluster.Run(cluster.Stream(spec), topo, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				offered, rejected = res.Offered, res.Rejected
-			}
-			b.ReportMetric(float64(offered), "requests")
-			b.ReportMetric(float64(rejected), "rejected")
-		})
-	}
 }

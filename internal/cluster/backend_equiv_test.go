@@ -31,12 +31,11 @@ func runPresetOn(t *testing.T, preset string, b sim.Backend, warmup float64, mod
 		PerSiteRate: 9,
 		Seed:        seed,
 	})
-	res, err := cluster.Run(src, topo, cluster.Options{
+	res, err := cluster.Run(src, topo, cluster.WithBackend(cluster.Options{
 		Warmup:  warmup,
 		Seed:    seed,
 		Summary: mode,
-		Backend: b,
-	})
+	}, b))
 	if err != nil {
 		t.Fatalf("preset %s on backend %v: %v", preset, b, err)
 	}
@@ -76,9 +75,7 @@ func TestCalendarQueueMatchesHeapOnTrace(t *testing.T) {
 	topo := spillTopology(4)
 	for _, mode := range []stats.Mode{stats.Exact, stats.Bounded} {
 		opts := cluster.Options{Warmup: 20, Seed: 5, Summary: mode}
-		hOpts := opts
-		hOpts.Backend = sim.BinaryHeap
-		want, err := cluster.Run(tr.Source(), topo, hOpts)
+		want, err := cluster.Run(tr.Source(), topo, cluster.WithBackend(opts, sim.BinaryHeap))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,5 +1,7 @@
 package cluster
 
+import "repro/internal/sim"
+
 // Test-only entry points for the external cluster_test package.
 var (
 	// RunBarrier is the sharded replay's barrier reference (runBarrier).
@@ -11,3 +13,9 @@ var (
 
 // BoundaryRing is the ring capacity RunPipelined uses.
 const BoundaryRing = boundaryRing
+
+// WithBackend returns opts with the engine calendar set to b.
+func WithBackend(opts Options, b sim.Backend) Options {
+	opts.backend = b
+	return opts
+}

@@ -222,7 +222,7 @@ func (st *shardState) Consume(e *sim.Engine, r *queue.Request) {
 // per-site streams in netSeeds, so a site behaves identically no matter
 // which shard holds it.
 func runShardPhase1(topo Topology, plan shardPlan, st *shardState, src Source, opts Options, netSeeds []int64, pub boundaryPublisher) {
-	eng := sim.NewEngineBackend(opts.Seed, opts.Backend)
+	eng := sim.NewEngineBackend(opts.Seed, opts.backend)
 	st.eng = eng
 	pool := &queue.FreeList{}
 	width := st.hi - st.lo
@@ -644,7 +644,7 @@ type p2build struct {
 // in tier order.
 func buildPhase2(r *shardRun, tiers []int, streams p2streams) (*p2build, error) {
 	topo, opts := r.topo, r.opts
-	eng := sim.NewEngineBackend(r.phase2Seed, opts.Backend)
+	eng := sim.NewEngineBackend(r.phase2Seed, opts.backend)
 	pool := &queue.FreeList{}
 	x := &topoExec{eng: eng, tiers: make([]*tierRuntime, len(topo.Tiers)), res: r.res, pool: pool}
 	for _, ti := range tiers {

@@ -46,11 +46,6 @@ type Options struct {
 	// overlay (nil = econ.DefaultPricing). Tiers may override their
 	// per-server-hour price via Tier.PricePerServerHour.
 	Pricing *econ.Pricing
-	// Backend selects the sim engine's calendar structure. The default
-	// calendar queue and the reference binary heap implement the same
-	// strict event order, so results are bit-identical either way; the
-	// equivalence suite runs both to prove it.
-	Backend sim.Backend
 	// BacklogProbe, when set on a sharded run, receives the peak
 	// count of resident boundary records — captured by phase 1 but not
 	// yet admitted to a phase-2 engine — after the run completes (a
@@ -62,6 +57,12 @@ type Options struct {
 	// workers, -1 = one per CPU. Records are bit-identical either way;
 	// only wall-clock changes.
 	GenWorkers int
+
+	// backend selects the sim engine's calendar structure. Only tests
+	// set it (WithBackend in export_test.go): the reference binary heap
+	// implements the default calendar queue's strict event order, and
+	// the backend equivalence suite replays whole topologies on both.
+	backend sim.Backend
 }
 
 // GenSource builds the generator source the options ask for: the serial
@@ -386,7 +387,7 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 		}
 	}
 
-	eng := sim.NewEngineBackend(opts.Seed, opts.Backend)
+	eng := sim.NewEngineBackend(opts.Seed, opts.backend)
 	netRng := eng.NewStream()
 	pool := &queue.FreeList{}
 

@@ -13,9 +13,10 @@ const (
 	// pump), and a floor of 4 put that population astride both resize
 	// thresholds — grow at n > 2·len, shrink at n < len/4 — so nearly
 	// every push/pop pair triggered an allocating resize (~1 alloc per
-	// simulated request; the BENCH_PR7 shards-2 cliff: two 4-site
-	// engines thrashing at ~977k allocs/op where shards-4's 2-site
-	// engines, under every threshold, sat at ~2.6k). At 64 buckets a
+	// simulated request; the shards-2 allocation cliff of a 10⁶-request
+	// sharded replay: two 4-site engines thrashing at ~977k allocs per
+	// replay where shards-4's 2-site engines, under every threshold,
+	// sat at ~2.6k). At 64 buckets a
 	// population must exceed 128 before the ring ever resizes. The cost
 	// is 64 slice headers (~1.5 KB) per engine, paid once.
 	cqMinBuckets = 64

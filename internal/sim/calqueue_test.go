@@ -224,10 +224,11 @@ func TestRunUntilAcrossBackends(t *testing.T) {
 // simulated request, and with a 4-bucket floor and a half-count shrink
 // threshold that oscillation crossed a resize boundary on nearly every
 // push/pop pair — one allocating resize per simulated request (the
-// BENCH_PR7 shards-2 allocation cliff: ~977k allocs/op at two 4-site
-// engines vs ~2.6k at four 2-site ones). Small populations must never
-// resize: total allocations for tens of thousands of push/pop cycles
-// stay in the dozens, not the tens of thousands.
+// shards-2 allocation cliff of a 10⁶-request sharded replay: ~977k
+// allocs at two 4-site engines vs ~2.6k at four 2-site ones). Small
+// populations must never resize: total allocations for tens of
+// thousands of push/pop cycles stay in the dozens, not the tens of
+// thousands.
 func TestCalendarQueueSmallPopulationAllocs(t *testing.T) {
 	const cycles = 20000
 	// Pre-built event nodes, recycled through a free stack, so the
