@@ -99,15 +99,15 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	arrivalSCV := flag.Float64("arrival-scv", cluster.DefaultArrivalSCV, "squared CoV of inter-arrival times")
 	serviceSCV := flag.Float64("service-scv", app.DefaultServiceSCV, "squared CoV of service times")
-	policy := flag.String("policy", "central-queue", "cloud dispatch: central-queue|round-robin|least-connections|power-of-two|random")
-	slowdown := flag.Float64("edge-slowdown", 1, "edge service-time slowdown factor (resource-constrained edge)")
-	jockey := flag.Int("jockey", 0, "geographic LB: redirect when home-site load >= this (0=off)")
-	detour := flag.Float64("detour-ms", 5, "extra RTT for jockeyed requests (ms)")
+	policy := flag.String("policy", "central-queue", "cloud dispatch: central-queue|round-robin|least-connections|power-of-two|random; classic paired mode only")
+	slowdown := flag.Float64("edge-slowdown", 1, "edge service-time slowdown factor (resource-constrained edge); classic paired mode only")
+	jockey := flag.Int("jockey", 0, "geographic LB: redirect when home-site load >= this (0=off); classic paired mode only")
+	detour := flag.Float64("detour-ms", 5, "extra RTT for jockeyed requests (ms); classic paired mode only")
 	skew := flag.String("skew", "", "comma-separated per-site weights (e.g. 5,2,1,1,1); classic paired mode only")
-	queueCap := flag.Int("queue-cap", 0, "bound each queue at this many waiting requests (0=unbounded)")
+	queueCap := flag.Int("queue-cap", 0, "bound each queue at this many waiting requests (0=unbounded); classic paired mode only")
 	summary := flag.String("summary", "exact", "latency summary memory model: exact (retain every sample) | bounded (streaming moments + a mergeable log-bucket sketch, quantiles within 0.78%, for huge replays)")
 	autoscaleMax := flag.Int("autoscale-max", 0, "also run an autoscaled edge growing each site up to this many servers (0=off)")
-	overflowAt := flag.Int("overflow-at", 0, "also run a hierarchical edge overflowing to the cloud at this site load (0=off)")
+	overflowAt := flag.Int("overflow-at", 0, "also run a hierarchical edge overflowing to the cloud at this site load (0=off); classic paired mode only")
 	topology := flag.String("topology", "", "replay through a deployment graph instead: preset name ("+
 		strings.Join(cluster.TopologyPresets(), "|")+"), @file.json, or inline JSON spec")
 	scaler := flag.String("scaler", "", "attach a capacity scaler to the edge (entry) tier: "+
@@ -151,15 +151,9 @@ func main() {
 		"labels (generate, phase-1, merge, phase-2) for go tool pprof -tagfocus")
 	memprofile := flag.String("memprofile", "", "write an end-of-run heap profile to this file")
 	flag.Parse()
-	shardsSet, sitesSet := false, false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "shards":
-			shardsSet = true
-		case "sites":
-			sitesSet = true
-		}
-	})
+	set := map[string]bool{} // flags given on the command line
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	shardsSet := set["shards"]
 	sh := shardChoice{set: shardsSet, n: *shards, verbose: *verbose}
 	gc := genChoice{arg: *genWorkers, verbose: *verbose}
 	in := workloadInput{tracePath: *traceFile, azurePath: *azureFile, azureBin: *azureBin, seed: *seed}
@@ -300,7 +294,7 @@ func main() {
 		if err != nil {
 			fail("-topology: %v", err)
 		}
-		if err := checkTopologyFlags(topo, *skew, *sites, sitesSet); err != nil {
+		if err := checkTopologyFlags(topo, *skew, *sites, set); err != nil {
 			fail("%v", err)
 		}
 		if *sweep != "" {
@@ -488,16 +482,34 @@ func loadTopology(arg string) (cluster.Topology, error) {
 		cluster.TopologyPresets(), arg)
 }
 
-// checkTopologyFlags rejects classic-mode workload flags that a
-// -topology run would otherwise ignore without a word: -skew (graph
-// replays generate uniform per-site load) and an explicitly set -sites
-// that disagrees with a home-routed ingress tier, whose station count
-// fixes the trace's site count.
-func checkTopologyFlags(topo cluster.Topology, skew string, sites int, sitesSet bool) error {
+// classicOnlyFlags are the paired-mode deployment knobs a -topology
+// run never reads, each with the topology spec field that does its job.
+var classicOnlyFlags = []struct{ name, field string }{
+	{"policy", `a tier's "dispatch"`},
+	{"jockey", `a home-routed tier's "jockey"`},
+	{"detour-ms", `a home-routed tier's "detourMs"`},
+	{"edge-slowdown", `a tier's "slowdown"`},
+	{"queue-cap", `a tier's "queueCap"`},
+	{"overflow-at", `a spill edge's "threshold"`},
+}
+
+// checkTopologyFlags rejects classic-mode flags that a -topology run
+// would otherwise ignore without a word: -skew (graph replays generate
+// uniform per-site load), any explicitly set classicOnlyFlags entry,
+// and an explicitly set -sites that disagrees with a home-routed
+// ingress tier, whose station count fixes the trace's site count. set
+// holds the names of the flags given on the command line.
+func checkTopologyFlags(topo cluster.Topology, skew string, sites int, set map[string]bool) error {
 	if skew != "" {
 		return fmt.Errorf("-skew applies to the classic paired mode only; -topology replays uniform per-site load")
 	}
-	if ingress := topo.Tiers[0]; sitesSet && ingress.Dispatch == "" && sites != ingress.Sites {
+	for _, f := range classicOnlyFlags {
+		if set[f.name] {
+			return fmt.Errorf("-%s applies to the classic paired mode only; with -topology, set %s in the topology spec",
+				f.name, f.field)
+		}
+	}
+	if ingress := topo.Tiers[0]; set["sites"] && ingress.Dispatch == "" && sites != ingress.Sites {
 		return fmt.Errorf("-sites %d disagrees with topology %q, whose home-routed ingress tier %q has %d sites",
 			sites, topo.Name, ingress.Name, ingress.Sites)
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/app"
 	"repro/internal/lb"
 	"repro/internal/netem"
+	"repro/internal/stats"
 	"repro/internal/theory"
 	"repro/internal/workload"
 )
@@ -125,6 +126,46 @@ func TestRunCloudMatchesMMcTheory(t *testing.T) {
 	got := res.EndToEnd.Mean()
 	if math.Abs(got-want) > 0.12*want {
 		t.Errorf("cloud M/M/5 sojourn %v, want %v", got, want)
+	}
+}
+
+// TestRunMatchesPollaczekKhinchine: an M/E_k/1 station driven through
+// Run must reproduce the Pollaczek–Khinchine mean wait, which is exact
+// for M/G/1. Service SCV 0.1 is the Erlang-10 fit and 0.4 the mixed
+// Erlang(2,3) fit. Each seed is one independent replication; the test
+// fails when PK falls outside their 95% batch-means CI widened by 2%.
+func TestRunMatchesPollaczekKhinchine(t *testing.T) {
+	const (
+		mu       = 13.0
+		seeds    = 12
+		duration = 2500.0
+		warmup   = 250.0
+	)
+	topo := Topology{Name: "mg1", Tiers: []Tier{{
+		Name: "edge", Sites: 1, ServersPerSite: 1, Path: netem.Constant("zero", 0),
+	}}}
+	for _, scv := range []float64{0.1, 0.4} {
+		for _, rho := range []float64{0.5, 0.8} {
+			model := app.NewInferenceModelWith(1/mu, scv)
+			waits := make([]float64, seeds)
+			for i := range waits {
+				src := Stream(GenSpec{
+					Sites: 1, Duration: duration, PerSiteRate: rho * mu,
+					ArrivalSCV: 1, Model: model, Seed: int64(2 * i),
+				})
+				res, err := Run(src, topo, Options{Warmup: warmup, Seed: int64(2*i + 1), Summary: stats.Bounded})
+				if err != nil {
+					t.Fatal(err)
+				}
+				waits[i] = res.Wait.Mean()
+			}
+			ci := stats.ComputeBatchMeans(waits, len(waits))
+			want := theory.PollaczekKhinchineWait(rho, mu, scv)
+			if slack := ci.HalfWidth + 0.02*want; math.Abs(ci.Mean-want) > slack {
+				t.Errorf("scv %v rho %v: mean wait %.5f ± %.5f s, Pollaczek–Khinchine %.5f s",
+					scv, rho, ci.Mean, ci.HalfWidth, want)
+			}
+		}
 	}
 }
 

@@ -109,28 +109,21 @@ func NewErlang(k int, mean float64) Erlang {
 // Sample draws an Erlang variate.
 func (d Erlang) Sample(rng *rand.Rand) float64 { return erlangSample(d.K, d.Rate, rng) }
 
-// erlangSample draws a sum of k exponentials at the given phase rate.
-// Small shapes use -ln(∏ U_i)/rate (one log for k uniforms); the product
-// of more than ~745 uniforms underflows float64 to 0, and an O(k) loop
-// is wasteful anyway, so large shapes switch to the O(1) Marsaglia–Tsang
-// gamma sampler.
+// erlangSample draws a sum of k exponentials at the given phase rate in
+// O(1) for every shape: one exponential for k = 1, otherwise one
+// Gamma(k, rate) variate, which is the same law. Erlang and MixedErlang
+// both sample through it.
 func erlangSample(k int, rate float64, rng *rand.Rand) float64 {
-	if k > 64 {
-		return gammaSample(float64(k), rate, rng)
+	if k == 1 {
+		return rng.ExpFloat64() / rate
 	}
-	prod := 1.0
-	for i := 0; i < k; i++ {
-		u := rng.Float64()
-		for u == 0 {
-			u = rng.Float64()
-		}
-		prod *= u
-	}
-	return -math.Log(prod) / rate
+	return gammaSample(float64(k), rate, rng)
 }
 
 // gammaSample draws Gamma(shape, rate) for shape >= 1 by Marsaglia and
-// Tsang's squeeze-rejection method (acceptance > 95%).
+// Tsang's squeeze-rejection method (ACM TOMS 2000): one normal and one
+// uniform per attempt, accepted more than 95% of the time for every
+// shape >= 1, so the cost does not grow with the shape.
 func gammaSample(shape, rate float64, rng *rand.Rand) float64 {
 	d := shape - 1.0/3
 	c := 1 / math.Sqrt(9*d)

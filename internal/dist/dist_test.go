@@ -1,8 +1,10 @@
 package dist
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -53,7 +55,10 @@ func TestDistributionMoments(t *testing.T) {
 	}{
 		{"Exponential", NewExponential(4), 0.25, 1},
 		{"ExponentialMean", NewExponentialMean(0.077), 0.077, 1},
+		{"Erlang2", NewErlang(2, 1), 1, 0.5},
 		{"Erlang4", NewErlang(4, 2), 2, 0.25},
+		{"Erlang10", NewErlang(10, 0.077), 0.077, 0.1},
+		{"MixedErlang", FitSCV(1, 0.4), 1, 0.4},
 		{"Uniform", NewUniform(1, 3), 2, (4.0 / 12) / 4},
 		{"Deterministic", Deterministic{Value: 1.5}, 1.5, 0},
 		{"LogNormal", NewLogNormalMeanSCV(0.05, 2), 0.05, 2},
@@ -210,8 +215,8 @@ func TestInvalidParametersPanic(t *testing.T) {
 }
 
 // TestLargeShapeErlang: tiny SCVs produce Erlang shapes in the hundreds
-// or thousands; sampling must not underflow to +Inf (product-of-uniforms
-// pitfall) and the log-space CDF must not NaN at large λx.
+// or thousands; samples must stay finite and positive with the right
+// mean, and the log-space CDF must not NaN at large λx.
 func TestLargeShapeErlang(t *testing.T) {
 	for _, scv := range []float64{0.001, 0.00134} { // Erlang(1000), MixedErlang(747)
 		d := FitSCV(1, scv)
@@ -235,5 +240,61 @@ func TestLargeShapeErlang(t *testing.T) {
 	}
 	if q := e.Quantile(0.5); math.Abs(q-1) > 0.01 {
 		t.Errorf("Erlang(1000) median = %v, want ≈ 1", q)
+	}
+}
+
+// TestErlangSamplerKS checks the Erlang and mixed-Erlang samplers
+// against their own CDFs with a one-sample Kolmogorov–Smirnov test at
+// α = 0.001 (critical value 1.95/√n). The shapes span the k = 1
+// exponential path and small, mid and large gamma shapes; the SCVs
+// cover the Erlang-10 and mixed-Erlang fits the paper's workloads use.
+func TestErlangSamplerKS(t *testing.T) {
+	type cdfDist interface {
+		Dist
+		CDF(x float64) float64
+	}
+	type ksCase struct {
+		name string
+		d    cdfDist
+	}
+	var cases []ksCase
+	for _, k := range []int{1, 2, 3, 10, 64, 65, 200} {
+		cases = append(cases, ksCase{fmt.Sprintf("Erlang%d", k), NewErlang(k, 1)})
+	}
+	for _, scv := range []float64{0.1, 0.3, 0.4, 0.7} {
+		cases = append(cases, ksCase{fmt.Sprintf("FitSCV%g", scv), FitSCV(1, scv).(cdfDist)})
+	}
+	const n = 50_000
+	crit := 1.95 / math.Sqrt(n)
+	for i, c := range cases {
+		d := c.d
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(100 + i)))
+			xs := make([]float64, n)
+			for j := range xs {
+				xs[j] = d.Sample(rng)
+			}
+			sort.Float64s(xs)
+			var ks float64
+			for j, x := range xs {
+				f := d.CDF(x)
+				ks = math.Max(ks, math.Max(float64(j+1)/n-f, f-float64(j)/n))
+			}
+			if ks > crit {
+				t.Errorf("%s: KS distance %.5f exceeds the α = 0.001 critical value %.5f", d, ks, crit)
+			}
+		})
+	}
+}
+
+func BenchmarkErlangSample(b *testing.B) {
+	for _, k := range []int{2, 3, 10, 100} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			d := NewErlang(k, 1)
+			rng := rand.New(rand.NewSource(1))
+			for b.Loop() {
+				d.Sample(rng)
+			}
+		})
 	}
 }
