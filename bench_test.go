@@ -103,7 +103,10 @@ func BenchmarkFig5TailLatencyDistantCloud(b *testing.B) {
 func BenchmarkFig6LatencyDistributions(b *testing.B) {
 	var spread float64
 	for i := 0; i < b.N; i++ {
-		out := experiments.RunFig6(benchDuration, 5)
+		out, err := experiments.RunFig6(benchDuration, 5)
+		if err != nil {
+			b.Fatal(err)
+		}
 		spread = out[0].Box.IQR() / (out[3].Box.IQR() + 1e-9)
 	}
 	b.ReportMetric(spread, "edge1-IQR/cloud10-IQR")
@@ -114,7 +117,10 @@ func BenchmarkFig6LatencyDistributions(b *testing.B) {
 func BenchmarkFig7CutoffUtilization(b *testing.B) {
 	var nearest, farthest float64
 	for i := 0; i < b.N; i++ {
-		points := experiments.RunFig7(120, 11)
+		points, err := experiments.RunFig7(120, 11)
+		if err != nil {
+			b.Fatal(err)
+		}
 		nearest = points[0].MeanCutoff
 		farthest = points[len(points)-1].MeanCutoff
 	}
@@ -141,7 +147,10 @@ func BenchmarkFig9AzureReplayTimeline(b *testing.B) {
 	spec.Minutes = 8
 	var edgeOverCloud float64
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunAzureReplay(spec, 1.0, 7)
+		res, err := experiments.RunAzureReplay(spec, 1.0, 7)
+		if err != nil {
+			b.Fatal(err)
+		}
 		edgeOverCloud = res.EdgeResult.MeanLatency() / res.CloudResult.MeanLatency()
 	}
 	b.ReportMetric(edgeOverCloud, "edge-mean/cloud-mean")
@@ -154,7 +163,10 @@ func BenchmarkFig10PerSiteBoxplot(b *testing.B) {
 	spec.Minutes = 8
 	var worstOverBest float64
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunAzureReplay(spec, 1.0, 7)
+		res, err := experiments.RunAzureReplay(spec, 1.0, 7)
+		if err != nil {
+			b.Fatal(err)
+		}
 		best, worst := res.EdgeBoxes[0].Median, res.EdgeBoxes[0].Median
 		for _, bx := range res.EdgeBoxes {
 			if bx.Median < best {
@@ -238,11 +250,10 @@ func benchOverflow(sites, servers, cloudServers, threshold int, sc netem.Scenari
 	}
 }
 
-// replayTrace runs tr through topo with digests sized to the trace,
-// failing the benchmark on error.
+// replayTrace runs tr through topo (Run sizes its digests to the
+// trace), failing the benchmark on error.
 func replayTrace(b *testing.B, tr *cluster.WorkloadTrace, topo cluster.Topology, opts cluster.Options) *cluster.TopologyResult {
 	b.Helper()
-	opts.SizeHint = tr.Len()
 	res, err := cluster.Run(tr.Source(), topo, opts)
 	if err != nil {
 		b.Fatal(err)
@@ -320,7 +331,10 @@ func BenchmarkAblationServiceCoV(b *testing.B) {
 				cfg := experiments.DefaultSweepConfig()
 				cfg.Duration = benchDuration
 				cfg.Model = app.NewInferenceModelWith(1.0/13, scv)
-				res := experiments.RunSweep(cfg)
+				res, err := experiments.RunSweep(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
 				if r, _, ok := res.Crossover(experiments.Mean); ok {
 					cross = r
 				} else {

@@ -351,7 +351,7 @@ func main() {
 	// the baseline edge keeps per-site latency for the site table.
 	variant := func(name string, seed int64, perSiteLatency bool, tiers ...cluster.Tier) cluster.Variant {
 		return cluster.Variant{Label: name, Topology: cluster.Topology{Name: name, Tiers: tiers},
-			Opts: cluster.Options{Warmup: *warmup, Seed: seed, Summary: mode, SizeHint: tr.Len(),
+			Opts: cluster.Options{Warmup: *warmup, Seed: seed, Summary: mode,
 				NoPerSiteLatency: !perSiteLatency}}
 	}
 	edgeTier := cluster.Tier{
@@ -712,7 +712,6 @@ func runTopology(topo cluster.Topology, stream bool, in workloadInput, sh shardC
 		res, err = cluster.Run(opts.GenSource(genSpec(genSites, perSite, rate, duration, arrivalSCV, seed, model)), topo, opts)
 	default:
 		tr = generate(genSpec(genSites, perSite, rate, duration, arrivalSCV, seed, model), gw)
-		opts.SizeHint = tr.Len()
 		res, err = cluster.Run(tr.Source(), topo, opts)
 	}
 	if err != nil {

@@ -572,7 +572,11 @@ func gridSurface(duration float64, seed int64, csvDir string) {
 
 // fig6 renders the latency distributions at 10 req/server/s (Figure 6).
 func fig6(duration float64, seed int64) {
-	scenarios := experiments.RunFig6(duration, seed)
+	scenarios, err := experiments.RunFig6(duration, seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "figures:", err)
+		os.Exit(1)
+	}
 	var strip []asciiplot.Box
 	var rows [][]interface{}
 	for _, s := range scenarios {
@@ -593,7 +597,11 @@ func fig6(duration float64, seed int64) {
 
 // fig7 renders cutoff utilizations against cloud RTT (Figure 7).
 func fig7(duration float64, seed int64) {
-	points := experiments.RunFig7(duration, seed)
+	points, err := experiments.RunFig7(duration, seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "figures:", err)
+		os.Exit(1)
+	}
 	var rows [][]interface{}
 	for _, p := range points {
 		meanPct := p.MeanCutoff * 100
@@ -643,7 +651,11 @@ func fig8(seed int64, csvDir string) {
 func fig910(seed int64, timeline bool) {
 	spec := trace.DefaultAzureSpec()
 	spec.Seed = seed
-	res := experiments.RunAzureReplay(spec, 1.0, seed)
+	res, err := experiments.RunAzureReplay(spec, 1.0, seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "figures:", err)
+		os.Exit(1)
+	}
 	if timeline {
 		var edge, cloud asciiplot.Series
 		edge.Name, cloud.Name = "Edge servers", "Cloud servers"

@@ -183,7 +183,10 @@ func TestPublicAPIMitigations(t *testing.T) {
 	// Timeline tooling over a replay.
 	spec := edgebench.DefaultAzureSpec()
 	spec.Minutes = 5
-	res := edgebench.RunAzureReplay(spec, 1.0, 7)
+	res, err := edgebench.RunAzureReplay(spec, 1.0, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	frac, _ := edgebench.InversionFraction(res.EdgeTimeline, res.CloudTimeline)
 	if frac < 0 || frac > 1 {
 		t.Errorf("inversion fraction %v outside [0,1]", frac)

@@ -13,7 +13,10 @@ import (
 
 func main() {
 	spec := edgebench.DefaultAzureSpec()
-	res := edgebench.RunAzureReplay(spec, 1.0, 7)
+	res, err := edgebench.RunAzureReplay(spec, 1.0, 7)
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Println("Per-site workload (requests/minute), synthetic Azure trace:")
 	for i, s := range res.Series {

@@ -50,7 +50,7 @@ func main() {
 	}
 
 	opts := func(seed int64) edgebench.TopologyOptions {
-		return edgebench.TopologyOptions{Warmup: 60, Seed: seed, SizeHint: tr.Len()}
+		return edgebench.TopologyOptions{Warmup: 60, Seed: seed}
 	}
 	runs, err := edgebench.RunBroadcast(tr.Source(), []edgebench.Variant{
 		{Label: "edge", Opts: opts(41), Topology: edgebench.Topology{Name: "edge", Tiers: []edgebench.Tier{

@@ -56,6 +56,7 @@ type broadcastSub struct {
 	buf []RequestRecord
 	bi  int
 	err func() error
+	n   int // the producer source's record count, when it knows it
 }
 
 func (s *broadcastSub) Next() (RequestRecord, bool) {
@@ -73,6 +74,8 @@ func (s *broadcastSub) Next() (RequestRecord, bool) {
 }
 
 func (s *broadcastSub) Err() error { return s.err() }
+
+func (s *broadcastSub) size() int { return s.n }
 
 // RunBroadcast replays src through every variant concurrently, pulling
 // the source exactly once. Results are positional (results[i] is
@@ -94,6 +97,7 @@ func RunBroadcast(src Source, variants []Variant, ring int) ([]*TopologyResult, 
 		ring = defaultBroadcastRing
 	}
 	fan := merge.NewFan[RequestRecord](len(variants), ring)
+	n := sizeOf(src)
 
 	// Producer: one pass over src, batched into the fan. The error (if
 	// any) is stored before CloseProducer, so a subscriber that has
@@ -141,7 +145,7 @@ func RunBroadcast(src Source, variants []Variant, ring int) ([]*TopologyResult, 
 		go func(i int) {
 			defer wg.Done()
 			defer fan.Cancel(i)
-			sub := &broadcastSub{fan: fan, i: i, err: producerErr}
+			sub := &broadcastSub{fan: fan, i: i, err: producerErr, n: n}
 			results[i], errs[i] = Run(sub, variants[i].Topology, variants[i].Opts)
 		}(i)
 	}

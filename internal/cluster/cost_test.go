@@ -24,7 +24,7 @@ func TestCostOverlayStaticTiers(t *testing.T) {
 		Spills: []SpillEdge{{From: "edge", To: "cloud", Threshold: 3}},
 	}
 	res, err := Run(tr.Source(), topo, Options{
-		Seed: 5, SizeHint: tr.Len(), Pricing: &pricing,
+		Seed: 5, Pricing: &pricing,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestCostOverlayTierPriceOverride(t *testing.T) {
 	topo := Topology{Tiers: []Tier{
 		{Name: "edge", Sites: 5, ServersPerSite: 1, Path: edgePath(), PricePerServerHour: 1.25},
 	}}
-	res, err := Run(tr.Source(), topo, Options{Seed: 5, SizeHint: tr.Len()})
+	res, err := Run(tr.Source(), topo, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestCostOverlayScaledTier(t *testing.T) {
 			UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 6}),
 	}}}
 	pricing := econ.DefaultPricing()
-	res, err := Run(tr.Source(), topo, Options{Seed: 7, SizeHint: tr.Len(), Pricing: &pricing})
+	res, err := Run(tr.Source(), topo, Options{Seed: 7, Pricing: &pricing})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestCostOverlayPredictiveDiffersFromReactive(t *testing.T) {
 		topo := Topology{Tiers: []Tier{{
 			Name: "edge", Sites: 5, ServersPerSite: 1, Path: edgePath(), Scaler: &spec,
 		}}}
-		res, err := Run(tr.Source(), topo, Options{Seed: 7, SizeHint: tr.Len()})
+		res, err := Run(tr.Source(), topo, Options{Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}

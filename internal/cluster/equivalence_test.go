@@ -114,11 +114,10 @@ type overflowOracle struct {
 	CloudOnly   stats.Digest
 }
 
-// replay runs tr through topo with SizeHint at the trace length, as
-// the seed runners sized their digests, failing the test on error.
+// replay runs tr through topo (Run sizes its digests to the trace
+// length, as the seed runners did), failing the test on error.
 func replay(t testing.TB, tr *WorkloadTrace, topo Topology, opts Options) *TopologyResult {
 	t.Helper()
-	opts.SizeHint = tr.Len()
 	res, err := Run(tr.Source(), topo, opts)
 	if err != nil {
 		t.Fatal(err)

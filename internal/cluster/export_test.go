@@ -9,6 +9,8 @@ var (
 	// RunPipelinedRing is RunPipelined with an explicit per-shard ring
 	// capacity, for backpressure and memory-bound tests.
 	RunPipelinedRing = runPipelined
+	// WaitGoroutines fails a test whose run left goroutines behind.
+	WaitGoroutines = waitGoroutines
 )
 
 // BoundaryRing is the ring capacity RunPipelined uses.

@@ -235,9 +235,8 @@ func phase2Partitions(topo Topology, plan shardPlan) (parts [][]int, compOf []in
 // to reach them.
 func runPhase2Pump(b *p2build, feed <-chan []p2rec, free chan<- []p2rec, total *uint64, gauge *backlogGauge) {
 	var (
-		buf     []p2rec
-		bi      int
-		drained bool
+		buf []p2rec
+		bi  int
 	)
 	next := func() (p2rec, bool) {
 		if bi < len(buf) {
@@ -260,18 +259,9 @@ func runPhase2Pump(b *p2build, feed <-chan []p2rec, free chan<- []p2rec, total *
 		bi = 1
 		return buf[0], true
 	}
-	stopAll := func() {
-		// total is written by the merger before it closes the feed, and
-		// drained only turns true after the close is observed.
-		if drained && b.sink.consumed == *total {
-			for _, c := range b.ctrls {
-				c.Stop()
-			}
-		}
-	}
-	if len(b.ctrls) > 0 {
-		b.sink.pre = stopAll
-	}
+	// total is written by the merger before it closes the feed, and the
+	// sink only reads it once drain observes the close.
+	b.sink.emitted = total
 	var cur p2rec
 	var pump sim.Event
 	pump = func(e *sim.Engine) {
@@ -294,8 +284,7 @@ func runPhase2Pump(b *p2build, feed <-chan []p2rec, free chan<- []p2rec, total *
 			cur = nxt
 			e.AtFront(cur.rec.at, pump)
 		} else {
-			drained = true
-			stopAll()
+			b.sink.drain()
 		}
 	}
 	// Arm before Run: with controllers ticking, the engine must not
@@ -304,13 +293,10 @@ func runPhase2Pump(b *p2build, feed <-chan []p2rec, free chan<- []p2rec, total *
 		cur = first
 		b.eng.AtFront(cur.rec.at, pump)
 	} else {
-		drained = true
-		stopAll()
+		b.sink.drain()
 	}
 	b.eng.Run()
-	for _, c := range b.ctrls {
-		c.Stop()
-	}
+	b.sink.stopScalers()
 }
 
 // RunPipelined replays the source through the topology on `shards`
@@ -327,7 +313,10 @@ func runPhase2Pump(b *p2build, feed <-chan []p2rec, free chan<- []p2rec, total *
 // Options.TimelineBin and Options.Probe are rejected: both observe
 // global event order, which sharding does not preserve.
 // Options.BacklogProbe, when set, receives the run's peak resident
-// boundary-record count.
+// boundary-record count. Exact-mode aggregate digests are pre-sized
+// when the source knows its length (TraceShards). A shard whose source
+// yields a site outside its range or goes back in time stops, and the
+// run returns that error once every goroutine has exited.
 func RunPipelined(src ShardedSource, topo Topology, opts Options, shards int) (*TopologyResult, error) {
 	return runPipelined(src, topo, opts, shards, boundaryRing)
 }

@@ -46,14 +46,10 @@ func (r *Result) P95Latency() float64 { return r.EndToEnd.P95() }
 // model; sizeHint pre-allocates exact samples to the trace length so
 // retained-mode replays do not regrow from nil.
 func newResult(label string, mode stats.Mode, sizeHint int) *Result {
-	hint := 0
-	if mode == stats.Exact {
-		hint = sizeHint
-	}
 	return &Result{
 		Label:    label,
-		EndToEnd: stats.NewDigest(mode, hint),
-		Wait:     stats.NewDigest(mode, hint),
+		EndToEnd: stats.NewDigest(mode, sizeHint),
+		Wait:     stats.NewDigest(mode, sizeHint),
 	}
 }
 
@@ -95,6 +91,7 @@ type feeder struct {
 	pending RequestRecord
 	nextID  uint64
 	count   uint64 // records emitted so far
+	err     error  // a time regression in src; the engine stops on it
 }
 
 // start pulls the first record and arms the pump. Call before eng.Run.
@@ -127,7 +124,10 @@ func (f *feeder) emit(e *sim.Engine) {
 	}
 	if nxt, ok := f.src.Next(); ok {
 		if nxt.Time < rec.Time {
-			panic(fmt.Sprintf("cluster: Source yielded time %v after %v", nxt.Time, rec.Time))
+			// The engine halts after this event; the caller reports err.
+			f.err = fmt.Errorf("cluster: source yielded time %v after %v", nxt.Time, rec.Time)
+			e.Stop()
+			return
 		}
 		f.pending = nxt
 		e.AtFront(nxt.Time, f.pump)

@@ -5,10 +5,6 @@ import (
 	"math/rand"
 	"runtime"
 
-	"repro/internal/admit"
-	"repro/internal/autoscale"
-	"repro/internal/econ"
-	"repro/internal/lb"
 	"repro/internal/queue"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -33,10 +29,16 @@ import (
 // Because phase-1 dynamics are site-local and the boundary sequence is
 // canonical, the result is bit-identical for every shard count: the
 // shard-determinism suite asserts -shards N == -shards 1 across the
-// presets, sources, seeds and summary modes. (The sharded path defines
+// presets, sources, seeds and summary modes. The sharded path defines
 // its own canonical stream discipline — per-site network streams rather
-// than Run's single generation-order stream — so its numbers are a
-// deterministic function of the seed but need not equal Run's.)
+// than Run's single generation-order stream — so its numbers need not
+// equal Run's wherever a client path, detour or dispatcher draws
+// randomness. Where none does (constant client paths, fixed spill
+// detours, central-queue shared tiers, site-pinned classes) both
+// engines replay the same events through the same tier builder, router,
+// sink and harvest, and agree on every counter, duration, utilization
+// and quantile, with means equal up to summation order:
+// TestSerialMatchesShardedOnDeterministicPaths is that oracle.
 //
 // RunPipelined (pipeline.go) runs the two phases concurrently: boundary
 // records stream through watermarked bounded rings, so phase 2 starts
@@ -66,8 +68,6 @@ type shardPlan struct {
 	shared   []int // shared tier indices, declaration order
 	sites    int   // home site count (0 when no home tiers)
 }
-
-func (p *shardPlan) isShared(ti int) bool { return p.homeSlot[ti] < 0 }
 
 func planShards(topo Topology) (shardPlan, error) {
 	plan := shardPlan{homeSlot: make([]int, len(topo.Tiers))}
@@ -144,15 +144,6 @@ type boundaryPublisher interface {
 	finish()
 }
 
-// homeSpill is one home tier's outgoing spill edge, pre-resolved.
-type homeSpill struct {
-	spec     SpillEdge
-	to       int
-	toShared bool
-	toSlow   float64
-	atGen    bool // entry-tier edge: detour pre-sampled into AuxRTT
-}
-
 // shardState is one phase-1 shard's working set and harvest. It doubles
 // as the shard's queue.Sink: every completion in phase 1 happens at a
 // home tier of this shard.
@@ -161,8 +152,8 @@ type shardState struct {
 	warmup float64
 	slot   []int // tier index -> home slot (shared shardPlan.homeSlot)
 
-	stations [][]*queue.Station // per home slot, per local site
-	siteSeq  []uint64           // per local site: boundary capture counter
+	tiers   []*tierRuntime // per tier index: home tiers' site ranges, nil for shared tiers
+	siteSeq []uint64       // per local site: boundary capture counter
 
 	offered  uint64
 	consumed uint64
@@ -220,8 +211,13 @@ func (st *shardState) Consume(e *sim.Engine, r *queue.Request) {
 // runShardPhase1 replays one shard's sites through the home tiers,
 // streaming boundary crossings into pub. All randomness draws from the
 // per-site streams in netSeeds, so a site behaves identically no matter
-// which shard holds it.
+// which shard holds it. A failure — a tier that will not build, a
+// record outside the shard's sites, a source that goes back in time or
+// fails to decode — stops the shard and lands in st.err; pub.finish
+// runs on every path, so the ring always closes and the merger cannot
+// stall.
 func runShardPhase1(topo Topology, plan shardPlan, st *shardState, src Source, opts Options, netSeeds []int64, pub boundaryPublisher) {
+	defer pub.finish()
 	eng := sim.NewEngineBackend(opts.Seed, opts.backend)
 	st.eng = eng
 	pool := &queue.FreeList{}
@@ -251,86 +247,37 @@ func runShardPhase1(topo Topology, plan shardPlan, st *shardState, src Source, o
 	st.siteSeq = make([]uint64, width)
 	st.perSite = newDigests(opts.Summary, width)
 	st.tierSite = make([][]stats.Digest, len(plan.home))
-	st.stations = make([][]*queue.Station, len(plan.home))
+	st.tiers = make([]*tierRuntime, len(topo.Tiers))
 	for slot, ti := range plan.home {
-		t := topo.Tiers[ti]
-		st.tierSite[slot] = newDigests(opts.Summary, width)
-		st.stations[slot] = make([]*queue.Station, width)
-		for ls := 0; ls < width; ls++ {
-			gs := st.lo + ls
-			c := t.ServersPerSite
-			if t.PerSiteServers != nil {
-				c = t.PerSiteServers[gs]
-			}
-			st.stations[slot][ls] = newStation(eng, fmt.Sprintf("%s-%d", t.Name, gs),
-				c, t.Discipline, t.QueueCap, opts.Warmup, opts.Summary, pool)
+		// Admission buckets are the shard's local sites: token-bucket
+		// state is per-site, so a local-site key observes exactly the
+		// sequence the serial policy's global-site bucket would —
+		// admission is partition-independent.
+		rt, err := buildTier(eng, topo.Tiers[ti], st.lo, st.hi, opts, pool, nil)
+		if err != nil {
+			st.err = err
+			return
 		}
+		st.tiers[ti] = rt
+		st.tierSite[slot] = newDigests(opts.Summary, width)
 	}
+	// Spill edges out of home tiers. planShards rejected sampled detours
+	// on every home edge but the entry tier's, whose detour the router
+	// draws at generation time, so no edge here needs a stream.
+	attachSpills(topo, st.tiers, nil)
 
 	netRng := make([]*rand.Rand, width)
 	for ls := range netRng {
 		netRng[ls] = rand.New(rand.NewSource(netSeeds[st.lo+ls]))
 	}
 
-	// Resolve spill edges out of home tiers. The entry tier's sampled
-	// detour is drawn at generation time in per-site record order and
-	// rides in AuxRTT, mirroring Run's generation-time draw.
-	spills := make([]*homeSpill, len(plan.home))
-	var genSpill *SpillEdge
-	for i, sp := range topo.Spills {
-		from, to := topo.tierIndex(sp.From), topo.tierIndex(sp.To)
-		if sp.DetourPath != nil && from == 0 {
-			genSpill = &topo.Spills[i]
-		}
-		if plan.homeSlot[from] < 0 {
-			continue
-		}
-		spills[plan.homeSlot[from]] = &homeSpill{
-			spec:     sp,
-			to:       to,
-			toShared: plan.isShared(to),
-			toSlow:   topo.Tiers[to].SlowdownFactor,
-			atGen:    sp.DetourPath != nil && from == 0,
-		}
-	}
-
-	// Admission policies for the home tiers, one per slot. Buckets are
-	// the shard's local sites: token-bucket state is per-site, so a
-	// local-site key observes exactly the sequence the serial policy's
-	// global-site bucket would — admission is partition-independent.
-	adms := make([]admit.Policy, len(plan.home))
-	for slot, ti := range plan.home {
-		if sp := topo.Tiers[ti].Admission; sp != nil {
-			a, err := admit.New(*sp, width)
-			if err != nil {
-				panic(fmt.Sprintf("cluster: tier %q admission passed Validate but not New: %v",
-					topo.Tiers[ti].Name, err))
-			}
-			adms[slot] = a
-		}
-	}
-
-	// Site-pinned classes only: planShards rejected Bernoulli fractions,
-	// so classification is deterministic per record. Returns the entry
-	// tier and the class rank (matched rule index, or the rule count for
-	// unclassified traffic).
-	classify := func(rec RequestRecord) (int, int) {
-		for ci, c := range topo.Classes {
-			if c.Sites != nil && !containsInt(c.Sites, rec.Site) {
-				continue
-			}
-			return topo.tierIndex(c.Tier), ci
-		}
-		return 0, len(topo.Classes)
-	}
-
-	capture := func(at float64, req *queue.Request, target int, service float64) {
+	capture := func(at float64, req *queue.Request, target int) {
 		ls := req.Site - st.lo
 		pub.capture(boundaryRec{
 			at:        at,
 			site:      req.Site,
 			seq:       st.siteSeq[ls],
-			service:   service,
+			service:   req.ServiceTime,
 			rtt:       req.NetworkRTT,
 			aux:       req.AuxRTT,
 			generated: req.Generated,
@@ -345,20 +292,21 @@ func runShardPhase1(topo Topology, plan shardPlan, st *shardState, src Source, o
 	admitEv = func(e *sim.Engine, p any) {
 		req := p.(*queue.Request)
 		ti := int(req.Tag)
-		if plan.isShared(ti) {
+		rt := st.tiers[ti]
+		if rt == nil {
 			// Class-pinned straight into the shared phase; ServiceTime is
 			// already scaled to the target tier by prep. The shared tier's
 			// admission policy runs in phase 2, where it observes the
 			// canonical merged order — exactly what the serial run sees.
-			capture(e.Now(), req, ti, req.ServiceTime)
+			capture(e.Now(), req, ti)
 			return
 		}
 		slot := plan.homeSlot[ti]
 		ls := req.Site - st.lo
+		stn := rt.stations[ls]
 		// Admission before the spill check, mirroring topoExec.admit: a
 		// refused request is rejected outright, never spilled.
-		if a := adms[slot]; a != nil &&
-			!a.Admit(e.Now(), ls, st.stations[slot][ls].QueueLength(), req.Class) {
+		if a := rt.adm; a != nil && !a.Admit(e.Now(), ls, stn.QueueLength(), req.Class) {
 			st.rejected[slot]++
 			if st.classRejected != nil {
 				st.classRejected[slot][req.Class]++
@@ -369,136 +317,69 @@ func runShardPhase1(topo Topology, plan shardPlan, st *shardState, src Source, o
 			pool.Put(req)
 			return
 		}
-		if hs := spills[slot]; hs != nil && st.stations[slot][ls].Load() >= hs.spec.Threshold {
+		if sp := rt.spill; sp != nil && stn.Load() >= sp.spec.Threshold {
 			st.spilled[slot]++
-			slow := topo.Tiers[ti].SlowdownFactor
-			extra := hs.spec.DetourRTT
-			if hs.atGen {
+			extra := sp.spec.DetourRTT
+			if sp.atGen {
 				extra += req.AuxRTT
 			}
-			if hs.toShared {
-				service := req.ServiceTime
-				if hs.toSlow != slow {
-					service = service / slow * hs.toSlow
-				}
-				req.NetworkRTT += extra
-				capture(e.Now()+extra/2, req, hs.to, service)
+			req.NetworkRTT += extra
+			if toSlow := topo.Tiers[sp.to].SlowdownFactor; toSlow != rt.slow {
+				req.ServiceTime = req.ServiceTime / rt.slow * toSlow
+			}
+			if st.tiers[sp.to] == nil {
+				capture(e.Now()+extra/2, req, sp.to)
 				return
 			}
-			if hs.toSlow != slow {
-				req.ServiceTime = req.ServiceTime / slow * hs.toSlow
-			}
-			req.Tag = uint64(hs.to)
-			req.NetworkRTT += extra
+			req.Tag = uint64(sp.to)
 			e.AfterPayload(extra/2, admitEv, req)
 			return
 		}
-		st.stations[slot][ls].Arrive(req)
+		stn.Arrive(req)
 	}
 
+	// Site-pinned classes only: planShards rejected Bernoulli fractions,
+	// so the router never draws a class stream here.
+	route := newRouter(topo, nil)
 	f := &feeder{
 		src:  src,
 		pool: pool,
 		sink: st,
 		prep: func(rec RequestRecord, req *queue.Request) {
-			if rec.Site < st.lo || rec.Site >= st.hi {
-				panic(fmt.Sprintf("cluster: sharded source yielded site %d outside shard [%d,%d)",
-					rec.Site, st.lo, st.hi))
+			ls := rec.Site - st.lo
+			if uint(ls) >= uint(width) {
+				// The engine halts after this event, before the
+				// request's arrival can fire.
+				st.err = fmt.Errorf("cluster: sharded source yielded site %d outside shard [%d,%d)",
+					rec.Site, st.lo, st.hi)
+				eng.Stop()
+				return
 			}
 			// The shard clock sits at rec.Time: every boundary capture
 			// from here on carries at >= rec.Time, which is what lets the
 			// publisher release and watermark.
 			pub.advance(rec.Time)
-			entry, class := 0, 0
-			if len(topo.Classes) > 0 {
-				entry, class = classify(rec)
-			}
-			et := topo.Tiers[entry]
-			path := et.Path
-			if et.PerSitePaths != nil {
-				path = et.PerSitePaths[rec.Site]
-			}
-			rng := netRng[rec.Site-st.lo]
-			req.NetworkRTT = path.Sample(rng)
-			if genSpill != nil {
-				// Drawn for every record in per-site record order, so the
-				// sequence is independent of routing decisions and of the
-				// shard partition.
-				req.AuxRTT = genSpill.DetourPath.Sample(rng)
-			}
-			req.ServiceTime = rec.ServiceTime * et.SlowdownFactor
-			req.Tag = uint64(entry)
-			req.Class = class
+			route.prep(rec, req, netRng[ls])
 		},
 		admit: admitEv,
 	}
 	f.start(eng)
 	eng.Run()
 	st.offered = f.count
-	if fs, ok := src.(FallibleSource); ok {
+	if st.err == nil {
+		st.err = f.err
+	}
+	if fs, ok := src.(FallibleSource); ok && st.err == nil {
 		if err := fs.Err(); err != nil {
 			st.err = fmt.Errorf("cluster: shard [%d,%d) source failed after %d records: %w",
 				st.lo, st.hi, f.count, err)
 		}
 	}
-	// Flush the tail captures. Runs on the error path too, so the ring
-	// always closes and the merger cannot stall.
-	pub.finish()
 }
 
-// phase2Sink records completions at the shared tiers. Counters are
-// sink-local so parallel phase-2 partitions never share a scalar;
-// per-tier and per-site writes land in partition-exclusive slice
-// elements. finishSharded folds the locals into the result.
-type phase2Sink struct {
-	tiers     []TierResult // the result's tier table (shared, disjoint tags)
-	warmup    float64
-	perSite   []stats.Digest // per global site, shared-phase e2e (disjoint sites)
-	consumed  uint64
-	completed uint64
-	dropped   uint64
-	pre       func() // runs for every consumed request (autoscale drain)
-}
-
-// Consume implements queue.Sink.
-func (s *phase2Sink) Consume(e *sim.Engine, r *queue.Request) {
-	s.consumed++
-	if s.pre != nil {
-		s.pre()
-	}
-	if r.Rejected {
-		// Already counted at the rejection instant (topoExec.reject);
-		// only the conservation counter above sees it here.
-		return
-	}
-	if r.Departure < s.warmup {
-		return
-	}
-	tier := &s.tiers[r.Tag]
-	if r.Dropped {
-		s.dropped++
-		tier.Dropped++
-		if tier.Classes != nil {
-			tier.Classes[r.Class].Dropped++
-		}
-		return
-	}
-	e2e := r.EndToEnd()
-	if r.Site >= 0 && r.Site < len(s.perSite) {
-		s.perSite[r.Site].Add(e2e)
-	}
-	s.completed++
-	tier.Served++
-	tier.EndToEnd.Add(e2e)
-	if tier.Classes != nil {
-		c := &tier.Classes[r.Class]
-		c.Served++
-		c.EndToEnd.Add(e2e)
-	}
-}
-
-// shardRun is one sharded run's shared state: the validated plan, the partition-independent seed derivation, the shard
-// site ranges and the result skeleton.
+// shardRun is one sharded run's shared state: the validated plan, the
+// partition-independent seed derivation, the shard site ranges and the
+// result skeleton.
 type shardRun struct {
 	topo       Topology
 	plan       shardPlan
@@ -517,8 +398,8 @@ type shardRun struct {
 // site order, then one more seeds the phase-2 engine. The derivation
 // never reads the shard count.
 func newShardRun(src ShardedSource, topo Topology, opts Options, shards int) (*shardRun, error) {
-	topo = topo.normalized()
-	if err := topo.Validate(); err != nil {
+	topo, err := prepareRun(topo, opts)
+	if err != nil {
 		return nil, err
 	}
 	plan, err := planShards(topo)
@@ -530,11 +411,6 @@ func newShardRun(src ShardedSource, topo Topology, opts Options, shards int) (*s
 	}
 	if opts.Probe != nil {
 		return nil, fmt.Errorf("cluster: sharded replay does not support Options.Probe; use Run")
-	}
-	if opts.Pricing != nil {
-		if err := opts.Pricing.Check(); err != nil {
-			return nil, fmt.Errorf("cluster: Options.Pricing: %w", err)
-		}
 	}
 	sites := src.Sites()
 	if sites <= 0 {
@@ -569,17 +445,6 @@ func newShardRun(src ShardedSource, topo Topology, opts Options, shards int) (*s
 		lo += width
 	}
 
-	// Result skeleton; phase 2 writes its tier counters directly.
-	res := &TopologyResult{Result: *newResult(topo.Name, opts.Summary, opts.SizeHint)}
-	res.Tiers = make([]TierResult, len(topo.Tiers))
-	names := classNamesOf(topo)
-	for i := range res.Tiers {
-		res.Tiers[i].Name = topo.Tiers[i].Name
-		res.Tiers[i].EndToEnd = stats.NewDigest(opts.Summary, 0)
-		res.Tiers[i].Wait = stats.NewDigest(opts.Summary, 0)
-		res.Tiers[i].Classes = newClassResults(names, opts.Summary)
-	}
-
 	return &shardRun{
 		topo:       topo,
 		plan:       plan,
@@ -589,7 +454,8 @@ func newShardRun(src ShardedSource, topo Topology, opts Options, shards int) (*s
 		netSeeds:   netSeeds,
 		phase2Seed: phase2Seed,
 		states:     states,
-		res:        res,
+		// Phase 2 writes its tier counters directly.
+		res: newTopologyResult(topo, opts, sizeOf(src)),
 	}, nil
 }
 
@@ -626,108 +492,41 @@ func deriveP2Streams(topo Topology, plan shardPlan, phase2Seed int64) p2streams 
 }
 
 // p2build is one phase-2 engine's constructed world: the runtimes for
-// its subset of the shared tiers, its request pool, sink and
-// controllers. RunPipelined builds one per independent partition of the
-// shared tiers.
+// its subset of the shared tiers, its request pool and its sink (which
+// holds the controllers). RunPipelined builds one per independent
+// partition of the shared tiers.
 type p2build struct {
-	eng   *sim.Engine
-	x     *topoExec
-	pool  *queue.FreeList
-	sink  *phase2Sink
-	ctrls []autoscale.Scaler
+	eng  *sim.Engine
+	x    *topoExec
+	pool *queue.FreeList
+	sink *sink
 }
 
 // buildPhase2 constructs the given shared tiers on a fresh engine,
-// following Run's stream discipline scoped to the shared tiers: each
-// tier's dispatcher stream in tier order, then lazy spill streams in
-// spill order (all pinned by streams); controllers construct-then-Start
-// in tier order.
+// following Run's construction scoped to the shared tiers, with every
+// stream seed pinned by streams.
 func buildPhase2(r *shardRun, tiers []int, streams p2streams) (*p2build, error) {
 	topo, opts := r.topo, r.opts
 	eng := sim.NewEngineBackend(r.phase2Seed, opts.backend)
 	pool := &queue.FreeList{}
-	x := &topoExec{eng: eng, tiers: make([]*tierRuntime, len(topo.Tiers)), res: r.res, pool: pool}
+	x := newTopoExec(eng, pool, r.res)
 	for _, ti := range tiers {
 		t := topo.Tiers[ti]
-		rt := &tierRuntime{
-			spec:    t,
-			central: t.Dispatch == CentralQueueDispatch,
-			slow:    t.SlowdownFactor,
-		}
-		if t.Admission != nil {
-			a, err := admit.New(*t.Admission, admitBuckets(t))
-			if err != nil {
-				return nil, fmt.Errorf("cluster: tier %q admission: %w", t.Name, err)
-			}
-			rt.adm = a
-		}
-		rt.stations = make([]*queue.Station, t.Sites)
-		rt.servers = make([]queue.Server, t.Sites)
-		for i := range rt.stations {
-			c := t.ServersPerSite
-			if t.PerSiteServers != nil {
-				c = t.PerSiteServers[i]
-			}
-			name := fmt.Sprintf("%s-%d", t.Name, i)
-			if rt.central && t.Sites == 1 {
-				name = t.Name
-			}
-			rt.stations[i] = newStation(eng, name, c, t.Discipline,
-				t.QueueCap, opts.Warmup, opts.Summary, pool)
-			rt.servers[i] = rt.stations[i]
-		}
-		// Jockeying is home-routed-only (Validate), and jockeying home
-		// tiers are unshardable, so shared tiers never need lb.Geographic.
-		if !rt.central {
-			d, err := lb.New(t.Dispatch, rt.servers, rand.New(rand.NewSource(streams.disp[ti])))
-			if err != nil {
-				return nil, fmt.Errorf("cluster: tier %q: %w", t.Name, err)
-			}
-			rt.dispatcher = d
+		seed := streams.disp[ti]
+		rt, err := buildTier(eng, t, 0, t.Sites, opts, pool,
+			func() *rand.Rand { return rand.New(rand.NewSource(seed)) })
+		if err != nil {
+			return nil, err
 		}
 		x.tiers[ti] = rt
 	}
-	for i, sp := range topo.Spills {
-		from, to := topo.tierIndex(sp.From), topo.tierIndex(sp.To)
-		if r.plan.homeSlot[from] >= 0 {
-			continue // handled inside phase 1
-		}
-		if x.tiers[from] == nil {
-			continue // another partition's edge
-		}
-		rt := &spillRuntime{spec: sp, to: to}
-		if sp.DetourPath != nil {
-			if from == 0 {
-				// The entry tier's detour was pre-sampled by phase 1 and
-				// rides on the boundary record's aux field.
-				rt.atGen = true
-			} else {
-				rt.rng = rand.New(rand.NewSource(streams.spill[i]))
-			}
-		}
-		x.tiers[from].spill = rt
+	attachSpills(topo, x.tiers, func(i int) *rand.Rand { return rand.New(rand.NewSource(streams.spill[i])) })
+	ctrls, err := startScalers(eng, x.tiers)
+	if err != nil {
+		return nil, err
 	}
-	var ctrls []autoscale.Scaler
-	for _, ti := range tiers {
-		rt := x.tiers[ti]
-		if rt.spec.Scaler == nil {
-			continue
-		}
-		s, err := autoscale.New(*rt.spec.Scaler, eng, rt.stations)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: tier %q: %w", rt.spec.Name, err)
-		}
-		s.Start()
-		rt.scaler = s
-		ctrls = append(ctrls, s)
-	}
-
-	sink := &phase2Sink{tiers: r.res.Tiers, warmup: opts.Warmup}
-	x.admitEv = func(e *sim.Engine, p any) {
-		req := p.(*queue.Request)
-		x.admit(int(req.Tag), req)
-	}
-	return &p2build{eng: eng, x: x, pool: pool, sink: sink, ctrls: ctrls}, nil
+	return &p2build{eng: eng, x: x, pool: pool,
+		sink: &sink{tiers: r.res.Tiers, warmup: opts.Warmup, ctrls: ctrls}}, nil
 }
 
 // finishSharded closes every engine at the global end time, harvests
@@ -739,48 +538,47 @@ func buildPhase2(r *shardRun, tiers []int, streams p2streams) (*p2build, error) 
 func finishSharded(r *shardRun, builds []*p2build, perSite []stats.Digest) *TopologyResult {
 	topo, plan, opts, res := r.topo, r.plan, r.opts, r.res
 
-	// Tier index -> its phase-2 runtime, across partitions.
-	sharedRT := make([]*tierRuntime, len(topo.Tiers))
+	// Tier index -> its runtime: each shared tier's phase-2 runtime, and
+	// for each home tier a view of every shard's stations in global
+	// site order.
+	tiers := make([]*tierRuntime, len(topo.Tiers))
 	for _, b := range builds {
 		for ti, rt := range b.x.tiers {
 			if rt != nil {
-				sharedRT[ti] = rt
+				tiers[ti] = rt
 			}
 		}
+	}
+	for _, ti := range plan.home {
+		view := &tierRuntime{spec: topo.Tiers[ti], home: true}
+		for _, st := range r.states {
+			view.stations = append(view.stations, st.tiers[ti].stations...)
+		}
+		tiers[ti] = view
 	}
 
 	// Close every engine at the global end time, so time-weighted
 	// metrics (busy integrals, arrival rates) cover the same window for
 	// every shard count and partition: the max over engines equals the
 	// max over per-site last-event times, which no partition changes.
+	engines := make([]*sim.Engine, 0, len(r.states)+len(builds))
+	for _, st := range r.states {
+		engines = append(engines, st.eng)
+	}
+	for _, b := range builds {
+		engines = append(engines, b.eng)
+	}
 	var globalDur float64
-	for _, b := range builds {
-		if b.eng.Now() > globalDur {
-			globalDur = b.eng.Now()
+	for _, eng := range engines {
+		globalDur = max(globalDur, eng.Now())
+	}
+	for _, eng := range engines {
+		if eng.Now() < globalDur {
+			eng.RunUntil(globalDur)
 		}
 	}
-	for _, st := range r.states {
-		if st.eng.Now() > globalDur {
-			globalDur = st.eng.Now()
-		}
-	}
-	for _, st := range r.states {
-		if st.eng.Now() < globalDur {
-			st.eng.RunUntil(globalDur)
-		}
-		for _, row := range st.stations {
-			for _, s := range row {
-				s.Finish()
-			}
-		}
-	}
-	for _, b := range builds {
-		if b.eng.Now() < globalDur {
-			b.eng.RunUntil(globalDur)
-		}
-	}
-	for _, ti := range plan.shared {
-		for _, s := range sharedRT[ti].stations {
+	for _, rt := range tiers {
+		for _, s := range rt.stations {
 			s.Finish()
 		}
 	}
@@ -808,9 +606,7 @@ func finishSharded(r *shardRun, builds []*p2build, perSite []stats.Digest) *Topo
 		}
 	}
 	for _, b := range builds {
-		res.Consumed += b.sink.consumed
-		res.Completed += b.sink.completed
-		res.Dropped += b.sink.dropped
+		b.sink.fold(res)
 	}
 
 	// Combined per-site end-to-end: home-phase completions then
@@ -850,83 +646,10 @@ func finishSharded(r *shardRun, builds []*p2build, perSite []stats.Digest) *Topo
 		}
 	}
 
-	// Assemble per-tier station metrics in Run's exact order: tiers
-	// outer (declaration order), stations inner (global site order).
-	pricing := econ.DefaultPricing()
-	if opts.Pricing != nil {
-		pricing = *opts.Pricing
+	var siteE2E []stats.Digest
+	if plan.homeSlot[0] >= 0 && !opts.NoPerSiteLatency {
+		siteE2E = combined
 	}
-	entryHome := plan.homeSlot[0] >= 0
-	var busyAll, capAll float64
-	for ti := range topo.Tiers {
-		tr := &res.Tiers[ti]
-		var busy, capacity float64
-		if slot := plan.homeSlot[ti]; slot >= 0 {
-			for _, st := range r.states {
-				for ls, s := range st.stations[slot] {
-					gs := st.lo + ls
-					m := s.Metrics()
-					res.Wait.Merge(&m.Wait)
-					tr.Wait.Merge(&m.Wait)
-					sr := SiteResult{
-						Site:        gs,
-						Wait:        m.Wait,
-						Utilization: m.Utilization(s.Servers),
-						Arrivals:    s.TotalArrivals(),
-						MeanRate:    m.Arrivals.Rate(),
-					}
-					if ti == 0 && entryHome && !opts.NoPerSiteLatency {
-						sr.EndToEnd = combined[gs]
-					}
-					tr.Sites = append(tr.Sites, sr)
-					tr.FinalServers = append(tr.FinalServers, s.Servers)
-					busy += m.Busy.Average()
-					capacity += float64(s.Servers)
-				}
-			}
-		} else {
-			rt := sharedRT[ti]
-			for i, s := range rt.stations {
-				m := s.Metrics()
-				res.Wait.Merge(&m.Wait)
-				tr.Wait.Merge(&m.Wait)
-				tr.Sites = append(tr.Sites, SiteResult{
-					Site:        i,
-					Wait:        m.Wait,
-					Utilization: m.Utilization(s.Servers),
-					Arrivals:    s.TotalArrivals(),
-					MeanRate:    m.Arrivals.Rate(),
-				})
-				tr.FinalServers = append(tr.FinalServers, s.Servers)
-				busy += m.Busy.Average()
-				capacity += float64(s.Servers)
-			}
-		}
-		if capacity > 0 {
-			tr.Utilization = busy / capacity
-		}
-		if rt := sharedRT[ti]; rt != nil && rt.scaler != nil {
-			tel := rt.scaler.Telemetry(res.Duration)
-			tr.ScalerPolicy = rt.spec.Scaler.Label()
-			tr.ScaleUps = tel.ScaleUps
-			tr.ScaleDowns = tel.ScaleDowns
-			tr.PeakServers = tel.PeakServers
-			tr.ServerSeconds = tel.ServerSeconds
-			tr.Events = rt.scaler.EventLog()
-		} else {
-			tr.ServerSeconds = capacity * res.Duration
-		}
-		priceTier(tr, plan.homeSlot[ti] >= 0, topo.Tiers[ti].PricePerServerHour, pricing, res.Duration)
-		res.Rejected += tr.Rejected
-		res.TotalCost += tr.Cost + tr.RejectionCost
-		busyAll += busy
-		capAll += capacity
-	}
-	if capAll > 0 {
-		res.Utilization = busyAll / capAll
-	}
-	if res.Completed > 0 {
-		res.CostPerRequest = res.TotalCost / float64(res.Completed)
-	}
+	harvest(res, tiers, siteE2E, opts.Pricing)
 	return res
 }

@@ -14,7 +14,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/autoscale"
 	"repro/internal/cluster"
@@ -236,15 +235,58 @@ func TestShardedSourceErrorSurfaces(t *testing.T) {
 	if !strings.Contains(err.Error(), "source failed") {
 		t.Fatalf("error does not identify the source failure: %v", err)
 	}
-	// Goroutines that have finished their work may take a moment to be
-	// reaped, so poll briefly before calling any survivor a leak.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	cluster.WaitGoroutines(t, before)
+}
+
+// regressingTrace goes back in time at its third record (site 1's
+// second), in the full sequence and in any shard holding site 1.
+func regressingTrace() *cluster.WorkloadTrace {
+	return &cluster.WorkloadTrace{Sites: 2, Records: []cluster.RequestRecord{
+		{Time: 1, Site: 0, ServiceTime: 0.01},
+		{Time: 2, Site: 1, ServiceTime: 0.01},
+		{Time: 1.5, Site: 1, ServiceTime: 0.01},
+		{Time: 3, Site: 0, ServiceTime: 0.01},
+	}}
+}
+
+// TestSourceTimeRegressionIsAnError: a source that goes back in time
+// fails Run and RunPipelined with an error naming the regression, and
+// the sharded run's goroutines all exit.
+func TestSourceTimeRegressionIsAnError(t *testing.T) {
+	topo := spillTopology(2)
+	opts := cluster.Options{Seed: 1}
+	if _, err := cluster.Run(regressingTrace().Source(), topo, opts); err == nil ||
+		!strings.Contains(err.Error(), "yielded time 1.5 after 2") {
+		t.Fatalf("Run: want a time-regression error, got %v", err)
 	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("%d goroutines after the failed run, %d before: the error path leaks", n, before)
+	before := runtime.NumGoroutine()
+	for _, shards := range []int{1, 2} {
+		_, err := cluster.RunPipelined(cluster.TraceShards(regressingTrace()), topo, opts, shards)
+		if err == nil || !strings.Contains(err.Error(), "yielded time 1.5 after 2") {
+			t.Fatalf("%d shards: want a time-regression error, got %v", shards, err)
+		}
 	}
+	cluster.WaitGoroutines(t, before)
+}
+
+// unfilteredShards breaks the ShardedSource contract: every shard gets
+// the whole trace, whatever its site range.
+type unfilteredShards struct{ tr *cluster.WorkloadTrace }
+
+func (u unfilteredShards) Sites() int                      { return u.tr.Sites }
+func (u unfilteredShards) Shard(lo, hi int) cluster.Source { return u.tr.Source() }
+
+// TestShardedSourceOutsideShardIsAnError: a sharded source that yields
+// a site outside the shard's range fails the run with an error, and
+// every goroutine exits.
+func TestShardedSourceOutsideShardIsAnError(t *testing.T) {
+	tr := cluster.Generate(presetSpec(4, 3))
+	before := runtime.NumGoroutine()
+	_, err := cluster.RunPipelined(unfilteredShards{tr}, spillTopology(4), cluster.Options{Seed: 1}, 2)
+	if err == nil || !strings.Contains(err.Error(), "outside shard") {
+		t.Fatalf("want an outside-shard error, got %v", err)
+	}
+	cluster.WaitGoroutines(t, before)
 }
 
 // TestShardableRejections: every coupling feature is named and

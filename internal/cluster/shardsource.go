@@ -47,6 +47,8 @@ func TraceShards(tr *WorkloadTrace) ShardedSource { return traceShards{tr: tr} }
 
 func (t traceShards) Sites() int { return t.tr.Sites }
 
+func (t traceShards) size() int { return t.tr.Len() }
+
 func (t traceShards) Shard(lo, hi int) Source {
 	return &traceRangeSource{recs: t.tr.Records, lo: lo, hi: hi}
 }

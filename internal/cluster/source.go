@@ -10,8 +10,8 @@ package cluster
 type Source interface {
 	// Next returns the next record, or ok=false when the source is
 	// exhausted. Records must be yielded in nondecreasing Time order;
-	// the runners panic on a time regression. A source that can fail
-	// mid-stream should also implement FallibleSource.
+	// the runners fail with an error on a time regression. A source
+	// that can fail mid-stream should also implement FallibleSource.
 	Next() (RequestRecord, bool)
 }
 
@@ -45,3 +45,5 @@ func (s *sliceSource) Next() (RequestRecord, bool) {
 // Source returns a fresh iterator over the trace. Each call starts at
 // the beginning, so concurrent runs each take their own.
 func (w *WorkloadTrace) Source() Source { return &sliceSource{recs: w.Records} }
+
+func (s *sliceSource) size() int { return len(s.recs) - s.i }

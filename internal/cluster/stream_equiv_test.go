@@ -235,9 +235,9 @@ func TestStreamTopologyEquivalence(t *testing.T) {
 		} {
 			t.Run(name+"/"+tc.label, func(t *testing.T) {
 				topo := spillTopology(mk().Sites)
-				run := func(src cluster.Source, hint int) *cluster.TopologyResult {
+				run := func(src cluster.Source) *cluster.TopologyResult {
 					res, err := cluster.Run(src, topo, cluster.Options{
-						Warmup: tc.warmup, Seed: 5, Summary: tc.mode, SizeHint: hint,
+						Warmup: tc.warmup, Seed: 5, Summary: tc.mode,
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -245,8 +245,8 @@ func TestStreamTopologyEquivalence(t *testing.T) {
 					return res
 				}
 				tr := cluster.Generate(mk())
-				want := run(tr.Source(), tr.Len())
-				got := run(cluster.Stream(mk()), 0)
+				want := run(tr.Source())
+				got := run(cluster.Stream(mk()))
 				if want.Offered == 0 {
 					t.Fatal("no requests offered; test is vacuous")
 				}

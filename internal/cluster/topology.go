@@ -160,8 +160,9 @@ func (tp Topology) normalized() Topology {
 
 // Validate checks the graph's static shape: unique tier names, known
 // dispatch policies, consistent per-site overrides, resolvable and
-// acyclic spill edges (at most one out-edge per tier), and resolvable
-// class rules. Run validates implicitly.
+// acyclic spill edges (at most one out-edge per tier), resolvable
+// class rules, and a client path RTT on every entry tier and per-site
+// path. Run validates implicitly.
 func (tp Topology) Validate() error {
 	if len(tp.Tiers) == 0 {
 		return fmt.Errorf("cluster: topology %q has no tiers", tp.Name)
@@ -194,6 +195,11 @@ func (tp Topology) Validate() error {
 			if len(t.PerSitePaths) != t.Sites {
 				return fmt.Errorf("cluster: tier %q has %d per-site paths for %d sites",
 					t.Name, len(t.PerSitePaths), t.Sites)
+			}
+			for i, p := range t.PerSitePaths {
+				if p.RTT == nil {
+					return fmt.Errorf("cluster: tier %q per-site path %d has no RTT distribution", t.Name, i)
+				}
 			}
 		}
 		if t.JockeyThreshold > 0 && !t.homeRouted() {
@@ -276,6 +282,17 @@ func (tp Topology) Validate() error {
 		// silently pin every eligible request to the class's tier.
 		if math.IsNaN(c.Fraction) || c.Fraction < 0 || c.Fraction > 1 {
 			return fmt.Errorf("cluster: class %q fraction %v outside [0,1]", c.Name, c.Fraction)
+		}
+	}
+	// Entry tiers — the first, and every class target — sample their
+	// client path for each request they take from the source.
+	entries := []Tier{tp.Tiers[0]}
+	for _, c := range tp.Classes {
+		entries = append(entries, tp.Tiers[tp.tierIndex(c.Tier)])
+	}
+	for _, t := range entries {
+		if t.Path.RTT == nil {
+			return fmt.Errorf("cluster: entry tier %q has no client path RTT distribution", t.Name)
 		}
 	}
 	return nil

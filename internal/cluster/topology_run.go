@@ -3,18 +3,23 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/admit"
 	"repro/internal/autoscale"
 	"repro/internal/econ"
 	"repro/internal/lb"
+	"repro/internal/netem"
 	"repro/internal/queue"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
 // Options configures one topology run. The zero value replays with no
-// warmup, seed 0, exact latency summaries and no timeline.
+// warmup, seed 0, exact latency summaries and no timeline. Exact-mode
+// aggregate digests are pre-sized to the trace length whenever the
+// source knows it (WorkloadTrace.Source, TraceShards, and RunBroadcast
+// over such a source), so retained samples do not regrow from nil.
 type Options struct {
 	// Warmup discards measurements for requests departing before this
 	// simulated time.
@@ -31,10 +36,6 @@ type Options struct {
 	// TimelineBin > 0 additionally collects a latency timeline with
 	// the given bin width.
 	TimelineBin float64
-	// SizeHint pre-allocates exact-mode digests to the expected
-	// completion count (the trace length), so retained samples do not
-	// regrow from nil.
-	SizeHint int
 	// NoPerSiteLatency skips the per-home-site end-to-end digests a
 	// home-routed entry tier otherwise collects, for long exact-mode
 	// replays whose caller only needs tier-level latency.
@@ -180,7 +181,6 @@ func (r *TopologyResult) Tier(name string) *TierResult {
 type tierRuntime struct {
 	spec       Tier
 	stations   []*queue.Station
-	servers    []queue.Server
 	geo        *lb.Geographic
 	dispatcher lb.Dispatcher
 	home       bool
@@ -201,7 +201,165 @@ type spillRuntime struct {
 	rng   *rand.Rand // lazy stream for deeper edges
 }
 
-// topoExec executes one topology run.
+// buildTier constructs tier t's stations for the global sites [lo, hi)
+// on eng, its routing — a jockeying lb.Geographic or an lb dispatcher,
+// each drawing the stream newStream supplies — and its admission
+// policy, keyed by local site on home-routed tiers and tier-wide
+// elsewhere. Run and phase 2 build whole tiers; a phase-1 shard builds
+// its site range of each home tier, which draws no stream (planShards
+// rejects jockeying there), so it passes a nil newStream.
+func buildTier(eng *sim.Engine, t Tier, lo, hi int, opts Options, pool *queue.FreeList,
+	newStream func() *rand.Rand) (*tierRuntime, error) {
+	rt := &tierRuntime{
+		spec:     t,
+		home:     t.homeRouted(),
+		central:  t.Dispatch == CentralQueueDispatch,
+		slow:     t.SlowdownFactor,
+		stations: make([]*queue.Station, hi-lo),
+	}
+	servers := make([]queue.Server, hi-lo)
+	for i := range rt.stations {
+		c := t.ServersPerSite
+		if t.PerSiteServers != nil {
+			c = t.PerSiteServers[lo+i]
+		}
+		name := fmt.Sprintf("%s-%d", t.Name, lo+i)
+		if rt.central && t.Sites == 1 {
+			name = t.Name
+		}
+		rt.stations[i] = newStation(eng, name, c, t.Discipline,
+			t.QueueCap, opts.Warmup, opts.Summary, pool)
+		servers[i] = rt.stations[i]
+	}
+	if t.JockeyThreshold > 0 {
+		rt.geo = lb.NewGeographic(servers, t.JockeyThreshold, t.DetourRTT, newStream())
+	} else if !rt.home && !rt.central {
+		d, err := lb.New(t.Dispatch, servers, newStream())
+		if err != nil {
+			return nil, fmt.Errorf("cluster: tier %q: %w", t.Name, err)
+		}
+		rt.dispatcher = d
+	}
+	if t.Admission != nil {
+		buckets := 1
+		if rt.home {
+			buckets = hi - lo
+		}
+		p, err := admit.New(*t.Admission, buckets)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: tier %q admission: %w", t.Name, err)
+		}
+		rt.adm = p
+	}
+	return rt, nil
+}
+
+// attachSpills wires every spill edge out of a tier this engine owns
+// (a non-nil entry of tiers). The entry tier's sampled detour is drawn
+// at generation time and rides in Request.AuxRTT; deeper sampled edges
+// draw the stream newStream supplies for their spill index.
+func attachSpills(topo Topology, tiers []*tierRuntime, newStream func(spill int) *rand.Rand) {
+	for i, sp := range topo.Spills {
+		from := topo.tierIndex(sp.From)
+		if tiers[from] == nil {
+			continue
+		}
+		rt := &spillRuntime{spec: sp, to: topo.tierIndex(sp.To)}
+		if sp.DetourPath != nil {
+			if from == 0 {
+				rt.atGen = true
+			} else {
+				rt.rng = newStream(i)
+			}
+		}
+		tiers[from].spill = rt
+	}
+}
+
+// startScalers constructs each owned tier's controller and starts it
+// at once, in tier order: construct-then-Start arms each ticker in the
+// same calendar sequence the seed's autoscaled runner produced, so
+// controllers tick from the moment the calendar starts.
+func startScalers(eng *sim.Engine, tiers []*tierRuntime) ([]autoscale.Scaler, error) {
+	var ctrls []autoscale.Scaler
+	for _, rt := range tiers {
+		if rt == nil || rt.spec.Scaler == nil {
+			continue
+		}
+		s, err := autoscale.New(*rt.spec.Scaler, eng, rt.stations)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: tier %q: %w", rt.spec.Name, err)
+		}
+		s.Start()
+		rt.scaler = s
+		ctrls = append(ctrls, s)
+	}
+	return ctrls, nil
+}
+
+// router resolves each record's entry tier and SLO class rank and
+// fills the request's generation-time fields.
+type router struct {
+	topo      Topology
+	classRng  *rand.Rand  // Bernoulli class draws; nil when no rule has a fraction
+	genDetour *netem.Path // the entry tier's sampled spill detour, or nil
+}
+
+func newRouter(topo Topology, classRng *rand.Rand) *router {
+	r := &router{topo: topo, classRng: classRng}
+	for _, sp := range topo.Spills {
+		if sp.DetourPath != nil && topo.tierIndex(sp.From) == 0 {
+			r.genDetour = sp.DetourPath
+		}
+	}
+	return r
+}
+
+// classify returns the matched rule's entry tier and index, or tier 0
+// and the rule count for unclassified traffic. The Bernoulli draws
+// happen in record order regardless of outcome, so the random sequence
+// matches the pre-class-rank engine exactly.
+func (r *router) classify(rec RequestRecord) (entry, class int) {
+	for ci, c := range r.topo.Classes {
+		if c.Sites != nil && !slices.Contains(c.Sites, rec.Site) {
+			continue
+		}
+		if c.Fraction > 0 && c.Fraction < 1 && r.classRng.Float64() >= c.Fraction {
+			continue
+		}
+		return r.topo.tierIndex(c.Tier), ci
+	}
+	return 0, len(r.topo.Classes)
+}
+
+// prep fills req from rec: entry tier (Tag), class, service demand
+// scaled to the entry tier, and the network RTTs drawn from rng — Run's
+// one network stream, or a phase-1 shard's per-site stream. The entry
+// detour is drawn for every record so the sequence is independent of
+// routing decisions.
+func (r *router) prep(rec RequestRecord, req *queue.Request, rng *rand.Rand) {
+	entry, class := 0, 0
+	if len(r.topo.Classes) > 0 {
+		entry, class = r.classify(rec)
+	}
+	et := &r.topo.Tiers[entry]
+	path := &et.Path
+	// An out-of-range site keeps the tier path; admission then fails
+	// the run on it.
+	if et.PerSitePaths != nil && uint(rec.Site) < uint(len(et.PerSitePaths)) {
+		path = &et.PerSitePaths[rec.Site]
+	}
+	req.NetworkRTT = path.Sample(rng)
+	if r.genDetour != nil {
+		req.AuxRTT = r.genDetour.Sample(rng)
+	}
+	req.ServiceTime = rec.ServiceTime * et.SlowdownFactor
+	req.Tag = uint64(entry)
+	req.Class = class
+}
+
+// topoExec routes requests through one engine's tiers: the serial
+// run's, or one phase-2 partition's (tiers it does not own are nil).
 type topoExec struct {
 	eng     *sim.Engine
 	tiers   []*tierRuntime
@@ -211,6 +369,15 @@ type topoExec struct {
 	// err records the first request the run could not route; the
 	// engine stops at that event and Run returns it.
 	err error
+}
+
+func newTopoExec(eng *sim.Engine, pool *queue.FreeList, res *TopologyResult) *topoExec {
+	x := &topoExec{eng: eng, tiers: make([]*tierRuntime, len(res.Tiers)), res: res, pool: pool}
+	x.admitEv = func(e *sim.Engine, p any) {
+		req := p.(*queue.Request)
+		x.admit(int(req.Tag), req)
+	}
+	return x
 }
 
 // admPressure returns the admission bucket key and pressure signal for
@@ -317,21 +484,35 @@ func (x *topoExec) admit(ti int, req *queue.Request) {
 	}
 }
 
-// topoSink records every finished request of a topology run. One sink
-// is shared by all requests; requests are recycled right after Consume
-// returns, so nothing here may retain them.
-type topoSink struct {
-	res     *TopologyResult
-	warmup  float64
-	perSite []stats.Digest // per home-site end-to-end, home-routed entry tier
-	pre     func()         // runs for every consumed request (autoscale drain)
+// sink records every finished request of one engine: the serial run's,
+// or one phase-2 partition's (phase 1 keeps its slot-indexed
+// shardState). Tier and class counters land in the result's tier
+// table, where each tier belongs to one engine; the aggregate counters
+// stay sink-local until fold, so parallel partitions never share a
+// scalar. Requests are recycled right after Consume returns, so nothing
+// here may retain them.
+type sink struct {
+	tiers    []TierResult
+	warmup   float64
+	all      *stats.Digest     // aggregate end-to-end in completion order (serial only)
+	perSite  []stats.Digest    // per home site end-to-end
+	timeline *stats.TimeSeries // serial only
+
+	consumed, completed, dropped uint64
+
+	// The controllers' tickers keep the calendar non-empty forever, so
+	// they stop once the input has drained and every one of the
+	// *emitted requests has been consumed, letting the engine drain.
+	ctrls   []autoscale.Scaler
+	emitted *uint64
+	drained bool
 }
 
 // Consume implements queue.Sink.
-func (s *topoSink) Consume(e *sim.Engine, r *queue.Request) {
-	s.res.Consumed++
-	if s.pre != nil {
-		s.pre()
+func (s *sink) Consume(e *sim.Engine, r *queue.Request) {
+	s.consumed++
+	if s.ctrls != nil {
+		s.settle()
 	}
 	if r.Rejected {
 		// Already counted at the rejection instant (topoExec.reject);
@@ -341,9 +522,9 @@ func (s *topoSink) Consume(e *sim.Engine, r *queue.Request) {
 	if r.Departure < s.warmup {
 		return
 	}
-	tier := &s.res.Tiers[r.Tag]
+	tier := &s.tiers[r.Tag]
 	if r.Dropped {
-		s.res.Dropped++
+		s.dropped++
 		tier.Dropped++
 		if tier.Classes != nil {
 			tier.Classes[r.Class].Dropped++
@@ -351,11 +532,13 @@ func (s *topoSink) Consume(e *sim.Engine, r *queue.Request) {
 		return
 	}
 	e2e := r.EndToEnd()
-	s.res.EndToEnd.Add(e2e)
-	if s.perSite != nil && r.Site >= 0 && r.Site < len(s.perSite) {
+	if s.all != nil {
+		s.all.Add(e2e)
+	}
+	if uint(r.Site) < uint(len(s.perSite)) {
 		s.perSite[r.Site].Add(e2e)
 	}
-	s.res.Completed++
+	s.completed++
 	tier.Served++
 	tier.EndToEnd.Add(e2e)
 	if tier.Classes != nil {
@@ -363,9 +546,92 @@ func (s *topoSink) Consume(e *sim.Engine, r *queue.Request) {
 		c.Served++
 		c.EndToEnd.Add(e2e)
 	}
-	if s.res.Timeline != nil {
-		s.res.Timeline.Add(r.Generated, e2e)
+	if s.timeline != nil {
+		s.timeline.Add(r.Generated, e2e)
 	}
+}
+
+// drain marks the input exhausted and stops the controllers if every
+// emitted request has already been consumed.
+func (s *sink) drain() {
+	s.drained = true
+	s.settle()
+}
+
+func (s *sink) settle() {
+	if s.drained && s.consumed == *s.emitted {
+		s.stopScalers()
+	}
+}
+
+func (s *sink) stopScalers() {
+	for _, c := range s.ctrls {
+		c.Stop()
+	}
+}
+
+// fold adds the sink-local aggregate counters into the result.
+func (s *sink) fold(res *TopologyResult) {
+	res.Consumed += s.consumed
+	res.Completed += s.completed
+	res.Dropped += s.dropped
+}
+
+// prepareRun normalizes and validates what both engines need checked
+// before they build anything.
+func prepareRun(topo Topology, opts Options) (Topology, error) {
+	topo = topo.normalized()
+	if err := topo.Validate(); err != nil {
+		return topo, err
+	}
+	if opts.Pricing != nil {
+		if err := opts.Pricing.Check(); err != nil {
+			return topo, fmt.Errorf("cluster: Options.Pricing: %w", err)
+		}
+	}
+	return topo, nil
+}
+
+// newTopologyResult builds a run's empty result: aggregate digests
+// pre-sized to hint completions in exact mode, the optional timeline,
+// and one row per tier, with a bucket per SLO class rule plus a final
+// "unclassified" one when the topology declares classes.
+func newTopologyResult(topo Topology, opts Options, hint int) *TopologyResult {
+	res := &TopologyResult{Result: *newResult(topo.Name, opts.Summary, hint)}
+	if opts.TimelineBin > 0 {
+		res.Timeline = stats.NewTimeSeries(0, opts.TimelineBin)
+	}
+	res.Tiers = make([]TierResult, len(topo.Tiers))
+	for i := range res.Tiers {
+		tr := &res.Tiers[i]
+		tr.Name = topo.Tiers[i].Name
+		tr.EndToEnd = stats.NewDigest(opts.Summary, 0)
+		tr.Wait = stats.NewDigest(opts.Summary, 0)
+		if len(topo.Classes) == 0 {
+			continue
+		}
+		tr.Classes = make([]ClassResult, len(topo.Classes)+1)
+		for c := range tr.Classes {
+			tr.Classes[c].Name = "unclassified"
+			if c < len(topo.Classes) {
+				tr.Classes[c].Name = topo.Classes[c].Name
+			}
+			tr.Classes[c].EndToEnd = stats.NewDigest(opts.Summary, 0)
+		}
+	}
+	return res
+}
+
+// sized is a source that knows how many records it will yield; the
+// engines pre-size exact-mode aggregate digests to that count so
+// retained samples do not regrow from nil.
+type sized interface{ size() int }
+
+func sizeOf(src any) int {
+	if s, ok := src.(sized); ok {
+		return s.size()
+	}
+	return 0
 }
 
 // Run replays the source through the deployment graph on the streaming
@@ -374,88 +640,30 @@ func (s *topoSink) Consume(e *sim.Engine, r *queue.Request) {
 // Result. The paper's edge and cloud deployments are one-tier
 // topologies, and Run reproduces the seed's dedicated runners for them
 // bit for bit (see the equivalence suite). A record whose home site
-// lies outside a home-routed tier it enters fails the run with an
-// error.
+// lies outside a home-routed tier it enters, or a source that goes
+// back in time, fails the run with an error.
 func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
-	topo = topo.normalized()
-	if err := topo.Validate(); err != nil {
+	topo, err := prepareRun(topo, opts)
+	if err != nil {
 		return nil, err
 	}
-	if opts.Pricing != nil {
-		if err := opts.Pricing.Check(); err != nil {
-			return nil, fmt.Errorf("cluster: Options.Pricing: %w", err)
-		}
-	}
 
+	// Stream creation order is part of the reproducibility contract:
+	// the network stream first, then each tier's jockey/dispatcher
+	// stream, then lazy spill streams, then the class stream — so the
+	// paper's one-tier deployments consume streams exactly as the
+	// seed's runners did.
 	eng := sim.NewEngineBackend(opts.Seed, opts.backend)
 	netRng := eng.NewStream()
 	pool := &queue.FreeList{}
-
-	// Build tiers in declaration order. Stream creation order is part
-	// of the reproducibility contract: the network stream first, then
-	// each tier's jockey/dispatcher stream, then lazy spill streams,
-	// then the class stream — so the paper's one-tier deployments
-	// consume streams exactly as the seed's runners did.
-	x := &topoExec{eng: eng, tiers: make([]*tierRuntime, len(topo.Tiers))}
-	for ti := range topo.Tiers {
-		t := topo.Tiers[ti]
-		rt := &tierRuntime{
-			spec:    t,
-			home:    t.homeRouted(),
-			central: t.Dispatch == CentralQueueDispatch,
-			slow:    t.SlowdownFactor,
+	res := newTopologyResult(topo, opts, sizeOf(src))
+	x := newTopoExec(eng, pool, res)
+	for ti, t := range topo.Tiers {
+		if x.tiers[ti], err = buildTier(eng, t, 0, t.Sites, opts, pool, eng.NewStream); err != nil {
+			return nil, err
 		}
-		rt.stations = make([]*queue.Station, t.Sites)
-		rt.servers = make([]queue.Server, t.Sites)
-		for i := range rt.stations {
-			c := t.ServersPerSite
-			if t.PerSiteServers != nil {
-				c = t.PerSiteServers[i]
-			}
-			name := fmt.Sprintf("%s-%d", t.Name, i)
-			if rt.central && t.Sites == 1 {
-				name = t.Name
-			}
-			rt.stations[i] = newStation(eng, name, c, t.Discipline,
-				t.QueueCap, opts.Warmup, opts.Summary, pool)
-			rt.servers[i] = rt.stations[i]
-		}
-		if t.JockeyThreshold > 0 {
-			rt.geo = lb.NewGeographic(rt.servers, t.JockeyThreshold, t.DetourRTT, eng.NewStream())
-		} else if !rt.home && !rt.central {
-			d, err := lb.New(t.Dispatch, rt.servers, eng.NewStream())
-			if err != nil {
-				return nil, fmt.Errorf("cluster: tier %q: %w", t.Name, err)
-			}
-			rt.dispatcher = d
-		}
-		if t.Admission != nil {
-			p, err := admit.New(*t.Admission, admitBuckets(t))
-			if err != nil {
-				return nil, fmt.Errorf("cluster: tier %q: %w", t.Name, err)
-			}
-			rt.adm = p
-		}
-		x.tiers[ti] = rt
 	}
-
-	// Attach spill edges; the entry tier's sampled detour is drawn at
-	// generation time from the network stream (compatible with the
-	// seed's overflow runner), deeper sampled edges get their own streams.
-	var genSpill *spillRuntime
-	for _, sp := range topo.Spills {
-		from, to := topo.tierIndex(sp.From), topo.tierIndex(sp.To)
-		rt := &spillRuntime{spec: sp, to: to}
-		if sp.DetourPath != nil {
-			if from == 0 {
-				rt.atGen = true
-				genSpill = rt
-			} else {
-				rt.rng = eng.NewStream()
-			}
-		}
-		x.tiers[from].spill = rt
-	}
+	attachSpills(topo, x.tiers, func(int) *rand.Rand { return eng.NewStream() })
 	var classRng *rand.Rand
 	for _, c := range topo.Classes {
 		if c.Fraction > 0 && c.Fraction < 1 {
@@ -463,113 +671,28 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 			break
 		}
 	}
-
-	// Controllers tick from the moment the calendar starts, exactly as
-	// in the seed's autoscaled runner: construct-then-Start in tier
-	// order arms each ticker in the same calendar sequence the
-	// pre-Scaler code produced.
-	var ctrls []autoscale.Scaler
-	for _, rt := range x.tiers {
-		if rt.spec.Scaler != nil {
-			s, err := autoscale.New(*rt.spec.Scaler, eng, rt.stations)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: tier %q: %w", rt.spec.Name, err)
-			}
-			s.Start()
-			rt.scaler = s
-			ctrls = append(ctrls, s)
-		}
+	ctrls, err := startScalers(eng, x.tiers)
+	if err != nil {
+		return nil, err
 	}
 
-	res := &TopologyResult{Result: *newResult(topo.Name, opts.Summary, opts.SizeHint)}
-	if opts.TimelineBin > 0 {
-		res.Timeline = stats.NewTimeSeries(0, opts.TimelineBin)
-	}
-	names := classNamesOf(topo)
-	res.Tiers = make([]TierResult, len(topo.Tiers))
-	for i := range res.Tiers {
-		res.Tiers[i].Name = topo.Tiers[i].Name
-		res.Tiers[i].EndToEnd = stats.NewDigest(opts.Summary, 0)
-		res.Tiers[i].Wait = stats.NewDigest(opts.Summary, 0)
-		res.Tiers[i].Classes = newClassResults(names, opts.Summary)
-	}
-	x.res = res
-	x.pool = pool
-
-	entry0 := x.tiers[0]
 	var perSite []stats.Digest
-	if entry0.home && !opts.NoPerSiteLatency {
-		perSite = newDigests(opts.Summary, entry0.spec.Sites)
+	if x.tiers[0].home && !opts.NoPerSiteLatency {
+		perSite = newDigests(opts.Summary, topo.Tiers[0].Sites)
 	}
-	sink := &topoSink{res: res, warmup: opts.Warmup, perSite: perSite}
-	x.admitEv = func(e *sim.Engine, p any) {
-		req := p.(*queue.Request)
-		x.admit(int(req.Tag), req)
-	}
-
-	// classify resolves a record's entry tier and SLO class rank: the
-	// matched rule's index, or the rule count for unclassified traffic.
-	// The Bernoulli draws happen in record order regardless of outcome,
-	// so the random sequence matches the pre-class-rank engine exactly.
-	classify := func(rec RequestRecord) (entry, class int) {
-		for ci, c := range topo.Classes {
-			if c.Sites != nil && !containsInt(c.Sites, rec.Site) {
-				continue
-			}
-			if c.Fraction > 0 && c.Fraction < 1 && classRng.Float64() >= c.Fraction {
-				continue
-			}
-			return topo.tierIndex(c.Tier), ci
-		}
-		return 0, len(topo.Classes)
-	}
-
+	route := newRouter(topo, classRng)
 	f := &feeder{
-		src:  src,
-		pool: pool,
-		sink: sink,
-		prep: func(rec RequestRecord, req *queue.Request) {
-			entry, class := 0, 0
-			if len(topo.Classes) > 0 {
-				entry, class = classify(rec)
-			}
-			req.Class = class
-			et := x.tiers[entry]
-			path := et.spec.Path
-			// An out-of-range site keeps the tier path; admit then
-			// fails the run on it.
-			if et.spec.PerSitePaths != nil && uint(rec.Site) < uint(len(et.spec.PerSitePaths)) {
-				path = et.spec.PerSitePaths[rec.Site]
-			}
-			req.NetworkRTT = path.Sample(netRng)
-			if genSpill != nil {
-				// Drawn for every record in record order so the random
-				// sequence is independent of routing decisions.
-				req.AuxRTT = genSpill.spec.DetourPath.Sample(netRng)
-			}
-			req.ServiceTime = rec.ServiceTime * et.slow
-			req.Tag = uint64(entry)
-		},
+		src:   src,
+		pool:  pool,
+		prep:  func(rec RequestRecord, req *queue.Request) { route.prep(rec, req, netRng) },
 		admit: x.admitEv,
 		probe: opts.Probe,
 	}
+	sk := &sink{tiers: res.Tiers, warmup: opts.Warmup, all: &res.EndToEnd, perSite: perSite,
+		timeline: res.Timeline, ctrls: ctrls, emitted: &f.count}
+	f.sink = sk
 	if len(ctrls) > 0 {
-		// The controllers' tickers keep the calendar non-empty forever;
-		// stop them once the source is drained and every emitted
-		// request has been consumed, letting the engine drain.
-		var drained bool
-		stopAll := func() {
-			if drained && res.Consumed == f.count {
-				for _, c := range ctrls {
-					c.Stop()
-				}
-			}
-		}
-		sink.pre = stopAll
-		f.onDrained = func() {
-			drained = true
-			stopAll()
-		}
+		f.onDrained = sk.drain
 	}
 
 	var stations []*queue.Station
@@ -577,11 +700,12 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 		stations = append(stations, rt.stations...)
 	}
 	runDeployment(eng, f, &res.Result, stations)
-	for _, c := range ctrls {
-		c.Stop()
-	}
+	sk.stopScalers()
 	if x.err != nil {
 		return nil, x.err
+	}
+	if f.err != nil {
+		return nil, f.err
 	}
 	// A source that ended on a decode failure (FallibleSource) must
 	// surface it: a replay over the decoded prefix would look like a
@@ -592,16 +716,25 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 		}
 	}
 	res.Offered = f.count
+	sk.fold(res)
+	harvest(res, x.tiers, perSite, opts.Pricing)
+	return res, nil
+}
 
-	// Assemble per-tier and aggregate measurements. The aggregate wait
-	// digest merges station by station in global order, matching the
-	// seed runners' merge sequence exactly.
-	pricing := econ.DefaultPricing()
-	if opts.Pricing != nil {
-		pricing = *opts.Pricing
+// harvest assembles per-tier and aggregate measurements once every
+// engine has closed its stations and every counter has been folded in:
+// station rows, wait digests, utilization, scaler telemetry and the
+// cost overlay. tiers[i] holds tier i's stations in global site order,
+// and the wait digests merge tiers outer, stations inner — the seed
+// runners' merge sequence. siteE2E, when non-nil, supplies the entry
+// tier's per-site end-to-end digests.
+func harvest(res *TopologyResult, tiers []*tierRuntime, siteE2E []stats.Digest, pricing *econ.Pricing) {
+	price := econ.DefaultPricing()
+	if pricing != nil {
+		price = *pricing
 	}
 	var busyAll, capAll float64
-	for ti, rt := range x.tiers {
+	for ti, rt := range tiers {
 		tr := &res.Tiers[ti]
 		var busy, capacity float64
 		for i, s := range rt.stations {
@@ -615,8 +748,8 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 				Arrivals:    s.TotalArrivals(),
 				MeanRate:    m.Arrivals.Rate(),
 			}
-			if ti == 0 && perSite != nil {
-				sr.EndToEnd = perSite[i]
+			if ti == 0 && siteE2E != nil {
+				sr.EndToEnd = siteE2E[i]
 			}
 			tr.Sites = append(tr.Sites, sr)
 			tr.FinalServers = append(tr.FinalServers, s.Servers)
@@ -642,7 +775,24 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 			// run.
 			tr.ServerSeconds = capacity * res.Duration
 		}
-		priceTier(tr, rt.home, rt.spec.PricePerServerHour, pricing, res.Duration)
+		// Cost overlay: the capacity integral priced at the tier's
+		// override or the run pricing's rate for its shape, plus the
+		// lost-request penalty on rejected traffic.
+		rate := rt.spec.PricePerServerHour
+		if rate <= 0 {
+			rate = price.CloudPerServerHour
+			if rt.home {
+				rate = price.EdgePerServerHour
+			}
+		}
+		tr.Cost = tr.ServerSeconds / 3600 * rate
+		if res.Duration > 0 {
+			tr.CostPerHour = tr.Cost / (res.Duration / 3600)
+		}
+		if tr.Served > 0 {
+			tr.CostPerReq = tr.Cost / float64(tr.Served)
+		}
+		tr.RejectionCost = float64(tr.Rejected) * price.RejectPenalty
 		res.Rejected += tr.Rejected
 		res.TotalCost += tr.Cost + tr.RejectionCost
 		busyAll += busy
@@ -654,76 +804,4 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 	if res.Completed > 0 {
 		res.CostPerRequest = res.TotalCost / float64(res.Completed)
 	}
-	return res, nil
-}
-
-// priceTier applies the cost overlay to one assembled tier: capacity
-// integral priced at the tier's override or the run pricing's rate for
-// its shape, plus the lost-request penalty on rejected traffic. Shared
-// by Run and RunPipelined so the two paths cannot drift. The tier's
-// Rejected counter must be final before this runs.
-func priceTier(tr *TierResult, home bool, override float64, pricing econ.Pricing, duration float64) {
-	price := override
-	if price <= 0 {
-		if home {
-			price = pricing.EdgePerServerHour
-		} else {
-			price = pricing.CloudPerServerHour
-		}
-	}
-	tr.Cost = tr.ServerSeconds / 3600 * price
-	if duration > 0 {
-		tr.CostPerHour = tr.Cost / (duration / 3600)
-	}
-	if tr.Served > 0 {
-		tr.CostPerReq = tr.Cost / float64(tr.Served)
-	}
-	tr.RejectionCost = float64(tr.Rejected) * pricing.RejectPenalty
-}
-
-// admitBuckets returns the tier's admission bucket count: one per site
-// on home-routed tiers (site-local state, the shardable shape), one
-// for the whole tier elsewhere.
-func admitBuckets(t Tier) int {
-	if t.homeRouted() {
-		return t.Sites
-	}
-	return 1
-}
-
-// classNamesOf lists the topology's SLO class buckets — one per rule
-// plus a trailing "unclassified" — or nil when it declares no classes.
-func classNamesOf(topo Topology) []string {
-	if len(topo.Classes) == 0 {
-		return nil
-	}
-	names := make([]string, len(topo.Classes)+1)
-	for i, c := range topo.Classes {
-		names[i] = c.Name
-	}
-	names[len(topo.Classes)] = "unclassified"
-	return names
-}
-
-// newClassResults builds empty per-class result rows in the given
-// summary mode; nil names yields nil.
-func newClassResults(names []string, mode stats.Mode) []ClassResult {
-	if names == nil {
-		return nil
-	}
-	out := make([]ClassResult, len(names))
-	for i := range out {
-		out[i].Name = names[i]
-		out[i].EndToEnd = stats.NewDigest(mode, 0)
-	}
-	return out
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -26,8 +26,8 @@ func edgePath() netem.Path { return netem.Jittered("edge-1ms", 0.001, 0.0002) }
 func cloudPath() netem.Path { return netem.Jittered("cloud-25ms", 0.025, 0.003) }
 
 func TestTopologyValidate(t *testing.T) {
-	edge := Tier{Name: "edge", Sites: 5}
-	cloud := Tier{Name: "cloud", Sites: 1, ServersPerSite: 5, Dispatch: CentralQueueDispatch}
+	edge := Tier{Name: "edge", Sites: 5, Path: edgePath()}
+	cloud := Tier{Name: "cloud", Sites: 1, ServersPerSite: 5, Dispatch: CentralQueueDispatch, Path: cloudPath()}
 	cases := map[string]Topology{
 		"no tiers":        {},
 		"unnamed tier":    {Tiers: []Tier{{Sites: 1}}},
@@ -110,6 +110,19 @@ func TestTopologyValidate(t *testing.T) {
 		"unknown admission policy": {
 			Tiers: []Tier{{Name: "edge", Sites: 5,
 				Admission: &admit.Spec{Policy: "leaky-bucket"}}},
+		},
+		// A zero-value Path has no RTT distribution to sample, so Run
+		// would dereference nil on the first request.
+		"entry tier without a path": {
+			Tiers: []Tier{{Name: "edge", Sites: 5}},
+		},
+		"class target without a path": {
+			Tiers:   []Tier{edge, {Name: "cloud", Sites: 1, Dispatch: CentralQueueDispatch}},
+			Classes: []ClassRule{{Name: "x", Sites: []int{0}, Tier: "cloud"}},
+		},
+		"nil per-site path": {
+			Tiers: []Tier{{Name: "edge", Sites: 2, Path: edgePath(),
+				PerSitePaths: []netem.Path{edgePath(), {}}}},
 		},
 		"NaN admission rate": {
 			Tiers: []Tier{{Name: "edge", Sites: 5,

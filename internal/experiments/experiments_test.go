@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/trace"
@@ -20,7 +21,31 @@ func shortSweep(scenario string, rates []float64, m int, seed int64) SweepResult
 	cfg.Duration = 250
 	cfg.Warmup = 25
 	cfg.Seed = seed
-	return RunSweep(cfg)
+	res, err := RunSweep(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
+// TestRunSweepRejectsUnknownCloudPolicy: a config the engine cannot
+// build comes back as an error from the runner instead of a panic
+// inside a worker.
+func TestRunSweepRejectsUnknownCloudPolicy(t *testing.T) {
+	cfg := DefaultSweepConfig()
+	cfg.Rates = []float64{6, 9}
+	cfg.Duration = 20
+	cfg.Warmup = 0
+	cfg.CloudPolicy = "bogus"
+	if _, err := RunSweep(cfg); err == nil || !strings.Contains(err.Error(), "bogus") {
+		t.Fatalf("want an error naming the bogus policy, got %v", err)
+	}
+	if _, err := RunReplicatedSweep(cfg, 2); err == nil {
+		t.Fatal("RunReplicatedSweep accepted the bogus policy")
+	}
+	if _, _, _, err := CrossoverCI(cfg, Mean, 2); err == nil {
+		t.Fatal("CrossoverCI accepted the bogus policy")
+	}
 }
 
 func TestSweepShape(t *testing.T) {
@@ -149,7 +174,10 @@ func TestMetricString(t *testing.T) {
 }
 
 func TestRunFig6Shapes(t *testing.T) {
-	out := RunFig6(150, 5)
+	out, err := RunFig6(150, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(out) != 4 {
 		t.Fatalf("Fig6 scenarios = %d, want 4", len(out))
 	}
@@ -174,7 +202,10 @@ func TestRunFig7Monotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig 7 sweep is long")
 	}
-	points := RunFig7(150, 11)
+	points, err := RunFig7(150, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(points) != 4 {
 		t.Fatalf("Fig7 points = %d", len(points))
 	}
@@ -194,7 +225,10 @@ func TestRunFig7Monotone(t *testing.T) {
 func TestRunAzureReplayShapes(t *testing.T) {
 	spec := trace.DefaultAzureSpec()
 	spec.Minutes = 6
-	res := RunAzureReplay(spec, 1.0, 2)
+	res, err := RunAzureReplay(spec, 1.0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Series) != spec.Sites {
 		t.Fatal("series count wrong")
 	}

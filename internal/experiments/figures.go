@@ -39,12 +39,14 @@ func RunFig3(scenarioName string, duration float64, seed int64) (Fig3Result, err
 	two.ServersPerSite = 2
 	two.Seed = seed + 1
 
-	return Fig3Result{
-		Scenario:  sc,
-		Rates:     base.Rates,
-		OneServer: RunSweep(one),
-		TwoServer: RunSweep(two),
-	}, nil
+	res := Fig3Result{Scenario: sc, Rates: base.Rates}
+	if res.OneServer, err = RunSweep(one); err != nil {
+		return Fig3Result{}, err
+	}
+	if res.TwoServer, err = RunSweep(two); err != nil {
+		return Fig3Result{}, err
+	}
+	return res, nil
 }
 
 // Fig6Scenario is one violin of Figure 6.
@@ -56,7 +58,7 @@ type Fig6Scenario struct {
 
 // RunFig6 reproduces Figure 6: the full response-time distributions of
 // the four deployments at 10 req/server/s with the distant (54 ms) cloud.
-func RunFig6(duration float64, seed int64) []Fig6Scenario {
+func RunFig6(duration float64, seed int64) ([]Fig6Scenario, error) {
 	sc, _ := netem.ScenarioByName("distant-54ms")
 	model := app.NewInferenceModel()
 	const rate = 10.0
@@ -75,7 +77,7 @@ func RunFig6(duration float64, seed int64) []Fig6Scenario {
 	}
 
 	out := make([]Fig6Scenario, len(setups))
-	forEach(len(setups), 0, func(i int) {
+	err := forEachErr(len(setups), 0, func(i int) error {
 		s := setups[i]
 		tr := cluster.Generate(cluster.GenSpec{
 			Sites:       5,
@@ -90,15 +92,23 @@ func RunFig6(duration float64, seed int64) []Fig6Scenario {
 		if s.cloud {
 			topo = cluster.Topology{Name: "cloud", Tiers: []cluster.Tier{cluster.CloudTier(s.cloudServers, sc.Cloud, "")}}
 		}
-		sample := &runVariants(tr, cluster.Variant{Topology: topo,
-			Opts: cluster.Options{Warmup: duration / 10, Seed: seed + 100 + int64(i)}})[0].EndToEnd
+		runs, err := runVariants(tr, cluster.Variant{Topology: topo,
+			Opts: cluster.Options{Warmup: duration / 10, Seed: seed + 100 + int64(i)}})
+		if err != nil {
+			return err
+		}
+		sample := &runs[0].EndToEnd
 		out[i] = Fig6Scenario{
 			Label:   s.label,
 			Summary: sample.Summarize(s.label, nil),
 			Box:     sample.Box(s.label),
 		}
+		return nil
 	})
-	return out
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Fig7Point is one bar pair of Figure 7: the cutoff utilizations (mean
@@ -118,7 +128,7 @@ type Fig7Point struct {
 // request rate finely and report the utilization above which the edge's
 // mean and p95 latencies exceed the cloud's. Edge: 5 sites × 1 server;
 // cloud: 5 servers.
-func RunFig7(duration float64, seed int64) []Fig7Point {
+func RunFig7(duration float64, seed int64) ([]Fig7Point, error) {
 	var rates []float64
 	for r := 1.0; r <= 12.5; r += 0.5 {
 		rates = append(rates, r)
@@ -130,7 +140,10 @@ func RunFig7(duration float64, seed int64) []Fig7Point {
 		cfg.Rates = rates
 		cfg.Duration = duration
 		cfg.Seed = seed + int64(i)*31
-		res := RunSweep(cfg)
+		res, err := RunSweep(cfg)
+		if err != nil {
+			return nil, err
+		}
 
 		p := Fig7Point{Scenario: sc.Name, CloudRTTms: sc.Cloud.MeanRTT() * 1000}
 		mu := cfg.Model.Mu()
@@ -146,7 +159,7 @@ func RunFig7(duration float64, seed int64) []Fig7Point {
 		}
 		out = append(out, p)
 	}
-	return out
+	return out, nil
 }
 
 // AzureReplayResult bundles Figures 8–10: the per-site workload series,
@@ -167,7 +180,7 @@ type AzureReplayResult struct {
 // per-site distributions. scale multiplies trace rates to hit the
 // desired utilization regime (the paper's sites operate near or beyond
 // one server's capacity at peaks).
-func RunAzureReplay(spec trace.AzureSpec, scale float64, seed int64) AzureReplayResult {
+func RunAzureReplay(spec trace.AzureSpec, scale float64, seed int64) (AzureReplayResult, error) {
 	series := trace.GenerateAzure(spec)
 	if scale != 1 && scale > 0 {
 		for si := range series {
@@ -188,13 +201,16 @@ func RunAzureReplay(spec trace.AzureSpec, scale float64, seed int64) AzureReplay
 	})
 
 	const binWidth = 60 // one-minute bins, as in Figures 8–9
-	runs := runVariants(tr,
+	runs, err := runVariants(tr,
 		cluster.Variant{Topology: cluster.Topology{Name: "edge", Tiers: []cluster.Tier{{
 			Name: "edge", Sites: spec.Sites, Path: sc.Edge,
 		}}}, Opts: cluster.Options{Seed: seed + 1, TimelineBin: binWidth}},
 		cluster.Variant{Topology: cluster.Topology{Name: "cloud", Tiers: []cluster.Tier{
 			cluster.CloudTier(spec.Sites, sc.Cloud, ""),
 		}}, Opts: cluster.Options{Seed: seed + 2, TimelineBin: binWidth}})
+	if err != nil {
+		return AzureReplayResult{}, err
+	}
 	edge, cloud := runs[0], runs[1]
 
 	res := AzureReplayResult{
@@ -208,5 +224,5 @@ func RunAzureReplay(spec trace.AzureSpec, scale float64, seed int64) AzureReplay
 		res.EdgeBoxes = append(res.EdgeBoxes, site.EndToEnd.Box(fmt.Sprintf("Edge %d", i+1)))
 	}
 	res.CloudBox = cloud.EndToEnd.Box("Cloud")
-	return res
+	return res, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/app"
 	"repro/internal/cluster"
@@ -296,9 +295,7 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 
 	groups := len(cfg.Rates) * cfg.Replications
 	perGroup := make([][]*cluster.TopologyResult, groups)
-	var mu sync.Mutex
-	var firstErr error
-	forEach(groups, cfg.Workers, func(g int) {
+	err := forEachErr(groups, cfg.Workers, func(g int) error {
 		rate := cfg.Rates[g/cfg.Replications]
 		spec := cluster.GenSpec{
 			Sites:       cfg.Sites,
@@ -320,17 +317,13 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 		genOpts := cluster.Options{GenWorkers: cfg.GenWorkers}
 		runs, err := cluster.RunBroadcast(genOpts.GenSource(spec), vs, cfg.Ring)
 		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("grid group rate=%v rep=%d: %w", rate, g%cfg.Replications, err)
-			}
-			mu.Unlock()
-			return
+			return fmt.Errorf("grid group rate=%v rep=%d: %w", rate, g%cfg.Replications, err)
 		}
 		perGroup[g] = runs
+		return nil
 	})
-	if firstErr != nil {
-		return GridResult{}, firstErr
+	if err != nil {
+		return GridResult{}, err
 	}
 
 	// Reduce replications in group order (deterministic at any pool

@@ -59,3 +59,17 @@ func forEach(n, workers int, fn func(i int)) {
 	close(idx)
 	wg.Wait()
 }
+
+// forEachErr is forEach for fallible work: every index runs, and the
+// error of the lowest failing index is returned, so which error surfaces
+// does not depend on scheduling.
+func forEachErr(n, workers int, fn func(i int) error) error {
+	errs := make([]error, n)
+	forEach(n, workers, func(i int) { errs[i] = fn(i) })
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}

@@ -64,8 +64,14 @@ func TestRunSweepParallelMatchesSerial(t *testing.T) {
 	parallel := cfg
 	parallel.Workers = 4
 
-	a := RunSweep(serial)
-	b := RunSweep(parallel)
+	a, err := RunSweep(serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunSweep(parallel)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(a.Points) != len(b.Points) {
 		t.Fatalf("point counts differ: %d vs %d", len(a.Points), len(b.Points))
 	}
@@ -92,8 +98,14 @@ func TestReplicatedSweepParallelMatchesSerial(t *testing.T) {
 	parallel := cfg
 	parallel.Workers = 3
 
-	a := RunReplicatedSweep(serial, 5)
-	b := RunReplicatedSweep(parallel, 5)
+	a, err := RunReplicatedSweep(serial, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunReplicatedSweep(parallel, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(a) != len(b) {
 		t.Fatalf("point counts differ: %d vs %d", len(a), len(b))
 	}
@@ -103,8 +115,14 @@ func TestReplicatedSweepParallelMatchesSerial(t *testing.T) {
 		}
 	}
 
-	ra, ca, oka := CrossoverCI(serial, Mean, 4)
-	rb, cb, okb := CrossoverCI(parallel, Mean, 4)
+	ra, ca, oka, err := CrossoverCI(serial, Mean, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, cb, okb, err := CrossoverCI(parallel, Mean, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ra != rb || ca != cb || oka != okb {
 		t.Errorf("CrossoverCI diverged: serial (%v, %v, %v) vs parallel (%v, %v, %v)",
 			ra, ca, oka, rb, cb, okb)

@@ -37,11 +37,11 @@ func (p ReplicatedPoint) Separated() bool {
 // execute concurrently — one seeded engine pair per replication — and
 // are merged in replication order, so the aggregate is identical to the
 // serial computation at any pool size.
-func RunReplicatedSweep(cfg SweepConfig, n int) []ReplicatedPoint {
-	if n <= 0 {
-		panic(fmt.Sprintf("experiments: replications n=%d must be positive", n))
+func RunReplicatedSweep(cfg SweepConfig, n int) ([]ReplicatedPoint, error) {
+	reps, err := runReplications(cfg, n)
+	if err != nil {
+		return nil, err
 	}
-	reps := runReplications(cfg, n)
 	type acc struct {
 		edgeMean, cloudMean stats.Stream
 		edgeP95, cloudP95   stats.Stream
@@ -70,7 +70,7 @@ func RunReplicatedSweep(cfg SweepConfig, n int) []ReplicatedPoint {
 			Replications:  n,
 		}
 	}
-	return out
+	return out, nil
 }
 
 // runReplications executes n independent replications of the sweep,
@@ -78,7 +78,10 @@ func RunReplicatedSweep(cfg SweepConfig, n int) []ReplicatedPoint {
 // space is flattened into one pool pass so the workers stay saturated
 // even when n is smaller than the pool; every point still derives its
 // seeds from (replication, point) alone, so the merge is deterministic.
-func runReplications(cfg SweepConfig, n int) []SweepResult {
+func runReplications(cfg SweepConfig, n int) ([]SweepResult, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("experiments: replications n=%d must be positive", n)
+	}
 	if cfg.Model.D == nil {
 		cfg.Model = app.NewInferenceModel()
 	}
@@ -89,28 +92,36 @@ func runReplications(cfg SweepConfig, n int) []SweepResult {
 		c.Seed = cfg.Seed + int64(rep)*999983
 		out[rep] = SweepResult{Config: c, Points: make([]SweepPoint, pts)}
 	}
-	forEach(n*pts, cfg.Workers, func(idx int) {
+	err := forEachErr(n*pts, cfg.Workers, func(idx int) (err error) {
 		rep, pt := idx/pts, idx%pts
-		out[rep].Points[pt] = runSweepPoint(out[rep].Config, pt)
+		out[rep].Points[pt], err = runSweepPoint(out[rep].Config, pt)
+		return err
 	})
-	return out
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // CrossoverCI runs the sweep n times and returns the mean crossover rate
 // with its 95% confidence half-width. found is false if fewer than half
 // the replications observed a crossover. Replications run concurrently
 // and are folded in replication order.
-func CrossoverCI(cfg SweepConfig, metric Metric, n int) (rate, ci float64, found bool) {
+func CrossoverCI(cfg SweepConfig, metric Metric, n int) (rate, ci float64, found bool, err error) {
+	reps, err := runReplications(cfg, n)
+	if err != nil {
+		return 0, 0, false, err
+	}
 	var s stats.Stream
-	for _, res := range runReplications(cfg, n) {
+	for _, res := range reps {
 		if r, _, ok := res.Crossover(metric); ok {
 			s.Add(r)
 		}
 	}
 	if s.N() < int64((n+1)/2) {
-		return 0, 0, false
+		return 0, 0, false, nil
 	}
-	return s.Mean(), s.ConfidenceInterval95(), true
+	return s.Mean(), s.ConfidenceInterval95(), true, nil
 }
 
 // InversionInterval is a contiguous span of timeline bins during which

@@ -12,7 +12,10 @@ func TestRunReplicatedSweep(t *testing.T) {
 	cfg.Rates = []float64{6, 12}
 	cfg.Duration = 120
 	cfg.Warmup = 12
-	points := RunReplicatedSweep(cfg, 4)
+	points, err := RunReplicatedSweep(cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(points) != 2 {
 		t.Fatalf("points = %d", len(points))
 	}
@@ -43,13 +46,13 @@ func TestRunReplicatedSweep(t *testing.T) {
 	}
 }
 
-func TestRunReplicatedSweepPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("n=0 should panic")
-		}
-	}()
-	RunReplicatedSweep(DefaultSweepConfig(), 0)
+func TestRunReplicatedSweepRejectsZeroReplications(t *testing.T) {
+	if _, err := RunReplicatedSweep(DefaultSweepConfig(), 0); err == nil {
+		t.Error("n=0 should be an error")
+	}
+	if _, _, _, err := CrossoverCI(DefaultSweepConfig(), Mean, 0); err == nil {
+		t.Error("CrossoverCI with n=0 should be an error")
+	}
 }
 
 func TestCrossoverCI(t *testing.T) {
@@ -59,7 +62,10 @@ func TestCrossoverCI(t *testing.T) {
 	cfg := DefaultSweepConfig()
 	cfg.Duration = 150
 	cfg.Warmup = 15
-	rate, ci, ok := CrossoverCI(cfg, Mean, 4)
+	rate, ci, ok, err := CrossoverCI(cfg, Mean, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !ok {
 		t.Fatal("crossover should be found in most replications")
 	}
@@ -154,7 +160,10 @@ func TestInversionFraction(t *testing.T) {
 // fraction of minutes.
 func TestInversionFractionOnAzureReplay(t *testing.T) {
 	spec := azureShortSpec()
-	res := RunAzureReplay(spec, 1.0, 7)
+	res, err := RunAzureReplay(spec, 1.0, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	frac, peak := InversionFraction(res.EdgeTimeline, res.CloudTimeline)
 	if frac == 0 {
 		t.Error("Azure replay should show per-minute inversions")

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/app"
 	"repro/internal/autoscale"
@@ -279,14 +278,11 @@ func RunScalerComparison(cfg ScalerComparisonConfig) (ScalerComparisonResult, er
 		return ScalerComparisonResult{}, err
 	}
 	mkSpec := func() cluster.GenSpec { return scalerSpecFrom(cfg, build) }
-	rowOpts := func(sizeHint int) cluster.Options {
-		return cluster.Options{
-			Warmup:   cfg.Warmup,
-			Seed:     cfg.Seed + 1, // shared across specs: same streams, policy is the only delta
-			Summary:  cfg.Summary,
-			SizeHint: sizeHint,
-			Pricing:  &cfg.Pricing,
-		}
+	rowOpts := cluster.Options{
+		Warmup:  cfg.Warmup,
+		Seed:    cfg.Seed + 1, // shared across specs: same streams, policy is the only delta
+		Summary: cfg.Summary,
+		Pricing: &cfg.Pricing,
 	}
 	res := ScalerComparisonResult{
 		Workload: cfg.Workload,
@@ -305,7 +301,7 @@ func RunScalerComparison(cfg ScalerComparisonConfig) (ScalerComparisonResult, er
 			variants[i] = cluster.Variant{
 				Label:    s.Label(),
 				Topology: scalerTopology(cfg, s),
-				Opts:     rowOpts(0),
+				Opts:     rowOpts,
 			}
 		}
 		runs, err := cluster.RunBroadcast(cluster.Stream(mkSpec()), variants, 0)
@@ -319,22 +315,16 @@ func RunScalerComparison(cfg ScalerComparisonConfig) (ScalerComparisonResult, er
 	}
 
 	tr := cluster.Generate(mkSpec())
-	var mu sync.Mutex
-	var firstErr error
-	forEach(len(specs), cfg.Workers, func(i int) {
-		run, err := cluster.Run(tr.Source(), scalerTopology(cfg, specs[i]), rowOpts(tr.Len()))
+	err = forEachErr(len(specs), cfg.Workers, func(i int) error {
+		run, err := cluster.Run(tr.Source(), scalerTopology(cfg, specs[i]), rowOpts)
 		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			return
+			return err
 		}
 		res.Rows[i] = scalerRow(specs[i].Label(), run)
+		return nil
 	})
-	if firstErr != nil {
-		return ScalerComparisonResult{}, firstErr
+	if err != nil {
+		return ScalerComparisonResult{}, err
 	}
 	return res, nil
 }

@@ -106,21 +106,26 @@ type SweepResult struct {
 // Points are evaluated concurrently on a bounded worker pool — each
 // point seeds its own engines from its index, and results land in
 // index-addressed slots, so the output is byte-identical to a serial
-// run.
-func RunSweep(cfg SweepConfig) SweepResult {
+// run. A config the engine rejects (e.g. an unknown CloudPolicy)
+// returns the error of the lowest failing point.
+func RunSweep(cfg SweepConfig) (SweepResult, error) {
 	if cfg.Model.D == nil {
 		cfg.Model = app.NewInferenceModel()
 	}
 	res := SweepResult{Config: cfg, Points: make([]SweepPoint, len(cfg.Rates))}
-	forEach(len(cfg.Rates), cfg.Workers, func(i int) {
-		res.Points[i] = runSweepPoint(cfg, i)
+	err := forEachErr(len(cfg.Rates), cfg.Workers, func(i int) (err error) {
+		res.Points[i], err = runSweepPoint(cfg, i)
+		return err
 	})
-	return res
+	if err != nil {
+		return SweepResult{}, err
+	}
+	return res, nil
 }
 
 // runSweepPoint evaluates one rate of a sweep. All randomness derives
 // from cfg.Seed and the point index, never from shared state.
-func runSweepPoint(cfg SweepConfig, i int) SweepPoint {
+func runSweepPoint(cfg SweepConfig, i int) (SweepPoint, error) {
 	rate := cfg.Rates[i]
 	tr := cluster.Generate(cluster.GenSpec{
 		Sites:       cfg.Sites,
@@ -132,13 +137,16 @@ func runSweepPoint(cfg SweepConfig, i int) SweepPoint {
 	})
 	cloudTier := cluster.CloudTier(cfg.Sites*cfg.ServersPerSite, cfg.Scenario.Cloud, cfg.CloudPolicy)
 	cloudTier.Discipline = cfg.Discipline
-	runs := runVariants(tr,
+	runs, err := runVariants(tr,
 		cluster.Variant{Topology: cluster.Topology{Name: "edge", Tiers: []cluster.Tier{{
 			Name: "edge", Sites: cfg.Sites, ServersPerSite: cfg.ServersPerSite,
 			Path: cfg.Scenario.Edge, Discipline: cfg.Discipline,
 		}}}, Opts: cluster.Options{Warmup: cfg.Warmup, Seed: cfg.Seed + int64(i)*104729}},
 		cluster.Variant{Topology: cluster.Topology{Name: "cloud", Tiers: []cluster.Tier{cloudTier}},
 			Opts: cluster.Options{Warmup: cfg.Warmup, Seed: cfg.Seed + int64(i)*1299709}})
+	if err != nil {
+		return SweepPoint{}, err
+	}
 	edge, cloud := runs[0], runs[1]
 	return SweepPoint{
 		RatePerServer: rate,
@@ -152,22 +160,17 @@ func runSweepPoint(cfg SweepConfig, i int) SweepPoint {
 		CloudMedian:   cloud.EndToEnd.Median(),
 		EdgeN:         edge.EndToEnd.N(),
 		CloudN:        cloud.EndToEnd.N(),
-	}
+	}, nil
 }
 
 // runVariants replays tr through every variant in one broadcast pass
-// (each variant's SizeHint set to the trace length) and returns the
-// results in variant order. The figure runners build fixed deployments
-// that always validate, so an error here is a bug and panics.
-func runVariants(tr *cluster.WorkloadTrace, variants ...cluster.Variant) []*cluster.TopologyResult {
-	for i := range variants {
-		variants[i].Opts.SizeHint = tr.Len()
-	}
+// and returns the results in variant order.
+func runVariants(tr *cluster.WorkloadTrace, variants ...cluster.Variant) ([]*cluster.TopologyResult, error) {
 	runs, err := cluster.RunBroadcast(tr.Source(), variants, 0)
 	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
+		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	return runs
+	return runs, nil
 }
 
 // Metric selects which latency statistic a crossover search compares.

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"repro/internal/app"
 	"repro/internal/cluster"
@@ -142,16 +141,7 @@ func RunTopologySweep(cfg TopologySweepConfig) (TopologySweepResult, error) {
 	if cfg.Baseline != nil {
 		res.Baseline = make([]TopologyPoint, len(cfg.Rates))
 	}
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	forEach(len(cfg.Rates), cfg.Workers, func(i int) {
+	err = forEachErr(len(cfg.Rates), cfg.Workers, func(i int) error {
 		spec := cluster.GenSpec{
 			Sites:       ingress.Sites,
 			Duration:    cfg.Duration,
@@ -165,19 +155,13 @@ func RunTopologySweep(cfg TopologySweepConfig) (TopologySweepResult, error) {
 		// generator streams re-derived from the same spec (a Source
 		// factory), or per-site generator ranges (sharded points) — so
 		// the pairing holds however each run is engineered.
-		src, sizeHint := cfg.Source, 0
+		src := cfg.Source
 		if src == nil && (topoShards == 0 || (cfg.Baseline != nil && baseShards == 0)) {
 			tr := cluster.Generate(spec)
 			src = func(cluster.GenSpec) cluster.Source { return tr.Source() }
-			sizeHint = tr.Len()
 		}
 		pointOpts := func(seed int64) cluster.Options {
-			return cluster.Options{
-				Warmup:   cfg.Warmup,
-				Seed:     seed,
-				Summary:  cfg.Summary,
-				SizeHint: sizeHint,
-			}
+			return cluster.Options{Warmup: cfg.Warmup, Seed: seed, Summary: cfg.Summary}
 		}
 		runPoint := func(topo cluster.Topology, shards int, seed int64) (*cluster.TopologyResult, error) {
 			if shards != 0 {
@@ -200,17 +184,15 @@ func RunTopologySweep(cfg TopologySweepConfig) (TopologySweepResult, error) {
 					Opts: pointOpts(cfg.Seed + int64(i)*1299709)},
 			}, 0)
 			if err != nil {
-				fail(err)
-				return
+				return err
 			}
 			res.Points[i] = topologyPoint(cfg.Rates[i], runs[0])
 			res.Baseline[i] = topologyPoint(cfg.Rates[i], runs[1])
-			return
+			return nil
 		}
 		run, err := runPoint(cfg.Topology, topoShards, cfg.Seed+int64(i)*104729)
 		if err != nil {
-			fail(err)
-			return
+			return err
 		}
 		res.Points[i] = topologyPoint(cfg.Rates[i], run)
 		if cfg.Baseline != nil {
@@ -218,14 +200,14 @@ func RunTopologySweep(cfg TopologySweepConfig) (TopologySweepResult, error) {
 			// deployment differs between the paired points.
 			base, err := runPoint(*cfg.Baseline, baseShards, cfg.Seed+int64(i)*1299709)
 			if err != nil {
-				fail(fmt.Errorf("baseline: %w", err))
-				return
+				return fmt.Errorf("baseline: %w", err)
 			}
 			res.Baseline[i] = topologyPoint(cfg.Rates[i], base)
 		}
+		return nil
 	})
-	if firstErr != nil {
-		return TopologySweepResult{}, firstErr
+	if err != nil {
+		return TopologySweepResult{}, err
 	}
 	return res, nil
 }
@@ -348,9 +330,7 @@ func RunFigThreeTier(duration float64, seed int64) (ThreeTierResult, error) {
 	model := app.NewInferenceModel()
 	rates := []float64{6, 7, 8, 9, 10, 11, 12}
 	res := ThreeTierResult{Rates: rates, Points: make([]ThreeTierPoint, len(rates))}
-	var mu sync.Mutex
-	var firstErr error
-	forEach(len(rates), 0, func(i int) {
+	err := forEachErr(len(rates), 0, func(i int) error {
 		rate := rates[i]
 		tr := cluster.Generate(cluster.GenSpec{
 			Sites:       5,
@@ -361,7 +341,7 @@ func RunFigThreeTier(duration float64, seed int64) (ThreeTierResult, error) {
 		})
 		warmup := duration / 10
 		opts := func(seed int64) cluster.Options {
-			return cluster.Options{Warmup: warmup, Seed: seed, SizeHint: tr.Len()}
+			return cluster.Options{Warmup: warmup, Seed: seed}
 		}
 		cloudPath := netem.CloudTypical
 		runs, err := cluster.RunBroadcast(tr.Source(), []cluster.Variant{
@@ -384,12 +364,7 @@ func RunFigThreeTier(duration float64, seed int64) (ThreeTierResult, error) {
 			{Label: chain.Name, Opts: opts(seed + int64(i)*32452843), Topology: chain},
 		}, 0)
 		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			return
+			return err
 		}
 		edge, cloud, over, chained := runs[0], runs[1], runs[2], runs[3]
 		n := float64(tr.Len())
@@ -407,9 +382,10 @@ func RunFigThreeTier(duration float64, seed int64) (ThreeTierResult, error) {
 			ChainSpillReg: float64(chained.Tier("edge").Spilled) / n,
 			ChainSpillCld: float64(chained.Tier("regional").Spilled) / n,
 		}
+		return nil
 	})
-	if firstErr != nil {
-		return ThreeTierResult{}, firstErr
+	if err != nil {
+		return ThreeTierResult{}, err
 	}
 	return res, nil
 }

@@ -38,8 +38,8 @@ const PaperMuConvention = 1000.0 / 13.0
 func RunValidation(duration float64, seed int64) []ValidationRow {
 	fig3, err := RunFig3("typical-25ms", duration, seed)
 	if err != nil {
-		// The preset is compile-time known; failure here is a programming
-		// error, not a user input problem.
+		// The preset and the sweep configuration are compile-time known;
+		// failure here is a programming error, not a user input problem.
 		panic(err)
 	}
 	model := app.NewInferenceModel()

@@ -323,8 +323,8 @@ func TestAzureCSVThroughTopology(t *testing.T) {
 	topo := cluster.Topology{Name: "edge", Tiers: []cluster.Tier{
 		{Name: "edge", Sites: 3, ServersPerSite: 2, Path: netem.EdgePath},
 	}}
-	run := func(src cluster.Source, hint int) *cluster.TopologyResult {
-		res, err := cluster.Run(src, topo, cluster.Options{Warmup: 30, Seed: 3, SizeHint: hint})
+	run := func(src cluster.Source) *cluster.TopologyResult {
+		res, err := cluster.Run(src, topo, cluster.Options{Warmup: 30, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,8 +334,8 @@ func TestAzureCSVThroughTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := run(tr.Source(), tr.Len())
-	got := run(StreamAzureCSV(bytes.NewReader(buf.Bytes()), opts), 0)
+	want := run(tr.Source())
+	got := run(StreamAzureCSV(bytes.NewReader(buf.Bytes()), opts))
 	if got.Offered != want.Offered || got.Completed != want.Completed ||
 		got.EndToEnd.Mean() != want.EndToEnd.Mean() ||
 		got.EndToEnd.P95() != want.EndToEnd.P95() {
