@@ -250,21 +250,18 @@ func benchOverflow(sites, servers, cloudServers, threshold int, sc netem.Scenari
 	}
 }
 
-// replayTrace runs tr through topo (Run sizes its digests to the
-// trace), failing the benchmark on error.
-func replayTrace(b *testing.B, tr *cluster.WorkloadTrace, topo cluster.Topology, opts cluster.Options) *cluster.TopologyResult {
+// replaySpec streams spec through topo, failing the benchmark on error.
+func replaySpec(b *testing.B, spec cluster.GenSpec, topo cluster.Topology, opts cluster.Options) *cluster.TopologyResult {
 	b.Helper()
-	res, err := cluster.Run(tr.Source(), topo, opts)
+	res, err := cluster.Run(cluster.Stream(spec), topo, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return res
 }
 
-func ablationTrace(seed int64) *cluster.WorkloadTrace {
-	return cluster.Generate(cluster.GenSpec{
-		Sites: 5, Duration: benchDuration, PerSiteRate: 11, Seed: seed,
-	})
+func ablationSpec(seed int64) cluster.GenSpec {
+	return cluster.GenSpec{Sites: 5, Duration: benchDuration, PerSiteRate: 11, Seed: seed}
 }
 
 // BenchmarkAblationDispatch compares cloud dispatch policies at high
@@ -278,8 +275,7 @@ func BenchmarkAblationDispatch(b *testing.B) {
 		b.Run(pol, func(b *testing.B) {
 			var mean float64
 			for i := 0; i < b.N; i++ {
-				tr := ablationTrace(17)
-				res := replayTrace(b, tr, benchCloud(5, netem.Constant("zero", 0), pol),
+				res := replaySpec(b, ablationSpec(17), benchCloud(5, netem.Constant("zero", 0), pol),
 					cluster.Options{Warmup: 20, Seed: 18})
 				mean = res.MeanLatency()
 			}
@@ -297,13 +293,11 @@ func BenchmarkAblationGeoLB(b *testing.B) {
 		for i, r := range rates {
 			procs[i] = workload.NewPoisson(r)
 		}
-		tr := cluster.Generate(cluster.GenSpec{
-			Sites: 5, Duration: benchDuration, Seed: 19, Arrivals: procs,
-		})
+		spec := cluster.GenSpec{Sites: 5, Duration: benchDuration, Seed: 19, Arrivals: procs}
 		sc, _ := netem.ScenarioByName("typical-25ms")
 		topo := benchEdge(5, 1, sc.Edge)
 		topo.Tiers[0].JockeyThreshold, topo.Tiers[0].DetourRTT = jockey, 0.005
-		return replayTrace(b, tr, topo, cluster.Options{Warmup: 20, Seed: 20}).MeanLatency()
+		return replaySpec(b, spec, topo, cluster.Options{Warmup: 20, Seed: 20}).MeanLatency()
 	}
 	b.Run("no-jockeying", func(b *testing.B) {
 		var m float64
@@ -367,12 +361,10 @@ func BenchmarkAblationSkewProvisioning(b *testing.B) {
 		for i, r := range []float64{20, 10, 6, 6, 6} {
 			procs[i] = workload.NewPoisson(r)
 		}
-		tr := cluster.Generate(cluster.GenSpec{
-			Sites: 5, Duration: benchDuration, Seed: 23, Arrivals: procs,
-		})
+		spec := cluster.GenSpec{Sites: 5, Duration: benchDuration, Seed: 23, Arrivals: procs}
 		topo := benchEdge(5, 0, netem.Constant("zero", 0))
 		topo.Tiers[0].PerSiteServers = perSite
-		return replayTrace(b, tr, topo, cluster.Options{Warmup: 20, Seed: 24}).MeanLatency()
+		return replaySpec(b, spec, topo, cluster.Options{Warmup: 20, Seed: 24}).MeanLatency()
 	}
 	b.Run("fair-share-2-each", func(b *testing.B) {
 		var m float64
@@ -510,20 +502,18 @@ func BenchmarkTheoryCutoffBisect(b *testing.B) {
 // BenchmarkAblationOverflow measures the hierarchical edge→cloud
 // overflow mitigation against the plain edge under a saturated hot site.
 func BenchmarkAblationOverflow(b *testing.B) {
-	mkTrace := func() *cluster.WorkloadTrace {
+	mkSpec := func() cluster.GenSpec {
 		procs := make([]workload.ArrivalProcess, 5)
 		for i, r := range []float64{18, 5, 5, 3, 3} {
 			procs[i] = workload.NewPoisson(r)
 		}
-		return cluster.Generate(cluster.GenSpec{
-			Sites: 5, Duration: benchDuration, Seed: 51, Arrivals: procs,
-		})
+		return cluster.GenSpec{Sites: 5, Duration: benchDuration, Seed: 51, Arrivals: procs}
 	}
 	sc, _ := netem.ScenarioByName("typical-25ms")
 	b.Run("plain-edge", func(b *testing.B) {
 		var m float64
 		for i := 0; i < b.N; i++ {
-			res := replayTrace(b, mkTrace(), benchEdge(5, 1, sc.Edge), cluster.Options{Warmup: 20, Seed: 52})
+			res := replaySpec(b, mkSpec(), benchEdge(5, 1, sc.Edge), cluster.Options{Warmup: 20, Seed: 52})
 			m = res.MeanLatency()
 		}
 		b.ReportMetric(m*1000, "mean-ms")
@@ -531,7 +521,7 @@ func BenchmarkAblationOverflow(b *testing.B) {
 	b.Run("overflow-to-cloud", func(b *testing.B) {
 		var m float64
 		for i := 0; i < b.N; i++ {
-			res := replayTrace(b, mkTrace(), benchOverflow(5, 1, 5, 4, sc),
+			res := replaySpec(b, mkSpec(), benchOverflow(5, 1, 5, 4, sc),
 				cluster.Options{Warmup: 20, Seed: 52, NoPerSiteLatency: true})
 			m = res.MeanLatency()
 		}
@@ -542,20 +532,18 @@ func BenchmarkAblationOverflow(b *testing.B) {
 // BenchmarkAblationAutoscale measures the reactive controller against a
 // static edge under the same skewed workload.
 func BenchmarkAblationAutoscale(b *testing.B) {
-	mkTrace := func() *cluster.WorkloadTrace {
+	mkSpec := func() cluster.GenSpec {
 		procs := make([]workload.ArrivalProcess, 5)
 		for i, r := range []float64{16, 8, 6, 3, 3} {
 			procs[i] = workload.NewPoisson(r)
 		}
-		return cluster.Generate(cluster.GenSpec{
-			Sites: 5, Duration: benchDuration, Seed: 53, Arrivals: procs,
-		})
+		return cluster.GenSpec{Sites: 5, Duration: benchDuration, Seed: 53, Arrivals: procs}
 	}
 	sc, _ := netem.ScenarioByName("typical-25ms")
 	b.Run("static", func(b *testing.B) {
 		var m float64
 		for i := 0; i < b.N; i++ {
-			res := replayTrace(b, mkTrace(), benchEdge(5, 1, sc.Edge), cluster.Options{Warmup: 20, Seed: 54})
+			res := replaySpec(b, mkSpec(), benchEdge(5, 1, sc.Edge), cluster.Options{Warmup: 20, Seed: 54})
 			m = res.MeanLatency()
 		}
 		b.ReportMetric(m*1000, "mean-ms")
@@ -570,7 +558,7 @@ func BenchmarkAblationAutoscale(b *testing.B) {
 				UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 6,
 			})
 			topo.Tiers[0].Scaler = &reactive
-			res := replayTrace(b, mkTrace(), topo, cluster.Options{Warmup: 20, Seed: 54, NoPerSiteLatency: true})
+			res := replaySpec(b, mkSpec(), topo, cluster.Options{Warmup: 20, Seed: 54, NoPerSiteLatency: true})
 			m = res.MeanLatency()
 			peak = res.Tiers[0].PeakServers
 		}

@@ -8,6 +8,11 @@
 //
 //	edgesim -sites 5 -servers 1 -rate 9 -scenario typical-25ms -duration 600
 //
+// Synthetic workloads are generated while they replay, never held in
+// memory, so -duration can describe 10⁸+ requests: -gen-workers spreads
+// generation across cores (bit-identical output), and -summary bounded
+// keeps the latency collectors constant-size too.
+//
 // With -topology the run replays the workload through an arbitrary
 // deployment graph instead of the fixed edge/cloud pair, printing
 // per-tier latency, spill and drop metrics. The flag accepts a preset
@@ -120,8 +125,6 @@ func main() {
 		"request in the cost overlay (0 = rejections are free)")
 	sweep := flag.String("sweep", "", "with -topology: comma-separated req/s-per-server rates to sweep, "+
 		"printing per-tier metrics and the inversion crossover vs an equal-capacity pooled cloud")
-	stream := flag.Bool("stream", false, "with -topology: generate the workload on the fly instead of "+
-		"materializing the trace — memory independent of request count; pair with -summary bounded for huge runs")
 	shards := flag.Int("shards", 0, "with -topology: parallel replay engines. Unset: one per CPU when the "+
 		"graph shards, the classic single engine otherwise. An explicit count forces that many sharded engines "+
 		"(bit-identical output for every count) and fails when the graph cannot shard; explicit 0 forces the "+
@@ -134,7 +137,7 @@ func main() {
 	azureBin := flag.Float64("azure-bin", 60, "with -azure: seconds covered by each CSV bin row")
 	genWorkers := flag.String("gen-workers", "serial", "parallel workers for synthetic workload generation: "+
 		"serial, auto (one per CPU), or an explicit count — every setting produces the bit-identical record "+
-		"sequence, so this only changes generation throughput")
+		"sequence, so this only changes generation throughput; not with -sweep, whose points already run in parallel")
 	compileOut := flag.String("compile", "", "convert the -trace/-azure input to this file and exit: a .csv "+
 		"extension writes the request CSV format, anything else the .etb binary trace format; replay the "+
 		"output later with -trace (the format is auto-detected)")
@@ -177,10 +180,6 @@ func main() {
 	}
 	model := app.NewInferenceModelWith(1/app.SaturationRate, *serviceSCV)
 
-	if *stream && *topology == "" {
-		fail("-stream requires -topology (the classic paired edge/cloud mode materializes its trace; " +
-			"pass a one-tier edge or cloud graph via -topology to stream the same deployment)")
-	}
 	if *shards < 0 {
 		fail("-shards must be >= 0 (got %d)", *shards)
 	}
@@ -202,9 +201,6 @@ func main() {
 	if in.active() && *topology == "" && *compileOut == "" {
 		fail("%s requires -topology (workload files replay through deployment graphs) or -compile", in.flagName())
 	}
-	if in.active() && *stream {
-		fail("-stream is redundant with %s: the file decoders already stream row by row", in.flagName())
-	}
 	if *azureBin <= 0 {
 		fail("-azure-bin must be positive (got %v)", *azureBin)
 	}
@@ -223,7 +219,7 @@ func main() {
 		}
 		for flagName, set := range map[string]bool{
 			"-topology": *topology != "", "-sweep": *sweep != "", "-grid": *grid != "",
-			"-stream": *stream, "-shards": shardsSet,
+			"-shards": shardsSet,
 		} {
 			if set {
 				fail("-compile only converts the input file; drop %s", flagName)
@@ -232,25 +228,33 @@ func main() {
 		runCompile(in, *compileOut)
 		return
 	}
-	if *stream && mode == stats.Exact {
-		// Legitimate at modest scales (exact quantiles without the
-		// trace), but at the request counts -stream exists for, exact
-		// summaries retain every latency sample and grow O(n) anyway.
-		fmt.Fprintln(os.Stderr, "edgesim: warning: -stream with -summary exact retains every latency sample; "+
-			"use -summary bounded for O(1)-memory runs")
-	}
 	if *grid != "" {
-		for flagName, set := range map[string]bool{
-			"-topology": *topology != "", "-sweep": *sweep != "",
-			"-trace": *traceFile != "", "-azure": *azureFile != "",
-			"-stream": *stream, "-shards": shardsSet,
-		} {
-			if set {
-				fail("-grid builds its own deployment shapes and sources; drop %s", flagName)
-			}
+		if err := checkGridFlags(set); err != nil {
+			fail("%v", err)
 		}
 		if *gridReps < 1 {
 			fail("-grid-reps must be >= 1 (got %d)", *gridReps)
+		}
+	}
+	var topo cluster.Topology
+	if *topology != "" {
+		var err error
+		topo, err = loadTopologyWithScaler(*topology, *scaler, *admitFlag, *autoscaleMax, model.Mu())
+		if err != nil {
+			fail("-topology: %v", err)
+		}
+		if err := checkTopologyFlags(topo, *skew, *sites, set); err != nil {
+			fail("%v", err)
+		}
+	} else if *sweep != "" {
+		fail("-sweep requires -topology (the deployment graph to sweep)")
+	}
+	if *sweep != "" && set["gen-workers"] {
+		fail("-gen-workers cannot combine with -sweep: the sweep's worker pool already runs points in parallel")
+	}
+	if !in.active() {
+		if err := checkGenFlags(*sites, *servers, *rate, *duration, *warmup, *arrivalSCV, *serviceSCV); err != nil {
+			fail("%v", err)
 		}
 	}
 
@@ -286,22 +290,12 @@ func main() {
 		return
 	}
 
-	if *sweep != "" && *topology == "" {
-		fail("-sweep requires -topology (the deployment graph to sweep)")
-	}
 	if *topology != "" {
-		topo, err := loadTopologyWithScaler(*topology, *scaler, *admitFlag, *autoscaleMax, model.Mu())
-		if err != nil {
-			fail("-topology: %v", err)
-		}
-		if err := checkTopologyFlags(topo, *skew, *sites, set); err != nil {
-			fail("%v", err)
-		}
 		if *sweep != "" {
-			runTopologySweepCLI(topo, *sweep, *stream, in, sh, gc, sc,
+			runTopologySweepCLI(topo, *sweep, in, sh, sc,
 				*duration, *warmup, *arrivalSCV, *seed, model, mode)
 		} else {
-			runTopology(topo, *stream, in, sh, gc, *sites, *servers, *rate,
+			runTopology(topo, in, sh, gc, *sites, *servers, *rate,
 				*duration, *warmup, *arrivalSCV, *seed, *rejectPenalty, model, mode)
 		}
 		return
@@ -329,8 +323,7 @@ func main() {
 	if *skew != "" {
 		weights, err := parseWeights(*skew, *sites)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "edgesim:", err)
-			os.Exit(1)
+			fail("%v", err)
 		}
 		totalRate := *rate * float64(*servers) * float64(*sites)
 		part := workload.NewStatic(weights)
@@ -340,13 +333,15 @@ func main() {
 		}
 		spec.Arrivals = procs
 	}
+	if err := spec.Validate(); err != nil {
+		fail("%v", err)
+	}
 	gw, err := gc.resolve(spec.Sites)
 	if err != nil {
 		fail("%v", err)
 	}
-	tr := generate(spec, gw)
 
-	// Every deployment replays the same trace and nothing else is
+	// Every deployment replays the same workload and nothing else is
 	// shared, so one broadcast pass runs them all concurrently. Only
 	// the baseline edge keeps per-site latency for the site table.
 	variant := func(name string, seed int64, perSiteLatency bool, tiers ...cluster.Tier) cluster.Variant {
@@ -390,7 +385,7 @@ func main() {
 		tier.Scaler = scalerSpec
 		variants = append(variants, variant("edge+"+scalerSpec.Label(), *seed+1, false, tier))
 	}
-	runs, err := cluster.RunBroadcast(tr.Source(), variants, 0)
+	runs, err := cluster.RunBroadcast(cluster.Options{GenWorkers: gw}.GenSource(spec), variants, 0)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -398,8 +393,7 @@ func main() {
 
 	fmt.Printf("scenario %s: edge RTT %.1fms, cloud RTT %.1fms, Δn %.1fms\n",
 		sc.Name, sc.Edge.MeanRTT()*1000, sc.Cloud.MeanRTT()*1000, sc.DeltaN()*1000)
-	fmt.Printf("workload: %d requests over %.0fs (%.1f req/s aggregate), mean service %.1fms\n\n",
-		tr.Len(), tr.Duration(), tr.TotalRate(), tr.MeanServiceTime()*1000)
+	printWorkload(in, edge)
 
 	rows := [][]interface{}{latencyRow("edge", &edge.Result), latencyRow("cloud", &cloud.Result)}
 	next := 2
@@ -421,7 +415,7 @@ func main() {
 		rows = append(rows, latencyRow(over.Label, &row))
 		spilled := over.Tiers[0].Spilled
 		defer fmt.Printf("overflow: %d requests (%.1f%%) served by the cloud backstop\n",
-			spilled, 100*float64(spilled)/float64(tr.Len()))
+			spilled, 100*float64(spilled)/float64(over.Offered))
 	}
 	if scalerSpec != nil {
 		scaled := runs[next]
@@ -491,6 +485,52 @@ var classicOnlyFlags = []struct{ name, field string }{
 	{"edge-slowdown", `a tier's "slowdown"`},
 	{"queue-cap", `a tier's "queueCap"`},
 	{"overflow-at", `a spill edge's "threshold"`},
+}
+
+// gridIgnoredFlags are the flags a -grid run never reads beyond the
+// classicOnlyFlags deployment knobs: the grid builds its own shapes,
+// paths, capacities and generator sources, and its rates replace -rate.
+var gridIgnoredFlags = []string{"topology", "sweep", "trace", "azure", "azure-bin", "shards",
+	"skew", "scenario", "servers", "rate", "scaler", "autoscale-max"}
+
+// checkGridFlags rejects every flag given on the command line (set)
+// that a -grid run would otherwise ignore without a word.
+func checkGridFlags(set map[string]bool) error {
+	names := append([]string(nil), gridIgnoredFlags...)
+	for _, f := range classicOnlyFlags {
+		names = append(names, f.name)
+	}
+	for _, name := range names {
+		if set[name] {
+			return fmt.Errorf("-grid builds its own deployment shapes and sources; drop -%s", name)
+		}
+	}
+	return nil
+}
+
+// checkGenFlags rejects the numbers no synthetic workload can be
+// generated from, naming the flag, before any run starts: the same
+// holes GenSpec.Validate guards (NaN and infinities pass "<= 0"), plus
+// a -warmup that would discard the whole run.
+func checkGenFlags(sites, servers int, rate, duration, warmup, arrivalSCV, serviceSCV float64) error {
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	switch {
+	case sites < 1:
+		return fmt.Errorf("-sites must be >= 1 (got %d)", sites)
+	case servers < 1:
+		return fmt.Errorf("-servers must be >= 1 (got %d)", servers)
+	case !(rate > 0) || !finite(rate):
+		return fmt.Errorf("-rate must be positive and finite (got %v)", rate)
+	case !(duration > 0) || !finite(duration):
+		return fmt.Errorf("-duration must be positive and finite (got %v)", duration)
+	case !(warmup < duration):
+		return fmt.Errorf("-warmup %v must be below -duration %v: the run would measure nothing", warmup, duration)
+	case !(arrivalSCV >= 0) || !finite(arrivalSCV):
+		return fmt.Errorf("-arrival-scv must be finite and >= 0 (got %v)", arrivalSCV)
+	case !(serviceSCV >= 0) || !finite(serviceSCV):
+		return fmt.Errorf("-service-scv must be finite and >= 0 (got %v)", serviceSCV)
+	}
+	return nil
 }
 
 // checkTopologyFlags rejects classic-mode flags that a -topology run
@@ -623,14 +663,13 @@ func loadTopologyWithScaler(arg, scalerArg, admitArg string, maxFlag int, mu flo
 
 // runTopology replays a workload through the deployment graph and
 // prints aggregate and per-tier latency/spill/drop/cost metrics. The
-// workload is generated from the rate flags, or decoded from a -trace
-// / -azure file. With stream set, generation happens on the fly —
-// nothing trace-sized is ever held, so -duration can describe 10⁸+
-// requests on a laptop (pair with -summary bounded); sharded replays
-// and the file decoders always stream. With a positive shard
-// resolution the replay fans out across engines via cluster.RunPipelined,
-// bit-identical for every shard count.
-func runTopology(topo cluster.Topology, stream bool, in workloadInput, sh shardChoice,
+// workload is generated on the fly from the rate flags, or decoded row
+// by row from a -trace / -azure file; nothing trace-sized is ever held,
+// so -duration can describe 10⁸+ requests on a laptop (pair with
+// -summary bounded). With a positive shard resolution the replay fans
+// out across engines via cluster.RunPipelined, bit-identical for every
+// shard count.
+func runTopology(topo cluster.Topology, in workloadInput, sh shardChoice,
 	gc genChoice, sites, servers int, rate, duration, warmup, arrivalSCV float64, seed int64,
 	rejectPenalty float64, model app.InferenceModel, mode stats.Mode) {
 	nShards, err := sh.resolve(topo)
@@ -665,7 +704,6 @@ func runTopology(topo cluster.Topology, stream bool, in workloadInput, sh shardC
 		opts.Pricing = &pricing
 	}
 	var res *cluster.TopologyResult
-	var tr *cluster.WorkloadTrace
 	switch {
 	case in.active():
 		// Replay a decoded file. Home ingress pins the site count: the
@@ -702,17 +740,17 @@ func runTopology(topo cluster.Topology, stream bool, in workloadInput, sh shardC
 		} else {
 			res, err = cluster.Run(factory(), topo, opts)
 		}
-	case nShards > 0:
-		if nShards > genSites {
-			nShards = genSites
-		}
-		res, err = cluster.RunPipelined(cluster.GenShards(genSpec(genSites, perSite, rate, duration, arrivalSCV, seed, model)),
-			topo, opts, nShards)
-	case stream:
-		res, err = cluster.Run(opts.GenSource(genSpec(genSites, perSite, rate, duration, arrivalSCV, seed, model)), topo, opts)
 	default:
-		tr = generate(genSpec(genSites, perSite, rate, duration, arrivalSCV, seed, model), gw)
-		res, err = cluster.Run(tr.Source(), topo, opts)
+		spec := genSpec(genSites, perSite, rate, duration, arrivalSCV, seed, model)
+		if err := spec.Validate(); err != nil {
+			fail("%v", err)
+		}
+		if nShards > 0 {
+			nShards = min(nShards, genSites)
+			res, err = cluster.RunPipelined(cluster.GenShards(spec), topo, opts, nShards)
+		} else {
+			res, err = cluster.Run(opts.GenSource(spec), topo, opts)
+		}
 	}
 	if err != nil {
 		fail("-topology: %v", err)
@@ -723,21 +761,7 @@ func runTopology(topo cluster.Topology, stream bool, in workloadInput, sh shardC
 	if nShards > 0 {
 		fmt.Printf("engine: %d sharded engines streaming into the shared phase (bit-identical for any shard count)\n", nShards)
 	}
-	aggRate := 0.0
-	if res.Duration > 0 {
-		aggRate = float64(res.Offered) / res.Duration
-	}
-	switch {
-	case in.active():
-		fmt.Printf("workload (%s): %d requests over %.0fs (%.1f req/s aggregate)\n\n",
-			in.label(), res.Offered, res.Duration, aggRate)
-	case tr == nil:
-		fmt.Printf("workload (streamed): %d requests over %.0fs (%.1f req/s aggregate), never materialized\n\n",
-			res.Offered, res.Duration, aggRate)
-	default:
-		fmt.Printf("workload: %d requests over %.0fs (%.1f req/s aggregate), mean service %.1fms\n\n",
-			tr.Len(), tr.Duration(), tr.TotalRate(), tr.MeanServiceTime()*1000)
-	}
+	printWorkload(in, res)
 
 	rows := [][]interface{}{latencyRow(res.Label, &res.Result)}
 	asciiplot.Table(os.Stdout, []string{"deployment", "util", "mean (ms)", "median", "p95", "p99", "max", "n"}, rows)
@@ -852,14 +876,20 @@ func runTopology(topo cluster.Topology, stream bool, in workloadInput, sh shardC
 	}
 }
 
-// generate materializes a trace through the resolved -gen-workers
-// count: parallel workers when gw > 1, the classic serial generator
-// otherwise — identical output either way.
-func generate(spec cluster.GenSpec, gw int) *cluster.WorkloadTrace {
-	if gw > 1 {
-		return cluster.GenerateParallel(spec, gw)
+// printWorkload prints the workload banner from a run's result: what
+// it replayed, how many requests over how long.
+func printWorkload(in workloadInput, res *cluster.TopologyResult) {
+	aggRate := 0.0
+	if res.Duration > 0 {
+		aggRate = float64(res.Offered) / res.Duration
 	}
-	return cluster.Generate(spec)
+	if in.active() {
+		fmt.Printf("workload (%s): %d requests over %.0fs (%.1f req/s aggregate)\n\n",
+			in.label(), res.Offered, res.Duration, aggRate)
+		return
+	}
+	fmt.Printf("workload (streamed): %d requests over %.0fs (%.1f req/s aggregate), never materialized\n\n",
+		res.Offered, res.Duration, aggRate)
 }
 
 // genSpec assembles the generator spec the topology runners share.
@@ -880,8 +910,8 @@ func genSpec(sites, perSite int, rate, duration, arrivalSCV float64, seed int64,
 // per-tier tables, plus the inversion crossover against a pooled cloud
 // of equal total capacity on the -scenario's cloud path — the paper's
 // edge-vs-cloud question generalized to arbitrary hierarchies.
-func runTopologySweepCLI(topo cluster.Topology, sweepArg string, stream bool,
-	in workloadInput, sh shardChoice, gc genChoice, sc netem.Scenario,
+func runTopologySweepCLI(topo cluster.Topology, sweepArg string,
+	in workloadInput, sh shardChoice, sc netem.Scenario,
 	duration, warmup, arrivalSCV float64, seed int64, model app.InferenceModel, mode stats.Mode) {
 	rates, err := parseRates(sweepArg)
 	if err != nil {
@@ -924,36 +954,16 @@ func runTopologySweepCLI(topo cluster.Topology, sweepArg string, stream bool,
 		Baseline:   &baseline,
 	}
 	switch {
-	case in.active() || stream:
+	case in.active():
 		// Source-driven sweeps replay one engine per point: a factory
 		// cannot be split into per-site ranges.
 		if sh.set && sh.n != 0 {
-			from := "-stream"
-			if in.active() {
-				from = in.flagName()
-			}
-			fail("-shards cannot combine with a %s sweep: a source factory cannot be split into site ranges", from)
+			fail("-shards cannot combine with a %s sweep: a source factory cannot be split into site ranges", in.flagName())
 		}
 	case sh.set:
 		sweepCfg.Shards = sh.n
 	default:
 		sweepCfg.Shards = experiments.AutoShards
-	}
-	if stream {
-		// Each point (and its paired baseline) re-derives a generator
-		// source from the same spec: identical sequences, O(1) memory.
-		// The -gen-workers choice rides along — ParallelStream emits the
-		// bit-identical sequence, so the sweep's pairing is unaffected.
-		genSites := topo.Tiers[0].Sites
-		if topo.Tiers[0].Dispatch != "" {
-			genSites = 1 << 20 // dispatcher ingress: sites come from the spec; skip clamping
-		}
-		gw, err := gc.resolve(genSites)
-		if err != nil {
-			fail("%v", err)
-		}
-		genOpts := cluster.Options{GenWorkers: gw}
-		sweepCfg.Source = genOpts.GenSource
 	}
 	if in.active() {
 		// A recorded trace carries one rate; the sweep replays it with
@@ -1024,7 +1034,11 @@ func runTopologySweepCLI(topo cluster.Topology, sweepArg string, stream bool,
 		{"mean", func(p experiments.TopologyPoint) float64 { return p.Mean }},
 		{"p95", func(p experiments.TopologyPoint) float64 { return p.P95 }},
 	} {
-		switch rate, atFloor, ok := sweepCrossover(res.Points, cloud, rates, m.pick); {
+		gaps := make([]float64, len(res.Points))
+		for i, p := range res.Points {
+			gaps[i] = m.pick(p) - m.pick(cloud[i])
+		}
+		switch rate, atFloor, ok := experiments.FirstCrossing(rates, gaps); {
 		case ok && atFloor:
 			fmt.Printf("crossover (%s): hierarchy already loses to the pooled cloud at %.1f req/s/srv (sweep lower rates to bracket it)\n", m.name, rate)
 		case ok:
@@ -1033,29 +1047,6 @@ func runTopologySweepCLI(topo cluster.Topology, sweepArg string, stream bool,
 			fmt.Printf("crossover (%s): hierarchy beats the pooled cloud across the swept rates\n", m.name)
 		}
 	}
-}
-
-// sweepCrossover finds the rate where the topology's metric first
-// exceeds the cloud baseline's, linearly interpolating the sign
-// change. atFloor reports that the hierarchy already loses at the
-// lowest swept rate — the true crossover lies below the swept range.
-func sweepCrossover(topo, cloud []experiments.TopologyPoint, rates []float64,
-	pick func(experiments.TopologyPoint) float64) (rate float64, atFloor, found bool) {
-	prev := 0.0
-	for i := range topo {
-		d := pick(topo[i]) - pick(cloud[i])
-		if d > 0 {
-			if i == 0 {
-				return rates[0], true, true
-			}
-			// Interpolate between the bracketing rates on the gap
-			// (prev <= 0 < d, so the denominator is positive).
-			frac := -prev / (d - prev)
-			return rates[i-1] + frac*(rates[i]-rates[i-1]), false, true
-		}
-		prev = d
-	}
-	return 0, false, false
 }
 
 // runGridCLI evaluates the crossover surface (experiments.RunGrid) and
@@ -1189,8 +1180,8 @@ func parseRates(s string) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad rate %q: %w", p, err)
 		}
-		if v <= 0 {
-			return nil, fmt.Errorf("rate %v must be positive", v)
+		if !(v > 0) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("rate %v must be positive and finite", v)
 		}
 		out = append(out, v)
 	}
@@ -1215,12 +1206,20 @@ func parseWeights(s string, k int) ([]float64, error) {
 		return nil, fmt.Errorf("-skew needs %d weights, got %d", k, len(parts))
 	}
 	out := make([]float64, len(parts))
+	sum := 0.0
 	for i, p := range parts {
 		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad weight %q: %w", p, err)
+			return nil, fmt.Errorf("-skew: bad weight %q: %w", p, err)
+		}
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("-skew: weight %v must be finite and >= 0", v)
 		}
 		out[i] = v
+		sum += v
+	}
+	if sum == 0 {
+		return nil, fmt.Errorf("-skew: weights sum to zero")
 	}
 	return out, nil
 }

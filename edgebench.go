@@ -16,7 +16,7 @@
 //
 //   - Simulation: a discrete-event simulator of edge and cloud
 //     deployments under synthetic or trace-driven workloads, which
-//     substitutes for the paper's EC2 testbed. See Generate, Topology,
+//     substitutes for the paper's EC2 testbed. See Stream, Topology,
 //     CloudTier, RunTopology and RunBroadcast.
 //
 //   - Live testbed: a real net/http inference-service emulator, reverse
@@ -114,16 +114,12 @@ var (
 
 // ---- Simulation layer (internal/cluster, internal/queue) ----
 
-// GenSpec describes how to synthesize a workload trace.
+// GenSpec describes a synthetic workload; Stream generates it.
 type GenSpec = cluster.GenSpec
 
-// WorkloadTrace is a time-ordered request sequence driving paired
-// edge/cloud runs.
-type WorkloadTrace = cluster.WorkloadTrace
-
-// Source streams workload records lazily into the replay core;
-// WorkloadTrace implements it, and generator sources can replay
-// arbitrarily long workloads without materializing them.
+// Source streams workload records lazily into the replay core, so
+// generator sources replay arbitrarily long workloads in O(sites)
+// memory.
 type Source = cluster.Source
 
 // FallibleSource is a Source that can end on a failure (trace-file
@@ -242,12 +238,11 @@ var (
 	NewReactiveScaler = autoscale.NewReactive
 )
 
-// Simulation entry points. Stream is Generate's lazy twin: the
-// identical record sequence for the same spec and seed, produced on
-// the fly in O(sites) memory, so 10⁸-request replays (with
-// BoundedSummary) never hold a trace.
+// Simulation entry points. Stream generates a spec's records on the
+// fly in O(sites) memory — the same sequence for the same spec and
+// seed — so 10⁸-request replays (with BoundedSummary) never hold a
+// trace; StreamFactory re-derives one per run.
 var (
-	Generate               = cluster.Generate
 	Stream                 = cluster.Stream
 	StreamFactory          = cluster.StreamFactory
 	DefaultAutoscaleConfig = autoscale.DefaultConfig

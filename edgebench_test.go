@@ -20,14 +20,14 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		t.Fatalf("cutoff = %v, want interior", cutoff)
 	}
 
-	tr := edgebench.Generate(edgebench.GenSpec{
+	src := edgebench.Stream(edgebench.GenSpec{
 		Sites: 5, Duration: 200, PerSiteRate: 8, Model: model, Seed: 1,
 	})
 	sc, ok := edgebench.ScenarioByName("typical-25ms")
 	if !ok {
 		t.Fatal("scenario missing")
 	}
-	runs, err := edgebench.RunBroadcast(tr.Source(), []edgebench.Variant{
+	runs, err := edgebench.RunBroadcast(src, []edgebench.Variant{
 		{Label: "edge", Opts: edgebench.TopologyOptions{Warmup: 20, Seed: 2},
 			Topology: edgebench.Topology{Name: "edge", Tiers: []edgebench.Tier{
 				{Name: "edge", Sites: 5, ServersPerSite: 1, Path: sc.Edge}}}},
@@ -151,16 +151,17 @@ func TestPublicAPIExtensions(t *testing.T) {
 func TestPublicAPIMitigations(t *testing.T) {
 	model := edgebench.NewInferenceModel()
 	sc, _ := edgebench.ScenarioByName("typical-25ms")
-	arrivals := make([]edgebench.ArrivalProcess, 3)
-	for i, r := range []float64{15, 5, 4} {
-		arrivals[i] = edgebench.NewPoissonArrivals(r)
-	}
-	tr := edgebench.Generate(edgebench.GenSpec{
-		Sites: 3, Duration: 200, Model: model, Seed: 9, Arrivals: arrivals,
+	// Arrival processes are stateful: each run re-derives its own.
+	newSource := edgebench.StreamFactory(func() edgebench.GenSpec {
+		arrivals := make([]edgebench.ArrivalProcess, 3)
+		for i, r := range []float64{15, 5, 4} {
+			arrivals[i] = edgebench.NewPoissonArrivals(r)
+		}
+		return edgebench.GenSpec{Sites: 3, Duration: 200, Model: model, Seed: 9, Arrivals: arrivals}
 	})
 	edge := edgebench.Tier{Name: "edge", Sites: 3, ServersPerSite: 1, Path: sc.Edge}
 	run := func(topo edgebench.Topology) *edgebench.TopologyResult {
-		res, err := edgebench.RunTopology(tr.Source(), topo, edgebench.TopologyOptions{Warmup: 20, Seed: 10})
+		res, err := edgebench.RunTopology(newSource(), topo, edgebench.TopologyOptions{Warmup: 20, Seed: 10})
 		if err != nil {
 			t.Fatal(err)
 		}

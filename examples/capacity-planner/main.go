@@ -36,11 +36,11 @@ func main() {
 	for i, l := range forecast {
 		arrivals[i] = edgebench.NewPoissonArrivals(l)
 	}
-	tr := edgebench.Generate(edgebench.GenSpec{
+	src := edgebench.Stream(edgebench.GenSpec{
 		Sites: 5, Duration: 600, Model: model, Seed: 3, Arrivals: arrivals,
 	})
 
-	// Every deployment replays the same trace in one broadcast pass.
+	// Every deployment replays the same stream in one broadcast pass.
 	edge := edgebench.Tier{Name: "edge", Sites: 5, ServersPerSite: 1, Path: sc.Edge}
 	planTier := edge
 	planTier.PerSiteServers = plan.PerSite
@@ -61,7 +61,7 @@ func main() {
 	}
 	over := variant("edge+overflow", 4, edge, cloudTier)
 	over.Topology.Spills = []edgebench.SpillEdge{{From: "edge", To: "cloud", Threshold: 4, DetourPath: &sc.Cloud}}
-	runs, err := edgebench.RunBroadcast(tr.Source(), []edgebench.Variant{
+	runs, err := edgebench.RunBroadcast(src, []edgebench.Variant{
 		variant("edge", 4, edge),
 		variant("cloud", 5, cloudTier),
 		variant("edge+plan", 4, planTier),
@@ -84,7 +84,7 @@ func main() {
 		"edge, autoscaled", scaled.MeanLatency()*1000, scaled.P95Latency()*1000, scaled.Tiers[0].PeakServers)
 	fmt.Printf("  %-34s mean %8.1f ms   p95 %9.1f ms   (%.0f%% overflowed to cloud)\n",
 		"edge, cloud overflow", overflow.MeanLatency()*1000, overflow.P95Latency()*1000,
-		100*float64(overflow.Tiers[0].Spilled)/float64(tr.Len()))
+		100*float64(overflow.Tiers[0].Spilled)/float64(overflow.Offered))
 
 	fmt.Println("\n§5.2 capacity cost: the planned edge uses",
 		plan.TotalEdge, "servers where the cloud pools", plan.CloudTotal, "—")

@@ -23,7 +23,7 @@ func main() {
 	for i, w := range weights {
 		arrivals[i] = edgebench.NewPoissonArrivals(aggregate * w)
 	}
-	tr := edgebench.Generate(edgebench.GenSpec{
+	src := edgebench.Stream(edgebench.GenSpec{
 		Sites:    sites,
 		Duration: 600,
 		Model:    model,
@@ -42,7 +42,7 @@ func main() {
 		return edgebench.Variant{Label: name, Topology: edgebench.Topology{Name: name, Tiers: []edgebench.Tier{t}},
 			Opts: edgebench.TopologyOptions{Warmup: 60, Seed: seed}}
 	}
-	runs, err := edgebench.RunBroadcast(tr.Source(), []edgebench.Variant{
+	runs, err := edgebench.RunBroadcast(src, []edgebench.Variant{
 		oneTier("edge", edge, 21),
 		oneTier("cloud", edgebench.CloudTier(sites, sc.Cloud, edgebench.CentralQueue), 22),
 		oneTier("edge+jockey", jockeying, 21),
@@ -60,7 +60,7 @@ func main() {
 	show("edge (geographic LB)", jockeyed)
 	show("cloud (5 servers)", cloud)
 	fmt.Printf("\ngeographic LB redirected %d requests (%.1f%% of the workload)\n",
-		jockeyed.Redirected, 100*float64(jockeyed.Redirected)/float64(tr.Len()))
+		jockeyed.Redirected, 100*float64(jockeyed.Redirected)/float64(jockeyed.Offered))
 
 	fmt.Println("\nper-site utilization without balancing:")
 	for _, s := range baseline.Tiers[0].Sites {

@@ -35,18 +35,17 @@ func main() {
 		Model:       model,
 		Seed:        1,
 	}
-	tr := edgebench.Generate(spec)
 	sc, _ := edgebench.ScenarioByName("typical-25ms")
 	// Each deployment is a one-tier Topology: five home-routed sites, or
-	// five servers pooled behind one cloud queue. RunBroadcast replays
-	// the one trace through both concurrently.
+	// five servers pooled behind one cloud queue. RunBroadcast streams
+	// the one workload through both concurrently.
 	edgeTopo := edgebench.Topology{Name: "edge", Tiers: []edgebench.Tier{
 		{Name: "edge", Sites: 5, ServersPerSite: 1, Path: sc.Edge},
 	}}
 	cloudTopo := edgebench.Topology{Name: "cloud", Tiers: []edgebench.Tier{
 		edgebench.CloudTier(5, sc.Cloud, edgebench.CentralQueue),
 	}}
-	runs, err := edgebench.RunBroadcast(tr.Source(), []edgebench.Variant{
+	runs, err := edgebench.RunBroadcast(edgebench.Stream(spec), []edgebench.Variant{
 		{Label: "edge", Topology: edgeTopo, Opts: edgebench.TopologyOptions{Warmup: 60, Seed: 2}},
 		{Label: "cloud", Topology: cloudTopo, Opts: edgebench.TopologyOptions{Warmup: 60, Seed: 3}},
 	}, 0)
@@ -70,12 +69,11 @@ func main() {
 		fmt.Println("=> the edge wins at this load.")
 	}
 
-	// Scale without the trace: Stream generates the same spec on the
-	// fly — the bit-identical record sequence Generate produced above,
-	// in O(sites) memory — and BoundedSummary keeps the collectors O(1),
-	// so the same run shape works unchanged at 10⁸ requests (see
-	// `edgesim -topology ... -stream -summary bounded`). Replaying the
-	// identical spec+seed streamed reproduces the edge numbers exactly.
+	// Scale without the trace: Stream generates the spec on the fly in
+	// O(sites) memory, and BoundedSummary keeps the collectors O(1), so
+	// the same run shape works unchanged at 10⁸ requests (see
+	// `edgesim -topology ... -summary bounded`). Replaying the identical
+	// spec+seed again reproduces the edge numbers exactly.
 	streamed, err := edgebench.RunTopology(edgebench.Stream(spec), edgeTopo,
 		edgebench.TopologyOptions{Warmup: 60, Seed: 2, Summary: edgebench.BoundedSummary})
 	if err != nil {

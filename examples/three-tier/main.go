@@ -28,7 +28,7 @@ func main() {
 	for i, w := range weights {
 		arrivals[i] = edgebench.NewPoissonArrivals(aggregate * w)
 	}
-	tr := edgebench.Generate(edgebench.GenSpec{
+	src := edgebench.Stream(edgebench.GenSpec{
 		Sites: sites, Duration: 600, Model: model, Seed: 31, Arrivals: arrivals,
 	})
 
@@ -52,7 +52,7 @@ func main() {
 	opts := func(seed int64) edgebench.TopologyOptions {
 		return edgebench.TopologyOptions{Warmup: 60, Seed: seed}
 	}
-	runs, err := edgebench.RunBroadcast(tr.Source(), []edgebench.Variant{
+	runs, err := edgebench.RunBroadcast(src, []edgebench.Variant{
 		{Label: "edge", Opts: opts(41), Topology: edgebench.Topology{Name: "edge", Tiers: []edgebench.Tier{
 			{Name: "edge", Sites: sites, ServersPerSite: 2, Path: sc.Edge},
 		}}},

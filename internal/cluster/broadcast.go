@@ -56,7 +56,6 @@ type broadcastSub struct {
 	buf []RequestRecord
 	bi  int
 	err func() error
-	n   int // the producer source's record count, when it knows it
 }
 
 func (s *broadcastSub) Next() (RequestRecord, bool) {
@@ -75,8 +74,6 @@ func (s *broadcastSub) Next() (RequestRecord, bool) {
 
 func (s *broadcastSub) Err() error { return s.err() }
 
-func (s *broadcastSub) size() int { return s.n }
-
 // RunBroadcast replays src through every variant concurrently, pulling
 // the source exactly once. Results are positional (results[i] is
 // variants[i]); the first variant error fails the whole call. ring
@@ -91,13 +88,13 @@ func (s *broadcastSub) size() int { return s.n }
 // Run(srcFactory(), v.Topology, v.Opts).
 func RunBroadcast(src Source, variants []Variant, ring int) ([]*TopologyResult, error) {
 	if len(variants) == 0 {
+		stopSource(src)
 		return nil, fmt.Errorf("cluster: RunBroadcast needs at least one variant")
 	}
 	if ring <= 0 {
 		ring = defaultBroadcastRing
 	}
 	fan := merge.NewFan[RequestRecord](len(variants), ring)
-	n := sizeOf(src)
 
 	// Producer: one pass over src, batched into the fan. The error (if
 	// any) is stored before CloseProducer, so a subscriber that has
@@ -107,6 +104,7 @@ func RunBroadcast(src Source, variants []Variant, ring int) ([]*TopologyResult, 
 		srcErr error
 	)
 	go pprof.Do(context.Background(), pprof.Labels("phase", "generate"), func(context.Context) {
+		defer stopSource(src)
 		batch := make([]RequestRecord, 0, broadcastBatch)
 		for {
 			rec, ok := src.Next()
@@ -145,7 +143,7 @@ func RunBroadcast(src Source, variants []Variant, ring int) ([]*TopologyResult, 
 		go func(i int) {
 			defer wg.Done()
 			defer fan.Cancel(i)
-			sub := &broadcastSub{fan: fan, i: i, err: producerErr, n: n}
+			sub := &broadcastSub{fan: fan, i: i, err: producerErr}
 			results[i], errs[i] = Run(sub, variants[i].Topology, variants[i].Opts)
 		}(i)
 	}

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestGenSpecRejectsBadNumbers: deriveArrivals must panic on the
-// NaN/Inf holes that ordered comparisons miss — a NaN duration passes
-// "<= 0" and would generate forever; a NaN rate or SCV poisons every
-// inter-arrival draw.
+// TestGenSpecRejectsBadNumbers: Validate must return an error, and
+// deriveArrivals panic with it, on the NaN/Inf holes that ordered
+// comparisons miss — a NaN duration passes "<= 0" and would generate
+// forever; a NaN rate or SCV poisons every inter-arrival draw.
 func TestGenSpecRejectsBadNumbers(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	cases := map[string]GenSpec{
@@ -25,6 +25,9 @@ func TestGenSpecRejectsBadNumbers(t *testing.T) {
 		"negative scv":  {Sites: 2, Duration: 10, PerSiteRate: 5, ArrivalSCV: -0.4},
 	}
 	for name, spec := range cases {
+		if spec.Validate() == nil {
+			t.Errorf("%s: Validate accepted an invalid spec", name)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -39,6 +42,9 @@ func TestGenSpecRejectsBadNumbers(t *testing.T) {
 		{Sites: 2, Duration: 10, PerSiteRate: 5},
 		{Sites: 2, Duration: 10, PerSiteRate: 5, ArrivalSCV: 1.2},
 	} {
+		if err := spec.Validate(); err != nil {
+			t.Errorf("valid spec rejected: %v", err)
+		}
 		if got := deriveArrivals(&spec); len(got) != 2 {
 			t.Errorf("valid spec derived %d processes, want 2", len(got))
 		}

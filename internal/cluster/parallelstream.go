@@ -152,18 +152,12 @@ type ParallelSource interface {
 	Stop()
 }
 
-// GenerateParallel materializes spec's trace using `workers` generator
-// goroutines — records bit-identical to Generate(spec), wall-clock
-// divided across cores. workers <= 0 means one per CPU.
-func GenerateParallel(spec GenSpec, workers int) *WorkloadTrace {
-	src := ParallelStream(spec, workers)
-	var recs []RequestRecord
-	for {
-		rec, ok := src.Next()
-		if !ok {
-			break
-		}
-		recs = append(recs, rec)
+// stopSource releases src's generator workers if it is a ParallelSource.
+// The engines defer it on every source they consume, so a run that
+// fails part-way never leaves workers parked on their rings; on a
+// drained source it is a no-op.
+func stopSource(src Source) {
+	if p, ok := src.(ParallelSource); ok {
+		p.Stop()
 	}
-	return &WorkloadTrace{Records: recs, Sites: spec.Sites}
 }

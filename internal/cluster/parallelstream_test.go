@@ -9,6 +9,8 @@ package cluster_test
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -52,13 +54,18 @@ func TestParallelStreamMatchesStream(t *testing.T) {
 	}
 }
 
-// TestGenerateParallelMatchesGenerate: the materialized parallel trace
-// equals Generate's, including the Sites metadata.
+// TestGenerateParallelMatchesGenerate: the trace drained from
+// Options.GenSource with four generator workers — the path edgesim's
+// -gen-workers takes — equals the Generate oracle's.
 func TestGenerateParallelMatchesGenerate(t *testing.T) {
 	for name, mk := range streamScenarios(t) {
 		t.Run(name, func(t *testing.T) {
 			want := cluster.Generate(mk())
-			got := cluster.GenerateParallel(mk(), 4)
+			got := &cluster.WorkloadTrace{Sites: mk().Sites}
+			src := cluster.Options{GenWorkers: 4}.GenSource(mk())
+			for rec, ok := src.Next(); ok; rec, ok = src.Next() {
+				got.Records = append(got.Records, rec)
+			}
 			if got.Sites != want.Sites || got.Len() != want.Len() {
 				t.Fatalf("parallel trace %d records/%d sites, serial %d/%d",
 					got.Len(), got.Sites, want.Len(), want.Sites)
@@ -158,4 +165,44 @@ func TestParallelStreamAutoWorkers(t *testing.T) {
 	if _, ok := src.Next(); ok {
 		t.Fatal("stream ran past the generated records")
 	}
+}
+
+// abandonSpec is a 64-site workload long enough that four generator
+// workers fill their rings and park. Replayed into a 3-site home tier,
+// its first record for a site >= 3 fails the run part-way.
+func abandonSpec() cluster.GenSpec {
+	return cluster.GenSpec{Sites: 64, Duration: 1000, PerSiteRate: 5, Seed: 3}
+}
+
+// TestRunStopsAbandonedParallelStream: a Run that fails before draining
+// a ParallelStream source releases its generator workers.
+func TestRunStopsAbandonedParallelStream(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 3; i++ {
+		_, err := cluster.Run(cluster.ParallelStream(abandonSpec(), 4), spillTopology(3), cluster.Options{Seed: 1})
+		if err == nil || !strings.Contains(err.Error(), "site") {
+			t.Fatalf("want an out-of-range site error, got %v", err)
+		}
+	}
+	cluster.WaitGoroutines(t, before)
+}
+
+// TestRunBroadcastStopsAbandonedParallelStream: when every variant of a
+// broadcast fails early, the producer stops pulling and releases the
+// ParallelStream source's workers; so does a call with no variants.
+func TestRunBroadcastStopsAbandonedParallelStream(t *testing.T) {
+	before := runtime.NumGoroutine()
+	variants := []cluster.Variant{
+		{Label: "a", Topology: spillTopology(3), Opts: cluster.Options{Seed: 1}},
+		{Label: "b", Topology: spillTopology(3), Opts: cluster.Options{Seed: 2}},
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := cluster.RunBroadcast(cluster.ParallelStream(abandonSpec(), 4), variants, 0); err == nil {
+			t.Fatal("broadcast into a 3-site tier accepted 64-site records")
+		}
+	}
+	if _, err := cluster.RunBroadcast(cluster.ParallelStream(abandonSpec(), 4), nil, 0); err == nil {
+		t.Fatal("broadcast with no variants succeeded")
+	}
+	cluster.WaitGoroutines(t, before)
 }

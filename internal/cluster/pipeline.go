@@ -313,8 +313,7 @@ func runPhase2Pump(b *p2build, feed <-chan []p2rec, free chan<- []p2rec, total *
 // Options.TimelineBin and Options.Probe are rejected: both observe
 // global event order, which sharding does not preserve.
 // Options.BacklogProbe, when set, receives the run's peak resident
-// boundary-record count. Exact-mode aggregate digests are pre-sized
-// when the source knows its length (TraceShards). A shard whose source
+// boundary-record count. A shard whose source
 // yields a site outside its range or goes back in time stops, and the
 // run returns that error once every goroutine has exited.
 func RunPipelined(src ShardedSource, topo Topology, opts Options, shards int) (*TopologyResult, error) {

@@ -94,7 +94,10 @@ func TestPipelinedSourcesAgree(t *testing.T) {
 		src    func() cluster.ShardedSource
 	}{
 		{"gen", 2, func() cluster.ShardedSource { return cluster.GenShards(mk()) }},
-		{"trace", 3, func() cluster.ShardedSource { return cluster.TraceShards(cluster.Generate(mk())) }},
+		{"trace", 3, func() cluster.ShardedSource {
+			tr := cluster.Generate(mk())
+			return cluster.SourceShards(tr.Source, tr.Sites)
+		}},
 		{"csv", 4, func() cluster.ShardedSource {
 			return cluster.SourceShards(func() cluster.Source {
 				return trace.StreamRequestsCSV(strings.NewReader(csv))

@@ -43,13 +43,12 @@ func (r *Result) MeanLatency() float64 { return r.EndToEnd.Mean() }
 func (r *Result) P95Latency() float64 { return r.EndToEnd.P95() }
 
 // newResult builds a result whose digests follow the requested memory
-// model; sizeHint pre-allocates exact samples to the trace length so
-// retained-mode replays do not regrow from nil.
-func newResult(label string, mode stats.Mode, sizeHint int) *Result {
+// model.
+func newResult(label string, mode stats.Mode) *Result {
 	return &Result{
 		Label:    label,
-		EndToEnd: stats.NewDigest(mode, sizeHint),
-		Wait:     stats.NewDigest(mode, sizeHint),
+		EndToEnd: stats.NewDigest(mode, 0),
+		Wait:     stats.NewDigest(mode, 0),
 	}
 }
 

@@ -393,7 +393,7 @@ type shardRun struct {
 }
 
 // newShardRun validates the run and derives everything both phases
-// need. Per-site stream seeds are derived exactly as siteStreams
+// need. Per-site stream seeds are derived exactly as siteSeeds
 // derives the generator's: one master stream hands each site a seed in
 // site order, then one more seeds the phase-2 engine. The derivation
 // never reads the shard count.
@@ -455,7 +455,7 @@ func newShardRun(src ShardedSource, topo Topology, opts Options, shards int) (*s
 		phase2Seed: phase2Seed,
 		states:     states,
 		// Phase 2 writes its tier counters directly.
-		res: newTopologyResult(topo, opts, sizeOf(src)),
+		res: newTopologyResult(topo, opts),
 	}, nil
 }
 

@@ -149,7 +149,8 @@ func TestShardedSourcesAgree(t *testing.T) {
 	}
 	compareTopologyResults(t, "gen-shards", want, got)
 
-	got, err = cluster.RunPipelined(cluster.TraceShards(cluster.Generate(mk())), topo, opts, 3)
+	tr := cluster.Generate(mk())
+	got, err = cluster.RunPipelined(cluster.SourceShards(tr.Source, tr.Sites), topo, opts, 3)
 	if err != nil {
 		t.Fatalf("trace source: %v", err)
 	}
@@ -261,7 +262,8 @@ func TestSourceTimeRegressionIsAnError(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	for _, shards := range []int{1, 2} {
-		_, err := cluster.RunPipelined(cluster.TraceShards(regressingTrace()), topo, opts, shards)
+		tr := regressingTrace()
+		_, err := cluster.RunPipelined(cluster.SourceShards(tr.Source, tr.Sites), topo, opts, shards)
 		if err == nil || !strings.Contains(err.Error(), "yielded time 1.5 after 2") {
 			t.Fatalf("%d shards: want a time-regression error, got %v", shards, err)
 		}

@@ -37,39 +37,6 @@ func (g genShards) Sites() int { return g.spec.Sites }
 
 func (g genShards) Shard(lo, hi int) Source { return streamRange(g.spec, lo, hi) }
 
-// traceShards adapts a materialized trace by filtering records in place.
-type traceShards struct {
-	tr *WorkloadTrace
-}
-
-// TraceShards adapts a materialized trace into a ShardedSource.
-func TraceShards(tr *WorkloadTrace) ShardedSource { return traceShards{tr: tr} }
-
-func (t traceShards) Sites() int { return t.tr.Sites }
-
-func (t traceShards) size() int { return t.tr.Len() }
-
-func (t traceShards) Shard(lo, hi int) Source {
-	return &traceRangeSource{recs: t.tr.Records, lo: lo, hi: hi}
-}
-
-type traceRangeSource struct {
-	recs   []RequestRecord
-	pos    int
-	lo, hi int
-}
-
-func (s *traceRangeSource) Next() (RequestRecord, bool) {
-	for s.pos < len(s.recs) {
-		rec := s.recs[s.pos]
-		s.pos++
-		if rec.Site >= s.lo && rec.Site < s.hi {
-			return rec, true
-		}
-	}
-	return RequestRecord{}, false
-}
-
 // sourceShards adapts any SourceFactory — e.g. the streaming CSV and
 // Azure decoders — by opening one fresh source per shard and filtering
 // to the shard's range. Each shard scans the full sequence (decoders

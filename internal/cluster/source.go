@@ -4,9 +4,9 @@ package cluster
 // deployment runners pull from a Source lazily — exactly one pending
 // "generate next arrival" event sits in the event calendar at any time —
 // so replay memory is bounded by the number of in-flight requests, not
-// by trace length. WorkloadTrace implements the interface over its
-// materialized records; synthetic sources can generate records on the
-// fly and replay arbitrarily long workloads in constant space.
+// by trace length. Generator sources (Stream, ParallelStream) and the
+// trace decoders produce records on the fly, so arbitrarily long
+// workloads replay in constant space.
 type Source interface {
 	// Next returns the next record, or ok=false when the source is
 	// exhausted. Records must be yielded in nondecreasing Time order;
@@ -45,5 +45,3 @@ func (s *sliceSource) Next() (RequestRecord, bool) {
 // Source returns a fresh iterator over the trace. Each call starts at
 // the beginning, so concurrent runs each take their own.
 func (w *WorkloadTrace) Source() Source { return &sliceSource{recs: w.Records} }
-
-func (s *sliceSource) size() int { return len(s.recs) - s.i }

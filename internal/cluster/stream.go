@@ -11,14 +11,14 @@ import (
 
 // SourceFactory returns a fresh Source over the same record sequence on
 // every call, so paired and swept runs each take an independent
-// iterator. (*WorkloadTrace).Source is a SourceFactory over materialized
-// records; StreamFactory builds one over lazy generator sources.
+// iterator. StreamFactory builds one over lazy generator sources; the
+// trace decoders build them over recorded files.
 type SourceFactory func() Source
 
 // StreamFactory adapts a GenSpec builder into a SourceFactory: each call
 // re-derives a fresh spec and streams it. The builder must return a
 // fresh spec every time — in particular fresh Arrivals processes, which
-// are stateful and consumed by a single Stream or Generate call —
+// are stateful and consumed by a single Stream call —
 // so every source replays the identical record sequence.
 func StreamFactory(mk func() GenSpec) SourceFactory {
 	return func() Source { return Stream(mk()) }
@@ -42,18 +42,18 @@ type streamSource struct {
 	duration float64
 	sites    []siteGen
 	// heap holds the indices of live sites, min-ordered by the pending
-	// record's (Time, Site) — the same key the materialized Generate
-	// sorts by, so the merge reproduces its order exactly.
+	// record's (Time, Site) — the lessTimeSite key.
 	heap merge.Heap
 }
 
 // Stream returns a Source that generates the spec's records on the fly:
-// the identical record sequence Generate(spec).Source() would replay
-// (same per-site random streams, same (Time, Site)-stable merge order),
-// in constant memory per site instead of memory proportional to the
-// request count. A spec carrying explicit Arrivals is consumed by one
-// Stream or Generate call — re-derive fresh processes per source (see
-// StreamFactory).
+// each site's renewal (or supplied) arrival process draws from its own
+// random streams, every accepted arrival draws a service time from the
+// inference model, and the per-site streams merge in stable
+// (Time, Site) order — in constant memory per site instead of memory
+// proportional to the request count. A spec carrying explicit Arrivals
+// is consumed by one Stream call — re-derive fresh processes per source
+// (see StreamFactory).
 func Stream(spec GenSpec) Source {
 	return streamRange(spec, 0, spec.Sites)
 }
@@ -67,8 +67,8 @@ func Stream(spec GenSpec) Source {
 // record sequence.
 func streamRange(spec GenSpec, lo, hi int) Source {
 	// Validation, process derivation and per-site stream seeding are
-	// the helpers Generate uses, so the two paths cannot drift. Only
-	// seeds are derived for all sites; rand.Rand state (~5KB each) is
+	// shared with every range, so partitions cannot drift. Only seeds
+	// are derived for all sites; rand.Rand state (~5KB each) is
 	// constructed just for [lo, hi), so a shard of a million-site spec
 	// pays for its own sites, not everyone's.
 	procs := deriveArrivals(&spec)
@@ -103,8 +103,8 @@ func streamRange(spec GenSpec, lo, hi int) Source {
 
 // advance pulls site's next record, returning false when the site's
 // process is exhausted or past the spec duration. The draw order —
-// arrival first, service time only for accepted arrivals — matches
-// Generate's per-site loop.
+// arrival first, service time only for accepted arrivals — is part of
+// the reproducibility contract.
 func (s *streamSource) advance(site int) bool {
 	g := &s.sites[site]
 	next, ok := g.proc.Next(g.t, g.arrRng)

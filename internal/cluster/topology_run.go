@@ -16,10 +16,7 @@ import (
 )
 
 // Options configures one topology run. The zero value replays with no
-// warmup, seed 0, exact latency summaries and no timeline. Exact-mode
-// aggregate digests are pre-sized to the trace length whenever the
-// source knows it (WorkloadTrace.Source, TraceShards, and RunBroadcast
-// over such a source), so retained samples do not regrow from nil.
+// warmup, seed 0, exact latency summaries and no timeline.
 type Options struct {
 	// Warmup discards measurements for requests departing before this
 	// simulated time.
@@ -592,12 +589,12 @@ func prepareRun(topo Topology, opts Options) (Topology, error) {
 	return topo, nil
 }
 
-// newTopologyResult builds a run's empty result: aggregate digests
-// pre-sized to hint completions in exact mode, the optional timeline,
-// and one row per tier, with a bucket per SLO class rule plus a final
-// "unclassified" one when the topology declares classes.
-func newTopologyResult(topo Topology, opts Options, hint int) *TopologyResult {
-	res := &TopologyResult{Result: *newResult(topo.Name, opts.Summary, hint)}
+// newTopologyResult builds a run's empty result: aggregate digests,
+// the optional timeline, and one row per tier, with a bucket per SLO
+// class rule plus a final "unclassified" one when the topology declares
+// classes.
+func newTopologyResult(topo Topology, opts Options) *TopologyResult {
+	res := &TopologyResult{Result: *newResult(topo.Name, opts.Summary)}
 	if opts.TimelineBin > 0 {
 		res.Timeline = stats.NewTimeSeries(0, opts.TimelineBin)
 	}
@@ -622,18 +619,6 @@ func newTopologyResult(topo Topology, opts Options, hint int) *TopologyResult {
 	return res
 }
 
-// sized is a source that knows how many records it will yield; the
-// engines pre-size exact-mode aggregate digests to that count so
-// retained samples do not regrow from nil.
-type sized interface{ size() int }
-
-func sizeOf(src any) int {
-	if s, ok := src.(sized); ok {
-		return s.size()
-	}
-	return 0
-}
-
 // Run replays the source through the deployment graph on the streaming
 // core: one pending arrival in the calendar, a shared sink, recycled
 // requests. It returns per-tier breakdowns alongside the aggregate
@@ -643,6 +628,7 @@ func sizeOf(src any) int {
 // lies outside a home-routed tier it enters, or a source that goes
 // back in time, fails the run with an error.
 func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
+	defer stopSource(src)
 	topo, err := prepareRun(topo, opts)
 	if err != nil {
 		return nil, err
@@ -656,7 +642,7 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 	eng := sim.NewEngineBackend(opts.Seed, opts.backend)
 	netRng := eng.NewStream()
 	pool := &queue.FreeList{}
-	res := newTopologyResult(topo, opts, sizeOf(src))
+	res := newTopologyResult(topo, opts)
 	x := newTopoExec(eng, pool, res)
 	for ti, t := range topo.Tiers {
 		if x.tiers[ti], err = buildTier(eng, t, 0, t.Sites, opts, pool, eng.NewStream); err != nil {

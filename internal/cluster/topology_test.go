@@ -181,7 +181,7 @@ func directRunEdgeAutoscaled(tr *WorkloadTrace, cfg edgeConfig, asCfg autoscale.
 	ctrl := autoscale.NewReactive(eng, stations, asCfg)
 	ctrl.Start()
 
-	res := &autoscaleOracle{oracleResult: oracleResult{Result: *newResult("edge+autoscale", cfg.Summary, tr.Len())}}
+	res := &autoscaleOracle{oracleResult: oracleResult{Result: *newResult("edge+autoscale", cfg.Summary)}}
 	if cfg.TimelineBin > 0 {
 		res.Timeline = stats.NewTimeSeries(0, cfg.TimelineBin)
 	}

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/app"
 	"repro/internal/dist"
@@ -25,62 +24,19 @@ type RequestRecord struct {
 	ServiceTime float64 // execution time on the reference server, seconds
 }
 
-// WorkloadTrace is a time-ordered sequence of requests. The same trace
-// drives both the edge and the cloud deployment of an experiment.
+// WorkloadTrace is a time-ordered sequence of requests held in memory,
+// as the trace decoders' slurping readers return it. Synthetic
+// workloads never materialize one: they stream (see Stream).
 type WorkloadTrace struct {
 	Records []RequestRecord
 	Sites   int
 }
 
-// Duration returns the span from first to last request.
-func (w *WorkloadTrace) Duration() float64 {
-	if len(w.Records) == 0 {
-		return 0
-	}
-	return w.Records[len(w.Records)-1].Time - w.Records[0].Time
-}
-
 // Len returns the number of requests.
 func (w *WorkloadTrace) Len() int { return len(w.Records) }
 
-// TotalRate returns the average aggregate request rate.
-func (w *WorkloadTrace) TotalRate() float64 {
-	d := w.Duration()
-	if d <= 0 {
-		return 0
-	}
-	return float64(len(w.Records)-1) / d
-}
-
-// SiteRates returns the average per-site request rates.
-func (w *WorkloadTrace) SiteRates() []float64 {
-	rates := make([]float64, w.Sites)
-	d := w.Duration()
-	if d <= 0 {
-		return rates
-	}
-	for _, r := range w.Records {
-		rates[r.Site]++
-	}
-	for i := range rates {
-		rates[i] /= d
-	}
-	return rates
-}
-
-// MeanServiceTime returns the average service demand across the trace.
-func (w *WorkloadTrace) MeanServiceTime() float64 {
-	if len(w.Records) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, r := range w.Records {
-		sum += r.ServiceTime
-	}
-	return sum / float64(len(w.Records))
-}
-
-// GenSpec describes how to synthesize a workload trace.
+// GenSpec describes a synthetic workload: Stream, ParallelStream and
+// GenShards generate its records on the fly.
 type GenSpec struct {
 	Sites       int
 	Duration    float64 // seconds of workload to generate
@@ -97,8 +53,8 @@ type GenSpec struct {
 	// envelopes. The generated process is still exactly the envelope's
 	// NHPP (gated by distributional KS tests), but it consumes random
 	// streams differently, so traces generated with and without the
-	// flag are NOT bit-identical to each other. Generate, Stream and
-	// ParallelStream all honor it and remain bit-identical to one
+	// flag are NOT bit-identical to each other. Stream, ParallelStream
+	// and GenShards all honor it and remain bit-identical to one
 	// another for either setting. Non-NHPP processes are unaffected.
 	PiecewiseEnvelope bool
 }
@@ -110,31 +66,52 @@ type GenSpec struct {
 // simulator to the paper's measured crossover points (see EXPERIMENTS.md).
 const DefaultArrivalSCV = 0.4
 
-// deriveArrivals validates the spec, defaults its model in place, and
-// returns the per-site arrival processes. Shared by Generate and
-// Stream so the two paths cannot drift apart — their bit-identical
-// guarantee starts here.
-func deriveArrivals(spec *GenSpec) []workload.ArrivalProcess {
+// Validate reports the first setting that makes the spec ungeneratable:
+// no sites, a duration that is not positive and finite, a missing or
+// non-finite per-site rate (when Arrivals is nil), a negative or
+// non-finite ArrivalSCV, or an Arrivals slice whose length is not Sites.
+// Front ends call it before a run so bad numbers become errors instead
+// of a panic inside a generator.
+func (spec GenSpec) Validate() error {
 	if spec.Sites <= 0 {
-		panic(fmt.Sprintf("cluster: GenSpec.Sites=%d invalid", spec.Sites))
+		return fmt.Errorf("cluster: GenSpec.Sites=%d invalid", spec.Sites)
 	}
 	// NaN/Inf checked explicitly: ordered comparisons are false for NaN,
 	// so "x <= 0" alone would accept a NaN duration and generate forever.
-	if spec.Duration <= 0 || math.IsNaN(spec.Duration) || math.IsInf(spec.Duration, 0) {
-		panic(fmt.Sprintf("cluster: GenSpec.Duration must be positive and finite, got %v", spec.Duration))
+	if !positiveFinite(spec.Duration) {
+		return fmt.Errorf("cluster: GenSpec.Duration must be positive and finite, got %v", spec.Duration)
+	}
+	if spec.Arrivals != nil {
+		if len(spec.Arrivals) != spec.Sites {
+			return fmt.Errorf("cluster: %d arrival processes for %d sites", len(spec.Arrivals), spec.Sites)
+		}
+		return nil
+	}
+	if !positiveFinite(spec.PerSiteRate) {
+		return fmt.Errorf("cluster: GenSpec needs a positive finite PerSiteRate or Arrivals, got rate %v", spec.PerSiteRate)
+	}
+	if scv := spec.ArrivalSCV; scv < 0 || math.IsNaN(scv) || math.IsInf(scv, 0) {
+		return fmt.Errorf("cluster: GenSpec.ArrivalSCV must be finite and >= 0, got %v", scv)
+	}
+	return nil
+}
+
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 0) }
+
+// deriveArrivals defaults the spec's model in place and returns the
+// per-site arrival processes. Stream and every range-restricted
+// generator share it, so their bit-identical guarantee starts here. It
+// panics with Validate's error on an invalid spec.
+func deriveArrivals(spec *GenSpec) []workload.ArrivalProcess {
+	if err := spec.Validate(); err != nil {
+		panic(err)
 	}
 	if spec.Model.D == nil {
 		spec.Model = app.NewInferenceModel()
 	}
 	procs := spec.Arrivals
 	if procs == nil {
-		if spec.PerSiteRate <= 0 || math.IsNaN(spec.PerSiteRate) || math.IsInf(spec.PerSiteRate, 0) {
-			panic(fmt.Sprintf("cluster: GenSpec needs a positive finite PerSiteRate or Arrivals, got rate %v", spec.PerSiteRate))
-		}
 		scv := spec.ArrivalSCV
-		if scv < 0 || math.IsNaN(scv) || math.IsInf(scv, 0) {
-			panic(fmt.Sprintf("cluster: GenSpec.ArrivalSCV must be finite and >= 0, got %v", scv))
-		}
 		if scv == 0 {
 			scv = DefaultArrivalSCV
 		}
@@ -142,8 +119,6 @@ func deriveArrivals(spec *GenSpec) []workload.ArrivalProcess {
 		for i := range procs {
 			procs[i] = workload.NewRenewal(dist.FitSCV(1/spec.PerSiteRate, scv))
 		}
-	} else if len(procs) != spec.Sites {
-		panic(fmt.Sprintf("cluster: %d arrival processes for %d sites", len(procs), spec.Sites))
 	}
 	if spec.PiecewiseEnvelope {
 		// Flip NHPP processes to piecewise on private copies: the
@@ -168,7 +143,7 @@ func deriveArrivals(spec *GenSpec) []workload.ArrivalProcess {
 // siteSeeds derives each site's (arrival, service) stream seeds from
 // the spec seed: the master stream hands every site an arrival seed
 // then a service seed, in site order. This derivation order is part of
-// the reproducibility contract Generate and Stream share. Seeds are
+// the reproducibility contract every generator shares. Seeds are
 // cheap (16 bytes/site where a constructed rand.Rand costs ~5KB), so
 // range-restricted consumers derive all seeds and construct generators
 // only for the sites they replay.
@@ -183,64 +158,12 @@ func siteSeeds(seed int64, sites int) (arrSeed, svcSeed []int64) {
 	return arrSeed, svcSeed
 }
 
-// siteStreams constructs every site's random streams from siteSeeds.
-func siteStreams(seed int64, sites int) (arr, svc []*rand.Rand) {
-	arrSeed, svcSeed := siteSeeds(seed, sites)
-	arr = make([]*rand.Rand, sites)
-	svc = make([]*rand.Rand, sites)
-	for i := 0; i < sites; i++ {
-		arr[i] = rand.New(rand.NewSource(arrSeed[i]))
-		svc[i] = rand.New(rand.NewSource(svcSeed[i]))
-	}
-	return arr, svc
-}
-
-// Generate synthesizes a workload trace: per-site renewal (or supplied)
-// arrival streams merged into one time-ordered record list, each request
-// carrying a service time drawn from the inference model.
-func Generate(spec GenSpec) *WorkloadTrace {
-	procs := deriveArrivals(&spec)
-	arrRng, svcRng := siteStreams(spec.Seed, spec.Sites)
-	var recs []RequestRecord
-	for site, p := range procs {
-		t := 0.0
-		for {
-			next, ok := p.Next(t, arrRng[site])
-			if !ok || next > spec.Duration {
-				break
-			}
-			t = next
-			recs = append(recs, RequestRecord{
-				Time:        t,
-				Site:        site,
-				ServiceTime: spec.Model.SampleServiceTime(svcRng[site]),
-			})
-		}
-	}
-	// Stable sort so records tying on (Time, Site) — batch arrivals fire
-	// several same-instant requests at one site — keep their per-site
-	// generation order. Stream produces the same sequence by a stable
-	// k-way merge, so the two paths are bit-identical for every spec.
-	sort.SliceStable(recs, func(i, j int) bool { return lessTimeSite(recs[i], recs[j]) })
-	return &WorkloadTrace{Records: recs, Sites: spec.Sites}
-}
-
-// lessTimeSite is the record ordering every materialized path shares —
-// and the key Stream's k-way merge reproduces — so it lives in exactly
-// one place.
+// lessTimeSite is the (Time, Site) record ordering every generator
+// emits — the key Stream's and ParallelStream's k-way merges use — so
+// it lives in exactly one place.
 func lessTimeSite(a, b RequestRecord) bool {
 	if a.Time != b.Time {
 		return a.Time < b.Time
 	}
 	return a.Site < b.Site
-}
-
-// FromRecords builds a trace directly from records (e.g. decoded from a
-// CSV trace file). Records are stably sorted by (Time, Site) — the same
-// ordering invariant Generate and Stream maintain, so same-instant
-// records at one site keep their given order.
-func FromRecords(recs []RequestRecord, sites int) *WorkloadTrace {
-	sorted := append([]RequestRecord(nil), recs...)
-	sort.SliceStable(sorted, func(i, j int) bool { return lessTimeSite(sorted[i], sorted[j]) })
-	return &WorkloadTrace{Records: sorted, Sites: sites}
 }

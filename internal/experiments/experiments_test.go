@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/trace"
 )
 
@@ -45,6 +46,38 @@ func TestRunSweepRejectsUnknownCloudPolicy(t *testing.T) {
 	}
 	if _, _, _, err := CrossoverCI(cfg, Mean, 2); err == nil {
 		t.Fatal("CrossoverCI accepted the bogus policy")
+	}
+}
+
+// TestRunnersRejectBadNumbers: a spec that cannot be generated — a NaN
+// duration or rate, no sites — comes back from every runner as an error
+// naming the bad setting, not a generator panic.
+func TestRunnersRejectBadNumbers(t *testing.T) {
+	nan := math.NaN()
+	sweep := DefaultSweepConfig()
+	sweep.Rates = []float64{6, nan}
+	sweep.Duration = 20
+	topo, _ := cluster.PresetTopology("edge-regional-cloud")
+	for name, run := range map[string]func() error{
+		"RunSweep": func() error { _, err := RunSweep(sweep); return err },
+		"RunGrid": func() error {
+			_, err := RunGrid(GridConfig{Rates: []float64{6}, Budgets: []int{10}, Duration: nan})
+			return err
+		},
+		"RunTopologySweep": func() error {
+			_, err := RunTopologySweep(TopologySweepConfig{Topology: topo, Rates: []float64{nan}, Duration: 20})
+			return err
+		},
+		"RunScalerComparison": func() error {
+			_, err := RunScalerComparison(ScalerComparisonConfig{Workload: ScalerWorkloadMMPP, Duration: nan})
+			return err
+		},
+		"RunFig6":         func() error { _, err := RunFig6(nan, 1); return err },
+		"RunFigThreeTier": func() error { _, err := RunFigThreeTier(nan, 1); return err },
+	} {
+		if err := run(); err == nil || !strings.Contains(err.Error(), "GenSpec") {
+			t.Errorf("%s: want a GenSpec validation error, got %v", name, err)
+		}
 	}
 }
 

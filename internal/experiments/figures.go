@@ -79,20 +79,20 @@ func RunFig6(duration float64, seed int64) ([]Fig6Scenario, error) {
 	out := make([]Fig6Scenario, len(setups))
 	err := forEachErr(len(setups), 0, func(i int) error {
 		s := setups[i]
-		tr := cluster.Generate(cluster.GenSpec{
+		spec := cluster.GenSpec{
 			Sites:       5,
 			Duration:    duration,
 			PerSiteRate: rate * float64(s.serversPerSite),
 			Model:       model,
 			Seed:        seed + int64(i),
-		})
+		}
 		topo := cluster.Topology{Name: "edge", Tiers: []cluster.Tier{{
 			Name: "edge", Sites: 5, ServersPerSite: s.serversPerSite, Path: sc.Edge,
 		}}}
 		if s.cloud {
 			topo = cluster.Topology{Name: "cloud", Tiers: []cluster.Tier{cluster.CloudTier(s.cloudServers, sc.Cloud, "")}}
 		}
-		runs, err := runVariants(tr, cluster.Variant{Topology: topo,
+		runs, err := runVariants(spec, cluster.Variant{Topology: topo,
 			Opts: cluster.Options{Warmup: duration / 10, Seed: seed + 100 + int64(i)}})
 		if err != nil {
 			return err
@@ -192,16 +192,16 @@ func RunAzureReplay(spec trace.AzureSpec, scale float64, seed int64) (AzureRepla
 	sc, _ := netem.ScenarioByName("typical-25ms")
 	model := app.NewInferenceModel()
 
-	tr := cluster.Generate(cluster.GenSpec{
+	gen := cluster.GenSpec{
 		Sites:    spec.Sites,
 		Duration: float64(spec.Minutes) * 60,
 		Model:    model,
 		Seed:     seed,
 		Arrivals: trace.ToArrivalProcesses(series, false),
-	})
+	}
 
 	const binWidth = 60 // one-minute bins, as in Figures 8–9
-	runs, err := runVariants(tr,
+	runs, err := runVariants(gen,
 		cluster.Variant{Topology: cluster.Topology{Name: "edge", Tiers: []cluster.Tier{{
 			Name: "edge", Sites: spec.Sites, Path: sc.Edge,
 		}}}, Opts: cluster.Options{Seed: seed + 1, TimelineBin: binWidth}},

@@ -294,17 +294,23 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 	}
 
 	groups := len(cfg.Rates) * cfg.Replications
-	perGroup := make([][]*cluster.TopologyResult, groups)
-	err := forEachErr(groups, cfg.Workers, func(g int) error {
-		rate := cfg.Rates[g/cfg.Replications]
-		spec := cluster.GenSpec{
+	specs := make([]cluster.GenSpec, groups)
+	for g := range specs {
+		specs[g] = cluster.GenSpec{
 			Sites:       cfg.Sites,
 			Duration:    cfg.Duration,
-			PerSiteRate: rate,
+			PerSiteRate: cfg.Rates[g/cfg.Replications],
 			ArrivalSCV:  cfg.ArrivalSCV,
 			Model:       cfg.Model,
 			Seed:        cfg.Seed + int64(g)*7919,
 		}
+		if err := specs[g].Validate(); err != nil {
+			return GridResult{}, fmt.Errorf("experiments: grid: %w", err)
+		}
+	}
+	perGroup := make([][]*cluster.TopologyResult, groups)
+	err := forEachErr(groups, cfg.Workers, func(g int) error {
+		rate := cfg.Rates[g/cfg.Replications]
 		vs := make([]cluster.Variant, len(variants))
 		copy(vs, variants)
 		for i := range vs {
@@ -315,7 +321,7 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 			}
 		}
 		genOpts := cluster.Options{GenWorkers: cfg.GenWorkers}
-		runs, err := cluster.RunBroadcast(genOpts.GenSource(spec), vs, cfg.Ring)
+		runs, err := cluster.RunBroadcast(genOpts.GenSource(specs[g]), vs, cfg.Ring)
 		if err != nil {
 			return fmt.Errorf("grid group rate=%v rep=%d: %w", rate, g%cfg.Replications, err)
 		}
@@ -350,25 +356,19 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 		}
 	}
 
-	// Crossovers: linear interpolation of the first sign change of
-	// (hierarchy mean - pooled mean) along the rate axis.
+	// Crossovers: the first sign change of (hierarchy mean - pooled
+	// mean) along the rate axis.
 	for _, b := range cfg.Budgets {
 		for _, d := range cfg.Depths {
-			diff := make([]float64, len(cfg.Rates))
+			gaps := make([]float64, len(cfg.Rates))
 			for i, rate := range cfg.Rates {
-				diff[i] = res.Cell(rate, b, d).Mean - res.Baseline(rate, b).Mean
+				gaps[i] = res.Cell(rate, b, d).Mean - res.Baseline(rate, b).Mean
 			}
 			cross := GridCrossover{Budget: b, Depth: d, Crossover: math.NaN()}
-			if diff[0] >= 0 {
+			if rate, atFloor, ok := FirstCrossing(cfg.Rates, gaps); atFloor {
 				cross.AtFloor = true
-			} else {
-				for i := 1; i < len(diff); i++ {
-					if diff[i] >= 0 {
-						r0, r1 := cfg.Rates[i-1], cfg.Rates[i]
-						cross.Crossover = r0 + (r1-r0)*diff[i-1]/(diff[i-1]-diff[i])
-						break
-					}
-				}
+			} else if ok {
+				cross.Crossover = rate
 			}
 			res.Crossovers = append(res.Crossovers, cross)
 		}

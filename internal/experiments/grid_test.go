@@ -151,8 +151,37 @@ func TestGridCrossoverInterpolation(t *testing.T) {
 		res.Cell(1, 4, 2).Mean - res.Baseline(1, 4).Mean,
 		res.Cell(2, 4, 2).Mean - res.Baseline(2, 4).Mean,
 	}
-	got := 1 + (2-1)*diff[0]/(diff[0]-diff[1])
+	got, atFloor, ok := FirstCrossing([]float64{1, 2}, diff)
+	if !ok || atFloor {
+		t.Fatalf("FirstCrossing found=%v atFloor=%v, want an in-range crossing", ok, atFloor)
+	}
 	if math.Abs(got-1.5) > 1e-12 {
 		t.Fatalf("interpolated crossover = %v, want 1.5", got)
+	}
+}
+
+// TestFirstCrossing: the shared search reports the floor, skips NaN and
+// zero gaps (a tie is not a loss), and finds nothing in a sweep the
+// hierarchy never loses.
+func TestFirstCrossing(t *testing.T) {
+	nan := math.NaN()
+	rates := []float64{2, 4, 6}
+	for _, tc := range []struct {
+		name           string
+		gaps           []float64
+		rate           float64
+		atFloor, found bool
+	}{
+		{"floor", []float64{0.1, 0.2, 0.3}, 2, true, true},
+		{"interpolated", []float64{-0.3, -0.1, 0.1}, 5, false, true},
+		{"tie is not a loss", []float64{-0.1, 0, 0.2}, 4, false, true},
+		{"never", []float64{-0.3, -0.2, 0}, 0, false, false},
+		{"nan skipped", []float64{nan, -0.2, nan}, 0, false, false},
+	} {
+		rate, atFloor, found := FirstCrossing(rates, tc.gaps)
+		if math.Abs(rate-tc.rate) > 1e-12 || atFloor != tc.atFloor || found != tc.found {
+			t.Errorf("%s: got (%v, %v, %v), want (%v, %v, %v)",
+				tc.name, rate, atFloor, found, tc.rate, tc.atFloor, tc.found)
+		}
 	}
 }

@@ -44,7 +44,12 @@ var scalerWorkloadBuilders = map[string]func(cfg ScalerComparisonConfig) []workl
 // ScalerComparisonConfig sweeps scaler policies over one workload: each
 // spec drives the same two-tier deployment (scaled edge sites spilling
 // to a static cloud backstop) on the same trace with the same run seed,
-// so every difference between rows is the policy alone.
+// so every difference between rows is the policy alone. One generator
+// source (cluster.Stream) broadcasts to every row through bounded rings
+// (cluster.RunBroadcast): one generation pass in total, memory
+// independent of the request count. The nhpp and azure families still
+// hold their rate envelopes (O(Duration/binWidth) per site, nothing per
+// request); pair with stats.Bounded summaries for 10⁸-request sweeps.
 type ScalerComparisonConfig struct {
 	// Workload selects the arrival family (default nhpp).
 	Workload string
@@ -71,19 +76,6 @@ type ScalerComparisonConfig struct {
 	// Pricing prices the cost overlay (zero value = DefaultPricing).
 	Pricing econ.Pricing
 	Summary stats.Mode
-	// Workers bounds the worker pool (see SweepConfig.Workers).
-	Workers int
-	// Streaming replays every policy row from one shared generation
-	// pass instead of materializing a trace: a single streaming source
-	// (cluster.Stream) broadcasts to all rows through bounded rings
-	// (cluster.RunBroadcast), so each row sees the byte-identical
-	// record sequence a fresh per-row source would re-derive — at one
-	// generation pass total rather than one per row — with memory
-	// independent of the request count: the mode for 10⁸-request
-	// policy sweeps. The nhpp and azure families still hold their rate
-	// envelopes (O(Duration/binWidth) per site, nothing per request).
-	// Pair with stats.Bounded summaries so collectors stay O(1) too.
-	Streaming bool
 }
 
 // ScalerTierRow is one tier's share of a comparison row.
@@ -184,7 +176,7 @@ func scalerWorkloadBuilder(name string) (func(ScalerComparisonConfig) []workload
 
 // scalerSpecFrom assembles the comparison spec around freshly built
 // arrival processes. Arrival processes are stateful and consumed by a
-// single Generate or Stream call, so every source derivation calls
+// single Stream call, so every source derivation calls
 // this again; identical cfg always yields the identical record
 // sequence (the builders are deterministic in cfg).
 func scalerSpecFrom(cfg ScalerComparisonConfig,
@@ -266,65 +258,39 @@ func RunScalerComparison(cfg ScalerComparisonConfig) (ScalerComparisonResult, er
 		}
 	}
 	// Resolve the workload builder before any source derivation: a bad
-	// name errors here without building anything, and the resolved
-	// builder is the same one every later derivation uses, so a name
-	// cannot validate and then fail to derive. Every row replays the
-	// identical arrival sequence: either fresh iterators over one
-	// materialized trace, or — in streaming mode — one generator
-	// source broadcast to every row through bounded rings (records are
-	// value types, so rows share nothing mutable).
+	// name errors here without building anything.
 	build, err := scalerWorkloadBuilder(cfg.Workload)
 	if err != nil {
 		return ScalerComparisonResult{}, err
 	}
-	mkSpec := func() cluster.GenSpec { return scalerSpecFrom(cfg, build) }
+	spec := scalerSpecFrom(cfg, build)
+	if err := spec.Validate(); err != nil {
+		return ScalerComparisonResult{}, fmt.Errorf("experiments: %w", err)
+	}
 	rowOpts := cluster.Options{
 		Warmup:  cfg.Warmup,
 		Seed:    cfg.Seed + 1, // shared across specs: same streams, policy is the only delta
 		Summary: cfg.Summary,
 		Pricing: &cfg.Pricing,
 	}
+	variants := make([]cluster.Variant, len(specs))
+	for i, s := range specs {
+		variants[i] = cluster.Variant{
+			Label:    s.Label(),
+			Topology: scalerTopology(cfg, s),
+			Opts:     rowOpts,
+		}
+	}
+	runs, err := cluster.RunBroadcast(cluster.Stream(spec), variants, 0)
+	if err != nil {
+		return ScalerComparisonResult{}, err
+	}
 	res := ScalerComparisonResult{
 		Workload: cfg.Workload,
 		Rows:     make([]ScalerComparisonRow, len(specs)),
 	}
-
-	if cfg.Streaming {
-		// One generation pass fans out to every policy row through
-		// cluster.RunBroadcast: each subscriber ring replays the
-		// byte-identical record sequence a per-row StreamFactory source
-		// would re-derive (the streaming equivalence tests pin rows
-		// against the materialized sweep), at 1/len(specs) of the
-		// generation cost.
-		variants := make([]cluster.Variant, len(specs))
-		for i, s := range specs {
-			variants[i] = cluster.Variant{
-				Label:    s.Label(),
-				Topology: scalerTopology(cfg, s),
-				Opts:     rowOpts,
-			}
-		}
-		runs, err := cluster.RunBroadcast(cluster.Stream(mkSpec()), variants, 0)
-		if err != nil {
-			return ScalerComparisonResult{}, err
-		}
-		for i, run := range runs {
-			res.Rows[i] = scalerRow(specs[i].Label(), run)
-		}
-		return res, nil
-	}
-
-	tr := cluster.Generate(mkSpec())
-	err = forEachErr(len(specs), cfg.Workers, func(i int) error {
-		run, err := cluster.Run(tr.Source(), scalerTopology(cfg, specs[i]), rowOpts)
-		if err != nil {
-			return err
-		}
+	for i, run := range runs {
 		res.Rows[i] = scalerRow(specs[i].Label(), run)
-		return nil
-	})
-	if err != nil {
-		return ScalerComparisonResult{}, err
 	}
 	return res, nil
 }

@@ -4,9 +4,22 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/app"
 	"repro/internal/autoscale"
 	"repro/internal/cluster"
+	"repro/internal/econ"
 )
+
+// materialize drains the spec's stream into memory: the runners always
+// stream, and these tests replay the held records as their oracle.
+func materialize(spec cluster.GenSpec) *cluster.WorkloadTrace {
+	tr := &cluster.WorkloadTrace{Sites: spec.Sites}
+	src := cluster.Stream(spec)
+	for rec, ok := src.Next(); ok; rec, ok = src.Next() {
+		tr.Records = append(tr.Records, rec)
+	}
+	return tr
+}
 
 // streamScalerConfig is a small two-policy comparison, shared by the
 // streaming-equivalence tests.
@@ -41,29 +54,43 @@ func TestScalerWorkloadTableComplete(t *testing.T) {
 }
 
 // TestScalerComparisonStreamingMatchesMaterialized: the ROADMAP fix —
-// policy rows derived from per-row generator sources must be
-// bit-identical to rows replaying one shared materialized trace, for
-// every workload family. Row equality implies every row consumed the
+// policy rows broadcast from one generator source must be bit-identical
+// to rows replayed one by one over a materialized trace, for every
+// workload family. Row equality implies every row consumed the
 // identical arrival sequence.
 func TestScalerComparisonStreamingMatchesMaterialized(t *testing.T) {
 	for _, wl := range ScalerWorkloads() {
 		cfg := streamScalerConfig(wl)
-		want, err := RunScalerComparison(cfg)
-		if err != nil {
-			t.Fatalf("%s materialized: %v", wl, err)
-		}
-		cfg.Streaming = true
 		got, err := RunScalerComparison(cfg)
 		if err != nil {
 			t.Fatalf("%s streaming: %v", wl, err)
 		}
-		if len(got.Rows) != len(want.Rows) {
-			t.Fatalf("%s: %d streaming rows, %d materialized", wl, len(got.Rows), len(want.Rows))
+		// The oracle: RunScalerComparison's defaults, then one Run per
+		// policy over fresh iterators of one materialized trace.
+		cfg.Warmup, cfg.MinServers, cfg.MaxServers = cfg.Duration/10, 1, 6
+		cfg.Pricing = econ.DefaultPricing()
+		build, err := scalerWorkloadBuilder(cfg.Workload)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range want.Rows {
-			if !reflect.DeepEqual(got.Rows[i], want.Rows[i]) {
+		tr := materialize(scalerSpecFrom(cfg, build))
+		want := make([]ScalerComparisonRow, len(cfg.Specs))
+		for i, s := range cfg.Specs {
+			run, err := cluster.Run(tr.Source(), scalerTopology(cfg, s), cluster.Options{
+				Warmup: cfg.Warmup, Seed: cfg.Seed + 1, Pricing: &cfg.Pricing,
+			})
+			if err != nil {
+				t.Fatalf("%s materialized: %v", wl, err)
+			}
+			want[i] = scalerRow(s.Label(), run)
+		}
+		if len(got.Rows) != len(want) {
+			t.Fatalf("%s: %d streaming rows, %d materialized", wl, len(got.Rows), len(want))
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got.Rows[i], want[i]) {
 				t.Errorf("%s: row %d (%s) diverges between streaming and materialized:\n got %+v\nwant %+v",
-					wl, i, want.Rows[i].Policy, got.Rows[i], want.Rows[i])
+					wl, i, want[i].Policy, got.Rows[i], want[i])
 			}
 		}
 	}
@@ -104,9 +131,10 @@ func TestScalerStreamingRowsReplayIdenticalSequence(t *testing.T) {
 	}
 }
 
-// TestTopologySweepStreamingMatchesMaterialized: a swept topology (and
-// its paired baseline) driven by cluster.Stream sources reproduces the
-// materialized sweep point for point, bit for bit.
+// TestTopologySweepStreamingMatchesMaterialized: a swept topology and
+// its paired baseline, broadcast from one generator source per point,
+// reproduce independent runs over a materialized trace point for
+// point, bit for bit.
 func TestTopologySweepStreamingMatchesMaterialized(t *testing.T) {
 	topo, ok := cluster.PresetTopology("edge-regional-cloud")
 	if !ok {
@@ -123,14 +151,35 @@ func TestTopologySweepStreamingMatchesMaterialized(t *testing.T) {
 		Seed:     31,
 		Baseline: &baseline,
 	}
-	want, err := RunTopologySweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Source = cluster.Stream
 	got, err := RunTopologySweep(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The oracle: the sweep's per-point spec and seeds, one Run per
+	// shape over fresh iterators of one materialized trace.
+	var want TopologySweepResult
+	for i, rate := range cfg.Rates {
+		tr := materialize(cluster.GenSpec{
+			Sites:       topo.Tiers[0].Sites,
+			Duration:    cfg.Duration,
+			PerSiteRate: rate * float64(topo.Tiers[0].ServersPerSite),
+			Model:       app.NewInferenceModel(),
+			Seed:        cfg.Seed + int64(i)*7919,
+		})
+		for _, shape := range []struct {
+			topo cluster.Topology
+			seed int64
+			out  *[]TopologyPoint
+		}{
+			{topo, cfg.Seed + int64(i)*104729, &want.Points},
+			{baseline, cfg.Seed + int64(i)*1299709, &want.Baseline},
+		} {
+			run, err := cluster.Run(tr.Source(), shape.topo, cluster.Options{Warmup: cfg.Warmup, Seed: shape.seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			*shape.out = append(*shape.out, topologyPoint(rate, run))
+		}
 	}
 	if !reflect.DeepEqual(got.Points, want.Points) {
 		t.Errorf("streaming sweep points diverge from materialized:\n got %+v\nwant %+v",

@@ -10,7 +10,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/app"
 	"repro/internal/cluster"
@@ -100,9 +99,9 @@ type SweepResult struct {
 	Points []SweepPoint
 }
 
-// RunSweep executes the sweep: for every rate it generates one workload
-// trace and replays it through both deployments (paired comparison, as
-// in the paper where the cloud "sees the cumulative request rate").
+// RunSweep executes the sweep: for every rate it streams one workload
+// through both deployments (paired comparison, as in the paper where
+// the cloud "sees the cumulative request rate").
 // Points are evaluated concurrently on a bounded worker pool — each
 // point seeds its own engines from its index, and results land in
 // index-addressed slots, so the output is byte-identical to a serial
@@ -127,17 +126,17 @@ func RunSweep(cfg SweepConfig) (SweepResult, error) {
 // from cfg.Seed and the point index, never from shared state.
 func runSweepPoint(cfg SweepConfig, i int) (SweepPoint, error) {
 	rate := cfg.Rates[i]
-	tr := cluster.Generate(cluster.GenSpec{
+	spec := cluster.GenSpec{
 		Sites:       cfg.Sites,
 		Duration:    cfg.Duration,
 		PerSiteRate: rate * float64(cfg.ServersPerSite),
 		ArrivalSCV:  cfg.ArrivalSCV,
 		Model:       cfg.Model,
 		Seed:        cfg.Seed + int64(i)*7919,
-	})
+	}
 	cloudTier := cluster.CloudTier(cfg.Sites*cfg.ServersPerSite, cfg.Scenario.Cloud, cfg.CloudPolicy)
 	cloudTier.Discipline = cfg.Discipline
-	runs, err := runVariants(tr,
+	runs, err := runVariants(spec,
 		cluster.Variant{Topology: cluster.Topology{Name: "edge", Tiers: []cluster.Tier{{
 			Name: "edge", Sites: cfg.Sites, ServersPerSite: cfg.ServersPerSite,
 			Path: cfg.Scenario.Edge, Discipline: cfg.Discipline,
@@ -163,10 +162,13 @@ func runSweepPoint(cfg SweepConfig, i int) (SweepPoint, error) {
 	}, nil
 }
 
-// runVariants replays tr through every variant in one broadcast pass
-// and returns the results in variant order.
-func runVariants(tr *cluster.WorkloadTrace, variants ...cluster.Variant) ([]*cluster.TopologyResult, error) {
-	runs, err := cluster.RunBroadcast(tr.Source(), variants, 0)
+// runVariants validates spec, streams it through every variant in one
+// broadcast pass and returns the results in variant order.
+func runVariants(spec cluster.GenSpec, variants ...cluster.Variant) ([]*cluster.TopologyResult, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
+	runs, err := cluster.RunBroadcast(cluster.Stream(spec), variants, 0)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
@@ -199,26 +201,40 @@ func (p SweepPoint) metric(m Metric) (edge, cloud float64) {
 
 // Crossover locates the performance-inversion point of a sweep: the
 // lowest rate at which the edge metric exceeds the cloud metric, with
-// linear interpolation between sampled rates. found is false if the edge
-// never inverts within the sweep.
+// linear interpolation between sampled rates (see FirstCrossing). found
+// is false if the edge never inverts within the sweep.
 func (r SweepResult) Crossover(m Metric) (rate, utilization float64, found bool) {
-	mu := r.Config.Model.Mu()
-	prevDiff := math.Inf(-1)
-	prevRate := 0.0
+	rates := make([]float64, len(r.Points))
+	gaps := make([]float64, len(r.Points))
 	for i, p := range r.Points {
 		e, c := p.metric(m)
-		diff := e - c
-		if diff > 0 {
-			if i == 0 || math.IsInf(prevDiff, -1) {
-				return p.RatePerServer, p.RatePerServer / mu, true
-			}
-			// Interpolate the zero crossing between the previous and
-			// current rate.
-			frac := -prevDiff / (diff - prevDiff)
-			rate = prevRate + frac*(p.RatePerServer-prevRate)
-			return rate, rate / mu, true
-		}
-		prevDiff, prevRate = diff, p.RatePerServer
+		rates[i], gaps[i] = p.RatePerServer, e-c
 	}
-	return 0, 0, false
+	if rate, _, found = FirstCrossing(rates, gaps); !found {
+		return 0, 0, false
+	}
+	return rate, rate / r.Config.Model.Mu(), true
+}
+
+// FirstCrossing is the one crossover search every sweep shares. gaps[i]
+// is a deployment's latency metric minus its rival's at rates[i]
+// (ascending); FirstCrossing returns the rate where the gap first turns
+// positive, linearly interpolating between the bracketing rates. atFloor
+// reports that the gap is already positive at the lowest rate (the true
+// crossing lies below the swept range, and rate is rates[0]); found is
+// false when the gap never turns positive.
+func FirstCrossing(rates, gaps []float64) (rate float64, atFloor, found bool) {
+	for i, d := range gaps {
+		if !(d > 0) { // NaN gaps never count as a crossing
+			continue
+		}
+		if i == 0 {
+			return rates[0], true, true
+		}
+		// prev <= 0 < d, so the denominator is positive.
+		prev := gaps[i-1]
+		frac := -prev / (d - prev)
+		return rates[i-1] + frac*(rates[i]-rates[i-1]), false, true
+	}
+	return 0, false, false
 }

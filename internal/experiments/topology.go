@@ -30,15 +30,12 @@ type TopologySweepConfig struct {
 	// crossover comparisons between the two are paired — free of
 	// unpaired sampling noise near the inversion point.
 	Baseline *cluster.Topology
-	// Source, when set, supplies each run's workload instead of a
-	// materialized Generate: it is called with the point's fully
-	// derived GenSpec once per run (topology and baseline separately),
-	// and must return a fresh source over that spec's record sequence.
-	// cluster.Stream is the natural value — per-point sweeps in memory
-	// independent of Duration, replaying the sequence Generate would
-	// produce for the same spec. Pair with stats.Bounded summaries.
+	// Source, when set, supplies each point's workload instead of the
+	// generator — a recorded trace rescaled to the point's rate, say. It
+	// is called once per point with the point's fully derived GenSpec
+	// (a Baseline replays the same pass through RunBroadcast).
 	// Incompatible with Shards (an arbitrary factory cannot be split
-	// into per-site ranges; use the generator path instead).
+	// into per-site ranges).
 	Source func(cluster.GenSpec) cluster.Source
 	// Shards selects the per-point replay engine. 0 replays every
 	// point with cluster.Run (the single-engine path, back-compatible
@@ -97,9 +94,11 @@ type TopologySweepResult struct {
 }
 
 // RunTopologySweep sweeps request rates through the topology, one
-// generated trace per rate, points evaluated concurrently with
+// streamed workload per rate, points evaluated concurrently with
 // index-derived seeds (byte-identical at any pool size). The topology
-// is validated before any worker starts.
+// and every generated point's GenSpec are validated before any worker
+// starts. An unsharded point with a baseline replays both shapes from
+// one broadcast pass.
 func RunTopologySweep(cfg TopologySweepConfig) (TopologySweepResult, error) {
 	if len(cfg.Topology.Tiers) == 0 {
 		return TopologySweepResult{}, fmt.Errorf("experiments: topology sweep needs a topology")
@@ -137,29 +136,36 @@ func RunTopologySweep(cfg TopologySweepConfig) (TopologySweepResult, error) {
 	if perSite <= 0 {
 		perSite = 1
 	}
+	specs := make([]cluster.GenSpec, len(cfg.Rates))
+	for i, rate := range cfg.Rates {
+		specs[i] = cluster.GenSpec{
+			Sites:       ingress.Sites,
+			Duration:    cfg.Duration,
+			PerSiteRate: rate * float64(perSite),
+			ArrivalSCV:  cfg.ArrivalSCV,
+			Model:       cfg.Model,
+			Seed:        cfg.Seed + int64(i)*7919,
+		}
+		if cfg.Source == nil {
+			if err := specs[i].Validate(); err != nil {
+				return TopologySweepResult{}, fmt.Errorf("experiments: rate %v: %w", rate, err)
+			}
+		}
+	}
+	src := cfg.Source
+	if src == nil {
+		src = cluster.Stream
+	}
 	res := TopologySweepResult{Config: cfg, Points: make([]TopologyPoint, len(cfg.Rates))}
 	if cfg.Baseline != nil {
 		res.Baseline = make([]TopologyPoint, len(cfg.Rates))
 	}
 	err = forEachErr(len(cfg.Rates), cfg.Workers, func(i int) error {
-		spec := cluster.GenSpec{
-			Sites:       ingress.Sites,
-			Duration:    cfg.Duration,
-			PerSiteRate: cfg.Rates[i] * float64(perSite),
-			ArrivalSCV:  cfg.ArrivalSCV,
-			Model:       cfg.Model,
-			Seed:        cfg.Seed + int64(i)*7919,
-		}
-		// One source per run, all over the identical record sequence:
-		// fresh iterators over a shared materialized trace, fresh
-		// generator streams re-derived from the same spec (a Source
-		// factory), or per-site generator ranges (sharded points) — so
-		// the pairing holds however each run is engineered.
-		src := cfg.Source
-		if src == nil && (topoShards == 0 || (cfg.Baseline != nil && baseShards == 0)) {
-			tr := cluster.Generate(spec)
-			src = func(cluster.GenSpec) cluster.Source { return tr.Source() }
-		}
+		// Every run of a point replays the identical record sequence —
+		// fresh sources over the same spec, or per-site generator
+		// ranges (sharded runs) — so the pairing holds however each
+		// run is engineered.
+		spec := specs[i]
 		pointOpts := func(seed int64) cluster.Options {
 			return cluster.Options{Warmup: cfg.Warmup, Seed: seed, Summary: cfg.Summary}
 		}
@@ -169,15 +175,12 @@ func RunTopologySweep(cfg TopologySweepConfig) (TopologySweepResult, error) {
 			}
 			return cluster.Run(src(spec), topo, pointOpts(seed))
 		}
-		if cfg.Source != nil && cfg.Baseline != nil {
-			// Paired single-engine point over a factory source: one
-			// generation/decode pass broadcasts to the topology and its
-			// baseline instead of replaying the trace twice. Each
-			// subscriber ring yields the byte-identical sequence a
-			// fresh cfg.Source(spec) call would, with the same
-			// per-shape seeds, so the pairing — and every number — is
-			// unchanged (asserted by the sweep streaming tests).
-			runs, err := cluster.RunBroadcast(cfg.Source(spec), []cluster.Variant{
+		if cfg.Baseline != nil && topoShards == 0 && baseShards == 0 {
+			// Paired single-engine point: one generation/decode pass
+			// broadcasts to the topology and its baseline. Each
+			// subscriber ring yields the byte-identical sequence a fresh
+			// src(spec) call would, with the same per-shape seeds.
+			runs, err := cluster.RunBroadcast(src(spec), []cluster.Variant{
 				{Label: cfg.Topology.Name, Topology: cfg.Topology,
 					Opts: pointOpts(cfg.Seed + int64(i)*104729)},
 				{Label: "baseline", Topology: *cfg.Baseline,
@@ -332,28 +335,28 @@ func RunFigThreeTier(duration float64, seed int64) (ThreeTierResult, error) {
 	res := ThreeTierResult{Rates: rates, Points: make([]ThreeTierPoint, len(rates))}
 	err := forEachErr(len(rates), 0, func(i int) error {
 		rate := rates[i]
-		tr := cluster.Generate(cluster.GenSpec{
+		spec := cluster.GenSpec{
 			Sites:       5,
 			Duration:    duration,
 			PerSiteRate: rate * 2, // 10 servers over 5 sites
 			Model:       model,
 			Seed:        seed + int64(i)*7919,
-		})
+		}
 		warmup := duration / 10
 		opts := func(seed int64) cluster.Options {
 			return cluster.Options{Warmup: warmup, Seed: seed}
 		}
 		cloudPath := netem.CloudTypical
-		runs, err := cluster.RunBroadcast(tr.Source(), []cluster.Variant{
-			{Label: "edge", Opts: opts(seed + int64(i)*104729), Topology: cluster.Topology{
+		runs, err := runVariants(spec,
+			cluster.Variant{Label: "edge", Opts: opts(seed + int64(i)*104729), Topology: cluster.Topology{
 				Name:  "edge",
 				Tiers: []cluster.Tier{{Name: "edge", Sites: 5, ServersPerSite: 2, Path: netem.EdgePath}},
 			}},
-			{Label: "cloud", Opts: opts(seed + int64(i)*1299709), Topology: cluster.Topology{
+			cluster.Variant{Label: "cloud", Opts: opts(seed + int64(i)*1299709), Topology: cluster.Topology{
 				Name:  "cloud",
 				Tiers: []cluster.Tier{cluster.CloudTier(10, cloudPath, "")},
 			}},
-			{Label: "edge+overflow", Opts: opts(seed + int64(i)*15485863), Topology: cluster.Topology{
+			cluster.Variant{Label: "edge+overflow", Opts: opts(seed + int64(i)*15485863), Topology: cluster.Topology{
 				Name: "edge+overflow",
 				Tiers: []cluster.Tier{
 					{Name: "edge", Sites: 5, ServersPerSite: 1, Path: netem.EdgePath},
@@ -361,13 +364,12 @@ func RunFigThreeTier(duration float64, seed int64) (ThreeTierResult, error) {
 				},
 				Spills: []cluster.SpillEdge{{From: "edge", To: "cloud", Threshold: 3, DetourPath: &cloudPath}},
 			}},
-			{Label: chain.Name, Opts: opts(seed + int64(i)*32452843), Topology: chain},
-		}, 0)
+			cluster.Variant{Label: chain.Name, Opts: opts(seed + int64(i)*32452843), Topology: chain})
 		if err != nil {
 			return err
 		}
 		edge, cloud, over, chained := runs[0], runs[1], runs[2], runs[3]
-		n := float64(tr.Len())
+		n := float64(edge.Offered)
 		res.Points[i] = ThreeTierPoint{
 			RatePerServer: rate,
 			EdgeMean:      edge.MeanLatency(),

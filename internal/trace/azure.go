@@ -136,7 +136,7 @@ func ExecTimeDist(mean, scv float64) dist.Dist {
 }
 
 // ToArrivalProcesses converts per-site series into NHPP arrival
-// processes suitable for cluster.Generate.
+// processes suitable for a cluster.GenSpec's Arrivals.
 func ToArrivalProcesses(series []SiteSeries, cycle bool) []workload.ArrivalProcess {
 	procs := make([]workload.ArrivalProcess, len(series))
 	for i, s := range series {

@@ -101,7 +101,7 @@ func StreamAzureCSV(r io.Reader, opts AzureStreamOptions) *AzureSource {
 		}
 		s.heap.Grow(s.nSites)
 		// One service stream per site, seeded in site order from the
-		// master stream — mirroring cluster.Generate's derivation
+		// master stream — mirroring cluster.Stream's seed derivation
 		// discipline so the synthesis is reproducible from Seed alone.
 		master := rand.New(rand.NewSource(opts.Seed))
 		s.svcRng = make([]*rand.Rand, s.nSites)

@@ -19,7 +19,7 @@ func binaryFixtureSpec() cluster.GenSpec {
 // encodeBinary writes spec's trace to an in-memory .etb buffer.
 func encodeBinary(t *testing.T, spec cluster.GenSpec) ([]byte, *cluster.WorkloadTrace) {
 	t.Helper()
-	want := cluster.Generate(spec)
+	want := &cluster.WorkloadTrace{Records: drain(t, cluster.Stream(spec)), Sites: spec.Sites}
 	var buf bytes.Buffer
 	n, err := WriteBinary(&buf, cluster.Stream(spec))
 	if err != nil {

@@ -34,7 +34,7 @@ func drain(t *testing.T, src cluster.Source) []cluster.RequestRecord {
 // decoder agrees with the streaming one record for record.
 func TestRequestCSVRoundTrip(t *testing.T) {
 	spec := cluster.GenSpec{Sites: 3, Duration: 60, PerSiteRate: 6, Seed: 9}
-	want := cluster.Generate(spec)
+	want := &cluster.WorkloadTrace{Records: drain(t, cluster.Stream(spec)), Sites: spec.Sites}
 
 	var buf bytes.Buffer
 	n, err := WriteRequestsCSV(&buf, cluster.Stream(spec))
