@@ -553,10 +553,10 @@ func BenchmarkAblationAutoscale(b *testing.B) {
 		var peak int
 		for i := 0; i < b.N; i++ {
 			topo := benchEdge(5, 1, sc.Edge)
-			reactive := autoscale.ReactiveSpec(autoscale.Config{
-				Interval: 2, Min: 1, Max: 4,
+			reactive := autoscale.Spec{
+				Policy: autoscale.PolicyReactive, Interval: 2, Min: 1, Max: 4,
 				UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 6,
-			})
+			}
 			topo.Tiers[0].Scaler = &reactive
 			res := replaySpec(b, mkSpec(), topo, cluster.Options{Warmup: 20, Seed: 54, NoPerSiteLatency: true})
 			m = res.MeanLatency()

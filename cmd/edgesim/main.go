@@ -111,7 +111,8 @@ func main() {
 	skew := flag.String("skew", "", "comma-separated per-site weights (e.g. 5,2,1,1,1); classic paired mode only")
 	queueCap := flag.Int("queue-cap", 0, "bound each queue at this many waiting requests (0=unbounded); classic paired mode only")
 	summary := flag.String("summary", "exact", "latency summary memory model: exact (retain every sample) | bounded (streaming moments + a mergeable log-bucket sketch, quantiles within 0.78%, for huge replays)")
-	autoscaleMax := flag.Int("autoscale-max", 0, "also run an autoscaled edge growing each site up to this many servers (0=off)")
+	autoscaleMax := flag.Int("autoscale-max", 0, "also run an autoscaled edge growing each site up to this many servers (0=off); "+
+		"with -scaler, only sets that scaler's upper bound (under -topology it requires -scaler)")
 	overflowAt := flag.Int("overflow-at", 0, "also run a hierarchical edge overflowing to the cloud at this site load (0=off); classic paired mode only")
 	topology := flag.String("topology", "", "replay through a deployment graph instead: preset name ("+
 		strings.Join(cluster.TopologyPresets(), "|")+"), @file.json, or inline JSON spec")
@@ -365,10 +366,10 @@ func main() {
 	plainEdge := cluster.Tier{Name: "edge", Sites: *sites, ServersPerSite: *servers, Path: sc.Edge}
 	autoscaled := *autoscaleMax > 0 && *scaler == ""
 	if autoscaled {
-		reactive := autoscale.ReactiveSpec(autoscale.Config{
-			Interval: 2, Min: *servers, Max: *autoscaleMax,
+		reactive := autoscale.Spec{
+			Policy: autoscale.PolicyReactive, Interval: 2, Min: *servers, Max: *autoscaleMax,
 			UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 6,
-		})
+		}
 		tier := plainEdge
 		tier.Scaler = &reactive
 		variants = append(variants, variant("edge+autoscale", *seed+1, false, tier))
@@ -536,9 +537,11 @@ func checkGenFlags(sites, servers int, rate, duration, warmup, arrivalSCV, servi
 // checkTopologyFlags rejects classic-mode flags that a -topology run
 // would otherwise ignore without a word: -skew (graph replays generate
 // uniform per-site load), any explicitly set classicOnlyFlags entry,
-// and an explicitly set -sites that disagrees with a home-routed
-// ingress tier, whose station count fixes the trace's site count. set
-// holds the names of the flags given on the command line.
+// -autoscale-max without -scaler (under -topology it only bounds the
+// -scaler controller), and an explicitly set -sites that disagrees
+// with a home-routed ingress tier, whose station count fixes the
+// trace's site count. set holds the names of the flags given on the
+// command line.
 func checkTopologyFlags(topo cluster.Topology, skew string, sites int, set map[string]bool) error {
 	if skew != "" {
 		return fmt.Errorf("-skew applies to the classic paired mode only; -topology replays uniform per-site load")
@@ -549,9 +552,43 @@ func checkTopologyFlags(topo cluster.Topology, skew string, sites int, set map[s
 				f.name, f.field)
 		}
 	}
+	if set["autoscale-max"] && !set["scaler"] {
+		return fmt.Errorf("-autoscale-max only bounds -scaler under -topology; set -scaler too, " +
+			`or a tier's "scaler" block in the topology spec`)
+	}
 	if ingress := topo.Tiers[0]; set["sites"] && ingress.Dispatch == "" && sites != ingress.Sites {
 		return fmt.Errorf("-sites %d disagrees with topology %q, whose home-routed ingress tier %q has %d sites",
 			sites, topo.Name, ingress.Name, ingress.Sites)
+	}
+	return nil
+}
+
+// checkSpan rejects a recorded workload whose replay (n requests over
+// span seconds) ends at or before -warmup: the warmup would discard
+// every request and the run would print zeros.
+func checkSpan(what string, n uint64, span, warmup float64) error {
+	if !(warmup < span) {
+		return fmt.Errorf("-warmup %v is not below the %.4gs span of %s (%d requests): the replay would measure nothing",
+			warmup, span, what, n)
+	}
+	if n == 0 {
+		return fmt.Errorf("%s holds no requests: the replay would measure nothing", what)
+	}
+	return nil
+}
+
+// checkSweepSpans applies checkSpan to every swept rate of a recorded
+// workload: a sweep rescales the trace so its aggregate rate hits each
+// point, which stretches or shrinks its span.
+func checkSweepSpans(what string, ws workloadStats, topo cluster.Topology, rates []float64, warmup float64) error {
+	ingress := topo.Tiers[0]
+	perSite := max(ingress.ServersPerSite, 1)
+	for _, rate := range rates {
+		target := rate * float64(perSite) * float64(ingress.Sites)
+		span := ws.dur * (ws.rate / target)
+		if err := checkSpan(fmt.Sprintf("%s at %g req/s/server", what, rate), ws.n, span, warmup); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -578,7 +615,7 @@ func parseScalerSpec(arg string, minServers, maxFlag int, mu float64) (autoscale
 		if forecaster != "" {
 			return autoscale.Spec{}, fmt.Errorf("reactive scalers take no forecaster (got %q)", forecaster)
 		}
-		spec = autoscale.ReactiveSpec(autoscale.DefaultConfig(min, max))
+		spec = autoscale.DefaultReactiveSpec(min, max)
 	case autoscale.PolicyPredictive:
 		spec = autoscale.DefaultPredictiveSpec(min, max, mu, forecaster)
 	default:
@@ -754,6 +791,11 @@ func runTopology(topo cluster.Topology, in workloadInput, sh shardChoice,
 	}
 	if err != nil {
 		fail("-topology: %v", err)
+	}
+	if in.active() {
+		if err := checkSpan(in.label(), res.Offered, res.Duration, warmup); err != nil {
+			fail("%v", err)
+		}
 	}
 
 	fmt.Printf("topology %s: %d tiers, %d spill edges, %d classes\n",
@@ -980,6 +1022,9 @@ func runTopologySweepCLI(topo cluster.Topology, sweepArg string,
 		}
 		if limit > 0 && in.azurePath != "" && ws.sites != limit {
 			fail("-azure: file has %d sites but topology %q expects %d", ws.sites, topo.Name, limit)
+		}
+		if err := checkSweepSpans(in.label(), ws, topo, rates, warmup); err != nil {
+			fail("-sweep: %v", err)
 		}
 		factory := in.factory(limit)
 		sweepCfg.Source = func(spec cluster.GenSpec) cluster.Source {

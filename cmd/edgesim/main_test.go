@@ -40,6 +40,9 @@ func TestCheckTopologyFlags(t *testing.T) {
 		{"overflow-at", preset, "", 5, []string{"overflow-at"}, "-overflow-at"},
 		{"pooled-rejects-policy", pooled, "", 20, []string{"sites", "policy"}, "-policy"},
 		{"topology-flags-accepted", preset, "", 5, []string{"rate", "servers", "shards", "admit"}, ""},
+		{"autoscale-max-without-scaler", preset, "", 5, []string{"autoscale-max"}, "-scaler"},
+		{"pooled-autoscale-max-without-scaler", pooled, "", 20, []string{"sites", "autoscale-max"}, "-scaler"},
+		{"autoscale-max-bounds-scaler", preset, "", 5, []string{"autoscale-max", "scaler"}, ""},
 	} {
 		set := map[string]bool{}
 		for _, name := range tc.set {
@@ -162,5 +165,58 @@ func TestParseWeightsRejectsBadNumbers(t *testing.T) {
 	}
 	if _, err := parseWeights("5,0,1", 3); err != nil {
 		t.Errorf("parseWeights(5,0,1): %v", err)
+	}
+}
+
+// TestCheckSpan: a recorded workload whose replay ends at or before
+// -warmup, or holds no requests, is an error naming -warmup and the
+// span instead of a table of zeros.
+func TestCheckSpan(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		n            uint64
+		span, warmup float64
+		want         []string // error substrings; nil = accepted
+	}{
+		{"ends-after-warmup", 3, 61, 60, nil},
+		{"negative-warmup", 3, 1, -1, nil},
+		{"ends-before-warmup", 3, 1.05, 60, []string{"-warmup 60", "1.05s span"}},
+		{"ends-at-warmup", 3, 60, 60, []string{"-warmup 60", "60s span"}},
+		{"empty", 0, 0, 60, []string{"-warmup 60", "0s span"}},
+		{"empty-negative-warmup", 0, 0, -1, []string{"no requests"}},
+		{"nan-warmup", 3, 100, math.NaN(), []string{"-warmup NaN"}},
+	} {
+		err := checkSpan("trace tiny.csv", tc.n, tc.span, tc.warmup)
+		if tc.want == nil {
+			if err != nil {
+				t.Errorf("%s: unexpected error %v", tc.name, err)
+			}
+			continue
+		}
+		for _, w := range tc.want {
+			if err == nil || !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %v, want one containing %q", tc.name, err, w)
+			}
+		}
+	}
+}
+
+// TestCheckSweepSpans: a sweep rescales a recorded trace onto each
+// rate, so the span check applies per point — a rate fast enough to
+// squeeze the trace inside -warmup is an error naming that rate.
+func TestCheckSweepSpans(t *testing.T) {
+	preset, ok := cluster.PresetTopology("edge-regional-cloud")
+	if !ok {
+		t.Fatal("edge-regional-cloud preset missing")
+	}
+	// 300 requests over 10 s. The preset's 5 one-server edge sites turn
+	// rate r into an aggregate 5r req/s, so the span is 60/r seconds.
+	ws := workloadStats{n: 300, dur: 10, sites: 5, rate: 30}
+	if err := checkSweepSpans("trace t.csv", ws, preset, []float64{6, 9}, 5); err != nil {
+		t.Errorf("spans 10s and 6.7s past -warmup 5: %v", err)
+	}
+	err := checkSweepSpans("trace t.csv", ws, preset, []float64{6, 12, 24}, 5)
+	if err == nil || !strings.Contains(err.Error(), "-warmup 5") || !strings.Contains(err.Error(), "at 12 req/s/server") {
+		t.Errorf("rate 12 squeezes the trace into 5s: error %v, want one naming -warmup and the rate", err)
 	}
 }

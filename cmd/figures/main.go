@@ -128,7 +128,7 @@ func admissionCost(duration float64, seed int64, csvDir string) {
 	topology := func(rate float64) cluster.Topology {
 		// A reactive scaler on the edge makes shed traffic save real
 		// capacity dollars, so the two cost components actually trade.
-		scaler := autoscale.ReactiveSpec(autoscale.DefaultConfig(1, 4))
+		scaler := autoscale.DefaultReactiveSpec(1, 4)
 		topo := cluster.Topology{
 			Name: "admit-frontier",
 			Tiers: []cluster.Tier{

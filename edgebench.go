@@ -212,30 +212,21 @@ var (
 	PresetTopology    = cluster.PresetTopology
 )
 
-// AutoscaleConfig parameterizes the reactive per-site capacity
-// controller (the paper's future-work direction); ReactiveScaler
-// converts it to a ScalerSpec.
-type AutoscaleConfig = autoscale.Config
-
-// Scaler is the policy-pluggable capacity controller a Tier attaches
-// via ScalerSpec: reactive thresholds or forecast-driven predictive
-// provisioning behind one interface.
-type Scaler = autoscale.Scaler
-
-// ScalerSpec declaratively selects and parameterizes a scaler policy.
+// ScalerSpec declaratively selects and parameterizes a per-site
+// capacity scaler (the paper's future-work direction): reactive
+// thresholds or forecast-driven predictive provisioning. A Tier
+// carrying one gets its controller built and run by RunTopology.
 type ScalerSpec = autoscale.Spec
 
 // ScalerTelemetry summarizes a scaler's activity over a run.
 type ScalerTelemetry = autoscale.Telemetry
 
-// Scaler construction: the policy registry (mirroring the lb registry)
-// and the legacy-config converter.
+// Scaler specs: the policy registry (mirroring the lb registry) and
+// the standard reactive and predictive parameter sets.
 var (
-	NewScaler         = autoscale.New
-	ScalerPolicies    = autoscale.Policies
-	ReactiveScaler    = autoscale.ReactiveSpec
-	NewPredictive     = autoscale.NewPredictive
-	NewReactiveScaler = autoscale.NewReactive
+	ScalerPolicies        = autoscale.Policies
+	DefaultReactiveSpec   = autoscale.DefaultReactiveSpec
+	DefaultPredictiveSpec = autoscale.DefaultPredictiveSpec
 )
 
 // Simulation entry points. Stream generates a spec's records on the
@@ -243,9 +234,8 @@ var (
 // seed — so 10⁸-request replays (with BoundedSummary) never hold a
 // trace; StreamFactory re-derives one per run.
 var (
-	Stream                 = cluster.Stream
-	StreamFactory          = cluster.StreamFactory
-	DefaultAutoscaleConfig = autoscale.DefaultConfig
+	Stream        = cluster.Stream
+	StreamFactory = cluster.StreamFactory
 )
 
 // ---- Workload and trace generators ----

@@ -174,9 +174,9 @@ func TestPublicAPIMitigations(t *testing.T) {
 	if over.Tiers[0].Spilled == 0 {
 		t.Error("hot site should overflow")
 	}
-	reactive := edgebench.ReactiveScaler(edgebench.AutoscaleConfig{
-		Interval: 2, Min: 1, Max: 3, UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 5,
-	})
+	reactive := edgebench.ScalerSpec{
+		Policy: "reactive", Interval: 2, Min: 1, Max: 3, UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 5,
+	}
 	edge.Scaler = &reactive
 	if scaled := run(edgebench.Topology{Tiers: []edgebench.Tier{edge}}); scaled.Tiers[0].ScaleUps == 0 {
 		t.Error("autoscaler should scale up the hot site")

@@ -48,10 +48,10 @@ func main() {
 
 	// (3) Run-time mitigations on the unplanned 1-server-per-site edge:
 	// a reactive autoscaler, or overflow into the cloud at site load 4.
-	reactive := edgebench.ReactiveScaler(edgebench.AutoscaleConfig{
-		Interval: 2, Min: 1, Max: 4,
+	reactive := edgebench.ScalerSpec{
+		Policy: "reactive", Interval: 2, Min: 1, Max: 4,
 		UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 6,
-	})
+	}
 	scaledTier := edge
 	scaledTier.Scaler = &reactive
 

@@ -1,66 +1,41 @@
-// Package autoscale implements the reactive per-site capacity controller
-// the paper points to in its design implications and future work:
-// "if the spatial distribution of the workload changes over time, the
+// Package autoscale implements the per-site capacity controller the
+// paper points to in its design implications and future work: "if the
+// spatial distribution of the workload changes over time, the
 // allocated processing capacity at each site should also be adjusted
 // dynamically to match these workload changes" (§3.2) and "we plan to
 // design dynamic edge resource allocation techniques that are robust to
 // performance inversion" (§7).
 //
-// The controller samples each station's load signal (in-flight requests
-// per server) on a fixed interval and scales the server count up or down
-// between configured bounds, with a cooldown to prevent thrashing. It is
-// deliberately simple — threshold-based reactive scaling, the same shape
-// as production horizontal autoscalers — so its effect on performance
+// A scaler is described by a Spec and built with New, mirroring the
+// lb.New / admit.New / forecast.New registries. One Controller runs
+// every policy: on a fixed interval it visits each station and sets a
+// new server count between the spec's Min and Max bounds. Two policies
+// ship:
+//
+//   - reactive: threshold scaling, the shape of production horizontal
+//     autoscalers. The signal is in-flight requests per server; at or
+//     above UpThreshold the station grows by Step servers, at or below
+//     DownThreshold it shrinks by Step, and a Cooldown between actions
+//     at one station prevents thrashing.
+//   - predictive: forecast-driven provisioning, the "capacity ∝
+//     predicted load" rule of the paper's §3.2 takeaway. Each interval
+//     the controller measures the station's arrival rate, feeds it to a
+//     per-station forecaster (forecast.Names), and provisions enough
+//     servers of rate Mu to keep the predicted utilization at or below
+//     TargetUtil.
+//
+// Both are deliberately simple, so their effect on performance
 // inversion can be studied in isolation.
 package autoscale
 
 import (
 	"fmt"
+	"math"
 
+	"repro/internal/forecast"
 	"repro/internal/queue"
 	"repro/internal/sim"
 )
-
-// Config parameterizes a controller.
-type Config struct {
-	// Interval between control decisions, seconds.
-	Interval float64
-	// Min and Max bound the server count.
-	Min, Max int
-	// UpThreshold: scale up when load-per-server is at or above this.
-	UpThreshold float64
-	// DownThreshold: scale down when load-per-server is at or below this.
-	DownThreshold float64
-	// Cooldown is the minimum time between consecutive scale actions at
-	// one station, seconds.
-	Cooldown float64
-	// Step is the number of servers added/removed per action (default 1).
-	Step int
-}
-
-// DefaultConfig returns a conservative reactive policy: check every 5 s,
-// scale up above 1.5 in-flight per server, down below 0.3, one server at
-// a time with a 15 s cooldown.
-func DefaultConfig(min, max int) Config {
-	return Config{
-		Interval:      5,
-		Min:           min,
-		Max:           max,
-		UpThreshold:   1.5,
-		DownThreshold: 0.3,
-		Cooldown:      15,
-		Step:          1,
-	}
-}
-
-func (c Config) validate() {
-	if c.Interval <= 0 || c.Min <= 0 || c.Max < c.Min {
-		panic(fmt.Sprintf("autoscale: invalid config %+v", c))
-	}
-	if c.UpThreshold <= c.DownThreshold {
-		panic("autoscale: UpThreshold must exceed DownThreshold")
-	}
-}
 
 // Event records one scaling action for analysis.
 type Event struct {
@@ -68,43 +43,64 @@ type Event struct {
 	Station string
 	From    int
 	To      int
-	Signal  float64 // load per server that triggered the action
+	// Signal is what triggered the action: load per server (reactive)
+	// or the forecast arrival rate, req/s (predictive).
+	Signal float64
 }
 
-// Controller drives one or more stations.
+// Controller drives one tier's stations under one Spec.
 type Controller struct {
-	cfg      Config
+	spec     Spec
 	engine   *sim.Engine
 	stations []*queue.Station
 	start    []int // server counts at construction
-	lastAct  []float64
 	ticker   *sim.Ticker
+	events   []Event
+	lastAct  []float64 // each station's last action time, for the reactive cooldown
 
-	Events []Event
+	// Predictive state: each station's forecaster and arrival count at
+	// the previous tick.
+	forecasters []forecast.Forecaster
+	lastCount   []uint64
 }
 
-// NewReactive attaches a reactive threshold controller to the stations.
-// The controller is idle until Start arms its ticker; use autoscale.New
-// to construct by declarative Spec instead.
-func NewReactive(e *sim.Engine, stations []*queue.Station, cfg Config) *Controller {
-	cfg.validate()
-	if cfg.Step <= 0 {
-		cfg.Step = 1
+// New validates the spec and attaches its controller to the stations.
+// The controller is idle until Start arms its ticker. Unknown policies
+// and invalid parameters return an error listing the registry.
+func New(spec Spec, e *sim.Engine, stations []*queue.Station) (*Controller, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
 	}
 	if len(stations) == 0 {
-		panic("autoscale: no stations")
+		return nil, fmt.Errorf("autoscale: %s controller has no stations", spec.Policy)
 	}
 	c := &Controller{
-		cfg:      cfg,
+		spec:     spec,
 		engine:   e,
 		stations: stations,
-		start:    startLevels(stations),
+		start:    make([]int, len(stations)),
 		lastAct:  make([]float64, len(stations)),
 	}
-	for i := range c.lastAct {
-		c.lastAct[i] = -cfg.Cooldown // allow an immediate first action
+	for i, st := range stations {
+		c.start[i] = st.Servers
+		c.lastAct[i] = -spec.Cooldown // allow an immediate first action
 	}
-	return c
+	switch spec.Policy {
+	case PolicyReactive:
+		if c.spec.Step == 0 {
+			c.spec.Step = 1
+		}
+	case PolicyPredictive:
+		// Validate resolved the forecaster, so this cannot fail.
+		mk, _ := spec.forecaster()
+		c.forecasters = make([]forecast.Forecaster, len(stations))
+		c.lastCount = make([]uint64, len(stations))
+		for i, st := range stations {
+			c.forecasters[i] = mk()
+			c.lastCount[i] = st.TotalArrivals()
+		}
+	}
+	return c, nil
 }
 
 // Start arms the controller's ticker: the first decision fires one
@@ -113,73 +109,100 @@ func (c *Controller) Start() {
 	if c.ticker != nil {
 		return
 	}
-	c.ticker = c.engine.Every(c.cfg.Interval, func(en *sim.Engine) { c.tick(en.Now()) })
+	c.ticker = c.engine.Every(c.spec.Interval, func(en *sim.Engine) { c.tick(en.Now()) })
 }
 
-// Stop halts the controller.
+// Stop halts the controller; safe to call more than once, or before
+// Start.
 func (c *Controller) Stop() {
 	if c.ticker != nil {
 		c.ticker.Stop()
 	}
 }
 
+// tick makes one control decision per station.
 func (c *Controller) tick(now float64) {
+	s := c.spec
 	for i, st := range c.stations {
-		if now-c.lastAct[i] < c.cfg.Cooldown {
+		from := st.Servers
+		target := from
+		var signal float64
+		switch s.Policy {
+		case PolicyReactive:
+			if now-c.lastAct[i] < s.Cooldown {
+				continue
+			}
+			signal = float64(st.Load()) / float64(from)
+			switch {
+			case signal >= s.UpThreshold && from < s.Max:
+				target = min(from+s.Step, s.Max)
+			case signal <= s.DownThreshold && from > s.Min:
+				target = max(from-s.Step, s.Min)
+			}
+		case PolicyPredictive:
+			count := st.TotalArrivals()
+			rate := float64(count-c.lastCount[i]) / s.Interval
+			c.lastCount[i] = count
+			c.forecasters[i].Observe(rate)
+			signal = c.forecasters[i].Predict()
+			target = int(math.Ceil(signal / (s.Mu * s.TargetUtil)))
+			target = min(max(target, s.Min), s.Max)
+		}
+		if target == from {
 			continue
 		}
-		servers := st.Servers
-		signal := float64(st.Load()) / float64(servers)
-		target := servers
-		switch {
-		case signal >= c.cfg.UpThreshold && servers < c.cfg.Max:
-			target = servers + c.cfg.Step
-			if target > c.cfg.Max {
-				target = c.cfg.Max
-			}
-		case signal <= c.cfg.DownThreshold && servers > c.cfg.Min:
-			target = servers - c.cfg.Step
-			if target < c.cfg.Min {
-				target = c.cfg.Min
-			}
-		}
-		if target != servers {
-			st.SetServers(target)
-			c.lastAct[i] = now
-			c.Events = append(c.Events, Event{
-				Time: now, Station: st.Name, From: servers, To: target, Signal: signal,
-			})
-		}
+		st.SetServers(target)
+		c.lastAct[i] = now
+		c.events = append(c.events, Event{
+			Time: now, Station: st.Name, From: from, To: target, Signal: signal,
+		})
 	}
 }
 
-// ScaleUps and ScaleDowns summarize the recorded actions.
-func (c *Controller) ScaleUps() int {
-	ups, _ := countActions(c.Events)
-	return ups
-}
+// EventLog returns the recorded scale actions in time order.
+func (c *Controller) EventLog() []Event { return c.events }
 
-// ScaleDowns counts shrink actions.
-func (c *Controller) ScaleDowns() int {
-	_, downs := countActions(c.Events)
-	return downs
-}
-
-// PeakServers returns the largest server count reached at any station,
-// the provisioning headroom the controller actually used.
-func (c *Controller) PeakServers() int { return peakServers(c.stations, c.Events) }
-
-// EventLog returns the recorded scale actions.
-func (c *Controller) EventLog() []Event { return c.Events }
-
-// Telemetry summarizes the controller's activity through end.
+// Telemetry summarizes the controller's activity from the engine start
+// through end (normally the run duration).
 func (c *Controller) Telemetry(end float64) Telemetry {
-	ups, downs := countActions(c.Events)
-	return Telemetry{
-		Policy:        PolicyReactive,
-		ScaleUps:      ups,
-		ScaleDowns:    downs,
-		PeakServers:   c.PeakServers(),
-		ServerSeconds: serverSeconds(c.stations, c.start, c.Events, 0, end),
+	t := Telemetry{Policy: c.spec.Policy, ServerSeconds: c.serverSeconds(end)}
+	for _, st := range c.stations {
+		t.PeakServers = max(t.PeakServers, st.Servers)
 	}
+	for _, e := range c.events {
+		t.PeakServers = max(t.PeakServers, e.To)
+		if e.To > e.From {
+			t.ScaleUps++
+		} else {
+			t.ScaleDowns++
+		}
+	}
+	return t
+}
+
+// serverSeconds integrates piecewise-constant provisioned capacity over
+// [0, end] from the stations' starting levels and the event log. Event
+// times are clamped into the window, so a window ending before the
+// first tick contributes exactly startLevel × end per station, and a
+// zero-length window contributes nothing — never a negative term.
+func (c *Controller) serverSeconds(end float64) float64 {
+	if end <= 0 {
+		return 0
+	}
+	level := make(map[string]int, len(c.stations))
+	lastT := make(map[string]float64, len(c.stations))
+	for i, st := range c.stations {
+		level[st.Name] = c.start[i]
+	}
+	var total float64
+	for _, ev := range c.events {
+		t := min(max(ev.Time, 0), end)
+		total += float64(level[ev.Station]) * (t - lastT[ev.Station])
+		level[ev.Station] = ev.To
+		lastT[ev.Station] = t
+	}
+	for _, st := range c.stations {
+		total += float64(level[st.Name]) * (end - lastT[st.Name])
+	}
+	return total
 }

@@ -7,18 +7,14 @@ import (
 	"repro/internal/sim"
 )
 
-// startReactive constructs and immediately starts a reactive
-// controller (most tests want the ticker armed from t=0).
-func startReactive(e *sim.Engine, sts []*queue.Station, cfg Config) *Controller {
-	c := NewReactive(e, sts, cfg)
-	c.Start()
-	return c
-}
-
-// startPredictive constructs and immediately starts a predictive
-// controller.
-func startPredictive(e *sim.Engine, sts []*queue.Station, cfg PredictiveConfig) *PredictiveController {
-	c := NewPredictive(e, sts, cfg)
+// start constructs and immediately starts a controller (most tests
+// want the ticker armed from t=0).
+func start(t *testing.T, e *sim.Engine, sts []*queue.Station, spec Spec) *Controller {
+	t.Helper()
+	c, err := New(spec, e, sts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c.Start()
 	return c
 }
@@ -42,20 +38,21 @@ func loadStation(eng *sim.Engine, st *queue.Station, rate, mu, duration float64)
 func TestScalesUpUnderOverload(t *testing.T) {
 	eng := sim.NewEngine(1)
 	st := queue.NewStation(eng, "hot", 1, queue.FCFS)
-	ctrl := startReactive(eng, []*queue.Station{st}, Config{
-		Interval: 2, Min: 1, Max: 8, UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 4,
+	ctrl := start(t, eng, []*queue.Station{st}, Spec{
+		Policy: PolicyReactive, Interval: 2, Min: 1, Max: 8, UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 4,
 	})
 	loadStation(eng, st, 30, 13, 300) // 230% of one server
 	eng.RunUntil(400)
-	if ctrl.ScaleUps() == 0 {
+	tel := ctrl.Telemetry(400)
+	if tel.ScaleUps == 0 {
 		t.Fatal("overloaded station never scaled up")
 	}
 	// After the load stops (t=300) the controller shrinks back toward
 	// Min, so assert on the peak it reached during the overload.
-	if ctrl.PeakServers() < 3 {
-		t.Errorf("peak servers = %d, want >= 3 for a 30 req/s load", ctrl.PeakServers())
+	if tel.PeakServers < 3 {
+		t.Errorf("peak servers = %d, want >= 3 for a 30 req/s load", tel.PeakServers)
 	}
-	if ctrl.ScaleDowns() == 0 {
+	if tel.ScaleDowns == 0 {
 		t.Error("expected scale-downs after the load ended")
 	}
 }
@@ -63,12 +60,12 @@ func TestScalesUpUnderOverload(t *testing.T) {
 func TestScalesDownWhenIdle(t *testing.T) {
 	eng := sim.NewEngine(2)
 	st := queue.NewStation(eng, "cool", 6, queue.FCFS)
-	ctrl := startReactive(eng, []*queue.Station{st}, Config{
-		Interval: 2, Min: 1, Max: 8, UpThreshold: 1.5, DownThreshold: 0.4, Cooldown: 4,
+	ctrl := start(t, eng, []*queue.Station{st}, Spec{
+		Policy: PolicyReactive, Interval: 2, Min: 1, Max: 8, UpThreshold: 1.5, DownThreshold: 0.4, Cooldown: 4,
 	})
 	loadStation(eng, st, 2, 13, 300) // ~3% utilization of 6 servers
 	eng.RunUntil(400)
-	if ctrl.ScaleDowns() == 0 {
+	if ctrl.Telemetry(400).ScaleDowns == 0 {
 		t.Fatal("idle station never scaled down")
 	}
 	if st.Servers != 1 {
@@ -79,8 +76,8 @@ func TestScalesDownWhenIdle(t *testing.T) {
 func TestRespectsBounds(t *testing.T) {
 	eng := sim.NewEngine(3)
 	st := queue.NewStation(eng, "bounded", 2, queue.FCFS)
-	startReactive(eng, []*queue.Station{st}, Config{
-		Interval: 1, Min: 2, Max: 3, UpThreshold: 1.2, DownThreshold: 0.1, Cooldown: 1,
+	start(t, eng, []*queue.Station{st}, Spec{
+		Policy: PolicyReactive, Interval: 1, Min: 2, Max: 3, UpThreshold: 1.2, DownThreshold: 0.1, Cooldown: 1,
 	})
 	loadStation(eng, st, 100, 13, 200) // hopeless overload
 	eng.RunUntil(250)
@@ -92,17 +89,18 @@ func TestRespectsBounds(t *testing.T) {
 func TestCooldownLimitsActionRate(t *testing.T) {
 	eng := sim.NewEngine(4)
 	st := queue.NewStation(eng, "cool-down", 1, queue.FCFS)
-	ctrl := startReactive(eng, []*queue.Station{st}, Config{
-		Interval: 1, Min: 1, Max: 100, UpThreshold: 1.1, DownThreshold: 0.01, Cooldown: 10,
+	ctrl := start(t, eng, []*queue.Station{st}, Spec{
+		Policy: PolicyReactive, Interval: 1, Min: 1, Max: 100, UpThreshold: 1.1, DownThreshold: 0.01, Cooldown: 10,
 	})
 	loadStation(eng, st, 120, 13, 100)
 	eng.RunUntil(150)
 	// 150 s horizon / 10 s cooldown ⇒ at most ~15 actions.
-	if len(ctrl.Events) > 16 {
-		t.Errorf("%d actions despite 10 s cooldown over 150 s", len(ctrl.Events))
+	events := ctrl.EventLog()
+	if len(events) > 16 {
+		t.Errorf("%d actions despite 10 s cooldown over 150 s", len(events))
 	}
-	for i := 1; i < len(ctrl.Events); i++ {
-		if ctrl.Events[i].Time-ctrl.Events[i-1].Time < 10-1e-9 {
+	for i := 1; i < len(events); i++ {
+		if events[i].Time-events[i-1].Time < 10-1e-9 {
 			t.Fatalf("actions %d and %d closer than the cooldown", i-1, i)
 		}
 	}
@@ -111,13 +109,13 @@ func TestCooldownLimitsActionRate(t *testing.T) {
 func TestEventTelemetry(t *testing.T) {
 	eng := sim.NewEngine(5)
 	st := queue.NewStation(eng, "telemetry", 1, queue.FCFS)
-	ctrl := startReactive(eng, []*queue.Station{st}, DefaultConfig(1, 4))
+	ctrl := start(t, eng, []*queue.Station{st}, DefaultReactiveSpec(1, 4))
 	loadStation(eng, st, 40, 13, 200)
 	eng.RunUntil(250)
-	if len(ctrl.Events) == 0 {
+	if len(ctrl.EventLog()) == 0 {
 		t.Fatal("no events recorded")
 	}
-	for _, e := range ctrl.Events {
+	for _, e := range ctrl.EventLog() {
 		if e.Station != "telemetry" || e.From == e.To || e.Signal < 0 {
 			t.Errorf("malformed event %+v", e)
 		}
@@ -127,13 +125,13 @@ func TestEventTelemetry(t *testing.T) {
 func TestStopHaltsController(t *testing.T) {
 	eng := sim.NewEngine(6)
 	st := queue.NewStation(eng, "halt", 1, queue.FCFS)
-	ctrl := startReactive(eng, []*queue.Station{st}, Config{
-		Interval: 1, Min: 1, Max: 50, UpThreshold: 1.1, DownThreshold: 0.01, Cooldown: 1,
+	ctrl := start(t, eng, []*queue.Station{st}, Spec{
+		Policy: PolicyReactive, Interval: 1, Min: 1, Max: 50, UpThreshold: 1.1, DownThreshold: 0.01, Cooldown: 1,
 	})
 	loadStation(eng, st, 100, 13, 100)
 	eng.At(10, func(*sim.Engine) { ctrl.Stop() })
 	eng.RunUntil(150)
-	for _, e := range ctrl.Events {
+	for _, e := range ctrl.EventLog() {
 		if e.Time > 10 {
 			t.Fatalf("controller acted at %v after Stop at 10", e.Time)
 		}
@@ -143,30 +141,20 @@ func TestStopHaltsController(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	eng := sim.NewEngine(7)
 	st := queue.NewStation(eng, "v", 1, queue.FCFS)
-	bad := []Config{
-		{Interval: 0, Min: 1, Max: 2, UpThreshold: 1, DownThreshold: 0.1},
-		{Interval: 1, Min: 0, Max: 2, UpThreshold: 1, DownThreshold: 0.1},
-		{Interval: 1, Min: 3, Max: 2, UpThreshold: 1, DownThreshold: 0.1},
-		{Interval: 1, Min: 1, Max: 2, UpThreshold: 0.1, DownThreshold: 0.5},
+	bad := []Spec{
+		{Policy: PolicyReactive, Interval: 0, Min: 1, Max: 2, UpThreshold: 1, DownThreshold: 0.1},
+		{Policy: PolicyReactive, Interval: 1, Min: 0, Max: 2, UpThreshold: 1, DownThreshold: 0.1},
+		{Policy: PolicyReactive, Interval: 1, Min: 3, Max: 2, UpThreshold: 1, DownThreshold: 0.1},
+		{Policy: PolicyReactive, Interval: 1, Min: 1, Max: 2, UpThreshold: 0.1, DownThreshold: 0.5},
 	}
-	for i, cfg := range bad {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("config %d should panic", i)
-				}
-			}()
-			startReactive(eng, []*queue.Station{st}, cfg)
-		}()
+	for i, spec := range bad {
+		if _, err := New(spec, eng, []*queue.Station{st}); err == nil {
+			t.Errorf("config %d should be rejected", i)
+		}
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("empty station list should panic")
-			}
-		}()
-		startReactive(eng, nil, DefaultConfig(1, 2))
-	}()
+	if _, err := New(DefaultReactiveSpec(1, 2), eng, nil); err == nil {
+		t.Error("empty station list should be rejected")
+	}
 }
 
 // TestAutoscaleReducesLatencyUnderBurst: the headline property — a
@@ -178,8 +166,8 @@ func TestAutoscaleReducesLatencyUnderBurst(t *testing.T) {
 		st := queue.NewStation(eng, "burst", 1, queue.FCFS)
 		st.SetWarmup(30)
 		if enable {
-			startReactive(eng, []*queue.Station{st}, Config{
-				Interval: 2, Min: 1, Max: 6, UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 4,
+			start(t, eng, []*queue.Station{st}, Spec{
+				Policy: PolicyReactive, Interval: 2, Min: 1, Max: 6, UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 4,
 			})
 		}
 		loadStation(eng, st, 25, 13, 400) // ~190% of one server

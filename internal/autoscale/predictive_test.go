@@ -3,7 +3,6 @@ package autoscale
 import (
 	"testing"
 
-	"repro/internal/forecast"
 	"repro/internal/queue"
 	"repro/internal/sim"
 )
@@ -11,8 +10,8 @@ import (
 func TestPredictiveProvisionsForRate(t *testing.T) {
 	eng := sim.NewEngine(11)
 	st := queue.NewStation(eng, "pred", 1, queue.FCFS)
-	ctrl := startPredictive(eng, []*queue.Station{st}, PredictiveConfig{
-		Interval: 5, Min: 1, Max: 8, Mu: 13, TargetUtil: 0.6,
+	ctrl := start(t, eng, []*queue.Station{st}, Spec{
+		Policy: PolicyPredictive, Interval: 5, Min: 1, Max: 8, Mu: 13, TargetUtil: 0.6,
 	})
 	loadStation(eng, st, 30, 13, 300)
 	// Stop observing while the load is still active (after it ends the
@@ -22,7 +21,7 @@ func TestPredictiveProvisionsForRate(t *testing.T) {
 	if st.Servers != 4 {
 		t.Errorf("predictive servers = %d, want 4 for 30 req/s at 60%% target", st.Servers)
 	}
-	if len(ctrl.Events) == 0 {
+	if len(ctrl.EventLog()) == 0 {
 		t.Fatal("no scaling events")
 	}
 }
@@ -30,9 +29,9 @@ func TestPredictiveProvisionsForRate(t *testing.T) {
 func TestPredictiveScalesBackDown(t *testing.T) {
 	eng := sim.NewEngine(12)
 	st := queue.NewStation(eng, "down", 4, queue.FCFS)
-	startPredictive(eng, []*queue.Station{st}, PredictiveConfig{
-		Interval: 5, Min: 1, Max: 8, Mu: 13, TargetUtil: 0.6,
-		NewForecaster: func() forecast.Forecaster { return forecast.NewEWMA(0.8) },
+	start(t, eng, []*queue.Station{st}, Spec{
+		Policy: PolicyPredictive, Interval: 5, Min: 1, Max: 8, Mu: 13, TargetUtil: 0.6,
+		Forecaster: "ewma", Alpha: 0.8,
 	})
 	loadStation(eng, st, 2, 13, 200) // trivial load
 	eng.RunUntil(260)
@@ -44,8 +43,8 @@ func TestPredictiveScalesBackDown(t *testing.T) {
 func TestPredictiveRespectsBounds(t *testing.T) {
 	eng := sim.NewEngine(13)
 	st := queue.NewStation(eng, "bound", 1, queue.FCFS)
-	startPredictive(eng, []*queue.Station{st}, PredictiveConfig{
-		Interval: 2, Min: 1, Max: 3, Mu: 13, TargetUtil: 0.5,
+	start(t, eng, []*queue.Station{st}, Spec{
+		Policy: PolicyPredictive, Interval: 2, Min: 1, Max: 3, Mu: 13, TargetUtil: 0.5,
 	})
 	loadStation(eng, st, 200, 13, 100)
 	eng.RunUntil(95)
@@ -59,9 +58,9 @@ func TestPredictiveRespectsBounds(t *testing.T) {
 func TestPredictiveTracksRamp(t *testing.T) {
 	eng := sim.NewEngine(14)
 	st := queue.NewStation(eng, "ramp", 1, queue.FCFS)
-	ctrl := startPredictive(eng, []*queue.Station{st}, PredictiveConfig{
-		Interval: 5, Min: 1, Max: 10, Mu: 13, TargetUtil: 0.6,
-		NewForecaster: func() forecast.Forecaster { return forecast.NewHolt(0.6, 0.4) },
+	ctrl := start(t, eng, []*queue.Station{st}, Spec{
+		Policy: PolicyPredictive, Interval: 5, Min: 1, Max: 10, Mu: 13, TargetUtil: 0.6,
+		Forecaster: "holt", Alpha: 0.6, Beta: 0.4,
 	})
 	// Ramp the arrival rate from 5 to 45 req/s over 300 s.
 	arrRng := eng.NewStream()
@@ -79,20 +78,20 @@ func TestPredictiveTracksRamp(t *testing.T) {
 	eng.RunUntil(330)
 	// Peak rate ~45 req/s at ρ=0.6 needs ceil(45/7.8) = 6 servers; after
 	// the ramp ends the controller shrinks back, so assert on the peak.
-	if ctrl.PeakServers() < 5 {
-		t.Errorf("ramp-tracking peak = %d servers, want >= 5", ctrl.PeakServers())
+	if peak := ctrl.Telemetry(330).PeakServers; peak < 5 {
+		t.Errorf("ramp-tracking peak = %d servers, want >= 5", peak)
 	}
 }
 
 func TestPredictiveServerSeconds(t *testing.T) {
 	eng := sim.NewEngine(15)
 	st := queue.NewStation(eng, "cost", 1, queue.FCFS)
-	ctrl := startPredictive(eng, []*queue.Station{st}, PredictiveConfig{
-		Interval: 10, Min: 1, Max: 8, Mu: 13, TargetUtil: 0.6,
+	ctrl := start(t, eng, []*queue.Station{st}, Spec{
+		Policy: PolicyPredictive, Interval: 10, Min: 1, Max: 8, Mu: 13, TargetUtil: 0.6,
 	})
 	loadStation(eng, st, 30, 13, 200)
 	eng.RunUntil(200)
-	got := ctrl.TotalServerSeconds(1, 0, 200)
+	got := ctrl.Telemetry(200).ServerSeconds
 	// Must be at least the static minimum (1 server × 200 s) and at most
 	// the maximum (8 × 200).
 	if got < 200 || got > 8*200 {
@@ -107,22 +106,17 @@ func TestPredictiveServerSeconds(t *testing.T) {
 func TestPredictiveConfigValidation(t *testing.T) {
 	eng := sim.NewEngine(16)
 	st := queue.NewStation(eng, "v", 1, queue.FCFS)
-	bad := []PredictiveConfig{
-		{Interval: 0, Min: 1, Max: 2, Mu: 13, TargetUtil: 0.5},
-		{Interval: 1, Min: 0, Max: 2, Mu: 13, TargetUtil: 0.5},
-		{Interval: 1, Min: 3, Max: 2, Mu: 13, TargetUtil: 0.5},
-		{Interval: 1, Min: 1, Max: 2, Mu: 0, TargetUtil: 0.5},
-		{Interval: 1, Min: 1, Max: 2, Mu: 13, TargetUtil: 1.2},
+	bad := []Spec{
+		{Policy: PolicyPredictive, Interval: 0, Min: 1, Max: 2, Mu: 13, TargetUtil: 0.5},
+		{Policy: PolicyPredictive, Interval: 1, Min: 0, Max: 2, Mu: 13, TargetUtil: 0.5},
+		{Policy: PolicyPredictive, Interval: 1, Min: 3, Max: 2, Mu: 13, TargetUtil: 0.5},
+		{Policy: PolicyPredictive, Interval: 1, Min: 1, Max: 2, Mu: 0, TargetUtil: 0.5},
+		{Policy: PolicyPredictive, Interval: 1, Min: 1, Max: 2, Mu: 13, TargetUtil: 1.2},
 	}
-	for i, cfg := range bad {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("config %d should panic", i)
-				}
-			}()
-			startPredictive(eng, []*queue.Station{st}, cfg)
-		}()
+	for i, spec := range bad {
+		if _, err := New(spec, eng, []*queue.Station{st}); err == nil {
+			t.Errorf("config %d should be rejected", i)
+		}
 	}
 }
 
@@ -137,12 +131,12 @@ func TestPredictiveVsReactiveOnBurst(t *testing.T) {
 		st.SetWarmup(20)
 		switch mode {
 		case "reactive":
-			startReactive(eng, []*queue.Station{st}, Config{
-				Interval: 5, Min: 1, Max: 6, UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 10,
+			start(t, eng, []*queue.Station{st}, Spec{
+				Policy: PolicyReactive, Interval: 5, Min: 1, Max: 6, UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 10,
 			})
 		case "predictive":
-			startPredictive(eng, []*queue.Station{st}, PredictiveConfig{
-				Interval: 5, Min: 1, Max: 6, Mu: 13, TargetUtil: 0.65,
+			start(t, eng, []*queue.Station{st}, Spec{
+				Policy: PolicyPredictive, Interval: 5, Min: 1, Max: 6, Mu: 13, TargetUtil: 0.65,
 			})
 		}
 		loadStation(eng, st, 28, 13, 400)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/forecast"
-	"repro/internal/queue"
-	"repro/internal/sim"
 )
 
 // Policy names accepted by New, in the order listed by Policies. Like
@@ -44,26 +42,10 @@ type Telemetry struct {
 	ServerSeconds float64
 }
 
-// Scaler is a capacity controller driving one tier's stations. Both the
-// reactive threshold Controller and the forecast-driven
-// PredictiveController implement it, so a Tier attaches either through
-// one declarative Spec.
-type Scaler interface {
-	// Start arms the controller's ticker; decisions begin one interval
-	// after the engine's current time. Constructors do not start.
-	Start()
-	// Stop halts the controller; safe to call more than once.
-	Stop()
-	// Telemetry summarizes the controller's activity from the engine
-	// start through end (normally the run duration).
-	Telemetry(end float64) Telemetry
-	// EventLog returns the recorded scale actions in time order.
-	EventLog() []Event
-}
-
-// Spec declaratively selects and parameterizes a scaler policy — the
-// serializable counterpart of Config/PredictiveConfig, carried by
-// cluster.Tier and the JSON topology codec.
+// Spec declaratively selects and parameterizes a scaler policy. It is
+// the only description of a scaler: cluster.Tier carries one, the JSON
+// topology codec serializes one, and New builds its Controller. A spec
+// sets only the fields its policy reads; Validate rejects the rest.
 type Spec struct {
 	// Policy is PolicyReactive or PolicyPredictive.
 	Policy string
@@ -72,16 +54,21 @@ type Spec struct {
 	Interval float64
 	Min, Max int
 
-	// Reactive (threshold) parameters; see Config.
+	// Reactive parameters: scale up when in-flight requests per server
+	// is at or above UpThreshold, down when at or below DownThreshold,
+	// by Step servers per action (0 = 1), at most once per Cooldown
+	// seconds at each station.
 	UpThreshold   float64
 	DownThreshold float64
 	Cooldown      float64
 	Step          int
 
-	// Predictive parameters; see PredictiveConfig. Forecaster names a
-	// forecast registry model ("" = "ewma"); Horizon is the window of
-	// the windowed models (sma, window-max); Alpha/Beta are the
-	// smoothing factors of ewma and holt (0 = model defaults).
+	// Predictive parameters: provision servers of service rate Mu
+	// (req/s) so the forecast utilization stays at or below TargetUtil.
+	// Forecaster names a forecast registry model ("" = "ewma"); Horizon
+	// is the window of the windowed models (sma, window-max); Alpha and
+	// Beta are the smoothing factors of ewma and holt (0 = model
+	// defaults).
 	Mu         float64
 	TargetUtil float64
 	Forecaster string
@@ -90,11 +77,27 @@ type Spec struct {
 	Beta       float64
 }
 
+// DefaultReactiveSpec returns a conservative reactive policy: check
+// every 5 s, scale up above 1.5 in-flight per server, down below 0.3,
+// one server at a time with a 15 s cooldown.
+func DefaultReactiveSpec(min, max int) Spec {
+	return Spec{
+		Policy:        PolicyReactive,
+		Interval:      5,
+		Min:           min,
+		Max:           max,
+		UpThreshold:   1.5,
+		DownThreshold: 0.3,
+		Cooldown:      15,
+		Step:          1,
+	}
+}
+
 // DefaultPredictiveSpec returns the standard predictive policy — 5 s
 // control period, provisioning for 70% target utilization at the given
-// service rate — the counterpart of DefaultConfig for the predictive
-// path, shared by the CLI flag parser and the comparison harness so
-// "predictive/<forecaster>" means the same parameters everywhere.
+// service rate — shared by the CLI flag parser and the comparison
+// harness so "predictive/<forecaster>" means the same parameters
+// everywhere.
 func DefaultPredictiveSpec(min, max int, mu float64, forecaster string) Spec {
 	return Spec{
 		Policy:     PolicyPredictive,
@@ -107,56 +110,14 @@ func DefaultPredictiveSpec(min, max int, mu float64, forecaster string) Spec {
 	}
 }
 
-// ReactiveSpec converts a legacy reactive Config into a Spec, so
-// pre-spec call sites keep one construction path.
-func ReactiveSpec(cfg Config) Spec {
-	return Spec{
-		Policy:        PolicyReactive,
-		Interval:      cfg.Interval,
-		Min:           cfg.Min,
-		Max:           cfg.Max,
-		UpThreshold:   cfg.UpThreshold,
-		DownThreshold: cfg.DownThreshold,
-		Cooldown:      cfg.Cooldown,
-		Step:          cfg.Step,
-	}
-}
-
-// reactiveConfig lowers the spec to the reactive controller's config.
-func (s Spec) reactiveConfig() Config {
-	return Config{
-		Interval:      s.Interval,
-		Min:           s.Min,
-		Max:           s.Max,
-		UpThreshold:   s.UpThreshold,
-		DownThreshold: s.DownThreshold,
-		Cooldown:      s.Cooldown,
-		Step:          s.Step,
-	}
-}
-
-// predictiveConfig lowers the spec to the predictive controller's
-// config, resolving the forecaster by name through the forecast
-// registry.
-func (s Spec) predictiveConfig() (PredictiveConfig, error) {
+// forecaster resolves the predictive spec's forecaster factory by name
+// through the forecast registry.
+func (s Spec) forecaster() (func() forecast.Forecaster, error) {
 	name := s.Forecaster
 	if name == "" {
-		name = "ewma"
+		name = forecast.ModelEWMA
 	}
-	mk, err := forecast.New(name, forecast.Options{
-		Window: s.Horizon, Alpha: s.Alpha, Beta: s.Beta,
-	})
-	if err != nil {
-		return PredictiveConfig{}, err
-	}
-	return PredictiveConfig{
-		Interval:      s.Interval,
-		Min:           s.Min,
-		Max:           s.Max,
-		Mu:            s.Mu,
-		TargetUtil:    s.TargetUtil,
-		NewForecaster: mk,
-	}, nil
+	return forecast.New(name, forecast.Options{Window: s.Horizon, Alpha: s.Alpha, Beta: s.Beta})
 }
 
 // Label names the spec for result rows: the policy name, plus the
@@ -165,15 +126,17 @@ func (s Spec) Label() string {
 	if s.Policy != PolicyPredictive {
 		return s.Policy
 	}
-	cfg, err := s.predictiveConfig()
+	mk, err := s.forecaster()
 	if err != nil {
 		return s.Policy + "/" + s.Forecaster
 	}
-	return s.Policy + "/" + cfg.NewForecaster().Name()
+	return s.Policy + "/" + mk().Name()
 }
 
 // Validate checks the spec statically, so invalid declarative
-// topologies fail before a run starts instead of panicking inside one.
+// topologies fail before a run starts instead of inside one. Like
+// forecast.Options, no value rides along unread: a field the chosen
+// policy never reads is an error naming it.
 func (s Spec) Validate() error {
 	if !KnownPolicy(s.Policy) {
 		return fmt.Errorf("autoscale: unknown scaler policy %q (want one of %v)", s.Policy, Policies())
@@ -181,12 +144,28 @@ func (s Spec) Validate() error {
 	if s.Interval <= 0 || s.Min <= 0 || s.Max < s.Min {
 		return fmt.Errorf("autoscale: invalid interval/bounds in spec %+v", s)
 	}
+	// unread lists the fields of the other policy, by name and whether
+	// the spec sets them.
+	type field struct {
+		name string
+		set  bool
+	}
+	var unread []field
 	switch s.Policy {
 	case PolicyReactive:
 		if s.UpThreshold <= s.DownThreshold {
 			return fmt.Errorf("autoscale: reactive spec needs UpThreshold > DownThreshold, got %v <= %v",
 				s.UpThreshold, s.DownThreshold)
 		}
+		if !(s.Cooldown >= 0) {
+			return fmt.Errorf("autoscale: reactive spec needs Cooldown >= 0, got %v", s.Cooldown)
+		}
+		if s.Step < 0 {
+			return fmt.Errorf("autoscale: reactive spec needs Step >= 0 (0 = 1), got %d", s.Step)
+		}
+		unread = []field{{"Mu", s.Mu != 0}, {"TargetUtil", s.TargetUtil != 0},
+			{"Forecaster", s.Forecaster != ""}, {"Horizon", s.Horizon != 0},
+			{"Alpha", s.Alpha != 0}, {"Beta", s.Beta != 0}}
 	case PolicyPredictive:
 		if s.Mu <= 0 {
 			return fmt.Errorf("autoscale: predictive spec needs a positive Mu, got %v", s.Mu)
@@ -194,102 +173,16 @@ func (s Spec) Validate() error {
 		if s.TargetUtil <= 0 || s.TargetUtil >= 1 {
 			return fmt.Errorf("autoscale: predictive spec needs TargetUtil in (0,1), got %v", s.TargetUtil)
 		}
-		if _, err := s.predictiveConfig(); err != nil {
+		if _, err := s.forecaster(); err != nil {
 			return err
+		}
+		unread = []field{{"UpThreshold", s.UpThreshold != 0}, {"DownThreshold", s.DownThreshold != 0},
+			{"Cooldown", s.Cooldown != 0}, {"Step", s.Step != 0}}
+	}
+	for _, f := range unread {
+		if f.set {
+			return fmt.Errorf("autoscale: %s spec does not read %s; drop it", s.Policy, f.name)
 		}
 	}
 	return nil
-}
-
-// New constructs the named scaler over the stations, mirroring lb.New:
-// one registry, every policy. The returned scaler is not started; call
-// Start once the calendar should begin ticking. Unknown policies and
-// invalid parameters return an error listing the registry.
-func New(spec Spec, e *sim.Engine, stations []*queue.Station) (Scaler, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if spec.Policy == PolicyReactive {
-		return NewReactive(e, stations, spec.reactiveConfig()), nil
-	}
-	// Validate admitted the spec, so the only other policy is predictive.
-	cfg, err := spec.predictiveConfig()
-	if err != nil {
-		return nil, err
-	}
-	return NewPredictive(e, stations, cfg), nil
-}
-
-// countActions splits an event log into scale-ups and scale-downs.
-func countActions(events []Event) (ups, downs int) {
-	for _, e := range events {
-		if e.To > e.From {
-			ups++
-		} else if e.To < e.From {
-			downs++
-		}
-	}
-	return ups, downs
-}
-
-// peakServers returns the largest server count any station reached:
-// the current counts (covers stations that never scaled) merged with
-// the event log (covers peaks the controller later shrank from).
-func peakServers(stations []*queue.Station, events []Event) int {
-	peak := 0
-	for _, st := range stations {
-		if st.Servers > peak {
-			peak = st.Servers
-		}
-	}
-	for _, e := range events {
-		if e.To > peak {
-			peak = e.To
-		}
-	}
-	return peak
-}
-
-// startLevels snapshots the stations' server counts at controller
-// construction, the baseline for server-second integration.
-func startLevels(stations []*queue.Station) []int {
-	out := make([]int, len(stations))
-	for i, st := range stations {
-		out[i] = st.Servers
-	}
-	return out
-}
-
-// serverSeconds integrates piecewise-constant provisioned capacity over
-// [start, end] from the stations' starting levels and the event log.
-// Event times are clamped into the window, so zero-duration windows and
-// windows ending before the first tick contribute exactly
-// startLevel × window span per station — never a negative term.
-func serverSeconds(stations []*queue.Station, start []int, events []Event, startT, end float64) float64 {
-	if end <= startT {
-		return 0
-	}
-	level := make(map[string]int, len(stations))
-	lastT := make(map[string]float64, len(stations))
-	for i, st := range stations {
-		level[st.Name] = start[i]
-		lastT[st.Name] = startT
-	}
-	var total float64
-	for _, ev := range events {
-		t := ev.Time
-		if t < startT {
-			t = startT
-		}
-		if t > end {
-			t = end
-		}
-		total += float64(level[ev.Station]) * (t - lastT[ev.Station])
-		level[ev.Station] = ev.To
-		lastT[ev.Station] = t
-	}
-	for _, st := range stations {
-		total += float64(level[st.Name]) * (end - lastT[st.Name])
-	}
-	return total
 }

@@ -37,7 +37,7 @@ func TestSpecValidate(t *testing.T) {
 		}
 	}
 	good := []Spec{
-		ReactiveSpec(DefaultConfig(1, 4)),
+		DefaultReactiveSpec(1, 4),
 		{Policy: PolicyPredictive, Interval: 5, Min: 1, Max: 4, Mu: 13, TargetUtil: 0.6},
 		{Policy: PolicyPredictive, Interval: 5, Min: 1, Max: 4, Mu: 13, TargetUtil: 0.6,
 			Forecaster: "holt", Alpha: 0.6, Beta: 0.4},
@@ -49,42 +49,137 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-// TestReactiveSpecMatchesDirectController: the registry's reactive
-// scaler must be event-for-event identical to a directly constructed
-// Controller on the same load — the Spec path adds declaration, not
-// behavior.
-func TestReactiveSpecMatchesDirectController(t *testing.T) {
-	cfg := Config{Interval: 2, Min: 1, Max: 6, UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 4}
-	run := func(build func(e *sim.Engine, st *queue.Station) Scaler) []Event {
+// TestSpecValidateRejectsUnreadFields: a field the chosen policy never
+// reads is an error naming it, as is a negative Step or Cooldown.
+func TestSpecValidateRejectsUnreadFields(t *testing.T) {
+	reactive := DefaultReactiveSpec(1, 4)
+	predictive := DefaultPredictiveSpec(1, 4, 13, "holt")
+	for _, tc := range []struct {
+		name string
+		base Spec
+		edit func(*Spec)
+		want string
+	}{
+		{"reactive-mu", reactive, func(s *Spec) { s.Mu = 13 }, "Mu"},
+		{"reactive-target-util", reactive, func(s *Spec) { s.TargetUtil = 0.6 }, "TargetUtil"},
+		{"reactive-forecaster", reactive, func(s *Spec) { s.Forecaster = "holt" }, "Forecaster"},
+		{"reactive-horizon", reactive, func(s *Spec) { s.Horizon = 4 }, "Horizon"},
+		{"reactive-alpha", reactive, func(s *Spec) { s.Alpha = 0.5 }, "Alpha"},
+		{"reactive-beta", reactive, func(s *Spec) { s.Beta = 0.3 }, "Beta"},
+		{"reactive-negative-step", reactive, func(s *Spec) { s.Step = -1 }, "Step"},
+		{"reactive-negative-cooldown", reactive, func(s *Spec) { s.Cooldown = -5 }, "Cooldown"},
+		{"reactive-nan-cooldown", reactive, func(s *Spec) { s.Cooldown = math.NaN() }, "Cooldown"},
+		{"predictive-up", predictive, func(s *Spec) { s.UpThreshold = 1.5 }, "UpThreshold"},
+		{"predictive-down", predictive, func(s *Spec) { s.DownThreshold = 0.3 }, "DownThreshold"},
+		{"predictive-cooldown", predictive, func(s *Spec) { s.Cooldown = 15 }, "Cooldown"},
+		{"predictive-step", predictive, func(s *Spec) { s.Step = 1 }, "Step"},
+	} {
+		s := tc.base
+		tc.edit(&s)
+		err := s.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one naming %s", tc.name, err, tc.want)
+		}
+		if _, nerr := New(s, sim.NewEngine(1), nil); nerr == nil {
+			t.Errorf("%s: New accepted the spec", tc.name)
+		}
+	}
+	// Zero Step and Cooldown are the reactive defaults, not errors.
+	reactive.Step, reactive.Cooldown = 0, 0
+	if err := reactive.Validate(); err != nil {
+		t.Errorf("zero step/cooldown rejected: %v", err)
+	}
+}
+
+// TestGoldenEventLog pins the controller's decisions: on one fixed-seed
+// workload, a reactive and a predictive/holt spec must reproduce the
+// event logs (time, station, from, to, signal) recorded before the two
+// policies shared one Controller, action for action.
+func TestGoldenEventLog(t *testing.T) {
+	for _, tc := range []struct {
+		spec Spec
+		want []Event
+	}{
+		{Spec{Policy: PolicyReactive, Interval: 2, Min: 1, Max: 6,
+			UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 4}, goldenReactive},
+		{Spec{Policy: PolicyPredictive, Interval: 5, Min: 1, Max: 8, Mu: 13, TargetUtil: 0.6,
+			Forecaster: "holt", Alpha: 0.6, Beta: 0.4}, goldenPredictive},
+	} {
 		eng := sim.NewEngine(31)
 		st := queue.NewStation(eng, "s", 1, queue.FCFS)
-		s := build(eng, st)
-		s.Start()
+		c := start(t, eng, []*queue.Station{st}, tc.spec)
 		loadStation(eng, st, 30, 13, 300)
 		eng.RunUntil(400)
-		return s.EventLog()
-	}
-	direct := run(func(e *sim.Engine, st *queue.Station) Scaler {
-		return NewReactive(e, []*queue.Station{st}, cfg)
-	})
-	viaSpec := run(func(e *sim.Engine, st *queue.Station) Scaler {
-		s, err := New(ReactiveSpec(cfg), e, []*queue.Station{st})
-		if err != nil {
-			t.Fatal(err)
+		got := c.EventLog()
+		if len(got) != len(tc.want) {
+			t.Errorf("%s: %d events, want %d", tc.spec.Label(), len(got), len(tc.want))
 		}
-		return s
-	})
-	if len(direct) == 0 {
-		t.Fatal("controller never acted; test is vacuous")
-	}
-	if len(direct) != len(viaSpec) {
-		t.Fatalf("event counts diverge: %d direct vs %d via spec", len(direct), len(viaSpec))
-	}
-	for i := range direct {
-		if direct[i] != viaSpec[i] {
-			t.Errorf("event %d diverges: %+v vs %+v", i, direct[i], viaSpec[i])
+		for i := range min(len(got), len(tc.want)) {
+			if got[i] != tc.want[i] {
+				t.Errorf("%s: event %d = %+v, want %+v", tc.spec.Label(), i, got[i], tc.want[i])
+				break
+			}
 		}
 	}
+}
+
+var goldenReactive = []Event{
+	{2, "s", 1, 2, 48},
+	{6, "s", 2, 3, 41},
+	{10, "s", 3, 4, 9},
+	{20, "s", 4, 3, 0},
+	{28, "s", 3, 4, 3},
+	{38, "s", 4, 5, 2.25},
+	{48, "s", 5, 4, 0.2},
+	{72, "s", 4, 5, 1.5},
+	{80, "s", 5, 4, 0.2},
+	{98, "s", 4, 3, 0},
+	{108, "s", 3, 4, 1.6666666666666667},
+	{114, "s", 4, 3, 0},
+	{126, "s", 3, 4, 2},
+	{134, "s", 4, 3, 0},
+	{138, "s", 3, 4, 2.3333333333333335},
+	{146, "s", 4, 5, 1.5},
+	{152, "s", 5, 4, 0.2},
+	{158, "s", 4, 3, 0},
+	{162, "s", 3, 4, 3},
+	{168, "s", 4, 5, 2.5},
+	{184, "s", 5, 4, 0.2},
+	{214, "s", 4, 3, 0},
+	{222, "s", 3, 4, 2},
+	{230, "s", 4, 5, 1.75},
+	{236, "s", 5, 4, 0.2},
+	{244, "s", 4, 5, 1.5},
+	{248, "s", 5, 4, 0.2},
+	{262, "s", 4, 5, 2.5},
+	{272, "s", 5, 4, 0.2},
+	{284, "s", 4, 5, 3},
+	{294, "s", 5, 4, 0.2},
+	{302, "s", 4, 3, 0},
+	{306, "s", 3, 2, 0},
+	{310, "s", 2, 1, 0},
+}
+
+var goldenPredictive = []Event{
+	{5, "s", 1, 4, 31},
+	{30, "s", 4, 5, 32.195113984},
+	{45, "s", 5, 4, 31.087533171441663},
+	{60, "s", 4, 5, 32.341125507547815},
+	{65, "s", 5, 4, 30.573079998152192},
+	{110, "s", 4, 5, 31.753740061106885},
+	{125, "s", 5, 4, 28.208830718418238},
+	{135, "s", 4, 5, 32.3326800185186},
+	{140, "s", 5, 4, 30.884042509107132},
+	{180, "s", 4, 5, 32.10968707958237},
+	{185, "s", 5, 4, 27.951818554486298},
+	{215, "s", 4, 5, 32.33719914758906},
+	{225, "s", 5, 4, 29.835541861135617},
+	{245, "s", 4, 5, 32.780923355906424},
+	{250, "s", 5, 4, 30.43452375966698},
+	{285, "s", 4, 5, 31.454622538451165},
+	{290, "s", 5, 4, 28.50486785378017},
+	{300, "s", 4, 5, 31.803098184693187},
+	{305, "s", 5, 1, 5.648474816242285},
 }
 
 // TestPredictiveSpecUsesNamedForecaster: every registry forecaster
@@ -93,14 +188,10 @@ func TestPredictiveSpecUsesNamedForecaster(t *testing.T) {
 	for _, name := range forecast.Names() {
 		eng := sim.NewEngine(41)
 		st := queue.NewStation(eng, "s", 1, queue.FCFS)
-		s, err := New(Spec{
+		s := start(t, eng, []*queue.Station{st}, Spec{
 			Policy: PolicyPredictive, Interval: 5, Min: 1, Max: 8,
 			Mu: 13, TargetUtil: 0.6, Forecaster: name,
-		}, eng, []*queue.Station{st})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		s.Start()
+		})
 		loadStation(eng, st, 30, 13, 200)
 		eng.RunUntil(250)
 		tel := s.Telemetry(250)
@@ -114,7 +205,7 @@ func TestPredictiveSpecUsesNamedForecaster(t *testing.T) {
 }
 
 func TestSpecLabel(t *testing.T) {
-	if got := ReactiveSpec(DefaultConfig(1, 2)).Label(); got != "reactive" {
+	if got := DefaultReactiveSpec(1, 2).Label(); got != "reactive" {
 		t.Errorf("reactive label = %q", got)
 	}
 	s := Spec{Policy: PolicyPredictive, Interval: 5, Min: 1, Max: 2, Mu: 13,
@@ -129,11 +220,14 @@ func TestSpecLabel(t *testing.T) {
 func TestTelemetryServerSeconds(t *testing.T) {
 	eng := sim.NewEngine(51)
 	st := queue.NewStation(eng, "cap", 1, queue.FCFS)
-	c := NewReactive(eng, []*queue.Station{st}, Config{
+	c, err := New(Spec{Policy: PolicyReactive,
 		Interval: 1, Min: 1, Max: 8, UpThreshold: 0.5, DownThreshold: 0.1, Cooldown: 1,
-	})
+	}, eng, []*queue.Station{st})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Synthesize an exact event log instead of running a workload.
-	c.Events = []Event{
+	c.events = []Event{
 		{Time: 10, Station: "cap", From: 1, To: 3},
 		{Time: 30, Station: "cap", From: 3, To: 2},
 	}
@@ -144,38 +238,37 @@ func TestTelemetryServerSeconds(t *testing.T) {
 	}
 }
 
-// TestTotalServerSecondsWindows: the satellite fix — degenerate
-// windows (zero duration, ending before the first tick, starting after
-// the last event) must integrate cleanly, never negatively.
-func TestTotalServerSecondsWindows(t *testing.T) {
+// TestTelemetryServerSecondsWindows: degenerate windows (zero
+// duration, ending before the first tick) must integrate cleanly,
+// never negatively.
+func TestTelemetryServerSecondsWindows(t *testing.T) {
 	eng := sim.NewEngine(52)
 	st := queue.NewStation(eng, "w", 2, queue.FCFS)
-	c := NewPredictive(eng, []*queue.Station{st}, PredictiveConfig{
-		Interval: 10, Min: 1, Max: 8, Mu: 13, TargetUtil: 0.6,
-	})
-	c.Events = []Event{
+	c, err := New(Spec{Policy: PolicyPredictive, Interval: 10, Min: 1, Max: 8, Mu: 13, TargetUtil: 0.6},
+		eng, []*queue.Station{st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.events = []Event{
 		{Time: 20, Station: "w", From: 2, To: 5},
 		{Time: 60, Station: "w", From: 5, To: 3},
 	}
 	cases := []struct {
-		name       string
-		start, end float64
-		want       float64
+		name string
+		end  float64
+		want float64
 	}{
-		{"zero duration", 50, 50, 0},
-		{"inverted window", 60, 40, 0},
-		{"pre-first-tick", 0, 10, 2 * 10},
-		{"ends exactly at first event", 0, 20, 2 * 20},
-		{"spans one event", 0, 40, 2*20 + 5*20},
-		{"full run", 0, 100, 2*20 + 5*40 + 3*40},
-		{"starts mid-log", 40, 100, 5*20 + 3*40},
-		{"starts after last event", 80, 100, 3 * 20},
+		{"zero duration", 0, 0},
+		{"inverted window", -10, 0},
+		{"pre-first-tick", 10, 2 * 10},
+		{"ends exactly at first event", 20, 2 * 20},
+		{"spans one event", 40, 2*20 + 5*20},
+		{"full run", 100, 2*20 + 5*40 + 3*40},
 	}
 	for _, tc := range cases {
-		got := c.TotalServerSeconds(2, tc.start, tc.end)
+		got := c.Telemetry(tc.end).ServerSeconds
 		if math.Abs(got-tc.want) > 1e-9 {
-			t.Errorf("%s: TotalServerSeconds(2, %v, %v) = %v, want %v",
-				tc.name, tc.start, tc.end, got, tc.want)
+			t.Errorf("%s: Telemetry(%v).ServerSeconds = %v, want %v", tc.name, tc.end, got, tc.want)
 		}
 		if got < 0 {
 			t.Errorf("%s: negative server-seconds %v", tc.name, got)
@@ -188,19 +281,22 @@ func TestTotalServerSecondsWindows(t *testing.T) {
 func TestScalerStartIdempotent(t *testing.T) {
 	eng := sim.NewEngine(53)
 	st := queue.NewStation(eng, "idem", 1, queue.FCFS)
-	c := NewReactive(eng, []*queue.Station{st}, Config{
+	c := start(t, eng, []*queue.Station{st}, Spec{Policy: PolicyReactive,
 		Interval: 1, Min: 1, Max: 50, UpThreshold: 1.1, DownThreshold: 0.01, Cooldown: 10,
 	})
 	c.Start()
-	c.Start()
 	loadStation(eng, st, 120, 13, 100)
 	eng.RunUntil(150)
-	for i := 1; i < len(c.Events); i++ {
-		if c.Events[i].Time-c.Events[i-1].Time < 10-1e-9 {
+	events := c.EventLog()
+	for i := 1; i < len(events); i++ {
+		if events[i].Time-events[i-1].Time < 10-1e-9 {
 			t.Fatalf("double Start broke the cooldown: events at %v and %v",
-				c.Events[i-1].Time, c.Events[i].Time)
+				events[i-1].Time, events[i].Time)
 		}
 	}
-	unstarted := NewReactive(eng, []*queue.Station{st}, DefaultConfig(1, 2))
+	unstarted, err := New(DefaultReactiveSpec(1, 2), eng, []*queue.Station{st})
+	if err != nil {
+		t.Fatal(err)
+	}
 	unstarted.Stop() // must not panic
 }

@@ -48,8 +48,8 @@ func conservationTopologies() map[string]Topology {
 				{Name: "edge", Sites: 5, ServersPerSite: 1, Path: edgePath()},
 				{Name: "regional", Sites: 1, ServersPerSite: 1, Path: regional,
 					Dispatch: CentralQueueDispatch,
-					Scaler: reactiveSpec(autoscale.Config{Interval: 2, Min: 1, Max: 5,
-						UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 4})},
+					Scaler: &autoscale.Spec{Policy: autoscale.PolicyReactive, Interval: 2, Min: 1, Max: 5,
+						UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 4}},
 			},
 			Spills: []SpillEdge{{From: "edge", To: "regional", Threshold: 2, DetourPath: &regional}},
 		},

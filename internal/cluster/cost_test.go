@@ -101,8 +101,8 @@ func TestCostOverlayScaledTier(t *testing.T) {
 	tr := Generate(GenSpec{Sites: 5, Duration: 400, Seed: 303, Arrivals: procs})
 	topo := Topology{Tiers: []Tier{{
 		Name: "edge", Sites: 5, ServersPerSite: 1, Path: edgePath(),
-		Scaler: reactiveSpec(autoscale.Config{Interval: 2, Min: 1, Max: 4,
-			UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 6}),
+		Scaler: &autoscale.Spec{Policy: autoscale.PolicyReactive, Interval: 2, Min: 1, Max: 4,
+			UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 6},
 	}}}
 	pricing := econ.DefaultPricing()
 	res, err := Run(tr.Source(), topo, Options{Seed: 7, Pricing: &pricing})
@@ -140,8 +140,8 @@ func TestCostOverlayPredictiveDiffersFromReactive(t *testing.T) {
 		}
 		return res.Tiers[0]
 	}
-	reactive := run(autoscale.ReactiveSpec(autoscale.Config{Interval: 2, Min: 1, Max: 4,
-		UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 6}))
+	reactive := run(autoscale.Spec{Policy: autoscale.PolicyReactive, Interval: 2, Min: 1, Max: 4,
+		UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 6})
 	predictive := run(autoscale.Spec{Policy: autoscale.PolicyPredictive,
 		Interval: 2, Min: 1, Max: 4, Mu: 13, TargetUtil: 0.7, Forecaster: "ewma"})
 	if reactive.ScalerPolicy == predictive.ScalerPolicy {

@@ -613,25 +613,24 @@ func TestStreamingTiedEventsMatchMaterialized(t *testing.T) {
 	compareResults(t, "edge/tied", materializedRunEdge(dtr, ecfg), edgeView(ecfg.run(t, dtr)))
 }
 
-// TestScalerTierMatchesLegacyReactiveConfig: the unified Scaler
-// interface is a pure refactor for the reactive path — a Tier carrying
-// the legacy reactive config (as a converted Spec) must reproduce the
-// pre-Scaler direct runner bit for bit, telemetry included, whether the
-// spec arrives via Go construction or a JSON "scaler" block.
+// TestScalerTierMatchesLegacyReactiveConfig: a Tier carrying a
+// reactive Spec must reproduce the seed's direct autoscaled runner bit
+// for bit, telemetry included, whether the spec arrives via Go
+// construction or a JSON "scaler" block.
 func TestScalerTierMatchesLegacyReactiveConfig(t *testing.T) {
 	procs := siteProcs([]float64{24, 9, 7, 4, 4})
 	tr := Generate(GenSpec{Sites: 5, Duration: 400, Seed: 109, Arrivals: procs})
 	cfg := edgeConfig{Sites: 5, ServersPerSite: 1, Path: netem.Jittered("edge-1ms", 0.001, 0.0002),
 		Warmup: 40, Seed: 19}
-	asCfg := autoscale.Config{Interval: 2, Min: 1, Max: 4, UpThreshold: 1.5,
+	asSpec := autoscale.Spec{Policy: autoscale.PolicyReactive, Interval: 2, Min: 1, Max: 4, UpThreshold: 1.5,
 		DownThreshold: 0.2, Cooldown: 6}
-	want := directRunEdgeAutoscaled(tr, cfg, asCfg)
+	want := directRunEdgeAutoscaled(t, tr, cfg, asSpec)
 	if want.ScaleUps == 0 {
 		t.Fatal("controller never scaled; test is vacuous")
 	}
 	opts := cfg.options()
 	opts.NoPerSiteLatency = true
-	checkAutoscaled(t, "scaler-spec", want, replay(t, tr, autoscaledTopology(cfg, asCfg), opts))
+	checkAutoscaled(t, "scaler-spec", want, replay(t, tr, autoscaledTopology(cfg, asSpec), opts))
 
 	// The same tier declared through the JSON scaler block.
 	spec := `{"name":"edge+autoscale","tiers":[{"name":"edge","sites":5,"servers":1,

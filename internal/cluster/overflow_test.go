@@ -107,7 +107,7 @@ func TestAutoscaledEdgeAvoidsInversion(t *testing.T) {
 		Sites: 5, ServersPerSite: 1, Path: sc.Edge, Warmup: 50, Seed: 38,
 	}.run(t, tr)
 	scaledCfg := edgeConfig{Sites: 5, ServersPerSite: 1, Path: sc.Edge, Warmup: 50, Seed: 38}
-	scaled := replay(t, tr, autoscaledTopology(scaledCfg, autoscale.Config{
+	scaled := replay(t, tr, autoscaledTopology(scaledCfg, autoscale.Spec{Policy: autoscale.PolicyReactive,
 		Interval: 2, Min: 1, Max: 4, UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 6,
 	}), scaledCfg.options())
 	cloud := cloudConfig{Servers: 5, Path: sc.Cloud, Warmup: 50, Seed: 39}.run(t, tr)

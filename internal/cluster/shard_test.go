@@ -315,9 +315,9 @@ func TestShardableRejections(t *testing.T) {
 	})
 	t.Run("home-tier-scaler", func(t *testing.T) {
 		topo := home()
-		spec := autoscale.ReactiveSpec(autoscale.Config{
+		spec := autoscale.Spec{Policy: autoscale.PolicyReactive,
 			Interval: 5, Min: 1, Max: 4, UpThreshold: 1.5, DownThreshold: 0.3, Cooldown: 15,
-		})
+		}
 		topo.Tiers[0].Scaler = &spec
 		if err := cluster.Shardable(topo); err == nil || !strings.Contains(err.Error(), "autoscaler") {
 			t.Fatalf("want home-scaler rejection, got %v", err)

@@ -60,8 +60,7 @@ type Tier struct {
 	// Scaler, when set, attaches a capacity controller to the tier's
 	// stations — reactive thresholds or forecast-driven predictive
 	// provisioning, selected by the spec's policy name (autoscale.New
-	// registry). Legacy reactive autoscale.Config values convert via
-	// autoscale.ReactiveSpec.
+	// registry).
 	Scaler *autoscale.Spec
 	// PricePerServerHour prices this tier's capacity for the cost
 	// overlay (currency per server-hour). 0 selects the run pricing's

@@ -182,7 +182,7 @@ type tierRuntime struct {
 	dispatcher lb.Dispatcher
 	home       bool
 	central    bool
-	scaler     autoscale.Scaler
+	scaler     *autoscale.Controller
 	spill      *spillRuntime
 	slow       float64
 	adm        admit.Policy
@@ -277,8 +277,8 @@ func attachSpills(topo Topology, tiers []*tierRuntime, newStream func(spill int)
 // at once, in tier order: construct-then-Start arms each ticker in the
 // same calendar sequence the seed's autoscaled runner produced, so
 // controllers tick from the moment the calendar starts.
-func startScalers(eng *sim.Engine, tiers []*tierRuntime) ([]autoscale.Scaler, error) {
-	var ctrls []autoscale.Scaler
+func startScalers(eng *sim.Engine, tiers []*tierRuntime) ([]*autoscale.Controller, error) {
+	var ctrls []*autoscale.Controller
 	for _, rt := range tiers {
 		if rt == nil || rt.spec.Scaler == nil {
 			continue
@@ -500,7 +500,7 @@ type sink struct {
 	// The controllers' tickers keep the calendar non-empty forever, so
 	// they stop once the input has drained and every one of the
 	// *emitted requests has been consumed, letting the engine drain.
-	ctrls   []autoscale.Scaler
+	ctrls   []*autoscale.Controller
 	emitted *uint64
 	drained bool
 }

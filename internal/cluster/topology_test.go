@@ -14,12 +14,6 @@ import (
 	"repro/internal/stats"
 )
 
-// reactiveSpec lifts a legacy reactive config into a tier scaler spec.
-func reactiveSpec(cfg autoscale.Config) *autoscale.Spec {
-	s := autoscale.ReactiveSpec(cfg)
-	return &s
-}
-
 // edgePath returns the 1 ms edge path used across topology tests.
 func edgePath() netem.Path { return netem.Jittered("edge-1ms", 0.001, 0.0002) }
 
@@ -162,7 +156,7 @@ type autoscaleOracle struct {
 // controller stopped on drain, results assembled inline. Run on a
 // home-routed tier carrying the equivalent reactive scaler must
 // reproduce it bit for bit.
-func directRunEdgeAutoscaled(tr *WorkloadTrace, cfg edgeConfig, asCfg autoscale.Config) *autoscaleOracle {
+func directRunEdgeAutoscaled(t *testing.T, tr *WorkloadTrace, cfg edgeConfig, asSpec autoscale.Spec) *autoscaleOracle {
 	if cfg.Sites <= 0 {
 		cfg.Sites = tr.Sites
 	}
@@ -178,7 +172,10 @@ func directRunEdgeAutoscaled(tr *WorkloadTrace, cfg edgeConfig, asCfg autoscale.
 		stations[i] = newStation(eng, fmt.Sprintf("edge-%d", i), cfg.ServersPerSite,
 			cfg.Discipline, 0, cfg.Warmup, cfg.Summary, pool)
 	}
-	ctrl := autoscale.NewReactive(eng, stations, asCfg)
+	ctrl, err := autoscale.New(asSpec, eng, stations)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctrl.Start()
 
 	res := &autoscaleOracle{oracleResult: oracleResult{Result: *newResult("edge+autoscale", cfg.Summary)}}
@@ -249,19 +246,20 @@ func directRunEdgeAutoscaled(tr *WorkloadTrace, cfg edgeConfig, asCfg autoscale.
 	if capSum > 0 {
 		res.Utilization = busySum / capSum
 	}
-	res.ScaleUps = ctrl.ScaleUps()
-	res.ScaleDowns = ctrl.ScaleDowns()
-	res.PeakServers = ctrl.PeakServers()
-	res.Events = ctrl.Events
+	tel := ctrl.Telemetry(res.Duration)
+	res.ScaleUps = tel.ScaleUps
+	res.ScaleDowns = tel.ScaleDowns
+	res.PeakServers = tel.PeakServers
+	res.Events = ctrl.EventLog()
 	return res
 }
 
 // autoscaledTopology is the one-tier edge equivalent to the seed's
 // autoscaled runner: home-routed sites under the reactive controller.
-func autoscaledTopology(cfg edgeConfig, asCfg autoscale.Config) Topology {
+func autoscaledTopology(cfg edgeConfig, asSpec autoscale.Spec) Topology {
 	topo := cfg.topology()
 	topo.Name = "edge+autoscale"
-	topo.Tiers[0].Scaler = reactiveSpec(asCfg)
+	topo.Tiers[0].Scaler = &asSpec
 	return topo
 }
 
@@ -301,16 +299,16 @@ func TestAutoscaledTopologyMatchesDirect(t *testing.T) {
 	procs := siteProcs([]float64{22, 8, 8, 4, 4})
 	tr := Generate(GenSpec{Sites: 5, Duration: 400, Seed: 107, Arrivals: procs})
 	cfg := edgeConfig{Sites: 5, ServersPerSite: 1, Path: edgePath(), Warmup: 40, Seed: 17}
-	asCfg := autoscale.Config{Interval: 2, Min: 1, Max: 4, UpThreshold: 1.5,
+	asSpec := autoscale.Spec{Policy: autoscale.PolicyReactive, Interval: 2, Min: 1, Max: 4, UpThreshold: 1.5,
 		DownThreshold: 0.2, Cooldown: 6}
 
-	want := directRunEdgeAutoscaled(tr, cfg, asCfg)
+	want := directRunEdgeAutoscaled(t, tr, cfg, asSpec)
 	if want.ScaleUps == 0 {
 		t.Fatal("controller never scaled; test is vacuous")
 	}
 	opts := cfg.options()
 	opts.NoPerSiteLatency = true
-	checkAutoscaled(t, "autoscale", want, replay(t, tr, autoscaledTopology(cfg, asCfg), opts))
+	checkAutoscaled(t, "autoscale", want, replay(t, tr, autoscaledTopology(cfg, asSpec), opts))
 }
 
 // chainTopology is a three-tier edge→regional→cloud overflow chain
@@ -476,8 +474,8 @@ func TestAutoscaledTierBehindSpill(t *testing.T) {
 			{
 				Name: "regional", Sites: 1, ServersPerSite: 1, Path: regional,
 				Dispatch: CentralQueueDispatch,
-				Scaler: reactiveSpec(autoscale.Config{Interval: 2, Min: 1, Max: 6,
-					UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 4}),
+				Scaler: &autoscale.Spec{Policy: autoscale.PolicyReactive, Interval: 2, Min: 1, Max: 6,
+					UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 4},
 			},
 		},
 		Spills: []SpillEdge{{From: "edge", To: "regional", Threshold: 3, DetourPath: &regional}},

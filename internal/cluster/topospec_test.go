@@ -186,6 +186,33 @@ func TestTopologySpecUnknownForecaster(t *testing.T) {
 	}
 }
 
+// TestTopologySpecScalerUnreadFields: a scaler block carrying a
+// parameter its policy never reads, or a negative step or cooldown,
+// fails to build with an error naming the field instead of dropping it.
+func TestTopologySpecScalerUnreadFields(t *testing.T) {
+	const reactive = `"policy":"reactive","intervalS":5,"min":1,"max":4,"up":1.5,"down":0.3`
+	const predictive = `"policy":"predictive","intervalS":5,"min":1,"max":4,"mu":13,"targetUtil":0.7`
+	for _, tc := range []struct{ block, want string }{
+		{reactive + `,"mu":13`, "Mu"},
+		{reactive + `,"targetUtil":0.7`, "TargetUtil"},
+		{reactive + `,"forecaster":"holt"`, "Forecaster"},
+		{reactive + `,"horizon":4`, "Horizon"},
+		{reactive + `,"alpha":0.6`, "Alpha"},
+		{reactive + `,"beta":0.4`, "Beta"},
+		{reactive + `,"step":-1`, "Step"},
+		{reactive + `,"cooldownS":-15`, "Cooldown"},
+		{predictive + `,"up":1.5`, "UpThreshold"},
+		{predictive + `,"down":0.3`, "DownThreshold"},
+		{predictive + `,"cooldownS":15`, "Cooldown"},
+		{predictive + `,"step":2`, "Step"},
+	} {
+		spec := `{"name":"x","tiers":[{"name":"e","sites":1,"servers":1,"rttMs":1,"scaler":{` + tc.block + `}}]}`
+		if _, err := ParseTopology([]byte(spec)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("scaler {%s}: error %v, want one naming %s", tc.block, err, tc.want)
+		}
+	}
+}
+
 func TestTopologySpecRejectsBothScalerBlocks(t *testing.T) {
 	spec := `{"name":"x","tiers":[{"name":"e","sites":1,"servers":1,"rttMs":1,
 		"autoscale":{"intervalS":5,"min":1,"max":2,"up":1.5,"down":0.3,"cooldownS":15},
@@ -210,8 +237,8 @@ func TestLegacyAutoscaleBlockRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := autoscale.ReactiveSpec(autoscale.Config{Interval: 2, Min: 1, Max: 5,
-		UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 6, Step: 2})
+	want := autoscale.Spec{Policy: autoscale.PolicyReactive, Interval: 2, Min: 1, Max: 5,
+		UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 6, Step: 2}
 	if mt.Tiers[0].Scaler == nil || *mt.Tiers[0].Scaler != want {
 		t.Errorf("scaler block builds %+v, want %+v", mt.Tiers[0].Scaler, want)
 	}

@@ -115,7 +115,7 @@ type ScalerComparisonResult struct {
 // reactive threshold policy plus one predictive spec per registered
 // forecaster.
 func DefaultScalerSpecs(min, max int, mu float64) []autoscale.Spec {
-	specs := []autoscale.Spec{autoscale.ReactiveSpec(autoscale.DefaultConfig(min, max))}
+	specs := []autoscale.Spec{autoscale.DefaultReactiveSpec(min, max)}
 	for _, name := range forecast.Names() {
 		specs = append(specs, autoscale.DefaultPredictiveSpec(min, max, mu, name))
 	}

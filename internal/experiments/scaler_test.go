@@ -20,8 +20,8 @@ func TestRunScalerComparisonNHPP(t *testing.T) {
 		Seed:     11,
 		BaseRate: 18,
 		Specs: []autoscale.Spec{
-			autoscale.ReactiveSpec(autoscale.Config{Interval: 5, Min: 1, Max: 6,
-				UpThreshold: 1.5, DownThreshold: 0.3, Cooldown: 15}),
+			{Policy: autoscale.PolicyReactive, Interval: 5, Min: 1, Max: 6,
+				UpThreshold: 1.5, DownThreshold: 0.3, Cooldown: 15},
 			{Policy: autoscale.PolicyPredictive, Interval: 5, Min: 1, Max: 6,
 				Mu: 13, TargetUtil: 0.7, Forecaster: "holt"},
 		},

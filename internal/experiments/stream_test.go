@@ -31,8 +31,8 @@ func streamScalerConfig(workload string) ScalerComparisonConfig {
 		Seed:     17,
 		BaseRate: 14,
 		Specs: []autoscale.Spec{
-			autoscale.ReactiveSpec(autoscale.Config{Interval: 5, Min: 1, Max: 5,
-				UpThreshold: 1.5, DownThreshold: 0.3, Cooldown: 15}),
+			{Policy: autoscale.PolicyReactive, Interval: 5, Min: 1, Max: 5,
+				UpThreshold: 1.5, DownThreshold: 0.3, Cooldown: 15},
 			{Policy: autoscale.PolicyPredictive, Interval: 5, Min: 1, Max: 5,
 				Mu: 13, TargetUtil: 0.7, Forecaster: "ewma"},
 		},
