@@ -228,11 +228,13 @@ func phase2Partitions(topo Topology, plan shardPlan) (parts [][]int, compOf []in
 }
 
 // runPhase2Pump replays one partition's share of the merged boundary
-// stream on its engine. The pump event blocks inside its callback until
-// the next record is known, so the engine processes events in exactly
-// the order a single engine over the whole sorted stream would —
-// including autoscaler ticks, which fire only once the clock is allowed
-// to reach them.
+// stream on its engine. The pump lives in the engine's arrival lane
+// (sim.ArmLane), outside the calendar, and runs at each record's
+// arrival time ahead of every same-instant completion. It blocks
+// inside its callback until the next record is known, so the engine
+// processes events in exactly the order a single engine over the whole
+// sorted stream would — including autoscaler ticks, which fire only
+// once the clock is allowed to reach them.
 func runPhase2Pump(b *p2build, feed <-chan []p2rec, free chan<- []p2rec, total *uint64, gauge *backlogGauge) {
 	var (
 		buf []p2rec
@@ -282,7 +284,7 @@ func runPhase2Pump(b *p2build, feed <-chan []p2rec, free chan<- []p2rec, total *
 		}
 		if nxt, ok := next(); ok {
 			cur = nxt
-			e.AtFront(cur.rec.at, pump)
+			e.ArmLane(cur.rec.at, pump)
 		} else {
 			b.sink.drain()
 		}
@@ -291,7 +293,7 @@ func runPhase2Pump(b *p2build, feed <-chan []p2rec, free chan<- []p2rec, total *
 	// process anything until the first record's arrival time caps it.
 	if first, ok := next(); ok {
 		cur = first
-		b.eng.AtFront(cur.rec.at, pump)
+		b.eng.ArmLane(cur.rec.at, pump)
 	} else {
 		b.sink.drain()
 	}

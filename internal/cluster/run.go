@@ -64,16 +64,17 @@ func newDigests(mode stats.Mode, n int) []stats.Digest {
 }
 
 // feeder is the streaming heart of the topology executor: it holds
-// exactly one pending trace record and re-arms a single "generate next
-// arrival" event as records are consumed, so the event calendar never
-// holds more than one future arrival regardless of trace length. The
-// prep hook fills each request (network RTTs sampled at generation
-// time in record order, service demand, entry tier), and pump/arrival
-// events are scheduled front-priority (sim.AtFront) so they win
-// exact-time ties against completions just as pre-scheduled arrivals
-// would. Both together keep the random sequence and the event order —
-// and therefore every result — identical to a run that materializes
-// all arrivals up front.
+// exactly one pending trace record and keeps a single "generate next
+// arrival" pump event in the engine's arrival lane (sim.ArmLane), so
+// the event calendar holds no pump at all and never more than the
+// in-flight arrivals, regardless of trace length. The prep hook fills
+// each request (network RTTs sampled at generation time in record
+// order, service demand, entry tier). The lane runs the pump
+// front-priority, and each arrival is scheduled front-priority
+// (sim.AtPayloadFront), so both win exact-time ties against
+// completions just as pre-scheduled arrivals would. Together they keep
+// the random sequence and the event order — and therefore every result
+// — identical to a run that materializes all arrivals up front.
 type feeder struct {
 	src  Source
 	pool *queue.FreeList
@@ -93,12 +94,13 @@ type feeder struct {
 	err     error  // a time regression in src; the engine stops on it
 }
 
-// start pulls the first record and arms the pump. Call before eng.Run.
+// start pulls the first record and arms the pump in the engine's
+// arrival lane. Call before eng.Run.
 func (f *feeder) start(e *sim.Engine) {
 	f.pump = func(e *sim.Engine) { f.emit(e) }
 	if rec, ok := f.src.Next(); ok {
 		f.pending = rec
-		e.AtFront(rec.Time, f.pump)
+		e.ArmLane(rec.Time, f.pump)
 	} else if f.onDrained != nil {
 		f.onDrained()
 	}
@@ -106,7 +108,9 @@ func (f *feeder) start(e *sim.Engine) {
 
 // emit fires at the pending record's generation time: it builds the
 // request from the free list, schedules its arrival rtt/2 later, and
-// re-arms the pump for the next record.
+// re-arms the lane for the next record. The probe reads the calendar
+// before the re-arm, and the lane is never in the calendar, so it sees
+// the in-flight arrivals and completions only.
 func (f *feeder) emit(e *sim.Engine) {
 	rec := f.pending
 	req := f.pool.Get()
@@ -129,7 +133,7 @@ func (f *feeder) emit(e *sim.Engine) {
 			return
 		}
 		f.pending = nxt
-		e.AtFront(nxt.Time, f.pump)
+		e.ArmLane(nxt.Time, f.pump)
 	} else if f.onDrained != nil {
 		f.onDrained()
 	}

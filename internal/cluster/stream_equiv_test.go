@@ -318,7 +318,8 @@ func TestStreamCalendarBounded(t *testing.T) {
 	if midN < 5*shortN || longN < 5*midN {
 		t.Fatalf("request scaling broken: %d -> %d -> %d offered", shortN, midN, longN)
 	}
-	// 5 stations, zero RTT, one pump event: a handful of live events.
+	// 5 stations and zero RTT (the pump sits in the arrival lane, not
+	// the calendar): a handful of live events.
 	const bound = 2*5 + 8
 	if shortMax == 0 || shortMax > bound {
 		t.Errorf("short run max Pending = %d, want in (0, %d]", shortMax, bound)

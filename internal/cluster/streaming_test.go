@@ -69,8 +69,9 @@ func TestCalendarBoundedDuringReplay(t *testing.T) {
 	if longLen < 5*shortLen {
 		t.Fatalf("trace scaling broken: %d vs %d records", shortLen, longLen)
 	}
-	// With 5 stations, zero RTT, and one pump event the live set is a
-	// handful of events; 2*sites+8 is a generous constant bound.
+	// With 5 stations and zero RTT (the pump sits in the arrival lane,
+	// not the calendar) the live set is a handful of events; 2*sites+8
+	// is a generous constant bound.
 	const bound = 2*5 + 8
 	if shortMax == 0 || shortMax > bound {
 		t.Errorf("short replay max Pending = %d, want in (0, %d]", shortMax, bound)

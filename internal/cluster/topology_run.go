@@ -37,8 +37,10 @@ type Options struct {
 	// home-routed entry tier otherwise collects, for long exact-mode
 	// replays whose caller only needs tier-level latency.
 	NoPerSiteLatency bool
-	// Probe, when set, observes the event-calendar size at every
-	// generated arrival (a diagnostic for the O(1)-memory property).
+	// Probe, when set, observes the event-calendar size (sim.Engine's
+	// Pending) at every generated arrival, a diagnostic for the
+	// O(1)-memory property. The count excludes the engine's arrival
+	// lane, which holds the feeder's pump.
 	Probe func(pending int)
 	// Pricing prices each tier's integrated capacity for the cost
 	// overlay (nil = econ.DefaultPricing). Tiers may override their

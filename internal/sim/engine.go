@@ -5,10 +5,18 @@
 //
 // The calendar recycles its event nodes through a free list and supports
 // payload-carrying events (AtPayload/AfterPayload), so steady-state
-// models — one completion event per in-service request, one pending
-// arrival per source — schedule without allocating. Canceled events are
-// compacted out of the calendar as soon as they dominate it, keeping the
-// calendar proportional to the number of live events.
+// models — one completion event per in-service request, one in-flight
+// arrival per request on the wire — schedule without allocating.
+// Canceled events are compacted out of the calendar as soon as they
+// dominate it, keeping the calendar proportional to the number of live
+// events.
+//
+// Beside the calendar, each engine has an arrival lane (ArmLane): one
+// front-priority event held in an engine field. A source that pulls its
+// next record one event at a time keeps that pump event in the lane, so
+// it never pays a calendar insert and pop. The lane reserves its
+// schedule sequence number when armed and runs exactly where the same
+// event would pop from the calendar, so using it reorders nothing.
 //
 // Two calendar structures implement the same strict event order
 // (time, then front flag, then schedule sequence): the default calendar
@@ -97,6 +105,11 @@ type Engine struct {
 	stopped   bool
 	horizon   float64 // 0 = no horizon
 	processed uint64
+
+	// lane is the arrival lane (ArmLane): one front event kept out of
+	// the calendar, valid while laneArmed.
+	lane      scheduledEvent
+	laneArmed bool
 }
 
 // NewEngine returns an engine whose random streams derive from seed,
@@ -237,7 +250,9 @@ func (e *Engine) AfterPayload(delay float64, fn PayloadEvent, payload any) Handl
 // or later scheduled at the same instant (front events keep FIFO order
 // among themselves). A source that injects arrivals lazily uses this to
 // reproduce the tie-breaking of a calendar where all arrivals were
-// scheduled before the run began.
+// scheduled before the run began. A source's one pending pump event
+// belongs in the cheaper ArmLane instead; the only non-test caller left
+// is replaybench's stationNs micro-benchmark.
 func (e *Engine) AtFront(t float64, fn Event) Handle {
 	ev := e.acquire(t)
 	ev.front = true
@@ -256,30 +271,71 @@ func (e *Engine) AtPayloadFront(t float64, fn PayloadEvent, payload any) Handle 
 	return Handle{engine: e, ev: ev, gen: ev.gen}
 }
 
+// ArmLane arms the engine's arrival lane: fn runs at time t exactly
+// where AtFront(t, fn) would run it — after earlier events and earlier
+// front events at t, before every non-front event at t — but the event
+// is held in an engine field instead of the calendar, so it costs no
+// calendar insert or pop. The lane holds one event and has no Handle:
+// arming it while it is armed panics, as does arming it in the past.
+// An event may re-arm the lane from inside its own callback.
+func (e *Engine) ArmLane(t float64, fn Event) {
+	if e.laneArmed {
+		panic("sim: arrival lane armed twice")
+	}
+	if t < e.now {
+		panic(fmt.Sprintf("sim: arming lane at %v before now %v", t, e.now))
+	}
+	e.lane.t = t
+	e.lane.seq = e.seq
+	e.seq++
+	e.lane.front = true
+	e.lane.fn = fn
+	e.laneArmed = true
+}
+
 // Stop halts the run loop after the current event returns.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Pending returns the number of events in the calendar, including
-// canceled events not yet popped or compacted.
+// canceled events not yet popped or compacted. An armed arrival lane is
+// not in the calendar and is not counted.
 func (e *Engine) Pending() int { return e.cal.len() }
 
 // Canceled returns the number of canceled events still occupying the
 // calendar. Compaction keeps this at no more than half of Pending().
 func (e *Engine) Canceled() int { return e.canceled }
 
-// Processed returns the number of events executed so far.
+// Processed returns the number of events executed so far, arrival-lane
+// events included.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Run executes events until the calendar empties, Stop is called, or the
-// time horizon (if set with RunUntil) is reached. It returns the final
-// simulated time.
+// Run executes events until the calendar and the arrival lane are
+// empty, Stop is called, or the time horizon (if set with RunUntil) is
+// reached. It returns the final simulated time.
 func (e *Engine) Run() float64 {
 	e.stopped = false
-	for e.cal.len() > 0 && !e.stopped {
-		if e.horizon > 0 && e.cal.peek().t > e.horizon {
-			// Leave post-horizon events in the calendar for later runs.
+	for !e.stopped {
+		next := e.cal.peek()
+		if e.laneArmed && (next == nil || eventBefore(&e.lane, next)) {
+			next = &e.lane
+		}
+		if next == nil {
+			break
+		}
+		if e.horizon > 0 && next.t > e.horizon {
+			// Leave post-horizon events pending for later runs.
 			e.now = e.horizon
 			break
+		}
+		if next == &e.lane {
+			// Disarm before the call so the callback can re-arm.
+			e.laneArmed = false
+			e.now = next.t
+			e.processed++
+			fn := next.fn
+			next.fn = nil
+			fn(e)
+			continue
 		}
 		ev := e.cal.pop()
 		if ev.canceled {
@@ -306,7 +362,8 @@ func (e *Engine) Run() float64 {
 }
 
 // RunUntil executes events up to and including time horizon, then stops.
-// Events scheduled after the horizon remain in the calendar.
+// Events scheduled after the horizon, an armed arrival lane included,
+// stay pending for the next Run or RunUntil.
 func (e *Engine) RunUntil(horizon float64) float64 {
 	if horizon < e.now {
 		panic(fmt.Sprintf("sim: horizon %v before now %v", horizon, e.now))
@@ -314,7 +371,7 @@ func (e *Engine) RunUntil(horizon float64) float64 {
 	e.horizon = horizon
 	t := e.Run()
 	e.horizon = 0
-	if t < horizon && e.cal.len() == 0 {
+	if t < horizon && e.cal.len() == 0 && !e.laneArmed {
 		// Calendar drained before the horizon: advance the clock so
 		// repeated RunUntil calls observe monotonic time.
 		e.now = horizon
