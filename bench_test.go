@@ -55,7 +55,7 @@ func BenchmarkFig3MeanLatencyTypicalCloud(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if r, _, ok := res.OneServer.Crossover(experiments.Mean); ok {
+		if r, _, ok := res.OneServer.Crossover(experiments.Mean, 0); ok {
 			rate = r
 		}
 	}
@@ -71,7 +71,7 @@ func BenchmarkFig4MeanLatencyDistantCloud(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if r, _, ok := res.OneServer.Crossover(experiments.Mean); ok {
+		if r, _, ok := res.OneServer.Crossover(experiments.Mean, 0); ok {
 			rate = r
 		} else {
 			rate = 13 // no inversion below saturation
@@ -89,7 +89,7 @@ func BenchmarkFig5TailLatencyDistantCloud(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if r, _, ok := res.OneServer.Crossover(experiments.P95); ok {
+		if r, _, ok := res.OneServer.Crossover(experiments.P95, 0); ok {
 			rate = r
 		} else {
 			rate = 13
@@ -186,7 +186,10 @@ func BenchmarkFig10PerSiteBoxplot(b *testing.B) {
 func BenchmarkValidationAnalyticVsSimulated(b *testing.B) {
 	var measured, paper float64
 	for i := 0; i < b.N; i++ {
-		rows := experiments.RunValidation(benchDuration, 42)
+		rows, err := experiments.RunValidation(benchDuration, 42)
+		if err != nil {
+			b.Fatal(err)
+		}
 		measured = rows[0].MeasuredUtil
 		paper = rows[0].PaperCutoff
 	}
@@ -318,18 +321,19 @@ func BenchmarkAblationGeoLB(b *testing.B) {
 // BenchmarkAblationServiceCoV sweeps service-time variability: Corollary
 // 3.2.1 predicts burstier service lowers the inversion threshold.
 func BenchmarkAblationServiceCoV(b *testing.B) {
+	typical, _ := netem.ScenarioByName("typical-25ms")
 	for _, scv := range []float64{0.0, 0.5, 1.0, 2.0} {
 		b.Run(scvName(scv), func(b *testing.B) {
 			var cross float64
 			for i := 0; i < b.N; i++ {
-				cfg := experiments.DefaultSweepConfig()
+				cfg := experiments.PaperPairSweep(typical, 1)
 				cfg.Duration = benchDuration
 				cfg.Model = app.NewInferenceModelWith(1.0/13, scv)
-				res, err := experiments.RunSweep(cfg)
+				res, err := experiments.RunTopologySweep(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if r, _, ok := res.Crossover(experiments.Mean); ok {
+				if r, _, ok := res.Crossover(experiments.Mean, 0); ok {
 					cross = r
 				} else {
 					cross = 13

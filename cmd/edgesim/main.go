@@ -993,7 +993,7 @@ func runTopologySweepCLI(topo cluster.Topology, sweepArg string,
 		Model:      model,
 		ArrivalSCV: arrivalSCV,
 		Summary:    mode,
-		Baseline:   &baseline,
+		Rivals:     []cluster.Topology{baseline},
 	}
 	switch {
 	case in.active():
@@ -1038,7 +1038,7 @@ func runTopologySweepCLI(topo cluster.Topology, sweepArg string,
 	if err != nil {
 		fail("-sweep: %v", err)
 	}
-	cloud := res.Baseline
+	cloud := res.Rivals[0]
 
 	fmt.Printf("topology sweep %s: %d tiers, %d servers max capacity; cloud baseline %d pooled servers at %.0fms\n\n",
 		topo.Name, len(topo.Tiers), total, total, sc.Cloud.MeanRTT()*1000)
@@ -1072,24 +1072,14 @@ func runTopologySweepCLI(topo cluster.Topology, sweepArg string,
 	}, tierRows)
 
 	fmt.Println()
-	for _, m := range []struct {
-		name string
-		pick func(experiments.TopologyPoint) float64
-	}{
-		{"mean", func(p experiments.TopologyPoint) float64 { return p.Mean }},
-		{"p95", func(p experiments.TopologyPoint) float64 { return p.P95 }},
-	} {
-		gaps := make([]float64, len(res.Points))
-		for i, p := range res.Points {
-			gaps[i] = m.pick(p) - m.pick(cloud[i])
-		}
-		switch rate, atFloor, ok := experiments.FirstCrossing(rates, gaps); {
+	for _, m := range []experiments.Metric{experiments.Mean, experiments.P95} {
+		switch rate, atFloor, ok := res.Crossover(m, 0); {
 		case ok && atFloor:
-			fmt.Printf("crossover (%s): hierarchy already loses to the pooled cloud at %.1f req/s/srv (sweep lower rates to bracket it)\n", m.name, rate)
+			fmt.Printf("crossover (%s): hierarchy already loses to the pooled cloud at %.1f req/s/srv (sweep lower rates to bracket it)\n", m, rate)
 		case ok:
-			fmt.Printf("crossover (%s): hierarchy loses to the pooled cloud above ~%.1f req/s/srv\n", m.name, rate)
+			fmt.Printf("crossover (%s): hierarchy loses to the pooled cloud above ~%.1f req/s/srv\n", m, rate)
 		default:
-			fmt.Printf("crossover (%s): hierarchy beats the pooled cloud across the swept rates\n", m.name)
+			fmt.Printf("crossover (%s): hierarchy beats the pooled cloud across the swept rates\n", m)
 		}
 	}
 }

@@ -40,9 +40,11 @@ func main() {
 	csvDir := flag.String("csv", "", "directory to write CSV series into (optional)")
 	workers := flag.Int("workers", 0, "worker pool size for sweep points and replications (0 = all CPUs, 1 = serial)")
 	flag.Parse()
-	if err := checkFig(*fig); err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(2)
+	for _, err := range []error{checkFig(*fig), checkNumbers(*duration, *workers)} {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "figures:", err)
+			os.Exit(2)
+		}
 	}
 
 	if *workers > 0 {
@@ -109,6 +111,18 @@ func checkFig(name string) error {
 	return fmt.Errorf("unknown -fig %q (want one of %s)", name, strings.Join(names, ", "))
 }
 
+// checkNumbers rejects a -duration that is not a positive, finite
+// number of seconds and a negative -workers.
+func checkNumbers(duration float64, workers int) error {
+	if !(duration > 0) || math.IsInf(duration, 1) {
+		return fmt.Errorf("-duration %v must be a positive, finite number of seconds", duration)
+	}
+	if workers < 0 {
+		return fmt.Errorf("-workers %d must be 0 (all CPUs) or positive", workers)
+	}
+	return nil
+}
+
 // admissionCost renders the rejection-vs-cost trade: one overloaded
 // workload broadcast through the same edge hierarchy under
 // progressively tighter entry admission, with rejected traffic priced
@@ -156,10 +170,14 @@ func admissionCost(duration float64, seed int64, csvDir string) {
 			Opts: cluster.Options{Seed: seed + 1, Pricing: &pricing, Summary: stats.Bounded}}
 	}
 	spec := cluster.GenSpec{Sites: sites, Duration: duration, PerSiteRate: offered, Seed: seed}
+	if err := spec.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "figures: admission:", err)
+		os.Exit(1)
+	}
 	results, err := cluster.RunBroadcast(cluster.Stream(spec), variants, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "figures: admission:", err)
-		return
+		os.Exit(1)
 	}
 
 	series := []asciiplot.Series{{Name: "total $ (capacity + penalty)"}, {Name: "capacity $"}}
@@ -308,33 +326,24 @@ func fig345(name, scenario string, metric experiments.Metric, duration float64, 
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		os.Exit(1)
 	}
-	pick := func(p experiments.SweepPoint, edge bool) float64 {
+	pick := func(p experiments.TopologyPoint) float64 {
 		if metric == experiments.P95 {
-			if edge {
-				return p.EdgeP95 * 1000
-			}
-			return p.CloudP95 * 1000
+			return p.P95 * 1000
 		}
-		if edge {
-			return p.EdgeMean * 1000
-		}
-		return p.CloudMean * 1000
+		return p.Mean * 1000
 	}
 	series := []asciiplot.Series{
 		{Name: "edge, 1 server"}, {Name: "edge, 2 servers"},
 		{Name: "cloud, 5 servers"}, {Name: "cloud, 10 servers"},
 	}
-	for _, p := range res.OneServer.Points {
-		series[0].X = append(series[0].X, p.RatePerServer)
-		series[0].Y = append(series[0].Y, pick(p, true))
-		series[2].X = append(series[2].X, p.RatePerServer)
-		series[2].Y = append(series[2].Y, pick(p, false))
-	}
-	for _, p := range res.TwoServer.Points {
-		series[1].X = append(series[1].X, p.RatePerServer)
-		series[1].Y = append(series[1].Y, pick(p, true))
-		series[3].X = append(series[3].X, p.RatePerServer)
-		series[3].Y = append(series[3].Y, pick(p, false))
+	sweeps := []experiments.TopologySweepResult{res.OneServer, res.TwoServer}
+	for s, sweep := range sweeps {
+		for i, p := range sweep.Points {
+			series[s].X = append(series[s].X, p.RatePerServer)
+			series[s].Y = append(series[s].Y, pick(p))
+			series[s+2].X = append(series[s+2].X, p.RatePerServer)
+			series[s+2].Y = append(series[s+2].Y, pick(sweep.Rivals[0][i]))
+		}
 	}
 	title := fmt.Sprintf("Fig %s: %s response time (ms) vs req/server/s — %s (Δn=%.0fms)",
 		name, metric, scenario, res.Scenario.DeltaN()*1000)
@@ -342,24 +351,22 @@ func fig345(name, scenario string, metric experiments.Metric, duration float64, 
 
 	var rows [][]interface{}
 	for i, p := range res.OneServer.Points {
-		p2 := res.TwoServer.Points[i]
 		rows = append(rows, []interface{}{
-			p.RatePerServer, pick(p, true), pick(p2, true), pick(p, false), pick(p2, false),
+			p.RatePerServer, pick(p), pick(res.TwoServer.Points[i]),
+			pick(res.OneServer.Rivals[0][i]), pick(res.TwoServer.Rivals[0][i]),
 		})
 	}
 	asciiplot.Table(os.Stdout,
 		[]string{"req/s/srv", "edge1 (ms)", "edge2 (ms)", "cloud5 (ms)", "cloud10 (ms)"}, rows)
 
 	for _, m := range []experiments.Metric{experiments.Mean, experiments.P95} {
-		if rate, util, ok := res.OneServer.Crossover(m); ok {
-			fmt.Printf("crossover (%s, 1 srv/site): %.1f req/s (util %.0f%%)\n", m, rate, util*100)
-		} else {
-			fmt.Printf("crossover (%s, 1 srv/site): none below saturation\n", m)
-		}
-		if rate, util, ok := res.TwoServer.Crossover(m); ok {
-			fmt.Printf("crossover (%s, 2 srv/site): %.1f req/s (util %.0f%%)\n", m, rate, util*100)
-		} else {
-			fmt.Printf("crossover (%s, 2 srv/site): none below saturation\n", m)
+		for i, sweep := range sweeps {
+			if rate, _, ok := sweep.Crossover(m, 0); ok {
+				util := rate / sweep.Config.Model.Mu()
+				fmt.Printf("crossover (%s, %d srv/site): %.1f req/s (util %.0f%%)\n", m, i+1, rate, util*100)
+			} else {
+				fmt.Printf("crossover (%s, %d srv/site): none below saturation\n", m, i+1)
+			}
 		}
 	}
 
@@ -385,10 +392,11 @@ func threeTier(duration float64, seed int64, csvDir string) {
 		{Name: "edge (5x2)"}, {Name: "cloud (10)"},
 		{Name: "edge+overflow (5+5)"}, {Name: "edge+regional+cloud (5+2+3)"},
 	}
-	for _, p := range res.Points {
-		for i, v := range []float64{p.EdgeMean, p.CloudMean, p.OverflowMean, p.ChainMean} {
-			series[i].X = append(series[i].X, p.RatePerServer)
-			series[i].Y = append(series[i].Y, v*1000)
+	shapes := append([][]experiments.TopologyPoint{res.Points}, res.Rivals...)
+	for k, points := range shapes {
+		for _, p := range points {
+			series[k].X = append(series[k].X, p.RatePerServer)
+			series[k].Y = append(series[k].Y, p.Mean*1000)
 		}
 	}
 	asciiplot.LineChart(os.Stdout,
@@ -396,12 +404,16 @@ func threeTier(duration float64, seed int64, csvDir string) {
 		series, 72, 20)
 
 	var rows [][]interface{}
-	for _, p := range res.Points {
+	for i, p := range res.Points {
+		cloud, over, chain := res.Rivals[0][i], res.Rivals[1][i], res.Rivals[2][i]
+		// Escalation shares: fraction of the replayed requests leaving
+		// their home site at a tier.
+		spillPct := func(spilled uint64) float64 { return 100 * (float64(spilled) / float64(p.Offered)) }
 		rows = append(rows, []interface{}{
 			p.RatePerServer,
-			p.EdgeMean * 1000, p.CloudMean * 1000, p.OverflowMean * 1000, p.ChainMean * 1000,
-			p.EdgeP95 * 1000, p.ChainP95 * 1000,
-			100 * p.OverflowSpill, 100 * p.ChainSpillReg, 100 * p.ChainSpillCld,
+			p.Mean * 1000, cloud.Mean * 1000, over.Mean * 1000, chain.Mean * 1000,
+			p.P95 * 1000, chain.P95 * 1000,
+			spillPct(over.Tiers[0].Spilled), spillPct(chain.Tiers[0].Spilled), spillPct(chain.Tiers[1].Spilled),
 		})
 	}
 	asciiplot.Table(os.Stdout, []string{
@@ -693,7 +705,11 @@ func fig910(seed int64, timeline bool) {
 
 // validation prints the §4.2 analytic-vs-measured comparison.
 func validation(duration float64, seed int64) {
-	rows := experiments.RunValidation(duration, seed)
+	rows, err := experiments.RunValidation(duration, seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "figures:", err)
+		os.Exit(1)
+	}
 	var out [][]interface{}
 	for _, r := range rows {
 		out = append(out, []interface{}{

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -33,6 +34,33 @@ func TestCheckFig(t *testing.T) {
 					t.Errorf("checkFig(%q) error %q does not list %q", tc.name, err, want)
 				}
 			}
+		}
+	}
+}
+
+func TestCheckNumbers(t *testing.T) {
+	for _, tc := range []struct {
+		duration float64
+		workers  int
+		flag     string // "" when the pair is valid
+	}{
+		{600, 0, ""},
+		{0.5, 4, ""},
+		{-5, 0, "-duration"},
+		{0, 0, "-duration"},
+		{math.NaN(), 0, "-duration"},
+		{math.Inf(1), 0, "-duration"},
+		{60, -1, "-workers"},
+	} {
+		err := checkNumbers(tc.duration, tc.workers)
+		if tc.flag == "" {
+			if err != nil {
+				t.Errorf("checkNumbers(%v, %d) = %v, want nil", tc.duration, tc.workers, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("checkNumbers(%v, %d) = %v, want an error naming %s", tc.duration, tc.workers, err, tc.flag)
 		}
 	}
 }

@@ -272,12 +272,6 @@ var (
 
 // ---- Experiments (one per paper figure) ----
 
-// SweepConfig describes a request-rate sweep (Figures 3–5).
-type SweepConfig = experiments.SweepConfig
-
-// SweepResult is a completed sweep with crossover detection.
-type SweepResult = experiments.SweepResult
-
 // Metric selects mean or p95 for crossover detection.
 type Metric = experiments.Metric
 
@@ -294,10 +288,11 @@ type InversionInterval = experiments.InversionInterval
 type ReplicatedPoint = experiments.ReplicatedPoint
 
 // Experiment runners, one per paper figure/table, plus statistical and
-// timeline tooling.
+// timeline tooling. PaperPairSweep builds the Figures 3–5 edge/cloud
+// pair as a TopologySweepConfig, the config RunReplicatedSweep and
+// CrossoverCI take.
 var (
-	DefaultSweepConfig = experiments.DefaultSweepConfig
-	RunSweep           = experiments.RunSweep
+	PaperPairSweep     = experiments.PaperPairSweep
 	RunFig3            = experiments.RunFig3
 	RunFig6            = experiments.RunFig6
 	RunFig7            = experiments.RunFig7
@@ -311,15 +306,13 @@ var (
 )
 
 // TopologySweepConfig describes a request-rate sweep over an arbitrary
-// deployment topology.
+// deployment topology and its paired rival shapes: the one sweep every
+// rate-axis figure runs.
 type TopologySweepConfig = experiments.TopologySweepConfig
 
-// TopologySweepResult is a completed topology sweep.
+// TopologySweepResult is a completed topology sweep with per-rival
+// crossover detection.
 type TopologySweepResult = experiments.TopologySweepResult
-
-// ThreeTierResult is the hierarchy figure comparing four
-// capacity-matched deployment shapes.
-type ThreeTierResult = experiments.ThreeTierResult
 
 // ScalerComparisonConfig sweeps scaler policies (reactive vs
 // predictive × forecaster) over one time-varying workload.

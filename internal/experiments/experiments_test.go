@@ -9,20 +9,23 @@ import (
 	"repro/internal/trace"
 )
 
-// shortSweep returns a reduced-duration sweep for test speed.
-func shortSweep(scenario string, rates []float64, m int, seed int64) SweepResult {
-	cfg := DefaultSweepConfig()
+// paperPair returns the Figure 3 sweep config for a scenario preset.
+func paperPair(scenario string, m int) TopologySweepConfig {
 	sc, err := scenarioByName(scenario)
 	if err != nil {
 		panic(err)
 	}
-	cfg.Scenario = sc
+	return PaperPairSweep(sc, m)
+}
+
+// shortSweep returns a reduced-duration sweep for test speed.
+func shortSweep(scenario string, rates []float64, m int, seed int64) TopologySweepResult {
+	cfg := paperPair(scenario, m)
 	cfg.Rates = rates
-	cfg.ServersPerSite = m
 	cfg.Duration = 250
 	cfg.Warmup = 25
 	cfg.Seed = seed
-	res, err := RunSweep(cfg)
+	res, err := RunTopologySweep(cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -33,12 +36,12 @@ func shortSweep(scenario string, rates []float64, m int, seed int64) SweepResult
 // build comes back as an error from the runner instead of a panic
 // inside a worker.
 func TestRunSweepRejectsUnknownCloudPolicy(t *testing.T) {
-	cfg := DefaultSweepConfig()
+	cfg := paperPair("typical-25ms", 1)
 	cfg.Rates = []float64{6, 9}
 	cfg.Duration = 20
 	cfg.Warmup = 0
-	cfg.CloudPolicy = "bogus"
-	if _, err := RunSweep(cfg); err == nil || !strings.Contains(err.Error(), "bogus") {
+	cfg.Rivals[0].Tiers[0].Dispatch = "bogus"
+	if _, err := RunTopologySweep(cfg); err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Fatalf("want an error naming the bogus policy, got %v", err)
 	}
 	if _, err := RunReplicatedSweep(cfg, 2); err == nil {
@@ -54,12 +57,14 @@ func TestRunSweepRejectsUnknownCloudPolicy(t *testing.T) {
 // naming the bad setting, not a generator panic.
 func TestRunnersRejectBadNumbers(t *testing.T) {
 	nan := math.NaN()
-	sweep := DefaultSweepConfig()
+	sweep := paperPair("typical-25ms", 1)
 	sweep.Rates = []float64{6, nan}
 	sweep.Duration = 20
+	nanDuration := paperPair("typical-25ms", 1)
+	nanDuration.Duration = nan
 	topo, _ := cluster.PresetTopology("edge-regional-cloud")
 	for name, run := range map[string]func() error{
-		"RunSweep": func() error { _, err := RunSweep(sweep); return err },
+		"RunSweep": func() error { _, err := RunTopologySweep(sweep); return err },
 		"RunGrid": func() error {
 			_, err := RunGrid(GridConfig{Rates: []float64{6}, Budgets: []int{10}, Duration: nan})
 			return err
@@ -72,8 +77,13 @@ func TestRunnersRejectBadNumbers(t *testing.T) {
 			_, err := RunScalerComparison(ScalerComparisonConfig{Workload: ScalerWorkloadMMPP, Duration: nan})
 			return err
 		},
-		"RunFig6":         func() error { _, err := RunFig6(nan, 1); return err },
-		"RunFigThreeTier": func() error { _, err := RunFigThreeTier(nan, 1); return err },
+		"RunFig3":            func() error { _, err := RunFig3("typical-25ms", nan, 1); return err },
+		"RunFig6":            func() error { _, err := RunFig6(nan, 1); return err },
+		"RunFig7":            func() error { _, err := RunFig7(nan, 1); return err },
+		"RunFigThreeTier":    func() error { _, err := RunFigThreeTier(nan, 1); return err },
+		"RunValidation":      func() error { _, err := RunValidation(nan, 1); return err },
+		"RunReplicatedSweep": func() error { _, err := RunReplicatedSweep(nanDuration, 3); return err },
+		"CrossoverCI":        func() error { _, _, _, err := CrossoverCI(nanDuration, Mean, 3); return err },
 	} {
 		if err := run(); err == nil || !strings.Contains(err.Error(), "GenSpec") {
 			t.Errorf("%s: want a GenSpec validation error, got %v", name, err)
@@ -88,23 +98,24 @@ func TestSweepShape(t *testing.T) {
 	}
 	// Latencies positive and edge grows with rate.
 	prevEdge := 0.0
-	for _, p := range res.Points {
-		if p.EdgeMean <= 0 || p.CloudMean <= 0 || p.EdgeP95 <= 0 || p.CloudP95 <= 0 {
+	for i, p := range res.Points {
+		c := res.Rivals[0][i]
+		if p.Mean <= 0 || c.Mean <= 0 || p.P95 <= 0 || c.P95 <= 0 {
 			t.Fatalf("non-positive latency at rate %v", p.RatePerServer)
 		}
-		if p.EdgeP95 < p.EdgeMean || p.CloudP95 < p.CloudMean {
+		if p.P95 < p.Mean || c.P95 < c.Mean {
 			t.Fatalf("p95 below mean at rate %v", p.RatePerServer)
 		}
-		if p.EdgeMean < prevEdge {
+		if p.Mean < prevEdge {
 			t.Errorf("edge mean decreased at rate %v", p.RatePerServer)
 		}
-		prevEdge = p.EdgeMean
-		if p.EdgeN == 0 || p.CloudN == 0 {
+		prevEdge = p.Mean
+		if p.N == 0 || c.N == 0 {
 			t.Fatal("empty samples")
 		}
 	}
 	// Offered utilization bookkeeping.
-	if got := res.Points[0].Utilization; math.Abs(got-6.0/13) > 1e-9 {
+	if got := res.Points[0].RatePerServer / res.Config.Model.Mu(); math.Abs(got-6.0/13) > 1e-9 {
 		t.Errorf("utilization = %v", got)
 	}
 }
@@ -116,12 +127,12 @@ func TestFig3CrossoverNearPaper(t *testing.T) {
 		t.Skip("long crossover sweep")
 	}
 	res := shortSweep("typical-25ms", []float64{6, 7, 8, 9, 10, 11, 12}, 1, 42)
-	rate, util, ok := res.Crossover(Mean)
+	rate, _, ok := res.Crossover(Mean, 0)
 	if !ok {
 		t.Fatal("expected a mean-latency crossover")
 	}
 	if rate < 6.5 || rate > 10.5 {
-		t.Errorf("crossover at %.1f req/s (util %.2f), paper measured 8", rate, util)
+		t.Errorf("crossover at %.1f req/s (util %.2f), paper measured 8", rate, rate/res.Config.Model.Mu())
 	}
 }
 
@@ -134,8 +145,8 @@ func TestDistantCloudCrossesLater(t *testing.T) {
 	rates := []float64{6, 7, 8, 9, 10, 11, 12}
 	typical := shortSweep("typical-25ms", rates, 1, 7)
 	distant := shortSweep("distant-54ms", rates, 1, 7)
-	rT, _, okT := typical.Crossover(Mean)
-	rD, _, okD := distant.Crossover(Mean)
+	rT, _, okT := typical.Crossover(Mean, 0)
+	rD, _, okD := distant.Crossover(Mean, 0)
 	if okT && okD && rD <= rT {
 		t.Errorf("distant crossover %.1f should exceed typical %.1f", rD, rT)
 	}
@@ -155,8 +166,8 @@ func TestTailInvertsBeforeMean(t *testing.T) {
 		t.Skip("long sweep")
 	}
 	res := shortSweep("distant-54ms", []float64{6, 8, 10, 11, 12}, 1, 3)
-	rMean, _, okMean := res.Crossover(Mean)
-	rP95, _, okP95 := res.Crossover(P95)
+	rMean, _, okMean := res.Crossover(Mean, 0)
+	rP95, _, okP95 := res.Crossover(P95, 0)
 	if okMean && !okP95 {
 		t.Fatal("mean inverted but p95 did not")
 	}
@@ -168,33 +179,36 @@ func TestTailInvertsBeforeMean(t *testing.T) {
 func TestCrossoverInterpolation(t *testing.T) {
 	// Synthetic sweep: edge−cloud diff goes −10ms at rate 8 to +10ms at
 	// rate 9 → crossover at exactly 8.5.
-	res := SweepResult{Config: DefaultSweepConfig()}
-	res.Points = []SweepPoint{
-		{RatePerServer: 8, EdgeMean: 0.090, CloudMean: 0.100, EdgeP95: 0.1, CloudP95: 0.2},
-		{RatePerServer: 9, EdgeMean: 0.110, CloudMean: 0.100, EdgeP95: 0.15, CloudP95: 0.2},
+	res := TopologySweepResult{Config: paperPair("typical-25ms", 1)}
+	res.Points = []TopologyPoint{
+		{RatePerServer: 8, Mean: 0.090, P95: 0.1},
+		{RatePerServer: 9, Mean: 0.110, P95: 0.15},
 	}
-	rate, util, ok := res.Crossover(Mean)
+	res.Rivals = [][]TopologyPoint{{
+		{RatePerServer: 8, Mean: 0.100, P95: 0.2},
+		{RatePerServer: 9, Mean: 0.100, P95: 0.2},
+	}}
+	rate, _, ok := res.Crossover(Mean, 0)
 	if !ok {
 		t.Fatal("expected crossover")
 	}
 	if math.Abs(rate-8.5) > 1e-9 {
 		t.Errorf("interpolated crossover = %v, want 8.5", rate)
 	}
-	if math.Abs(util-8.5/13) > 1e-9 {
+	if util := rate / res.Config.Model.Mu(); math.Abs(util-8.5/13) > 1e-9 {
 		t.Errorf("interpolated util = %v", util)
 	}
 	// P95 never crosses.
-	if _, _, ok := res.Crossover(P95); ok {
+	if _, _, ok := res.Crossover(P95, 0); ok {
 		t.Error("p95 should not cross in this synthetic sweep")
 	}
 }
 
 func TestCrossoverFirstPointAlreadyInverted(t *testing.T) {
-	res := SweepResult{Config: DefaultSweepConfig()}
-	res.Points = []SweepPoint{
-		{RatePerServer: 6, EdgeMean: 0.2, CloudMean: 0.1},
-	}
-	rate, _, ok := res.Crossover(Mean)
+	res := TopologySweepResult{Config: paperPair("typical-25ms", 1)}
+	res.Points = []TopologyPoint{{RatePerServer: 6, Mean: 0.2}}
+	res.Rivals = [][]TopologyPoint{{{RatePerServer: 6, Mean: 0.1}}}
+	rate, _, ok := res.Crossover(Mean, 0)
 	if !ok || rate != 6 {
 		t.Errorf("already-inverted sweep: rate=%v ok=%v", rate, ok)
 	}
@@ -309,7 +323,10 @@ func TestRunValidationAgainstPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("validation sweep is long")
 	}
-	rows := RunValidation(250, 42)
+	rows, err := RunValidation(250, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 2 {
 		t.Fatalf("validation rows = %d", len(rows))
 	}

@@ -11,12 +11,13 @@ import (
 )
 
 // Fig3Result bundles the four series of Figures 3/4 (mean) and 5 (p95):
-// edge with 1 and 2 servers per site, cloud with 5 and 10 servers.
+// edge with 1 and 2 servers per site, each paired with its cloud of 5
+// and 10 servers (Rivals[0]).
 type Fig3Result struct {
 	Scenario  netem.Scenario
 	Rates     []float64
-	OneServer SweepResult // edge 1 server/site vs cloud 5 servers
-	TwoServer SweepResult // edge 2 servers/site vs cloud 10 servers
+	OneServer TopologySweepResult // edge 1 server/site vs cloud 5 servers
+	TwoServer TopologySweepResult // edge 2 servers/site vs cloud 10 servers
 }
 
 // RunFig3 reproduces the Figure 3/4/5 experiment for the given scenario:
@@ -28,22 +29,16 @@ func RunFig3(scenarioName string, duration float64, seed int64) (Fig3Result, err
 	if err != nil {
 		return Fig3Result{}, err
 	}
-	base := DefaultSweepConfig()
-	base.Scenario = sc
-	base.Duration = duration
-	base.Seed = seed
+	one := PaperPairSweep(sc, 1)
+	one.Duration, one.Seed = duration, seed
+	two := PaperPairSweep(sc, 2)
+	two.Duration, two.Seed = duration, seed+1
 
-	one := base
-	one.ServersPerSite = 1
-	two := base
-	two.ServersPerSite = 2
-	two.Seed = seed + 1
-
-	res := Fig3Result{Scenario: sc, Rates: base.Rates}
-	if res.OneServer, err = RunSweep(one); err != nil {
+	res := Fig3Result{Scenario: sc, Rates: one.Rates}
+	if res.OneServer, err = RunTopologySweep(one); err != nil {
 		return Fig3Result{}, err
 	}
-	if res.TwoServer, err = RunSweep(two); err != nil {
+	if res.TwoServer, err = RunTopologySweep(two); err != nil {
 		return Fig3Result{}, err
 	}
 	return res, nil
@@ -135,25 +130,24 @@ func RunFig7(duration float64, seed int64) ([]Fig7Point, error) {
 	}
 	var out []Fig7Point
 	for i, sc := range netem.PaperScenarios() {
-		cfg := DefaultSweepConfig()
-		cfg.Scenario = sc
+		cfg := PaperPairSweep(sc, 1)
 		cfg.Rates = rates
 		cfg.Duration = duration
 		cfg.Seed = seed + int64(i)*31
-		res, err := RunSweep(cfg)
+		res, err := RunTopologySweep(cfg)
 		if err != nil {
 			return nil, err
 		}
 
 		p := Fig7Point{Scenario: sc.Name, CloudRTTms: sc.Cloud.MeanRTT() * 1000}
 		mu := cfg.Model.Mu()
-		if rate, util, ok := res.Crossover(Mean); ok {
-			p.MeanCutoff, p.MeanRate, p.MeanInverted = util, rate, true
+		if rate, _, ok := res.Crossover(Mean, 0); ok {
+			p.MeanCutoff, p.MeanRate, p.MeanInverted = rate/mu, rate, true
 		} else {
 			p.MeanCutoff, p.MeanRate = 1, mu
 		}
-		if rate, util, ok := res.Crossover(P95); ok {
-			p.P95Cutoff, p.P95Rate, p.P95Inverted = util, rate, true
+		if rate, _, ok := res.Crossover(P95, 0); ok {
+			p.P95Cutoff, p.P95Rate, p.P95Inverted = rate/mu, rate, true
 		} else {
 			p.P95Cutoff, p.P95Rate = 1, mu
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -53,7 +54,7 @@ func TestForEachBoundsConcurrency(t *testing.T) {
 // order under a fixed seed — the contract that makes the parallel
 // runner safe to adopt everywhere.
 func TestRunSweepParallelMatchesSerial(t *testing.T) {
-	cfg := DefaultSweepConfig()
+	cfg := paperPair("typical-25ms", 1)
 	cfg.Rates = []float64{6, 8, 9, 10, 11}
 	cfg.Duration = 150
 	cfg.Warmup = 15
@@ -64,11 +65,11 @@ func TestRunSweepParallelMatchesSerial(t *testing.T) {
 	parallel := cfg
 	parallel.Workers = 4
 
-	a, err := RunSweep(serial)
+	a, err := RunTopologySweep(serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSweep(parallel)
+	b, err := RunTopologySweep(parallel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +77,9 @@ func TestRunSweepParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("point counts differ: %d vs %d", len(a.Points), len(b.Points))
 	}
 	for i := range a.Points {
-		if a.Points[i] != b.Points[i] {
-			t.Errorf("point %d differs:\n  serial   %+v\n  parallel %+v", i, a.Points[i], b.Points[i])
+		if !reflect.DeepEqual(a.Points[i], b.Points[i]) || !reflect.DeepEqual(a.Rivals[0][i], b.Rivals[0][i]) {
+			t.Errorf("point %d differs:\n  serial   %+v %+v\n  parallel %+v %+v",
+				i, a.Points[i], a.Rivals[0][i], b.Points[i], b.Rivals[0][i])
 		}
 	}
 }
@@ -85,9 +87,9 @@ func TestRunSweepParallelMatchesSerial(t *testing.T) {
 // Paired edge/cloud determinism is implied by the sweep test above (each
 // point replays its trace through both deployments in one
 // cluster.RunBroadcast pass), but the replication path has its own
-// merge order to defend.
+// aggregation order to defend.
 func TestReplicatedSweepParallelMatchesSerial(t *testing.T) {
-	cfg := DefaultSweepConfig()
+	cfg := paperPair("typical-25ms", 1)
 	cfg.Rates = []float64{8, 10}
 	cfg.Duration = 120
 	cfg.Warmup = 12

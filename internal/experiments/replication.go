@@ -3,13 +3,13 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/app"
 	"repro/internal/stats"
 )
 
 // ReplicatedPoint aggregates one sweep point across independent
 // replications: mean of means with a 95% confidence half-width, so the
-// crossover claims carry statistical weight.
+// crossover claims carry statistical weight. The Edge fields describe
+// the swept topology and the Cloud fields its first rival.
 type ReplicatedPoint struct {
 	RatePerServer float64
 	EdgeMean      float64
@@ -33,11 +33,10 @@ func (p ReplicatedPoint) Separated() bool {
 }
 
 // RunReplicatedSweep runs the sweep n times with distinct seeds and
-// aggregates per-point statistics across replications. Replications
-// execute concurrently — one seeded engine pair per replication — and
-// are merged in replication order, so the aggregate is identical to the
-// serial computation at any pool size.
-func RunReplicatedSweep(cfg SweepConfig, n int) ([]ReplicatedPoint, error) {
+// aggregates per-point statistics of the topology and its first rival
+// across replications, merged in replication order, so the aggregate is
+// identical at any pool size.
+func RunReplicatedSweep(cfg TopologySweepConfig, n int) ([]ReplicatedPoint, error) {
 	reps, err := runReplications(cfg, n)
 	if err != nil {
 		return nil, err
@@ -49,10 +48,11 @@ func RunReplicatedSweep(cfg SweepConfig, n int) ([]ReplicatedPoint, error) {
 	accs := make([]acc, len(cfg.Rates))
 	for _, res := range reps {
 		for i, p := range res.Points {
-			accs[i].edgeMean.Add(p.EdgeMean)
-			accs[i].cloudMean.Add(p.CloudMean)
-			accs[i].edgeP95.Add(p.EdgeP95)
-			accs[i].cloudP95.Add(p.CloudP95)
+			rival := res.Rivals[0][i]
+			accs[i].edgeMean.Add(p.Mean)
+			accs[i].cloudMean.Add(rival.Mean)
+			accs[i].edgeP95.Add(p.P95)
+			accs[i].cloudP95.Add(rival.P95)
 		}
 	}
 	out := make([]ReplicatedPoint, len(cfg.Rates))
@@ -73,48 +73,40 @@ func RunReplicatedSweep(cfg SweepConfig, n int) ([]ReplicatedPoint, error) {
 	return out, nil
 }
 
-// runReplications executes n independent replications of the sweep,
-// returning them indexed by replication. The replication×point index
-// space is flattened into one pool pass so the workers stay saturated
-// even when n is smaller than the pool; every point still derives its
-// seeds from (replication, point) alone, so the merge is deterministic.
-func runReplications(cfg SweepConfig, n int) ([]SweepResult, error) {
+// runReplications runs n independent replications of the sweep, each
+// a RunTopologySweep whose seed is offset by the replication index,
+// returned in replication order.
+func runReplications(cfg TopologySweepConfig, n int) ([]TopologySweepResult, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("experiments: replications n=%d must be positive", n)
 	}
-	if cfg.Model.D == nil {
-		cfg.Model = app.NewInferenceModel()
+	if len(cfg.Rivals) == 0 {
+		return nil, fmt.Errorf("experiments: a replicated sweep needs a rival to compare against")
 	}
-	pts := len(cfg.Rates)
-	out := make([]SweepResult, n)
+	out := make([]TopologySweepResult, n)
 	for rep := range out {
 		c := cfg
 		c.Seed = cfg.Seed + int64(rep)*999983
-		out[rep] = SweepResult{Config: c, Points: make([]SweepPoint, pts)}
-	}
-	err := forEachErr(n*pts, cfg.Workers, func(idx int) (err error) {
-		rep, pt := idx/pts, idx%pts
-		out[rep].Points[pt], err = runSweepPoint(out[rep].Config, pt)
-		return err
-	})
-	if err != nil {
-		return nil, err
+		var err error
+		if out[rep], err = RunTopologySweep(c); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
 
-// CrossoverCI runs the sweep n times and returns the mean crossover rate
-// with its 95% confidence half-width. found is false if fewer than half
-// the replications observed a crossover. Replications run concurrently
-// and are folded in replication order.
-func CrossoverCI(cfg SweepConfig, metric Metric, n int) (rate, ci float64, found bool, err error) {
+// CrossoverCI runs the sweep n times and returns the mean rate at which
+// the topology first loses to its first rival, with its 95% confidence
+// half-width. found is false if fewer than half the replications
+// observed a crossover.
+func CrossoverCI(cfg TopologySweepConfig, metric Metric, n int) (rate, ci float64, found bool, err error) {
 	reps, err := runReplications(cfg, n)
 	if err != nil {
 		return 0, 0, false, err
 	}
 	var s stats.Stream
 	for _, res := range reps {
-		if r, _, ok := res.Crossover(metric); ok {
+		if r, _, ok := res.Crossover(metric, 0); ok {
 			s.Add(r)
 		}
 	}

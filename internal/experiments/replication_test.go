@@ -8,7 +8,7 @@ import (
 )
 
 func TestRunReplicatedSweep(t *testing.T) {
-	cfg := DefaultSweepConfig()
+	cfg := paperPair("typical-25ms", 1)
 	cfg.Rates = []float64{6, 12}
 	cfg.Duration = 120
 	cfg.Warmup = 12
@@ -47,10 +47,10 @@ func TestRunReplicatedSweep(t *testing.T) {
 }
 
 func TestRunReplicatedSweepRejectsZeroReplications(t *testing.T) {
-	if _, err := RunReplicatedSweep(DefaultSweepConfig(), 0); err == nil {
+	if _, err := RunReplicatedSweep(paperPair("typical-25ms", 1), 0); err == nil {
 		t.Error("n=0 should be an error")
 	}
-	if _, _, _, err := CrossoverCI(DefaultSweepConfig(), Mean, 0); err == nil {
+	if _, _, _, err := CrossoverCI(paperPair("typical-25ms", 1), Mean, 0); err == nil {
 		t.Error("CrossoverCI with n=0 should be an error")
 	}
 }
@@ -59,7 +59,7 @@ func TestCrossoverCI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replicated crossover is long")
 	}
-	cfg := DefaultSweepConfig()
+	cfg := paperPair("typical-25ms", 1)
 	cfg.Duration = 150
 	cfg.Warmup = 15
 	rate, ci, ok, err := CrossoverCI(cfg, Mean, 4)

@@ -132,7 +132,7 @@ func TestScalerStreamingRowsReplayIdenticalSequence(t *testing.T) {
 }
 
 // TestTopologySweepStreamingMatchesMaterialized: a swept topology and
-// its paired baseline, broadcast from one generator source per point,
+// its paired rival, broadcast from one generator source per point,
 // reproduce independent runs over a materialized trace point for
 // point, bit for bit.
 func TestTopologySweepStreamingMatchesMaterialized(t *testing.T) {
@@ -149,7 +149,7 @@ func TestTopologySweepStreamingMatchesMaterialized(t *testing.T) {
 		Duration: 200,
 		Warmup:   20,
 		Seed:     31,
-		Baseline: &baseline,
+		Rivals:   []cluster.Topology{baseline},
 	}
 	got, err := RunTopologySweep(cfg)
 	if err != nil {
@@ -157,7 +157,7 @@ func TestTopologySweepStreamingMatchesMaterialized(t *testing.T) {
 	}
 	// The oracle: the sweep's per-point spec and seeds, one Run per
 	// shape over fresh iterators of one materialized trace.
-	var want TopologySweepResult
+	want := TopologySweepResult{Rivals: make([][]TopologyPoint, 1)}
 	for i, rate := range cfg.Rates {
 		tr := materialize(cluster.GenSpec{
 			Sites:       topo.Tiers[0].Sites,
@@ -172,7 +172,7 @@ func TestTopologySweepStreamingMatchesMaterialized(t *testing.T) {
 			out  *[]TopologyPoint
 		}{
 			{topo, cfg.Seed + int64(i)*104729, &want.Points},
-			{baseline, cfg.Seed + int64(i)*1299709, &want.Baseline},
+			{baseline, cfg.Seed + int64(i)*1299709, &want.Rivals[0]},
 		} {
 			run, err := cluster.Run(tr.Source(), shape.topo, cluster.Options{Warmup: cfg.Warmup, Seed: shape.seed})
 			if err != nil {
@@ -185,8 +185,8 @@ func TestTopologySweepStreamingMatchesMaterialized(t *testing.T) {
 		t.Errorf("streaming sweep points diverge from materialized:\n got %+v\nwant %+v",
 			got.Points, want.Points)
 	}
-	if !reflect.DeepEqual(got.Baseline, want.Baseline) {
-		t.Errorf("streaming baseline points diverge from materialized:\n got %+v\nwant %+v",
-			got.Baseline, want.Baseline)
+	if !reflect.DeepEqual(got.Rivals, want.Rivals) {
+		t.Errorf("streaming rival points diverge from materialized:\n got %+v\nwant %+v",
+			got.Rivals, want.Rivals)
 	}
 }

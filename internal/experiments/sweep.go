@@ -4,8 +4,11 @@
 // cutoff-utilization-vs-cloud-RTT sweeps (Figure 7), Azure-trace
 // generation and replay (Figures 8–10), the taxi-load skew demonstration
 // (Figure 2), the §4.2 analytic-validation comparison, and the §5.2
-// capacity table. Each runner returns plain data structures that
-// cmd/figures renders and bench_test.go regenerates.
+// capacity table. Every rate sweep — Figures 3–5 and 7, the replicated
+// sweeps, the three-tier hierarchy figure — is a TopologySweepConfig run
+// by RunTopologySweep; PaperPairSweep builds the paper's edge/cloud
+// pair. Each runner returns plain data structures that cmd/figures
+// renders and bench_test.go regenerates.
 package experiments
 
 import (
@@ -14,52 +17,29 @@ import (
 	"repro/internal/app"
 	"repro/internal/cluster"
 	"repro/internal/netem"
-	"repro/internal/queue"
 )
 
-// SweepConfig describes a request-rate sweep in the style of §4.2: k edge
-// sites of m servers each, against a cloud of k·m servers, at per-server
-// request rates Rates (the paper's x-axis, "normalized request rate,
-// reqs/server/second").
-type SweepConfig struct {
-	Scenario       netem.Scenario
-	Sites          int
-	ServersPerSite int
-	Rates          []float64 // requests per server per second
-	Duration       float64   // simulated seconds per point
-	Warmup         float64   // discarded prefix per point
-	Seed           int64
-	Model          app.InferenceModel
-	ArrivalSCV     float64
-	// CloudPolicy is the cloud tier's dispatch: cluster.CentralQueueDispatch
-	// (or empty) for one pooled queue, or an lb policy name (see
-	// cluster.CloudTier).
-	CloudPolicy string
-	Discipline  queue.Discipline
-	// Workers bounds the worker pool that evaluates sweep points (and,
-	// in RunReplicatedSweep, replications) concurrently. 0 uses
-	// DefaultWorkers; 1 forces serial execution. Every point derives its
-	// seeds from its index alone and results are merged by index, so the
-	// output is identical at any pool size.
-	Workers int
-}
-
-// DefaultSweepConfig returns the Figure 3 setup: 5 edge sites, 1 server
-// each, typical 25 ms cloud, rates 6–12 req/s/server.
-func DefaultSweepConfig() SweepConfig {
-	// The preset name is compile-time known, so the lookup cannot miss.
-	sc, _ := netem.ScenarioByName("typical-25ms")
-	return SweepConfig{
-		Scenario:       sc,
-		Sites:          5,
-		ServersPerSite: 1,
-		Rates:          []float64{6, 7, 8, 9, 10, 11, 12},
-		Duration:       600,
-		Warmup:         60,
-		Seed:           42,
-		Model:          app.NewInferenceModel(),
-		ArrivalSCV:     cluster.DefaultArrivalSCV,
-		CloudPolicy:    cluster.CentralQueueDispatch,
+// PaperPairSweep returns the §4.2 sweep behind Figures 3–5 and 7: 5
+// edge sites of serversPerSite servers each on the scenario's edge path,
+// against one rival, a cloud of 5·serversPerSite servers pooled behind
+// one central queue on the scenario's cloud path, at 6–12 requests per
+// server per second (the paper's x-axis), 600 s per point after a 60 s
+// warmup.
+func PaperPairSweep(sc netem.Scenario, serversPerSite int) TopologySweepConfig {
+	const sites = 5
+	return TopologySweepConfig{
+		Topology: cluster.Topology{Name: "edge", Tiers: []cluster.Tier{{
+			Name: "edge", Sites: sites, ServersPerSite: serversPerSite, Path: sc.Edge,
+		}}},
+		Rivals: []cluster.Topology{{Name: "cloud", Tiers: []cluster.Tier{
+			cluster.CloudTier(sites*serversPerSite, sc.Cloud, cluster.CentralQueueDispatch),
+		}}},
+		Rates:      []float64{6, 7, 8, 9, 10, 11, 12},
+		Duration:   600,
+		Warmup:     60,
+		Seed:       42,
+		Model:      app.NewInferenceModel(),
+		ArrivalSCV: cluster.DefaultArrivalSCV,
 	}
 }
 
@@ -78,90 +58,6 @@ func scenarioByName(name string) (netem.Scenario, error) {
 	return s, nil
 }
 
-// SweepPoint is one measured point of a rate sweep.
-type SweepPoint struct {
-	RatePerServer float64
-	Utilization   float64 // offered per-server utilization λ/μ
-	MeasuredUtil  float64 // edge utilization actually measured
-	EdgeMean      float64 // seconds
-	CloudMean     float64
-	EdgeP95       float64
-	CloudP95      float64
-	EdgeMedian    float64
-	CloudMedian   float64
-	EdgeN         int
-	CloudN        int
-}
-
-// SweepResult is the outcome of a full rate sweep.
-type SweepResult struct {
-	Config SweepConfig
-	Points []SweepPoint
-}
-
-// RunSweep executes the sweep: for every rate it streams one workload
-// through both deployments (paired comparison, as in the paper where
-// the cloud "sees the cumulative request rate").
-// Points are evaluated concurrently on a bounded worker pool — each
-// point seeds its own engines from its index, and results land in
-// index-addressed slots, so the output is byte-identical to a serial
-// run. A config the engine rejects (e.g. an unknown CloudPolicy)
-// returns the error of the lowest failing point.
-func RunSweep(cfg SweepConfig) (SweepResult, error) {
-	if cfg.Model.D == nil {
-		cfg.Model = app.NewInferenceModel()
-	}
-	res := SweepResult{Config: cfg, Points: make([]SweepPoint, len(cfg.Rates))}
-	err := forEachErr(len(cfg.Rates), cfg.Workers, func(i int) (err error) {
-		res.Points[i], err = runSweepPoint(cfg, i)
-		return err
-	})
-	if err != nil {
-		return SweepResult{}, err
-	}
-	return res, nil
-}
-
-// runSweepPoint evaluates one rate of a sweep. All randomness derives
-// from cfg.Seed and the point index, never from shared state.
-func runSweepPoint(cfg SweepConfig, i int) (SweepPoint, error) {
-	rate := cfg.Rates[i]
-	spec := cluster.GenSpec{
-		Sites:       cfg.Sites,
-		Duration:    cfg.Duration,
-		PerSiteRate: rate * float64(cfg.ServersPerSite),
-		ArrivalSCV:  cfg.ArrivalSCV,
-		Model:       cfg.Model,
-		Seed:        cfg.Seed + int64(i)*7919,
-	}
-	cloudTier := cluster.CloudTier(cfg.Sites*cfg.ServersPerSite, cfg.Scenario.Cloud, cfg.CloudPolicy)
-	cloudTier.Discipline = cfg.Discipline
-	runs, err := runVariants(spec,
-		cluster.Variant{Topology: cluster.Topology{Name: "edge", Tiers: []cluster.Tier{{
-			Name: "edge", Sites: cfg.Sites, ServersPerSite: cfg.ServersPerSite,
-			Path: cfg.Scenario.Edge, Discipline: cfg.Discipline,
-		}}}, Opts: cluster.Options{Warmup: cfg.Warmup, Seed: cfg.Seed + int64(i)*104729}},
-		cluster.Variant{Topology: cluster.Topology{Name: "cloud", Tiers: []cluster.Tier{cloudTier}},
-			Opts: cluster.Options{Warmup: cfg.Warmup, Seed: cfg.Seed + int64(i)*1299709}})
-	if err != nil {
-		return SweepPoint{}, err
-	}
-	edge, cloud := runs[0], runs[1]
-	return SweepPoint{
-		RatePerServer: rate,
-		Utilization:   rate / cfg.Model.Mu(),
-		MeasuredUtil:  edge.Utilization,
-		EdgeMean:      edge.MeanLatency(),
-		CloudMean:     cloud.MeanLatency(),
-		EdgeP95:       edge.P95Latency(),
-		CloudP95:      cloud.P95Latency(),
-		EdgeMedian:    edge.EndToEnd.Median(),
-		CloudMedian:   cloud.EndToEnd.Median(),
-		EdgeN:         edge.EndToEnd.N(),
-		CloudN:        cloud.EndToEnd.N(),
-	}, nil
-}
-
 // runVariants validates spec, streams it through every variant in one
 // broadcast pass and returns the results in variant order.
 func runVariants(spec cluster.GenSpec, variants ...cluster.Variant) ([]*cluster.TopologyResult, error) {
@@ -178,7 +74,7 @@ func runVariants(spec cluster.GenSpec, variants ...cluster.Variant) ([]*cluster.
 // Metric selects which latency statistic a crossover search compares.
 type Metric int
 
-// Metrics supported by FindCrossover.
+// Metrics supported by TopologySweepResult.Crossover.
 const (
 	Mean Metric = iota
 	P95
@@ -190,30 +86,6 @@ func (m Metric) String() string {
 		return "p95"
 	}
 	return "mean"
-}
-
-func (p SweepPoint) metric(m Metric) (edge, cloud float64) {
-	if m == P95 {
-		return p.EdgeP95, p.CloudP95
-	}
-	return p.EdgeMean, p.CloudMean
-}
-
-// Crossover locates the performance-inversion point of a sweep: the
-// lowest rate at which the edge metric exceeds the cloud metric, with
-// linear interpolation between sampled rates (see FirstCrossing). found
-// is false if the edge never inverts within the sweep.
-func (r SweepResult) Crossover(m Metric) (rate, utilization float64, found bool) {
-	rates := make([]float64, len(r.Points))
-	gaps := make([]float64, len(r.Points))
-	for i, p := range r.Points {
-		e, c := p.metric(m)
-		rates[i], gaps[i] = p.RatePerServer, e-c
-	}
-	if rate, _, found = FirstCrossing(rates, gaps); !found {
-		return 0, 0, false
-	}
-	return rate, rate / r.Config.Model.Mu(), true
 }
 
 // FirstCrossing is the one crossover search every sweep shares. gaps[i]

@@ -10,51 +10,67 @@ import (
 	"repro/internal/stats"
 )
 
-// TopologySweepConfig describes a request-rate sweep over an arbitrary
-// deployment topology: the generalization of SweepConfig from the
-// paper's two fixed shapes to any tier graph. Rates are per ingress
-// server per second, scaled by the entry tier's servers-per-site.
+// TopologySweepConfig describes a request-rate sweep: one streamed
+// workload per rate, replayed through the swept topology and through
+// every rival shape. It is the one sweep the package runs — the paper's
+// edge/cloud pair (PaperPairSweep), the replicated sweeps, the
+// three-tier figure and edgesim -sweep are all configs of it.
 type TopologySweepConfig struct {
-	Topology   cluster.Topology
+	// Topology is the swept deployment. Its entry tier fixes the
+	// generated workload: one site per entry site, at Rates[i] times the
+	// entry tier's servers per site.
+	Topology cluster.Topology
+	// Rivals are paired shapes (e.g. an equal-capacity pooled cloud)
+	// that replay each rate's identical trace, so crossovers against
+	// them are free of unpaired sampling noise. At most three.
+	Rivals []cluster.Topology
+	// Rates are requests per entry-tier server per second, ascending
+	// for Crossover.
 	Rates      []float64
-	Duration   float64
-	Warmup     float64
+	Duration   float64 // simulated seconds per point
+	Warmup     float64 // discarded prefix per point
 	Seed       int64
-	Model      app.InferenceModel
-	ArrivalSCV float64
+	Model      app.InferenceModel // zero value: app.NewInferenceModel()
+	ArrivalSCV float64            // 0: cluster.DefaultArrivalSCV
 	Summary    stats.Mode
-	// Workers bounds the worker pool (see SweepConfig.Workers).
+	// Workers bounds the worker pool that evaluates sweep points
+	// concurrently. 0 uses DefaultWorkers; 1 forces serial execution.
+	// Every point derives its seeds from its index alone and results are
+	// merged by index, so the output is identical at any pool size.
 	Workers int
-	// Baseline, when set, replays each rate's identical trace through
-	// this second topology (e.g. an equal-capacity pooled cloud), so
-	// crossover comparisons between the two are paired — free of
-	// unpaired sampling noise near the inversion point.
-	Baseline *cluster.Topology
 	// Source, when set, supplies each point's workload instead of the
 	// generator — a recorded trace rescaled to the point's rate, say. It
-	// is called once per point with the point's fully derived GenSpec
-	// (a Baseline replays the same pass through RunBroadcast).
-	// Incompatible with Shards (an arbitrary factory cannot be split
-	// into per-site ranges).
+	// is called with the point's fully derived GenSpec, once per point
+	// when the shapes share one broadcast pass and once per shape
+	// otherwise. Incompatible with Shards (an arbitrary factory cannot
+	// be split into per-site ranges).
 	Source func(cluster.GenSpec) cluster.Source
-	// Shards selects the per-point replay engine. 0 replays every
-	// point with cluster.Run (the single-engine path, back-compatible
-	// bit-for-bit). AutoShards replays shardable topologies through
-	// the sharded backend (cluster.RunPipelined: parallel home-tier
-	// shards streaming into the shared phase), splitting each point
-	// across the CPUs the
-	// worker pool leaves idle, and silently falls back to Run for
-	// unshardable ones. N > 0 forces exactly N shards per point and
-	// fails the sweep when a topology is not shardable. Sharded
-	// results are bit-identical at every shard count but follow the
-	// sharded stream discipline, so they differ numerically from
-	// Shards == 0 points — pick one engine per experiment.
+	// Shards selects each shape's replay engine. 0 replays every point
+	// with cluster.Run (the single-engine path). AutoShards replays
+	// shardable shapes through the sharded backend (cluster.RunPipelined:
+	// parallel home-tier shards streaming into the shared phase),
+	// splitting each point across the CPUs the worker pool leaves idle,
+	// and silently falls back to Run for unshardable ones. N > 0 forces
+	// exactly N shards per point and fails the sweep when a shape is not
+	// shardable. Sharded results are bit-identical at every shard count
+	// but follow the sharded stream discipline, so they differ
+	// numerically from Shards == 0 points — pick one engine per
+	// experiment.
 	Shards int
 }
 
 // AutoShards asks RunTopologySweep to pick a per-point shard count
 // from the machine's CPU count and the sweep's own parallelism.
 const AutoShards = -1
+
+// Seed derivation. Point i generates its workload with seed
+// Seed + i*workloadSeedStride and replays it through shape k (0 is the
+// swept topology, k > 0 is Rivals[k-1]) with seed
+// Seed + i*shapeSeedStrides[k]. The strides are distinct primes, so no
+// two shapes or points share an engine seed.
+const workloadSeedStride = 7919
+
+var shapeSeedStrides = [...]int64{104729, 1299709, 15485863, 32452843}
 
 // TierPoint is one tier's share of a topology sweep point.
 type TierPoint struct {
@@ -75,6 +91,7 @@ type TierPoint struct {
 // TopologyPoint is one measured rate of a topology sweep.
 type TopologyPoint struct {
 	RatePerServer float64
+	Offered       uint64 // records replayed, warmup included
 	Mean          float64
 	Median        float64
 	P95           float64
@@ -84,49 +101,69 @@ type TopologyPoint struct {
 	Tiers         []TierPoint
 }
 
+// metric returns the point's latency statistic m.
+func (p TopologyPoint) metric(m Metric) float64 {
+	if m == P95 {
+		return p.P95
+	}
+	return p.Mean
+}
+
 // TopologySweepResult is a completed topology sweep.
 type TopologySweepResult struct {
 	Config TopologySweepConfig
 	Points []TopologyPoint
-	// Baseline points, parallel to Points; nil unless Config.Baseline
-	// was set. Each index replays the same trace as Points[i].
-	Baseline []TopologyPoint
+	// Rivals[k] holds Config.Rivals[k]'s points, parallel to Points:
+	// each index replays the same trace as Points[i].
+	Rivals [][]TopologyPoint
 }
 
-// RunTopologySweep sweeps request rates through the topology, one
-// streamed workload per rate, points evaluated concurrently with
-// index-derived seeds (byte-identical at any pool size). The topology
-// and every generated point's GenSpec are validated before any worker
-// starts. An unsharded point with a baseline replays both shapes from
-// one broadcast pass.
+// Crossover locates where the swept topology first loses to rival k on
+// metric m: the rate at which its latency first exceeds the rival's,
+// interpolated between sampled rates (see FirstCrossing).
+func (r TopologySweepResult) Crossover(m Metric, rival int) (rate float64, atFloor, found bool) {
+	rates := make([]float64, len(r.Points))
+	gaps := make([]float64, len(r.Points))
+	for i, p := range r.Points {
+		rates[i], gaps[i] = p.RatePerServer, p.metric(m)-r.Rivals[rival][i].metric(m)
+	}
+	return FirstCrossing(rates, gaps)
+}
+
+// RunTopologySweep sweeps request rates through the topology and its
+// rivals, one streamed workload per rate, points evaluated concurrently
+// with index-derived seeds (byte-identical at any pool size). Every
+// shape and every generated point's GenSpec are validated before any
+// worker starts. An unsharded point with rivals replays every shape
+// from one broadcast pass.
 func RunTopologySweep(cfg TopologySweepConfig) (TopologySweepResult, error) {
 	if len(cfg.Topology.Tiers) == 0 {
 		return TopologySweepResult{}, fmt.Errorf("experiments: topology sweep needs a topology")
 	}
-	if err := cfg.Topology.Validate(); err != nil {
-		return TopologySweepResult{}, err
+	if len(cfg.Rivals) >= len(shapeSeedStrides) {
+		return TopologySweepResult{}, fmt.Errorf("experiments: topology sweep takes at most %d rivals, got %d",
+			len(shapeSeedStrides)-1, len(cfg.Rivals))
+	}
+	shapes := append([]cluster.Topology{cfg.Topology}, cfg.Rivals...)
+	for k, topo := range shapes {
+		if err := topo.Validate(); err != nil {
+			return TopologySweepResult{}, rivalErr(k, topo, err)
+		}
 	}
 	if len(cfg.Rates) == 0 {
 		return TopologySweepResult{}, fmt.Errorf("experiments: topology sweep needs rates")
 	}
-	if cfg.Baseline != nil {
-		if err := cfg.Baseline.Validate(); err != nil {
-			return TopologySweepResult{}, fmt.Errorf("experiments: baseline: %w", err)
-		}
-	}
 	if cfg.Shards != 0 && cfg.Source != nil {
 		return TopologySweepResult{}, fmt.Errorf("experiments: Shards and Source are incompatible (a source factory cannot be split into site ranges)")
 	}
-	topoShards, err := resolveShards(cfg.Shards, cfg.Topology, cfg.Workers, len(cfg.Rates))
-	if err != nil {
-		return TopologySweepResult{}, err
-	}
-	baseShards := 0
-	if cfg.Baseline != nil {
-		baseShards, err = resolveShards(cfg.Shards, *cfg.Baseline, cfg.Workers, len(cfg.Rates))
-		if err != nil {
-			return TopologySweepResult{}, fmt.Errorf("experiments: baseline: %w", err)
+	shards := make([]int, len(shapes))
+	broadcast := len(shapes) > 1
+	for k, topo := range shapes {
+		var err error
+		if shards[k], err = resolveShards(cfg.Shards, topo, cfg.Workers, len(cfg.Rates)); err != nil {
+			return TopologySweepResult{}, rivalErr(k, topo, err)
 		}
+		broadcast = broadcast && shards[k] == 0
 	}
 	if cfg.Model.D == nil {
 		cfg.Model = app.NewInferenceModel()
@@ -144,7 +181,7 @@ func RunTopologySweep(cfg TopologySweepConfig) (TopologySweepResult, error) {
 			PerSiteRate: rate * float64(perSite),
 			ArrivalSCV:  cfg.ArrivalSCV,
 			Model:       cfg.Model,
-			Seed:        cfg.Seed + int64(i)*7919,
+			Seed:        cfg.Seed + int64(i)*workloadSeedStride,
 		}
 		if cfg.Source == nil {
 			if err := specs[i].Validate(); err != nil {
@@ -157,55 +194,45 @@ func RunTopologySweep(cfg TopologySweepConfig) (TopologySweepResult, error) {
 		src = cluster.Stream
 	}
 	res := TopologySweepResult{Config: cfg, Points: make([]TopologyPoint, len(cfg.Rates))}
-	if cfg.Baseline != nil {
-		res.Baseline = make([]TopologyPoint, len(cfg.Rates))
+	for range cfg.Rivals {
+		res.Rivals = append(res.Rivals, make([]TopologyPoint, len(cfg.Rates)))
 	}
-	err = forEachErr(len(cfg.Rates), cfg.Workers, func(i int) error {
+	err := forEachErr(len(cfg.Rates), cfg.Workers, func(i int) error {
 		// Every run of a point replays the identical record sequence —
-		// fresh sources over the same spec, or per-site generator
-		// ranges (sharded runs) — so the pairing holds however each
-		// run is engineered.
+		// one broadcast pass, fresh sources over the same spec, or
+		// per-site generator ranges (sharded runs) — so the pairing
+		// holds however each run is engineered.
 		spec := specs[i]
-		pointOpts := func(seed int64) cluster.Options {
-			return cluster.Options{Warmup: cfg.Warmup, Seed: seed, Summary: cfg.Summary}
+		opts := func(k int) cluster.Options {
+			return cluster.Options{Warmup: cfg.Warmup, Seed: cfg.Seed + int64(i)*shapeSeedStrides[k], Summary: cfg.Summary}
 		}
-		runPoint := func(topo cluster.Topology, shards int, seed int64) (*cluster.TopologyResult, error) {
-			if shards != 0 {
-				return cluster.RunPipelined(cluster.GenShards(spec), topo, pointOpts(seed), shards)
+		var runs []*cluster.TopologyResult
+		if broadcast {
+			variants := make([]cluster.Variant, len(shapes))
+			for k, topo := range shapes {
+				variants[k] = cluster.Variant{Label: topo.Name, Topology: topo, Opts: opts(k)}
 			}
-			return cluster.Run(src(spec), topo, pointOpts(seed))
-		}
-		if cfg.Baseline != nil && topoShards == 0 && baseShards == 0 {
-			// Paired single-engine point: one generation/decode pass
-			// broadcasts to the topology and its baseline. Each
-			// subscriber ring yields the byte-identical sequence a fresh
-			// src(spec) call would, with the same per-shape seeds.
-			runs, err := cluster.RunBroadcast(src(spec), []cluster.Variant{
-				{Label: cfg.Topology.Name, Topology: cfg.Topology,
-					Opts: pointOpts(cfg.Seed + int64(i)*104729)},
-				{Label: "baseline", Topology: *cfg.Baseline,
-					Opts: pointOpts(cfg.Seed + int64(i)*1299709)},
-			}, 0)
-			if err != nil {
+			var err error
+			if runs, err = cluster.RunBroadcast(src(spec), variants, 0); err != nil {
 				return err
 			}
-			res.Points[i] = topologyPoint(cfg.Rates[i], runs[0])
-			res.Baseline[i] = topologyPoint(cfg.Rates[i], runs[1])
-			return nil
-		}
-		run, err := runPoint(cfg.Topology, topoShards, cfg.Seed+int64(i)*104729)
-		if err != nil {
-			return err
-		}
-		res.Points[i] = topologyPoint(cfg.Rates[i], run)
-		if cfg.Baseline != nil {
-			// The same trace through the baseline shape: only the
-			// deployment differs between the paired points.
-			base, err := runPoint(*cfg.Baseline, baseShards, cfg.Seed+int64(i)*1299709)
-			if err != nil {
-				return fmt.Errorf("baseline: %w", err)
+		} else {
+			runs = make([]*cluster.TopologyResult, len(shapes))
+			for k, topo := range shapes {
+				var err error
+				if shards[k] != 0 {
+					runs[k], err = cluster.RunPipelined(cluster.GenShards(spec), topo, opts(k), shards[k])
+				} else {
+					runs[k], err = cluster.Run(src(spec), topo, opts(k))
+				}
+				if err != nil {
+					return rivalErr(k, topo, err)
+				}
 			}
-			res.Baseline[i] = topologyPoint(cfg.Rates[i], base)
+		}
+		res.Points[i] = topologyPoint(cfg.Rates[i], runs[0])
+		for k := range res.Rivals {
+			res.Rivals[k][i] = topologyPoint(cfg.Rates[i], runs[k+1])
 		}
 		return nil
 	})
@@ -213,6 +240,15 @@ func RunTopologySweep(cfg TopologySweepConfig) (TopologySweepResult, error) {
 		return TopologySweepResult{}, err
 	}
 	return res, nil
+}
+
+// rivalErr names the rival shape an error came from; errors of the
+// swept topology (shape 0) pass through unchanged.
+func rivalErr(shape int, topo cluster.Topology, err error) error {
+	if shape == 0 {
+		return err
+	}
+	return fmt.Errorf("experiments: rival %q: %w", topo.Name, err)
 }
 
 // resolveShards turns a sweep's Shards setting into a per-topology
@@ -247,6 +283,7 @@ func resolveShards(setting int, topo cluster.Topology, workers, points int) (int
 func topologyPoint(rate float64, run *cluster.TopologyResult) TopologyPoint {
 	p := TopologyPoint{
 		RatePerServer: rate,
+		Offered:       run.Offered,
 		Mean:          run.EndToEnd.Mean(),
 		Median:        run.EndToEnd.Median(),
 		P95:           run.EndToEnd.P95(),
@@ -269,32 +306,6 @@ func topologyPoint(rate float64, run *cluster.TopologyResult) TopologyPoint {
 		})
 	}
 	return p
-}
-
-// ThreeTierPoint compares four capacity-matched deployment shapes at
-// one request rate: the paper's pure edge and pure cloud, the two-tier
-// overflow hierarchy, and the three-tier edge→regional→cloud chain.
-type ThreeTierPoint struct {
-	RatePerServer float64
-	EdgeMean      float64
-	EdgeP95       float64
-	CloudMean     float64
-	CloudP95      float64
-	OverflowMean  float64
-	OverflowP95   float64
-	ChainMean     float64
-	ChainP95      float64
-	// Escalation fractions: share of requests leaving their home site.
-	OverflowSpill float64
-	ChainSpillReg float64 // edge → regional
-	ChainSpillCld float64 // regional → cloud
-}
-
-// ThreeTierResult is the new hierarchy figure: the latency trajectory
-// of the four shapes across the paper's rate axis.
-type ThreeTierResult struct {
-	Rates  []float64
-	Points []ThreeTierPoint
 }
 
 // threeTierChain is the capacity-matched chain used by the figure:
@@ -320,74 +331,37 @@ func threeTierChain() cluster.Topology {
 	}
 }
 
-// RunFigThreeTier evaluates the hierarchy figure: every shape deploys
-// 10 servers and replays the same per-rate trace (5 sites, 2× the
-// per-server rate each), so differences are purely deployment shape —
-// pooled far capacity, partitioned near capacity, or hierarchies in
-// between. Points are evaluated concurrently with index-derived seeds.
-func RunFigThreeTier(duration float64, seed int64) (ThreeTierResult, error) {
-	chain := threeTierChain()
-	if err := chain.Validate(); err != nil {
-		return ThreeTierResult{}, err
-	}
-	model := app.NewInferenceModel()
-	rates := []float64{6, 7, 8, 9, 10, 11, 12}
-	res := ThreeTierResult{Rates: rates, Points: make([]ThreeTierPoint, len(rates))}
-	err := forEachErr(len(rates), 0, func(i int) error {
-		rate := rates[i]
-		spec := cluster.GenSpec{
-			Sites:       5,
-			Duration:    duration,
-			PerSiteRate: rate * 2, // 10 servers over 5 sites
-			Model:       model,
-			Seed:        seed + int64(i)*7919,
-		}
-		warmup := duration / 10
-		opts := func(seed int64) cluster.Options {
-			return cluster.Options{Warmup: warmup, Seed: seed}
-		}
-		cloudPath := netem.CloudTypical
-		runs, err := runVariants(spec,
-			cluster.Variant{Label: "edge", Opts: opts(seed + int64(i)*104729), Topology: cluster.Topology{
-				Name:  "edge",
-				Tiers: []cluster.Tier{{Name: "edge", Sites: 5, ServersPerSite: 2, Path: netem.EdgePath}},
-			}},
-			cluster.Variant{Label: "cloud", Opts: opts(seed + int64(i)*1299709), Topology: cluster.Topology{
-				Name:  "cloud",
-				Tiers: []cluster.Tier{cluster.CloudTier(10, cloudPath, "")},
-			}},
-			cluster.Variant{Label: "edge+overflow", Opts: opts(seed + int64(i)*15485863), Topology: cluster.Topology{
+// RunFigThreeTier evaluates the hierarchy figure: four capacity-matched
+// deployment shapes across the paper's rate axis. The swept topology is
+// the pure edge (5 sites × 2 servers); its rivals are, in order, the
+// pure cloud (10 pooled servers), the two-tier edge+overflow hierarchy
+// (5 edge servers spilling to 5 cloud servers at threshold 3) and the
+// edge→regional→cloud chain. Every shape deploys 10 servers and replays
+// the same per-rate trace (5 sites, 2× the per-server rate each), so
+// differences are purely deployment shape — pooled far capacity,
+// partitioned near capacity, or hierarchies in between.
+func RunFigThreeTier(duration float64, seed int64) (TopologySweepResult, error) {
+	cloudPath := netem.CloudTypical
+	return RunTopologySweep(TopologySweepConfig{
+		Topology: cluster.Topology{
+			Name:  "edge",
+			Tiers: []cluster.Tier{{Name: "edge", Sites: 5, ServersPerSite: 2, Path: netem.EdgePath}},
+		},
+		Rivals: []cluster.Topology{
+			{Name: "cloud", Tiers: []cluster.Tier{cluster.CloudTier(10, cloudPath, "")}},
+			{
 				Name: "edge+overflow",
 				Tiers: []cluster.Tier{
 					{Name: "edge", Sites: 5, ServersPerSite: 1, Path: netem.EdgePath},
 					cluster.CloudTier(5, cloudPath, ""),
 				},
 				Spills: []cluster.SpillEdge{{From: "edge", To: "cloud", Threshold: 3, DetourPath: &cloudPath}},
-			}},
-			cluster.Variant{Label: chain.Name, Opts: opts(seed + int64(i)*32452843), Topology: chain})
-		if err != nil {
-			return err
-		}
-		edge, cloud, over, chained := runs[0], runs[1], runs[2], runs[3]
-		n := float64(edge.Offered)
-		res.Points[i] = ThreeTierPoint{
-			RatePerServer: rate,
-			EdgeMean:      edge.MeanLatency(),
-			EdgeP95:       edge.P95Latency(),
-			CloudMean:     cloud.MeanLatency(),
-			CloudP95:      cloud.P95Latency(),
-			OverflowMean:  over.MeanLatency(),
-			OverflowP95:   over.P95Latency(),
-			ChainMean:     chained.MeanLatency(),
-			ChainP95:      chained.P95Latency(),
-			OverflowSpill: float64(over.Tiers[0].Spilled) / n,
-			ChainSpillReg: float64(chained.Tier("edge").Spilled) / n,
-			ChainSpillCld: float64(chained.Tier("regional").Spilled) / n,
-		}
-		return nil
+			},
+			threeTierChain(),
+		},
+		Rates:    []float64{6, 7, 8, 9, 10, 11, 12},
+		Duration: duration,
+		Warmup:   duration / 10,
+		Seed:     seed,
 	})
-	if err != nil {
-		return ThreeTierResult{}, err
-	}
-	return res, nil
 }

@@ -77,6 +77,14 @@ func TestRunTopologySweepRejectsInvalid(t *testing.T) {
 	if _, err := RunTopologySweep(TopologySweepConfig{Topology: ok}); err == nil {
 		t.Error("missing rates accepted")
 	}
+	// Each shape needs its own seed stride; a fourth rival has none.
+	rivals := []cluster.Topology{ok, ok, ok, ok}
+	if _, err := RunTopologySweep(TopologySweepConfig{Topology: ok, Rivals: rivals, Rates: []float64{6}, Duration: 20}); err == nil {
+		t.Error("four rivals accepted")
+	}
+	if _, err := RunTopologySweep(TopologySweepConfig{Topology: ok, Rivals: rivals[:3], Rates: []float64{6}, Duration: 20}); err != nil {
+		t.Errorf("three rivals rejected: %v", err)
+	}
 }
 
 func TestRunFigThreeTier(t *testing.T) {
@@ -84,19 +92,22 @@ func TestRunFigThreeTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != len(res.Rates) {
-		t.Fatalf("points %d != rates %d", len(res.Points), len(res.Rates))
+	if len(res.Points) != len(res.Config.Rates) || len(res.Rivals) != 3 {
+		t.Fatalf("points %d, rivals %d; want %d points, 3 rivals",
+			len(res.Points), len(res.Rivals), len(res.Config.Rates))
 	}
-	for _, p := range res.Points {
-		if p.EdgeMean <= 0 || p.CloudMean <= 0 || p.OverflowMean <= 0 || p.ChainMean <= 0 {
-			t.Errorf("rate %v: empty shape %+v", p.RatePerServer, p)
+	for i, p := range res.Points {
+		for k, shape := range [][]TopologyPoint{res.Points, res.Rivals[0], res.Rivals[1], res.Rivals[2]} {
+			if shape[i].Mean <= 0 {
+				t.Errorf("rate %v: shape %d empty %+v", p.RatePerServer, k, shape[i])
+			}
 		}
 	}
-	top := res.Points[len(res.Points)-1]
-	if top.ChainSpillReg == 0 {
+	top := len(res.Points) - 1
+	if res.Rivals[2][top].Tiers[0].Spilled == 0 {
 		t.Error("chain never escalated at the top rate; figure is vacuous")
 	}
-	if top.OverflowSpill == 0 {
+	if res.Rivals[1][top].Tiers[0].Spilled == 0 {
 		t.Error("overflow never escalated at the top rate")
 	}
 }

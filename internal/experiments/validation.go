@@ -34,13 +34,12 @@ type ValidationRow struct {
 const PaperMuConvention = 1000.0 / 13.0
 
 // RunValidation executes the Figure 3 sweeps and tabulates measured
-// crossovers against the analytic predictions.
-func RunValidation(duration float64, seed int64) []ValidationRow {
+// crossovers against the analytic predictions. A duration the generator
+// rejects returns its error.
+func RunValidation(duration float64, seed int64) ([]ValidationRow, error) {
 	fig3, err := RunFig3("typical-25ms", duration, seed)
 	if err != nil {
-		// The preset and the sweep configuration are compile-time known;
-		// failure here is a programming error, not a user input problem.
-		panic(err)
+		return nil, err
 	}
 	model := app.NewInferenceModel()
 	mu := model.Mu()
@@ -49,7 +48,7 @@ func RunValidation(duration float64, seed int64) []ValidationRow {
 	rows := make([]ValidationRow, 0, 2)
 	for _, c := range []struct {
 		label string
-		sweep SweepResult
+		sweep TopologySweepResult
 		m     int
 	}{
 		{"edge 1 srv/site vs cloud k=5", fig3.OneServer, 1},
@@ -79,7 +78,8 @@ func RunValidation(duration float64, seed int64) []ValidationRow {
 			CalibratedCutoff: depExact.CutoffUtilizationExactGG(
 				0.4, 0.4/5.0, app.DefaultServiceSCV),
 		}
-		if rate, util, ok := c.sweep.Crossover(Mean); ok {
+		if rate, _, ok := c.sweep.Crossover(Mean, 0); ok {
+			util := rate / mu
 			row.MeasuredRate, row.MeasuredUtil = rate, util
 			if util > 0 {
 				row.RelErrPaper = (row.PaperCutoff - util) / util
@@ -88,7 +88,7 @@ func RunValidation(duration float64, seed int64) []ValidationRow {
 		}
 		rows = append(rows, row)
 	}
-	return rows
+	return rows, nil
 }
 
 // CapacityRow is one row of the §5.2 provisioning comparison.
