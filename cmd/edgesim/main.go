@@ -8,44 +8,33 @@
 //
 //	edgesim -sites 5 -servers 1 -rate 9 -scenario typical-25ms -duration 600
 //
-// Synthetic workloads are generated while they replay, never held in
-// memory, so -duration can describe 10⁸+ requests: -gen-workers spreads
-// generation across cores (bit-identical output), and -summary bounded
-// keeps the latency collectors constant-size too.
+// The flags pick one of five modes:
 //
-// With -topology the run replays the workload through an arbitrary
-// deployment graph instead of the fixed edge/cloud pair, printing
-// per-tier latency, spill and drop metrics. The flag accepts a preset
-// name, @file.json, or an inline JSON topology spec:
+//	paired    no -topology: the paper's edge/cloud pair plus mitigation rows
+//	topology  -topology: one replay through a deployment graph (a preset
+//	          name, @file.json or inline JSON), with per-tier metrics
+//	sweep     -topology with -sweep: a rate sweep against a pooled cloud
+//	grid      -grid: the crossover surface over server budgets and depths
+//	compile   -compile: convert a -trace/-azure file and exit
 //
-//	edgesim -topology edge-regional-cloud -rate 11
-//	edgesim -topology @three-tier.json -rate 11
-//	edgesim -topology '{"tiers":[{"name":"edge","sites":5,"servers":1,"rttMs":1}]}'
-//
-// Topology replays parallelize across sharded engines when the graph
-// permits (-shards, one engine per CPU by default, bit-identical output
-// for every shard count), and can consume recorded workload files
-// instead of the generator:
+// Every mode but compile can generate its workload, streamed while it
+// replays (so -duration can describe 10⁸+ requests; pair with -summary
+// bounded); topology and sweep runs can replay a recorded -trace or
+// -azure file instead:
 //
 //	edgesim -topology edge-regional-cloud -shards 4 -rate 11
 //	edgesim -topology edge-regional-cloud -trace requests.csv
 //	edgesim -topology edge-regional-cloud -azure counts.csv -sweep 6,9,12
-//
-// Sharded engines stream boundary records into the shared phase
-// through watermarked bounded rings, so the two phases overlap and
-// boundary memory stays bounded; -v explains the engine selection (in
-// particular why -shards auto fell back to the single engine).
-//
-// -grid runs the crossover surface instead: every budget × depth
-// deployment shape plus a pooled-cloud baseline replays each swept
-// rate from ONE broadcast generation pass per distinct trace,
-// answering "which hierarchy depth delays inversion longest?":
-//
 //	edgesim -grid 6,12,18,24 -grid-budgets 10,15 -grid-depths 1,2,3
 //
-// -cpuprofile / -memprofile write pprof profiles of the run; replay
-// phases carry pprof labels (generate, phase-1, merge, phase-2) so
-// `go tool pprof -tagfocus phase=merge` isolates one pipeline stage.
+// One table, flagContexts, lists the (mode, workload) contexts whose
+// code reads each flag, and -help prints them next to each flag. A flag
+// set on the command line that the run's context does not read is a
+// usage error (exit 2) naming the flag and where it applies; a run that
+// fails after its flags were accepted exits 1 with one line. -v narrates
+// the engine choice (why -shards auto fell back to the single engine,
+// how -gen-workers auto resolved), and -cpuprofile's samples carry pprof
+// labels per replay phase (generate, phase-1, merge, phase-2).
 package main
 
 import (
@@ -85,6 +74,216 @@ func fail(format string, args ...interface{}) {
 	os.Exit(2)
 }
 
+// die reports a run that failed after its flags were accepted: one
+// line and exit status 1, since no flag was at fault.
+func die(format string, args ...interface{}) {
+	fmt.Fprintf(os.Stderr, "edgesim: "+format+"\n", args...)
+	os.Exit(1)
+}
+
+// mode is what an invocation runs, and source where its requests come
+// from; main picks both from the flags.
+type (
+	mode   int
+	source int
+)
+
+const (
+	paired mode = iota
+	topology
+	sweep
+	grid
+	compile
+)
+
+const (
+	generated source = iota
+	traceFile
+	azureFile
+)
+
+var (
+	modeNames   = [...]string{"paired", "topology", "sweep", "grid", "compile"}
+	sourceNames = [...]string{"generated", "-trace", "-azure"}
+)
+
+// contexts is a set of run contexts, one bit per (mode, source) pair at
+// bit 3*mode + source.
+type contexts uint16
+
+func contextOf(m mode, s source) contexts { return 1 << (3*int(m) + int(s)) }
+
+// The contexts a run can be in: paired and grid runs read no file, and
+// compile runs need one.
+const (
+	pairedGen     contexts = 1 << 0
+	topologyGen   contexts = 1 << 3
+	topologyTrace contexts = 1 << 4
+	topologyAzure contexts = 1 << 5
+	sweepGen      contexts = 1 << 6
+	sweepTrace    contexts = 1 << 7
+	sweepAzure    contexts = 1 << 8
+	gridGen       contexts = 1 << 9
+	compileTrace  contexts = 1 << 13
+	compileAzure  contexts = 1 << 14
+
+	topologyAll = topologyGen | topologyTrace | topologyAzure
+	sweepAll    = sweepGen | sweepTrace | sweepAzure
+	generations = pairedGen | topologyGen | sweepGen | gridGen
+	replays     = generations | topologyTrace | topologyAzure | sweepTrace | sweepAzure
+	azureRuns   = topologyAzure | sweepAzure | compileAzure
+	validRuns   = replays | compileTrace | compileAzure
+)
+
+// flagContexts is edgesim's one flag table: the run contexts whose code
+// reads each flag. checkFlags rejects a flag set on the command line
+// that the run's context does not read, and the usage text lists each
+// flag's contexts from here.
+var flagContexts = map[string]contexts{
+	// The generated workload.
+	"duration": generations, "arrival-scv": generations, "service-scv": generations,
+	"sites": pairedGen | topologyGen | gridGen, "gen-workers": pairedGen | topologyGen | gridGen,
+	"servers": pairedGen | topologyGen, "rate": pairedGen | topologyGen,
+	// Every replay.
+	"warmup": replays, "summary": replays, "cpuprofile": replays, "memprofile": replays,
+	"seed": replays | compileAzure, "v": pairedGen | topologyAll | gridGen,
+	// The paired deployment; a topology spec sets each of these per tier.
+	"policy": pairedGen, "edge-slowdown": pairedGen, "jockey": pairedGen, "detour-ms": pairedGen,
+	"queue-cap": pairedGen, "overflow-at": pairedGen, "skew": pairedGen, "scenario": pairedGen | sweepAll,
+	"scaler": pairedGen | topologyAll | sweepAll, "autoscale-max": pairedGen | topologyAll | sweepAll,
+	// Deployment graphs and recorded workloads.
+	"topology": topologyAll | sweepAll, "admit": topologyAll | sweepAll, "shards": topologyAll | sweepAll,
+	"reject-penalty": topologyAll, "sweep": sweepAll, "compile": compileTrace | compileAzure,
+	"trace": topologyTrace | sweepTrace | compileTrace, "azure": azureRuns, "azure-bin": azureRuns,
+	// The crossover grid.
+	"grid": gridGen, "grid-budgets": gridGen, "grid-depths": gridGen, "grid-reps": gridGen,
+}
+
+// String names the contexts by mode, qualifying a mode with its sources
+// when the set holds only some of them: "paired, topology (generated)".
+func (cs contexts) String() string {
+	var parts []string
+	for m, name := range modeNames {
+		all := validRuns & (7 << (3 * m))
+		if cs&all == 0 {
+			continue
+		}
+		if cs&all != all {
+			var srcs []string
+			for s, src := range sourceNames {
+				if cs&contextOf(mode(m), source(s)) != 0 {
+					srcs = append(srcs, src)
+				}
+			}
+			name += " (" + strings.Join(srcs, ", ") + ")"
+		}
+		parts = append(parts, name)
+	}
+	return strings.Join(parts, ", ")
+}
+
+// options holds every parsed flag plus what main derives from them
+// once; each mode's runner reads what it needs from it.
+type options struct {
+	sites, servers, jockey, queueCap, autoscaleMax, overflowAt, shards, gridReps int
+	rate, duration, warmup, arrivalSCV, serviceSCV                               float64
+	slowdown, detourMs, rejectPenalty, azureBin                                  float64
+	seed                                                                         int64
+	scenario, summaryName, policy, skew, topology, scaler, admit, sweep          string
+	trace, azure, genWorkers, compile, grid, gridBudgets, gridDepths             string
+	cpuprofile, memprofile                                                       string
+	verbose                                                                      bool
+
+	set     map[string]bool // the flags given on the command line
+	sc      netem.Scenario
+	model   app.InferenceModel
+	summary stats.Mode
+	topo    cluster.Topology // topology and sweep mode
+}
+
+// cli is edgesim's flags, registered on flag.CommandLine.
+var cli = defineFlags(flag.CommandLine)
+
+// defineFlags registers every flag on fs, appending to each usage line
+// the contexts flagContexts lists for it.
+func defineFlags(fs *flag.FlagSet) *options {
+	o := &options{set: map[string]bool{}}
+	fs.IntVar(&o.sites, "sites", 5, "number of edge sites (under -topology, must match a home-routed entry tier when set)")
+	fs.IntVar(&o.servers, "servers", 1, "servers per edge site")
+	fs.Float64Var(&o.rate, "rate", 8, "request rate per server (req/s)")
+	fs.StringVar(&o.scenario, "scenario", "typical-25ms", "netem scenario: nearby-13ms|typical-25ms|distant-54ms|transcontinental-80ms "+
+		"(the paired edge and cloud paths; a sweep's pooled-cloud path)")
+	fs.Float64Var(&o.duration, "duration", 600, "simulated seconds")
+	fs.Float64Var(&o.warmup, "warmup", 60, "warmup seconds discarded from metrics")
+	fs.Int64Var(&o.seed, "seed", 1, "random seed (compile: the -azure service-time draws)")
+	fs.Float64Var(&o.arrivalSCV, "arrival-scv", cluster.DefaultArrivalSCV, "squared CoV of inter-arrival times")
+	fs.Float64Var(&o.serviceSCV, "service-scv", app.DefaultServiceSCV, "squared CoV of service times")
+	fs.StringVar(&o.policy, "policy", "central-queue", "cloud dispatch: central-queue|round-robin|least-connections|power-of-two|random "+
+		`(a topology spec sets a tier's "dispatch")`)
+	fs.Float64Var(&o.slowdown, "edge-slowdown", 1, `edge service-time slowdown factor, a resource-constrained edge (a topology spec sets a tier's "slowdown")`)
+	fs.IntVar(&o.jockey, "jockey", 0, `geographic LB: redirect when home-site load >= this, 0=off (a topology spec sets a home-routed tier's "jockey")`)
+	fs.Float64Var(&o.detourMs, "detour-ms", 5, `extra RTT for jockeyed requests in ms (a topology spec sets a home-routed tier's "detourMs")`)
+	fs.StringVar(&o.skew, "skew", "", "comma-separated per-site weights (e.g. 5,2,1,1,1); graph replays generate uniform per-site load")
+	fs.IntVar(&o.queueCap, "queue-cap", 0, `bound each queue at this many waiting requests, 0=unbounded (a topology spec sets a tier's "queueCap")`)
+	fs.StringVar(&o.summaryName, "summary", "exact", "latency summary memory model: exact (retain every sample) | bounded (streaming moments + "+
+		"a mergeable log-bucket sketch, quantiles within 0.78%, for huge replays)")
+	fs.IntVar(&o.autoscaleMax, "autoscale-max", 0, "also run an autoscaled edge growing each site up to this many servers (0=off); "+
+		"with -scaler, only sets that scaler's upper bound (under -topology it requires -scaler)")
+	fs.IntVar(&o.overflowAt, "overflow-at", 0, `also run a hierarchical edge overflowing to the cloud at this site load, 0=off (a topology spec sets a spill edge's "threshold")`)
+	fs.StringVar(&o.topology, "topology", "", "replay through a deployment graph instead: preset name ("+
+		strings.Join(cluster.TopologyPresets(), "|")+"), @file.json, or inline JSON spec")
+	fs.StringVar(&o.scaler, "scaler", "", "attach a capacity scaler to the edge (entry) tier: "+
+		"reactive | predictive[:forecaster] (forecasters: "+strings.Join(forecast.Names(), "|")+"); "+
+		"bounds are servers..4x servers, or -autoscale-max when set")
+	fs.StringVar(&o.admit, "admit", "", "attach an admission policy to the entry tier: "+
+		"token-bucket:rate=R[,burst=B] | queue-length:threshold=N | priority:threshold=N[,cutoff=C] "+
+		"(spec files set per-tier \"admission\" blocks directly)")
+	fs.Float64Var(&o.rejectPenalty, "reject-penalty", 0, "dollars charged per admission-rejected "+
+		"request in the cost overlay (0 = rejections are free)")
+	fs.StringVar(&o.sweep, "sweep", "", "comma-separated req/s-per-server rates to sweep the -topology graph over, "+
+		"printing per-tier metrics and the inversion crossover vs an equal-capacity pooled cloud")
+	fs.IntVar(&o.shards, "shards", 0, "parallel replay engines. Unset: one per CPU when the "+
+		"graph shards, the classic single engine otherwise. An explicit count forces that many sharded engines "+
+		"(bit-identical output for every count) and fails when the graph cannot shard; explicit 0 forces the "+
+		"classic single engine")
+	fs.StringVar(&o.trace, "trace", "", "replay a request CSV (time,site,service) or a "+
+		"compiled .etb binary trace (auto-detected by signature) instead of generating a workload; "+
+		"a sweep rescales its arrival times so the trace hits each swept rate")
+	fs.StringVar(&o.azure, "azure", "", "replay an Azure-style per-bin count CSV "+
+		"(bin,site0,site1,...) instead of generating a workload; a sweep rescales it like -trace")
+	fs.Float64Var(&o.azureBin, "azure-bin", 60, "seconds covered by each -azure CSV bin row")
+	fs.StringVar(&o.genWorkers, "gen-workers", "serial", "parallel workers for synthetic workload generation: "+
+		"serial, auto (one per CPU), or an explicit count — every setting produces the bit-identical record "+
+		"sequence, so this only changes generation throughput (a sweep's points already run in parallel)")
+	fs.StringVar(&o.compile, "compile", "", "convert the -trace/-azure input to this file and exit: a .csv "+
+		"extension writes the request CSV format, anything else the .etb binary trace format; replay the "+
+		"output later with -trace (the format is auto-detected)")
+	fs.BoolVar(&o.verbose, "v", false, "explain engine selection on stderr (e.g. why -shards auto fell back to the "+
+		"classic single engine, or how -gen-workers auto resolved)")
+	fs.StringVar(&o.grid, "grid", "", "run a crossover grid over these per-site req/s rates (comma-separated): "+
+		"every -grid-budgets x -grid-depths deployment shape plus a pooled-cloud baseline replays each rate "+
+		"from one broadcast generation pass per distinct trace")
+	fs.StringVar(&o.gridBudgets, "grid-budgets", "10,15", "comma-separated total server budgets per grid shape")
+	fs.StringVar(&o.gridDepths, "grid-depths", "1,2,3", "comma-separated grid hierarchy depths "+
+		"(1=pure edge, 2=edge+cloud overflow, 3=edge+regional+cloud chain)")
+	fs.IntVar(&o.gridReps, "grid-reps", 1, "independent trace replications averaged per grid cell")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file; replay phases carry pprof "+
+		"labels (generate, phase-1, merge, phase-2) for go tool pprof -tagfocus")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write an end-of-run heap profile to this file")
+	fs.VisitAll(func(f *flag.Flag) { f.Usage += " [" + flagContexts[f.Name].String() + "]" })
+	return o
+}
+
+// usage prints the mode legend, then each flag with the modes that read it.
+func usage() {
+	fmt.Fprint(flag.CommandLine.Output(), `Usage of edgesim: the flags pick a mode and a workload.
+  modes: paired (no -topology), topology (-topology), sweep (-topology with -sweep), grid (-grid), compile (-compile)
+  workloads: generated, or a recorded -trace or -azure file (topology, sweep, compile)
+Each flag lists the modes that read it; setting a flag the run does not read is an error.
+`)
+	flag.PrintDefaults()
+}
+
 // scenarioNames lists the -scenario presets for usage messages.
 func scenarioNames() []string {
 	var names []string
@@ -95,249 +294,203 @@ func scenarioNames() []string {
 }
 
 func main() {
-	sites := flag.Int("sites", 5, "number of edge sites (with -topology, must match a home-routed entry tier when set)")
-	servers := flag.Int("servers", 1, "servers per edge site")
-	rate := flag.Float64("rate", 8, "request rate per server (req/s)")
-	scenario := flag.String("scenario", "typical-25ms", "netem scenario: nearby-13ms|typical-25ms|distant-54ms|transcontinental-80ms")
-	duration := flag.Float64("duration", 600, "simulated seconds")
-	warmup := flag.Float64("warmup", 60, "warmup seconds discarded from metrics")
-	seed := flag.Int64("seed", 1, "random seed")
-	arrivalSCV := flag.Float64("arrival-scv", cluster.DefaultArrivalSCV, "squared CoV of inter-arrival times")
-	serviceSCV := flag.Float64("service-scv", app.DefaultServiceSCV, "squared CoV of service times")
-	policy := flag.String("policy", "central-queue", "cloud dispatch: central-queue|round-robin|least-connections|power-of-two|random; classic paired mode only")
-	slowdown := flag.Float64("edge-slowdown", 1, "edge service-time slowdown factor (resource-constrained edge); classic paired mode only")
-	jockey := flag.Int("jockey", 0, "geographic LB: redirect when home-site load >= this (0=off); classic paired mode only")
-	detour := flag.Float64("detour-ms", 5, "extra RTT for jockeyed requests (ms); classic paired mode only")
-	skew := flag.String("skew", "", "comma-separated per-site weights (e.g. 5,2,1,1,1); classic paired mode only")
-	queueCap := flag.Int("queue-cap", 0, "bound each queue at this many waiting requests (0=unbounded); classic paired mode only")
-	summary := flag.String("summary", "exact", "latency summary memory model: exact (retain every sample) | bounded (streaming moments + a mergeable log-bucket sketch, quantiles within 0.78%, for huge replays)")
-	autoscaleMax := flag.Int("autoscale-max", 0, "also run an autoscaled edge growing each site up to this many servers (0=off); "+
-		"with -scaler, only sets that scaler's upper bound (under -topology it requires -scaler)")
-	overflowAt := flag.Int("overflow-at", 0, "also run a hierarchical edge overflowing to the cloud at this site load (0=off); classic paired mode only")
-	topology := flag.String("topology", "", "replay through a deployment graph instead: preset name ("+
-		strings.Join(cluster.TopologyPresets(), "|")+"), @file.json, or inline JSON spec")
-	scaler := flag.String("scaler", "", "attach a capacity scaler to the edge (entry) tier: "+
-		"reactive | predictive[:forecaster] (forecasters: "+strings.Join(forecast.Names(), "|")+"); "+
-		"bounds are servers..4x servers, or -autoscale-max when set")
-	admitFlag := flag.String("admit", "", "with -topology: attach an admission policy to the entry tier: "+
-		"token-bucket:rate=R[,burst=B] | queue-length:threshold=N | priority:threshold=N[,cutoff=C] "+
-		"(spec files set per-tier \"admission\" blocks directly)")
-	rejectPenalty := flag.Float64("reject-penalty", 0, "with -topology: dollars charged per admission-rejected "+
-		"request in the cost overlay (0 = rejections are free)")
-	sweep := flag.String("sweep", "", "with -topology: comma-separated req/s-per-server rates to sweep, "+
-		"printing per-tier metrics and the inversion crossover vs an equal-capacity pooled cloud")
-	shards := flag.Int("shards", 0, "with -topology: parallel replay engines. Unset: one per CPU when the "+
-		"graph shards, the classic single engine otherwise. An explicit count forces that many sharded engines "+
-		"(bit-identical output for every count) and fails when the graph cannot shard; explicit 0 forces the "+
-		"classic single engine")
-	traceFile := flag.String("trace", "", "with -topology: replay a request CSV (time,site,service) or a "+
-		"compiled .etb binary trace (auto-detected by signature) instead of generating a workload; "+
-		"with -sweep, arrival times rescale so the trace hits each swept rate")
-	azureFile := flag.String("azure", "", "with -topology: replay an Azure-style per-bin count CSV "+
-		"(bin,site0,site1,...) instead of generating a workload; with -sweep, rescaled like -trace")
-	azureBin := flag.Float64("azure-bin", 60, "with -azure: seconds covered by each CSV bin row")
-	genWorkers := flag.String("gen-workers", "serial", "parallel workers for synthetic workload generation: "+
-		"serial, auto (one per CPU), or an explicit count — every setting produces the bit-identical record "+
-		"sequence, so this only changes generation throughput; not with -sweep, whose points already run in parallel")
-	compileOut := flag.String("compile", "", "convert the -trace/-azure input to this file and exit: a .csv "+
-		"extension writes the request CSV format, anything else the .etb binary trace format; replay the "+
-		"output later with -trace (the format is auto-detected)")
-	verbose := flag.Bool("v", false, "explain engine selection on stderr (e.g. why -shards auto fell back to the "+
-		"classic single engine, or how -gen-workers auto resolved)")
-	grid := flag.String("grid", "", "run a crossover grid over these per-site req/s rates (comma-separated): "+
-		"every -grid-budgets x -grid-depths deployment shape plus a pooled-cloud baseline replays each rate "+
-		"from one broadcast generation pass per distinct trace")
-	gridBudgets := flag.String("grid-budgets", "10,15", "with -grid: comma-separated total server budgets per shape")
-	gridDepths := flag.String("grid-depths", "1,2,3", "with -grid: comma-separated hierarchy depths "+
-		"(1=pure edge, 2=edge+cloud overflow, 3=edge+regional+cloud chain)")
-	gridReps := flag.Int("grid-reps", 1, "with -grid: independent trace replications averaged per cell")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file; replay phases carry pprof "+
-		"labels (generate, phase-1, merge, phase-2) for go tool pprof -tagfocus")
-	memprofile := flag.String("memprofile", "", "write an end-of-run heap profile to this file")
+	flag.Usage = usage
 	flag.Parse()
-	set := map[string]bool{} // flags given on the command line
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	shardsSet := set["shards"]
-	sh := shardChoice{set: shardsSet, n: *shards, verbose: *verbose}
-	gc := genChoice{arg: *genWorkers, verbose: *verbose}
-	in := workloadInput{tracePath: *traceFile, azurePath: *azureFile, azureBin: *azureBin, seed: *seed}
+	o := cli
+	flag.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
 
-	sc, ok := netem.ScenarioByName(*scenario)
-	if !ok {
-		fail("unknown -scenario %q (want one of %v)", *scenario, scenarioNames())
-	}
-	var mode stats.Mode
-	switch *summary {
-	case "exact":
-		mode = stats.Exact
-	case "bounded":
-		mode = stats.Bounded
-	default:
-		fail("unknown -summary %q (want exact|bounded)", *summary)
-	}
-	if *policy != cluster.CentralQueueDispatch && !lb.Known(*policy) {
-		fail("unknown -policy %q (want %s or one of %v)",
-			*policy, cluster.CentralQueueDispatch, lb.Policies())
-	}
-	model := app.NewInferenceModelWith(1/app.SaturationRate, *serviceSCV)
-
-	if *shards < 0 {
-		fail("-shards must be >= 0 (got %d)", *shards)
-	}
-	if shardsSet && *topology == "" {
-		fail("-shards requires -topology (the classic paired mode runs one engine per deployment)")
-	}
-	if *admitFlag != "" && *topology == "" {
-		fail("-admit requires -topology (admission policies attach to the entry tier of a deployment graph)")
-	}
-	if *rejectPenalty != 0 && *topology == "" {
-		fail("-reject-penalty requires -topology (the cost overlay prices rejections on graph replays)")
-	}
-	if *rejectPenalty != 0 && *sweep != "" {
-		fail("-reject-penalty cannot combine with -sweep (sweep points price capacity with default rates)")
-	}
-	if *traceFile != "" && *azureFile != "" {
+	if o.trace != "" && o.azure != "" {
 		fail("-trace and -azure are mutually exclusive (one workload file per run)")
 	}
-	if in.active() && *topology == "" && *compileOut == "" {
-		fail("%s requires -topology (workload files replay through deployment graphs) or -compile", in.flagName())
+	m, src := paired, generated
+	switch {
+	case o.compile != "":
+		m = compile
+	case o.grid != "":
+		m = grid
+	case o.topology != "" && o.sweep != "":
+		m = sweep
+	case o.topology != "":
+		m = topology
 	}
-	if *azureBin <= 0 {
-		fail("-azure-bin must be positive (got %v)", *azureBin)
+	switch {
+	case m == paired || m == grid:
+		// These modes read no file, so the flag table rejects -trace/-azure.
+	case o.trace != "":
+		src = traceFile
+	case o.azure != "":
+		src = azureFile
+	case m == compile:
+		fail("-compile needs a -trace or -azure input to convert")
 	}
-	if _, err := (genChoice{arg: gc.arg}).resolve(1 << 20); err != nil {
+	o.model = app.NewInferenceModelWith(1/app.SaturationRate, o.serviceSCV)
+	var err error
+	if m == topology || m == sweep {
+		if o.topo, err = loadTopology(o); err != nil {
+			fail("-topology: %v", err)
+		}
+	}
+	if err = checkFlags(contextOf(m, src), o.set, o.topo, o.sites); err != nil {
+		fail("%v", err)
+	}
+
+	var ok bool
+	if o.sc, ok = netem.ScenarioByName(o.scenario); !ok {
+		fail("unknown -scenario %q (want one of %v)", o.scenario, scenarioNames())
+	}
+	switch o.summaryName {
+	case "exact":
+		o.summary = stats.Exact
+	case "bounded":
+		o.summary = stats.Bounded
+	default:
+		fail("unknown -summary %q (want exact|bounded)", o.summaryName)
+	}
+	if o.policy != cluster.CentralQueueDispatch && !lb.Known(o.policy) {
+		fail("unknown -policy %q (want %s or one of %v)",
+			o.policy, cluster.CentralQueueDispatch, lb.Policies())
+	}
+	if o.shards < 0 {
+		fail("-shards must be >= 0 (got %d)", o.shards)
+	}
+	if o.azureBin <= 0 {
+		fail("-azure-bin must be positive (got %v)", o.azureBin)
+	}
+	if o.gridReps < 1 {
+		fail("-grid-reps must be >= 1 (got %d)", o.gridReps)
+	}
+	if _, err = resolveGenWorkers(o.genWorkers, 1<<20, false); err != nil {
 		// Validate the flag's syntax up front, silently (the huge site
 		// count avoids clamping chatter); the real, narrated resolution
 		// happens at each generation site with its actual site count.
 		fail("%v", err)
 	}
-	if gc.arg != "serial" && in.active() {
-		fail("-gen-workers applies to synthetic generation; %s replays a recorded file", in.flagName())
+	if src == generated {
+		if err = checkGenFlags(o.sites, o.servers, o.rate, o.duration, o.warmup, o.arrivalSCV, o.serviceSCV); err != nil {
+			fail("%v", err)
+		}
 	}
-	if *compileOut != "" {
-		if !in.active() {
-			fail("-compile needs a -trace or -azure input to convert")
-		}
-		for flagName, set := range map[string]bool{
-			"-topology": *topology != "", "-sweep": *sweep != "", "-grid": *grid != "",
-			"-shards": shardsSet,
-		} {
-			if set {
-				fail("-compile only converts the input file; drop %s", flagName)
-			}
-		}
-		runCompile(in, *compileOut)
+	if m == compile {
+		runCompile(o)
 		return
 	}
-	if *grid != "" {
-		if err := checkGridFlags(set); err != nil {
-			fail("%v", err)
-		}
-		if *gridReps < 1 {
-			fail("-grid-reps must be >= 1 (got %d)", *gridReps)
-		}
-	}
-	var topo cluster.Topology
-	if *topology != "" {
-		var err error
-		topo, err = loadTopologyWithScaler(*topology, *scaler, *admitFlag, *autoscaleMax, model.Mu())
-		if err != nil {
-			fail("-topology: %v", err)
-		}
-		if err := checkTopologyFlags(topo, *skew, *sites, set); err != nil {
-			fail("%v", err)
-		}
-	} else if *sweep != "" {
-		fail("-sweep requires -topology (the deployment graph to sweep)")
-	}
-	if *sweep != "" && set["gen-workers"] {
-		fail("-gen-workers cannot combine with -sweep: the sweep's worker pool already runs points in parallel")
-	}
-	if !in.active() {
-		if err := checkGenFlags(*sites, *servers, *rate, *duration, *warmup, *arrivalSCV, *serviceSCV); err != nil {
-			fail("%v", err)
-		}
-	}
 
-	// Profiles cover every run mode below. The deferred writers fire on
-	// main's normal return; fail() exits before any replay starts.
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fail("-cpuprofile: %v", err)
+	// Profiles cover every replay mode below. The deferred writers fire
+	// on main's normal return; fail() and die() exit without them.
+	if o.cpuprofile != "" {
+		f, err := os.Create(o.cpuprofile)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
+		if err != nil {
 			fail("-cpuprofile: %v", err)
 		}
 		defer pprof.StopCPUProfile()
 	}
-	defer writeMemProfile(*memprofile)
+	defer writeMemProfile(o.memprofile)
 
-	if *grid != "" {
-		rates, err := parseRates(*grid)
-		if err != nil {
-			fail("-grid: %v", err)
-		}
-		budgets, err := parseInts(*gridBudgets)
-		if err != nil {
-			fail("-grid-budgets: %v", err)
-		}
-		depths, err := parseInts(*gridDepths)
-		if err != nil {
-			fail("-grid-depths: %v", err)
-		}
-		runGridCLI(rates, budgets, depths, *gridReps, *sites, gc,
-			*duration, *warmup, *arrivalSCV, *seed, model, mode)
-		return
+	switch m {
+	case grid:
+		runGridCLI(o)
+	case sweep:
+		runTopologySweepCLI(o)
+	case topology:
+		runTopology(o)
+	default:
+		runPaired(o)
 	}
+}
 
-	if *topology != "" {
-		if *sweep != "" {
-			runTopologySweepCLI(topo, *sweep, in, sh, sc,
-				*duration, *warmup, *arrivalSCV, *seed, model, mode)
-		} else {
-			runTopology(topo, in, sh, gc, *sites, *servers, *rate,
-				*duration, *warmup, *arrivalSCV, *seed, *rejectPenalty, model, mode)
-		}
-		return
+// checkFlags rejects every flag given on the command line (set) that
+// the run context does not read, naming the flag and the contexts that
+// do. Under a graph (topology or sweep mode) it then rejects two
+// combinations that depend on values: -autoscale-max without -scaler
+// (there it only bounds the -scaler controller), and an explicit -sites
+// that disagrees with a home-routed ingress tier, whose station count
+// fixes the trace's site count.
+func checkFlags(run contexts, set map[string]bool, topo cluster.Topology, sites int) error {
+	names := make([]string, 0, len(set))
+	for name := range set {
+		names = append(names, name)
 	}
+	sort.Strings(names)
+	for _, name := range names {
+		if where := flagContexts[name]; where&run == 0 {
+			return fmt.Errorf("-%s is not read by a %s run; it applies to %s", name, run, where)
+		}
+	}
+	if run&(topologyAll|sweepAll) == 0 {
+		return nil
+	}
+	if set["autoscale-max"] && !set["scaler"] {
+		return fmt.Errorf("-autoscale-max only bounds -scaler under -topology; set -scaler too, " +
+			`or a tier's "scaler" block in the topology spec`)
+	}
+	if ingress := topo.Tiers[0]; set["sites"] && ingress.Dispatch == "" && sites != ingress.Sites {
+		return fmt.Errorf("-sites %d disagrees with topology %q, whose home-routed ingress tier %q has %d sites",
+			sites, topo.Name, ingress.Name, ingress.Sites)
+	}
+	return nil
+}
 
+// checkGenFlags rejects the numbers no synthetic workload can be
+// generated from, naming the flag, before any run starts: the same
+// holes GenSpec.Validate guards (NaN and infinities pass "<= 0"), plus
+// a -warmup that would discard the whole run.
+func checkGenFlags(sites, servers int, rate, duration, warmup, arrivalSCV, serviceSCV float64) error {
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	switch {
+	case sites < 1:
+		return fmt.Errorf("-sites must be >= 1 (got %d)", sites)
+	case servers < 1:
+		return fmt.Errorf("-servers must be >= 1 (got %d)", servers)
+	case !(rate > 0) || !finite(rate):
+		return fmt.Errorf("-rate must be positive and finite (got %v)", rate)
+	case !(duration > 0) || !finite(duration):
+		return fmt.Errorf("-duration must be positive and finite (got %v)", duration)
+	case !(warmup < duration):
+		return fmt.Errorf("-warmup %v must be below -duration %v: the run would measure nothing", warmup, duration)
+	case !(arrivalSCV >= 0) || !finite(arrivalSCV):
+		return fmt.Errorf("-arrival-scv must be finite and >= 0 (got %v)", arrivalSCV)
+	case !(serviceSCV >= 0) || !finite(serviceSCV):
+		return fmt.Errorf("-service-scv must be finite and >= 0 (got %v)", serviceSCV)
+	}
+	return nil
+}
+
+// runPaired replays one generated workload through the paper's
+// edge/cloud pair plus the mitigation rows the flags ask for, and
+// prints the latency table, the per-site table and the verdict.
+func runPaired(o *options) {
 	// Validate -scaler before the expensive paired replay so a typo'd
 	// policy fails in milliseconds, not after the runs.
 	var scalerSpec *autoscale.Spec
-	if *scaler != "" {
-		s, err := parseScalerSpec(*scaler, *servers, *autoscaleMax, model.Mu())
+	if o.scaler != "" {
+		s, err := parseScalerSpec(o.scaler, o.servers, o.autoscaleMax, o.model.Mu())
 		if err != nil {
 			fail("-scaler: %v", err)
 		}
 		scalerSpec = &s
 	}
 
-	spec := cluster.GenSpec{
-		Sites:       *sites,
-		Duration:    *duration,
-		PerSiteRate: *rate * float64(*servers),
-		ArrivalSCV:  *arrivalSCV,
-		Model:       model,
-		Seed:        *seed,
-	}
-	if *skew != "" {
-		weights, err := parseWeights(*skew, *sites)
+	spec := o.genSpec(o.sites, o.servers)
+	if o.skew != "" {
+		weights, err := parseWeights(o.skew, o.sites)
 		if err != nil {
 			fail("%v", err)
 		}
-		totalRate := *rate * float64(*servers) * float64(*sites)
+		totalRate := o.rate * float64(o.servers) * float64(o.sites)
 		part := workload.NewStatic(weights)
-		procs := make([]workload.ArrivalProcess, *sites)
+		procs := make([]workload.ArrivalProcess, o.sites)
 		for i, w := range part.W {
-			procs[i] = workload.NewRenewal(dist.FitSCV(1/(totalRate*w), *arrivalSCV))
+			procs[i] = workload.NewRenewal(dist.FitSCV(1/(totalRate*w), o.arrivalSCV))
 		}
 		spec.Arrivals = procs
 	}
 	if err := spec.Validate(); err != nil {
 		fail("%v", err)
 	}
-	gw, err := gc.resolve(spec.Sites)
+	gw, err := resolveGenWorkers(o.genWorkers, spec.Sites, o.verbose)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -345,38 +498,39 @@ func main() {
 	// Every deployment replays the same workload and nothing else is
 	// shared, so one broadcast pass runs them all concurrently. Only
 	// the baseline edge keeps per-site latency for the site table.
+	sc := o.sc
 	variant := func(name string, seed int64, perSiteLatency bool, tiers ...cluster.Tier) cluster.Variant {
 		return cluster.Variant{Label: name, Topology: cluster.Topology{Name: name, Tiers: tiers},
-			Opts: cluster.Options{Warmup: *warmup, Seed: seed, Summary: mode,
+			Opts: cluster.Options{Warmup: o.warmup, Seed: seed, Summary: o.summary,
 				NoPerSiteLatency: !perSiteLatency}}
 	}
 	edgeTier := cluster.Tier{
-		Name: "edge", Sites: *sites, ServersPerSite: *servers, Path: sc.Edge,
-		SlowdownFactor: *slowdown, QueueCap: *queueCap,
-		JockeyThreshold: *jockey, DetourRTT: *detour / 1000,
+		Name: "edge", Sites: o.sites, ServersPerSite: o.servers, Path: sc.Edge,
+		SlowdownFactor: o.slowdown, QueueCap: o.queueCap,
+		JockeyThreshold: o.jockey, DetourRTT: o.detourMs / 1000,
 	}
 	variants := []cluster.Variant{
-		variant("edge", *seed+1, true, edgeTier),
-		variant("cloud", *seed+2, false, cluster.CloudTier(*sites**servers, sc.Cloud, *policy)),
+		variant("edge", o.seed+1, true, edgeTier),
+		variant("cloud", o.seed+2, false, cluster.CloudTier(o.sites*o.servers, sc.Cloud, o.policy)),
 	}
 	// The mitigation rows start from the plain edge. With -scaler set,
 	// -autoscale-max only supplies the scaler's upper bound; the
 	// fixed-threshold edge+autoscale row would duplicate the scaled row
 	// under different hardcoded parameters.
-	plainEdge := cluster.Tier{Name: "edge", Sites: *sites, ServersPerSite: *servers, Path: sc.Edge}
-	autoscaled := *autoscaleMax > 0 && *scaler == ""
+	plainEdge := cluster.Tier{Name: "edge", Sites: o.sites, ServersPerSite: o.servers, Path: sc.Edge}
+	autoscaled := o.autoscaleMax > 0 && o.scaler == ""
 	if autoscaled {
 		reactive := autoscale.Spec{
-			Policy: autoscale.PolicyReactive, Interval: 2, Min: *servers, Max: *autoscaleMax,
+			Policy: autoscale.PolicyReactive, Interval: 2, Min: o.servers, Max: o.autoscaleMax,
 			UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 6,
 		}
 		tier := plainEdge
 		tier.Scaler = &reactive
-		variants = append(variants, variant("edge+autoscale", *seed+1, false, tier))
+		variants = append(variants, variant("edge+autoscale", o.seed+1, false, tier))
 	}
-	if *overflowAt > 0 {
-		over := variant("edge+overflow", *seed+1, false, plainEdge, cluster.CloudTier(*sites**servers, sc.Cloud, ""))
-		over.Topology.Spills = []cluster.SpillEdge{{From: "edge", To: "cloud", Threshold: *overflowAt, DetourPath: &sc.Cloud}}
+	if o.overflowAt > 0 {
+		over := variant("edge+overflow", o.seed+1, false, plainEdge, cluster.CloudTier(o.sites*o.servers, sc.Cloud, ""))
+		over.Topology.Spills = []cluster.SpillEdge{{From: "edge", To: "cloud", Threshold: o.overflowAt, DetourPath: &sc.Cloud}}
 		variants = append(variants, over)
 	}
 	if scalerSpec != nil {
@@ -384,17 +538,17 @@ func main() {
 		// scaled row differs from "edge" by the controller alone.
 		tier := edgeTier
 		tier.Scaler = scalerSpec
-		variants = append(variants, variant("edge+"+scalerSpec.Label(), *seed+1, false, tier))
+		variants = append(variants, variant("edge+"+scalerSpec.Label(), o.seed+1, false, tier))
 	}
 	runs, err := cluster.RunBroadcast(cluster.Options{GenWorkers: gw}.GenSource(spec), variants, 0)
 	if err != nil {
-		fail("%v", err)
+		die("%v", err)
 	}
 	edge, cloud := runs[0], runs[1]
 
 	fmt.Printf("scenario %s: edge RTT %.1fms, cloud RTT %.1fms, Δn %.1fms\n",
 		sc.Name, sc.Edge.MeanRTT()*1000, sc.Cloud.MeanRTT()*1000, sc.DeltaN()*1000)
-	printWorkload(in, edge)
+	printWorkload(o, edge)
 
 	rows := [][]interface{}{latencyRow("edge", &edge.Result), latencyRow("cloud", &cloud.Result)}
 	next := 2
@@ -406,7 +560,7 @@ func main() {
 		defer fmt.Printf("autoscaler: %d scale-ups, %d scale-downs, peak %d servers/site\n",
 			tier.ScaleUps, tier.ScaleDowns, tier.PeakServers)
 	}
-	if *overflowAt > 0 {
+	if o.overflowAt > 0 {
 		over := runs[next]
 		next++
 		// The backstop absorbs overflow; utilization reports the edge
@@ -457,112 +611,6 @@ func main() {
 	}
 }
 
-// loadTopology resolves the -topology flag: a shipped preset name, an
-// @file reference, or an inline JSON spec.
-func loadTopology(arg string) (cluster.Topology, error) {
-	if topo, ok := cluster.PresetTopology(arg); ok {
-		return topo, nil
-	}
-	if strings.HasPrefix(arg, "@") {
-		data, err := os.ReadFile(strings.TrimPrefix(arg, "@"))
-		if err != nil {
-			return cluster.Topology{}, err
-		}
-		return cluster.ParseTopology(data)
-	}
-	if strings.HasPrefix(strings.TrimSpace(arg), "{") {
-		return cluster.ParseTopology([]byte(arg))
-	}
-	return cluster.Topology{}, fmt.Errorf("not a preset (%v), @file, or inline JSON: %q",
-		cluster.TopologyPresets(), arg)
-}
-
-// classicOnlyFlags are the paired-mode deployment knobs a -topology
-// run never reads, each with the topology spec field that does its job.
-var classicOnlyFlags = []struct{ name, field string }{
-	{"policy", `a tier's "dispatch"`},
-	{"jockey", `a home-routed tier's "jockey"`},
-	{"detour-ms", `a home-routed tier's "detourMs"`},
-	{"edge-slowdown", `a tier's "slowdown"`},
-	{"queue-cap", `a tier's "queueCap"`},
-	{"overflow-at", `a spill edge's "threshold"`},
-}
-
-// gridIgnoredFlags are the flags a -grid run never reads beyond the
-// classicOnlyFlags deployment knobs: the grid builds its own shapes,
-// paths, capacities and generator sources, and its rates replace -rate.
-var gridIgnoredFlags = []string{"topology", "sweep", "trace", "azure", "azure-bin", "shards",
-	"skew", "scenario", "servers", "rate", "scaler", "autoscale-max"}
-
-// checkGridFlags rejects every flag given on the command line (set)
-// that a -grid run would otherwise ignore without a word.
-func checkGridFlags(set map[string]bool) error {
-	names := append([]string(nil), gridIgnoredFlags...)
-	for _, f := range classicOnlyFlags {
-		names = append(names, f.name)
-	}
-	for _, name := range names {
-		if set[name] {
-			return fmt.Errorf("-grid builds its own deployment shapes and sources; drop -%s", name)
-		}
-	}
-	return nil
-}
-
-// checkGenFlags rejects the numbers no synthetic workload can be
-// generated from, naming the flag, before any run starts: the same
-// holes GenSpec.Validate guards (NaN and infinities pass "<= 0"), plus
-// a -warmup that would discard the whole run.
-func checkGenFlags(sites, servers int, rate, duration, warmup, arrivalSCV, serviceSCV float64) error {
-	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
-	switch {
-	case sites < 1:
-		return fmt.Errorf("-sites must be >= 1 (got %d)", sites)
-	case servers < 1:
-		return fmt.Errorf("-servers must be >= 1 (got %d)", servers)
-	case !(rate > 0) || !finite(rate):
-		return fmt.Errorf("-rate must be positive and finite (got %v)", rate)
-	case !(duration > 0) || !finite(duration):
-		return fmt.Errorf("-duration must be positive and finite (got %v)", duration)
-	case !(warmup < duration):
-		return fmt.Errorf("-warmup %v must be below -duration %v: the run would measure nothing", warmup, duration)
-	case !(arrivalSCV >= 0) || !finite(arrivalSCV):
-		return fmt.Errorf("-arrival-scv must be finite and >= 0 (got %v)", arrivalSCV)
-	case !(serviceSCV >= 0) || !finite(serviceSCV):
-		return fmt.Errorf("-service-scv must be finite and >= 0 (got %v)", serviceSCV)
-	}
-	return nil
-}
-
-// checkTopologyFlags rejects classic-mode flags that a -topology run
-// would otherwise ignore without a word: -skew (graph replays generate
-// uniform per-site load), any explicitly set classicOnlyFlags entry,
-// -autoscale-max without -scaler (under -topology it only bounds the
-// -scaler controller), and an explicitly set -sites that disagrees
-// with a home-routed ingress tier, whose station count fixes the
-// trace's site count. set holds the names of the flags given on the
-// command line.
-func checkTopologyFlags(topo cluster.Topology, skew string, sites int, set map[string]bool) error {
-	if skew != "" {
-		return fmt.Errorf("-skew applies to the classic paired mode only; -topology replays uniform per-site load")
-	}
-	for _, f := range classicOnlyFlags {
-		if set[f.name] {
-			return fmt.Errorf("-%s applies to the classic paired mode only; with -topology, set %s in the topology spec",
-				f.name, f.field)
-		}
-	}
-	if set["autoscale-max"] && !set["scaler"] {
-		return fmt.Errorf("-autoscale-max only bounds -scaler under -topology; set -scaler too, " +
-			`or a tier's "scaler" block in the topology spec`)
-	}
-	if ingress := topo.Tiers[0]; set["sites"] && ingress.Dispatch == "" && sites != ingress.Sites {
-		return fmt.Errorf("-sites %d disagrees with topology %q, whose home-routed ingress tier %q has %d sites",
-			sites, topo.Name, ingress.Name, ingress.Sites)
-	}
-	return nil
-}
-
 // checkSpan rejects a recorded workload whose replay (n requests over
 // span seconds) ends at or before -warmup: the warmup would discard
 // every request and the run would print zeros.
@@ -593,17 +641,54 @@ func checkSweepSpans(what string, ws workloadStats, topo cluster.Topology, rates
 	return nil
 }
 
-// parseScalerSpec resolves the -scaler flag: "reactive" or
-// "predictive[:forecaster]", with bounds minServers..max (max defaults
-// to 4× the starting servers when the -autoscale-max flag is unset).
-func parseScalerSpec(arg string, minServers, maxFlag int, mu float64) (autoscale.Spec, error) {
-	min := minServers
-	if min <= 0 {
-		min = 1
+// loadTopology resolves -topology — a shipped preset name, an @file
+// reference, or an inline JSON spec — and, when -scaler or -admit is
+// set, attaches (or replaces) the entry tier's capacity controller and
+// admission policy.
+func loadTopology(o *options) (cluster.Topology, error) {
+	arg := o.topology
+	topo, ok := cluster.PresetTopology(arg)
+	var err error
+	switch {
+	case ok:
+	case strings.HasPrefix(arg, "@"):
+		var data []byte
+		if data, err = os.ReadFile(strings.TrimPrefix(arg, "@")); err == nil {
+			topo, err = cluster.ParseTopology(data)
+		}
+	case strings.HasPrefix(strings.TrimSpace(arg), "{"):
+		topo, err = cluster.ParseTopology([]byte(arg))
+	default:
+		err = fmt.Errorf("not a preset (%v), @file, or inline JSON: %q", cluster.TopologyPresets(), arg)
 	}
-	max := maxFlag
-	if max <= 0 {
-		max = 4 * min
+	if err != nil {
+		return cluster.Topology{}, err
+	}
+	if o.scaler != "" {
+		spec, err := parseScalerSpec(o.scaler, topo.Tiers[0].ServersPerSite, o.autoscaleMax, o.model.Mu())
+		if err != nil {
+			return cluster.Topology{}, fmt.Errorf("-scaler: %w", err)
+		}
+		topo.Tiers[0].Scaler = &spec
+	}
+	if o.admit != "" {
+		spec, err := parseAdmitSpec(o.admit)
+		if err != nil {
+			return cluster.Topology{}, fmt.Errorf("-admit: %w", err)
+		}
+		topo.Tiers[0].Admission = &spec
+	}
+	return topo, nil
+}
+
+// parseScalerSpec resolves the -scaler flag: "reactive" or
+// "predictive[:forecaster]", with bounds from the starting servers (at
+// least 1) to maxFlag, or to 4× the starting servers when the
+// -autoscale-max flag is unset.
+func parseScalerSpec(arg string, minServers, maxFlag int, mu float64) (autoscale.Spec, error) {
+	lo, hi := max(minServers, 1), maxFlag
+	if hi <= 0 {
+		hi = 4 * lo
 	}
 	policy, forecaster := arg, ""
 	if i := strings.IndexByte(arg, ':'); i >= 0 {
@@ -615,9 +700,9 @@ func parseScalerSpec(arg string, minServers, maxFlag int, mu float64) (autoscale
 		if forecaster != "" {
 			return autoscale.Spec{}, fmt.Errorf("reactive scalers take no forecaster (got %q)", forecaster)
 		}
-		spec = autoscale.DefaultReactiveSpec(min, max)
+		spec = autoscale.DefaultReactiveSpec(lo, hi)
 	case autoscale.PolicyPredictive:
-		spec = autoscale.DefaultPredictiveSpec(min, max, mu, forecaster)
+		spec = autoscale.DefaultPredictiveSpec(lo, hi, mu, forecaster)
 	default:
 		return autoscale.Spec{}, fmt.Errorf("unknown policy %q (want one of %v)", policy, autoscale.Policies())
 	}
@@ -639,63 +724,25 @@ func parseAdmitSpec(arg string) (admit.Spec, error) {
 			if !ok {
 				return admit.Spec{}, fmt.Errorf("parameter %q is not key=value", kv)
 			}
+			var err error
 			switch k {
-			case "rate", "burst":
-				f, err := strconv.ParseFloat(v, 64)
-				if err != nil {
-					return admit.Spec{}, fmt.Errorf("%s: %v", k, err)
-				}
-				if k == "rate" {
-					spec.Rate = f
-				} else {
-					spec.Burst = f
-				}
-			case "threshold", "cutoff":
-				n, err := strconv.Atoi(v)
-				if err != nil {
-					return admit.Spec{}, fmt.Errorf("%s: %v", k, err)
-				}
-				if k == "threshold" {
-					spec.Threshold = n
-				} else {
-					spec.Cutoff = n
-				}
+			case "rate":
+				spec.Rate, err = strconv.ParseFloat(v, 64)
+			case "burst":
+				spec.Burst, err = strconv.ParseFloat(v, 64)
+			case "threshold":
+				spec.Threshold, err = strconv.Atoi(v)
+			case "cutoff":
+				spec.Cutoff, err = strconv.Atoi(v)
 			default:
 				return admit.Spec{}, fmt.Errorf("unknown parameter %q (want rate, burst, threshold, cutoff)", k)
+			}
+			if err != nil {
+				return admit.Spec{}, fmt.Errorf("%s: %v", k, err)
 			}
 		}
 	}
 	return spec, spec.Validate()
-}
-
-// loadTopologyWithScaler resolves -topology and, when -scaler or
-// -admit is set, attaches (or replaces) the entry tier's capacity
-// controller and admission policy.
-func loadTopologyWithScaler(arg, scalerArg, admitArg string, maxFlag int, mu float64) (cluster.Topology, error) {
-	topo, err := loadTopology(arg)
-	if err != nil {
-		return cluster.Topology{}, err
-	}
-	if scalerArg != "" {
-		entry := &topo.Tiers[0]
-		servers := entry.ServersPerSite
-		if servers <= 0 {
-			servers = 1
-		}
-		spec, err := parseScalerSpec(scalerArg, servers, maxFlag, mu)
-		if err != nil {
-			return cluster.Topology{}, fmt.Errorf("-scaler: %w", err)
-		}
-		entry.Scaler = &spec
-	}
-	if admitArg != "" {
-		spec, err := parseAdmitSpec(admitArg)
-		if err != nil {
-			return cluster.Topology{}, fmt.Errorf("-admit: %w", err)
-		}
-		topo.Tiers[0].Admission = &spec
-	}
-	return topo, nil
 }
 
 // runTopology replays a workload through the deployment graph and
@@ -706,18 +753,24 @@ func loadTopologyWithScaler(arg, scalerArg, admitArg string, maxFlag int, mu flo
 // -summary bounded). With a positive shard resolution the replay fans
 // out across engines via cluster.RunPipelined, bit-identical for every
 // shard count.
-func runTopology(topo cluster.Topology, in workloadInput, sh shardChoice,
-	gc genChoice, sites, servers int, rate, duration, warmup, arrivalSCV float64, seed int64,
-	rejectPenalty float64, model app.InferenceModel, mode stats.Mode) {
-	nShards, err := sh.resolve(topo)
+func runTopology(o *options) {
+	topo := o.topo
+	nShards, err := cluster.ResolveShards(o.shardSetting(), topo, 1)
 	if err != nil {
 		fail("-shards: %v", err)
+	}
+	if o.verbose && !o.set["shards"] {
+		why := fmt.Sprintf("%d sharded engines (one per CPU)", nShards)
+		if nShards == 0 {
+			why = fmt.Sprintf("falling back to the classic single engine: %v", cluster.Shardable(topo))
+		}
+		fmt.Fprintln(os.Stderr, "edgesim: -shards auto: "+why)
 	}
 	// Home-routed ingress fixes the trace's site count; a dispatcher
 	// ingress (a pure-cloud graph) uses the -sites flag.
 	ingress := topo.Tiers[0]
-	genSites := sites
-	perSite := servers
+	genSites := o.sites
+	perSite := o.servers
 	homeIngress := ingress.Dispatch == ""
 	if homeIngress {
 		genSites = ingress.Sites
@@ -725,24 +778,24 @@ func runTopology(topo cluster.Topology, in workloadInput, sh shardChoice,
 			perSite = ingress.ServersPerSite
 		}
 	}
-	gw, err := gc.resolve(genSites)
+	gw, err := resolveGenWorkers(o.genWorkers, genSites, o.verbose)
 	if err != nil {
 		fail("%v", err)
 	}
 	opts := cluster.Options{
-		Warmup:     warmup,
-		Seed:       seed + 1,
-		Summary:    mode,
+		Warmup:     o.warmup,
+		Seed:       o.seed + 1,
+		Summary:    o.summary,
 		GenWorkers: gw,
 	}
-	if rejectPenalty != 0 {
+	if o.rejectPenalty != 0 {
 		pricing := econ.DefaultPricing()
-		pricing.RejectPenalty = rejectPenalty
+		pricing.RejectPenalty = o.rejectPenalty
 		opts.Pricing = &pricing
 	}
 	var res *cluster.TopologyResult
 	switch {
-	case in.active():
+	case o.replaysFile():
 		// Replay a decoded file. Home ingress pins the site count: the
 		// request decoder turns out-of-range sites into decode errors,
 		// and the Azure header must declare exactly the home count. A
@@ -750,10 +803,10 @@ func runTopology(topo cluster.Topology, in workloadInput, sh shardChoice,
 		// (pre-scanned only when sharding needs the count up front).
 		limit, fileSites := 0, 0
 		switch {
-		case in.azurePath != "":
-			fileSites, err = in.azureSites()
+		case o.azure != "":
+			fileSites, err = o.azureSites()
 			if err != nil {
-				fail("-azure: %v", err)
+				die("-%s: %v", o.inputLabel(), err)
 			}
 			if homeIngress && fileSites != genSites {
 				fail("-azure: file has %d sites but topology %q expects %d",
@@ -762,23 +815,21 @@ func runTopology(topo cluster.Topology, in workloadInput, sh shardChoice,
 		case homeIngress:
 			limit, fileSites = genSites, genSites
 		case nShards > 0:
-			ws, err := scanWorkload(in.factory(0))
+			ws, err := scanWorkload(o.factory(0))
 			if err != nil {
-				fail("%s: %v", in.flagName(), err)
+				die("-%s: %v", o.inputLabel(), err)
 			}
 			fileSites = ws.sites
 		}
-		factory := in.factory(limit)
+		factory := o.factory(limit)
 		if nShards > 0 {
-			if nShards > fileSites {
-				nShards = fileSites
-			}
+			nShards = min(nShards, fileSites)
 			res, err = cluster.RunPipelined(cluster.SourceShards(factory, fileSites), topo, opts, nShards)
 		} else {
 			res, err = cluster.Run(factory(), topo, opts)
 		}
 	default:
-		spec := genSpec(genSites, perSite, rate, duration, arrivalSCV, seed, model)
+		spec := o.genSpec(genSites, perSite)
 		if err := spec.Validate(); err != nil {
 			fail("%v", err)
 		}
@@ -789,11 +840,13 @@ func runTopology(topo cluster.Topology, in workloadInput, sh shardChoice,
 			res, err = cluster.Run(opts.GenSource(spec), topo, opts)
 		}
 	}
-	if err != nil {
-		fail("-topology: %v", err)
-	}
-	if in.active() {
-		if err := checkSpan(in.label(), res.Offered, res.Duration, warmup); err != nil {
+	switch {
+	case err != nil && o.replaysFile():
+		die("-%s: %v", o.inputLabel(), err)
+	case err != nil:
+		die("-topology: %v", err)
+	case o.replaysFile():
+		if err := checkSpan(o.inputLabel(), res.Offered, res.Duration, o.warmup); err != nil {
 			fail("%v", err)
 		}
 	}
@@ -803,7 +856,7 @@ func runTopology(topo cluster.Topology, in workloadInput, sh shardChoice,
 	if nShards > 0 {
 		fmt.Printf("engine: %d sharded engines streaming into the shared phase (bit-identical for any shard count)\n", nShards)
 	}
-	printWorkload(in, res)
+	printWorkload(o, res)
 
 	rows := [][]interface{}{latencyRow(res.Label, &res.Result)}
 	asciiplot.Table(os.Stdout, []string{"deployment", "util", "mean (ms)", "median", "p95", "p99", "max", "n"}, rows)
@@ -918,33 +971,27 @@ func runTopology(topo cluster.Topology, in workloadInput, sh shardChoice,
 	}
 }
 
+// genSpec is the generated workload the flags describe over sites
+// sites of perSite servers each.
+func (o *options) genSpec(sites, perSite int) cluster.GenSpec {
+	return cluster.GenSpec{Sites: sites, Duration: o.duration, PerSiteRate: o.rate * float64(perSite),
+		ArrivalSCV: o.arrivalSCV, Model: o.model, Seed: o.seed}
+}
+
 // printWorkload prints the workload banner from a run's result: what
 // it replayed, how many requests over how long.
-func printWorkload(in workloadInput, res *cluster.TopologyResult) {
+func printWorkload(o *options, res *cluster.TopologyResult) {
 	aggRate := 0.0
 	if res.Duration > 0 {
 		aggRate = float64(res.Offered) / res.Duration
 	}
-	if in.active() {
+	if o.replaysFile() {
 		fmt.Printf("workload (%s): %d requests over %.0fs (%.1f req/s aggregate)\n\n",
-			in.label(), res.Offered, res.Duration, aggRate)
+			o.inputLabel(), res.Offered, res.Duration, aggRate)
 		return
 	}
 	fmt.Printf("workload (streamed): %d requests over %.0fs (%.1f req/s aggregate), never materialized\n\n",
 		res.Offered, res.Duration, aggRate)
-}
-
-// genSpec assembles the generator spec the topology runners share.
-func genSpec(sites, perSite int, rate, duration, arrivalSCV float64, seed int64,
-	model app.InferenceModel) cluster.GenSpec {
-	return cluster.GenSpec{
-		Sites:       sites,
-		Duration:    duration,
-		PerSiteRate: rate * float64(perSite),
-		ArrivalSCV:  arrivalSCV,
-		Model:       model,
-		Seed:        seed,
-	}
 }
 
 // runTopologySweepCLI sweeps request rates through the deployment
@@ -952,10 +999,9 @@ func genSpec(sites, perSite int, rate, duration, arrivalSCV float64, seed int64,
 // per-tier tables, plus the inversion crossover against a pooled cloud
 // of equal total capacity on the -scenario's cloud path — the paper's
 // edge-vs-cloud question generalized to arbitrary hierarchies.
-func runTopologySweepCLI(topo cluster.Topology, sweepArg string,
-	in workloadInput, sh shardChoice, sc netem.Scenario,
-	duration, warmup, arrivalSCV float64, seed int64, model app.InferenceModel, mode stats.Mode) {
-	rates, err := parseRates(sweepArg)
+func runTopologySweepCLI(o *options) {
+	topo, sc := o.topo, o.sc
+	rates, err := parseRates(o.sweep)
 	if err != nil {
 		fail("-sweep: %v", err)
 	}
@@ -968,10 +1014,6 @@ func runTopologySweepCLI(topo cluster.Topology, sweepArg string,
 	// outgrow its "equal-capacity" rival.
 	total := 0
 	for _, t := range topo.Tiers {
-		per := t.ServersPerSite
-		if per <= 0 {
-			per = 1
-		}
 		switch {
 		case t.Scaler != nil:
 			total += t.Sites * t.Scaler.Max
@@ -980,34 +1022,29 @@ func runTopologySweepCLI(topo cluster.Topology, sweepArg string,
 				total += s
 			}
 		default:
-			total += t.Sites * per
+			total += t.Sites * max(t.ServersPerSite, 1)
 		}
 	}
 	baseline := cluster.Topology{Name: "cloud", Tiers: []cluster.Tier{cluster.CloudTier(total, sc.Cloud, "")}}
 	sweepCfg := experiments.TopologySweepConfig{
 		Topology:   topo,
 		Rates:      rates,
-		Duration:   duration,
-		Warmup:     warmup,
-		Seed:       seed,
-		Model:      model,
-		ArrivalSCV: arrivalSCV,
-		Summary:    mode,
+		Duration:   o.duration,
+		Warmup:     o.warmup,
+		Seed:       o.seed,
+		Model:      o.model,
+		ArrivalSCV: o.arrivalSCV,
+		Summary:    o.summary,
 		Rivals:     []cluster.Topology{baseline},
 	}
-	switch {
-	case in.active():
+	if !o.replaysFile() {
+		sweepCfg.Shards = o.shardSetting()
+	} else {
 		// Source-driven sweeps replay one engine per point: a factory
 		// cannot be split into per-site ranges.
-		if sh.set && sh.n != 0 {
-			fail("-shards cannot combine with a %s sweep: a source factory cannot be split into site ranges", in.flagName())
+		if o.shards != 0 {
+			fail("-shards cannot combine with a %s sweep: a source factory cannot be split into site ranges", o.inputFlag())
 		}
-	case sh.set:
-		sweepCfg.Shards = sh.n
-	default:
-		sweepCfg.Shards = experiments.AutoShards
-	}
-	if in.active() {
 		// A recorded trace carries one rate; the sweep replays it with
 		// its timeline rescaled so the aggregate rate lands on each
 		// swept point (service demands untouched). One pre-scan measures
@@ -1016,27 +1053,27 @@ func runTopologySweepCLI(topo cluster.Topology, sweepArg string,
 		if ingress := topo.Tiers[0]; ingress.Dispatch == "" {
 			limit = ingress.Sites
 		}
-		ws, err := scanWorkload(in.factory(limit))
+		ws, err := scanWorkload(o.factory(limit))
 		if err != nil {
-			fail("%s: %v", in.flagName(), err)
+			die("-%s: %v", o.inputLabel(), err)
 		}
-		if limit > 0 && in.azurePath != "" && ws.sites != limit {
+		if limit > 0 && o.azure != "" && ws.sites != limit {
 			fail("-azure: file has %d sites but topology %q expects %d", ws.sites, topo.Name, limit)
 		}
-		if err := checkSweepSpans(in.label(), ws, topo, rates, warmup); err != nil {
+		if err := checkSweepSpans(o.inputLabel(), ws, topo, rates, o.warmup); err != nil {
 			fail("-sweep: %v", err)
 		}
-		factory := in.factory(limit)
+		factory := o.factory(limit)
 		sweepCfg.Source = func(spec cluster.GenSpec) cluster.Source {
 			target := spec.PerSiteRate * float64(spec.Sites)
 			return trace.TimeScale(factory(), ws.rate/target)
 		}
 		fmt.Printf("workload (%s): %d requests over %.0fs (%.1f req/s aggregate native), rescaled per swept rate\n",
-			in.label(), ws.n, ws.dur, ws.rate)
+			o.inputLabel(), ws.n, ws.dur, ws.rate)
 	}
 	res, err := experiments.RunTopologySweep(sweepCfg)
 	if err != nil {
-		fail("-sweep: %v", err)
+		die("-sweep: %v", err)
 	}
 	cloud := res.Rivals[0]
 
@@ -1087,28 +1124,39 @@ func runTopologySweepCLI(topo cluster.Topology, sweepArg string,
 // runGridCLI evaluates the crossover surface (experiments.RunGrid) and
 // renders it as a heatmap of hierarchy-minus-pooled mean latency, the
 // per-column inversion points, and the best depth per budget.
-func runGridCLI(rates []float64, budgets, depths []int, reps, sites int, gc genChoice,
-	duration, warmup, arrivalSCV float64, seed int64, model app.InferenceModel, mode stats.Mode) {
-	gw, err := gc.resolve(sites)
+func runGridCLI(o *options) {
+	rates, err := parseRates(o.grid)
+	if err != nil {
+		fail("-grid: %v", err)
+	}
+	budgets, err := parseInts(o.gridBudgets)
+	if err != nil {
+		fail("-grid-budgets: %v", err)
+	}
+	depths, err := parseInts(o.gridDepths)
+	if err != nil {
+		fail("-grid-depths: %v", err)
+	}
+	gw, err := resolveGenWorkers(o.genWorkers, o.sites, o.verbose)
 	if err != nil {
 		fail("%v", err)
 	}
 	res, err := experiments.RunGrid(experiments.GridConfig{
-		Sites:        sites,
+		Sites:        o.sites,
 		Rates:        rates,
 		Budgets:      budgets,
 		Depths:       depths,
-		Replications: reps,
-		Duration:     duration,
-		Warmup:       warmup,
-		Seed:         seed,
-		Model:        model,
-		ArrivalSCV:   arrivalSCV,
-		Summary:      mode,
+		Replications: o.gridReps,
+		Duration:     o.duration,
+		Warmup:       o.warmup,
+		Seed:         o.seed,
+		Model:        o.model,
+		ArrivalSCV:   o.arrivalSCV,
+		Summary:      o.summary,
 		GenWorkers:   gw,
 	})
 	if err != nil {
-		fail("-grid: %v", err)
+		die("-grid: %v", err)
 	}
 	cfg := res.Config
 

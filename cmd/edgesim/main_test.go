@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"math"
 	"strings"
 	"testing"
@@ -9,6 +10,42 @@ import (
 	"repro/internal/netem"
 )
 
+// checkFlagsCase is one checkFlags call: the run's context, the graph
+// and -sites it runs with, the flags set, and the error expected.
+type checkFlagsCase struct {
+	name  string
+	run   contexts
+	topo  cluster.Topology
+	sites int
+	set   []string // flags given on the command line
+	want  string   // error substring; "" = accepted
+}
+
+// runCheckFlagsCases runs each case through checkFlags: an accepted case
+// must pass, a rejected one must fail with an error naming the flag.
+func runCheckFlagsCases(t *testing.T, cases []checkFlagsCase) {
+	t.Helper()
+	for _, tc := range cases {
+		set := map[string]bool{}
+		for _, name := range tc.set {
+			set[name] = true
+		}
+		err := checkFlags(tc.run, set, tc.topo, tc.sites)
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%s: unexpected error %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want+" ") {
+			t.Errorf("%s: error %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestCheckTopologyFlags: in a -topology run, a flag the graph run does
+// not read is an error naming it, and so are the value combinations a
+// graph run cannot honor; everything else passes.
 func TestCheckTopologyFlags(t *testing.T) {
 	preset, ok := cluster.PresetTopology("edge-regional-cloud")
 	if !ok {
@@ -16,93 +53,131 @@ func TestCheckTopologyFlags(t *testing.T) {
 	}
 	home := preset.Tiers[0].Sites
 	pooled := cluster.Topology{Name: "pooled", Tiers: []cluster.Tier{cluster.CloudTier(10, netem.CloudTypical, "")}}
-	for _, tc := range []struct {
-		name  string
-		topo  cluster.Topology
-		skew  string
-		sites int
-		set   []string // flags given on the command line
-		want  string   // error substring; "" = accepted
-	}{
-		{"defaults", preset, "", 5, nil, ""},
-		{"default-sites-flag-ignored", preset, "", 20, nil, ""},
-		{"explicit-matching-sites", preset, "", home, []string{"sites"}, ""},
-		{"explicit-disagreeing-sites", preset, "", home + 1, []string{"sites"}, "-sites"},
-		{"skew", preset, "8,4,2,1,1", 5, nil, "-skew"},
-		{"skew-and-sites", preset, "8,4,2,1,1", 20, []string{"sites"}, "-skew"},
-		{"dispatcher-ingress-takes-sites", pooled, "", 20, []string{"sites"}, ""},
-		{"dispatcher-ingress-rejects-skew", pooled, "1,1", 2, []string{"sites"}, "-skew"},
-		{"policy", preset, "", 5, []string{"policy"}, "-policy"},
-		{"jockey", preset, "", 5, []string{"jockey"}, "-jockey"},
-		{"detour-ms", preset, "", 5, []string{"detour-ms"}, "-detour-ms"},
-		{"edge-slowdown", preset, "", 5, []string{"edge-slowdown"}, "-edge-slowdown"},
-		{"queue-cap", preset, "", 5, []string{"queue-cap"}, "-queue-cap"},
-		{"overflow-at", preset, "", 5, []string{"overflow-at"}, "-overflow-at"},
-		{"pooled-rejects-policy", pooled, "", 20, []string{"sites", "policy"}, "-policy"},
-		{"topology-flags-accepted", preset, "", 5, []string{"rate", "servers", "shards", "admit"}, ""},
-		{"autoscale-max-without-scaler", preset, "", 5, []string{"autoscale-max"}, "-scaler"},
-		{"pooled-autoscale-max-without-scaler", pooled, "", 20, []string{"sites", "autoscale-max"}, "-scaler"},
-		{"autoscale-max-bounds-scaler", preset, "", 5, []string{"autoscale-max", "scaler"}, ""},
-	} {
-		set := map[string]bool{}
-		for _, name := range tc.set {
-			set[name] = true
+	runCheckFlagsCases(t, []checkFlagsCase{
+		{"defaults", topologyGen, preset, 5, nil, ""},
+		{"default-sites-flag-ignored", topologyGen, preset, 20, nil, ""},
+		{"explicit-matching-sites", topologyGen, preset, home, []string{"sites"}, ""},
+		{"explicit-disagreeing-sites", topologyGen, preset, home + 1, []string{"sites"}, "-sites"},
+		{"skew", topologyGen, preset, 5, []string{"skew"}, "-skew"},
+		{"skew-and-sites", topologyGen, preset, 20, []string{"skew", "sites"}, "-skew"},
+		{"dispatcher-ingress-takes-sites", topologyGen, pooled, 20, []string{"sites"}, ""},
+		{"dispatcher-ingress-rejects-skew", topologyGen, pooled, 2, []string{"skew", "sites"}, "-skew"},
+		{"policy", topologyGen, preset, 5, []string{"policy"}, "-policy"},
+		{"jockey", topologyGen, preset, 5, []string{"jockey"}, "-jockey"},
+		{"detour-ms", topologyGen, preset, 5, []string{"detour-ms"}, "-detour-ms"},
+		{"edge-slowdown", topologyGen, preset, 5, []string{"edge-slowdown"}, "-edge-slowdown"},
+		{"queue-cap", topologyGen, preset, 5, []string{"queue-cap"}, "-queue-cap"},
+		{"overflow-at", topologyGen, preset, 5, []string{"overflow-at"}, "-overflow-at"},
+		{"pooled-rejects-policy", topologyGen, pooled, 20, []string{"sites", "policy"}, "-policy"},
+		{"topology-flags-accepted", topologyGen, preset, 5, []string{"rate", "servers", "shards", "admit"}, ""},
+		{"autoscale-max-without-scaler", topologyGen, preset, 5, []string{"autoscale-max"}, "-scaler"},
+		{"pooled-autoscale-max-without-scaler", topologyGen, pooled, 20, []string{"sites", "autoscale-max"}, "-scaler"},
+		{"autoscale-max-bounds-scaler", topologyGen, preset, 5, []string{"autoscale-max", "scaler"}, ""},
+		{"sweep-autoscale-max-without-scaler", sweepGen, preset, 5, []string{"sweep", "autoscale-max"}, "-scaler"},
+	})
+}
+
+// TestCheckGridFlags: in a -grid run, every flag the grid would ignore
+// is an error naming itself; the grid's own flags pass.
+func TestCheckGridFlags(t *testing.T) {
+	runCheckFlagsCases(t, []checkFlagsCase{
+		{"grid-defaults", gridGen, cluster.Topology{}, 5, nil, ""},
+		{"grid-flags-accepted", gridGen, cluster.Topology{}, 5, []string{"grid-budgets", "grid-depths", "grid-reps", "sites",
+			"duration", "warmup", "seed", "arrival-scv", "service-scv", "summary", "gen-workers", "v"}, ""},
+		{"grid-skew", gridGen, cluster.Topology{}, 5, []string{"skew"}, "-skew"},
+		{"grid-policy", gridGen, cluster.Topology{}, 5, []string{"policy"}, "-policy"},
+		{"grid-jockey", gridGen, cluster.Topology{}, 5, []string{"jockey"}, "-jockey"},
+		{"grid-detour-ms", gridGen, cluster.Topology{}, 5, []string{"detour-ms"}, "-detour-ms"},
+		{"grid-edge-slowdown", gridGen, cluster.Topology{}, 5, []string{"edge-slowdown"}, "-edge-slowdown"},
+		{"grid-queue-cap", gridGen, cluster.Topology{}, 5, []string{"queue-cap"}, "-queue-cap"},
+		{"grid-overflow-at", gridGen, cluster.Topology{}, 5, []string{"overflow-at"}, "-overflow-at"},
+		{"grid-scaler", gridGen, cluster.Topology{}, 5, []string{"scaler"}, "-scaler"},
+		{"grid-autoscale-max", gridGen, cluster.Topology{}, 5, []string{"autoscale-max"}, "-autoscale-max"},
+		{"grid-scenario", gridGen, cluster.Topology{}, 5, []string{"scenario"}, "-scenario"},
+		{"grid-servers", gridGen, cluster.Topology{}, 5, []string{"servers"}, "-servers"},
+		{"grid-rate", gridGen, cluster.Topology{}, 5, []string{"rate"}, "-rate"},
+		{"grid-topology", gridGen, cluster.Topology{}, 5, []string{"topology"}, "-topology"},
+		{"grid-sweep", gridGen, cluster.Topology{}, 5, []string{"sweep"}, "-sweep"},
+		{"grid-trace", gridGen, cluster.Topology{}, 5, []string{"trace"}, "-trace"},
+		{"grid-azure", gridGen, cluster.Topology{}, 5, []string{"azure"}, "-azure"},
+		{"grid-shards", gridGen, cluster.Topology{}, 5, []string{"shards"}, "-shards"},
+	})
+}
+
+// TestCheckFlags: in the paired, sweep, trace and compile contexts, a
+// flag set on the command line that the run's context does not read is
+// an error naming it; everything else passes.
+func TestCheckFlags(t *testing.T) {
+	preset, ok := cluster.PresetTopology("edge-regional-cloud")
+	if !ok {
+		t.Fatal("edge-regional-cloud preset missing")
+	}
+	runCheckFlagsCases(t, []checkFlagsCase{
+		// Flags other modes read that a run ignored without a word.
+		{"topology-scenario", topologyGen, preset, 5, []string{"topology", "scenario"}, "-scenario"},
+		{"paired-grid-flags", pairedGen, cluster.Topology{}, 5, []string{"grid-reps", "grid-depths"}, "-grid-depths"},
+		{"paired-azure-bin", pairedGen, cluster.Topology{}, 5, []string{"azure-bin"}, "-azure-bin"},
+		{"trace-generator-flags", topologyTrace, preset, 5,
+			[]string{"topology", "trace", "rate", "service-scv", "duration"}, "-duration"},
+		{"compile-run-flags", compileTrace, cluster.Topology{}, 5,
+			[]string{"trace", "compile", "rate", "scaler", "warmup"}, "-rate"},
+
+		// The contexts the inline "requires -topology" checks covered.
+		{"paired-shards", pairedGen, cluster.Topology{}, 5, []string{"shards"}, "-shards"},
+		{"paired-admit", pairedGen, cluster.Topology{}, 5, []string{"admit"}, "-admit"},
+		{"paired-sweep", pairedGen, cluster.Topology{}, 5, []string{"sweep"}, "-sweep"},
+		{"paired-trace", pairedGen, cluster.Topology{}, 5, []string{"trace"}, "-trace"},
+		{"sweep-reject-penalty", sweepGen, preset, 5, []string{"topology", "sweep", "reject-penalty"}, "-reject-penalty"},
+		{"sweep-gen-workers", sweepGen, preset, 5, []string{"topology", "sweep", "gen-workers"}, "-gen-workers"},
+		{"trace-gen-workers", topologyTrace, preset, 5, []string{"topology", "trace", "gen-workers"}, "-gen-workers"},
+		{"compile-topology", compileAzure, cluster.Topology{}, 5, []string{"azure", "compile", "topology"}, "-topology"},
+		{"compile-azure-seed", compileAzure, cluster.Topology{}, 5, []string{"azure", "azure-bin", "compile", "seed"}, ""},
+		{"compile-trace-seed", compileTrace, cluster.Topology{}, 5, []string{"trace", "compile", "seed"}, "-seed"},
+		{"trace-sweep-accepted", sweepTrace, preset, 5, []string{"topology", "trace", "sweep", "shards", "warmup", "scenario"}, ""},
+	})
+}
+
+// TestFlagTableCoversEveryFlag: the flag table and the registered flags
+// name the same set, so no flag can bypass checkFlags, and every flag
+// applies to at least one context a run can be in.
+func TestFlagTableCoversEveryFlag(t *testing.T) {
+	registered := map[string]bool{}
+	flag.CommandLine.VisitAll(func(f *flag.Flag) {
+		if strings.HasPrefix(f.Name, "test.") {
+			return // the test binary's own flags
 		}
-		err := checkTopologyFlags(tc.topo, tc.skew, tc.sites, set)
-		if tc.want == "" {
-			if err != nil {
-				t.Errorf("%s: unexpected error %v", tc.name, err)
-			}
-			continue
+		registered[f.Name] = true
+		if flagContexts[f.Name] == 0 {
+			t.Errorf("flag -%s is missing from flagContexts", f.Name)
 		}
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %v, want one naming %q", tc.name, err, tc.want)
+	})
+	for name, where := range flagContexts {
+		if !registered[name] {
+			t.Errorf("flagContexts names -%s, which is not a registered flag", name)
+		}
+		if where&^validRuns != 0 {
+			t.Errorf("flagContexts gives -%s a context no run can be in: %b", name, where&^validRuns)
 		}
 	}
 }
 
-// TestCheckGridFlags: every flag -grid would ignore is an error naming
-// it; the flags the grid reads pass.
-func TestCheckGridFlags(t *testing.T) {
+// TestContextsString: the applies-to lists name whole modes, and
+// qualify a mode by workload only when the flag reads some of them.
+func TestContextsString(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		set  []string
-		want string // error substring; "" = accepted
+		cs   contexts
+		want string
 	}{
-		{"defaults", nil, ""},
-		{"grid-flags-accepted", []string{"grid-budgets", "grid-depths", "grid-reps", "sites", "duration",
-			"warmup", "seed", "arrival-scv", "service-scv", "summary", "gen-workers", "v"}, ""},
-		{"skew", []string{"skew"}, "-skew"},
-		{"policy", []string{"policy"}, "-policy"},
-		{"jockey", []string{"jockey"}, "-jockey"},
-		{"detour-ms", []string{"detour-ms"}, "-detour-ms"},
-		{"edge-slowdown", []string{"edge-slowdown"}, "-edge-slowdown"},
-		{"queue-cap", []string{"queue-cap"}, "-queue-cap"},
-		{"overflow-at", []string{"overflow-at"}, "-overflow-at"},
-		{"scaler", []string{"scaler"}, "-scaler"},
-		{"autoscale-max", []string{"autoscale-max"}, "-autoscale-max"},
-		{"scenario", []string{"scenario"}, "-scenario"},
-		{"servers", []string{"servers"}, "-servers"},
-		{"rate", []string{"rate"}, "-rate"},
-		{"topology", []string{"topology"}, "-topology"},
-		{"sweep", []string{"sweep"}, "-sweep"},
-		{"trace", []string{"trace"}, "-trace"},
-		{"azure", []string{"azure"}, "-azure"},
-		{"shards", []string{"shards"}, "-shards"},
+		{pairedGen, "paired"},
+		{topologyTrace, "topology (-trace)"},
+		{flagContexts["scenario"], "paired, sweep"},
+		{flagContexts["rate"], "paired, topology (generated)"},
+		{flagContexts["seed"], "paired, topology, sweep, grid, compile (-azure)"},
+		{flagContexts["azure-bin"], "topology (-azure), sweep (-azure), compile (-azure)"},
+		{flagContexts["compile"], "compile"},
 	} {
-		set := map[string]bool{}
-		for _, name := range tc.set {
-			set[name] = true
-		}
-		err := checkGridFlags(set)
-		if tc.want == "" {
-			if err != nil {
-				t.Errorf("%s: unexpected error %v", tc.name, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %v, want one naming %q", tc.name, err, tc.want)
+		if got := tc.cs.String(); got != tc.want {
+			t.Errorf("%b: got %q, want %q", tc.cs, got, tc.want)
 		}
 	}
 }

@@ -60,6 +60,29 @@ func Shardable(topo Topology) error {
 	return err
 }
 
+// ResolveShards turns a shard setting into an engine count for topo: 0
+// keeps the single engine (Run); a positive count is that many sharded
+// engines (RunPipelined) and fails with Shardable's reason when the
+// graph cannot shard; a negative setting means auto — the CPUs divided
+// among pool concurrent replays (at least one each) when the graph
+// shards, else 0. The count only affects wall-clock: RunPipelined is
+// bit-identical at every shard count.
+func ResolveShards(setting int, topo Topology, pool int) (int, error) {
+	switch {
+	case setting == 0:
+		return 0, nil
+	case setting > 0:
+		if err := Shardable(topo); err != nil {
+			return 0, err
+		}
+		return setting, nil
+	case Shardable(topo) != nil:
+		return 0, nil
+	default:
+		return max(runtime.GOMAXPROCS(0)/max(pool, 1), 1), nil
+	}
+}
+
 // shardPlan classifies tiers into the parallel home phase and the
 // serial shared phase.
 type shardPlan struct {

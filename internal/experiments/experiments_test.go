@@ -54,7 +54,8 @@ func TestRunSweepRejectsUnknownCloudPolicy(t *testing.T) {
 
 // TestRunnersRejectBadNumbers: a spec that cannot be generated — a NaN
 // duration or rate, no sites — comes back from every runner as an error
-// naming the bad setting, not a generator panic.
+// naming the bad setting, not a generator panic; so does a warmup at or
+// past the duration, which would measure nothing.
 func TestRunnersRejectBadNumbers(t *testing.T) {
 	nan := math.NaN()
 	sweep := paperPair("typical-25ms", 1)
@@ -62,31 +63,60 @@ func TestRunnersRejectBadNumbers(t *testing.T) {
 	sweep.Duration = 20
 	nanDuration := paperPair("typical-25ms", 1)
 	nanDuration.Duration = nan
+	short := paperPair("typical-25ms", 1) // the pinned 60 s warmup
+	short.Duration = 30
 	topo, _ := cluster.PresetTopology("edge-regional-cloud")
-	for name, run := range map[string]func() error{
-		"RunSweep": func() error { _, err := RunTopologySweep(sweep); return err },
-		"RunGrid": func() error {
+	for name, tc := range map[string]struct {
+		run  func() error
+		want string // error substring
+	}{
+		"RunSweep": {func() error { _, err := RunTopologySweep(sweep); return err }, "GenSpec"},
+		"RunGrid": {func() error {
 			_, err := RunGrid(GridConfig{Rates: []float64{6}, Budgets: []int{10}, Duration: nan})
 			return err
-		},
-		"RunTopologySweep": func() error {
+		}, "GenSpec"},
+		"RunTopologySweep": {func() error {
 			_, err := RunTopologySweep(TopologySweepConfig{Topology: topo, Rates: []float64{nan}, Duration: 20})
 			return err
-		},
-		"RunScalerComparison": func() error {
+		}, "GenSpec"},
+		"RunScalerComparison": {func() error {
 			_, err := RunScalerComparison(ScalerComparisonConfig{Workload: ScalerWorkloadMMPP, Duration: nan})
 			return err
-		},
-		"RunFig3":            func() error { _, err := RunFig3("typical-25ms", nan, 1); return err },
-		"RunFig6":            func() error { _, err := RunFig6(nan, 1); return err },
-		"RunFig7":            func() error { _, err := RunFig7(nan, 1); return err },
-		"RunFigThreeTier":    func() error { _, err := RunFigThreeTier(nan, 1); return err },
-		"RunValidation":      func() error { _, err := RunValidation(nan, 1); return err },
-		"RunReplicatedSweep": func() error { _, err := RunReplicatedSweep(nanDuration, 3); return err },
-		"CrossoverCI":        func() error { _, _, _, err := CrossoverCI(nanDuration, Mean, 3); return err },
+		}, "GenSpec"},
+		"RunFig3":            {func() error { _, err := RunFig3("typical-25ms", nan, 1); return err }, "GenSpec"},
+		"RunFig6":            {func() error { _, err := RunFig6(nan, 1); return err }, "GenSpec"},
+		"RunFig7":            {func() error { _, err := RunFig7(nan, 1); return err }, "GenSpec"},
+		"RunFigThreeTier":    {func() error { _, err := RunFigThreeTier(nan, 1); return err }, "GenSpec"},
+		"RunValidation":      {func() error { _, err := RunValidation(nan, 1); return err }, "GenSpec"},
+		"RunReplicatedSweep": {func() error { _, err := RunReplicatedSweep(nanDuration, 3); return err }, "GenSpec"},
+		"CrossoverCI":        {func() error { _, _, _, err := CrossoverCI(nanDuration, Mean, 3); return err }, "GenSpec"},
+
+		"RunFig3-warmup-past-duration":       {func() error { _, err := RunFig3("typical-25ms", 30, 1); return err }, "warmup 60"},
+		"RunFig7-warmup-past-duration":       {func() error { _, err := RunFig7(30, 1); return err }, "warmup 60"},
+		"RunValidation-warmup-past-duration": {func() error { _, err := RunValidation(30, 1); return err }, "warmup 60"},
+		"RunReplicatedSweep-warmup-past-duration": {func() error {
+			_, err := RunReplicatedSweep(short, 3)
+			return err
+		}, "warmup 60"},
+		"CrossoverCI-warmup-past-duration": {func() error {
+			_, _, _, err := CrossoverCI(short, Mean, 3)
+			return err
+		}, "warmup 60"},
+		"RunGrid-warmup-at-duration": {func() error {
+			_, err := RunGrid(GridConfig{Rates: []float64{6}, Budgets: []int{10}, Duration: 60, Warmup: 60})
+			return err
+		}, "warmup 60"},
+		"RunGrid-nan-warmup": {func() error {
+			_, err := RunGrid(GridConfig{Rates: []float64{6}, Budgets: []int{10}, Duration: 60, Warmup: nan})
+			return err
+		}, "warmup NaN"},
+		"RunScalerComparison-warmup-past-duration": {func() error {
+			_, err := RunScalerComparison(ScalerComparisonConfig{Workload: ScalerWorkloadMMPP, Duration: 60, Warmup: 90})
+			return err
+		}, "warmup 90"},
 	} {
-		if err := run(); err == nil || !strings.Contains(err.Error(), "GenSpec") {
-			t.Errorf("%s: want a GenSpec validation error, got %v", name, err)
+		if err := tc.run(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: want an error containing %q, got %v", name, tc.want, err)
 		}
 	}
 }

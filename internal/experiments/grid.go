@@ -43,7 +43,8 @@ type GridConfig struct {
 	Replications int
 	// Duration is the simulated seconds per replay (default 300).
 	Duration float64
-	// Warmup discards early measurements (default Duration/10).
+	// Warmup discards early measurements (default Duration/10); an
+	// explicit warmup must lie below Duration.
 	Warmup float64
 	Seed   int64
 	Model  app.InferenceModel
@@ -263,8 +264,12 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 300
 	}
-	if cfg.Warmup <= 0 {
+	switch {
+	case cfg.Warmup <= 0:
 		cfg.Warmup = cfg.Duration / 10
+	case !(cfg.Warmup < cfg.Duration):
+		return GridResult{}, fmt.Errorf("experiments: warmup %v is not below duration %v: the run would measure nothing",
+			cfg.Warmup, cfg.Duration)
 	}
 	if cfg.Model.D == nil {
 		cfg.Model = app.NewInferenceModel()

@@ -58,7 +58,8 @@ type ScalerComparisonConfig struct {
 	// Duration is the simulated seconds (default 600; the azure
 	// workload rounds to whole minutes).
 	Duration float64
-	// Warmup discards early measurements (default Duration/10).
+	// Warmup discards early measurements (default Duration/10); an
+	// explicit warmup must lie below Duration.
 	Warmup float64
 	Seed   int64
 	// BaseRate is the mean per-site arrival rate in req/s (default 8).
@@ -227,8 +228,12 @@ func RunScalerComparison(cfg ScalerComparisonConfig) (ScalerComparisonResult, er
 	if cfg.Duration <= 0 {
 		cfg.Duration = 600
 	}
-	if cfg.Warmup <= 0 {
+	switch {
+	case cfg.Warmup <= 0:
 		cfg.Warmup = cfg.Duration / 10
+	case !(cfg.Warmup < cfg.Duration):
+		return ScalerComparisonResult{}, fmt.Errorf("experiments: warmup %v is not below duration %v: the run would measure nothing",
+			cfg.Warmup, cfg.Duration)
 	}
 	if cfg.BaseRate <= 0 {
 		cfg.BaseRate = 8

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/app"
 	"repro/internal/cluster"
@@ -26,9 +25,12 @@ type TopologySweepConfig struct {
 	Rivals []cluster.Topology
 	// Rates are requests per entry-tier server per second, ascending
 	// for Crossover.
-	Rates      []float64
-	Duration   float64 // simulated seconds per point
-	Warmup     float64 // discarded prefix per point
+	Rates    []float64
+	Duration float64 // simulated seconds per point
+	// Warmup is the discarded prefix per point, and must lie below
+	// Duration. With a Source the trace's own span bounds the run, so
+	// checking the warmup against it is the caller's job.
+	Warmup     float64
 	Seed       int64
 	Model      app.InferenceModel // zero value: app.NewInferenceModel()
 	ArrivalSCV float64            // 0: cluster.DefaultArrivalSCV
@@ -134,7 +136,8 @@ func (r TopologySweepResult) Crossover(m Metric, rival int) (rate float64, atFlo
 // rivals, one streamed workload per rate, points evaluated concurrently
 // with index-derived seeds (byte-identical at any pool size). Every
 // shape and every generated point's GenSpec are validated before any
-// worker starts. An unsharded point with rivals replays every shape
+// worker starts, and so is a generated sweep's warmup against its
+// duration. An unsharded point with rivals replays every shape
 // from one broadcast pass.
 func RunTopologySweep(cfg TopologySweepConfig) (TopologySweepResult, error) {
 	if len(cfg.Topology.Tiers) == 0 {
@@ -160,7 +163,7 @@ func RunTopologySweep(cfg TopologySweepConfig) (TopologySweepResult, error) {
 	broadcast := len(shapes) > 1
 	for k, topo := range shapes {
 		var err error
-		if shards[k], err = resolveShards(cfg.Shards, topo, cfg.Workers, len(cfg.Rates)); err != nil {
+		if shards[k], err = cluster.ResolveShards(cfg.Shards, topo, poolSize(cfg.Workers, len(cfg.Rates))); err != nil {
 			return TopologySweepResult{}, rivalErr(k, topo, err)
 		}
 		broadcast = broadcast && shards[k] == 0
@@ -191,6 +194,10 @@ func RunTopologySweep(cfg TopologySweepConfig) (TopologySweepResult, error) {
 	}
 	src := cfg.Source
 	if src == nil {
+		if !(cfg.Warmup < cfg.Duration) {
+			return TopologySweepResult{}, fmt.Errorf("experiments: warmup %v is not below duration %v: every point would measure nothing",
+				cfg.Warmup, cfg.Duration)
+		}
 		src = cluster.Stream
 	}
 	res := TopologySweepResult{Config: cfg, Points: make([]TopologyPoint, len(cfg.Rates))}
@@ -249,34 +256,6 @@ func rivalErr(shape int, topo cluster.Topology, err error) error {
 		return err
 	}
 	return fmt.Errorf("experiments: rival %q: %w", topo.Name, err)
-}
-
-// resolveShards turns a sweep's Shards setting into a per-topology
-// shard count: 0 keeps the single-engine path, AutoShards divides the
-// CPUs not already busy running other sweep points across each point
-// (falling back to the single engine when the topology cannot shard),
-// and an explicit count is validated against Shardable. The returned
-// count only affects wall-clock: RunPipelined is bit-identical at every
-// shard count.
-func resolveShards(setting int, topo cluster.Topology, workers, points int) (int, error) {
-	switch {
-	case setting == 0:
-		return 0, nil
-	case setting > 0:
-		if err := cluster.Shardable(topo); err != nil {
-			return 0, err
-		}
-		return setting, nil
-	default:
-		if cluster.Shardable(topo) != nil {
-			return 0, nil
-		}
-		s := runtime.GOMAXPROCS(0) / poolSize(workers, points)
-		if s < 1 {
-			s = 1
-		}
-		return s, nil
-	}
 }
 
 // topologyPoint flattens one run into a sweep point.

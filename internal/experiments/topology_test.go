@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -84,6 +87,13 @@ func TestRunTopologySweepRejectsInvalid(t *testing.T) {
 	}
 	if _, err := RunTopologySweep(TopologySweepConfig{Topology: ok, Rivals: rivals[:3], Rates: []float64{6}, Duration: 20}); err != nil {
 		t.Errorf("three rivals rejected: %v", err)
+	}
+	// A generated sweep whose warmup reaches its duration measures nothing.
+	for _, warmup := range []float64{20, 30, math.NaN()} {
+		_, err := RunTopologySweep(TopologySweepConfig{Topology: ok, Rates: []float64{6}, Duration: 20, Warmup: warmup})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("warmup %v", warmup)) || !strings.Contains(err.Error(), "duration 20") {
+			t.Errorf("warmup %v over a 20 s duration: error %v, want one naming both", warmup, err)
+		}
 	}
 }
 
