@@ -209,7 +209,7 @@ var cli = defineFlags(flag.CommandLine)
 func defineFlags(fs *flag.FlagSet) *options {
 	o := &options{set: map[string]bool{}}
 	fs.IntVar(&o.sites, "sites", 5, "number of edge sites (under -topology, must match a home-routed entry tier when set)")
-	fs.IntVar(&o.servers, "servers", 1, "servers per edge site")
+	fs.IntVar(&o.servers, "servers", 1, "servers per edge site (under -topology, must match a home-routed entry tier's servers when set)")
 	fs.Float64Var(&o.rate, "rate", 8, "request rate per server (req/s)")
 	fs.StringVar(&o.scenario, "scenario", "typical-25ms", "netem scenario: nearby-13ms|typical-25ms|distant-54ms|transcontinental-80ms "+
 		"(the paired edge and cloud paths; a sweep's pooled-cloud path)")
@@ -330,7 +330,7 @@ func main() {
 			fail("-topology: %v", err)
 		}
 	}
-	if err = checkFlags(contextOf(m, src), o.set, o.topo, o.sites); err != nil {
+	if err = checkFlags(contextOf(m, src), o.set, o.topo, o.sites, o.servers); err != nil {
 		fail("%v", err)
 	}
 
@@ -403,12 +403,13 @@ func main() {
 
 // checkFlags rejects every flag given on the command line (set) that
 // the run context does not read, naming the flag and the contexts that
-// do. Under a graph (topology or sweep mode) it then rejects two
+// do. Under a graph (topology or sweep mode) it then rejects three
 // combinations that depend on values: -autoscale-max without -scaler
 // (there it only bounds the -scaler controller), and an explicit -sites
-// that disagrees with a home-routed ingress tier, whose station count
-// fixes the trace's site count.
-func checkFlags(run contexts, set map[string]bool, topo cluster.Topology, sites int) error {
+// or -servers that disagrees with a home-routed ingress tier, whose
+// station count fixes the trace's site count and whose own servers per
+// site replace -servers.
+func checkFlags(run contexts, set map[string]bool, topo cluster.Topology, sites, servers int) error {
 	names := make([]string, 0, len(set))
 	for name := range set {
 		names = append(names, name)
@@ -426,9 +427,14 @@ func checkFlags(run contexts, set map[string]bool, topo cluster.Topology, sites 
 		return fmt.Errorf("-autoscale-max only bounds -scaler under -topology; set -scaler too, " +
 			`or a tier's "scaler" block in the topology spec`)
 	}
-	if ingress := topo.Tiers[0]; set["sites"] && ingress.Dispatch == "" && sites != ingress.Sites {
+	ingress := topo.Tiers[0]
+	if set["sites"] && ingress.Dispatch == "" && sites != ingress.Sites {
 		return fmt.Errorf("-sites %d disagrees with topology %q, whose home-routed ingress tier %q has %d sites",
 			sites, topo.Name, ingress.Name, ingress.Sites)
+	}
+	if set["servers"] && ingress.Dispatch == "" && ingress.ServersPerSite > 0 && servers != ingress.ServersPerSite {
+		return fmt.Errorf("-servers %d disagrees with topology %q, whose home-routed ingress tier %q has %d servers per site",
+			servers, topo.Name, ingress.Name, ingress.ServersPerSite)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,8 +22,9 @@ type checkFlagsCase struct {
 	want  string   // error substring; "" = accepted
 }
 
-// runCheckFlagsCases runs each case through checkFlags: an accepted case
-// must pass, a rejected one must fail with an error naming the flag.
+// runCheckFlagsCases runs each case through checkFlags, with -servers
+// at its default 1: an accepted case must pass, a rejected one must
+// fail with an error naming the flag.
 func runCheckFlagsCases(t *testing.T, cases []checkFlagsCase) {
 	t.Helper()
 	for _, tc := range cases {
@@ -30,7 +32,7 @@ func runCheckFlagsCases(t *testing.T, cases []checkFlagsCase) {
 		for _, name := range tc.set {
 			set[name] = true
 		}
-		err := checkFlags(tc.run, set, tc.topo, tc.sites)
+		err := checkFlags(tc.run, set, tc.topo, tc.sites, 1)
 		if tc.want == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", tc.name, err)
@@ -53,6 +55,10 @@ func TestCheckTopologyFlags(t *testing.T) {
 	}
 	home := preset.Tiers[0].Sites
 	pooled := cluster.Topology{Name: "pooled", Tiers: []cluster.Tier{cluster.CloudTier(10, netem.CloudTypical, "")}}
+	threeServers := preset
+	threeServers.Tiers = slices.Clone(preset.Tiers)
+	threeServers.Tiers[0].ServersPerSite = 3
+	noServers := cluster.Topology{Name: "no-servers", Tiers: []cluster.Tier{{Name: "edge", Sites: 5, Path: netem.EdgePath}}}
 	runCheckFlagsCases(t, []checkFlagsCase{
 		{"defaults", topologyGen, preset, 5, nil, ""},
 		{"default-sites-flag-ignored", topologyGen, preset, 20, nil, ""},
@@ -61,6 +67,10 @@ func TestCheckTopologyFlags(t *testing.T) {
 		{"skew", topologyGen, preset, 5, []string{"skew"}, "-skew"},
 		{"skew-and-sites", topologyGen, preset, 20, []string{"skew", "sites"}, "-skew"},
 		{"dispatcher-ingress-takes-sites", topologyGen, pooled, 20, []string{"sites"}, ""},
+		{"default-servers-flag-ignored", topologyGen, threeServers, 5, nil, ""},
+		{"explicit-disagreeing-servers", topologyGen, threeServers, 5, []string{"servers"}, "-servers"},
+		{"tier-without-servers-takes-flag", topologyGen, noServers, 5, []string{"servers"}, ""},
+		{"dispatcher-ingress-takes-servers", topologyGen, pooled, 20, []string{"sites", "servers"}, ""},
 		{"dispatcher-ingress-rejects-skew", topologyGen, pooled, 2, []string{"skew", "sites"}, "-skew"},
 		{"policy", topologyGen, preset, 5, []string{"policy"}, "-policy"},
 		{"jockey", topologyGen, preset, 5, []string{"jockey"}, "-jockey"},

@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -34,6 +35,11 @@ func main() {
 	skew := flag.String("skew", "", "comma-separated per-site rates (req/s) for Lemma 3.3")
 	headroom := flag.Float64("headroom", 1.2, "capacity-plan overprovisioning factor")
 	flag.Parse()
+	lambdas, err := checkFlags(*k, *m, *mu, *edgeRTT, *cloudRTT, *rho, *ca2, *cb2, *headroom, *skew)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "inversion:", err)
+		os.Exit(2)
+	}
 
 	dep := theory.Deployment{
 		K:              *k,
@@ -69,16 +75,7 @@ func main() {
 		*rho, dep.HardCloudRTTBound313(*rho, *rho)*1000)
 	fmt.Printf("(a cloud closer than this beats even a 0 ms edge at that load)\n")
 
-	if *skew != "" {
-		lambdas, err := parseRates(*skew)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "inversion:", err)
-			os.Exit(1)
-		}
-		if len(lambdas) != dep.K {
-			fmt.Fprintf(os.Stderr, "inversion: -skew needs %d rates\n", dep.K)
-			os.Exit(1)
-		}
+	if lambdas != nil {
 		inv, margin := dep.Lemma33(lambdas)
 		fmt.Printf("\nLemma 3.3 with skewed rates %v: %s (margin %.2f ms)\n",
 			lambdas, verdict(inv), margin*1000)
@@ -99,15 +96,44 @@ func verdict(inverted bool) string {
 	return "edge wins"
 }
 
-func parseRates(s string) ([]float64, error) {
-	parts := strings.Split(s, ",")
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad rate %q: %w", p, err)
-		}
-		out = append(out, v)
+// checkFlags rejects, before anything is printed, the values the
+// paper's formulas are not defined for, naming the flag, and returns the
+// parsed -skew rates (nil when -skew is unset). RTTs are milliseconds.
+func checkFlags(k, m int, mu, edgeRTT, cloudRTT, rho, ca2, cb2, headroom float64, skew string) ([]float64, error) {
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	switch {
+	case k < 1:
+		return nil, fmt.Errorf("-k must be >= 1 (got %d)", k)
+	case m < 1:
+		return nil, fmt.Errorf("-m must be >= 1 (got %d)", m)
+	case !(mu > 0) || !finite(mu):
+		return nil, fmt.Errorf("-mu must be positive and finite (got %v)", mu)
+	case !(edgeRTT >= 0) || !finite(edgeRTT):
+		return nil, fmt.Errorf("-edge-rtt must be finite and >= 0 (got %v)", edgeRTT)
+	case !(cloudRTT >= 0) || !finite(cloudRTT):
+		return nil, fmt.Errorf("-cloud-rtt must be finite and >= 0 (got %v)", cloudRTT)
+	case !(rho > 0 && rho < 1):
+		return nil, fmt.Errorf("-rho must lie in (0, 1) (got %v)", rho)
+	case !(ca2 >= 0) || !finite(ca2):
+		return nil, fmt.Errorf("-ca2 must be finite and >= 0 (got %v)", ca2)
+	case !(cb2 >= 0) || !finite(cb2):
+		return nil, fmt.Errorf("-cb2 must be finite and >= 0 (got %v)", cb2)
+	case !(headroom >= 1) || !finite(headroom):
+		return nil, fmt.Errorf("-headroom must be finite and >= 1 (got %v)", headroom)
+	case skew == "":
+		return nil, nil
 	}
-	return out, nil
+	parts := strings.Split(skew, ",")
+	if len(parts) != k {
+		return nil, fmt.Errorf("-skew needs %d rates, one per site (got %d)", k, len(parts))
+	}
+	lambdas := make([]float64, len(parts))
+	for i, p := range parts {
+		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		if err != nil || !(v >= 0) || !finite(v) {
+			return nil, fmt.Errorf("-skew rate %q must be a finite number >= 0", p)
+		}
+		lambdas[i] = v
+	}
+	return lambdas, nil
 }

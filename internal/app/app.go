@@ -3,9 +3,8 @@
 // whose compute-bound handler saturates a c5a.xlarge at 13 req/s. Since
 // the original model and EC2 hardware are unavailable, app provides a
 // calibrated service-time model with the same saturation point and a
-// configurable variability, plus an image-size → service-time mapping
-// used when replaying traces ("an image of an appropriate size is chosen
-// to generate a request with the appropriate service time", §4.1).
+// configurable variability, plus executors that spend a request's
+// service time on real hardware for the live testbed.
 package app
 
 import (
@@ -86,53 +85,6 @@ func (m InferenceModel) SampleServiceTime(rng *rand.Rand) float64 {
 // String describes the model.
 func (m InferenceModel) String() string {
 	return fmt.Sprintf("InferenceModel(mean=%.1fms, scv=%.2f)", m.MeanServiceTime*1000, m.SCV)
-}
-
-// ImageClass buckets request payloads by size, as the paper's workload
-// generator selects images "of an appropriate size" to realize a target
-// service time when replaying Azure traces.
-type ImageClass struct {
-	Name        string
-	SizeBytes   int
-	ServiceTime float64 // seconds on the reference server
-}
-
-// DefaultImageClasses is a catalogue spanning the Kaggle-style image
-// sizes the paper's generator draws from, with service times scaled
-// around the 13 req/s saturation point.
-func DefaultImageClasses() []ImageClass {
-	return []ImageClass{
-		{Name: "thumb-64", SizeBytes: 12 << 10, ServiceTime: 0.030},
-		{Name: "small-128", SizeBytes: 40 << 10, ServiceTime: 0.045},
-		{Name: "medium-224", SizeBytes: 110 << 10, ServiceTime: 0.070},
-		{Name: "large-299", SizeBytes: 240 << 10, ServiceTime: 0.077},
-		{Name: "xlarge-512", SizeBytes: 700 << 10, ServiceTime: 0.110},
-		{Name: "huge-1024", SizeBytes: 2 << 20, ServiceTime: 0.160},
-	}
-}
-
-// PickImageForServiceTime returns the catalogue entry whose service time
-// is closest to the requested target, mirroring the paper's trace
-// replayer.
-func PickImageForServiceTime(classes []ImageClass, target float64) ImageClass {
-	if len(classes) == 0 {
-		panic("app: empty image catalogue")
-	}
-	best := classes[0]
-	bestD := absDiff(best.ServiceTime, target)
-	for _, c := range classes[1:] {
-		if d := absDiff(c.ServiceTime, target); d < bestD {
-			best, bestD = c, d
-		}
-	}
-	return best
-}
-
-func absDiff(a, b float64) float64 {
-	if a > b {
-		return a - b
-	}
-	return b - a
 }
 
 // Executor runs one request's worth of work on real hardware, used by

@@ -95,65 +95,6 @@ func TestSampleServiceTimePositive(t *testing.T) {
 	}
 }
 
-func TestImageCatalogue(t *testing.T) {
-	classes := DefaultImageClasses()
-	if len(classes) < 4 {
-		t.Fatal("catalogue too small")
-	}
-	// Sorted ascending by size and service time.
-	for i := 1; i < len(classes); i++ {
-		if classes[i].SizeBytes <= classes[i-1].SizeBytes {
-			t.Error("catalogue sizes should increase")
-		}
-		if classes[i].ServiceTime <= classes[i-1].ServiceTime {
-			t.Error("catalogue service times should increase")
-		}
-	}
-	// The reference 13 req/s point (77 ms) is represented.
-	ref := PickImageForServiceTime(classes, 1.0/13)
-	if math.Abs(ref.ServiceTime-1.0/13) > 0.01 {
-		t.Errorf("closest to 77ms is %v (%vms)", ref.Name, ref.ServiceTime*1000)
-	}
-}
-
-func TestPickImageForServiceTime(t *testing.T) {
-	classes := DefaultImageClasses()
-	if got := PickImageForServiceTime(classes, 0); got.Name != classes[0].Name {
-		t.Errorf("tiny target should pick the smallest class, got %v", got.Name)
-	}
-	if got := PickImageForServiceTime(classes, 10); got.Name != classes[len(classes)-1].Name {
-		t.Errorf("huge target should pick the largest class, got %v", got.Name)
-	}
-}
-
-// TestPickImageIsNearest: for any target, no catalogue entry is closer
-// than the chosen one.
-func TestPickImageIsNearest(t *testing.T) {
-	classes := DefaultImageClasses()
-	f := func(raw uint16) bool {
-		target := float64(raw) / 65535 * 0.3
-		got := PickImageForServiceTime(classes, target)
-		for _, c := range classes {
-			if math.Abs(c.ServiceTime-target) < math.Abs(got.ServiceTime-target)-1e-12 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPickImagePanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("empty catalogue should panic")
-		}
-	}()
-	PickImageForServiceTime(nil, 0.1)
-}
-
 func TestSleepExecutorDuration(t *testing.T) {
 	start := time.Now()
 	SleepExecutor{}.Execute(30 * time.Millisecond)

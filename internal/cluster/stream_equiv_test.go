@@ -13,10 +13,10 @@ package cluster_test
 import (
 	"math"
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/dist"
 	"repro/internal/netem"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -38,9 +38,11 @@ const csvFixture = `bin,site0,site1,site2
 func streamScenarios(t *testing.T) map[string]func() cluster.GenSpec {
 	t.Helper()
 	fixtureProcs := func() []workload.ArrivalProcess {
-		series, err := trace.ReadSiteSeriesCSV(strings.NewReader(csvFixture), 30)
-		if err != nil {
-			t.Fatalf("fixture decode: %v", err)
+		// csvFixture's envelope: 3 sites, 4 bins of 30 s.
+		series := []trace.SiteSeries{
+			{Site: 0, BinWidth: 30, Counts: []float64{120, 200, 60, 90}},
+			{Site: 1, BinWidth: 30, Counts: []float64{40, 80, 150, 20}},
+			{Site: 2, BinWidth: 30, Counts: []float64{10, 0, 30, 20}},
 		}
 		return trace.ToArrivalProcesses(series, true)
 	}
@@ -87,7 +89,7 @@ func streamScenarios(t *testing.T) map[string]func() cluster.GenSpec {
 			procs := make([]workload.ArrivalProcess, 4)
 			for i := range procs {
 				if i%2 == 0 {
-					procs[i] = workload.NewSecondBatches(7)
+					procs[i] = workload.NewBatch(workload.NewRenewal(dist.Deterministic{Value: 1}), 7)
 				} else {
 					procs[i] = workload.NewBatch(workload.NewPoisson(2), 5)
 				}

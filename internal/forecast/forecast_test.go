@@ -141,6 +141,9 @@ func TestEvaluate(t *testing.T) {
 	if math.Abs(mae-2) > 1e-12 {
 		t.Errorf("naive on alternation mae = %v, want 2", mae)
 	}
+	if mae, _ := Evaluate(NewEWMA(0.5), []float64{1, 1, 1}); mae != 0 {
+		t.Errorf("EWMA on constant: mae=%v, want 0", mae)
+	}
 	if m, p := Evaluate(&Naive{}, nil); m != 0 || p != 0 {
 		t.Error("empty series should evaluate to 0")
 	}

@@ -3,8 +3,8 @@
 // §5.1. The paper's cloud is a single logical queue over k servers
 // (M/M/k); a real deployment fronted by HAProxy approximates that with
 // least-connection routing. Both are provided, along with round robin,
-// join-shortest-queue, power-of-two-choices, and a geographic balancer
-// with jockeying for the edge.
+// power-of-two-choices, random, and a geographic balancer with
+// jockeying for the edge.
 package lb
 
 import (
@@ -132,46 +132,8 @@ func (d *LeastConnections) Dispatch(r *queue.Request) {
 // Name returns "least-connections".
 func (d *LeastConnections) Name() string { return "least-connections" }
 
-// JSQ is join-shortest-queue over waiting counts only. For stations with
-// equal servers it behaves like least-connections.
-type JSQ struct {
-	stations []*queue.Station
-	rng      *rand.Rand
-}
-
-// NewJSQ returns a join-shortest-queue dispatcher.
-func NewJSQ(stations []*queue.Station, rng *rand.Rand) *JSQ {
-	if len(stations) == 0 {
-		panic("lb: JSQ needs at least one station")
-	}
-	return &JSQ{stations: stations, rng: rng}
-}
-
-// Dispatch sends r to the station with the shortest waiting queue.
-func (d *JSQ) Dispatch(r *queue.Request) {
-	best := 0
-	bestLen := d.stations[0].QueueLength()
-	ties := 1
-	for i := 1; i < len(d.stations); i++ {
-		l := d.stations[i].QueueLength()
-		switch {
-		case l < bestLen:
-			best, bestLen, ties = i, l, 1
-		case l == bestLen:
-			ties++
-			if d.rng != nil && d.rng.Intn(ties) == 0 {
-				best = i
-			}
-		}
-	}
-	d.stations[best].Arrive(r)
-}
-
-// Name returns "jsq".
-func (d *JSQ) Name() string { return "jsq" }
-
 // PowerOfTwo samples two random stations and routes to the less loaded,
-// the classic low-overhead approximation of JSQ.
+// the classic low-overhead approximation of join-shortest-queue.
 type PowerOfTwo struct {
 	stations []queue.Server
 	rng      *rand.Rand

@@ -8,9 +8,7 @@ package queue
 
 import (
 	"fmt"
-	"math/rand"
 
-	"repro/internal/dist"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -173,8 +171,6 @@ type Station struct {
 	m          Metrics
 	warmup     float64 // observations before this time are not recorded
 	totalCount uint64
-	svcDist    dist.Dist  // optional service-time law for demandless requests
-	svcRng     *rand.Rand // stream the law samples against
 	completeFn sim.PayloadEvent
 }
 
@@ -206,18 +202,6 @@ func (s *Station) SetSummaryMode(m stats.Mode) {
 // measurements.
 func (s *Station) SetWarmup(t float64) { s.warmup = t }
 
-// SetServiceDist attaches a service-time distribution to the station:
-// requests admitted with ServiceTime <= 0 draw their demand from d on
-// the given stream (pass engine.NewStream() for an independent,
-// reproducible per-station stream). Requests that arrive with an
-// explicit ServiceTime are unaffected.
-func (s *Station) SetServiceDist(d dist.Dist, rng *rand.Rand) {
-	if d != nil && rng == nil {
-		panic(fmt.Sprintf("queue: station %q service dist needs a stream", s.Name))
-	}
-	s.svcDist, s.svcRng = d, rng
-}
-
 // Metrics exposes the station's collected metrics.
 func (s *Station) Metrics() *Metrics { return &s.m }
 
@@ -229,7 +213,7 @@ func (s *Station) QueueLength() int { return len(s.waiting) }
 func (s *Station) Busy() int { return s.busy }
 
 // Load returns waiting plus in-service requests, the signal used by
-// least-connection and join-shortest-queue dispatchers.
+// least-connection and power-of-two dispatchers.
 func (s *Station) Load() int { return len(s.waiting) + s.busy }
 
 // TotalArrivals returns the number of requests ever admitted.
@@ -240,9 +224,6 @@ func (s *Station) TotalArrivals() uint64 { return s.totalCount }
 func (s *Station) Arrive(r *Request) {
 	now := s.engine.Now()
 	r.Arrival = now
-	if r.ServiceTime <= 0 && s.svcDist != nil {
-		r.ServiceTime = s.svcDist.Sample(s.svcRng)
-	}
 	s.totalCount++
 	if now >= s.warmup {
 		s.m.observeArrival(now)
@@ -378,23 +359,3 @@ type Server interface {
 }
 
 var _ Server = (*Station)(nil)
-
-// MergedWaits merges the per-request waits from several stations, used
-// to compute the edge-wide weighted averages of Lemma 3.3. The result
-// is exact when every station collects exact metrics.
-func MergedWaits(stations []Server) *stats.Digest {
-	out := &stats.Digest{}
-	for _, s := range stations {
-		out.Merge(&s.Metrics().Wait)
-	}
-	return out
-}
-
-// MergedSojourns merges per-request sojourn times across stations.
-func MergedSojourns(stations []Server) *stats.Digest {
-	out := &stats.Digest{}
-	for _, s := range stations {
-		out.Merge(&s.Metrics().Sojourn)
-	}
-	return out
-}

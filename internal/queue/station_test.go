@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/dist"
 	"repro/internal/sim"
 	"repro/internal/theory"
 )
@@ -292,83 +291,5 @@ func TestMeanWaitInvariantUnderDisciplineMM(t *testing.T) {
 	vL := lf.Metrics().Wait.StdDev()
 	if vL <= vF {
 		t.Errorf("LIFO wait sd %.4f should exceed FCFS %.4f", vL, vF)
-	}
-}
-
-// TestStationServiceDist: a station with an attached service-time law
-// samples demand for requests that arrive without one, and the resulting
-// M/M/1 wait matches theory.
-func TestStationServiceDist(t *testing.T) {
-	eng := sim.NewEngine(7)
-	st := NewStation(eng, "svc-dist", 1, FCFS)
-	const lambda, mu, duration = 9.0, 13.0, 8000.0
-	st.SetWarmup(duration / 10)
-	st.SetServiceDist(dist.NewExponential(mu), eng.NewStream())
-
-	arr := dist.NewExponential(lambda)
-	arrRng := eng.NewStream()
-	t0 := 0.0
-	var id uint64
-	for {
-		t0 += arr.Sample(arrRng)
-		if t0 > duration {
-			break
-		}
-		id++
-		req := &Request{ID: id}
-		eng.At(t0, func(e *sim.Engine) { st.Arrive(req) })
-	}
-	eng.Run()
-	st.Finish()
-
-	m := st.Metrics()
-	if n := m.Service.N(); n == 0 {
-		t.Fatal("no service times recorded")
-	}
-	if got, want := m.Service.Mean(), 1/mu; math.Abs(got-want) > 0.05*want {
-		t.Errorf("sampled mean service %.5f, want %.5f", got, want)
-	}
-	want := theory.MM1Wait(lambda/mu, mu)
-	if got := m.Wait.Mean(); math.Abs(got-want) > 0.25*want {
-		t.Errorf("M/M/1 mean wait %.4f, want %.4f", got, want)
-	}
-}
-
-// TestStationServiceDistExplicitDemandWins: requests carrying a service
-// time are not resampled.
-func TestStationServiceDistExplicitDemandWins(t *testing.T) {
-	eng := sim.NewEngine(1)
-	st := NewStation(eng, "explicit", 1, FCFS)
-	st.SetServiceDist(dist.NewExponential(1), eng.NewStream())
-	req := &Request{ID: 1, ServiceTime: 0.25}
-	eng.At(0, func(e *sim.Engine) { st.Arrive(req) })
-	eng.Run()
-	if req.Departure != 0.25 {
-		t.Errorf("explicit service time overridden: departure %v, want 0.25", req.Departure)
-	}
-}
-
-func TestMergedWaits(t *testing.T) {
-	eng := sim.NewEngine(1)
-	a := NewStation(eng, "a", 1, FCFS)
-	b := NewStation(eng, "b", 1, FCFS)
-	eng.At(0, func(*sim.Engine) {
-		a.Arrive(&Request{ServiceTime: 1})
-		a.Arrive(&Request{ServiceTime: 1}) // waits 1s
-		b.Arrive(&Request{ServiceTime: 2})
-	})
-	eng.Run()
-	a.Finish()
-	b.Finish()
-	merged := MergedWaits([]Server{a, b})
-	if merged.N() != 3 {
-		t.Fatalf("merged N = %d, want 3", merged.N())
-	}
-	if got := merged.Quantile(1); math.Abs(got-1) > 1e-9 {
-		t.Errorf("max merged wait = %v, want 1", got)
-	}
-	soj := MergedSojourns([]Server{a, b})
-	if soj.N() != 3 {
-		t.Errorf("merged sojourns N = %d, want 3", soj.N())
 	}
 }

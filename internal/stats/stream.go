@@ -1,6 +1,7 @@
 // Package stats provides streaming and batch statistics used throughout
-// edgebench: running moments, exact and approximate quantiles, histograms,
-// binned time series, and distribution summaries (box plots).
+// edgebench: running moments, exact quantiles and a mergeable
+// log-bucket sketch for bounded ones, binned time series, and
+// distribution summaries (box plots).
 //
 // All types are plain values that are ready to use after zero or
 // constructor initialization. None of them are safe for concurrent use;

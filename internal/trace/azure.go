@@ -145,23 +145,6 @@ func ToArrivalProcesses(series []SiteSeries, cycle bool) []workload.ArrivalProce
 	return procs
 }
 
-// AggregateSeries sums per-site series into the cloud-visible series.
-func AggregateSeries(series []SiteSeries) SiteSeries {
-	if len(series) == 0 {
-		return SiteSeries{}
-	}
-	agg := SiteSeries{Site: -1, BinWidth: series[0].BinWidth, Counts: make([]float64, len(series[0].Counts))}
-	for _, s := range series {
-		if len(s.Counts) != len(agg.Counts) || s.BinWidth != agg.BinWidth {
-			panic("trace: mismatched series in aggregate")
-		}
-		for i, c := range s.Counts {
-			agg.Counts[i] += c
-		}
-	}
-	return agg
-}
-
 // SkewStats summarizes the spatial skew of a set of site series at each
 // time bin: the ratio of the busiest site's count to the mean count.
 func SkewStats(series []SiteSeries) (meanSkew, maxSkew float64) {

@@ -211,22 +211,3 @@ func (s *AzureSource) Sites() int { return s.nSites }
 
 // Count returns the number of records yielded so far.
 func (s *AzureSource) Count() uint64 { return s.n }
-
-// ReadAzureCSV materializes a per-bin count file into a WorkloadTrace
-// through the same streaming decoder, so slurped and streamed replays
-// are bit-identical.
-func ReadAzureCSV(r io.Reader, opts AzureStreamOptions) (*cluster.WorkloadTrace, error) {
-	src := StreamAzureCSV(r, opts)
-	var recs []cluster.RequestRecord
-	for {
-		rec, ok := src.Next()
-		if !ok {
-			break
-		}
-		recs = append(recs, rec)
-	}
-	if err := src.Err(); err != nil {
-		return nil, err
-	}
-	return &cluster.WorkloadTrace{Records: recs, Sites: src.Sites()}, nil
-}

@@ -347,22 +347,3 @@ func (s *BinarySource) Sites() int { return s.sites }
 
 // Count returns the number of records yielded so far.
 func (s *BinarySource) Count() uint64 { return s.n }
-
-// ReadBinary materializes a .etb stream into a WorkloadTrace — the
-// slurping counterpart of StreamBinary, decoded through the same
-// streaming path so the two agree record for record.
-func ReadBinary(r io.Reader) (*cluster.WorkloadTrace, error) {
-	src := StreamBinary(r)
-	var recs []cluster.RequestRecord
-	for {
-		rec, ok := src.Next()
-		if !ok {
-			break
-		}
-		recs = append(recs, rec)
-	}
-	if err := src.Err(); err != nil {
-		return nil, err
-	}
-	return &cluster.WorkloadTrace{Records: recs, Sites: src.Sites()}, nil
-}

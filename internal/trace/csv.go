@@ -40,41 +40,3 @@ func WriteSiteSeriesCSV(w io.Writer, series []SiteSeries) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// ReadSiteSeriesCSV parses the format produced by WriteSiteSeriesCSV.
-// binWidth is attached to every decoded series (the CSV stores bin
-// indices, not times).
-func ReadSiteSeriesCSV(r io.Reader, binWidth float64) ([]SiteSeries, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) < 2 {
-		return nil, fmt.Errorf("trace: CSV has no data rows")
-	}
-	nSites := len(rows[0]) - 1
-	if nSites <= 0 {
-		return nil, fmt.Errorf("trace: CSV header has no site columns")
-	}
-	series := make([]SiteSeries, nSites)
-	for i := range series {
-		series[i] = SiteSeries{Site: i, BinWidth: binWidth}
-	}
-	for rowIdx, row := range rows[1:] {
-		if len(row) != nSites+1 {
-			return nil, fmt.Errorf("trace: row %d has %d fields, want %d", rowIdx+2, len(row), nSites+1)
-		}
-		for i := 0; i < nSites; i++ {
-			v, err := strconv.ParseFloat(row[i+1], 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: row %d col %d: %w", rowIdx+2, i+1, err)
-			}
-			if v < 0 {
-				return nil, fmt.Errorf("trace: row %d col %d: negative count %v", rowIdx+2, i+1, v)
-			}
-			series[i].Counts = append(series[i].Counts, v)
-		}
-	}
-	return series, nil
-}

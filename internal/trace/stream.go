@@ -185,32 +185,6 @@ func (s *timeScaleSource) Err() error {
 	return nil
 }
 
-// ReadRequestsCSV materializes a request CSV into a WorkloadTrace — the
-// slurping counterpart of StreamRequestsCSV, decoded through the same
-// streaming path so the two agree record for record (the equivalence
-// suite asserts it). Prefer the streaming decoder for replays too large
-// to hold.
-func ReadRequestsCSV(r io.Reader) (*cluster.WorkloadTrace, error) {
-	src := StreamRequestsCSV(r)
-	var recs []cluster.RequestRecord
-	for {
-		rec, ok := src.Next()
-		if !ok {
-			break
-		}
-		recs = append(recs, rec)
-	}
-	if err := src.Err(); err != nil {
-		return nil, err
-	}
-	// Build the trace directly rather than through FromRecords: the
-	// decoder already enforces nondecreasing times, and the file's row
-	// order — not FromRecords' (Time, Site) order, which would move
-	// equal-time rows of different sites — is what the streaming path
-	// yields, so slurped and streamed replays stay bit-identical.
-	return &cluster.WorkloadTrace{Records: recs, Sites: src.Sites()}, nil
-}
-
 // WriteRequestsCSV writes every record of src in the request CSV
 // format, returning the row count. Pair with cluster.Stream to export
 // synthetic workloads as interchange files without materializing them.

@@ -82,23 +82,6 @@ func TestGenerateAzureDeterministic(t *testing.T) {
 	}
 }
 
-func TestAggregateSeries(t *testing.T) {
-	series := GenerateAzure(DefaultAzureSpec())
-	agg := AggregateSeries(series)
-	for b := range agg.Counts {
-		var want float64
-		for _, s := range series {
-			want += s.Counts[b]
-		}
-		if agg.Counts[b] != want {
-			t.Fatalf("bin %d aggregate = %v, want %v", b, agg.Counts[b], want)
-		}
-	}
-	if agg.Site != -1 {
-		t.Error("aggregate should be labeled -1")
-	}
-}
-
 func TestSiteSeriesRatesAndTotal(t *testing.T) {
 	s := SiteSeries{Site: 0, BinWidth: 60, Counts: []float64{60, 120}}
 	r := s.Rates()
@@ -122,23 +105,38 @@ func TestToArrivalProcesses(t *testing.T) {
 	}
 }
 
+// streamedCounts decodes a WriteSiteSeriesCSV file through
+// StreamAzureCSV and tallies its records per site and 60-s bin.
+func streamedCounts(data []byte, sites, bins int) ([][]float64, error) {
+	src := StreamAzureCSV(bytes.NewReader(data), AzureStreamOptions{BinWidth: 60, Seed: 1})
+	counts := make([][]float64, sites)
+	for i := range counts {
+		counts[i] = make([]float64, bins)
+	}
+	for {
+		rec, ok := src.Next()
+		if !ok {
+			break
+		}
+		counts[rec.Site][int(rec.Time/60)]++
+	}
+	return counts, src.Err()
+}
+
 func TestCSVRoundTrip(t *testing.T) {
 	series := GenerateAzure(DefaultAzureSpec())
 	var buf bytes.Buffer
 	if err := WriteSiteSeriesCSV(&buf, series); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSiteSeriesCSV(&buf, 60)
+	got, err := streamedCounts(buf.Bytes(), len(series), len(series[0].Counts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(series) {
-		t.Fatalf("round trip lost series: %d vs %d", len(got), len(series))
-	}
 	for i := range series {
 		for j := range series[i].Counts {
-			if got[i].Counts[j] != series[i].Counts[j] {
-				t.Fatalf("series %d bin %d: %v != %v", i, j, got[i].Counts[j], series[i].Counts[j])
+			if got[i][j] != series[i].Counts[j] {
+				t.Fatalf("series %d bin %d: %v != %v", i, j, got[i][j], series[i].Counts[j])
 			}
 		}
 	}
@@ -147,7 +145,7 @@ func TestCSVRoundTrip(t *testing.T) {
 // TestCSVRoundTripProperty: arbitrary non-negative count matrices survive
 // the round trip.
 func TestCSVRoundTripProperty(t *testing.T) {
-	f := func(raw [][3]uint16) bool {
+	f := func(raw [][3]uint8) bool {
 		if len(raw) == 0 {
 			return true
 		}
@@ -162,13 +160,13 @@ func TestCSVRoundTripProperty(t *testing.T) {
 		if err := WriteSiteSeriesCSV(&buf, series); err != nil {
 			return false
 		}
-		got, err := ReadSiteSeriesCSV(&buf, 60)
-		if err != nil || len(got) != 3 {
+		got, err := streamedCounts(buf.Bytes(), 3, len(raw))
+		if err != nil {
 			return false
 		}
 		for i := range series {
 			for j := range series[i].Counts {
-				if got[i].Counts[j] != series[i].Counts[j] {
+				if got[i][j] != series[i].Counts[j] {
 					return false
 				}
 			}
@@ -190,15 +188,6 @@ func TestCSVErrors(t *testing.T) {
 	}
 	if err := WriteSiteSeriesCSV(&bytes.Buffer{}, mismatched); err == nil {
 		t.Error("length mismatch should error")
-	}
-	if _, err := ReadSiteSeriesCSV(bytes.NewBufferString("bin,site0\n"), 60); err == nil {
-		t.Error("no data rows should error")
-	}
-	if _, err := ReadSiteSeriesCSV(bytes.NewBufferString("bin,site0\n0,-5\n"), 60); err == nil {
-		t.Error("negative count should error")
-	}
-	if _, err := ReadSiteSeriesCSV(bytes.NewBufferString("bin,site0\n0,abc\n"), 60); err == nil {
-		t.Error("non-numeric count should error")
 	}
 }
 

@@ -294,43 +294,3 @@ func (p *NHPP) Rate() float64 {
 func (p *NHPP) String() string {
 	return fmt.Sprintf("NHPP(bins=%d, width=%gs, mean=%.2f req/s)", len(p.Rates), p.BinWidth, p.Rate())
 }
-
-// Trace replays an explicit list of arrival times (seconds, ascending).
-type Trace struct {
-	Times []float64
-	idx   int
-}
-
-// NewTrace returns a replayer over the given arrival times. The slice is
-// not copied; callers must not mutate it afterwards.
-func NewTrace(times []float64) *Trace { return &Trace{Times: times} }
-
-// Next returns the next recorded arrival strictly after t.
-func (tr *Trace) Next(t float64, _ *rand.Rand) (float64, bool) {
-	for tr.idx < len(tr.Times) {
-		at := tr.Times[tr.idx]
-		tr.idx++
-		if at > t {
-			return at, true
-		}
-	}
-	return 0, false
-}
-
-// Rate returns the average rate over the trace span.
-func (tr *Trace) Rate() float64 {
-	n := len(tr.Times)
-	if n < 2 {
-		return 0
-	}
-	span := tr.Times[n-1] - tr.Times[0]
-	if span <= 0 {
-		return 0
-	}
-	return float64(n-1) / span
-}
-
-// Reset rewinds the trace to the beginning.
-func (tr *Trace) Reset() { tr.idx = 0 }
-
-func (tr *Trace) String() string { return fmt.Sprintf("Trace(n=%d)", len(tr.Times)) }

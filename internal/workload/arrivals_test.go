@@ -170,46 +170,6 @@ func TestNHPPZeroEnvelope(t *testing.T) {
 	}
 }
 
-func TestTraceReplay(t *testing.T) {
-	tr := NewTrace([]float64{1, 2, 3.5})
-	rng := rand.New(rand.NewSource(1))
-	var got []float64
-	tt := 0.0
-	for {
-		next, ok := tr.Next(tt, rng)
-		if !ok {
-			break
-		}
-		got = append(got, next)
-		tt = next
-	}
-	want := []float64{1, 2, 3.5}
-	if len(got) != len(want) {
-		t.Fatalf("replayed %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("replayed %v, want %v", got, want)
-		}
-	}
-	tr.Reset()
-	if next, ok := tr.Next(0, rng); !ok || next != 1 {
-		t.Error("Reset should rewind the trace")
-	}
-	if math.Abs(tr.Rate()-2/2.5) > 1e-9 {
-		t.Errorf("trace rate = %v", tr.Rate())
-	}
-}
-
-func TestTraceSkipsPast(t *testing.T) {
-	tr := NewTrace([]float64{1, 2, 3})
-	rng := rand.New(rand.NewSource(1))
-	next, ok := tr.Next(2.5, rng)
-	if !ok || next != 3 {
-		t.Errorf("Next(2.5) = %v,%v want 3,true", next, ok)
-	}
-}
-
 // TestMMPPStructLiteral: an MMPP built without NewMMPP must lazily
 // derive its sampling distributions instead of nil-panicking.
 func TestMMPPStructLiteral(t *testing.T) {

@@ -3,8 +3,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-
-	"repro/internal/dist"
 )
 
 // Batch converts an epoch process into batch arrivals: at every epoch of
@@ -27,12 +25,6 @@ func NewBatch(epochs ArrivalProcess, size int) *Batch {
 		panic(fmt.Sprintf("workload: batch size %d must be positive", size))
 	}
 	return &Batch{Epochs: epochs, Size: size}
-}
-
-// NewSecondBatches returns the paper's generator shape: every second, a
-// batch of ratePerSecond requests.
-func NewSecondBatches(ratePerSecond int) *Batch {
-	return NewBatch(NewRenewal(dist.Deterministic{Value: 1}), ratePerSecond)
 }
 
 // Next emits the remaining members of the current batch at the epoch

@@ -4,10 +4,12 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/dist"
 )
 
 func TestBatchEmitsSizePerEpoch(t *testing.T) {
-	b := NewSecondBatches(5)
+	b := secondBatches(5)
 	rng := rand.New(rand.NewSource(1))
 	counts := map[float64]int{}
 	tt := 0.0
@@ -31,7 +33,7 @@ func TestBatchEmitsSizePerEpoch(t *testing.T) {
 }
 
 func TestBatchRate(t *testing.T) {
-	b := NewSecondBatches(8)
+	b := secondBatches(8)
 	if math.Abs(b.Rate()-8) > 1e-9 {
 		t.Errorf("batch rate = %v, want 8", b.Rate())
 	}
@@ -57,8 +59,31 @@ func TestBatchMonotoneNonDecreasing(t *testing.T) {
 	}
 }
 
+// secondBatches is the paper's generator shape: every second, a batch
+// of ratePerSecond requests.
+func secondBatches(ratePerSecond int) *Batch {
+	return NewBatch(NewRenewal(dist.Deterministic{Value: 1}), ratePerSecond)
+}
+
+// epochsAt fires once at each listed time, then ends.
+type epochsAt []float64
+
+func (e *epochsAt) Next(t float64, _ *rand.Rand) (float64, bool) {
+	for len(*e) > 0 {
+		at := (*e)[0]
+		*e = (*e)[1:]
+		if at > t {
+			return at, true
+		}
+	}
+	return 0, false
+}
+
+func (e *epochsAt) Rate() float64  { return 0 }
+func (e *epochsAt) String() string { return "epochsAt" }
+
 func TestBatchExhaustsWithFiniteEpochs(t *testing.T) {
-	b := NewBatch(NewTrace([]float64{1, 2}), 3)
+	b := NewBatch(&epochsAt{1, 2}, 3)
 	rng := rand.New(rand.NewSource(3))
 	n := 0
 	tt := 0.0
@@ -90,7 +115,7 @@ func TestBatchPanicsOnBadSize(t *testing.T) {
 // bursts than a smooth stream, visible as a bimodal inter-arrival
 // distribution (0 within batches, 1s between).
 func TestBatchInterArrivalStructure(t *testing.T) {
-	b := NewSecondBatches(10)
+	b := secondBatches(10)
 	rng := rand.New(rand.NewSource(4))
 	var zeros, gaps int
 	prev := -1.0

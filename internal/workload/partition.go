@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Partitioner assigns a spatial weight to each of k edge sites; weights
@@ -78,78 +77,4 @@ func Zipf(k int, s float64) Static {
 		w[i] = 1 / math.Pow(float64(i+1), s)
 	}
 	return NewStatic(w)
-}
-
-// Rotating cycles a base weight vector across sites with the given
-// period, modeling diurnal load shifts where the "hot" site moves over
-// time (paper §2.2: load shifts between day and night).
-type Rotating struct {
-	Base   Static
-	Period float64 // seconds for a full rotation across all sites
-}
-
-// NewRotating returns a rotating partitioner.
-func NewRotating(base Static, period float64) Rotating {
-	if period <= 0 {
-		panic("workload: rotation period must be positive")
-	}
-	return Rotating{Base: base, Period: period}
-}
-
-// Weights rotates the base weights by one site every Period/k seconds.
-func (r Rotating) Weights(t float64) []float64 {
-	k := r.Base.Sites()
-	shift := int(math.Mod(t/r.Period, 1) * float64(k))
-	w := make([]float64, k)
-	for i := range w {
-		w[i] = r.Base.W[(i+shift)%k]
-	}
-	return w
-}
-
-// Sites returns the number of sites.
-func (r Rotating) Sites() int { return r.Base.Sites() }
-
-func (r Rotating) String() string {
-	return fmt.Sprintf("Rotating(%s, period=%gs)", r.Base, r.Period)
-}
-
-// PickSite samples a site index according to weights w (which must sum
-// to ~1).
-func PickSite(w []float64, rng *rand.Rand) int {
-	u := rng.Float64()
-	var cum float64
-	for i, wi := range w {
-		cum += wi
-		if u <= cum {
-			return i
-		}
-	}
-	return len(w) - 1
-}
-
-// SplitRate partitions an aggregate rate λ into per-site rates using the
-// partitioner at time t.
-func SplitRate(p Partitioner, lambda, t float64) []float64 {
-	w := p.Weights(t)
-	rates := make([]float64, len(w))
-	for i, wi := range w {
-		rates[i] = lambda * wi
-	}
-	return rates
-}
-
-// SkewIndex summarizes a weight vector's imbalance as max weight divided
-// by the uniform weight 1/k. 1.0 means perfectly balanced.
-func SkewIndex(w []float64) float64 {
-	if len(w) == 0 {
-		return 0
-	}
-	var maxW float64
-	for _, wi := range w {
-		if wi > maxW {
-			maxW = wi
-		}
-	}
-	return maxW * float64(len(w))
 }

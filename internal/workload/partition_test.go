@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -82,68 +81,9 @@ func TestZipfProperties(t *testing.T) {
 	if Zipf(5, 1.5).W[0] <= Zipf(5, 0.5).W[0] {
 		t.Error("higher Zipf exponent should concentrate load")
 	}
-	if SkewIndex(Zipf(5, 0).W) != 1 {
-		t.Error("Zipf(s=0) should be uniform")
-	}
-}
-
-func TestRotatingShiftsWeights(t *testing.T) {
-	base := NewStatic([]float64{4, 1, 1, 1, 1})
-	r := NewRotating(base, 50) // one full rotation per 50 s → shift every 10 s
-	w0 := r.Weights(0)
-	w1 := r.Weights(10.1)
-	if w0[0] != base.W[0] {
-		t.Error("t=0 should be unshifted")
-	}
-	// After one shift, the hot weight moves to the previous index.
-	if math.Abs(w1[4]-base.W[0]) > 1e-12 {
-		t.Errorf("expected hot site to rotate, got %v", w1)
-	}
-	if !sumsToOne(w1) {
-		t.Error("rotated weights must still sum to 1")
-	}
-	// A full period returns to the start.
-	wFull := r.Weights(50)
-	for i := range w0 {
-		if math.Abs(wFull[i]-w0[i]) > 1e-12 {
-			t.Fatalf("weights after a full period = %v, want %v", wFull, w0)
+	for _, w := range Zipf(5, 0).W {
+		if math.Abs(w-0.2) > 1e-12 {
+			t.Errorf("Zipf(s=0) weight %v, want uniform 0.2", w)
 		}
-	}
-}
-
-func TestPickSiteDistribution(t *testing.T) {
-	w := []float64{0.7, 0.2, 0.1}
-	rng := rand.New(rand.NewSource(9))
-	counts := make([]int, 3)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[PickSite(w, rng)]++
-	}
-	for i, want := range w {
-		got := float64(counts[i]) / n
-		if math.Abs(got-want) > 0.01 {
-			t.Errorf("site %d frequency = %v, want %v", i, got, want)
-		}
-	}
-}
-
-func TestSplitRate(t *testing.T) {
-	rates := SplitRate(Uniform{K: 4}, 40, 0)
-	for _, r := range rates {
-		if math.Abs(r-10) > 1e-12 {
-			t.Fatalf("split rates = %v", rates)
-		}
-	}
-}
-
-func TestSkewIndex(t *testing.T) {
-	if got := SkewIndex([]float64{0.25, 0.25, 0.25, 0.25}); math.Abs(got-1) > 1e-12 {
-		t.Errorf("uniform skew index = %v, want 1", got)
-	}
-	if got := SkewIndex([]float64{0.7, 0.1, 0.1, 0.1}); math.Abs(got-2.8) > 1e-12 {
-		t.Errorf("skew index = %v, want 2.8", got)
-	}
-	if SkewIndex(nil) != 0 {
-		t.Error("empty skew index should be 0")
 	}
 }
