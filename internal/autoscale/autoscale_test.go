@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/queue"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // start constructs and immediately starts a controller (most tests
@@ -19,9 +20,23 @@ func start(t *testing.T, e *sim.Engine, sts []*queue.Station, spec Spec) *Contro
 	return c
 }
 
+// sojourns records the sojourn of every request that completes at or
+// after from.
+type sojourns struct {
+	from float64
+	stats.Stream
+}
+
+func (s *sojourns) Consume(e *sim.Engine, r *queue.Request) {
+	if e.Now() >= s.from {
+		s.Add(r.Sojourn())
+	}
+}
+
 // loadStation drives Poisson arrivals at the given rate into a station
-// for the duration.
-func loadStation(eng *sim.Engine, st *queue.Station, rate, mu, duration float64) {
+// for the duration and returns the sojourns of the requests it completes.
+func loadStation(eng *sim.Engine, st *queue.Station, rate, mu, duration float64) *sojourns {
+	done := &sojourns{}
 	arrRng := eng.NewStream()
 	svcRng := eng.NewStream()
 	var schedule func(e *sim.Engine)
@@ -29,10 +44,11 @@ func loadStation(eng *sim.Engine, st *queue.Station, rate, mu, duration float64)
 		if e.Now() > duration {
 			return
 		}
-		st.Arrive(&queue.Request{ServiceTime: svcRng.ExpFloat64() / mu})
+		st.Arrive(&queue.Request{ServiceTime: svcRng.ExpFloat64() / mu, Done: done})
 		e.After(arrRng.ExpFloat64()/rate, schedule)
 	}
 	eng.After(0, schedule)
+	return done
 }
 
 func TestScalesUpUnderOverload(t *testing.T) {
@@ -164,16 +180,15 @@ func TestAutoscaleReducesLatencyUnderBurst(t *testing.T) {
 	run := func(enable bool) float64 {
 		eng := sim.NewEngine(8)
 		st := queue.NewStation(eng, "burst", 1, queue.FCFS)
-		st.SetWarmup(30)
 		if enable {
 			start(t, eng, []*queue.Station{st}, Spec{
 				Policy: PolicyReactive, Interval: 2, Min: 1, Max: 6, UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 4,
 			})
 		}
-		loadStation(eng, st, 25, 13, 400) // ~190% of one server
+		done := loadStation(eng, st, 25, 13, 400) // ~190% of one server
+		done.from = 30
 		eng.RunUntil(600)
-		st.Finish()
-		return st.Metrics().Sojourn.Mean()
+		return done.Mean()
 	}
 	static := run(false)
 	scaled := run(true)

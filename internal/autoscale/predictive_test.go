@@ -128,7 +128,6 @@ func TestPredictiveVsReactiveOnBurst(t *testing.T) {
 	run := func(mode string) float64 {
 		eng := sim.NewEngine(17)
 		st := queue.NewStation(eng, mode, 1, queue.FCFS)
-		st.SetWarmup(20)
 		switch mode {
 		case "reactive":
 			start(t, eng, []*queue.Station{st}, Spec{
@@ -139,10 +138,10 @@ func TestPredictiveVsReactiveOnBurst(t *testing.T) {
 				Policy: PolicyPredictive, Interval: 5, Min: 1, Max: 6, Mu: 13, TargetUtil: 0.65,
 			})
 		}
-		loadStation(eng, st, 28, 13, 400)
+		done := loadStation(eng, st, 28, 13, 400)
+		done.from = 20
 		eng.RunUntil(500)
-		st.Finish()
-		return st.Metrics().Sojourn.Mean()
+		return done.Mean()
 	}
 	static := run("static")
 	reactive := run("reactive")

@@ -1,9 +1,9 @@
 // Package queue implements queueing stations on top of the sim engine:
 // a G/G/c FCFS station (the model for both an edge site and the cloud
 // cluster in the paper) with alternative disciplines (LIFO, SJF) for
-// ablations. Stations collect the
-// waiting-time, sojourn-time, queue-length and utilization metrics that
-// the paper's analysis (§3) reasons about.
+// ablations. Stations collect the waiting-time, queue-length, arrival-rate
+// and utilization metrics that the paper's analysis (§3) reasons about;
+// a request's sojourn and end-to-end latency reach its Done sink.
 package queue
 
 import (
@@ -104,37 +104,15 @@ func (r *Request) Sojourn() float64 { return r.Departure - r.Arrival }
 // station sojourn time, the quantity T = n + w + s in Equations 1–2.
 func (r *Request) EndToEnd() float64 { return r.NetworkRTT + r.Sojourn() }
 
-// Metrics aggregates a station's observations. Wait and Sojourn are
-// Digests: exact by default, switchable to bounded memory for long
-// replays (UseBounded / Station.SetSummaryMode).
+// Metrics aggregates a station's observations. Wait is a Digest: exact
+// by default, switchable to bounded memory for long replays
+// (Station.SetSummaryMode).
 type Metrics struct {
-	Wait         stats.Digest       // per-request queueing delay
-	Sojourn      stats.Digest       // per-request wait + service
-	Service      stats.Stream       // per-request service times
-	QueueLen     stats.TimeWeighted // queue length (excluding in-service)
-	Busy         stats.TimeWeighted // number of busy servers
-	Arrivals     stats.RateCounter
-	Departures   stats.RateCounter
-	Dropped      int64        // rejected by a bounded queue
-	InterArrival stats.Stream // inter-arrival times, for measured SCV
-	lastArrival  float64
-	sawArrival   bool
-}
-
-func (m *Metrics) observeArrival(t float64) {
-	m.Arrivals.Observe(t)
-	if m.sawArrival {
-		m.InterArrival.Add(t - m.lastArrival)
-	}
-	m.sawArrival = true
-	m.lastArrival = t
-}
-
-// UseBounded switches the per-request latency collectors to bounded
-// memory. Call before the first observation.
-func (m *Metrics) UseBounded() {
-	m.Wait.SetBounded()
-	m.Sojourn.SetBounded()
+	Wait     stats.Digest       // per-request queueing delay
+	QueueLen stats.TimeWeighted // queue length (excluding in-service)
+	Busy     stats.TimeWeighted // number of busy servers
+	Arrivals stats.RateCounter
+	Dropped  int64 // rejected by a bounded queue
 }
 
 // Utilization returns the time-average fraction of busy servers given the
@@ -189,11 +167,11 @@ func NewStation(e *sim.Engine, name string, servers int, disc Discipline) *Stati
 }
 
 // SetSummaryMode selects the metric memory model (stats.Exact retains
-// every wait/sojourn observation; stats.Bounded keeps constant state).
+// every wait observation; stats.Bounded keeps constant state).
 // Call before any request arrives.
 func (s *Station) SetSummaryMode(m stats.Mode) {
 	if m == stats.Bounded {
-		s.m.UseBounded()
+		s.m.Wait.SetBounded()
 	}
 }
 
@@ -226,7 +204,7 @@ func (s *Station) Arrive(r *Request) {
 	r.Arrival = now
 	s.totalCount++
 	if now >= s.warmup {
-		s.m.observeArrival(now)
+		s.m.Arrivals.Observe(now)
 	}
 	if s.busy < s.Servers {
 		s.startService(r)
@@ -297,9 +275,6 @@ func (s *Station) complete(r *Request) {
 	s.m.Busy.Set(now, float64(s.busy))
 	if now >= s.warmup {
 		s.m.Wait.Add(r.Wait())
-		s.m.Sojourn.Add(r.Sojourn())
-		s.m.Service.Add(r.ServiceTime)
-		s.m.Departures.Observe(now)
 	}
 	// Guarded on the server count so a shrink (SetServers) actually
 	// drains: while busy still exceeds the new target, completing

@@ -5,12 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/theory"
 )
 
-// driveStation feeds a station with renewal arrivals and exponential (or
-// deterministic) service for the given duration and returns it finished.
-func driveMM(t *testing.T, servers int, lambda, mu, duration float64, disc Discipline, seed int64) *Station {
+// driveMM feeds a station with Poisson arrivals and exponential service
+// for the given duration and returns it finished. done, when non-nil,
+// receives every completed request.
+func driveMM(t *testing.T, servers int, lambda, mu, duration float64, disc Discipline, seed int64, done Sink) *Station {
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	st := NewStation(eng, "test", servers, disc)
@@ -25,7 +27,7 @@ func driveMM(t *testing.T, servers int, lambda, mu, duration float64, disc Disci
 			return
 		}
 		id++
-		st.Arrive(&Request{ID: id, ServiceTime: svcRng.ExpFloat64() / mu})
+		st.Arrive(&Request{ID: id, ServiceTime: svcRng.ExpFloat64() / mu, Done: done})
 		e.After(arrRng.ExpFloat64()/lambda, schedule)
 	}
 	eng.After(arrRng.ExpFloat64()/lambda, schedule)
@@ -39,7 +41,7 @@ func driveMM(t *testing.T, servers int, lambda, mu, duration float64, disc Disci
 func TestMM1WaitMatchesTheory(t *testing.T) {
 	for _, rho := range []float64{0.3, 0.5, 0.7, 0.85} {
 		mu := 13.0
-		st := driveMM(t, 1, rho*mu, mu, 8000, FCFS, 42)
+		st := driveMM(t, 1, rho*mu, mu, 8000, FCFS, 42, nil)
 		want := theory.MM1Wait(rho, mu)
 		got := st.Metrics().Wait.Mean()
 		if math.Abs(got-want) > 0.12*want+0.001 {
@@ -54,7 +56,7 @@ func TestMMcWaitMatchesErlangC(t *testing.T) {
 	for _, c := range []int{2, 5, 10} {
 		rho := 0.8
 		mu := 13.0
-		st := driveMM(t, c, rho*float64(c)*mu, mu, 6000, FCFS, 7)
+		st := driveMM(t, c, rho*float64(c)*mu, mu, 6000, FCFS, 7, nil)
 		want := theory.MMcWait(c, rho, mu)
 		got := st.Metrics().Wait.Mean()
 		if math.Abs(got-want) > 0.15*want+0.001 {
@@ -66,7 +68,7 @@ func TestMMcWaitMatchesErlangC(t *testing.T) {
 // TestUtilizationMatchesOffered: measured busy fraction equals λ/(cμ).
 func TestUtilizationMatchesOffered(t *testing.T) {
 	mu := 10.0
-	st := driveMM(t, 3, 18, mu, 4000, FCFS, 3)
+	st := driveMM(t, 3, 18, mu, 4000, FCFS, 3, nil)
 	got := st.Metrics().Utilization(3)
 	want := 18.0 / (3 * mu)
 	if math.Abs(got-want) > 0.03 {
@@ -77,7 +79,7 @@ func TestUtilizationMatchesOffered(t *testing.T) {
 // TestLittlesLaw: Lq = λ·Wq must hold for the simulated station.
 func TestLittlesLaw(t *testing.T) {
 	lambda, mu := 9.0, 13.0
-	st := driveMM(t, 1, lambda, mu, 8000, FCFS, 11)
+	st := driveMM(t, 1, lambda, mu, 8000, FCFS, 11, nil)
 	m := st.Metrics()
 	lq := m.QueueLen.Average()
 	wq := m.Wait.Mean()
@@ -91,12 +93,23 @@ func TestLittlesLaw(t *testing.T) {
 	}
 }
 
-// TestWorkConservation: mean sojourn = mean wait + mean service.
+// TestWorkConservation: mean sojourn = mean wait + mean service, with
+// the sojourns and services taken from the completed requests and the
+// wait from the station's digest over the same post-warmup completions.
 func TestWorkConservation(t *testing.T) {
-	st := driveMM(t, 2, 20, 13, 2000, FCFS, 5)
-	m := st.Metrics()
-	lhs := m.Sojourn.Mean()
-	rhs := m.Wait.Mean() + m.Service.Mean()
+	const duration = 2000
+	var soj, svc stats.Stream
+	st := driveMM(t, 2, 20, 13, duration, FCFS, 5, DoneFunc(func(e *sim.Engine, r *Request) {
+		if e.Now() >= duration/10 {
+			soj.Add(r.Sojourn())
+			svc.Add(r.ServiceTime)
+		}
+	}))
+	if n := int64(st.Metrics().Wait.N()); n != soj.N() {
+		t.Fatalf("wait digest holds %d observations, %d requests completed after warmup", n, soj.N())
+	}
+	lhs := soj.Mean()
+	rhs := st.Metrics().Wait.Mean() + svc.Mean()
 	if math.Abs(lhs-rhs) > 1e-9 {
 		t.Errorf("sojourn %.6f != wait+service %.6f", lhs, rhs)
 	}
@@ -191,8 +204,8 @@ func TestWarmupDiscardsEarlyMetrics(t *testing.T) {
 	eng.At(200, func(*sim.Engine) { st.Arrive(&Request{ID: 2, ServiceTime: 1}) })
 	eng.Run()
 	st.Finish()
-	if n := st.Metrics().Sojourn.N(); n != 1 {
-		t.Errorf("recorded %d sojourns, want 1 (warmup discarded)", n)
+	if n := st.Metrics().Wait.N(); n != 1 {
+		t.Errorf("recorded %d waits, want 1 (warmup discarded)", n)
 	}
 	if st.TotalArrivals() != 2 {
 		t.Errorf("TotalArrivals = %d, want 2", st.TotalArrivals())
@@ -228,11 +241,19 @@ func TestStationPanicsOnZeroServers(t *testing.T) {
 	NewStation(sim.NewEngine(1), "bad", 0, FCFS)
 }
 
-// TestInterArrivalSCV: the measured inter-arrival SCV of a Poisson feed
-// is ~1.
+// TestInterArrivalSCV: the inter-arrival SCV of a Poisson feed, read
+// from the arrival times the station stamps, is ~1. One FCFS server
+// completes requests in arrival order.
 func TestInterArrivalSCV(t *testing.T) {
-	st := driveMM(t, 1, 5, 13, 4000, FCFS, 9)
-	scv := st.Metrics().InterArrival.SCV()
+	var gaps stats.Stream
+	last := -1.0
+	driveMM(t, 1, 5, 13, 4000, FCFS, 9, DoneFunc(func(_ *sim.Engine, r *Request) {
+		if last >= 0 {
+			gaps.Add(r.Arrival - last)
+		}
+		last = r.Arrival
+	}))
+	scv := gaps.SCV()
 	if math.Abs(scv-1) > 0.12 {
 		t.Errorf("Poisson inter-arrival SCV = %v, want ~1", scv)
 	}
@@ -279,8 +300,8 @@ func TestDisciplineString(t *testing.T) {
 // the same mean wait (though different variance) — a classic queueing
 // invariant that exercises both disciplines deeply.
 func TestMeanWaitInvariantUnderDisciplineMM(t *testing.T) {
-	fc := driveMM(t, 1, 9, 13, 8000, FCFS, 33)
-	lf := driveMM(t, 1, 9, 13, 8000, LIFO, 33)
+	fc := driveMM(t, 1, 9, 13, 8000, FCFS, 33, nil)
+	lf := driveMM(t, 1, 9, 13, 8000, LIFO, 33, nil)
 	wF := fc.Metrics().Wait.Mean()
 	wL := lf.Metrics().Wait.Mean()
 	if math.Abs(wF-wL) > 0.25*wF+0.002 {
