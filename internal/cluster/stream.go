@@ -11,18 +11,8 @@ import (
 
 // SourceFactory returns a fresh Source over the same record sequence on
 // every call, so paired and swept runs each take an independent
-// iterator. StreamFactory builds one over lazy generator sources; the
-// trace decoders build them over recorded files.
+// iterator. The trace decoders build them over recorded files.
 type SourceFactory func() Source
-
-// StreamFactory adapts a GenSpec builder into a SourceFactory: each call
-// re-derives a fresh spec and streams it. The builder must return a
-// fresh spec every time — in particular fresh Arrivals processes, which
-// are stateful and consumed by a single Stream call —
-// so every source replays the identical record sequence.
-func StreamFactory(mk func() GenSpec) SourceFactory {
-	return func() Source { return Stream(mk()) }
-}
 
 // siteGen is one site's lazy generator state: its arrival process, its
 // two private random streams, and the next pending record.
@@ -52,8 +42,8 @@ type streamSource struct {
 // inference model, and the per-site streams merge in stable
 // (Time, Site) order — in constant memory per site instead of memory
 // proportional to the request count. A spec carrying explicit Arrivals
-// is consumed by one Stream call — re-derive fresh processes per source
-// (see StreamFactory).
+// is consumed by one Stream call: re-derive fresh processes for every
+// Stream over the same records.
 func Stream(spec GenSpec) Source {
 	return streamRange(spec, 0, spec.Sites)
 }

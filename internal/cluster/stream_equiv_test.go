@@ -258,33 +258,6 @@ func TestStreamTopologyEquivalence(t *testing.T) {
 	}
 }
 
-// TestStreamFactoryReplaysIdenticalSequence: every source a factory
-// hands out replays the same records — the property policy-comparison
-// rows rely on.
-func TestStreamFactoryReplaysIdenticalSequence(t *testing.T) {
-	mk := streamScenarios(t)["azure-fixture"]
-	factory := cluster.StreamFactory(mk)
-	a, b := factory(), factory()
-	n := 0
-	for {
-		ra, oka := a.Next()
-		rb, okb := b.Next()
-		if oka != okb {
-			t.Fatalf("sources disagree on length at record %d", n)
-		}
-		if !oka {
-			break
-		}
-		if ra != rb {
-			t.Fatalf("record %d diverges between factory sources: %+v vs %+v", n, ra, rb)
-		}
-		n++
-	}
-	if n == 0 {
-		t.Fatal("factory sources yielded nothing; test is vacuous")
-	}
-}
-
 // streamProbeRun replays a generated stream of the given duration
 // through a zero-RTT edge and reports the peak event-calendar size and
 // the offered request count.
