@@ -244,8 +244,9 @@ func defineFlags(fs *flag.FlagSet) *options {
 		"printing per-tier metrics and the inversion crossover vs an equal-capacity pooled cloud")
 	fs.IntVar(&o.shards, "shards", 0, "parallel replay engines. Unset: one per CPU when the "+
 		"graph shards, the classic single engine otherwise. An explicit count forces that many sharded engines "+
-		"(bit-identical output for every count) and fails when the graph cannot shard; explicit 0 forces the "+
-		"classic single engine")
+		"and fails when the graph cannot shard; explicit 0 forces the classic single engine. Both engines "+
+		"share one random-stream layout, so every count, 0 included, gives the same results; only "+
+		"wall-clock time changes")
 	fs.StringVar(&o.trace, "trace", "", "replay a request CSV (time,site,service) or a "+
 		"compiled .etb binary trace (auto-detected by signature) instead of generating a workload; "+
 		"a sweep rescales its arrival times so the trace hits each swept rate")

@@ -6,44 +6,44 @@ func Example() {
 	main()
 	// Output:
 	// Per-site workload (requests/minute), synthetic Azure trace:
-	//   Edge 1: total   5117  min  105  max  537 req/min
-	//   Edge 2: total   3905  min   76  max  436 req/min
-	//   Edge 3: total   2529  min   46  max  192 req/min
-	//   Edge 4: total   2264  min   51  max  290 req/min
-	//   Edge 5: total   3831  min   54  max  623 req/min
+	//   Edge 1: total   5609  min  135  max  574 req/min
+	//   Edge 2: total   3395  min  101  max  373 req/min
+	//   Edge 3: total   2656  min   56  max  254 req/min
+	//   Edge 4: total   1856  min   42  max  167 req/min
+	//   Edge 5: total   5060  min   44  max  964 req/min
 	//
 	// Minute-by-minute mean latency (ms):
 	// minute           edge        cloud leader
-	// 1                84.9        102.4 edge
-	// 2               120.5        103.4 CLOUD (inversion)
-	// 3                98.4        103.5 edge
-	// 4                88.4        103.7 edge
-	// 5               101.7        104.8 edge
-	// 6                95.0        104.6 edge
-	// 7                90.6        101.4 edge
-	// 8                97.5        103.9 edge
-	// 9                99.9        103.4 edge
-	// 10               90.9        105.0 edge
-	// 11               95.2        102.9 edge
-	// 12               92.8        104.0 edge
-	// 13               93.2        104.5 edge
-	// 14              171.4        102.9 CLOUD (inversion)
-	// 15               98.0        103.2 edge
-	// 16               99.7        103.6 edge
-	// 17               93.3        102.1 edge
-	// 18               89.3        102.0 edge
-	// 19               96.0        104.5 edge
-	// 20              106.2        103.9 CLOUD (inversion)
+	// 1                89.8        105.6 edge
+	// 2                91.0        103.6 edge
+	// 3               101.7        104.8 edge
+	// 4               100.6        103.8 edge
+	// 5               187.3        103.7 CLOUD (inversion)
+	// 6                89.9        103.8 edge
+	// 7                86.9        103.6 edge
+	// 8                96.5        102.1 edge
+	// 9               104.5        103.8 CLOUD (inversion)
+	// 10               89.3        102.9 edge
+	// 11              103.6        101.7 CLOUD (inversion)
+	// 12              120.4        102.9 CLOUD (inversion)
+	// 13              106.9        102.5 CLOUD (inversion)
+	// 14               95.6        104.5 edge
+	// 15              408.0        104.6 CLOUD (inversion)
+	// 16               96.5        104.2 edge
+	// 17              111.2        102.9 CLOUD (inversion)
+	// 18             5210.5        104.5 CLOUD (inversion)
+	// 19             1639.6        102.2 CLOUD (inversion)
+	// 20              113.4        103.9 CLOUD (inversion)
 	//
-	// 3 of 20 minutes showed performance inversion.
+	// 10 of 20 minutes showed performance inversion.
 	//
 	// Per-site latency spread (the paper's Figure 10):
-	//   Edge 1   median   89.6 ms   q3  125.1 ms   whisker   210.7 ms
-	//   Edge 2   median   85.3 ms   q3  112.9 ms   whisker   183.4 ms
-	//   Edge 3   median   80.2 ms   q3  103.5 ms   whisker   164.8 ms
-	//   Edge 4   median   79.3 ms   q3  102.0 ms   whisker   161.5 ms
-	//   Edge 5   median   91.4 ms   q3  132.1 ms   whisker   226.6 ms
-	//   Cloud    median  100.7 ms   q3  118.6 ms   whisker   168.2 ms
+	//   Edge 1   median   93.9 ms   q3  141.2 ms   whisker   247.3 ms
+	//   Edge 2   median   82.5 ms   q3  108.2 ms   whisker   173.8 ms
+	//   Edge 3   median   80.6 ms   q3  103.7 ms   whisker   164.6 ms
+	//   Edge 4   median   79.7 ms   q3   99.3 ms   whisker   154.4 ms
+	//   Edge 5   median  133.3 ms   q3 1289.6 ms   whisker  3103.3 ms
+	//   Cloud    median  101.2 ms   q3  117.9 ms   whisker   166.1 ms
 	//
-	// overall: edge mean 102.5 ms vs cloud mean 103.5 ms; edge p95 211.2 ms vs cloud p95 147.8 ms
+	// overall: edge mean 615.2 ms vs cloud mean 103.6 ms; edge p95 4334.3 ms vs cloud p95 148.3 ms
 }

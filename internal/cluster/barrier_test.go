@@ -25,14 +25,14 @@ func runBarrier(src ShardedSource, topo Topology, opts Options, shards int) (*To
 	}
 	var all []boundaryRec
 	for _, st := range r.states {
-		runShardPhase1(r.topo, r.plan, st, src.Shard(st.lo, st.hi), r.opts, r.netSeeds, harvestPublisher{&all})
+		runShardPhase1(r.topo, r.plan, st, src.Shard(st.lo, st.hi), r.opts, harvestPublisher{&all})
 		if st.err != nil {
 			return nil, st.err
 		}
 	}
 	sort.Slice(all, func(i, j int) bool { return boundaryBefore(&all[i], &all[j]) })
 
-	b, err := buildPhase2(r, r.plan.shared, deriveP2Streams(r.topo, r.plan, r.phase2Seed))
+	b, err := buildPhase2(r, r.plan.shared)
 	if err != nil {
 		return nil, err
 	}

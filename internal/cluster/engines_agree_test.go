@@ -7,16 +7,16 @@ import (
 
 	"repro/internal/admit"
 	"repro/internal/cluster"
+	"repro/internal/lb"
 	"repro/internal/netem"
 	"repro/internal/stats"
 )
 
-// deterministicTopology is edge-regional-cloud with nothing left for
-// the engines' stream disciplines to disagree on: constant client
+// deterministicTopology is edge-regional-cloud with constant client
 // paths, fixed spill detours (no DetourPath), central-queue shared
-// tiers (no dispatcher stream) and a site-pinned class (no Bernoulli
-// stream). The edge admits through a per-site token bucket and the
-// cloud's queue is capped, so rejections and drops both occur.
+// tiers and a site-pinned class. The edge admits through a per-site
+// token bucket and the cloud's queue is capped, so rejections and drops
+// both occur.
 func deterministicTopology() cluster.Topology {
 	return cluster.Topology{
 		Name: "deterministic",
@@ -36,35 +36,66 @@ func deterministicTopology() cluster.Topology {
 	}
 }
 
-// TestSerialMatchesShardedOnDeterministicPaths: with no random stream
-// whose discipline differs between them, the serial Run and the
-// sharded RunPipelined replay the same events, so they must agree on
+// TestSerialMatchesSharded: both engines build every random stream from
+// one per-site layout, so the serial Run and the sharded RunPipelined
+// replay the same events on every shardable graph and must agree on
 // every counter, duration, utilization and exact or bounded quantile,
 // per tier and per site. Means may differ in the last bits only: Run
 // adds completions in completion order, the sharded merge in site
-// order.
-func TestSerialMatchesShardedOnDeterministicPaths(t *testing.T) {
-	topo := deterministicTopology()
-	spec := cluster.GenSpec{Sites: 5, Duration: 200, PerSiteRate: 13, Seed: 9}
-	for _, mode := range []stats.Mode{stats.Exact, stats.Bounded} {
-		opts := cluster.Options{Warmup: 20, Seed: 4, Summary: mode}
-		want, err := cluster.Run(cluster.Stream(spec), topo, opts)
-		if err != nil {
-			t.Fatal(err)
+// order. The graphs cover constant and jittered client paths, sampled
+// spill detours at generation time and between shared tiers, a
+// site-pinned class, an autoscaled shared tier and a randomized
+// dispatcher.
+func TestSerialMatchesSharded(t *testing.T) {
+	topos := []cluster.Topology{deterministicTopology()}
+	for _, preset := range cluster.TopologyPresets() {
+		topo, ok := cluster.PresetTopology(preset)
+		if !ok {
+			t.Fatalf("unknown preset %q", preset)
 		}
-		regional, cloud := want.Tier("regional"), want.Tier("cloud")
-		if regional.Spilled == 0 || cloud.Dropped == 0 || want.Rejected == 0 || cloud.Classes[0].Served == 0 {
-			t.Fatalf("mode %v: regional spilled %d, cloud dropped %d, rejected %d, pinned served %d: "+
-				"the load exercises too little to be an oracle",
-				mode, regional.Spilled, cloud.Dropped, want.Rejected, cloud.Classes[0].Served)
-		}
-		for _, shards := range []int{1, 3} {
-			got, err := cluster.RunPipelined(cluster.GenShards(spec), topo, opts, shards)
+		topos = append(topos, topo)
+	}
+	// edge-regional-cloud with its cloud pool behind a power-of-two
+	// dispatcher, which draws the cloud tier's routing stream.
+	p2c, _ := cluster.PresetTopology("edge-regional-cloud")
+	p2c.Name = "edge-regional-p2c"
+	p2c.Tiers[2] = cluster.CloudTier(5, p2c.Tiers[2].Path, lb.PolicyPowerOfTwo)
+	topos = append(topos, p2c)
+
+	spec := cluster.GenSpec{Sites: 5, Duration: 200, PerSiteRate: 16, Seed: 9}
+	for _, topo := range topos {
+		for _, mode := range []stats.Mode{stats.Exact, stats.Bounded} {
+			opts := cluster.Options{Warmup: 20, Seed: 4, Summary: mode}
+			want, err := cluster.Run(cluster.Stream(spec), topo, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			agreeAcrossEngines(t, fmt.Sprintf("mode %v/shards %d", mode, shards), want, got)
+			last := len(want.Tiers) - 1
+			for _, tr := range want.Tiers[:last] {
+				if tr.Spilled == 0 {
+					t.Fatalf("%s mode %v: tier %s never spilled: the load exercises too little to be an oracle",
+						topo.Name, mode, tr.Name)
+				}
+			}
+			if want.Tiers[last].Served == 0 {
+				t.Fatalf("%s mode %v: tier %s served nothing", topo.Name, mode, want.Tiers[last].Name)
+			}
+			for _, shards := range []int{1, 3} {
+				got, err := cluster.RunPipelined(cluster.GenShards(spec), topo, opts, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				agreeAcrossEngines(t, fmt.Sprintf("%s mode %v/shards %d", topo.Name, mode, shards), want, got)
+			}
 		}
+	}
+	det, err := cluster.Run(cluster.Stream(spec), deterministicTopology(), cluster.Options{Warmup: 20, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cloud := det.Tier("cloud"); cloud.Dropped == 0 || det.Rejected == 0 || cloud.Classes[0].Served == 0 {
+		t.Fatalf("deterministic: cloud dropped %d, rejected %d, pinned served %d: drops, "+
+			"rejections and the pinned class go untested", cloud.Dropped, det.Rejected, cloud.Classes[0].Served)
 	}
 }
 

@@ -3,16 +3,19 @@ package cluster
 // The streaming replay core must be observationally identical to the
 // seed's materialized runner, which scheduled one arrival event and one
 // Done closure per trace record before starting the clock. The
-// materialized runners below are verbatim ports of that seed code
-// (adapted only to the Sink/Digest types and to test-local copies of
-// the seed's config shapes); the tests assert Run on the equivalent
-// topology reproduces their results bit for bit on fixed traces.
+// materialized runners below are ports of that seed code, adapted to
+// the Sink/Digest types, to test-local copies of the seed's config
+// shapes, and to the per-site stream layout (siteNet, routeStream); the
+// tests assert Run on the equivalent topology reproduces their results
+// bit for bit on fixed traces.
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/autoscale"
+	"repro/internal/dist"
 	"repro/internal/lb"
 	"repro/internal/netem"
 	"repro/internal/queue"
@@ -97,6 +100,24 @@ func (c overflowConfig) topology() Topology {
 	}
 }
 
+// siteNet re-derives the oracles' per-site network streams under a run
+// seed: site s draws substream 1+s of the seed, as in streams.go.
+func siteNet(seed int64) func(site int) *rand.Rand {
+	rngs := map[int]*rand.Rand{}
+	return func(site int) *rand.Rand {
+		if rngs[site] == nil {
+			rngs[site] = dist.NewRand(dist.SeedAt(seed, 1+uint64(site)))
+		}
+		return rngs[site]
+	}
+}
+
+// routeStream re-derives routing stream i under a run seed (tier i's
+// dispatcher or jockeying stream): index i of substream 0.
+func routeStream(seed int64, i int) *rand.Rand {
+	return dist.NewRand(dist.SeedAt(dist.SeedAt(seed, 0), uint64(i)))
+}
+
 // oracleResult is the seed runners' result shape: the aggregate plus
 // the per-site rows the seed's Result carried.
 type oracleResult struct {
@@ -171,7 +192,7 @@ func materializedRunEdge(tr *WorkloadTrace, cfg edgeConfig) *oracleResult {
 		cfg.ServersPerSite = 1
 	}
 	eng := sim.NewEngine(cfg.Seed)
-	netRng := eng.NewStream()
+	netRng := siteNet(cfg.Seed)
 
 	stations := make([]*queue.Station, cfg.Sites)
 	servers := make([]queue.Server, cfg.Sites)
@@ -188,7 +209,7 @@ func materializedRunEdge(tr *WorkloadTrace, cfg edgeConfig) *oracleResult {
 
 	var geo *lb.Geographic
 	if cfg.JockeyThreshold > 0 {
-		geo = lb.NewGeographic(servers, cfg.JockeyThreshold, cfg.DetourRTT, eng.NewStream())
+		geo = lb.NewGeographic(servers, cfg.JockeyThreshold, cfg.DetourRTT, routeStream(cfg.Seed, 0))
 	}
 
 	res := &oracleResult{Result: Result{Label: "edge"}}
@@ -204,7 +225,7 @@ func materializedRunEdge(tr *WorkloadTrace, cfg edgeConfig) *oracleResult {
 
 	var nextID uint64
 	for _, rec := range tr.Records {
-		rtt := cfg.Path.Sample(netRng)
+		rtt := cfg.Path.Sample(netRng(rec.Site))
 		nextID++
 		req := &queue.Request{
 			ID:          nextID,
@@ -276,7 +297,7 @@ func materializedRunCloud(tr *WorkloadTrace, cfg cloudConfig) *oracleResult {
 		cfg.Policy = CentralQueueDispatch
 	}
 	eng := sim.NewEngine(cfg.Seed)
-	netRng := eng.NewStream()
+	netRng := siteNet(cfg.Seed)
 
 	var stations []*queue.Station
 	var dispatch func(r *queue.Request)
@@ -301,11 +322,11 @@ func materializedRunCloud(tr *WorkloadTrace, cfg cloudConfig) *oracleResult {
 		case lb.PolicyRoundRobin:
 			d = lb.NewRoundRobin(servers)
 		case lb.PolicyLeastConn:
-			d = lb.NewLeastConnections(servers, eng.NewStream())
+			d = lb.NewLeastConnections(servers, routeStream(cfg.Seed, 0))
 		case lb.PolicyPowerOfTwo:
-			d = lb.NewPowerOfTwo(servers, eng.NewStream())
+			d = lb.NewPowerOfTwo(servers, routeStream(cfg.Seed, 0))
 		case lb.PolicyRandom:
-			d = lb.NewRandom(servers, eng.NewStream())
+			d = lb.NewRandom(servers, routeStream(cfg.Seed, 0))
 		}
 		dispatch = d.Dispatch
 	}
@@ -317,7 +338,7 @@ func materializedRunCloud(tr *WorkloadTrace, cfg cloudConfig) *oracleResult {
 
 	var nextID uint64
 	for _, rec := range tr.Records {
-		rtt := cfg.Path.Sample(netRng)
+		rtt := cfg.Path.Sample(netRng(rec.Site))
 		nextID++
 		req := &queue.Request{
 			ID:          nextID,
@@ -368,7 +389,7 @@ func materializedRunOverflow(tr *WorkloadTrace, cfg overflowConfig) *overflowOra
 		cfg.ServersPerSite = 1
 	}
 	eng := sim.NewEngine(cfg.Seed)
-	netRng := eng.NewStream()
+	netRng := siteNet(cfg.Seed)
 
 	sites := make([]*queue.Station, cfg.Sites)
 	for i := range sites {
@@ -382,8 +403,8 @@ func materializedRunOverflow(tr *WorkloadTrace, cfg overflowConfig) *overflowOra
 
 	var nextID uint64
 	for _, rec := range tr.Records {
-		edgeRTT := cfg.EdgePath.Sample(netRng)
-		cloudRTT := cfg.CloudPath.Sample(netRng)
+		edgeRTT := cfg.EdgePath.Sample(netRng(rec.Site))
+		cloudRTT := cfg.CloudPath.Sample(netRng(rec.Site))
 		nextID++
 		req := &queue.Request{
 			ID:          nextID,

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/dist"
 	"repro/internal/sim"
 )
 
@@ -67,8 +68,8 @@ func siteStreams(seed int64, sites int) (arr, svc []*rand.Rand) {
 	arr = make([]*rand.Rand, sites)
 	svc = make([]*rand.Rand, sites)
 	for i := 0; i < sites; i++ {
-		arr[i] = rand.New(rand.NewSource(arrSeed[i]))
-		svc[i] = rand.New(rand.NewSource(svcSeed[i]))
+		arr[i] = dist.NewRand(arrSeed[i])
+		svc[i] = dist.NewRand(svcSeed[i])
 	}
 	return arr, svc
 }

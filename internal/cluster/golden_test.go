@@ -5,9 +5,10 @@ package cluster_test
 // cannot see a change that moves both at once, such as a reordered
 // event calendar. This test replays every shipped preset, and the
 // admission-and-drops deterministicTopology, through the serial Run and
-// through RunPipelined at 1 and 4 shards, and compares per-tier
-// counters, the run duration and end-to-end latency at full float64
-// precision against testdata/replay_golden.txt.
+// through RunPipelined at 1 and 4 shards, checks that the engines
+// agree, and compares per-tier counters, the run duration and
+// end-to-end latency at full float64 precision against
+// testdata/replay_golden.txt.
 //
 // A change that alters results on purpose regenerates the file with
 //
@@ -76,11 +77,12 @@ func TestReplayGolden(t *testing.T) {
 			}
 			writeGolden(&b, label+" run", res)
 			for _, shards := range []int{1, 4} {
-				res, err := cluster.RunPipelined(cluster.GenShards(spec), topo, opts, shards)
+				pres, err := cluster.RunPipelined(cluster.GenShards(spec), topo, opts, shards)
 				if err != nil {
 					t.Fatalf("%s: RunPipelined(%d): %v", label, shards, err)
 				}
-				writeGolden(&b, fmt.Sprintf("%s pipelined-%d", label, shards), res)
+				writeGolden(&b, fmt.Sprintf("%s pipelined-%d", label, shards), pres)
+				agreeAcrossEngines(t, fmt.Sprintf("%s pipelined-%d", label, shards), res, pres)
 			}
 		}
 	}

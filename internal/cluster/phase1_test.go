@@ -45,7 +45,7 @@ func TestPhase1BuildFailureClosesRing(t *testing.T) {
 		func(a, b boundaryRec) bool { return boundaryBefore(&a, &b) },
 		func(rec boundaryRec) float64 { return rec.at })
 	st := &shardState{lo: 0, hi: 2}
-	go runShardPhase1(topo, plan, st, tr.Source(), Options{}, []int64{1, 2}, &pipePublisher{grp: grp, ring: 0})
+	go runShardPhase1(topo, plan, st, tr.Source(), Options{}, &pipePublisher{grp: grp, ring: 0})
 	for {
 		if _, ok := grp.NextBatch(nil, 16); !ok {
 			break

@@ -48,8 +48,9 @@ import (
 // (planShards rejects Bernoulli fractions) and each site's spill chain
 // terminates in at most one component, so every site's shared-phase
 // records — and hence its digest add order — stay within a single
-// partition, and the pinned stream seeds (deriveP2Streams) keep every
-// dispatcher's random sequence identical to the serial build's.
+// partition, and every dispatcher draws the routing stream Run builds
+// for its tier (streams.go), so its random sequence is identical to the
+// serial build's.
 const (
 	// boundaryRing bounds each shard's boundary ring in records:
 	// deep enough to ride out merge stalls, small enough that k rings
@@ -334,11 +335,10 @@ func runPipelined(src ShardedSource, topo Topology, opts Options, shards, ringCa
 	// Build phase 2 before launching any producer, so a construction
 	// error cannot strand shards blocked on a full ring.
 	parts, compOf := phase2Partitions(r.topo, r.plan)
-	streams := deriveP2Streams(r.topo, r.plan, r.phase2Seed)
 	builds := make([]*p2build, len(parts))
 	perSite := newDigests(opts.Summary, r.sites)
 	for p, tiers := range parts {
-		if builds[p], err = buildPhase2(r, tiers, streams); err != nil {
+		if builds[p], err = buildPhase2(r, tiers); err != nil {
 			return nil, err
 		}
 		builds[p].sink.perSite = perSite
@@ -362,7 +362,7 @@ func runPipelined(src ShardedSource, topo Topology, opts Options, shards, ringCa
 		go pprof.Do(context.Background(), pprof.Labels("phase", "phase-1"), func(context.Context) {
 			defer shardWG.Done()
 			pub := &pipePublisher{grp: grp, ring: k, gauge: gauge}
-			runShardPhase1(r.topo, r.plan, st, src.Shard(st.lo, st.hi), opts, r.netSeeds, pub)
+			runShardPhase1(r.topo, r.plan, st, src.Shard(st.lo, st.hi), opts, pub)
 		})
 	}
 

@@ -29,16 +29,12 @@ import (
 // Because phase-1 dynamics are site-local and the boundary sequence is
 // canonical, the result is bit-identical for every shard count: the
 // shard-determinism suite asserts -shards N == -shards 1 across the
-// presets, sources, seeds and summary modes. The sharded path defines
-// its own canonical stream discipline — per-site network streams rather
-// than Run's single generation-order stream — so its numbers need not
-// equal Run's wherever a client path, detour or dispatcher draws
-// randomness. Where none does (constant client paths, fixed spill
-// detours, central-queue shared tiers, site-pinned classes) both
-// engines replay the same events through the same tier builder, router,
-// sink and harvest, and agree on every counter, duration, utilization
+// presets, sources, seeds and summary modes. Both engines draw from the
+// one stream layout of streams.go and replay the same events through
+// the same tier builder, router, sink and harvest, so the sharded
+// result also agrees with Run's on every counter, duration, utilization
 // and quantile, with means equal up to summation order:
-// TestSerialMatchesShardedOnDeterministicPaths is that oracle.
+// TestSerialMatchesSharded is that oracle.
 //
 // RunPipelined (pipeline.go) runs the two phases concurrently: boundary
 // records stream through watermarked bounded rings, so phase 2 starts
@@ -233,13 +229,13 @@ func (st *shardState) Consume(e *sim.Engine, r *queue.Request) {
 
 // runShardPhase1 replays one shard's sites through the home tiers,
 // streaming boundary crossings into pub. All randomness draws from the
-// per-site streams in netSeeds, so a site behaves identically no matter
-// which shard holds it. A failure — a tier that will not build, a
+// sites' network streams, so a site behaves identically no matter which
+// shard holds it. A failure — a tier that will not build, a
 // record outside the shard's sites, a source that goes back in time or
 // fails to decode — stops the shard and lands in st.err; pub.finish
 // runs on every path, so the ring always closes and the merger cannot
 // stall.
-func runShardPhase1(topo Topology, plan shardPlan, st *shardState, src Source, opts Options, netSeeds []int64, pub boundaryPublisher) {
+func runShardPhase1(topo Topology, plan shardPlan, st *shardState, src Source, opts Options, pub boundaryPublisher) {
 	defer pub.finish()
 	eng := sim.NewEngineBackend(opts.Seed, opts.backend)
 	st.eng = eng
@@ -288,11 +284,6 @@ func runShardPhase1(topo Topology, plan shardPlan, st *shardState, src Source, o
 	// on every home edge but the entry tier's, whose detour the router
 	// draws at generation time, so no edge here needs a stream.
 	attachSpills(topo, st.tiers, nil)
-
-	netRng := make([]*rand.Rand, width)
-	for ls := range netRng {
-		netRng[ls] = rand.New(rand.NewSource(netSeeds[st.lo+ls]))
-	}
 
 	capture := func(at float64, req *queue.Request, target int) {
 		ls := req.Site - st.lo
@@ -363,7 +354,7 @@ func runShardPhase1(topo Topology, plan shardPlan, st *shardState, src Source, o
 
 	// Site-pinned classes only: planShards rejected Bernoulli fractions,
 	// so the router never draws a class stream here.
-	route := newRouter(topo, nil)
+	route := newRouter(topo, newNetStreams(opts.Seed, st.lo, width), nil)
 	f := &feeder{
 		src:  src,
 		pool: pool,
@@ -382,7 +373,7 @@ func runShardPhase1(topo Topology, plan shardPlan, st *shardState, src Source, o
 			// from here on carries at >= rec.Time, which is what lets the
 			// publisher release and watermark.
 			pub.advance(rec.Time)
-			route.prep(rec, req, netRng[ls])
+			route.prep(rec, req)
 		},
 		admit: admitEv,
 	}
@@ -401,25 +392,19 @@ func runShardPhase1(topo Topology, plan shardPlan, st *shardState, src Source, o
 }
 
 // shardRun is one sharded run's shared state: the validated plan, the
-// partition-independent seed derivation, the shard site ranges and the
-// result skeleton.
+// shard site ranges and the result skeleton.
 type shardRun struct {
-	topo       Topology
-	plan       shardPlan
-	opts       Options
-	sites      int
-	shards     int
-	netSeeds   []int64
-	phase2Seed int64
-	states     []*shardState
-	res        *TopologyResult
+	topo   Topology
+	plan   shardPlan
+	opts   Options
+	sites  int
+	shards int
+	states []*shardState
+	res    *TopologyResult
 }
 
 // newShardRun validates the run and derives everything both phases
-// need. Per-site stream seeds are derived exactly as siteSeeds
-// derives the generator's: one master stream hands each site a seed in
-// site order, then one more seeds the phase-2 engine. The derivation
-// never reads the shard count.
+// need.
 func newShardRun(src ShardedSource, topo Topology, opts Options, shards int) (*shardRun, error) {
 	topo, err := prepareRun(topo, opts)
 	if err != nil {
@@ -449,13 +434,6 @@ func newShardRun(src ShardedSource, topo Topology, opts Options, shards int) (*s
 		shards = sites
 	}
 
-	master := rand.New(rand.NewSource(opts.Seed))
-	netSeeds := make([]int64, sites)
-	for i := range netSeeds {
-		netSeeds[i] = master.Int63()
-	}
-	phase2Seed := master.Int63()
-
 	// Contiguous balanced site ranges, one shard each.
 	states := make([]*shardState, shards)
 	lo := 0
@@ -469,49 +447,15 @@ func newShardRun(src ShardedSource, topo Topology, opts Options, shards int) (*s
 	}
 
 	return &shardRun{
-		topo:       topo,
-		plan:       plan,
-		opts:       opts,
-		sites:      sites,
-		shards:     shards,
-		netSeeds:   netSeeds,
-		phase2Seed: phase2Seed,
-		states:     states,
+		topo:   topo,
+		plan:   plan,
+		opts:   opts,
+		sites:  sites,
+		shards: shards,
+		states: states,
 		// Phase 2 writes its tier counters directly.
 		res: newTopologyResult(topo, opts),
 	}, nil
-}
-
-// p2streams pins every phase-2 random-stream seed before any engine is
-// built, drawn from the phase-2 seed in the exact order the serial
-// engine's NewStream calls consume its primary stream: each shared
-// tier's dispatcher stream in tier order, then lazy detour streams in
-// spill order. Pinning the seeds lets parallel phase-2 partitions
-// construct their streams independently and still match the serial
-// engine bit for bit.
-type p2streams struct {
-	disp  map[int]int64 // tier index -> dispatcher stream seed
-	spill map[int]int64 // spill index -> detour stream seed
-}
-
-func deriveP2Streams(topo Topology, plan shardPlan, phase2Seed int64) p2streams {
-	rng := rand.New(rand.NewSource(phase2Seed))
-	s := p2streams{disp: map[int]int64{}, spill: map[int]int64{}}
-	for _, ti := range plan.shared {
-		if topo.Tiers[ti].Dispatch != CentralQueueDispatch {
-			s.disp[ti] = rng.Int63()
-		}
-	}
-	for i, sp := range topo.Spills {
-		from := topo.tierIndex(sp.From)
-		if plan.homeSlot[from] >= 0 {
-			continue // handled inside phase 1
-		}
-		if sp.DetourPath != nil && from != 0 {
-			s.spill[i] = rng.Int63()
-		}
-	}
-	return s
 }
 
 // p2build is one phase-2 engine's constructed world: the runtimes for
@@ -526,24 +470,24 @@ type p2build struct {
 }
 
 // buildPhase2 constructs the given shared tiers on a fresh engine,
-// following Run's construction scoped to the shared tiers, with every
-// stream seed pinned by streams.
-func buildPhase2(r *shardRun, tiers []int, streams p2streams) (*p2build, error) {
+// following Run's construction scoped to the shared tiers, with the
+// same routing streams Run builds for them.
+func buildPhase2(r *shardRun, tiers []int) (*p2build, error) {
 	topo, opts := r.topo, r.opts
-	eng := sim.NewEngineBackend(r.phase2Seed, opts.backend)
+	eng := sim.NewEngineBackend(opts.Seed, opts.backend)
+	seeds := newRouteSeeds(topo, opts.Seed)
 	pool := &queue.FreeList{}
 	x := newTopoExec(eng, pool, r.res)
 	for _, ti := range tiers {
 		t := topo.Tiers[ti]
-		seed := streams.disp[ti]
 		rt, err := buildTier(eng, t, 0, t.Sites, opts, pool,
-			func() *rand.Rand { return rand.New(rand.NewSource(seed)) })
+			func() *rand.Rand { return seeds.tier(ti) })
 		if err != nil {
 			return nil, err
 		}
 		x.tiers[ti] = rt
 	}
-	attachSpills(topo, x.tiers, func(i int) *rand.Rand { return rand.New(rand.NewSource(streams.spill[i])) })
+	attachSpills(topo, x.tiers, seeds.spill)
 	ctrls, err := startScalers(eng, x.tiers)
 	if err != nil {
 		return nil, err

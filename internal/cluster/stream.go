@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"repro/internal/app"
+	"repro/internal/dist"
 	"repro/internal/merge"
 	"repro/internal/workload"
 )
@@ -57,10 +58,8 @@ func Stream(spec GenSpec) Source {
 // record sequence.
 func streamRange(spec GenSpec, lo, hi int) Source {
 	// Validation, process derivation and per-site stream seeding are
-	// shared with every range, so partitions cannot drift. Only seeds
-	// are derived for all sites; rand.Rand state (~5KB each) is
-	// constructed just for [lo, hi), so a shard of a million-site spec
-	// pays for its own sites, not everyone's.
+	// shared with every range, so partitions cannot drift. Seeds are
+	// derived for all sites; streams are built just for [lo, hi).
 	procs := deriveArrivals(&spec)
 	arrSeed, svcSeed := siteSeeds(spec.Seed, spec.Sites)
 	if lo < 0 || hi > spec.Sites || lo > hi {
@@ -82,8 +81,8 @@ func streamRange(spec GenSpec, lo, hi int) Source {
 	for site := lo; site < hi; site++ {
 		g := &s.sites[site]
 		g.proc = procs[site]
-		g.arrRng = rand.New(rand.NewSource(arrSeed[site]))
-		g.svcRng = rand.New(rand.NewSource(svcSeed[site]))
+		g.arrRng = dist.NewRand(arrSeed[site])
+		g.svcRng = dist.NewRand(svcSeed[site])
 		if s.advance(site) {
 			s.heap.Push(site)
 		}

@@ -300,12 +300,13 @@ func startScalers(eng *sim.Engine, tiers []*tierRuntime) ([]*autoscale.Controlle
 // fills the request's generation-time fields.
 type router struct {
 	topo      Topology
+	net       *netStreams
 	classRng  *rand.Rand  // Bernoulli class draws; nil when no rule has a fraction
 	genDetour *netem.Path // the entry tier's sampled spill detour, or nil
 }
 
-func newRouter(topo Topology, classRng *rand.Rand) *router {
-	r := &router{topo: topo, classRng: classRng}
+func newRouter(topo Topology, net *netStreams, classRng *rand.Rand) *router {
+	r := &router{topo: topo, net: net, classRng: classRng}
 	for _, sp := range topo.Spills {
 		if sp.DetourPath != nil && topo.tierIndex(sp.From) == 0 {
 			r.genDetour = sp.DetourPath
@@ -332,11 +333,10 @@ func (r *router) classify(rec RequestRecord) (entry, class int) {
 }
 
 // prep fills req from rec: entry tier (Tag), class, service demand
-// scaled to the entry tier, and the network RTTs drawn from rng — Run's
-// one network stream, or a phase-1 shard's per-site stream. The entry
-// detour is drawn for every record so the sequence is independent of
-// routing decisions.
-func (r *router) prep(rec RequestRecord, req *queue.Request, rng *rand.Rand) {
+// scaled to the entry tier, and the network RTTs drawn from the
+// record's site stream. The entry detour is drawn for every record so
+// the sequence is independent of routing decisions.
+func (r *router) prep(rec RequestRecord, req *queue.Request) {
 	entry, class := 0, 0
 	if len(r.topo.Classes) > 0 {
 		entry, class = r.classify(rec)
@@ -348,9 +348,9 @@ func (r *router) prep(rec RequestRecord, req *queue.Request, rng *rand.Rand) {
 	if et.PerSitePaths != nil && uint(rec.Site) < uint(len(et.PerSitePaths)) {
 		path = &et.PerSitePaths[rec.Site]
 	}
-	req.NetworkRTT = path.Sample(rng)
+	req.NetworkRTT = r.net.draw(path, rec.Site)
 	if r.genDetour != nil {
-		req.AuxRTT = r.genDetour.Sample(rng)
+		req.AuxRTT = r.net.draw(r.genDetour, rec.Site)
 	}
 	req.ServiceTime = rec.ServiceTime * et.SlowdownFactor
 	req.Tag = uint64(entry)
@@ -636,26 +636,24 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 		return nil, err
 	}
 
-	// Stream creation order is part of the reproducibility contract:
-	// the network stream first, then each tier's jockey/dispatcher
-	// stream, then lazy spill streams, then the class stream — so the
-	// paper's one-tier deployments consume streams exactly as the
-	// seed's runners did.
+	// Streams follow the layout in streams.go, shared with
+	// RunPipelined.
 	eng := sim.NewEngineBackend(opts.Seed, opts.backend)
-	netRng := eng.NewStream()
+	seeds := newRouteSeeds(topo, opts.Seed)
 	pool := &queue.FreeList{}
 	res := newTopologyResult(topo, opts)
 	x := newTopoExec(eng, pool, res)
 	for ti, t := range topo.Tiers {
-		if x.tiers[ti], err = buildTier(eng, t, 0, t.Sites, opts, pool, eng.NewStream); err != nil {
+		if x.tiers[ti], err = buildTier(eng, t, 0, t.Sites, opts, pool,
+			func() *rand.Rand { return seeds.tier(ti) }); err != nil {
 			return nil, err
 		}
 	}
-	attachSpills(topo, x.tiers, func(int) *rand.Rand { return eng.NewStream() })
+	attachSpills(topo, x.tiers, seeds.spill)
 	var classRng *rand.Rand
 	for _, c := range topo.Classes {
 		if c.Fraction > 0 && c.Fraction < 1 {
-			classRng = eng.NewStream()
+			classRng = seeds.class()
 			break
 		}
 	}
@@ -668,11 +666,20 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 	if x.tiers[0].home && !opts.NoPerSiteLatency {
 		perSite = newDigests(opts.Summary, topo.Tiers[0].Sites)
 	}
-	route := newRouter(topo, classRng)
+	route := newRouter(topo, newNetStreams(opts.Seed, 0, topo.Tiers[0].Sites), classRng)
 	f := &feeder{
-		src:   src,
-		pool:  pool,
-		prep:  func(rec RequestRecord, req *queue.Request) { route.prep(rec, req, netRng) },
+		src:  src,
+		pool: pool,
+		prep: func(rec RequestRecord, req *queue.Request) {
+			if rec.Site < 0 {
+				// The engine halts after this event, before the
+				// request's arrival can fire.
+				x.err = fmt.Errorf("cluster: record site %d is negative", rec.Site)
+				eng.Stop()
+				return
+			}
+			route.prep(rec, req)
+		},
 		admit: x.admitEv,
 		probe: opts.Probe,
 	}

@@ -164,7 +164,7 @@ func directRunEdgeAutoscaled(t *testing.T, tr *WorkloadTrace, cfg edgeConfig, as
 		cfg.ServersPerSite = 1
 	}
 	eng := sim.NewEngine(cfg.Seed)
-	netRng := eng.NewStream()
+	netRng := siteNet(cfg.Seed)
 	pool := &queue.FreeList{}
 
 	stations := make([]*queue.Station, cfg.Sites)
@@ -213,7 +213,7 @@ func directRunEdgeAutoscaled(t *testing.T, tr *WorkloadTrace, cfg edgeConfig, as
 		pool: pool,
 		sink: sink,
 		prep: func(rec RequestRecord, req *queue.Request) {
-			req.NetworkRTT = cfg.Path.Sample(netRng)
+			req.NetworkRTT = cfg.Path.Sample(netRng(rec.Site))
 			req.ServiceTime = rec.ServiceTime
 		},
 		admit: func(e *sim.Engine, p any) {

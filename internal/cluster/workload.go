@@ -9,7 +9,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/app"
 	"repro/internal/dist"
@@ -143,12 +142,11 @@ func deriveArrivals(spec *GenSpec) []workload.ArrivalProcess {
 // siteSeeds derives each site's (arrival, service) stream seeds from
 // the spec seed: the master stream hands every site an arrival seed
 // then a service seed, in site order. This derivation order is part of
-// the reproducibility contract every generator shares. Seeds are
-// cheap (16 bytes/site where a constructed rand.Rand costs ~5KB), so
-// range-restricted consumers derive all seeds and construct generators
-// only for the sites they replay.
+// the reproducibility contract every generator shares. Range-restricted
+// consumers derive all seeds (16 bytes per site) and build streams
+// (80 bytes each, dist.NewRand) only for the sites they replay.
 func siteSeeds(seed int64, sites int) (arrSeed, svcSeed []int64) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := dist.NewRand(seed)
 	arrSeed = make([]int64, sites)
 	svcSeed = make([]int64, sites)
 	for i := 0; i < sites; i++ {

@@ -1,9 +1,8 @@
 // Package dist is the simulator's single stochastic substrate: every
 // random variate drawn anywhere in the repro — inter-arrival gaps,
 // service demands, network round-trips, trace noise — comes from a
-// dist.Dist sampled against a seeded *rand.Rand stream (typically one
-// obtained from sim.Engine.NewStream), so whole experiments replay
-// bit-identically from a seed.
+// dist.Dist sampled against a seeded *rand.Rand stream built by
+// NewRand, so whole experiments replay bit-identically from a seed.
 //
 // The package provides the classical nonnegative families the paper's
 // G/G/k analysis (§3) works with — exponential, Erlang, uniform,

@@ -54,10 +54,8 @@ type TopologySweepConfig struct {
 	// splitting each point across the CPUs the worker pool leaves idle,
 	// and silently falls back to Run for unshardable ones. N > 0 forces
 	// exactly N shards per point and fails the sweep when a shape is not
-	// shardable. Sharded results are bit-identical at every shard count
-	// but follow the sharded stream discipline, so they differ
-	// numerically from Shards == 0 points — pick one engine per
-	// experiment.
+	// shardable. Both engines share one stream layout, so every setting
+	// gives the same points up to the last bits of a mean.
 	Shards int
 }
 

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/dist"
 	"repro/internal/netem"
 )
 
@@ -62,7 +63,7 @@ func NewProxy(backendURLs []string, policy Policy, path netem.Path, seed int64) 
 		Policy: policy,
 		Path:   path,
 		Client: &http.Client{Timeout: 120 * time.Second},
-		rng:    rand.New(rand.NewSource(seed)),
+		rng:    dist.NewRand(seed),
 	}
 	for _, raw := range backendURLs {
 		u, err := url.Parse(raw)

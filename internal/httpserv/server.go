@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/app"
+	"repro/internal/dist"
 )
 
 // ServiceTimeHeader carries the requested execution time in seconds; if
@@ -65,7 +66,7 @@ func NewInferenceServer(model app.InferenceModel, workers int, seed int64) *Infe
 		Model:    model,
 		Executor: app.SleepExecutor{},
 		Workers:  workers,
-		rng:      rand.New(rand.NewSource(seed)),
+		rng:      dist.NewRand(seed),
 	}
 }
 

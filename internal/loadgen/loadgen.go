@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/dist"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -77,8 +78,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		}
 	}
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	svcRng := rand.New(rand.NewSource(cfg.Seed + 1))
+	rng := dist.NewRand(cfg.Seed)
+	svcRng := dist.NewRand(cfg.Seed + 1)
 
 	report := &Report{}
 	var mu sync.Mutex

@@ -30,6 +30,8 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+
+	"repro/internal/dist"
 )
 
 // Event is a callback scheduled to run at a simulated time.
@@ -123,7 +125,7 @@ func NewEngine(seed int64) *Engine {
 // bit-identical; BinaryHeap exists for the equivalence suite and as a
 // fallback reference.
 func NewEngineBackend(seed int64, b Backend) *Engine {
-	e := &Engine{rng: rand.New(rand.NewSource(seed))}
+	e := &Engine{rng: dist.NewRand(seed)}
 	if b == BinaryHeap {
 		e.cal = &heapCalendar{}
 	} else {
@@ -142,7 +144,7 @@ func (e *Engine) RNG() *rand.Rand { return e.rng }
 // engine's seed, for components that should not perturb each other's
 // random sequences.
 func (e *Engine) NewStream() *rand.Rand {
-	return rand.New(rand.NewSource(e.rng.Int63()))
+	return dist.NewRand(e.rng.Int63())
 }
 
 // Handle identifies a scheduled event so it can be canceled.

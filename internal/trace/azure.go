@@ -19,7 +19,6 @@ package trace
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/dist"
 	"repro/internal/workload"
@@ -93,7 +92,7 @@ func GenerateAzure(spec AzureSpec) []SiteSeries {
 	if spec.Sites <= 0 || spec.Minutes <= 0 {
 		panic(fmt.Sprintf("trace: invalid AzureSpec %+v", spec))
 	}
-	rng := rand.New(rand.NewSource(spec.Seed))
+	rng := dist.NewRand(spec.Seed)
 	base := workload.Zipf(spec.Sites, spec.SkewS).W
 
 	out := make([]SiteSeries, spec.Sites)

@@ -103,10 +103,10 @@ func StreamAzureCSV(r io.Reader, opts AzureStreamOptions) *AzureSource {
 		// One service stream per site, seeded in site order from the
 		// master stream — mirroring cluster.Stream's seed derivation
 		// discipline so the synthesis is reproducible from Seed alone.
-		master := rand.New(rand.NewSource(opts.Seed))
+		master := dist.NewRand(opts.Seed)
 		s.svcRng = make([]*rand.Rand, s.nSites)
 		for i := range s.svcRng {
-			s.svcRng[i] = rand.New(rand.NewSource(master.Int63()))
+			s.svcRng[i] = dist.NewRand(master.Int63())
 		}
 	}
 	return s

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/dist"
 	"repro/internal/stats"
 )
 
@@ -52,7 +53,7 @@ func TaxiCellLoads(spec TaxiSpec) []CellLoad {
 	if spec.GridW <= 0 || spec.GridH <= 0 || spec.Vehicles <= 0 {
 		panic(fmt.Sprintf("trace: invalid TaxiSpec %+v", spec))
 	}
-	rng := rand.New(rand.NewSource(spec.Seed))
+	rng := dist.NewRand(spec.Seed)
 	cells := spec.GridW * spec.GridH
 	steps := int(spec.Hours * 60 / spec.StepMinutes)
 	if steps <= 0 {
