@@ -334,6 +334,17 @@ func TestRunEdgeConfigValidation(t *testing.T) {
 	wantRunError(t, 3, Topology{Tiers: []Tier{edge}}, "home site 2 outside tier")
 }
 
+// TestRunRejectsNegativeSite: every record draws from its site's
+// network stream, so a negative site is an error from Run even on a
+// pooled tier that never indexes a station by site.
+func TestRunRejectsNegativeSite(t *testing.T) {
+	tr := FromRecords([]RequestRecord{{Time: 0, Site: 0, ServiceTime: 0.1}, {Time: 1, Site: -1, ServiceTime: 0.1}}, 1)
+	res, err := Run(tr.Source(), Topology{Tiers: []Tier{CloudTier(2, netem.Jittered("j", 0.01, 0.001), "")}}, Options{})
+	if err == nil || !strings.Contains(err.Error(), "site -1 is negative") {
+		t.Errorf("got result %v, error %v; want the negative site reported", res != nil, err)
+	}
+}
+
 // TestRunCloudPanicsOnZeroServers: a cloud tier with no servers is an
 // error from Run (the name predates Run returning errors).
 func TestRunCloudPanicsOnZeroServers(t *testing.T) {

@@ -403,8 +403,8 @@ type shardRun struct {
 	res    *TopologyResult
 }
 
-// newShardRun validates the run and derives everything both phases
-// need.
+// newShardRun validates the run and splits its sites into the shard
+// ranges.
 func newShardRun(src ShardedSource, topo Topology, opts Options, shards int) (*shardRun, error) {
 	topo, err := prepareRun(topo, opts)
 	if err != nil {
