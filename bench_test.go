@@ -606,10 +606,10 @@ func BenchmarkBoundedQueueLoss(b *testing.B) {
 	b.ReportMetric(lossTheory*100, "loss%%-rho1.1-K11")
 }
 
-// genBoundSpec builds a generation-bound workload: an NHPP envelope
-// whose peak sits ~1000x above its mean rate makes the generator's
-// thinning loop draw ~1000 candidates per accepted arrival (thinning
-// proposes at the envelope maximum).
+// genBoundSpec builds a generation-bound workload: a spiky NHPP
+// envelope of 0.3-second bins (999 at 0.1 req/s, one at 4000 req/s).
+// The sampler costs one draw per arrival plus one per crossed bin, so
+// each 300-second cycle takes ~1,230 arrival draws and 1,000 bin draws.
 func genBoundSpec(duration float64) cluster.GenSpec {
 	const sites = 4
 	envelope := make([]float64, 1000)
@@ -636,14 +636,12 @@ func drainCount(src cluster.Source) uint64 {
 }
 
 // BenchmarkParallelGen measures the generation front-end on a
-// generation-bound NHPP workload: gen-serial drains cluster.Stream,
+// generation-bound NHPP workload: gen-serial drains cluster.Stream and
 // gen-parallel the worker fan-out through ParallelStream (bit-identical
-// records; the equivalence suite asserts it), and gen-piecewise the
-// serial stream with the PiecewiseEnvelope flag — exact per-segment
-// simulation instead of thinning against the 4000x envelope peak, the
-// algorithmic half of the speedup. Real parallel speedup needs real
-// cores: on a single-CPU runner the workers serialize and the pair
-// measures merge overhead. In short mode the trace shrinks ~10x.
+// records; the equivalence suite asserts it). Real parallel speedup
+// needs real cores: on a single-CPU runner the workers serialize and
+// the pair measures merge overhead. In short mode the trace shrinks
+// ~10x.
 func BenchmarkParallelGen(b *testing.B) {
 	duration := 3000.0
 	if testing.Short() {
@@ -663,16 +661,6 @@ func BenchmarkParallelGen(b *testing.B) {
 		var n uint64
 		for i := 0; i < b.N; i++ {
 			n = drainCount(cluster.ParallelStream(spec, 4))
-		}
-		b.ReportMetric(float64(n), "requests")
-	})
-	b.Run("gen-piecewise", func(b *testing.B) {
-		b.ReportAllocs()
-		pspec := spec
-		pspec.PiecewiseEnvelope = true
-		var n uint64
-		for i := 0; i < b.N; i++ {
-			n = drainCount(cluster.Stream(pspec))
 		}
 		b.ReportMetric(float64(n), "requests")
 	})

@@ -547,7 +547,7 @@ func runPaired(o *options) {
 		tier.Scaler = scalerSpec
 		variants = append(variants, variant("edge+"+scalerSpec.Label(), o.seed+1, false, tier))
 	}
-	runs, err := cluster.RunBroadcast(cluster.Options{GenWorkers: gw}.GenSource(spec), variants, 0)
+	runs, err := cluster.RunBroadcast(cluster.ParallelStream(spec, gw), variants, 0)
 	if err != nil {
 		die("%v", err)
 	}
@@ -790,10 +790,9 @@ func runTopology(o *options) {
 		fail("%v", err)
 	}
 	opts := cluster.Options{
-		Warmup:     o.warmup,
-		Seed:       o.seed + 1,
-		Summary:    o.summary,
-		GenWorkers: gw,
+		Warmup:  o.warmup,
+		Seed:    o.seed + 1,
+		Summary: o.summary,
 	}
 	if o.rejectPenalty != 0 {
 		pricing := econ.DefaultPricing()
@@ -844,7 +843,7 @@ func runTopology(o *options) {
 			nShards = min(nShards, genSites)
 			res, err = cluster.RunPipelined(cluster.GenShards(spec), topo, opts, nShards)
 		} else {
-			res, err = cluster.Run(opts.GenSource(spec), topo, opts)
+			res, err = cluster.Run(cluster.ParallelStream(spec, gw), topo, opts)
 		}
 	}
 	switch {

@@ -146,15 +146,16 @@ func (o *options) shardSetting() int {
 	return o.shards
 }
 
-// resolveGenWorkers maps the -gen-workers argument onto an
-// Options.GenWorkers value for a generator over sites per-site streams:
-// 0 means the serial generator, n > 1 that many parallel workers. Every
-// setting is bit-identical — ParallelStream merges the per-site
-// substreams back into serial Stream's exact sequence — so the choice
-// is purely about generation throughput. "auto" picks one worker per
-// CPU and degrades to serial on a single-CPU machine; an explicit count
-// is clamped to one worker per site, the fan-out's natural maximum.
-// verbose (-v) narrates the resolution on stderr.
+// resolveGenWorkers maps the -gen-workers argument onto the worker
+// count cluster.ParallelStream takes for a generator over sites
+// per-site streams: 0 means the serial generator, n > 1 that many
+// parallel workers. Every setting is bit-identical — ParallelStream
+// merges the per-site substreams back into serial Stream's exact
+// sequence — so the choice is purely about generation throughput.
+// "auto" picks one worker per CPU and degrades to serial on a
+// single-CPU machine; an explicit count is clamped to one worker per
+// site, the fan-out's natural maximum. verbose (-v) narrates the
+// resolution on stderr.
 func resolveGenWorkers(arg string, sites int, verbose bool) (int, error) {
 	var n int
 	switch arg {

@@ -14,36 +14,36 @@ func Example() {
 	//
 	// Minute-by-minute mean latency (ms):
 	// minute           edge        cloud leader
-	// 1                89.8        105.6 edge
-	// 2                91.0        103.6 edge
-	// 3               101.7        104.8 edge
-	// 4               100.6        103.8 edge
-	// 5               187.3        103.7 CLOUD (inversion)
-	// 6                89.9        103.8 edge
-	// 7                86.9        103.6 edge
-	// 8                96.5        102.1 edge
-	// 9               104.5        103.8 CLOUD (inversion)
-	// 10               89.3        102.9 edge
-	// 11              103.6        101.7 CLOUD (inversion)
-	// 12              120.4        102.9 CLOUD (inversion)
-	// 13              106.9        102.5 CLOUD (inversion)
-	// 14               95.6        104.5 edge
-	// 15              408.0        104.6 CLOUD (inversion)
-	// 16               96.5        104.2 edge
-	// 17              111.2        102.9 CLOUD (inversion)
-	// 18             5210.5        104.5 CLOUD (inversion)
-	// 19             1639.6        102.2 CLOUD (inversion)
-	// 20              113.4        103.9 CLOUD (inversion)
+	// 1                88.7        105.5 edge
+	// 2                94.3        104.1 edge
+	// 3                99.8        104.8 edge
+	// 4                98.0        103.1 edge
+	// 5               121.3        103.8 CLOUD (inversion)
+	// 6                89.1        104.4 edge
+	// 7                88.1        103.3 edge
+	// 8                97.4        102.8 edge
+	// 9               108.1        102.7 CLOUD (inversion)
+	// 10               87.3        103.8 edge
+	// 11              108.4        101.7 CLOUD (inversion)
+	// 12              122.6        103.0 CLOUD (inversion)
+	// 13              104.4        102.5 CLOUD (inversion)
+	// 14               93.2        104.6 edge
+	// 15              156.4        104.4 CLOUD (inversion)
+	// 16               96.8        103.8 edge
+	// 17              107.7        103.5 CLOUD (inversion)
+	// 18             5181.6        104.0 CLOUD (inversion)
+	// 19             1383.7        102.2 CLOUD (inversion)
+	// 20              105.2        104.1 CLOUD (inversion)
 	//
 	// 10 of 20 minutes showed performance inversion.
 	//
 	// Per-site latency spread (the paper's Figure 10):
-	//   Edge 1   median   93.9 ms   q3  141.2 ms   whisker   247.3 ms
-	//   Edge 2   median   82.5 ms   q3  108.2 ms   whisker   173.8 ms
-	//   Edge 3   median   80.6 ms   q3  103.7 ms   whisker   164.6 ms
-	//   Edge 4   median   79.7 ms   q3   99.3 ms   whisker   154.4 ms
-	//   Edge 5   median  133.3 ms   q3 1289.6 ms   whisker  3103.3 ms
-	//   Cloud    median  101.2 ms   q3  117.9 ms   whisker   166.1 ms
+	//   Edge 1   median   93.1 ms   q3  136.2 ms   whisker   235.3 ms
+	//   Edge 2   median   83.4 ms   q3  109.8 ms   whisker   176.8 ms
+	//   Edge 3   median   80.8 ms   q3  103.7 ms   whisker   164.9 ms
+	//   Edge 4   median   80.4 ms   q3  100.9 ms   whisker   158.4 ms
+	//   Edge 5   median  122.9 ms   q3  351.4 ms   whisker   760.0 ms
+	//   Cloud    median  101.2 ms   q3  118.0 ms   whisker   166.2 ms
 	//
-	// overall: edge mean 615.2 ms vs cloud mean 103.6 ms; edge p95 4334.3 ms vs cloud p95 148.3 ms
+	// overall: edge mean 562.6 ms vs cloud mean 103.5 ms; edge p95 3353.3 ms vs cloud p95 148.1 ms
 }

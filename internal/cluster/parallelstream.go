@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"runtime"
-
-	"repro/internal/merge"
-)
+import "repro/internal/merge"
 
 // genBatch is the unit parallel generation moves records in: each worker
 // pushes batches of this size into its ring, and the consumer drains the
@@ -30,12 +26,11 @@ const genRing = 4096
 // watermarked ring (merge.Group), so generation overlaps and scales with
 // cores the way phase-1 replay does.
 //
-// workers <= 0 means one per CPU (runtime.GOMAXPROCS); the count is
-// clamped to spec.Sites, and a resolved count of 1 degrades to the
-// serial Stream with no goroutines at all. A spec carrying explicit
-// Arrivals follows the sharded-source contract: one distinct process
-// instance per site, because concurrent workers advance their own
-// sites' processes.
+// It is the one place a worker count becomes a generator: the count is
+// clamped to spec.Sites, and any count <= 1 returns the serial Stream
+// with no goroutines at all. A spec carrying explicit Arrivals follows
+// the sharded-source contract: one distinct process instance per site,
+// because concurrent workers advance their own sites' processes.
 //
 // The returned source is single-consumer. A consumer that abandons the
 // stream early should call Stop (via the ParallelSource interface) to
@@ -46,12 +41,7 @@ func ParallelStream(spec GenSpec, workers int) Source {
 	// bad spec panics here, not inside a worker.
 	probe := spec
 	deriveArrivals(&probe)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > spec.Sites {
-		workers = spec.Sites
-	}
+	workers = min(workers, spec.Sites)
 	if workers <= 1 {
 		return Stream(spec)
 	}

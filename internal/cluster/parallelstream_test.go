@@ -55,14 +55,14 @@ func TestParallelStreamMatchesStream(t *testing.T) {
 }
 
 // TestGenerateParallelMatchesGenerate: the trace drained from
-// Options.GenSource with four generator workers — the path edgesim's
+// ParallelStream with four generator workers — the path edgesim's
 // -gen-workers takes — equals the Generate oracle's.
 func TestGenerateParallelMatchesGenerate(t *testing.T) {
 	for name, mk := range streamScenarios(t) {
 		t.Run(name, func(t *testing.T) {
 			want := cluster.Generate(mk())
 			got := &cluster.WorkloadTrace{Sites: mk().Sites}
-			src := cluster.Options{GenWorkers: 4}.GenSource(mk())
+			src := cluster.ParallelStream(mk(), 4)
 			for rec, ok := src.Next(); ok; rec, ok = src.Next() {
 				got.Records = append(got.Records, rec)
 			}
@@ -80,8 +80,8 @@ func TestGenerateParallelMatchesGenerate(t *testing.T) {
 }
 
 // TestParallelStreamTopologyEquivalence: whole topology runs fed through
-// Options.GenWorkers are bit-identical to serial-stream runs, across
-// warmup and summary modes.
+// ParallelStream are bit-identical to serial-stream runs, across warmup
+// and summary modes.
 func TestParallelStreamTopologyEquivalence(t *testing.T) {
 	for name, mk := range streamScenarios(t) {
 		for _, tc := range []struct {
@@ -95,10 +95,8 @@ func TestParallelStreamTopologyEquivalence(t *testing.T) {
 			t.Run(name+"/"+tc.label, func(t *testing.T) {
 				topo := spillTopology(mk().Sites)
 				run := func(workers int) *cluster.TopologyResult {
-					opts := cluster.Options{
-						Warmup: tc.warmup, Seed: 5, Summary: tc.mode, GenWorkers: workers,
-					}
-					res, err := cluster.Run(opts.GenSource(mk()), topo, opts)
+					opts := cluster.Options{Warmup: tc.warmup, Seed: 5, Summary: tc.mode}
+					res, err := cluster.Run(cluster.ParallelStream(mk(), workers), topo, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -108,7 +106,7 @@ func TestParallelStreamTopologyEquivalence(t *testing.T) {
 				if want.Offered == 0 {
 					t.Fatal("no requests offered; test is vacuous")
 				}
-				for _, workers := range []int{-1, 4} {
+				for _, workers := range []int{2, 4} {
 					compareTopologyResults(t, name+"/"+tc.label, want, run(workers))
 				}
 			})
@@ -145,25 +143,29 @@ func TestParallelStreamStop(t *testing.T) {
 	drained.(cluster.ParallelSource).Stop() // must be a no-op after drain
 }
 
-// TestParallelStreamAutoWorkers: workers <= 0 resolves to a per-CPU
-// count and still produces the serial sequence (on a single-CPU box the
-// resolved count is 1 and the fallback path returns the serial Stream —
-// the equality must hold either way).
+// TestParallelStreamAutoWorkers: a worker count of 0 or 1 (the zero
+// value of GridConfig.GenWorkers, and edgesim's "serial") returns the
+// serial Stream itself — no workers to stop — with the serial sequence.
 func TestParallelStreamAutoWorkers(t *testing.T) {
 	mk := streamScenarios(t)["nhpp"]
 	want := cluster.Generate(mk())
-	src := cluster.ParallelStream(mk(), 0)
-	for i, rec := range want.Records {
-		got, ok := src.Next()
-		if !ok {
-			t.Fatalf("stream ended at record %d of %d", i, want.Len())
+	for _, workers := range []int{0, 1} {
+		src := cluster.ParallelStream(mk(), workers)
+		if _, ok := src.(cluster.ParallelSource); ok {
+			t.Fatalf("workers=%d: got a parallel source, want the serial Stream", workers)
 		}
-		if got != rec {
-			t.Fatalf("record %d diverges: %+v vs %+v", i, got, rec)
+		for i, rec := range want.Records {
+			got, ok := src.Next()
+			if !ok {
+				t.Fatalf("workers=%d: stream ended at record %d of %d", workers, i, want.Len())
+			}
+			if got != rec {
+				t.Fatalf("workers=%d: record %d diverges: %+v vs %+v", workers, i, got, rec)
+			}
 		}
-	}
-	if _, ok := src.Next(); ok {
-		t.Fatal("stream ran past the generated records")
+		if _, ok := src.Next(); ok {
+			t.Fatalf("workers=%d: stream ran past the generated records", workers)
+		}
 	}
 }
 

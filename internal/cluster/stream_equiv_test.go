@@ -72,16 +72,13 @@ func streamScenarios(t *testing.T) map[string]func() cluster.GenSpec {
 			return cluster.GenSpec{Sites: 4, Duration: 150, Seed: 23, Arrivals: procs}
 		},
 		"nhpp-piecewise": func() cluster.GenSpec {
-			// The exact per-segment NHPP mode: not bit-identical to the
-			// thinning family above (different random-stream use), but
-			// Generate/Stream/ParallelStream must still agree with each
-			// other on it exactly.
+			// A piecewise envelope with a zero-rate bin, which the
+			// sampler skips without a draw.
 			procs := make([]workload.ArrivalProcess, 4)
 			for i := range procs {
 				procs[i] = workload.NewNHPP([]float64{4, 0, 18, 9, 2}, 30, false)
 			}
-			return cluster.GenSpec{Sites: 4, Duration: 150, Seed: 29, Arrivals: procs,
-				PiecewiseEnvelope: true}
+			return cluster.GenSpec{Sites: 4, Duration: 150, Seed: 29, Arrivals: procs}
 		},
 		"batch": func() cluster.GenSpec {
 			// Same-instant batches tie exactly on (Time, Site): the case

@@ -51,29 +51,12 @@ type Options struct {
 	// yet admitted to a phase-2 engine — after the run completes (a
 	// diagnostic for the bounded-memory property). Ignored elsewhere.
 	BacklogProbe func(peak int)
-	// GenWorkers selects how many goroutines generate workload records
-	// when the run's source comes from a GenSpec (see GenSource):
-	// 0 or 1 = the serial Stream, N > 1 = ParallelStream with N
-	// workers, -1 = one per CPU. Records are bit-identical either way;
-	// only wall-clock changes.
-	GenWorkers int
 
 	// backend selects the sim engine's calendar structure. Only tests
 	// set it (WithBackend in export_test.go): the reference binary heap
 	// implements the default calendar queue's strict event order, and
 	// the backend equivalence suite replays whole topologies on both.
 	backend sim.Backend
-}
-
-// GenSource builds the generator source the options ask for: the serial
-// Stream, or ParallelStream when GenWorkers requests parallel
-// generation. Both produce the identical record sequence, so callers
-// can thread GenWorkers through without touching their results.
-func (o Options) GenSource(spec GenSpec) Source {
-	if o.GenWorkers > 1 || o.GenWorkers < 0 {
-		return ParallelStream(spec, o.GenWorkers)
-	}
-	return Stream(spec)
 }
 
 // TierResult is one tier's share of a topology run.

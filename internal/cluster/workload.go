@@ -35,7 +35,9 @@ type WorkloadTrace struct {
 func (w *WorkloadTrace) Len() int { return len(w.Records) }
 
 // GenSpec describes a synthetic workload: Stream, ParallelStream and
-// GenShards generate its records on the fly.
+// GenShards generate its records on the fly, and all three yield the
+// same records. How many goroutines generate them is not part of the
+// spec: it is ParallelStream's second argument.
 type GenSpec struct {
 	Sites       int
 	Duration    float64 // seconds of workload to generate
@@ -46,16 +48,6 @@ type GenSpec struct {
 	// Arrivals optionally supplies one arrival process per site,
 	// overriding PerSiteRate/ArrivalSCV (e.g. NHPP trace envelopes).
 	Arrivals []workload.ArrivalProcess
-	// PiecewiseEnvelope switches every NHPP arrival process to exact
-	// per-segment simulation instead of thinning against the envelope
-	// maximum — orders of magnitude fewer random draws on spiky
-	// envelopes. The generated process is still exactly the envelope's
-	// NHPP (gated by distributional KS tests), but it consumes random
-	// streams differently, so traces generated with and without the
-	// flag are NOT bit-identical to each other. Stream, ParallelStream
-	// and GenShards all honor it and remain bit-identical to one
-	// another for either setting. Non-NHPP processes are unaffected.
-	PiecewiseEnvelope bool
 }
 
 // DefaultArrivalSCV is the squared CoV of the load generator's
@@ -118,23 +110,6 @@ func deriveArrivals(spec *GenSpec) []workload.ArrivalProcess {
 		for i := range procs {
 			procs[i] = workload.NewRenewal(dist.FitSCV(1/spec.PerSiteRate, scv))
 		}
-	}
-	if spec.PiecewiseEnvelope {
-		// Flip NHPP processes to piecewise on private copies: the
-		// caller's slice stays untouched, so concurrent range-restricted
-		// derivations (parallel generation workers share one spec value)
-		// never write to a shared process.
-		flipped := make([]workload.ArrivalProcess, len(procs))
-		for i, p := range procs {
-			if nh, ok := p.(*workload.NHPP); ok && !nh.Piecewise {
-				pc := *nh
-				pc.Piecewise = true
-				flipped[i] = &pc
-			} else {
-				flipped[i] = p
-			}
-		}
-		procs = flipped
 	}
 	return procs
 }

@@ -397,10 +397,3 @@ func TestRunCapacityTable(t *testing.T) {
 		t.Error("overhead should grow with k")
 	}
 }
-
-// azureShortSpec returns a reduced Azure spec for fast tests.
-func azureShortSpec() trace.AzureSpec {
-	spec := trace.DefaultAzureSpec()
-	spec.Minutes = 8
-	return spec
-}

@@ -58,12 +58,11 @@ type GridConfig struct {
 	// Ring bounds each broadcast subscriber's buffer (<= 0 default).
 	Ring int
 	// GenWorkers parallelizes each group's generation pass (see
-	// cluster.Options.GenWorkers): > 1 fans the per-site generator
-	// streams across that many goroutines, -1 one per CPU, 0/1 the
-	// serial generator. Every setting feeds the broadcast the
-	// bit-identical record sequence, so cells are unaffected — this
-	// only overlaps generation with replay when groups are fewer than
-	// CPUs.
+	// cluster.ParallelStream): > 1 fans the per-site generator streams
+	// across that many goroutines, and the zero value is the serial
+	// generator. Every setting feeds the broadcast the bit-identical
+	// record sequence, so cells are unaffected — this only overlaps
+	// generation with replay when groups are fewer than CPUs.
 	GenWorkers int
 }
 
@@ -325,8 +324,7 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 				Summary: cfg.Summary,
 			}
 		}
-		genOpts := cluster.Options{GenWorkers: cfg.GenWorkers}
-		runs, err := cluster.RunBroadcast(genOpts.GenSource(specs[g]), vs, cfg.Ring)
+		runs, err := cluster.RunBroadcast(cluster.ParallelStream(specs[g], cfg.GenWorkers), vs, cfg.Ring)
 		if err != nil {
 			return fmt.Errorf("grid group rate=%v rep=%d: %w", rate, g%cfg.Replications, err)
 		}

@@ -115,99 +115,3 @@ func CrossoverCI(cfg TopologySweepConfig, metric Metric, n int) (rate, ci float6
 	}
 	return s.Mean(), s.ConfidenceInterval95(), true, nil
 }
-
-// InversionInterval is a contiguous span of timeline bins during which
-// the edge's binned mean latency exceeded the cloud's.
-type InversionInterval struct {
-	StartBin, EndBin int     // inclusive bin indices
-	StartTime        float64 // seconds
-	EndTime          float64
-	PeakRatio        float64 // max edge/cloud mean within the interval
-}
-
-// Duration returns the interval length in seconds.
-func (iv InversionInterval) Duration() float64 { return iv.EndTime - iv.StartTime }
-
-// DetectInversions scans paired edge/cloud timelines (as produced by the
-// Azure replay, Figure 9) and extracts the intervals where the edge's
-// per-bin mean exceeds the cloud's. Bins where either side has no
-// observations are skipped (they terminate an open interval).
-func DetectInversions(edge, cloud *stats.TimeSeries) []InversionInterval {
-	if edge == nil || cloud == nil {
-		return nil
-	}
-	n := edge.NumBins()
-	if m := cloud.NumBins(); m < n {
-		n = m
-	}
-	var out []InversionInterval
-	open := false
-	var cur InversionInterval
-	closeInterval := func(endBin int) {
-		if open {
-			cur.EndBin = endBin
-			cur.EndTime = edge.BinTime(endBin) + edge.BinWidth/2
-			out = append(out, cur)
-			open = false
-		}
-	}
-	for i := 0; i < n; i++ {
-		if edge.BinCount(i) == 0 || cloud.BinCount(i) == 0 {
-			closeInterval(i - 1)
-			continue
-		}
-		e, c := edge.BinMean(i), cloud.BinMean(i)
-		if c <= 0 {
-			closeInterval(i - 1)
-			continue
-		}
-		ratio := e / c
-		if e > c {
-			if !open {
-				open = true
-				cur = InversionInterval{
-					StartBin:  i,
-					StartTime: edge.BinTime(i) - edge.BinWidth/2,
-					PeakRatio: ratio,
-				}
-			}
-			if ratio > cur.PeakRatio {
-				cur.PeakRatio = ratio
-			}
-		} else {
-			closeInterval(i - 1)
-		}
-	}
-	closeInterval(n - 1)
-	return out
-}
-
-// InversionFraction returns the fraction of comparable bins that were
-// inverted, plus the worst edge/cloud ratio seen.
-func InversionFraction(edge, cloud *stats.TimeSeries) (fraction, peakRatio float64) {
-	if edge == nil || cloud == nil {
-		return 0, 0
-	}
-	n := edge.NumBins()
-	if m := cloud.NumBins(); m < n {
-		n = m
-	}
-	var comparable, inverted int
-	for i := 0; i < n; i++ {
-		if edge.BinCount(i) == 0 || cloud.BinCount(i) == 0 || cloud.BinMean(i) <= 0 {
-			continue
-		}
-		comparable++
-		ratio := edge.BinMean(i) / cloud.BinMean(i)
-		if ratio > 1 {
-			inverted++
-		}
-		if ratio > peakRatio {
-			peakRatio = ratio
-		}
-	}
-	if comparable == 0 {
-		return 0, peakRatio
-	}
-	return float64(inverted) / float64(comparable), peakRatio
-}

@@ -205,29 +205,3 @@ func (w *WindowMax) Predict() float64 {
 
 // Name returns "window-max".
 func (w *WindowMax) Name() string { return fmt.Sprintf("winmax-%d", w.size) }
-
-// Evaluate replays a series through a forecaster and returns the mean
-// absolute error and mean absolute percentage error of its one-step
-// predictions (skipping the first warm observation).
-func Evaluate(f Forecaster, series []float64) (mae, mape float64) {
-	var n, absErr, pctErr float64
-	for i, x := range series {
-		if i > 0 {
-			p := f.Predict()
-			e := p - x
-			if e < 0 {
-				e = -e
-			}
-			absErr += e
-			if x != 0 {
-				pctErr += e / x
-			}
-			n++
-		}
-		f.Observe(x)
-	}
-	if n == 0 {
-		return 0, 0
-	}
-	return absErr / n, pctErr / n
-}

@@ -1,7 +1,7 @@
 // Package theory implements the paper's analytic contribution: closed-form
 // queueing results (M/M/1, M/M/c via Erlang C, Whitt's conditional-wait
-// approximation, the Allen–Cunneen G/G/c approximation, Kingman's bound)
-// and, on top of them, the edge performance-inversion predicates of
+// approximation, the Allen–Cunneen G/G/c approximation) and, on top of
+// them, the edge performance-inversion predicates of
 // Lemmas 3.1–3.3, the cutoff-utilization corollaries 3.1.1–3.1.3 and
 // 3.2.1, and the capacity-provisioning rules of §5.
 //
@@ -173,13 +173,4 @@ func PollaczekKhinchineWait(rho, mu, cb2 float64) float64 {
 		return math.Inf(1)
 	}
 	return rho * (1 + cb2) / (2 * mu * (1 - rho))
-}
-
-// KingmanWait returns Kingman's heavy-traffic upper-bound approximation
-// for the G/G/1 queueing delay: Wq ≈ ρ/(1−ρ) · (ca²+cb²)/2 · 1/μ.
-func KingmanWait(rho, mu, ca2, cb2 float64) float64 {
-	if rho >= 1 {
-		return math.Inf(1)
-	}
-	return rho / (1 - rho) * (ca2 + cb2) / 2 / mu
 }

@@ -187,15 +187,6 @@ func TestPollaczekKhinchine(t *testing.T) {
 	}
 }
 
-func TestKingmanMatchesMM1(t *testing.T) {
-	// Kingman with ca2=cb2=1 equals the exact M/M/1 wait.
-	for _, rho := range []float64{0.2, 0.5, 0.9} {
-		if !close(KingmanWait(rho, 4, 1, 1), MM1Wait(rho, 4), 1e-12) {
-			t.Errorf("Kingman(ca2=cb2=1) != MM1 at rho=%v", rho)
-		}
-	}
-}
-
 func TestWhittCondWait(t *testing.T) {
 	// √2/((1−ρ)√k μ): k=1, ρ=0.5, μ=1 → 2√2.
 	if got := WhittCondWait(1, 0.5, 1); !close(got, 2*math.Sqrt2, 1e-12) {

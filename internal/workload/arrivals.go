@@ -151,20 +151,7 @@ type NHPP struct {
 	Rates    []float64
 	BinWidth float64
 	Cycle    bool
-	// Piecewise switches Next from thinning to exact per-segment
-	// simulation: draw an exponential gap at the current bin's own rate
-	// and restart (memorylessly) at each bin boundary. One draw per
-	// accepted arrival plus one per crossed bin, instead of one
-	// rejection per unit of peak/local rate ratio — on spiky envelopes
-	// (peak >> mean) this removes almost every draw. The process is
-	// still exactly the envelope's NHPP, but it consumes the random
-	// stream differently, so it is NOT sample-path-identical to the
-	// thinning mode; the distributional KS suite gates it instead of
-	// the bit-identity suite.
-	Piecewise bool
-	maxRate   float64
-	gap       dist.Dist // exponential at maxRate, the thinning proposal
-	thin      dist.Dist // uniform on [0, 1], the acceptance draw
+	active   bool // some bin has a positive rate
 }
 
 // NewNHPP builds a nonhomogeneous Poisson process from a rate envelope.
@@ -177,71 +164,29 @@ func NewNHPP(rates []float64, binWidth float64, cycle bool) *NHPP {
 		if r < 0 {
 			panic("workload: negative rate in NHPP envelope")
 		}
-		if r > p.maxRate {
-			p.maxRate = r
-		}
+		p.active = p.active || r > 0
 	}
-	if p.maxRate > 0 {
-		p.gap = dist.NewExponential(p.maxRate)
-	}
-	p.thin = dist.NewUniform(0, 1)
 	return p
 }
 
 // Duration returns the envelope's span in seconds.
 func (p *NHPP) Duration() float64 { return float64(len(p.Rates)) * p.BinWidth }
 
-// rateAt returns the envelope rate at absolute time t.
-func (p *NHPP) rateAt(t float64) (float64, bool) {
-	if t < 0 {
-		t = 0
-	}
-	d := p.Duration()
-	if t >= d {
-		if !p.Cycle {
-			return 0, false
-		}
-		t = math.Mod(t, d)
-	}
-	idx := int(t / p.BinWidth)
-	if idx >= len(p.Rates) {
-		idx = len(p.Rates) - 1
-	}
-	return p.Rates[idx], true
-}
-
-// Next draws the next arrival — by thinning against the envelope
-// maximum, or per-segment exact simulation when Piecewise is set.
-func (p *NHPP) Next(t float64, rng *rand.Rand) (float64, bool) {
-	if p.maxRate == 0 {
-		return 0, false
-	}
-	if p.Piecewise {
-		return p.nextPiecewise(t, rng)
-	}
-	for i := 0; i < 1_000_000; i++ {
-		t += p.gap.Sample(rng)
-		r, ok := p.rateAt(t)
-		if !ok {
-			return 0, false
-		}
-		if p.thin.Sample(rng) <= r/p.maxRate {
-			return t, true
-		}
-	}
-	return 0, false
-}
-
-// exp1 is the unit exponential every piecewise segment draw rescales —
+// exp1 is the unit exponential every segment draw rescales —
 // stateless, so one package value serves all goroutines.
 var exp1 = dist.NewExponential(1)
 
-// nextPiecewise simulates the envelope exactly, segment by segment: in
-// a bin of rate r the gap to the next arrival is Exp(r); when the gap
-// overshoots the bin boundary the clock restarts at the boundary
-// (memorylessness makes the restart exact, the same argument MMPP's
-// regime switches use), and zero-rate bins are skipped outright.
-func (p *NHPP) nextPiecewise(t float64, rng *rand.Rand) (float64, bool) {
+// Next simulates the envelope exactly, segment by segment: in a bin of
+// rate r the gap to the next arrival is Exp(r); when the gap overshoots
+// the bin boundary the clock restarts at the boundary (memorylessness
+// makes the restart exact, the same argument MMPP's regime switches
+// use), and zero-rate bins are skipped outright. That costs one draw
+// per arrival plus one per crossed bin. Next mutates nothing, so one
+// process may be read from any goroutine.
+func (p *NHPP) Next(t float64, rng *rand.Rand) (float64, bool) {
+	if !p.active {
+		return 0, false
+	}
 	if t < 0 {
 		t = 0
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/dist"
 )
@@ -162,11 +163,23 @@ func TestNHPPCycle(t *testing.T) {
 	}
 }
 
+// TestNHPPZeroEnvelope: an all-zero envelope produces no arrivals. The
+// cycling one must return at once rather than walk its 10⁶-bin budget
+// looking for a positive rate: 1000 calls take microseconds that way
+// and seconds the other, so the 1-second bound cannot flake.
 func TestNHPPZeroEnvelope(t *testing.T) {
-	p := NewNHPP([]float64{0, 0}, 10, false)
 	rng := rand.New(rand.NewSource(7))
-	if _, ok := p.Next(0, rng); ok {
-		t.Error("all-zero envelope should produce no arrivals")
+	for _, cycle := range []bool{false, true} {
+		p := NewNHPP([]float64{0, 0}, 10, cycle)
+		start := time.Now()
+		for i := 0; i < 1000; i++ {
+			if _, ok := p.Next(float64(i), rng); ok {
+				t.Fatalf("cycle=%v: all-zero envelope should produce no arrivals", cycle)
+			}
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("cycle=%v: 1000 calls on an all-zero envelope took %v", cycle, d)
+		}
 	}
 }
 

@@ -1,12 +1,10 @@
 package workload
 
-// The piecewise NHPP mode is NOT sample-path-identical to thinning (it
-// consumes the random stream differently), so the bit-identity suite
-// cannot gate it. Instead this suite pins the distribution: conditioned
-// on the count, NHPP arrival times are iid with CDF Λ(t)/Λ(D), so a
-// one-sample Kolmogorov–Smirnov test against the envelope's cumulative
-// rate checks the whole temporal profile at once, for both modes, and
-// mean counts must match the envelope integral.
+// This suite pins the distribution of the NHPP sampler over a
+// piecewise-constant envelope: conditioned on the count, NHPP arrival
+// times are iid with CDF Λ(t)/Λ(D), so a one-sample Kolmogorov–Smirnov
+// test against the envelope's cumulative rate checks the whole temporal
+// profile at once, and mean counts must match the envelope integral.
 
 import (
 	"math"
@@ -15,12 +13,14 @@ import (
 	"testing"
 )
 
-// ksEnvelope is a spiky profile (peak/mean ≈ 20) — the regime the
-// piecewise mode exists for, and exactly where a broken segment restart
-// would distort the distribution most visibly.
+// ksEnvelope is a spiky profile (peak/mean ≈ 20), the regime of the
+// Azure envelopes, and exactly where a broken segment restart would
+// distort the distribution most visibly.
 var ksEnvelope = []float64{0.5, 0.5, 12, 0.5, 0, 3, 0.5, 8, 0.5, 0.5}
 
 const ksBinWidth = 10.0
+
+func ksNHPP() *NHPP { return NewNHPP(ksEnvelope, ksBinWidth, false) }
 
 // cumulativeRate evaluates Λ(t) = ∫₀ᵗ λ(s) ds for the envelope.
 func cumulativeRate(rates []float64, width, t float64) float64 {
@@ -88,60 +88,37 @@ func ksStatistic(samples []float64, rates []float64, width, horizon float64) flo
 	return d
 }
 
-// TestNHPPPiecewiseKSAgainstEnvelope: both generation modes pass a KS
-// test against the envelope's cumulative-rate CDF. The threshold
+// TestNHPPPiecewiseKSAgainstEnvelope: the sampler passes a KS test
+// against the envelope's cumulative-rate CDF. The threshold
 // 1.95/√n corresponds to α ≈ 0.001 — conservative enough to be stable
 // across seeds, tight enough that assigning arrivals to a neighboring
 // bin or skipping the memoryless restart fails it immediately.
 func TestNHPPPiecewiseKSAgainstEnvelope(t *testing.T) {
 	horizon := float64(len(ksEnvelope)) * ksBinWidth
-	for name, piecewise := range map[string]bool{"thinning": false, "piecewise": true} {
-		t.Run(name, func(t *testing.T) {
-			mk := func() *NHPP {
-				p := NewNHPP(ksEnvelope, ksBinWidth, false)
-				p.Piecewise = piecewise
-				return p
-			}
-			samples := collectArrivals(t, mk, horizon, 40, 1000)
-			d := ksStatistic(samples, ksEnvelope, ksBinWidth, horizon)
-			if crit := 1.95 / math.Sqrt(float64(len(samples))); d > crit {
-				t.Errorf("KS distance %.4f exceeds %.4f (n=%d)", d, crit, len(samples))
-			}
-		})
+	samples := collectArrivals(t, ksNHPP, horizon, 40, 1000)
+	d := ksStatistic(samples, ksEnvelope, ksBinWidth, horizon)
+	if crit := 1.95 / math.Sqrt(float64(len(samples))); d > crit {
+		t.Errorf("KS distance %.4f exceeds %.4f (n=%d)", d, crit, len(samples))
 	}
 }
 
-// TestNHPPPiecewiseMeanCount: the piecewise mode's mean arrival count
-// matches the envelope integral Λ(D) — and therefore the thinning
-// mode's — within sampling error.
+// TestNHPPPiecewiseMeanCount: the mean arrival count matches the
+// envelope integral Λ(D) within sampling error.
 func TestNHPPPiecewiseMeanCount(t *testing.T) {
 	horizon := float64(len(ksEnvelope)) * ksBinWidth
 	want := cumulativeRate(ksEnvelope, ksBinWidth, horizon)
-	counts := map[string]float64{}
-	for name, piecewise := range map[string]bool{"thinning": false, "piecewise": true} {
-		const reps = 60
-		mk := func() *NHPP {
-			p := NewNHPP(ksEnvelope, ksBinWidth, false)
-			p.Piecewise = piecewise
-			return p
-		}
-		n := len(collectArrivals(t, mk, horizon, reps, 2000))
-		counts[name] = float64(n) / reps
-		// Poisson(Λ) mean has sd √(Λ/reps); 4σ keeps seeds stable.
-		if tol := 4 * math.Sqrt(want/reps); math.Abs(counts[name]-want) > tol {
-			t.Errorf("%s mean count %.1f, envelope integral %.1f (tol %.1f)", name, counts[name], want, tol)
-		}
-	}
-	if diff := math.Abs(counts["thinning"] - counts["piecewise"]); diff > 0.1*want {
-		t.Errorf("modes disagree on mean count: thinning %.1f vs piecewise %.1f", counts["thinning"], counts["piecewise"])
+	const reps = 60
+	got := float64(len(collectArrivals(t, ksNHPP, horizon, reps, 2000))) / reps
+	// Poisson(Λ) mean has sd √(Λ/reps); 4σ keeps seeds stable.
+	if tol := 4 * math.Sqrt(want/reps); math.Abs(got-want) > tol {
+		t.Errorf("mean count %.1f, envelope integral %.1f (tol %.1f)", got, want, tol)
 	}
 }
 
-// TestNHPPPiecewiseZeroBins: no piecewise arrival may land in a
-// zero-rate bin, and an all-zero envelope exhausts immediately.
+// TestNHPPPiecewiseZeroBins: no arrival may land in a zero-rate bin,
+// and an all-zero envelope exhausts immediately.
 func TestNHPPPiecewiseZeroBins(t *testing.T) {
 	p := NewNHPP([]float64{6, 0, 6}, 10, false)
-	p.Piecewise = true
 	rng := rand.New(rand.NewSource(11))
 	tt := 0.0
 	for {
@@ -159,25 +136,23 @@ func TestNHPPPiecewiseZeroBins(t *testing.T) {
 	}
 
 	z := NewNHPP([]float64{0, 0}, 10, false)
-	z.Piecewise = true
 	if _, ok := z.Next(0, rng); ok {
-		t.Error("all-zero piecewise envelope should produce no arrivals")
+		t.Error("all-zero envelope should produce no arrivals")
 	}
 }
 
-// TestNHPPPiecewiseCycle: a cycling piecewise envelope keeps producing
-// strictly increasing arrivals past the envelope end, and its per-cycle
-// count stays near the envelope integral.
+// TestNHPPPiecewiseCycle: a cycling envelope with a zero-rate bin keeps
+// producing strictly increasing arrivals past the envelope end, and its
+// per-cycle count stays near the envelope integral.
 func TestNHPPPiecewiseCycle(t *testing.T) {
 	p := NewNHPP([]float64{5, 0}, 10, true)
-	p.Piecewise = true
 	rng := rand.New(rand.NewSource(12))
 	tt, n := 0.0, 0
 	const cycles = 200
 	for tt < 20*cycles {
 		next, ok := p.Next(tt, rng)
 		if !ok {
-			t.Fatal("cycling piecewise NHPP should never exhaust")
+			t.Fatal("cycling NHPP should never exhaust")
 		}
 		if next <= tt {
 			t.Fatalf("arrival %v does not advance past %v", next, tt)
@@ -198,8 +173,7 @@ func TestNHPPPiecewiseCycle(t *testing.T) {
 // reproducibility contract every arrival process carries.
 func TestNHPPPiecewiseDeterministic(t *testing.T) {
 	seq := func(seed int64) []float64 {
-		p := NewNHPP(ksEnvelope, ksBinWidth, false)
-		p.Piecewise = true
+		p := ksNHPP()
 		rng := rand.New(rand.NewSource(seed))
 		var out []float64
 		tt := 0.0
@@ -229,7 +203,6 @@ func TestNHPPPiecewiseDeterministic(t *testing.T) {
 // of scanning from zero or misplacing the phase.
 func TestNHPPPiecewiseFarFuture(t *testing.T) {
 	p := NewNHPP([]float64{5, 0}, 10, true)
-	p.Piecewise = true
 	rng := rand.New(rand.NewSource(13))
 	start := 1e6*20 + 3 // inside the active half of cycle 10⁶
 	next, ok := p.Next(start, rng)
