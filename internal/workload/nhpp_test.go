@@ -94,12 +94,14 @@ func ksStatistic(samples []float64, rates []float64, width, horizon float64) flo
 // across seeds, tight enough that assigning arrivals to a neighboring
 // bin or skipping the memoryless restart fails it immediately.
 func TestNHPPPiecewiseKSAgainstEnvelope(t *testing.T) {
-	horizon := float64(len(ksEnvelope)) * ksBinWidth
-	samples := collectArrivals(t, ksNHPP, horizon, 40, 1000)
-	d := ksStatistic(samples, ksEnvelope, ksBinWidth, horizon)
-	if crit := 1.95 / math.Sqrt(float64(len(samples))); d > crit {
-		t.Errorf("KS distance %.4f exceeds %.4f (n=%d)", d, crit, len(samples))
-	}
+	t.Run("piecewise", func(t *testing.T) {
+		horizon := float64(len(ksEnvelope)) * ksBinWidth
+		samples := collectArrivals(t, ksNHPP, horizon, 40, 1000)
+		d := ksStatistic(samples, ksEnvelope, ksBinWidth, horizon)
+		if crit := 1.95 / math.Sqrt(float64(len(samples))); d > crit {
+			t.Errorf("KS distance %.4f exceeds %.4f (n=%d)", d, crit, len(samples))
+		}
+	})
 }
 
 // TestNHPPPiecewiseMeanCount: the mean arrival count matches the
