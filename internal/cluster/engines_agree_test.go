@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/admit"
+	"repro/internal/app"
 	"repro/internal/cluster"
 	"repro/internal/lb"
 	"repro/internal/netem"
@@ -44,8 +45,8 @@ func deterministicTopology() cluster.Topology {
 // adds completions in completion order, the sharded merge in site
 // order. The graphs cover constant and jittered client paths, sampled
 // spill detours at generation time and between shared tiers, a
-// site-pinned class, an autoscaled shared tier and a randomized
-// dispatcher.
+// site-pinned class, an autoscaled shared tier, a randomized dispatcher
+// and a slowed edge whose spills are rescaled to the next tier.
 func TestSerialMatchesSharded(t *testing.T) {
 	topos := []cluster.Topology{deterministicTopology()}
 	for _, preset := range cluster.TopologyPresets() {
@@ -60,7 +61,12 @@ func TestSerialMatchesSharded(t *testing.T) {
 	p2c, _ := cluster.PresetTopology("edge-regional-cloud")
 	p2c.Name = "edge-regional-p2c"
 	p2c.Tiers[2] = cluster.CloudTier(5, p2c.Tiers[2].Path, lb.PolicyPowerOfTwo)
-	topos = append(topos, p2c)
+	// edge-regional-cloud with edge servers at half speed: every spill
+	// out of the edge rescales its service demand back to factor 1.
+	slowed, _ := cluster.PresetTopology("edge-regional-cloud")
+	slowed.Name = "edge-regional-slowed"
+	slowed.Tiers[0].SlowdownFactor = 2
+	topos = append(topos, p2c, slowed)
 
 	spec := cluster.GenSpec{Sites: 5, Duration: 200, PerSiteRate: 16, Seed: 9}
 	for _, topo := range topos {
@@ -156,5 +162,52 @@ func agreeAcrossEngines(t *testing.T, name string, want, got *cluster.TopologyRe
 			digest(site+" wait", &ws.Wait, &gs.Wait)
 			digest(site+" end-to-end", &ws.EndToEnd, &gs.EndToEnd)
 		}
+	}
+}
+
+// TestSpillRescalesService: a request spilled out of a slowed tier is
+// served at the target tier's speed. A home edge at a third of the
+// speed spills to a factor-1 pool with room for every request, so with
+// constant paths, a fixed detour and constant service each request the
+// pool serves takes exactly entry RTT + detour + the factor-1 service
+// time, under Run and RunPipelined alike.
+func TestSpillRescalesService(t *testing.T) {
+	const (
+		service = 0.05
+		edgeRTT = 0.002
+		detour  = 0.02
+	)
+	topo := cluster.Topology{
+		Name: "slowed-edge",
+		Tiers: []cluster.Tier{
+			{Name: "edge", Sites: 3, ServersPerSite: 1, SlowdownFactor: 3,
+				Path: netem.Constant("edge", edgeRTT)},
+			{Name: "cloud", Sites: 1, ServersPerSite: 64, Path: netem.Constant("cloud", 0.025),
+				Dispatch: cluster.CentralQueueDispatch},
+		},
+		Spills: []cluster.SpillEdge{{From: "edge", To: "cloud", Threshold: 1, DetourRTT: detour}},
+	}
+	spec := cluster.GenSpec{Sites: 3, Duration: 60, PerSiteRate: 8, Seed: 5,
+		Model: app.NewInferenceModelWith(service, 0)}
+	opts := cluster.Options{Seed: 2}
+	check := func(name string, res *cluster.TopologyResult, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		edge, cloud := res.Tier("edge"), res.Tier("cloud")
+		if edge.Served == 0 || cloud.Served == 0 {
+			t.Fatalf("%s: edge served %d, cloud %d: the spill goes untested", name, edge.Served, cloud.Served)
+		}
+		want := edgeRTT + detour + service
+		if lo, hi := cloud.EndToEnd.Min(), cloud.EndToEnd.Max(); math.Abs(lo-want) > 1e-9 || math.Abs(hi-want) > 1e-9 {
+			t.Errorf("%s: cloud latency in [%v, %v], want %v (the factor-1 service time)", name, lo, hi, want)
+		}
+	}
+	res, err := cluster.Run(cluster.Stream(spec), topo, opts)
+	check("Run", res, err)
+	for _, shards := range []int{1, 3} {
+		res, err := cluster.RunPipelined(cluster.GenShards(spec), topo, opts, shards)
+		check(fmt.Sprintf("RunPipelined/shards %d", shards), res, err)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // barriering between them:
 //
 //		shard 0  ──captures──▶ ring 0 ─┐
-//		shard 1  ──captures──▶ ring 1 ─┼─▶ merger ──▶ phase-2 engine(s)
+//		shard 1  ──captures──▶ ring 1 ─┼─▶ merger ──▶ phase-2 engine
 //		shard k  ──captures──▶ ring k ─┘   (watermark-gated k-way merge)
 //
 //	  - Each phase-1 shard publishes its boundary records through a
@@ -27,30 +27,21 @@ import (
 //	  - A dedicated merger goroutine pops every record that is below all
 //	    open rings' watermarks — provably next in the global
 //	    (time, site, seq) order — and does phase 2's per-request pre-work
-//	    off the engine: decoding the record, assigning the global request
-//	    ID in canonical order, and routing it to its shared partition.
-//	  - Each phase-2 engine replays its records through a pump event that
-//	    blocks inside its callback until the merger supplies the next
-//	    record, so the engine can never run ahead of the merge: it sees
-//	    exactly the event sequence a single engine replaying the fully
-//	    sorted boundary harvest would, which is why the results are
-//	    byte-identical for every shard count by construction.
+//	    off the engine: decoding the record and assigning the global
+//	    request ID in canonical order.
+//	  - The one phase-2 engine, which owns every shared tier, replays the
+//	    records through a pump event that blocks inside its callback
+//	    until the merger supplies the next record, so the engine can
+//	    never run ahead of the merge: it sees exactly the event sequence
+//	    it would replaying the fully sorted boundary harvest, which is
+//	    why the results are byte-identical for every shard count by
+//	    construction.
 //
 // Memory: ring backpressure (Push blocks when full) bounds resident
 // boundary records by ring capacity, not boundary count; the pending
 // heaps hold only captures within one detour of the shard clock. Wall
 // clock: phase 2 overlaps phase 1, so the critical path drops from
 // max(phase1) + phase2 toward max(max(phase1), phase2).
-//
-// When the shared subgraph splits into spill-connected components and
-// no shared tier carries an autoscaler, each component replays on its
-// own engine in parallel. Classification is per-site deterministic
-// (planShards rejects Bernoulli fractions) and each site's spill chain
-// terminates in at most one component, so every site's shared-phase
-// records — and hence its digest add order — stay within a single
-// partition, and every dispatcher draws the routing stream Run builds
-// for its tier (streams.go), so its random sequence is identical to the
-// serial build's.
 const (
 	// boundaryRing bounds each shard's boundary ring in records:
 	// deep enough to ride out merge stalls, small enough that k rings
@@ -63,12 +54,12 @@ const (
 	pipeFlushStride = 64
 	// pipeBatch is the merger's pop/forward granularity: large enough to
 	// amortize ring locks and channel sends, small enough to keep the
-	// phase-2 engines fed.
+	// phase-2 engine fed.
 	pipeBatch = 256
 )
 
 // backlogGauge tracks resident boundary records (captured but not yet
-// admitted to a phase-2 engine) for Options.BacklogProbe.
+// admitted to the phase-2 engine) for Options.BacklogProbe.
 type backlogGauge struct {
 	resident atomic.Int64
 	peak     atomic.Int64
@@ -173,69 +164,14 @@ type p2rec struct {
 	id  uint64
 }
 
-// phase2Partitions groups the shared tiers into spill-connected
-// components. Components may replay on parallel engines only when no
-// shared tier carries an autoscaler: a controller's stop condition
-// reads the globally-last consumption, which only a single engine's
-// event order preserves — with a scaler anywhere, everything collapses
-// into one partition.
-func phase2Partitions(topo Topology, plan shardPlan) (parts [][]int, compOf []int) {
-	parent := make([]int, len(topo.Tiers))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(i int) int {
-		for parent[i] != i {
-			parent[i] = parent[parent[i]]
-			i = parent[i]
-		}
-		return i
-	}
-	for _, sp := range topo.Spills {
-		from, to := topo.tierIndex(sp.From), topo.tierIndex(sp.To)
-		if plan.homeSlot[from] >= 0 {
-			continue // phase-1 edge (or a boundary crossing, not a shared coupling)
-		}
-		parent[find(from)] = find(to)
-	}
-	scaled := false
-	for _, ti := range plan.shared {
-		if topo.Tiers[ti].Scaler != nil {
-			scaled = true
-			break
-		}
-	}
-	compOf = make([]int, len(topo.Tiers))
-	for i := range compOf {
-		compOf[i] = -1
-	}
-	rootPart := map[int]int{}
-	for _, ti := range plan.shared {
-		root := 0
-		if !scaled {
-			root = find(ti)
-		}
-		p, ok := rootPart[root]
-		if !ok {
-			p = len(parts)
-			rootPart[root] = p
-			parts = append(parts, nil)
-		}
-		parts[p] = append(parts[p], ti)
-		compOf[ti] = p
-	}
-	return parts, compOf
-}
-
-// runPhase2Pump replays one partition's share of the merged boundary
-// stream on its engine. The pump lives in the engine's arrival lane
-// (sim.ArmLane), outside the calendar, and runs at each record's
-// arrival time ahead of every same-instant completion. It blocks
-// inside its callback until the next record is known, so the engine
-// processes events in exactly the order a single engine over the whole
-// sorted stream would — including autoscaler ticks, which fire only
-// once the clock is allowed to reach them.
+// runPhase2Pump replays the merged boundary stream on the phase-2
+// engine. The pump lives in the engine's arrival lane (sim.ArmLane),
+// outside the calendar, and runs at each record's arrival time ahead of
+// every same-instant completion. It blocks inside its callback until
+// the next record is known, so the engine processes events in exactly
+// the order it would over the whole sorted stream — including
+// autoscaler ticks, which fire only once the clock is allowed to reach
+// them.
 func runPhase2Pump(b *p2build, feed <-chan []p2rec, free chan<- []p2rec, total *uint64, gauge *backlogGauge) {
 	var (
 		buf []p2rec
@@ -269,7 +205,7 @@ func runPhase2Pump(b *p2build, feed <-chan []p2rec, free chan<- []p2rec, total *
 	var pump sim.Event
 	pump = func(e *sim.Engine) {
 		rec := &cur.rec
-		req := b.pool.Get()
+		req := b.x.pool.Get()
 		req.ID = cur.id
 		req.Site = rec.site
 		req.Generated = rec.generated
@@ -294,24 +230,22 @@ func runPhase2Pump(b *p2build, feed <-chan []p2rec, free chan<- []p2rec, total *
 	// process anything until the first record's arrival time caps it.
 	if first, ok := next(); ok {
 		cur = first
-		b.eng.ArmLane(cur.rec.at, pump)
+		b.x.eng.ArmLane(cur.rec.at, pump)
 	} else {
 		b.sink.drain()
 	}
-	b.eng.Run()
+	b.x.eng.Run()
 	b.sink.stopScalers()
 }
 
 // RunPipelined replays the source through the topology on `shards`
-// parallel engines whose boundary records stream through watermarked
-// bounded rings into the shared phase while the shards are still
-// running. The result is bit-identical for every shard count
-// (including 1); shards <= 0 selects GOMAXPROCS and the count is
-// clamped to the site count. Resident boundary memory is bounded by
-// ring capacity, not the boundary count. Where the shared tiers split
-// into independent spill components (and none autoscale), each
-// component replays on its own engine. See Shardable for what
-// disqualifies a topology.
+// parallel phase-1 engines whose boundary records stream through
+// watermarked bounded rings into the one shared-phase engine while the
+// shards are still running. The result is bit-identical for every
+// shard count (including 1); a count below 1 is an error (ResolveShards
+// resolves an automatic setting), and the count is clamped to the site
+// count. Resident boundary memory is bounded by ring capacity, not the
+// boundary count. See Shardable for what disqualifies a topology.
 //
 // Options.TimelineBin and Options.Probe are rejected: both observe
 // global event order, which sharding does not preserve.
@@ -334,14 +268,9 @@ func runPipelined(src ShardedSource, topo Topology, opts Options, shards, ringCa
 
 	// Build phase 2 before launching any producer, so a construction
 	// error cannot strand shards blocked on a full ring.
-	parts, compOf := phase2Partitions(r.topo, r.plan)
-	builds := make([]*p2build, len(parts))
-	perSite := newDigests(opts.Summary, r.sites)
-	for p, tiers := range parts {
-		if builds[p], err = buildPhase2(r, tiers); err != nil {
-			return nil, err
-		}
-		builds[p].sink.perSite = perSite
+	p2, err := buildPhase2(r)
+	if err != nil {
+		return nil, err
 	}
 
 	var gauge *backlogGauge
@@ -366,19 +295,16 @@ func runPipelined(src ShardedSource, topo Topology, opts Options, shards, ringCa
 		})
 	}
 
-	// Merger: pop watermark-safe records, assign canonical IDs, route
-	// each to its partition in batches. Exhausted batches come back on
-	// the free lists so steady state allocates nothing.
-	feeds := make([]chan []p2rec, len(parts))
-	frees := make([]chan []p2rec, len(parts))
-	for p := range feeds {
-		feeds[p] = make(chan []p2rec, 2)
-		frees[p] = make(chan []p2rec, 4)
-	}
+	// Merger: pop watermark-safe records, assign canonical IDs and feed
+	// them to phase 2 in batches. Exhausted batches come back on the free
+	// list so steady state allocates nothing: feed holds two batches so
+	// the merger fills the next while the pump replays one, and free
+	// keeps the few batches that circulate.
+	feed := make(chan []p2rec, 2)
+	free := make(chan []p2rec, 4)
 	var total uint64
 	go pprof.Do(context.Background(), pprof.Labels("phase", "merge"), func(context.Context) {
 		popped := make([]boundaryRec, 0, pipeBatch)
-		out := make([][]p2rec, len(parts))
 		var nextID uint64
 		for {
 			batch, ok := grp.NextBatch(popped[:0], pipeBatch)
@@ -386,42 +312,27 @@ func runPipelined(src ShardedSource, topo Topology, opts Options, shards, ringCa
 				break
 			}
 			popped = batch
+			var out []p2rec
+			select {
+			case out = <-free:
+			default:
+				out = make([]p2rec, 0, pipeBatch)
+			}
 			for _, rec := range batch {
 				nextID++
-				p := compOf[rec.tier]
-				if out[p] == nil {
-					select {
-					case out[p] = <-frees[p]:
-					default:
-						out[p] = make([]p2rec, 0, pipeBatch)
-					}
-				}
-				out[p] = append(out[p], p2rec{rec: rec, id: nextID})
+				out = append(out, p2rec{rec: rec, id: nextID})
 			}
-			for p := range out {
-				if len(out[p]) > 0 {
-					feeds[p] <- out[p]
-					out[p] = nil
-				}
-			}
+			feed <- out
 		}
 		total = nextID
-		for p := range feeds {
-			close(feeds[p])
-		}
+		close(feed)
 	})
 
-	// Phase 2: one engine per partition, fed by the merger.
-	var p2WG sync.WaitGroup
-	for p, b := range builds {
-		p2WG.Add(1)
-		go pprof.Do(context.Background(), pprof.Labels("phase", "phase-2"), func(context.Context) {
-			defer p2WG.Done()
-			runPhase2Pump(b, feeds[p], frees[p], &total, gauge)
-		})
-	}
+	// Phase 2 runs on this goroutine, fed by the merger.
+	pprof.Do(context.Background(), pprof.Labels("phase", "phase-2"), func(context.Context) {
+		runPhase2Pump(p2, feed, free, &total, gauge)
+	})
 	shardWG.Wait()
-	p2WG.Wait()
 
 	for _, st := range r.states {
 		if st.err != nil {
@@ -431,5 +342,5 @@ func runPipelined(src ShardedSource, topo Topology, opts Options, shards, ringCa
 	if gauge != nil {
 		opts.BacklogProbe(int(gauge.peak.Load()))
 	}
-	return finishSharded(r, builds, perSite), nil
+	return finishSharded(r, p2), nil
 }

@@ -1,7 +1,7 @@
 package cluster_test
 
 // The sharded backend's concurrent machinery — watermarked rings, the
-// merger goroutine, parallel phase-2 partitions — must reorder nothing:
+// merger goroutine, the phase-2 pump — must reorder nothing:
 // RunPipelined produces the same TopologyResult as the barrier oracle
 // (barrier_test.go), which sorts the full boundary harvest and replays
 // it on one engine, for every preset, seed, warmup and summary mode,
@@ -224,8 +224,7 @@ func TestPipelinedRejections(t *testing.T) {
 // partitionTopology splits the shared phase into two independent spill
 // components: sites enter at edge-a by default, the back half is
 // pinned to edge-b by a class rule, and each edge tier spills to its
-// own central pool. With no scaler on either pool, the pipelined
-// backend replays the two components on parallel phase-2 engines.
+// own central pool. Both components share the one phase-2 engine.
 func partitionTopology(sites int) cluster.Topology {
 	detour := netem.CloudTypical
 	pinned := make([]int, 0, sites/2)
@@ -253,9 +252,10 @@ func partitionTopology(sites int) cluster.Topology {
 }
 
 // TestPipelinedParallelPartitions: a topology whose shared tiers form
-// two disjoint spill components replays bit-identically on parallel
-// phase-2 engines, including under a tiny ring. Both pools must see
-// traffic or the partition split is untested.
+// two disjoint spill components, which share the one phase-2 engine,
+// replays bit-identically to the barrier oracle, including under a
+// tiny ring. Both pools must see traffic or the second component is
+// untested.
 func TestPipelinedParallelPartitions(t *testing.T) {
 	const sites = 6
 	topo := partitionTopology(sites)
@@ -292,7 +292,7 @@ func TestPipelinedParallelPartitions(t *testing.T) {
 }
 
 // TestPipelinedBacklogBounded: the satellite memory probe. Peak
-// resident boundary records — captured but not yet admitted to a
+// resident boundary records — captured but not yet admitted to the
 // phase-2 engine — must be bounded by ring capacity and pipeline
 // constants, not by the boundary count: growing the trace 10x and
 // 100x may not grow the peak past the same fixed bound.
@@ -303,8 +303,8 @@ func TestPipelinedBacklogBounded(t *testing.T) {
 		ring   = 64
 		// slack covers what sits outside the rings: per-shard pending
 		// heaps (captures within one detour of the shard clock) and the
-		// merger/pump batches in flight (a few pipeBatch-sized buffers
-		// per partition). All are O(1) in the trace length.
+		// merger/pump batches in flight (a few pipeBatch-sized
+		// buffers). All are O(1) in the trace length.
 		slack = 2048
 		bound = shards*ring + slack
 	)

@@ -23,15 +23,20 @@ import (
 //     from phase 1 — a spill out of a saturated home tier, or a class
 //     pinned straight to a shared tier — is captured as a boundary
 //     record; the per-shard streams are merged into one canonical
-//     (time, site, per-site order) sequence and replayed on the shared
-//     tiers' engine(s).
+//     (time, site, per-site order) sequence and replayed on one engine
+//     that owns every shared tier.
+//
+// Every engine — Run's, each shard's and phase 2's — routes requests
+// through the one admission-and-spill gate, topoExec.admit. A shard's
+// gate owns only the home tiers, and its cross hook turns a request
+// bound for a shared tier into a boundary record.
 //
 // Because phase-1 dynamics are site-local and the boundary sequence is
 // canonical, the result is bit-identical for every shard count: the
 // shard-determinism suite asserts -shards N == -shards 1 across the
 // presets, sources, seeds and summary modes. Both engines draw from the
 // one stream layout of streams.go and replay the same events through
-// the same tier builder, router, sink and harvest, so the sharded
+// the same tier builder, router, gate, sink and harvest, so the sharded
 // result also agrees with Run's on every counter, duration, utilization
 // and quantile, with means equal up to summation order:
 // TestSerialMatchesSharded is that oracle.
@@ -82,17 +87,15 @@ func ResolveShards(setting int, topo Topology, pool int) (int, error) {
 // shardPlan classifies tiers into the parallel home phase and the
 // serial shared phase.
 type shardPlan struct {
-	homeSlot []int // tier index -> slot in home order, or -1
-	home     []int // home-routed tier indices, declaration order
-	shared   []int // shared tier indices, declaration order
-	sites    int   // home site count (0 when no home tiers)
+	home   []int // home-routed tier indices, declaration order
+	shared []int // shared tier indices, declaration order
+	sites  int   // home site count (0 when no home tiers)
 }
 
 func planShards(topo Topology) (shardPlan, error) {
-	plan := shardPlan{homeSlot: make([]int, len(topo.Tiers))}
+	var plan shardPlan
 	for ti, t := range topo.Tiers {
 		if !t.homeRouted() {
-			plan.homeSlot[ti] = -1
 			plan.shared = append(plan.shared, ti)
 			continue
 		}
@@ -102,14 +105,13 @@ func planShards(topo Topology) (shardPlan, error) {
 		if t.Scaler != nil {
 			return plan, fmt.Errorf("cluster: home tier %q has an autoscaler (one controller across all sites); not shardable", t.Name)
 		}
-		plan.homeSlot[ti] = len(plan.home)
 		plan.home = append(plan.home, ti)
 		plan.sites = t.Sites
 	}
 	for _, sp := range topo.Spills {
 		from, to := topo.tierIndex(sp.From), topo.tierIndex(sp.To)
-		fromHome := plan.homeSlot[from] >= 0
-		if !fromHome && plan.homeSlot[to] >= 0 {
+		fromHome := topo.Tiers[from].homeRouted()
+		if !fromHome && topo.Tiers[to].homeRouted() {
 			return plan, fmt.Errorf("cluster: spill %s->%s re-enters the home phase from a shared tier; not shardable", sp.From, sp.To)
 		}
 		if fromHome && sp.DetourPath != nil && from != 0 {
@@ -169,29 +171,23 @@ type boundaryPublisher interface {
 type shardState struct {
 	lo, hi int // global site range
 	warmup float64
-	slot   []int // tier index -> home slot (shared shardPlan.homeSlot)
 
 	tiers   []*tierRuntime // per tier index: home tiers' site ranges, nil for shared tiers
 	siteSeq []uint64       // per local site: boundary capture counter
 
 	offered  uint64
 	consumed uint64
-	served   []uint64 // per home slot, measured
-	dropped  []uint64
-	spilled  []uint64
-	rejected []uint64 // per home slot, admission refusals (warmup included)
+	// counts is the shard's own tier table: served, dropped, spilled
+	// and rejected counters per tier and class (home tiers only).
+	counts []TierResult
 
-	// Per-class counters and digests, nil when the topology declares no
-	// classes. classSite keeps one digest per (slot, class, local site)
-	// so finishSharded can merge per-class latency in canonical global
-	// site order, independent of the shard partition.
-	classServed   [][]uint64
-	classDropped  [][]uint64
-	classRejected [][]uint64
-	classSite     [][][]stats.Digest
-
-	tierSite [][]stats.Digest // per home slot, per local site e2e
-	perSite  []stats.Digest   // per local site, home-phase e2e
+	// Latency per local site, so finishSharded can merge it in global
+	// site order, independent of the shard partition: per home tier
+	// index (nil for shared tiers), per class rank under that (nil when
+	// the topology declares no classes), and home-phase end-to-end.
+	tierSite  [][]stats.Digest
+	classSite [][][]stats.Digest
+	perSite   []stats.Digest
 
 	eng *sim.Engine
 	err error
@@ -201,34 +197,36 @@ type shardState struct {
 func (st *shardState) Consume(e *sim.Engine, r *queue.Request) {
 	st.consumed++
 	if r.Rejected {
-		// Already counted at the rejection instant in the admission gate;
+		// Already counted at the rejection instant (topoExec.reject);
 		// only the conservation counter above sees it here.
 		return
 	}
 	if r.Departure < st.warmup {
 		return
 	}
-	slot := st.slot[r.Tag]
+	tr := &st.counts[r.Tag]
 	if r.Dropped {
-		st.dropped[slot]++
-		if st.classDropped != nil {
-			st.classDropped[slot][r.Class]++
+		tr.Dropped++
+		if tr.Classes != nil {
+			tr.Classes[r.Class].Dropped++
 		}
 		return
 	}
 	e2e := r.EndToEnd()
 	ls := r.Site - st.lo
 	st.perSite[ls].Add(e2e)
-	st.tierSite[slot][ls].Add(e2e)
-	st.served[slot]++
-	if st.classServed != nil {
-		st.classServed[slot][r.Class]++
-		st.classSite[slot][r.Class][ls].Add(e2e)
+	st.tierSite[r.Tag][ls].Add(e2e)
+	tr.Served++
+	if tr.Classes != nil {
+		tr.Classes[r.Class].Served++
+		st.classSite[r.Tag][r.Class][ls].Add(e2e)
 	}
 }
 
 // runShardPhase1 replays one shard's sites through the home tiers,
-// streaming boundary crossings into pub. All randomness draws from the
+// streaming boundary crossings into pub. Requests route through
+// topoExec.admit exactly as on Run; the exec's cross hook captures
+// every request bound for a shared tier. All randomness draws from the
 // sites' network streams, so a site behaves identically no matter which
 // shard holds it. A failure — a tier that will not build, a
 // record outside the shard's sites, a source that goes back in time or
@@ -243,49 +241,39 @@ func runShardPhase1(topo Topology, plan shardPlan, st *shardState, src Source, o
 	width := st.hi - st.lo
 
 	st.warmup = opts.Warmup
-	st.slot = plan.homeSlot
-	st.served = make([]uint64, len(plan.home))
-	st.dropped = make([]uint64, len(plan.home))
-	st.spilled = make([]uint64, len(plan.home))
-	st.rejected = make([]uint64, len(plan.home))
-	if nclass := len(topo.Classes); nclass > 0 {
-		st.classServed = make([][]uint64, len(plan.home))
-		st.classDropped = make([][]uint64, len(plan.home))
-		st.classRejected = make([][]uint64, len(plan.home))
-		st.classSite = make([][][]stats.Digest, len(plan.home))
-		for slot := range plan.home {
-			st.classServed[slot] = make([]uint64, nclass+1)
-			st.classDropped[slot] = make([]uint64, nclass+1)
-			st.classRejected[slot] = make([]uint64, nclass+1)
-			st.classSite[slot] = make([][]stats.Digest, nclass+1)
-			for c := range st.classSite[slot] {
-				st.classSite[slot][c] = newDigests(opts.Summary, width)
-			}
-		}
-	}
+	st.counts = newTopologyResult(topo, opts).Tiers
 	st.siteSeq = make([]uint64, width)
 	st.perSite = newDigests(opts.Summary, width)
-	st.tierSite = make([][]stats.Digest, len(plan.home))
-	st.tiers = make([]*tierRuntime, len(topo.Tiers))
-	for slot, ti := range plan.home {
-		// Admission buckets are the shard's local sites: token-bucket
-		// state is per-site, so a local-site key observes exactly the
-		// sequence the serial policy's global-site bucket would —
-		// admission is partition-independent.
+	st.tierSite = make([][]stats.Digest, len(topo.Tiers))
+	if len(topo.Classes) > 0 {
+		st.classSite = make([][][]stats.Digest, len(topo.Tiers))
+	}
+	x := newTopoExec(eng, pool, st.counts)
+	for _, ti := range plan.home {
+		// The shard builds its site range of each home tier, with
+		// admission buckets keyed by local site.
 		rt, err := buildTier(eng, topo.Tiers[ti], st.lo, st.hi, opts, pool, nil)
 		if err != nil {
 			st.err = err
 			return
 		}
-		st.tiers[ti] = rt
-		st.tierSite[slot] = newDigests(opts.Summary, width)
+		x.tiers[ti] = rt
+		st.tierSite[ti] = newDigests(opts.Summary, width)
+		if st.classSite != nil {
+			st.classSite[ti] = make([][]stats.Digest, len(topo.Classes)+1)
+			for c := range st.classSite[ti] {
+				st.classSite[ti][c] = newDigests(opts.Summary, width)
+			}
+		}
 	}
+	st.tiers = x.tiers
 	// Spill edges out of home tiers. planShards rejected sampled detours
 	// on every home edge but the entry tier's, whose detour the router
 	// draws at generation time, so no edge here needs a stream.
-	attachSpills(topo, st.tiers, nil)
-
-	capture := func(at float64, req *queue.Request, target int) {
+	attachSpills(topo, x.tiers, nil)
+	// A shared tier's admission policy runs in phase 2, where it
+	// observes the canonical merged order — exactly what Run sees.
+	x.cross = func(at float64, req *queue.Request, tier int) {
 		ls := req.Site - st.lo
 		pub.capture(boundaryRec{
 			at:        at,
@@ -295,61 +283,11 @@ func runShardPhase1(topo Topology, plan shardPlan, st *shardState, src Source, o
 			rtt:       req.NetworkRTT,
 			aux:       req.AuxRTT,
 			generated: req.Generated,
-			tier:      target,
+			tier:      tier,
 			class:     req.Class,
 		})
 		st.siteSeq[ls]++
 		pool.Put(req)
-	}
-
-	var admitEv sim.PayloadEvent
-	admitEv = func(e *sim.Engine, p any) {
-		req := p.(*queue.Request)
-		ti := int(req.Tag)
-		rt := st.tiers[ti]
-		if rt == nil {
-			// Class-pinned straight into the shared phase; ServiceTime is
-			// already scaled to the target tier by prep. The shared tier's
-			// admission policy runs in phase 2, where it observes the
-			// canonical merged order — exactly what the serial run sees.
-			capture(e.Now(), req, ti)
-			return
-		}
-		slot := plan.homeSlot[ti]
-		ls := req.Site - st.lo
-		stn := rt.stations[ls]
-		// Admission before the spill check, mirroring topoExec.admit: a
-		// refused request is rejected outright, never spilled.
-		if a := rt.adm; a != nil && !a.Admit(e.Now(), ls, stn.QueueLength(), req.Class) {
-			st.rejected[slot]++
-			if st.classRejected != nil {
-				st.classRejected[slot][req.Class]++
-			}
-			req.Rejected = true
-			req.Departure = e.Now()
-			st.Consume(e, req)
-			pool.Put(req)
-			return
-		}
-		if sp := rt.spill; sp != nil && stn.Load() >= sp.spec.Threshold {
-			st.spilled[slot]++
-			extra := sp.spec.DetourRTT
-			if sp.atGen {
-				extra += req.AuxRTT
-			}
-			req.NetworkRTT += extra
-			if toSlow := topo.Tiers[sp.to].SlowdownFactor; toSlow != rt.slow {
-				req.ServiceTime = req.ServiceTime / rt.slow * toSlow
-			}
-			if st.tiers[sp.to] == nil {
-				capture(e.Now()+extra/2, req, sp.to)
-				return
-			}
-			req.Tag = uint64(sp.to)
-			e.AfterPayload(extra/2, admitEv, req)
-			return
-		}
-		stn.Arrive(req)
 	}
 
 	// Site-pinned classes only: planShards rejected Bernoulli fractions,
@@ -375,7 +313,7 @@ func runShardPhase1(topo Topology, plan shardPlan, st *shardState, src Source, o
 			pub.advance(rec.Time)
 			route.prep(rec, req)
 		},
-		admit: admitEv,
+		admit: x.admitEv,
 	}
 	f.start(eng)
 	eng.Run()
@@ -406,6 +344,9 @@ type shardRun struct {
 // newShardRun validates the run and splits its sites into the shard
 // ranges.
 func newShardRun(src ShardedSource, topo Topology, opts Options, shards int) (*shardRun, error) {
+	if shards < 1 {
+		return nil, fmt.Errorf("cluster: sharded replay needs at least one shard, got %d (ResolveShards picks a count)", shards)
+	}
 	topo, err := prepareRun(topo, opts)
 	if err != nil {
 		return nil, err
@@ -426,9 +367,6 @@ func newShardRun(src ShardedSource, topo Topology, opts Options, shards int) (*s
 	}
 	if plan.sites > 0 && sites != plan.sites {
 		return nil, fmt.Errorf("cluster: source has %d sites, home tiers have %d", sites, plan.sites)
-	}
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
 	}
 	if shards > sites {
 		shards = sites
@@ -458,27 +396,24 @@ func newShardRun(src ShardedSource, topo Topology, opts Options, shards int) (*s
 	}, nil
 }
 
-// p2build is one phase-2 engine's constructed world: the runtimes for
-// its subset of the shared tiers, its request pool and its sink (which
-// holds the controllers). RunPipelined builds one per independent
-// partition of the shared tiers.
+// p2build is phase 2's constructed world: the exec routing through
+// every shared tier on one engine, and its sink (which holds the
+// controllers).
 type p2build struct {
-	eng  *sim.Engine
 	x    *topoExec
-	pool *queue.FreeList
 	sink *sink
 }
 
-// buildPhase2 constructs the given shared tiers on a fresh engine,
-// following Run's construction scoped to the shared tiers, with the
-// same routing streams Run builds for them.
-func buildPhase2(r *shardRun, tiers []int) (*p2build, error) {
+// buildPhase2 constructs every shared tier on a fresh engine, following
+// Run's construction scoped to the shared tiers, with the same routing
+// streams Run builds for them.
+func buildPhase2(r *shardRun) (*p2build, error) {
 	topo, opts := r.topo, r.opts
 	eng := sim.NewEngineBackend(opts.Seed, opts.backend)
 	seeds := newRouteSeeds(topo, opts.Seed)
 	pool := &queue.FreeList{}
-	x := newTopoExec(eng, pool, r.res)
-	for _, ti := range tiers {
+	x := newTopoExec(eng, pool, r.res.Tiers)
+	for _, ti := range r.plan.shared {
 		t := topo.Tiers[ti]
 		rt, err := buildTier(eng, t, 0, t.Sites, opts, pool,
 			func() *rand.Rand { return seeds.tier(ti) })
@@ -492,30 +427,23 @@ func buildPhase2(r *shardRun, tiers []int) (*p2build, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &p2build{eng: eng, x: x, pool: pool,
-		sink: &sink{tiers: r.res.Tiers, warmup: opts.Warmup, ctrls: ctrls}}, nil
+	sk := &sink{tiers: r.res.Tiers, warmup: opts.Warmup, ctrls: ctrls,
+		perSite: newDigests(opts.Summary, r.sites)}
+	return &p2build{x: x, sink: sk}, nil
 }
 
 // finishSharded closes every engine at the global end time, harvests
 // the phase-1 and phase-2 counters, merges per-site latency in
 // canonical order and assembles the per-tier tables. Every merge runs
-// in global site or tier order, independent of the shard partition and
-// the phase-2 partitioning, which is what keeps the result
-// bit-identical for every shard count.
-func finishSharded(r *shardRun, builds []*p2build, perSite []stats.Digest) *TopologyResult {
+// in global site or tier order, independent of the shard partition,
+// which is what keeps the result bit-identical for every shard count.
+func finishSharded(r *shardRun, p2 *p2build) *TopologyResult {
 	topo, plan, opts, res := r.topo, r.plan, r.opts, r.res
 
-	// Tier index -> its runtime: each shared tier's phase-2 runtime, and
-	// for each home tier a view of every shard's stations in global
-	// site order.
-	tiers := make([]*tierRuntime, len(topo.Tiers))
-	for _, b := range builds {
-		for ti, rt := range b.x.tiers {
-			if rt != nil {
-				tiers[ti] = rt
-			}
-		}
-	}
+	// Tier index -> its runtime: phase 2's exec already holds the shared
+	// tiers; each home tier gets a view of every shard's stations in
+	// global site order.
+	tiers := p2.x.tiers
 	for _, ti := range plan.home {
 		view := &tierRuntime{spec: topo.Tiers[ti], home: true}
 		for _, st := range r.states {
@@ -526,14 +454,11 @@ func finishSharded(r *shardRun, builds []*p2build, perSite []stats.Digest) *Topo
 
 	// Close every engine at the global end time, so time-weighted
 	// metrics (busy integrals, arrival rates) cover the same window for
-	// every shard count and partition: the max over engines equals the
-	// max over per-site last-event times, which no partition changes.
-	engines := make([]*sim.Engine, 0, len(r.states)+len(builds))
+	// every shard count: the max over engines equals the max over
+	// per-site last-event times, which no partition changes.
+	engines := []*sim.Engine{p2.x.eng}
 	for _, st := range r.states {
 		engines = append(engines, st.eng)
-	}
-	for _, b := range builds {
-		engines = append(engines, b.eng)
 	}
 	var globalDur float64
 	for _, eng := range engines {
@@ -551,30 +476,26 @@ func finishSharded(r *shardRun, builds []*p2build, perSite []stats.Digest) *Topo
 	}
 	res.Duration = globalDur
 
-	// Harvest phase-1 counters, then the phase-2 sinks' locals.
+	// Harvest the shards' tier tables, then the phase-2 sink's locals.
 	for _, st := range r.states {
 		res.Offered += st.offered
 		res.Consumed += st.consumed
-		for slot, ti := range plan.home {
-			tier := &res.Tiers[ti]
-			tier.Served += st.served[slot]
-			tier.Dropped += st.dropped[slot]
-			tier.Spilled += st.spilled[slot]
-			tier.Rejected += st.rejected[slot]
-			res.Completed += st.served[slot]
-			res.Dropped += st.dropped[slot]
-			if tier.Classes != nil && st.classServed != nil {
-				for c := range tier.Classes {
-					tier.Classes[c].Served += st.classServed[slot][c]
-					tier.Classes[c].Dropped += st.classDropped[slot][c]
-					tier.Classes[c].Rejected += st.classRejected[slot][c]
-				}
+		for _, ti := range plan.home {
+			tier, c := &res.Tiers[ti], &st.counts[ti]
+			tier.Served += c.Served
+			tier.Dropped += c.Dropped
+			tier.Spilled += c.Spilled
+			tier.Rejected += c.Rejected
+			res.Completed += c.Served
+			res.Dropped += c.Dropped
+			for k := range tier.Classes {
+				tier.Classes[k].Served += c.Classes[k].Served
+				tier.Classes[k].Dropped += c.Classes[k].Dropped
+				tier.Classes[k].Rejected += c.Classes[k].Rejected
 			}
 		}
 	}
-	for _, b := range builds {
-		b.sink.fold(res)
-	}
+	p2.sink.fold(res)
 
 	// Combined per-site end-to-end: home-phase completions then
 	// shared-phase completions, merged in global site order — a
@@ -586,14 +507,14 @@ func finishSharded(r *shardRun, builds []*p2build, perSite []stats.Digest) *Topo
 				combined[s].Merge(&st.perSite[s-st.lo])
 			}
 		}
-		combined[s].Merge(&perSite[s])
+		combined[s].Merge(&p2.sink.perSite[s])
 		res.EndToEnd.Merge(&combined[s])
 	}
-	for slot, ti := range plan.home {
+	for _, ti := range plan.home {
 		tier := &res.Tiers[ti]
 		for _, st := range r.states {
-			for ls := range st.tierSite[slot] {
-				tier.EndToEnd.Merge(&st.tierSite[slot][ls])
+			for ls := range st.tierSite[ti] {
+				tier.EndToEnd.Merge(&st.tierSite[ti][ls])
 			}
 		}
 		if tier.Classes == nil {
@@ -603,18 +524,15 @@ func finishSharded(r *shardRun, builds []*p2build, perSite []stats.Digest) *Topo
 		// ascending (= global site order) — independent of the partition.
 		for c := range tier.Classes {
 			for _, st := range r.states {
-				if st.classSite == nil {
-					continue
-				}
-				for ls := range st.classSite[slot][c] {
-					tier.Classes[c].EndToEnd.Merge(&st.classSite[slot][c][ls])
+				for ls := range st.classSite[ti][c] {
+					tier.Classes[c].EndToEnd.Merge(&st.classSite[ti][c][ls])
 				}
 			}
 		}
 	}
 
 	var siteE2E []stats.Digest
-	if plan.homeSlot[0] >= 0 && !opts.NoPerSiteLatency {
+	if topo.Tiers[0].homeRouted() && !opts.NoPerSiteLatency {
 		siteE2E = combined
 	}
 	harvest(res, tiers, siteE2E, opts.Pricing)

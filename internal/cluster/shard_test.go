@@ -324,7 +324,8 @@ func TestResolveShards(t *testing.T) {
 }
 
 // TestShardableRejections: every coupling feature is named and
-// rejected, and RunPipelined refuses the options it cannot honor.
+// rejected, and RunPipelined refuses the options and shard counts it
+// cannot honor.
 func TestShardableRejections(t *testing.T) {
 	home := func() cluster.Topology {
 		return cluster.Topology{
@@ -416,4 +417,32 @@ func TestShardableRejections(t *testing.T) {
 			t.Fatalf("want site-count rejection, got %v", err)
 		}
 	})
+	t.Run("no-shards", func(t *testing.T) {
+		// ResolveShards turns an automatic setting into a count; a count
+		// below one fails before any goroutine starts.
+		before := runtime.NumGoroutine()
+		for _, shards := range []int{0, -1} {
+			_, err := cluster.RunPipelined(cluster.GenShards(presetSpec(3, 1)), home(), cluster.Options{}, shards)
+			if err == nil || !strings.Contains(err.Error(), "at least one shard") {
+				t.Fatalf("shards %d: want a shard-count rejection, got %v", shards, err)
+			}
+		}
+		cluster.WaitGoroutines(t, before)
+	})
+}
+
+// TestRunRejectsBacklogProbe: the single engine has no boundary
+// backlog, so Run and RunBroadcast refuse a BacklogProbe instead of
+// never calling it.
+func TestRunRejectsBacklogProbe(t *testing.T) {
+	opts := cluster.Options{BacklogProbe: func(int) {}}
+	if _, err := cluster.Run(cluster.Stream(presetSpec(3, 1)), spillTopology(3), opts); err == nil ||
+		!strings.Contains(err.Error(), "BacklogProbe") {
+		t.Fatalf("Run: want a BacklogProbe rejection, got %v", err)
+	}
+	variants := []cluster.Variant{{Label: "probed", Topology: spillTopology(3), Opts: opts}}
+	if _, err := cluster.RunBroadcast(cluster.Stream(presetSpec(3, 1)), variants, 0); err == nil ||
+		!strings.Contains(err.Error(), "BacklogProbe") {
+		t.Fatalf("RunBroadcast: want a BacklogProbe rejection, got %v", err)
+	}
 }

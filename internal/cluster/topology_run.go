@@ -46,10 +46,11 @@ type Options struct {
 	// overlay (nil = econ.DefaultPricing). Tiers may override their
 	// per-server-hour price via Tier.PricePerServerHour.
 	Pricing *econ.Pricing
-	// BacklogProbe, when set on a sharded run, receives the peak
-	// count of resident boundary records — captured by phase 1 but not
-	// yet admitted to a phase-2 engine — after the run completes (a
-	// diagnostic for the bounded-memory property). Ignored elsewhere.
+	// BacklogProbe, when set on a sharded run (RunPipelined), receives
+	// the peak count of resident boundary records — captured by phase 1
+	// but not yet admitted to the phase-2 engine — after the run
+	// completes (a diagnostic for the bounded-memory property). Run has
+	// no boundary and rejects it.
 	BacklogProbe func(peak int)
 
 	// backend selects the sim engine's calendar structure. Only tests
@@ -161,7 +162,10 @@ func (r *TopologyResult) Tier(name string) *TierResult {
 
 // tierRuntime is one tier's live state during a run.
 type tierRuntime struct {
-	spec       Tier
+	spec Tier
+	// stations[i] serves global site lo+i: lo is 0 on a whole tier and
+	// the shard's first site on a phase-1 shard's home tier.
+	lo         int
 	stations   []*queue.Station
 	geo        *lb.Geographic
 	dispatcher lb.Dispatcher
@@ -177,6 +181,10 @@ type tierRuntime struct {
 type spillRuntime struct {
 	spec SpillEdge
 	to   int
+	// toSlow is the target tier's slowdown factor: a spilled request's
+	// service demand is rescaled to it, also when another engine owns
+	// the target.
+	toSlow float64
 	// atGen marks the edge out of the entry tier whose detour RTT is
 	// pre-sampled at generation time (rides in Request.AuxRTT).
 	atGen bool
@@ -194,6 +202,7 @@ func buildTier(eng *sim.Engine, t Tier, lo, hi int, opts Options, pool *queue.Fr
 	newStream func() *rand.Rand) (*tierRuntime, error) {
 	rt := &tierRuntime{
 		spec:     t,
+		lo:       lo,
 		home:     t.homeRouted(),
 		central:  t.Dispatch == CentralQueueDispatch,
 		slow:     t.SlowdownFactor,
@@ -246,7 +255,8 @@ func attachSpills(topo Topology, tiers []*tierRuntime, newStream func(spill int)
 		if tiers[from] == nil {
 			continue
 		}
-		rt := &spillRuntime{spec: sp, to: topo.tierIndex(sp.To)}
+		to := topo.tierIndex(sp.To)
+		rt := &spillRuntime{spec: sp, to: to, toSlow: topo.Tiers[to].SlowdownFactor}
 		if sp.DetourPath != nil {
 			if from == 0 {
 				rt.atGen = true
@@ -341,20 +351,28 @@ func (r *router) prep(rec RequestRecord, req *queue.Request) {
 }
 
 // topoExec routes requests through one engine's tiers: the serial
-// run's, or one phase-2 partition's (tiers it does not own are nil).
+// run's, a phase-1 shard's home tiers, or phase 2's shared tiers (tiers
+// the engine does not own are nil). It is the only code that applies
+// admission, the spill threshold, the detour and the service rescale.
 type topoExec struct {
-	eng     *sim.Engine
-	tiers   []*tierRuntime
-	res     *TopologyResult
+	eng   *sim.Engine
+	tiers []*tierRuntime
+	// counts is the tier table admit books spills and rejections in:
+	// the run's result on one engine, a shard's own table in phase 1.
+	counts  []TierResult
 	pool    *queue.FreeList
 	admitEv sim.PayloadEvent
+	// cross hands a request bound for a tier another engine owns to
+	// that engine, arriving at time at. Only phase-1 shards set it: Run
+	// and phase 2 own every tier a request can reach.
+	cross func(at float64, req *queue.Request, tier int)
 	// err records the first request the run could not route; the
 	// engine stops at that event and Run returns it.
 	err error
 }
 
-func newTopoExec(eng *sim.Engine, pool *queue.FreeList, res *TopologyResult) *topoExec {
-	x := &topoExec{eng: eng, tiers: make([]*tierRuntime, len(res.Tiers)), res: res, pool: pool}
+func newTopoExec(eng *sim.Engine, pool *queue.FreeList, counts []TierResult) *topoExec {
+	x := &topoExec{eng: eng, tiers: make([]*tierRuntime, len(counts)), counts: counts, pool: pool}
 	x.admitEv = func(e *sim.Engine, p any) {
 		req := p.(*queue.Request)
 		x.admit(int(req.Tag), req)
@@ -364,13 +382,16 @@ func newTopoExec(eng *sim.Engine, pool *queue.FreeList, res *TopologyResult) *to
 
 // admPressure returns the admission bucket key and pressure signal for
 // a request entering the tier: home-routed tiers are site-local (the
-// home station's waiting queue), any other tier is tier-wide (bucket
-// 0, the least-loaded station's queue — so a queue-length policy
-// rejects only when no station is below its threshold, mirroring
-// wouldSpill's all-stations rule).
+// home station's index and waiting queue), any other tier is tier-wide
+// (bucket 0, the least-loaded station's queue — so a queue-length
+// policy rejects only when no station is below its threshold,
+// mirroring wouldSpill's all-stations rule). Token-bucket state is per
+// bucket, so a shard's local-site key sees exactly the sequence the
+// whole tier's global-site key would.
 func admPressure(t *tierRuntime, req *queue.Request) (bucket, waiting int) {
 	if t.home {
-		return req.Site, t.stations[req.Site].QueueLength()
+		i := req.Site - t.lo
+		return i, t.stations[i].QueueLength()
 	}
 	min := t.stations[0].QueueLength()
 	for _, s := range t.stations[1:] {
@@ -383,12 +404,9 @@ func admPressure(t *tierRuntime, req *queue.Request) (bucket, waiting int) {
 
 // reject refuses a request at tier entry: counted at the rejection
 // instant (warmup included, like Spilled), consumed through the
-// request's sink, and recycled without ever reaching a station. Only
-// tier-indexed counters are touched here — phase-2 partitions share
-// one result across engines, and tier entries are partition-exclusive
-// where aggregate scalars are not.
+// request's sink, and recycled without ever reaching a station.
 func (x *topoExec) reject(ti int, req *queue.Request) {
-	tr := &x.res.Tiers[ti]
+	tr := &x.counts[ti]
 	tr.Rejected++
 	if tr.Classes != nil {
 		tr.Classes[req.Class].Rejected++
@@ -408,7 +426,7 @@ func (x *topoExec) reject(ti int, req *queue.Request) {
 func (x *topoExec) wouldSpill(t *tierRuntime, req *queue.Request) bool {
 	thr := t.spill.spec.Threshold
 	if t.home {
-		return t.stations[req.Site].Load() >= thr
+		return t.stations[req.Site-t.lo].Load() >= thr
 	}
 	for _, s := range t.stations {
 		if s.Load() < thr {
@@ -418,13 +436,20 @@ func (x *topoExec) wouldSpill(t *tierRuntime, req *queue.Request) bool {
 	return true
 }
 
-// admit routes a request at its arrival instant at tier ti: admission
-// policy first (a refused request is rejected outright), then spill
-// across the tier's edge if saturated, otherwise dispatch into the
-// tier's stations.
+// admit routes a request at its arrival instant at tier ti: a tier
+// another engine owns takes it across the boundary; otherwise the
+// admission policy runs first (a refused request is rejected
+// outright), then a saturated tier spills across its edge, and else
+// the request is dispatched into the tier's stations.
 func (x *topoExec) admit(ti int, req *queue.Request) {
 	t := x.tiers[ti]
-	if t.home && uint(req.Site) >= uint(len(t.stations)) {
+	if t == nil {
+		// A class pinned past this engine's tiers. Its admission runs on
+		// the owning engine, in that engine's arrival order.
+		x.cross(x.eng.Now(), req, ti)
+		return
+	}
+	if t.home && uint(req.Site-t.lo) >= uint(len(t.stations)) {
 		x.err = fmt.Errorf("cluster: request home site %d outside tier %q (%d sites)",
 			req.Site, t.spec.Name, len(t.stations))
 		x.eng.Stop()
@@ -439,18 +464,24 @@ func (x *topoExec) admit(ti int, req *queue.Request) {
 	}
 	if t.spill != nil && x.wouldSpill(t, req) {
 		sp := t.spill
-		x.res.Tiers[ti].Spilled++
+		x.counts[ti].Spilled++
 		extra := sp.spec.DetourRTT
 		if sp.atGen {
 			extra += req.AuxRTT
 		} else if sp.rng != nil {
 			extra += sp.spec.DetourPath.Sample(sp.rng)
 		}
-		if to := x.tiers[sp.to]; to.slow != t.slow {
-			req.ServiceTime = req.ServiceTime / t.slow * to.slow
+		if sp.toSlow != t.slow {
+			req.ServiceTime = req.ServiceTime / t.slow * sp.toSlow
 		}
 		req.Tag = uint64(sp.to)
 		req.NetworkRTT += extra
+		if x.tiers[sp.to] == nil {
+			// Straight across the boundary: no calendar event for the
+			// detour on this engine.
+			x.cross(x.eng.Now()+extra/2, req, sp.to)
+			return
+		}
 		x.eng.AfterPayload(extra/2, x.admitEv, req)
 		return
 	}
@@ -458,7 +489,7 @@ func (x *topoExec) admit(ti int, req *queue.Request) {
 	case t.geo != nil:
 		t.geo.Dispatch(req)
 	case t.home:
-		t.stations[req.Site].Arrive(req)
+		t.stations[req.Site-t.lo].Arrive(req)
 	case t.central:
 		t.stations[0].Arrive(req)
 	default:
@@ -467,12 +498,10 @@ func (x *topoExec) admit(ti int, req *queue.Request) {
 }
 
 // sink records every finished request of one engine: the serial run's,
-// or one phase-2 partition's (phase 1 keeps its slot-indexed
-// shardState). Tier and class counters land in the result's tier
-// table, where each tier belongs to one engine; the aggregate counters
-// stay sink-local until fold, so parallel partitions never share a
-// scalar. Requests are recycled right after Consume returns, so nothing
-// here may retain them.
+// or phase 2's (a phase-1 shard is its own sink, shardState). Tier and
+// class counters land in the result's tier table; the aggregate
+// counters stay sink-local until fold. Requests are recycled right
+// after Consume returns, so nothing here may retain them.
 type sink struct {
 	tiers    []TierResult
 	warmup   float64
@@ -611,12 +640,16 @@ func newTopologyResult(topo Topology, opts Options) *TopologyResult {
 // topologies, and Run reproduces the seed's dedicated runners for them
 // bit for bit (see the equivalence suite). A record whose home site
 // lies outside a home-routed tier it enters, or a source that goes
-// back in time, fails the run with an error.
+// back in time, fails the run with an error. Options.BacklogProbe, a
+// diagnostic of the sharded backend, is rejected.
 func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 	defer stopSource(src)
 	topo, err := prepareRun(topo, opts)
 	if err != nil {
 		return nil, err
+	}
+	if opts.BacklogProbe != nil {
+		return nil, fmt.Errorf("cluster: Run has no boundary backlog for Options.BacklogProbe to observe; use RunPipelined")
 	}
 
 	// Streams follow the layout in streams.go, shared with
@@ -625,7 +658,7 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 	seeds := newRouteSeeds(topo, opts.Seed)
 	pool := &queue.FreeList{}
 	res := newTopologyResult(topo, opts)
-	x := newTopoExec(eng, pool, res)
+	x := newTopoExec(eng, pool, res.Tiers)
 	for ti, t := range topo.Tiers {
 		if x.tiers[ti], err = buildTier(eng, t, 0, t.Sites, opts, pool,
 			func() *rand.Rand { return seeds.tier(ti) }); err != nil {

@@ -55,8 +55,6 @@ type GridConfig struct {
 	// whole (rate, replication) groups, so cells of a group always
 	// share one broadcast pass.
 	Workers int
-	// Ring bounds each broadcast subscriber's buffer (<= 0 default).
-	Ring int
 	// GenWorkers parallelizes each group's generation pass (see
 	// cluster.ParallelStream): > 1 fans the per-site generator streams
 	// across that many goroutines, and the zero value is the serial
@@ -324,7 +322,7 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 				Summary: cfg.Summary,
 			}
 		}
-		runs, err := cluster.RunBroadcast(cluster.ParallelStream(specs[g], cfg.GenWorkers), vs, cfg.Ring)
+		runs, err := cluster.RunBroadcast(cluster.ParallelStream(specs[g], cfg.GenWorkers), vs, 0)
 		if err != nil {
 			return fmt.Errorf("grid group rate=%v rep=%d: %w", rate, g%cfg.Replications, err)
 		}
