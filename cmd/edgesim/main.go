@@ -32,9 +32,9 @@
 // set on the command line that the run's context does not read is a
 // usage error (exit 2) naming the flag and where it applies; a run that
 // fails after its flags were accepted exits 1 with one line. -v narrates
-// the engine choice (why -shards auto fell back to the single engine,
-// how -gen-workers auto resolved), and -cpuprofile's samples carry pprof
-// labels per replay phase (generate, phase-1, merge, phase-2).
+// a topology run's engine choice (why -shards auto fell back to the
+// single engine), and -cpuprofile's samples carry pprof labels per
+// replay phase (generate, phase-1, merge, phase-2).
 package main
 
 import (
@@ -142,17 +142,16 @@ const (
 var flagContexts = map[string]contexts{
 	// The generated workload.
 	"duration": generations, "arrival-scv": generations, "service-scv": generations,
-	"sites": pairedGen | topologyGen | gridGen, "gen-workers": pairedGen | topologyGen | gridGen,
-	"servers": pairedGen | topologyGen, "rate": pairedGen | topologyGen,
+	"sites": pairedGen | topologyGen | gridGen, "servers": pairedGen | topologyGen, "rate": pairedGen | topologyGen,
 	// Every replay.
 	"warmup": replays, "summary": replays, "cpuprofile": replays, "memprofile": replays,
-	"seed": replays | compileAzure, "v": pairedGen | topologyAll | gridGen,
+	"seed": replays | compileAzure,
 	// The paired deployment; a topology spec sets each of these per tier.
 	"policy": pairedGen, "edge-slowdown": pairedGen, "jockey": pairedGen, "detour-ms": pairedGen,
 	"queue-cap": pairedGen, "overflow-at": pairedGen, "skew": pairedGen, "scenario": pairedGen | sweepAll,
 	"scaler": pairedGen | topologyAll | sweepAll, "autoscale-max": pairedGen | topologyAll | sweepAll,
 	// Deployment graphs and recorded workloads.
-	"topology": topologyAll | sweepAll, "admit": topologyAll | sweepAll, "shards": topologyAll | sweepAll,
+	"topology": topologyAll | sweepAll, "admit": topologyAll | sweepAll, "shards": topologyAll, "v": topologyAll,
 	"reject-penalty": topologyAll, "sweep": sweepAll, "compile": compileTrace | compileAzure,
 	"trace": topologyTrace | sweepTrace | compileTrace, "azure": azureRuns, "azure-bin": azureRuns,
 	// The crossover grid.
@@ -190,7 +189,7 @@ type options struct {
 	slowdown, detourMs, rejectPenalty, azureBin                                  float64
 	seed                                                                         int64
 	scenario, summaryName, policy, skew, topology, scaler, admit, sweep          string
-	trace, azure, genWorkers, compile, grid, gridBudgets, gridDepths             string
+	trace, azure, compile, grid, gridBudgets, gridDepths                         string
 	cpuprofile, memprofile                                                       string
 	verbose                                                                      bool
 
@@ -253,14 +252,11 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.azure, "azure", "", "replay an Azure-style per-bin count CSV "+
 		"(bin,site0,site1,...) instead of generating a workload; a sweep rescales it like -trace")
 	fs.Float64Var(&o.azureBin, "azure-bin", 60, "seconds covered by each -azure CSV bin row")
-	fs.StringVar(&o.genWorkers, "gen-workers", "serial", "parallel workers for synthetic workload generation: "+
-		"serial, auto (one per CPU), or an explicit count — every setting produces the bit-identical record "+
-		"sequence, so this only changes generation throughput (a sweep's points already run in parallel)")
 	fs.StringVar(&o.compile, "compile", "", "convert the -trace/-azure input to this file and exit: a .csv "+
 		"extension writes the request CSV format, anything else the .etb binary trace format; replay the "+
 		"output later with -trace (the format is auto-detected)")
 	fs.BoolVar(&o.verbose, "v", false, "explain engine selection on stderr (e.g. why -shards auto fell back to the "+
-		"classic single engine, or how -gen-workers auto resolved)")
+		"classic single engine)")
 	fs.StringVar(&o.grid, "grid", "", "run a crossover grid over these per-site req/s rates (comma-separated): "+
 		"every -grid-budgets x -grid-depths deployment shape plus a pooled-cloud baseline replays each rate "+
 		"from one broadcast generation pass per distinct trace")
@@ -359,12 +355,6 @@ func main() {
 	}
 	if o.gridReps < 1 {
 		fail("-grid-reps must be >= 1 (got %d)", o.gridReps)
-	}
-	if _, err = resolveGenWorkers(o.genWorkers, 1<<20, false); err != nil {
-		// Validate the flag's syntax up front, silently (the huge site
-		// count avoids clamping chatter); the real, narrated resolution
-		// happens at each generation site with its actual site count.
-		fail("%v", err)
 	}
 	if src == generated {
 		if err = checkGenFlags(o.sites, o.servers, o.rate, o.duration, o.warmup, o.arrivalSCV, o.serviceSCV); err != nil {
@@ -497,10 +487,6 @@ func runPaired(o *options) {
 	if err := spec.Validate(); err != nil {
 		fail("%v", err)
 	}
-	gw, err := resolveGenWorkers(o.genWorkers, spec.Sites, o.verbose)
-	if err != nil {
-		fail("%v", err)
-	}
 
 	// Every deployment replays the same workload and nothing else is
 	// shared, so one broadcast pass runs them all concurrently. Only
@@ -547,7 +533,7 @@ func runPaired(o *options) {
 		tier.Scaler = scalerSpec
 		variants = append(variants, variant("edge+"+scalerSpec.Label(), o.seed+1, false, tier))
 	}
-	runs, err := cluster.RunBroadcast(cluster.ParallelStream(spec, gw), variants, 0)
+	runs, err := cluster.RunBroadcast(cluster.Stream(spec), variants, 0)
 	if err != nil {
 		die("%v", err)
 	}
@@ -759,10 +745,15 @@ func parseAdmitSpec(arg string) (admit.Spec, error) {
 // so -duration can describe 10⁸+ requests on a laptop (pair with
 // -summary bounded). With a positive shard resolution the replay fans
 // out across engines via cluster.RunPipelined, bit-identical for every
-// shard count.
+// shard count; the single engine generates on one worker per CPU
+// (cluster.ParallelStream, bit-identical to the serial generator).
 func runTopology(o *options) {
 	topo := o.topo
-	nShards, err := cluster.ResolveShards(o.shardSetting(), topo, 1)
+	setting := o.shards
+	if !o.set["shards"] {
+		setting = -1 // auto: one engine per CPU when the graph shards
+	}
+	nShards, err := cluster.ResolveShards(setting, topo)
 	if err != nil {
 		fail("-shards: %v", err)
 	}
@@ -784,10 +775,6 @@ func runTopology(o *options) {
 		if ingress.ServersPerSite > 0 {
 			perSite = ingress.ServersPerSite
 		}
-	}
-	gw, err := resolveGenWorkers(o.genWorkers, genSites, o.verbose)
-	if err != nil {
-		fail("%v", err)
 	}
 	opts := cluster.Options{
 		Warmup:  o.warmup,
@@ -843,7 +830,7 @@ func runTopology(o *options) {
 			nShards = min(nShards, genSites)
 			res, err = cluster.RunPipelined(cluster.GenShards(spec), topo, opts, nShards)
 		} else {
-			res, err = cluster.Run(cluster.ParallelStream(spec, gw), topo, opts)
+			res, err = cluster.Run(cluster.ParallelStream(spec, runtime.GOMAXPROCS(0)), topo, opts)
 		}
 	}
 	switch {
@@ -1043,14 +1030,7 @@ func runTopologySweepCLI(o *options) {
 		Summary:    o.summary,
 		Rivals:     []cluster.Topology{baseline},
 	}
-	if !o.replaysFile() {
-		sweepCfg.Shards = o.shardSetting()
-	} else {
-		// Source-driven sweeps replay one engine per point: a factory
-		// cannot be split into per-site ranges.
-		if o.shards != 0 {
-			fail("-shards cannot combine with a %s sweep: a source factory cannot be split into site ranges", o.inputFlag())
-		}
+	if o.replaysFile() {
 		// A recorded trace carries one rate; the sweep replays it with
 		// its timeline rescaled so the aggregate rate lands on each
 		// swept point (service demands untouched). One pre-scan measures
@@ -1143,10 +1123,6 @@ func runGridCLI(o *options) {
 	if err != nil {
 		fail("-grid-depths: %v", err)
 	}
-	gw, err := resolveGenWorkers(o.genWorkers, o.sites, o.verbose)
-	if err != nil {
-		fail("%v", err)
-	}
 	res, err := experiments.RunGrid(experiments.GridConfig{
 		Sites:        o.sites,
 		Rates:        rates,
@@ -1159,7 +1135,6 @@ func runGridCLI(o *options) {
 		Model:        o.model,
 		ArrivalSCV:   o.arrivalSCV,
 		Summary:      o.summary,
-		GenWorkers:   gw,
 	})
 	if err != nil {
 		die("-grid: %v", err)

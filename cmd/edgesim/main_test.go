@@ -93,7 +93,7 @@ func TestCheckGridFlags(t *testing.T) {
 	runCheckFlagsCases(t, []checkFlagsCase{
 		{"grid-defaults", gridGen, cluster.Topology{}, 5, nil, ""},
 		{"grid-flags-accepted", gridGen, cluster.Topology{}, 5, []string{"grid-budgets", "grid-depths", "grid-reps", "sites",
-			"duration", "warmup", "seed", "arrival-scv", "service-scv", "summary", "gen-workers", "v"}, ""},
+			"duration", "warmup", "seed", "arrival-scv", "service-scv", "summary"}, ""},
 		{"grid-skew", gridGen, cluster.Topology{}, 5, []string{"skew"}, "-skew"},
 		{"grid-policy", gridGen, cluster.Topology{}, 5, []string{"policy"}, "-policy"},
 		{"grid-jockey", gridGen, cluster.Topology{}, 5, []string{"jockey"}, "-jockey"},
@@ -111,6 +111,7 @@ func TestCheckGridFlags(t *testing.T) {
 		{"grid-trace", gridGen, cluster.Topology{}, 5, []string{"trace"}, "-trace"},
 		{"grid-azure", gridGen, cluster.Topology{}, 5, []string{"azure"}, "-azure"},
 		{"grid-shards", gridGen, cluster.Topology{}, 5, []string{"shards"}, "-shards"},
+		{"grid-v", gridGen, cluster.Topology{}, 5, []string{"v"}, "-v"},
 	})
 }
 
@@ -138,12 +139,12 @@ func TestCheckFlags(t *testing.T) {
 		{"paired-sweep", pairedGen, cluster.Topology{}, 5, []string{"sweep"}, "-sweep"},
 		{"paired-trace", pairedGen, cluster.Topology{}, 5, []string{"trace"}, "-trace"},
 		{"sweep-reject-penalty", sweepGen, preset, 5, []string{"topology", "sweep", "reject-penalty"}, "-reject-penalty"},
-		{"sweep-gen-workers", sweepGen, preset, 5, []string{"topology", "sweep", "gen-workers"}, "-gen-workers"},
-		{"trace-gen-workers", topologyTrace, preset, 5, []string{"topology", "trace", "gen-workers"}, "-gen-workers"},
+		{"sweep-shards", sweepGen, preset, 5, []string{"topology", "sweep", "shards"}, "-shards"},
+		{"paired-v", pairedGen, cluster.Topology{}, 5, []string{"v"}, "-v"},
 		{"compile-topology", compileAzure, cluster.Topology{}, 5, []string{"azure", "compile", "topology"}, "-topology"},
 		{"compile-azure-seed", compileAzure, cluster.Topology{}, 5, []string{"azure", "azure-bin", "compile", "seed"}, ""},
 		{"compile-trace-seed", compileTrace, cluster.Topology{}, 5, []string{"trace", "compile", "seed"}, "-seed"},
-		{"trace-sweep-accepted", sweepTrace, preset, 5, []string{"topology", "trace", "sweep", "shards", "warmup", "scenario"}, ""},
+		{"trace-sweep-accepted", sweepTrace, preset, 5, []string{"topology", "trace", "sweep", "warmup", "scenario"}, ""},
 	})
 }
 

@@ -1,20 +1,17 @@
 package main
 
 // CLI workload plumbing: the -trace/-azure file decoders (with binary
-// .etb auto-detection), the -shards engine setting, the -gen-workers
-// generator choice, the -compile format converter, and the pre-scan
-// that lets a -sweep rescale a recorded trace onto its rate axis.
+// .etb auto-detection), the -compile format converter, and the
+// pre-scan that lets a -sweep rescale a recorded trace onto its rate
+// axis.
 
 import (
 	"bufio"
 	"fmt"
 	"os"
-	"runtime"
-	"strconv"
 	"strings"
 
 	"repro/internal/cluster"
-	"repro/internal/experiments"
 	"repro/internal/trace"
 )
 
@@ -135,65 +132,6 @@ func scanWorkload(factory cluster.SourceFactory) (workloadStats, error) {
 	}
 	ws.rate = float64(ws.n) / ws.dur
 	return ws, nil
-}
-
-// shardSetting is -shards as cluster.ResolveShards reads it: unset
-// means auto (one engine per CPU when the graph shards).
-func (o *options) shardSetting() int {
-	if !o.set["shards"] {
-		return experiments.AutoShards
-	}
-	return o.shards
-}
-
-// resolveGenWorkers maps the -gen-workers argument onto the worker
-// count cluster.ParallelStream takes for a generator over sites
-// per-site streams: 0 means the serial generator, n > 1 that many
-// parallel workers. Every setting is bit-identical — ParallelStream
-// merges the per-site substreams back into serial Stream's exact
-// sequence — so the choice is purely about generation throughput.
-// "auto" picks one worker per CPU and degrades to serial on a
-// single-CPU machine; an explicit count is clamped to one worker per
-// site, the fan-out's natural maximum. verbose (-v) narrates the
-// resolution on stderr.
-func resolveGenWorkers(arg string, sites int, verbose bool) (int, error) {
-	var n int
-	switch arg {
-	case "", "serial":
-		return 0, nil
-	case "auto":
-		n = runtime.GOMAXPROCS(0)
-		if n <= 1 {
-			if verbose {
-				fmt.Fprintln(os.Stderr, "edgesim: -gen-workers auto: falling back to the serial generator (GOMAXPROCS=1)")
-			}
-			return 0, nil
-		}
-	default:
-		var err error
-		if n, err = strconv.Atoi(arg); err != nil || n < 0 {
-			return 0, fmt.Errorf("-gen-workers: want serial, auto, or a nonnegative count (got %q)", arg)
-		}
-		if n <= 1 {
-			return 0, nil
-		}
-	}
-	if n > sites {
-		if verbose {
-			fmt.Fprintf(os.Stderr, "edgesim: -gen-workers: clamping %d to %d (one worker per site)\n", n, sites)
-		}
-		n = sites
-		if n <= 1 {
-			if verbose {
-				fmt.Fprintln(os.Stderr, "edgesim: -gen-workers: single site; using the serial generator")
-			}
-			return 0, nil
-		}
-	}
-	if verbose {
-		fmt.Fprintf(os.Stderr, "edgesim: -gen-workers: %d parallel generator workers (bit-identical to serial)\n", n)
-	}
-	return n, nil
 }
 
 // runCompile converts the -trace/-azure input into the format the

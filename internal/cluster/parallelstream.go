@@ -28,9 +28,11 @@ const genRing = 4096
 //
 // It is the one place a worker count becomes a generator: the count is
 // clamped to spec.Sites, and any count <= 1 returns the serial Stream
-// with no goroutines at all. A spec carrying explicit Arrivals follows
-// the sharded-source contract: one distinct process instance per site,
-// because concurrent workers advance their own sites' processes.
+// with no goroutines at all. edgesim's single-engine topology replay
+// passes one worker per CPU (GOMAXPROCS). A spec carrying explicit
+// Arrivals follows the sharded-source contract: one distinct process
+// instance per site, because concurrent workers advance their own
+// sites' processes.
 //
 // The returned source is single-consumer. A consumer that abandons the
 // stream early should call Stop (via the ParallelSource interface) to

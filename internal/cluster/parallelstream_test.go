@@ -56,7 +56,8 @@ func TestParallelStreamMatchesStream(t *testing.T) {
 
 // TestGenerateParallelMatchesGenerate: the trace drained from
 // ParallelStream with four generator workers — the path edgesim's
-// -gen-workers takes — equals the Generate oracle's.
+// single-engine topology replay takes on a 4-CPU machine — equals the
+// Generate oracle's.
 func TestGenerateParallelMatchesGenerate(t *testing.T) {
 	for name, mk := range streamScenarios(t) {
 		t.Run(name, func(t *testing.T) {
@@ -143,9 +144,10 @@ func TestParallelStreamStop(t *testing.T) {
 	drained.(cluster.ParallelSource).Stop() // must be a no-op after drain
 }
 
-// TestParallelStreamAutoWorkers: a worker count of 0 or 1 (the zero
-// value of GridConfig.GenWorkers, and edgesim's "serial") returns the
-// serial Stream itself — no workers to stop — with the serial sequence.
+// TestParallelStreamAutoWorkers: a worker count of 0 or 1 (1 is what
+// edgesim's single-engine replay passes on a single-CPU machine)
+// returns the serial Stream itself — no workers to stop — with the
+// serial sequence.
 func TestParallelStreamAutoWorkers(t *testing.T) {
 	mk := streamScenarios(t)["nhpp"]
 	want := cluster.Generate(mk())

@@ -64,11 +64,10 @@ func Shardable(topo Topology) error {
 // ResolveShards turns a shard setting into an engine count for topo: 0
 // keeps the single engine (Run); a positive count is that many sharded
 // engines (RunPipelined) and fails with Shardable's reason when the
-// graph cannot shard; a negative setting means auto — the CPUs divided
-// among pool concurrent replays (at least one each) when the graph
-// shards, else 0. The count only affects wall-clock: RunPipelined is
-// bit-identical at every shard count.
-func ResolveShards(setting int, topo Topology, pool int) (int, error) {
+// graph cannot shard; a negative setting means auto — one engine per
+// CPU when the graph shards, else 0. The count only affects wall-clock:
+// RunPipelined is bit-identical at every shard count.
+func ResolveShards(setting int, topo Topology) (int, error) {
 	switch {
 	case setting == 0:
 		return 0, nil
@@ -80,7 +79,7 @@ func ResolveShards(setting int, topo Topology, pool int) (int, error) {
 	case Shardable(topo) != nil:
 		return 0, nil
 	default:
-		return max(runtime.GOMAXPROCS(0)/max(pool, 1), 1), nil
+		return runtime.GOMAXPROCS(0), nil
 	}
 }
 

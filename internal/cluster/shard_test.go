@@ -292,31 +292,28 @@ func TestShardedSourceOutsideShardIsAnError(t *testing.T) {
 }
 
 // TestResolveShards: 0 keeps the single engine, an explicit count must
-// pass Shardable, and auto splits the CPUs across the pool — or falls
-// back to the single engine when the graph cannot shard.
+// pass Shardable, and auto takes one engine per CPU — or falls back to
+// the single engine when the graph cannot shard.
 func TestResolveShards(t *testing.T) {
 	ok := cluster.Topology{Name: "ok", Tiers: []cluster.Tier{{Name: "edge", Sites: 3, ServersPerSite: 1, Path: netem.EdgePath}}}
 	coupled := ok
 	coupled.Tiers = []cluster.Tier{ok.Tiers[0]}
 	coupled.Tiers[0].JockeyThreshold = 2
-	cpus := runtime.GOMAXPROCS(0)
 	for _, tc := range []struct {
-		name          string
-		setting, pool int
-		topo          cluster.Topology
-		want          int
-		wantErr       bool
+		name    string
+		setting int
+		topo    cluster.Topology
+		want    int
+		wantErr bool
 	}{
-		{"zero", 0, 1, ok, 0, false},
-		{"zero-coupled", 0, 1, coupled, 0, false},
-		{"explicit", 4, 1, ok, 4, false},
-		{"explicit-coupled", 4, 1, coupled, 0, true},
-		{"auto-single-run", -1, 1, ok, cpus, false},
-		{"auto-pool-wider-than-cpus", -1, cpus + 1, ok, 1, false},
-		{"auto-zero-pool", -1, 0, ok, cpus, false},
-		{"auto-coupled", -1, 1, coupled, 0, false},
+		{"zero", 0, ok, 0, false},
+		{"zero-coupled", 0, coupled, 0, false},
+		{"explicit", 4, ok, 4, false},
+		{"explicit-coupled", 4, coupled, 0, true},
+		{"auto", -1, ok, runtime.GOMAXPROCS(0), false},
+		{"auto-coupled", -1, coupled, 0, false},
 	} {
-		got, err := cluster.ResolveShards(tc.setting, tc.topo, tc.pool)
+		got, err := cluster.ResolveShards(tc.setting, tc.topo)
 		if got != tc.want || (err != nil) != tc.wantErr {
 			t.Errorf("%s: got %d, %v; want %d, error %v", tc.name, got, err, tc.want, tc.wantErr)
 		}

@@ -55,13 +55,6 @@ type GridConfig struct {
 	// whole (rate, replication) groups, so cells of a group always
 	// share one broadcast pass.
 	Workers int
-	// GenWorkers parallelizes each group's generation pass (see
-	// cluster.ParallelStream): > 1 fans the per-site generator streams
-	// across that many goroutines, and the zero value is the serial
-	// generator. Every setting feeds the broadcast the bit-identical
-	// record sequence, so cells are unaffected — this only overlaps
-	// generation with replay when groups are fewer than CPUs.
-	GenWorkers int
 }
 
 // GridCell is one (rate, budget, depth) cell of the surface,
@@ -322,7 +315,7 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 				Summary: cfg.Summary,
 			}
 		}
-		runs, err := cluster.RunBroadcast(cluster.ParallelStream(specs[g], cfg.GenWorkers), vs, 0)
+		runs, err := cluster.RunBroadcast(cluster.Stream(specs[g]), vs, 0)
 		if err != nil {
 			return fmt.Errorf("grid group rate=%v rep=%d: %w", rate, g%cfg.Replications, err)
 		}

@@ -10,22 +10,8 @@ import (
 // overridable by front ends (cmd/figures -workers).
 var DefaultWorkers = runtime.NumCPU()
 
-// poolSize resolves a configured worker count: 0 means DefaultWorkers,
-// and the pool never exceeds the number of work items.
-func poolSize(workers, n int) int {
-	if workers <= 0 {
-		workers = DefaultWorkers
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	return workers
-}
-
-// forEach runs fn(0..n-1) on a bounded pool of the given size. Each index
+// forEach runs fn(0..n-1) on a bounded pool of the given size (0 means
+// DefaultWorkers, and the pool never exceeds n). Each index
 // is processed exactly once; fn must write its result into an
 // index-addressed slot so the merged output is independent of scheduling
 // order. With workers <= 1 the indices run serially on the calling
@@ -35,7 +21,10 @@ func forEach(n, workers int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	workers = poolSize(workers, n)
+	if workers <= 0 {
+		workers = DefaultWorkers
+	}
+	workers = min(max(workers, 1), n)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
 			fn(i)

@@ -23,8 +23,8 @@ type TopologySweepConfig struct {
 	// that replay each rate's identical trace, so crossovers against
 	// them are free of unpaired sampling noise. At most three.
 	Rivals []cluster.Topology
-	// Rates are requests per entry-tier server per second, ascending
-	// for Crossover.
+	// Rates are requests per entry-tier server per second, in ascending
+	// order (Crossover scans them low to high).
 	Rates    []float64
 	Duration float64 // simulated seconds per point
 	// Warmup is the discarded prefix per point, and must lie below
@@ -42,26 +42,9 @@ type TopologySweepConfig struct {
 	Workers int
 	// Source, when set, supplies each point's workload instead of the
 	// generator — a recorded trace rescaled to the point's rate, say. It
-	// is called with the point's fully derived GenSpec, once per point
-	// when the shapes share one broadcast pass and once per shape
-	// otherwise. Incompatible with Shards (an arbitrary factory cannot
-	// be split into per-site ranges).
+	// is called once per point with the point's fully derived GenSpec.
 	Source func(cluster.GenSpec) cluster.Source
-	// Shards selects each shape's replay engine. 0 replays every point
-	// with cluster.Run (the single-engine path). AutoShards replays
-	// shardable shapes through the sharded backend (cluster.RunPipelined:
-	// parallel home-tier shards streaming into the shared phase),
-	// splitting each point across the CPUs the worker pool leaves idle,
-	// and silently falls back to Run for unshardable ones. N > 0 forces
-	// exactly N shards per point and fails the sweep when a shape is not
-	// shardable. Both engines share one stream layout, so every setting
-	// gives the same points up to the last bits of a mean.
-	Shards int
 }
-
-// AutoShards asks RunTopologySweep to pick a per-point shard count
-// from the machine's CPU count and the sweep's own parallelism.
-const AutoShards = -1
 
 // Seed derivation. Point i generates its workload with seed
 // Seed + i*workloadSeedStride and replays it through shape k (0 is the
@@ -134,9 +117,9 @@ func (r TopologySweepResult) Crossover(m Metric, rival int) (rate float64, atFlo
 // rivals, one streamed workload per rate, points evaluated concurrently
 // with index-derived seeds (byte-identical at any pool size). Every
 // shape and every generated point's GenSpec are validated before any
-// worker starts, and so is a generated sweep's warmup against its
-// duration. An unsharded point with rivals replays every shape
-// from one broadcast pass.
+// worker starts, and so are the rates' order and a generated sweep's
+// warmup against its duration. Each point replays every shape from one
+// cluster.RunBroadcast pass over its workload.
 func RunTopologySweep(cfg TopologySweepConfig) (TopologySweepResult, error) {
 	if len(cfg.Topology.Tiers) == 0 {
 		return TopologySweepResult{}, fmt.Errorf("experiments: topology sweep needs a topology")
@@ -154,17 +137,11 @@ func RunTopologySweep(cfg TopologySweepConfig) (TopologySweepResult, error) {
 	if len(cfg.Rates) == 0 {
 		return TopologySweepResult{}, fmt.Errorf("experiments: topology sweep needs rates")
 	}
-	if cfg.Shards != 0 && cfg.Source != nil {
-		return TopologySweepResult{}, fmt.Errorf("experiments: Shards and Source are incompatible (a source factory cannot be split into site ranges)")
-	}
-	shards := make([]int, len(shapes))
-	broadcast := len(shapes) > 1
-	for k, topo := range shapes {
-		var err error
-		if shards[k], err = cluster.ResolveShards(cfg.Shards, topo, poolSize(cfg.Workers, len(cfg.Rates))); err != nil {
-			return TopologySweepResult{}, rivalErr(k, topo, err)
+	for i := 1; i < len(cfg.Rates); i++ {
+		if cfg.Rates[i] < cfg.Rates[i-1] {
+			return TopologySweepResult{}, fmt.Errorf("experiments: topology sweep rates must be ascending: %v then %v",
+				cfg.Rates[i-1], cfg.Rates[i])
 		}
-		broadcast = broadcast && shards[k] == 0
 	}
 	if cfg.Model.D == nil {
 		cfg.Model = app.NewInferenceModel()
@@ -203,37 +180,16 @@ func RunTopologySweep(cfg TopologySweepConfig) (TopologySweepResult, error) {
 		res.Rivals = append(res.Rivals, make([]TopologyPoint, len(cfg.Rates)))
 	}
 	err := forEachErr(len(cfg.Rates), cfg.Workers, func(i int) error {
-		// Every run of a point replays the identical record sequence —
-		// one broadcast pass, fresh sources over the same spec, or
-		// per-site generator ranges (sharded runs) — so the pairing
-		// holds however each run is engineered.
-		spec := specs[i]
-		opts := func(k int) cluster.Options {
-			return cluster.Options{Warmup: cfg.Warmup, Seed: cfg.Seed + int64(i)*shapeSeedStrides[k], Summary: cfg.Summary}
+		// One pass over the point's workload feeds every shape the
+		// identical record sequence, so the pairing is exact.
+		variants := make([]cluster.Variant, len(shapes))
+		for k, topo := range shapes {
+			variants[k] = cluster.Variant{Label: topo.Name, Topology: topo, Opts: cluster.Options{
+				Warmup: cfg.Warmup, Seed: cfg.Seed + int64(i)*shapeSeedStrides[k], Summary: cfg.Summary}}
 		}
-		var runs []*cluster.TopologyResult
-		if broadcast {
-			variants := make([]cluster.Variant, len(shapes))
-			for k, topo := range shapes {
-				variants[k] = cluster.Variant{Label: topo.Name, Topology: topo, Opts: opts(k)}
-			}
-			var err error
-			if runs, err = cluster.RunBroadcast(src(spec), variants, 0); err != nil {
-				return err
-			}
-		} else {
-			runs = make([]*cluster.TopologyResult, len(shapes))
-			for k, topo := range shapes {
-				var err error
-				if shards[k] != 0 {
-					runs[k], err = cluster.RunPipelined(cluster.GenShards(spec), topo, opts(k), shards[k])
-				} else {
-					runs[k], err = cluster.Run(src(spec), topo, opts(k))
-				}
-				if err != nil {
-					return rivalErr(k, topo, err)
-				}
-			}
+		runs, err := cluster.RunBroadcast(src(specs[i]), variants, 0)
+		if err != nil {
+			return err
 		}
 		res.Points[i] = topologyPoint(cfg.Rates[i], runs[0])
 		for k := range res.Rivals {

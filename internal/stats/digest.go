@@ -168,24 +168,6 @@ func (d *Digest) P95() float64 { return d.Quantile(0.95) }
 // P99 returns the 99th percentile.
 func (d *Digest) P99() float64 { return d.Quantile(0.99) }
 
-// Values returns the retained observations in Exact mode (sorted,
-// owned by the digest) and nil in Bounded mode.
-func (d *Digest) Values() []float64 {
-	if d.mode == Exact && d.sample != nil {
-		return d.sample.Values()
-	}
-	return nil
-}
-
-// ExactSample exposes the retained sample in Exact mode, or nil in
-// Bounded mode. Callers must not modify it.
-func (d *Digest) ExactSample() *Sample {
-	if d.mode == Exact {
-		return d.sample
-	}
-	return nil
-}
-
 // Box computes the box-plot summary. Exact mode delegates to BoxPlotOf
 // (including outlier counting); Bounded mode builds the five-number
 // summary from the sketch with no outlier count.

@@ -198,24 +198,6 @@ func TestDigestSummarize(t *testing.T) {
 	}
 }
 
-func TestDigestValues(t *testing.T) {
-	ex := NewDigest(Exact, 4)
-	ex.Add(3)
-	ex.Add(1)
-	vs := ex.Values()
-	if len(vs) != 2 || vs[0] != 1 {
-		t.Errorf("exact Values = %v", vs)
-	}
-	bd := NewDigest(Bounded, 0)
-	bd.Add(1)
-	if bd.Values() != nil {
-		t.Error("bounded Values should be nil")
-	}
-	if bd.ExactSample() != nil {
-		t.Error("bounded ExactSample should be nil")
-	}
-}
-
 func TestDigestEmpty(t *testing.T) {
 	for _, d := range []Digest{NewDigest(Exact, 0), NewDigest(Bounded, 0)} {
 		if d.N() != 0 || d.Mean() != 0 || d.Quantile(0.5) != 0 || d.P95() != 0 {
