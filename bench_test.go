@@ -666,6 +666,32 @@ func BenchmarkParallelGen(b *testing.B) {
 	})
 }
 
+// BenchmarkStreamSites measures the serial generator's cost per record
+// as the site count grows: every record pops the (time, site) merge
+// heap's minimum and sifts the site's next record back in, so the merge
+// share grows with log(sites), and past ~10⁴ sites the per-site state
+// stops fitting in cache. Each sub-benchmark drains ~10⁶ records (10⁵
+// in short mode) of a renewal workload at 10 req/s per site and reports
+// ns/rec, construction included.
+func BenchmarkStreamSites(b *testing.B) {
+	records := 1_000_000.0
+	if testing.Short() {
+		records = 100_000
+	}
+	const rate = 10.0
+	for _, sites := range []int{10, 1_000, 30_000} {
+		spec := cluster.GenSpec{Sites: sites, Duration: records / (rate * float64(sites)), PerSiteRate: rate, Seed: 101}
+		b.Run("sites="+strconv.Itoa(sites), func(b *testing.B) {
+			var n uint64
+			for i := 0; i < b.N; i++ {
+				n = drainCount(cluster.Stream(spec))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(n)), "ns/rec")
+			b.ReportMetric(float64(n), "requests")
+		})
+	}
+}
+
 // BenchmarkTraceDecode measures replay-input decoding on a pre-encoded
 // ~200k-record trace: the request-CSV text decoder against the .etb
 // binary decoder over the identical records. The binary path's

@@ -16,24 +16,25 @@ import (
 type SourceFactory func() Source
 
 // siteGen is one site's lazy generator state: its arrival process, its
-// two private random streams, and the next pending record.
+// two private random streams, and the next pending record (whose Time
+// is also the time the process advances from).
 type siteGen struct {
 	proc   workload.ArrivalProcess
 	arrRng *rand.Rand
 	svcRng *rand.Rand
-	t      float64
 	rec    RequestRecord
 }
 
 // streamSource merges per-site generator streams into one time-ordered
-// record sequence without materializing it: memory is O(Sites)
+// record sequence without materializing it: memory is O(hi-lo)
 // regardless of how many records the spec describes.
 type streamSource struct {
 	model    app.InferenceModel
 	duration float64
-	sites    []siteGen
-	// heap holds the indices of live sites, min-ordered by the pending
-	// record's (Time, Site) — the lessTimeSite key.
+	lo       int       // global index of sites[0]
+	sites    []siteGen // sites [lo, hi), indexed by site-lo
+	// heap keys each live site's pending record by (Time, site-lo),
+	// which orders as (Time, Site): the lessTimeSite order.
 	heap merge.Heap
 }
 
@@ -59,7 +60,7 @@ func Stream(spec GenSpec) Source {
 func streamRange(spec GenSpec, lo, hi int) Source {
 	// Validation, process derivation and per-site stream seeding are
 	// shared with every range, so partitions cannot drift. Seeds are
-	// derived for all sites; streams are built just for [lo, hi).
+	// derived for all sites; generator state is held just for [lo, hi).
 	procs := deriveArrivals(&spec)
 	arrSeed, svcSeed := siteSeeds(spec.Seed, spec.Sites)
 	if lo < 0 || hi > spec.Sites || lo > hi {
@@ -68,42 +69,35 @@ func streamRange(spec GenSpec, lo, hi int) Source {
 	s := &streamSource{
 		model:    spec.Model,
 		duration: spec.Duration,
-		sites:    make([]siteGen, spec.Sites),
-	}
-	s.heap.Less = func(a, b int) bool {
-		ra, rb := &s.sites[a].rec, &s.sites[b].rec
-		if ra.Time != rb.Time {
-			return ra.Time < rb.Time
-		}
-		return a < b
+		lo:       lo,
+		sites:    make([]siteGen, hi-lo),
 	}
 	s.heap.Grow(hi - lo)
-	for site := lo; site < hi; site++ {
-		g := &s.sites[site]
-		g.proc = procs[site]
-		g.arrRng = dist.NewRand(arrSeed[site])
-		g.svcRng = dist.NewRand(svcSeed[site])
-		if s.advance(site) {
-			s.heap.Push(site)
+	for i := range s.sites {
+		g := &s.sites[i]
+		g.proc = procs[lo+i]
+		g.arrRng = dist.NewRand(arrSeed[lo+i])
+		g.svcRng = dist.NewRand(svcSeed[lo+i])
+		if s.advance(i) {
+			s.heap.Push(i, g.rec.Time)
 		}
 	}
 	return s
 }
 
-// advance pulls site's next record, returning false when the site's
-// process is exhausted or past the spec duration. The draw order —
-// arrival first, service time only for accepted arrivals — is part of
+// advance pulls local site i's next record, returning false when the
+// site's process is exhausted or past the spec duration. The draw order
+// — arrival first, service time only for accepted arrivals — is part of
 // the reproducibility contract.
-func (s *streamSource) advance(site int) bool {
-	g := &s.sites[site]
-	next, ok := g.proc.Next(g.t, g.arrRng)
+func (s *streamSource) advance(i int) bool {
+	g := &s.sites[i]
+	next, ok := g.proc.Next(g.rec.Time, g.arrRng)
 	if !ok || next > s.duration {
 		return false
 	}
-	g.t = next
 	g.rec = RequestRecord{
 		Time:        next,
-		Site:        site,
+		Site:        s.lo + i,
 		ServiceTime: s.model.SampleServiceTime(g.svcRng),
 	}
 	return true
@@ -116,10 +110,11 @@ func (s *streamSource) Next() (RequestRecord, bool) {
 	if s.heap.Len() == 0 {
 		return RequestRecord{}, false
 	}
-	site := s.heap.Min()
-	rec := s.sites[site].rec
-	if s.advance(site) {
-		s.heap.FixMin()
+	i, _ := s.heap.Min()
+	g := &s.sites[i]
+	rec := g.rec
+	if s.advance(i) {
+		s.heap.FixMin(g.rec.Time)
 	} else {
 		s.heap.PopMin()
 	}

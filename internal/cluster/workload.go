@@ -132,8 +132,10 @@ func siteSeeds(seed int64, sites int) (arrSeed, svcSeed []int64) {
 }
 
 // lessTimeSite is the (Time, Site) record ordering every generator
-// emits — the key Stream's and ParallelStream's k-way merges use — so
-// it lives in exactly one place.
+// emits. Stream's merge.Heap orders its (Time, site index) keys the
+// same way, so the heap and lessTimeSite define one order;
+// ParallelStream's merge.Group still compares whole records with
+// lessTimeSite.
 func lessTimeSite(a, b RequestRecord) bool {
 	if a.Time != b.Time {
 		return a.Time < b.Time

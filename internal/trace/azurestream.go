@@ -51,10 +51,9 @@ type AzureSource struct {
 	lastBin int     // last accepted bin index (-1 before the first row)
 	counts  []int64 // current row's per-site counts (int64: a maxBinCount value must not overflow on 32-bit builds)
 	emitted []int64 // arrivals yielded so far per site in this bin
-	nextT   []float64
-	// heap holds the indices of sites with arrivals left in the current
-	// bin, min-ordered by (nextT, site) — O(log sites) per record where
-	// a per-record scan would be O(sites).
+	// heap keys each site with arrivals left in the current bin by its
+	// next arrival time and index: O(log sites) per record where a
+	// per-record scan would be O(sites).
 	heap merge.Heap
 
 	err  error
@@ -92,13 +91,6 @@ func StreamAzureCSV(r io.Reader, opts AzureStreamOptions) *AzureSource {
 		s.nSites = len(row) - 1
 		s.counts = make([]int64, s.nSites)
 		s.emitted = make([]int64, s.nSites)
-		s.nextT = make([]float64, s.nSites)
-		s.heap.Less = func(a, b int) bool {
-			if s.nextT[a] != s.nextT[b] {
-				return s.nextT[a] < s.nextT[b]
-			}
-			return a < b
-		}
 		s.heap.Grow(s.nSites)
 		// One service stream per site, seeded in site order from the
 		// master stream — mirroring cluster.Stream's seed derivation
@@ -158,8 +150,7 @@ func (s *AzureSource) nextRow() bool {
 	s.heap.Reset()
 	for i := 0; i < s.nSites; i++ {
 		if s.counts[i] > 0 {
-			s.nextT[i] = s.siteNext(i)
-			s.heap.Push(i)
+			s.heap.Push(i, s.siteNext(i))
 		}
 	}
 	return true
@@ -183,12 +174,10 @@ func (s *AzureSource) Next() (cluster.RequestRecord, bool) {
 			}
 			continue
 		}
-		site := s.heap.Min()
-		t := s.nextT[site]
+		site, t := s.heap.Min()
 		s.emitted[site]++
 		if s.emitted[site] < s.counts[site] {
-			s.nextT[site] = s.siteNext(site)
-			s.heap.FixMin()
+			s.heap.FixMin(s.siteNext(site))
 		} else {
 			s.heap.PopMin()
 		}
