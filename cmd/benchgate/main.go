@@ -15,8 +15,10 @@
 // worse than the parent's by more than its bound. A metric whose parent
 // interquartile range is wider than its bound is reported as
 // unresolved instead, unless every run of the change is worse than
-// every run of the parent. Without -parent the command runs each
-// workload once and checks correctness only.
+// every run of the parent. A passing metric on which every run of the
+// change beats every run of the parent is reported as improved, so a
+// claimed gain shows in the report. Without -parent the command runs
+// each workload once and checks correctness only.
 //
 // The report goes to standard output; the benchmark's own build output
 // goes to standard error.
@@ -121,7 +123,7 @@ func gate(w io.Writer, metrics []metric, workload, parent string) bool {
 			continue
 		}
 		base := column(runs[1], m.Name)
-		v := decide(m, base, change)
+		v := reported(m, base, change)
 		fmt.Fprintf(w, "  %-13s parent %s  change %s  %+6.1f%% (bound %.0f%%)  %s\n",
 			m.Name, spread(base), spread(change),
 			100*(median(change)/median(base)-1), 100*m.Bound, v)
@@ -181,9 +183,42 @@ type verdict string
 
 const (
 	pass       verdict = "ok"
+	improved   verdict = "improved"
 	regressed  verdict = "REGRESSED"
 	unresolved verdict = "unresolved"
 )
+
+// reported is the verdict the report prints: decide's, except that a
+// pass on which every change run is better than every parent run reads
+// improved. It gates exactly as decide does.
+func reported(m metric, parent, change []float64) verdict {
+	v := decide(m, parent, change)
+	if v == pass && beats(m, change, parent) {
+		return improved
+	}
+	return v
+}
+
+// beats reports whether every run in a is better on m than every run
+// in b.
+func beats(m metric, a, b []float64) bool {
+	for _, x := range a {
+		for _, y := range b {
+			if !better(m, x, y) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// better reports whether x is strictly better than y on m.
+func better(m metric, x, y float64) bool {
+	if m.Better == "higher" {
+		return x > y
+	}
+	return x < y
+}
 
 // decide compares the change's runs of m with the parent's. The change
 // regresses when its median is worse than the parent's by more than
@@ -192,31 +227,22 @@ const (
 // unresolved, unless every change run is better than every parent run
 // (ok) or, beyond the bound, worse than every parent run (regressed).
 func decide(m metric, parent, change []float64) verdict {
-	worse := func(a, b float64) bool { return a > b }
 	pm := median(parent)
 	limit := pm * (1 + m.Bound)
 	if m.Better == "higher" {
-		worse = func(a, b float64) bool { return a < b }
 		limit = pm * (1 - m.Bound)
 	}
-	beyond := worse(median(change), limit)
+	beyond := better(m, limit, median(change))
 	if quantile(parent, 0.75)-quantile(parent, 0.25) <= m.Bound*pm {
 		if beyond {
 			return regressed
 		}
 		return pass
 	}
-	allWorse, allBetter := true, true
-	for _, c := range change {
-		for _, p := range parent {
-			allWorse = allWorse && worse(c, p)
-			allBetter = allBetter && worse(p, c)
-		}
-	}
 	switch {
-	case beyond && allWorse:
+	case beyond && beats(m, parent, change):
 		return regressed
-	case allBetter:
+	case beats(m, change, parent):
 		return pass
 	}
 	return unresolved

@@ -50,6 +50,39 @@ func TestDecide(t *testing.T) {
 	}
 }
 
+// TestReported: the report reads improved exactly where every change
+// run beats every parent run and decide passes; every other verdict
+// prints as decide gives it.
+func TestReported(t *testing.T) {
+	rate := metric{Name: "req_per_s", Better: "higher", Bound: 0.2}
+	rss := metric{Name: "peak_rss_mb", Better: "lower", Bound: 0.2}
+	parentRSS := []float64{81.9, 82.0, 82.0, 82.1, 82.3}
+	for _, tc := range []struct {
+		name           string
+		m              metric
+		parent, change []float64
+		want           verdict
+	}{
+		{"lower-better gain", rss, parentRSS, []float64{48.5, 49.3, 50.6, 49, 50}, improved},
+		{"lower-better gain with one overlapping run", rss, parentRSS, []float64{48.5, 49.3, 50.6, 49, 82.0}, pass},
+		{"lower-better flat", rss, parentRSS, []float64{81.8, 82.0, 82.1, 82.2, 82.4}, pass},
+		{"higher-better gain", rate,
+			[]float64{4.9, 5.0, 5.0, 5.1, 5.2}, []float64{5.3, 5.4, 5.5, 5.5, 5.6}, improved},
+		{"higher-better tie is no gain", rate,
+			[]float64{4.9, 5.0, 5.0, 5.1, 5.2}, []float64{5.2, 5.4, 5.5, 5.5, 5.6}, pass},
+		{"higher-better regression", rate,
+			[]float64{4.9, 5.0, 5.0, 5.1, 5.2}, []float64{3.9, 3.95, 3.99, 4.1, 4.2}, regressed},
+		{"wide parent spread, every change run better", rss,
+			[]float64{39.9, 40.1, 41.2, 50.1, 50.3}, []float64{30, 31, 32, 33, 39.8}, improved},
+		{"wide parent spread, unresolved", rss,
+			[]float64{39.9, 40.1, 41.2, 50.1, 50.3}, []float64{40.0, 40.5, 41.0, 49.0, 50.0}, unresolved},
+	} {
+		if got := reported(tc.m, tc.parent, tc.change); got != tc.want {
+			t.Errorf("%s: reported = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestParseRun(t *testing.T) {
 	metrics := []metric{{Name: "req_per_s"}, {Name: "peak_rss_mb"}}
 	const report = "manifest: seed 1\nreq_per_s 5e6 1/s\n"

@@ -1,0 +1,166 @@
+package cluster_test
+
+import (
+	"math"
+	"runtime"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/stats"
+)
+
+// The paper's pair: a 5-site × 2-server edge on a 1 ms path and a
+// pooled 10-server central-queue cloud on a 25 ms path, both one tier.
+const (
+	pairEdgeSpec = `{"name": "pair-edge",
+	  "tiers": [{"name": "edge", "sites": 5, "servers": 2, "rttMs": 1, "jitterMs": 0.2}]}`
+	pairCloudSpec = `{"name": "pair-cloud",
+	  "tiers": [{"name": "cloud", "sites": 1, "servers": 10, "rttMs": 25, "jitterMs": 3,
+	             "dispatch": "central-queue"}]}`
+)
+
+// pairTopologies parses the edge and cloud of the paper's pair.
+func pairTopologies(t testing.TB) []cluster.Topology {
+	t.Helper()
+	var out []cluster.Topology
+	for _, spec := range []string{pairEdgeSpec, pairCloudSpec} {
+		topo, err := cluster.ParseTopology([]byte(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, topo)
+	}
+	return out
+}
+
+// digestProbes are the quantiles the sharing checks compare.
+var digestProbes = []float64{0, 0.01, 0.25, 0.5, 0.75, 0.95, 0.99, 1}
+
+// sameDigestBits fails t unless two digests agree bit for bit on their
+// mode, count, moments and every probed quantile.
+func sameDigestBits(t *testing.T, label string, got, want *stats.Digest) {
+	t.Helper()
+	if got.Mode() != want.Mode() || got.N() != want.N() {
+		t.Fatalf("%s: %s digest of %d, want %s of %d", label, got.Mode(), got.N(), want.Mode(), want.N())
+	}
+	if got.N() == 0 {
+		t.Fatalf("%s: empty digest; the check would be vacuous", label)
+	}
+	pairs := [][2]float64{{got.Mean(), want.Mean()}, {got.Variance(), want.Variance()},
+		{got.Min(), want.Min()}, {got.Max(), want.Max()}}
+	for _, q := range digestProbes {
+		pairs = append(pairs, [2]float64{got.Quantile(q), want.Quantile(q)})
+	}
+	for i, p := range pairs {
+		if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
+			t.Errorf("%s: value %d is %v, want %v", label, i, p[0], p[1])
+		}
+	}
+}
+
+// TestHarvestSharesSingleSourceDigests: a one-tier run's aggregate
+// end-to-end and wait digests are its tier's, and a one-station tier's
+// wait is its station's, bit for bit; on a multi-tier run the
+// aggregates hold exactly the union of the tiers' observations.
+func TestHarvestSharesSingleSourceDigests(t *testing.T) {
+	spec := cluster.GenSpec{Sites: 5, Duration: 300, PerSiteRate: 20, Seed: 3}
+	for _, mode := range []stats.Mode{stats.Exact, stats.Bounded} {
+		opts := cluster.Options{Warmup: 30, Seed: 3, Summary: mode}
+		for _, topo := range pairTopologies(t) {
+			res, err := cluster.Run(cluster.Stream(spec), topo, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := mode.String() + " " + topo.Name
+			tier := &res.Tiers[0]
+			sameDigestBits(t, label+" EndToEnd", &res.EndToEnd, &tier.EndToEnd)
+			sameDigestBits(t, label+" Wait", &res.Wait, &tier.Wait)
+			if len(tier.Sites) == 1 {
+				sameDigestBits(t, label+" tier wait", &tier.Wait, &tier.Sites[0].Wait)
+			}
+		}
+		// The sharded engine shares the same way on a one-tier home
+		// topology.
+		edge := pairTopologies(t)[0]
+		res, err := cluster.RunPipelined(cluster.GenShards(spec), edge, opts, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameDigestBits(t, mode.String()+" sharded EndToEnd", &res.EndToEnd, &res.Tiers[0].EndToEnd)
+		sameDigestBits(t, mode.String()+" sharded Wait", &res.Wait, &res.Tiers[0].Wait)
+
+		// A multi-tier preset keeps separate aggregates: their counts and
+		// quantiles are the tiers' union's.
+		topo, _ := cluster.PresetTopology("edge-regional-cloud")
+		res, err = cluster.Run(cluster.Stream(cluster.GenSpec{Sites: topo.Tiers[0].Sites,
+			Duration: 300, PerSiteRate: 12, Seed: 3}), topo, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e2e, wait []*stats.Digest
+		for i := range res.Tiers {
+			e2e = append(e2e, &res.Tiers[i].EndToEnd)
+			wait = append(wait, &res.Tiers[i].Wait)
+		}
+		for _, c := range []struct {
+			name  string
+			agg   *stats.Digest
+			tiers []*stats.Digest
+		}{
+			{"EndToEnd", &res.EndToEnd, e2e},
+			{"Wait", &res.Wait, wait},
+		} {
+			union := stats.Merged(c.tiers...)
+			if c.agg.N() != union.N() || c.agg.N() == res.Tiers[0].EndToEnd.N() {
+				t.Fatalf("%s preset %s: aggregate holds %d, tiers' union %d (tier 0 alone %d)",
+					mode, c.name, c.agg.N(), union.N(), res.Tiers[0].EndToEnd.N())
+			}
+			for _, q := range digestProbes {
+				if got, want := c.agg.Quantile(q), union.Quantile(q); got != want {
+					t.Errorf("%s preset %s: q=%v %v, tiers' union %v", mode, c.name, q, got, want)
+				}
+			}
+		}
+	}
+}
+
+// exactBytesPerServed replays the pair's topology over a fixed 5-site
+// spec in Exact mode and returns the bytes allocated per served
+// request, construction and harvest included.
+func exactBytesPerServed(t *testing.T, topo cluster.Topology) float64 {
+	t.Helper()
+	spec := cluster.GenSpec{Sites: 5, Duration: 1000, PerSiteRate: 20, Seed: 1}
+	opts := cluster.Options{Warmup: 50, Seed: 1, Summary: stats.Exact}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := cluster.Run(cluster.Stream(spec), topo, opts)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Completed)
+}
+
+// TestOneTierExactAllocCeiling fails when a one-tier Exact run gains a
+// duplicate latency collector. An Exact collector that receives every
+// served request costs about 40 B per request: 8 B per value, several
+// times over as append regrows its sample. The edge collects three
+// digests per served request (its tier, the home site and the station
+// wait) and the cloud two (its tier and the station wait); the run
+// aggregates and the one-station tier wait share those. On this spec a
+// separate run aggregate plus wait copies made at harvest allocated
+// 206 B (edge) and 146 B (cloud) per served request; sharing them
+// allocates 121 B and 87 B. One more collector would cross either
+// ceiling.
+func TestOneTierExactAllocCeiling(t *testing.T) {
+	ceilings := map[string]float64{"pair-edge": 150, "pair-cloud": 115}
+	for _, topo := range pairTopologies(t) {
+		got := exactBytesPerServed(t, topo)
+		t.Logf("%s: %.0f B allocated per served request", topo.Name, got)
+		if got > ceilings[topo.Name] {
+			t.Errorf("%s: %.0f B allocated per served request, ceiling %.0f B: a one-tier Exact run keeps a latency collector it should share",
+				topo.Name, got, ceilings[topo.Name])
+		}
+	}
+}

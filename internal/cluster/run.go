@@ -20,7 +20,9 @@ type SiteResult struct {
 }
 
 // Result captures one deployment run, aggregated across every tier;
-// TopologyResult.Tiers carries the per-tier and per-site detail.
+// TopologyResult.Tiers carries the per-tier and per-site detail. Its
+// digests may share state with the tiers' (a one-tier run's Wait is its
+// tier's), so they are read-only: see stats.Digest.
 type Result struct {
 	Label       string
 	EndToEnd    stats.Digest // all requests, client-observed latency
@@ -42,13 +44,12 @@ func (r *Result) MeanLatency() float64 { return r.EndToEnd.Mean() }
 // P95Latency returns the 95th-percentile end-to-end latency in seconds.
 func (r *Result) P95Latency() float64 { return r.EndToEnd.P95() }
 
-// newResult builds a result whose digests follow the requested memory
-// model.
+// newResult builds a result whose end-to-end digest follows the
+// requested memory model; harvest derives the wait digest.
 func newResult(label string, mode stats.Mode) *Result {
 	return &Result{
 		Label:    label,
 		EndToEnd: stats.NewDigest(mode, 0),
-		Wait:     stats.NewDigest(mode, 0),
 	}
 }
 

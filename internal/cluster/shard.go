@@ -498,35 +498,36 @@ func finishSharded(r *shardRun, p2 *p2build) *TopologyResult {
 
 	// Combined per-site end-to-end: home-phase completions then
 	// shared-phase completions, merged in global site order — a
-	// canonical order standing in for Run's completion order.
-	combined := newDigests(opts.Summary, r.sites)
-	for s := 0; s < r.sites; s++ {
-		for _, st := range r.states {
-			if s >= st.lo && s < st.hi {
-				combined[s].Merge(&st.perSite[s-st.lo])
-			}
+	// canonical order standing in for Run's completion order. A site
+	// only one phase served shares that phase's digest.
+	combined := make([]stats.Digest, r.sites)
+	for _, st := range r.states {
+		for s := st.lo; s < st.hi; s++ {
+			combined[s] = stats.Merged(&st.perSite[s-st.lo], &p2.sink.perSite[s])
 		}
-		combined[s].Merge(&p2.sink.perSite[s])
-		res.EndToEnd.Merge(&combined[s])
+	}
+	// On one home tier the aggregate would merge the same per-site
+	// values in the same order as the tier's digest, so harvest shares
+	// the tier's; a shared tier's digest is in completion order instead.
+	tier0E2E := len(topo.Tiers) == 1 && topo.Tiers[0].homeRouted()
+	if !tier0E2E {
+		res.EndToEnd = stats.Merged(digestPtrs(combined)...)
 	}
 	for _, ti := range plan.home {
 		tier := &res.Tiers[ti]
+		var parts []*stats.Digest
 		for _, st := range r.states {
-			for ls := range st.tierSite[ti] {
-				tier.EndToEnd.Merge(&st.tierSite[ti][ls])
-			}
+			parts = append(parts, digestPtrs(st.tierSite[ti])...)
 		}
-		if tier.Classes == nil {
-			continue
-		}
+		tier.EndToEnd = stats.Merged(parts...)
 		// Per-class latency in canonical order: class outer, then shards
 		// ascending (= global site order) — independent of the partition.
 		for c := range tier.Classes {
+			parts = parts[:0]
 			for _, st := range r.states {
-				for ls := range st.classSite[ti][c] {
-					tier.Classes[c].EndToEnd.Merge(&st.classSite[ti][c][ls])
-				}
+				parts = append(parts, digestPtrs(st.classSite[ti][c])...)
 			}
+			tier.Classes[c].EndToEnd = stats.Merged(parts...)
 		}
 	}
 
@@ -534,6 +535,15 @@ func finishSharded(r *shardRun, p2 *p2build) *TopologyResult {
 	if topo.Tiers[0].homeRouted() && !opts.NoPerSiteLatency {
 		siteE2E = combined
 	}
-	harvest(res, tiers, siteE2E, opts.Pricing)
+	harvest(res, tiers, siteE2E, tier0E2E, opts.Pricing)
 	return res
+}
+
+// digestPtrs returns a pointer to each digest of ds, in order.
+func digestPtrs(ds []stats.Digest) []*stats.Digest {
+	out := make([]*stats.Digest, len(ds))
+	for i := range ds {
+		out[i] = &ds[i]
+	}
+	return out
 }

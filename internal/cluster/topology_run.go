@@ -503,9 +503,13 @@ func (x *topoExec) admit(ti int, req *queue.Request) {
 // counters stay sink-local until fold. Requests are recycled right
 // after Consume returns, so nothing here may retain them.
 type sink struct {
-	tiers    []TierResult
-	warmup   float64
-	all      *stats.Digest     // aggregate end-to-end in completion order (serial only)
+	tiers  []TierResult
+	warmup float64
+	// all is the run aggregate end-to-end, in completion order. Only Run
+	// on two or more tiers sets it: on one tier it would receive tier
+	// 0's observations in tier 0's order, so harvest shares tier 0's
+	// digest instead; a sharded run merges its aggregate per site.
+	all      *stats.Digest
 	perSite  []stats.Digest    // per home site end-to-end
 	timeline *stats.TimeSeries // serial only
 
@@ -617,7 +621,6 @@ func newTopologyResult(topo Topology, opts Options) *TopologyResult {
 		tr := &res.Tiers[i]
 		tr.Name = topo.Tiers[i].Name
 		tr.EndToEnd = stats.NewDigest(opts.Summary, 0)
-		tr.Wait = stats.NewDigest(opts.Summary, 0)
 		if len(topo.Classes) == 0 {
 			continue
 		}
@@ -699,8 +702,11 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 		admit: x.admitEv,
 		probe: opts.Probe,
 	}
-	sk := &sink{tiers: res.Tiers, warmup: opts.Warmup, all: &res.EndToEnd, perSite: perSite,
+	sk := &sink{tiers: res.Tiers, warmup: opts.Warmup, perSite: perSite,
 		timeline: res.Timeline, ctrls: ctrls, emitted: &f.count}
+	if len(topo.Tiers) > 1 {
+		sk.all = &res.EndToEnd
+	}
 	f.sink = sk
 	if len(ctrls) > 0 {
 		f.onDrained = sk.drain
@@ -728,7 +734,7 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 	}
 	res.Offered = f.count
 	sk.fold(res)
-	harvest(res, x.tiers, perSite, opts.Pricing)
+	harvest(res, x.tiers, perSite, len(topo.Tiers) == 1, opts.Pricing)
 	return res, nil
 }
 
@@ -738,20 +744,29 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 // cost overlay. tiers[i] holds tier i's stations in global site order,
 // and the wait digests merge tiers outer, stations inner — the seed
 // runners' merge sequence. siteE2E, when non-nil, supplies the entry
-// tier's per-site end-to-end digests.
-func harvest(res *TopologyResult, tiers []*tierRuntime, siteE2E []stats.Digest, pricing *econ.Pricing) {
+// tier's per-site end-to-end digests. tier0E2E says the caller left
+// res.EndToEnd to tier 0's digest, which then holds the same
+// observations in the same order.
+//
+// The wait digests are derived here, once, with stats.Merged, so a
+// one-station tier's wait is its station's; a one-tier run's aggregate
+// wait (and, with tier0E2E, end-to-end) digest is its tier's. They are
+// shared, not copied, and hold the values a merge into an empty digest
+// would, bit for bit.
+func harvest(res *TopologyResult, tiers []*tierRuntime, siteE2E []stats.Digest, tier0E2E bool, pricing *econ.Pricing) {
 	price := econ.DefaultPricing()
 	if pricing != nil {
 		price = *pricing
 	}
 	var busyAll, capAll float64
+	var waits []*stats.Digest // every station's, tiers outer
 	for ti, rt := range tiers {
 		tr := &res.Tiers[ti]
 		var busy, capacity float64
+		tierWaits := len(waits)
 		for i, s := range rt.stations {
 			m := s.Metrics()
-			res.Wait.Merge(&m.Wait)
-			tr.Wait.Merge(&m.Wait)
+			waits = append(waits, &m.Wait)
 			sr := SiteResult{
 				Site:        i,
 				Wait:        m.Wait,
@@ -767,6 +782,7 @@ func harvest(res *TopologyResult, tiers []*tierRuntime, siteE2E []stats.Digest, 
 			busy += m.Busy.Average()
 			capacity += float64(s.Servers)
 		}
+		tr.Wait = stats.Merged(waits[tierWaits:]...)
 		if capacity > 0 {
 			tr.Utilization = busy / capacity
 		}
@@ -808,6 +824,14 @@ func harvest(res *TopologyResult, tiers []*tierRuntime, siteE2E []stats.Digest, 
 		res.TotalCost += tr.Cost + tr.RejectionCost
 		busyAll += busy
 		capAll += capacity
+	}
+	if len(tiers) == 1 {
+		res.Wait = res.Tiers[0].Wait
+	} else {
+		res.Wait = stats.Merged(waits...)
+	}
+	if tier0E2E {
+		res.EndToEnd = res.Tiers[0].EndToEnd
 	}
 	if capAll > 0 {
 		res.Utilization = busyAll / capAll

@@ -34,7 +34,11 @@ func (m Mode) String() string {
 // empty Exact digest, ready to use.
 //
 // A Digest is a value type but shares internal state with its copies;
-// copy one only after the run that fills it has finished.
+// copy one only after the run that fills it has finished. Merged shares
+// a lone non-empty part the same way, so the digests of a finished run
+// result may share state with each other (a one-tier run's aggregate is
+// its tier's): treat them as read-only, and Merged or Merge them into a
+// new digest rather than into one of them.
 type Digest struct {
 	mode   Mode
 	stream Stream  // moments, min/max, count — maintained in both modes
@@ -116,6 +120,43 @@ func (d *Digest) Merge(other *Digest) {
 		d.sketch.addAll(other.sample)
 	}
 	d.stream.Merge(&other.stream)
+}
+
+// Merged returns the merge of parts, in order. With exactly one
+// non-empty part it returns that part itself, sharing its state: merging
+// one digest into an empty one would copy its moments bit for bit and
+// its observations unchanged. With none it returns an empty digest in
+// the first part's mode (Exact when there are no parts). Otherwise it
+// merges every part into one new digest, as sequential Merge calls into
+// an empty digest would; an Exact result allocates its sample once, at
+// the final size.
+func Merged(parts ...*Digest) Digest {
+	var (
+		last  *Digest
+		n     int  // non-empty parts
+		total int  // their observations
+		mode  Mode // Bounded when any non-empty part is
+	)
+	for _, p := range parts {
+		if p.stream.N() == 0 {
+			continue
+		}
+		last, n, total = p, n+1, total+p.N()
+		if p.mode == Bounded {
+			mode = Bounded
+		}
+	}
+	switch {
+	case n == 1:
+		return *last
+	case n == 0 && len(parts) > 0:
+		return NewDigest(parts[0].mode, 0)
+	}
+	out := NewDigest(mode, total)
+	for _, p := range parts {
+		out.Merge(p)
+	}
+	return out
 }
 
 // N returns the number of observations recorded.
