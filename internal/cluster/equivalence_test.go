@@ -126,6 +126,9 @@ type oracleResult struct {
 }
 
 // overflowOracle adds the seed overflow runner's edge/cloud split.
+// Its aggregate EndToEnd merges EdgeOnly then CloudOnly, the tier-order
+// merge harvest derives; InOrder is the seed's aggregate, added to in
+// completion order.
 type overflowOracle struct {
 	oracleResult
 	EdgeServed  uint64
@@ -133,6 +136,7 @@ type overflowOracle struct {
 	Overflowed  uint64
 	EdgeOnly    stats.Digest
 	CloudOnly   stats.Digest
+	InOrder     stats.Digest
 }
 
 // replay runs tr through topo (Run sizes its digests to the trace
@@ -419,7 +423,7 @@ func materializedRunOverflow(tr *WorkloadTrace, cfg overflowConfig) *overflowOra
 				return
 			}
 			e2e := r.EndToEnd()
-			res.EndToEnd.Add(e2e)
+			res.InOrder.Add(e2e)
 			res.Completed++
 			if overflowed {
 				res.CloudServed++
@@ -443,6 +447,7 @@ func materializedRunOverflow(tr *WorkloadTrace, cfg overflowConfig) *overflowOra
 	}
 
 	res.Duration = eng.Run()
+	res.EndToEnd = stats.Merged(&res.EdgeOnly, &res.CloudOnly)
 	var busySum, capSum float64
 	for i, s := range sites {
 		s.Finish()
@@ -582,6 +587,21 @@ func TestStreamingOverflowMatchesMaterialized(t *testing.T) {
 	}
 	if cloud.EndToEnd.Mean() != want.CloudOnly.Mean() || edge.EndToEnd.Mean() != want.EdgeOnly.Mean() {
 		t.Error("overflow per-path latency digests diverge")
+	}
+	// The seed's completion-order aggregate holds the same observations:
+	// the same count and quantiles, and a mean equal up to summation
+	// order.
+	in, merged := &want.InOrder, &want.EndToEnd
+	if in.N() != merged.N() {
+		t.Fatalf("completion-order aggregate holds %d, tier merge %d", in.N(), merged.N())
+	}
+	for _, q := range []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1} {
+		if in.Quantile(q) != merged.Quantile(q) {
+			t.Errorf("q=%v: completion order %v, tier merge %v", q, in.Quantile(q), merged.Quantile(q))
+		}
+	}
+	if rel := abs(in.Mean()-merged.Mean()) / merged.Mean(); rel > 1e-12 {
+		t.Errorf("completion-order mean %v, tier merge %v (rel %.3g)", in.Mean(), merged.Mean(), rel)
 	}
 }
 

@@ -19,6 +19,14 @@ const (
 	             "dispatch": "central-queue"}]}`
 )
 
+// overflowSpec is the pair's edge with a pooled central-queue cloud
+// behind it that takes every request whose home site is saturated.
+const overflowSpec = `{"name": "edge-overflow",
+  "tiers": [{"name": "edge", "sites": 5, "servers": 2, "rttMs": 1, "jitterMs": 0.2},
+            {"name": "cloud", "sites": 1, "servers": 10, "rttMs": 25, "jitterMs": 3,
+             "dispatch": "central-queue"}],
+  "spills": [{"from": "edge", "to": "cloud", "threshold": 2, "sampleToRtt": true}]}`
+
 // pairTopologies parses the edge and cloud of the paper's pair.
 func pairTopologies(t testing.TB) []cluster.Topology {
 	t.Helper()
@@ -33,8 +41,9 @@ func pairTopologies(t testing.TB) []cluster.Topology {
 	return out
 }
 
-// digestProbes are the quantiles the sharing checks compare.
-var digestProbes = []float64{0, 0.01, 0.25, 0.5, 0.75, 0.95, 0.99, 1}
+// digestProbes are the quantiles the sharing and derivation checks
+// compare, ends included.
+var digestProbes = []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1}
 
 // sameDigestBits fails t unless two digests agree bit for bit on their
 // mode, count, moments and every probed quantile.
@@ -124,6 +133,73 @@ func TestHarvestSharesSingleSourceDigests(t *testing.T) {
 	}
 }
 
+// TestAggregatesDeriveFromCells: every engine adds a served request to
+// one (tier, class) cell and derives the coarser digests at harvest, so
+// on every engine and in both summary modes the run aggregate is the
+// merge of the tiers in tier order, and a classed tier the merge of its
+// classes in rank order, bit for bit.
+func TestAggregatesDeriveFromCells(t *testing.T) {
+	topos := []cluster.Topology{deterministicTopology()}
+	for _, preset := range cluster.TopologyPresets() {
+		topo, ok := cluster.PresetTopology(preset)
+		if !ok {
+			t.Fatalf("unknown preset %q", preset)
+		}
+		topos = append(topos, topo)
+	}
+	spec := cluster.GenSpec{Sites: 5, Duration: 200, PerSiteRate: 16, Seed: 9}
+	for _, topo := range topos {
+		for _, mode := range []stats.Mode{stats.Exact, stats.Bounded} {
+			opts := cluster.Options{Warmup: 20, Seed: 4, Summary: mode}
+			engines := []struct {
+				name string
+				run  func() (*cluster.TopologyResult, error)
+			}{
+				{"run", func() (*cluster.TopologyResult, error) {
+					return cluster.Run(cluster.Stream(spec), topo, opts)
+				}},
+				{"pipelined-1", func() (*cluster.TopologyResult, error) {
+					return cluster.RunPipelined(cluster.GenShards(spec), topo, opts, 1)
+				}},
+				{"pipelined-4", func() (*cluster.TopologyResult, error) {
+					return cluster.RunPipelined(cluster.GenShards(spec), topo, opts, 4)
+				}},
+				{"broadcast", func() (*cluster.TopologyResult, error) {
+					res, err := cluster.RunBroadcast(cluster.Stream(spec),
+						[]cluster.Variant{{Label: topo.Name, Topology: topo, Opts: opts}}, 0)
+					if err != nil {
+						return nil, err
+					}
+					return res[0], nil
+				}},
+			}
+			for _, e := range engines {
+				res, err := e.run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := topo.Name + " " + mode.String() + " " + e.name
+				tiers := make([]*stats.Digest, len(res.Tiers))
+				for i := range res.Tiers {
+					tr := &res.Tiers[i]
+					tiers[i] = &tr.EndToEnd
+					if tr.Classes == nil {
+						continue
+					}
+					classes := make([]*stats.Digest, len(tr.Classes))
+					for c := range tr.Classes {
+						classes[c] = &tr.Classes[c].EndToEnd
+					}
+					want := stats.Merged(classes...)
+					sameDigestBits(t, label+" tier "+tr.Name, &tr.EndToEnd, &want)
+				}
+				want := stats.Merged(tiers...)
+				sameDigestBits(t, label+" aggregate", &res.EndToEnd, &want)
+			}
+		}
+	}
+}
+
 // exactBytesPerServed replays the pair's topology over a fixed 5-site
 // spec in Exact mode and returns the bytes allocated per served
 // request, construction and harvest included.
@@ -162,5 +238,27 @@ func TestOneTierExactAllocCeiling(t *testing.T) {
 			t.Errorf("%s: %.0f B allocated per served request, ceiling %.0f B: a one-tier Exact run keeps a latency collector it should share",
 				topo.Name, got, ceilings[topo.Name])
 		}
+	}
+}
+
+// TestMultiTierExactAllocCeiling fails when a multi-tier Exact run adds
+// a served request to more than one end-to-end collector plus its home
+// site's. The edge-with-overflow topology collects its tier cell, the
+// home-site digest and the station wait per served request, and derives
+// the run aggregate at harvest as one merge that allocates 8 B per
+// request once. On this spec that allocates 131 B per served request;
+// a run aggregate grown in completion order, an Exact sample regrown by
+// append, allocated 166 B and would cross the ceiling.
+func TestMultiTierExactAllocCeiling(t *testing.T) {
+	topo, err := cluster.ParseTopology([]byte(overflowSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := exactBytesPerServed(t, topo)
+	t.Logf("%s: %.0f B allocated per served request", topo.Name, got)
+	const ceiling = 150.0
+	if got > ceiling {
+		t.Errorf("%s: %.0f B allocated per served request, ceiling %.0f B: a multi-tier Exact run adds a request to a collector harvest should derive",
+			topo.Name, got, ceiling)
 	}
 }

@@ -44,15 +44,6 @@ func (r *Result) MeanLatency() float64 { return r.EndToEnd.Mean() }
 // P95Latency returns the 95th-percentile end-to-end latency in seconds.
 func (r *Result) P95Latency() float64 { return r.EndToEnd.P95() }
 
-// newResult builds a result whose end-to-end digest follows the
-// requested memory model; harvest derives the wait digest.
-func newResult(label string, mode stats.Mode) *Result {
-	return &Result{
-		Label:    label,
-		EndToEnd: stats.NewDigest(mode, 0),
-	}
-}
-
 // newDigests returns n empty digests in the given mode.
 func newDigests(mode stats.Mode, n int) []stats.Digest {
 	out := make([]stats.Digest, n)

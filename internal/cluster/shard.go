@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/queue"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Sharded topology replay splits a run into two phases along the
@@ -164,62 +163,24 @@ type boundaryPublisher interface {
 	finish()
 }
 
-// shardState is one phase-1 shard's working set and harvest. It doubles
-// as the shard's queue.Sink: every completion in phase 1 happens at a
-// home tier of this shard.
+// shardState is one phase-1 shard's working set. Its sink books every
+// completion in phase 1 — each happens at a home tier of this shard —
+// into the shard's own tier table and into end-to-end cells split by
+// local site, which harvest merges in global site order.
 type shardState struct {
 	lo, hi int // global site range
-	warmup float64
 
 	tiers   []*tierRuntime // per tier index: home tiers' site ranges, nil for shared tiers
 	siteSeq []uint64       // per local site: boundary capture counter
 
-	offered  uint64
-	consumed uint64
+	offered uint64
 	// counts is the shard's own tier table: served, dropped, spilled
 	// and rejected counters per tier and class (home tiers only).
 	counts []TierResult
-
-	// Latency per local site, so finishSharded can merge it in global
-	// site order, independent of the shard partition: per home tier
-	// index (nil for shared tiers), per class rank under that (nil when
-	// the topology declares no classes), and home-phase end-to-end.
-	tierSite  [][]stats.Digest
-	classSite [][][]stats.Digest
-	perSite   []stats.Digest
+	sink   *sink
 
 	eng *sim.Engine
 	err error
-}
-
-// Consume implements queue.Sink.
-func (st *shardState) Consume(e *sim.Engine, r *queue.Request) {
-	st.consumed++
-	if r.Rejected {
-		// Already counted at the rejection instant (topoExec.reject);
-		// only the conservation counter above sees it here.
-		return
-	}
-	if r.Departure < st.warmup {
-		return
-	}
-	tr := &st.counts[r.Tag]
-	if r.Dropped {
-		tr.Dropped++
-		if tr.Classes != nil {
-			tr.Classes[r.Class].Dropped++
-		}
-		return
-	}
-	e2e := r.EndToEnd()
-	ls := r.Site - st.lo
-	st.perSite[ls].Add(e2e)
-	st.tierSite[r.Tag][ls].Add(e2e)
-	tr.Served++
-	if tr.Classes != nil {
-		tr.Classes[r.Class].Served++
-		st.classSite[r.Tag][r.Class][ls].Add(e2e)
-	}
 }
 
 // runShardPhase1 replays one shard's sites through the home tiers,
@@ -239,14 +200,8 @@ func runShardPhase1(topo Topology, plan shardPlan, st *shardState, src Source, o
 	pool := &queue.FreeList{}
 	width := st.hi - st.lo
 
-	st.warmup = opts.Warmup
 	st.counts = newTopologyResult(topo, opts).Tiers
 	st.siteSeq = make([]uint64, width)
-	st.perSite = newDigests(opts.Summary, width)
-	st.tierSite = make([][]stats.Digest, len(topo.Tiers))
-	if len(topo.Classes) > 0 {
-		st.classSite = make([][][]stats.Digest, len(topo.Tiers))
-	}
 	x := newTopoExec(eng, pool, st.counts)
 	for _, ti := range plan.home {
 		// The shard builds its site range of each home tier, with
@@ -257,15 +212,9 @@ func runShardPhase1(topo Topology, plan shardPlan, st *shardState, src Source, o
 			return
 		}
 		x.tiers[ti] = rt
-		st.tierSite[ti] = newDigests(opts.Summary, width)
-		if st.classSite != nil {
-			st.classSite[ti] = make([][]stats.Digest, len(topo.Classes)+1)
-			for c := range st.classSite[ti] {
-				st.classSite[ti][c] = newDigests(opts.Summary, width)
-			}
-		}
 	}
 	st.tiers = x.tiers
+	st.sink = newSink(st.counts, x.tiers, opts, st.lo, width)
 	// Spill edges out of home tiers. planShards rejected sampled detours
 	// on every home edge but the entry tier's, whose detour the router
 	// draws at generation time, so no edge here needs a stream.
@@ -295,7 +244,7 @@ func runShardPhase1(topo Topology, plan shardPlan, st *shardState, src Source, o
 	f := &feeder{
 		src:  src,
 		pool: pool,
-		sink: st,
+		sink: st.sink,
 		prep: func(rec RequestRecord, req *queue.Request) {
 			ls := rec.Site - st.lo
 			if uint(ls) >= uint(width) {
@@ -426,16 +375,20 @@ func buildPhase2(r *shardRun) (*p2build, error) {
 	if err != nil {
 		return nil, err
 	}
-	sk := &sink{tiers: r.res.Tiers, warmup: opts.Warmup, ctrls: ctrls,
-		perSite: newDigests(opts.Summary, r.sites)}
+	sk := newSink(r.res.Tiers, x.tiers, opts, 0, 1)
+	sk.ctrls = ctrls
+	if topo.Tiers[0].homeRouted() && !opts.NoPerSiteLatency {
+		sk.perSite = newDigests(opts.Summary, r.sites)
+	}
 	return &p2build{x: x, sink: sk}, nil
 }
 
-// finishSharded closes every engine at the global end time, harvests
-// the phase-1 and phase-2 counters, merges per-site latency in
-// canonical order and assembles the per-tier tables. Every merge runs
-// in global site or tier order, independent of the shard partition,
-// which is what keeps the result bit-identical for every shard count.
+// finishSharded closes every engine at the global end time, adds the
+// shards' tier tables and every sink's counters into the result, and
+// hands the shards' sinks, in global site order, and phase 2's sink to
+// harvest, which derives every latency digest. No merge depends on the
+// shard partition, which is what keeps the result bit-identical for
+// every shard count.
 func finishSharded(r *shardRun, p2 *p2build) *TopologyResult {
 	topo, plan, opts, res := r.topo, r.plan, r.opts, r.res
 
@@ -475,18 +428,18 @@ func finishSharded(r *shardRun, p2 *p2build) *TopologyResult {
 	}
 	res.Duration = globalDur
 
-	// Harvest the shards' tier tables, then the phase-2 sink's locals.
-	for _, st := range r.states {
+	// Harvest the shards' tier tables and every sink's locals.
+	home := make([]*sink, len(r.states))
+	for i, st := range r.states {
+		home[i] = st.sink
 		res.Offered += st.offered
-		res.Consumed += st.consumed
+		st.sink.fold(res)
 		for _, ti := range plan.home {
 			tier, c := &res.Tiers[ti], &st.counts[ti]
 			tier.Served += c.Served
 			tier.Dropped += c.Dropped
 			tier.Spilled += c.Spilled
 			tier.Rejected += c.Rejected
-			res.Completed += c.Served
-			res.Dropped += c.Dropped
 			for k := range tier.Classes {
 				tier.Classes[k].Served += c.Classes[k].Served
 				tier.Classes[k].Dropped += c.Classes[k].Dropped
@@ -495,55 +448,6 @@ func finishSharded(r *shardRun, p2 *p2build) *TopologyResult {
 		}
 	}
 	p2.sink.fold(res)
-
-	// Combined per-site end-to-end: home-phase completions then
-	// shared-phase completions, merged in global site order — a
-	// canonical order standing in for Run's completion order. A site
-	// only one phase served shares that phase's digest.
-	combined := make([]stats.Digest, r.sites)
-	for _, st := range r.states {
-		for s := st.lo; s < st.hi; s++ {
-			combined[s] = stats.Merged(&st.perSite[s-st.lo], &p2.sink.perSite[s])
-		}
-	}
-	// On one home tier the aggregate would merge the same per-site
-	// values in the same order as the tier's digest, so harvest shares
-	// the tier's; a shared tier's digest is in completion order instead.
-	tier0E2E := len(topo.Tiers) == 1 && topo.Tiers[0].homeRouted()
-	if !tier0E2E {
-		res.EndToEnd = stats.Merged(digestPtrs(combined)...)
-	}
-	for _, ti := range plan.home {
-		tier := &res.Tiers[ti]
-		var parts []*stats.Digest
-		for _, st := range r.states {
-			parts = append(parts, digestPtrs(st.tierSite[ti])...)
-		}
-		tier.EndToEnd = stats.Merged(parts...)
-		// Per-class latency in canonical order: class outer, then shards
-		// ascending (= global site order) — independent of the partition.
-		for c := range tier.Classes {
-			parts = parts[:0]
-			for _, st := range r.states {
-				parts = append(parts, digestPtrs(st.classSite[ti][c])...)
-			}
-			tier.Classes[c].EndToEnd = stats.Merged(parts...)
-		}
-	}
-
-	var siteE2E []stats.Digest
-	if topo.Tiers[0].homeRouted() && !opts.NoPerSiteLatency {
-		siteE2E = combined
-	}
-	harvest(res, tiers, siteE2E, tier0E2E, opts.Pricing)
+	harvest(res, tiers, home, p2.sink, opts.Pricing)
 	return res
-}
-
-// digestPtrs returns a pointer to each digest of ds, in order.
-func digestPtrs(ds []stats.Digest) []*stats.Digest {
-	out := make([]*stats.Digest, len(ds))
-	for i := range ds {
-		out[i] = &ds[i]
-	}
-	return out
 }

@@ -35,7 +35,11 @@ type Options struct {
 	TimelineBin float64
 	// NoPerSiteLatency skips the per-home-site end-to-end digests a
 	// home-routed entry tier otherwise collects, for long exact-mode
-	// replays whose caller only needs tier-level latency.
+	// replays whose caller only needs tier-level latency. It stops Run's
+	// sink and, on a sharded run, phase 2's from keeping a digest per
+	// site. A phase-1 shard keeps no per-site table either way: its
+	// end-to-end cells are split by local site, and the per-site rows,
+	// when reported, are merged from them.
 	NoPerSiteLatency bool
 	// Probe, when set, observes the event-calendar size (sim.Engine's
 	// Pending) at every generated arrival, a diagnostic for the
@@ -75,9 +79,9 @@ type TierResult struct {
 	// request never reaches a station and never spills, so station
 	// arrivals across the run equal Offered minus total rejections.
 	Rejected uint64
-	// EndToEnd collects client-observed latency of requests served at
-	// this tier; Wait merges queueing delay across the tier's
-	// stations.
+	// EndToEnd is the client-observed latency of requests served at
+	// this tier, merged at harvest from its classes (or its one cell);
+	// Wait merges queueing delay across the tier's stations.
 	EndToEnd    stats.Digest
 	Wait        stats.Digest
 	Utilization float64
@@ -497,21 +501,29 @@ func (x *topoExec) admit(ti int, req *queue.Request) {
 	}
 }
 
-// sink records every finished request of one engine: the serial run's,
-// or phase 2's (a phase-1 shard is its own sink, shardState). Tier and
-// class counters land in the result's tier table; the aggregate
-// counters stay sink-local until fold. Requests are recycled right
-// after Consume returns, so nothing here may retain them.
+// sink records every finished request of one engine — Run's, a phase-1
+// shard's or phase 2's — and is the only queue.Sink the engines use.
+// Served, dropped and class counters land in tiers, the engine's tier
+// table (the result's on Run and phase 2, a shard's own on a shard);
+// the aggregate counters stay sink-local until fold. A measured
+// completion's end-to-end latency goes into exactly one cell, its
+// (tier, class) one, and into its home site's digest only when per-site
+// latency is reported; harvest derives every class, tier and run digest
+// from the cells. Requests are recycled right after Consume returns, so
+// nothing here may retain them.
 type sink struct {
 	tiers  []TierResult
 	warmup float64
-	// all is the run aggregate end-to-end, in completion order. Only Run
-	// on two or more tiers sets it: on one tier it would receive tier
-	// 0's observations in tier 0's order, so harvest shares tier 0's
-	// digest instead; a sharded run merges its aggregate per site.
-	all      *stats.Digest
-	perSite  []stats.Digest    // per home site end-to-end
-	timeline *stats.TimeSeries // serial only
+	// cells[t] holds tier t's end-to-end cells, one per class rank (one
+	// when the topology declares no classes), each split into slots
+	// local-site slots from global site lo; nil for a tier another engine
+	// owns. Only a phase-1 shard has more than one slot, so harvest can
+	// merge its cells in global site order whatever the partition.
+	cells    [][]stats.Digest
+	lo       int
+	slots    int
+	perSite  []stats.Digest    // per home site end-to-end; Run and phase 2, when reported
+	timeline *stats.TimeSeries // Run only
 
 	consumed, completed, dropped uint64
 
@@ -521,6 +533,25 @@ type sink struct {
 	ctrls   []*autoscale.Controller
 	emitted *uint64
 	drained bool
+}
+
+// newSink returns a sink booking into counts, with end-to-end cells for
+// every tier the engine owns (a non-nil entry of owned), split into
+// slots local-site slots from global site lo.
+func newSink(counts []TierResult, owned []*tierRuntime, opts Options, lo, slots int) *sink {
+	s := &sink{tiers: counts, warmup: opts.Warmup, lo: lo, slots: slots,
+		cells: make([][]stats.Digest, len(counts))}
+	for ti, rt := range owned {
+		if rt != nil {
+			s.cells[ti] = newDigests(opts.Summary, max(len(counts[ti].Classes), 1)*slots)
+		}
+	}
+	return s
+}
+
+// cell returns tier ti's class c cell at local-site slot ls.
+func (s *sink) cell(ti, c, ls int) *stats.Digest {
+	return &s.cells[ti][c*s.slots+ls]
 }
 
 // Consume implements queue.Sink.
@@ -546,20 +577,19 @@ func (s *sink) Consume(e *sim.Engine, r *queue.Request) {
 		}
 		return
 	}
-	e2e := r.EndToEnd()
-	if s.all != nil {
-		s.all.Add(e2e)
-	}
-	if uint(r.Site) < uint(len(s.perSite)) {
-		s.perSite[r.Site].Add(e2e)
-	}
 	s.completed++
 	tier.Served++
-	tier.EndToEnd.Add(e2e)
 	if tier.Classes != nil {
-		c := &tier.Classes[r.Class]
-		c.Served++
-		c.EndToEnd.Add(e2e)
+		tier.Classes[r.Class].Served++
+	}
+	ls := 0
+	if s.slots > 1 {
+		ls = r.Site - s.lo
+	}
+	e2e := r.EndToEnd()
+	s.cell(int(r.Tag), r.Class, ls).Add(e2e)
+	if uint(r.Site) < uint(len(s.perSite)) {
+		s.perSite[r.Site].Add(e2e)
 	}
 	if s.timeline != nil {
 		s.timeline.Add(r.Generated, e2e)
@@ -607,12 +637,12 @@ func prepareRun(topo Topology, opts Options) (Topology, error) {
 	return topo, nil
 }
 
-// newTopologyResult builds a run's empty result: aggregate digests,
-// the optional timeline, and one row per tier, with a bucket per SLO
-// class rule plus a final "unclassified" one when the topology declares
-// classes.
+// newTopologyResult builds a run's empty result: the optional timeline
+// and one row per tier, with a bucket per SLO class rule plus a final
+// "unclassified" one when the topology declares classes. harvest
+// derives every latency digest.
 func newTopologyResult(topo Topology, opts Options) *TopologyResult {
-	res := &TopologyResult{Result: *newResult(topo.Name, opts.Summary)}
+	res := &TopologyResult{Result: Result{Label: topo.Name}}
 	if opts.TimelineBin > 0 {
 		res.Timeline = stats.NewTimeSeries(0, opts.TimelineBin)
 	}
@@ -620,7 +650,6 @@ func newTopologyResult(topo Topology, opts Options) *TopologyResult {
 	for i := range res.Tiers {
 		tr := &res.Tiers[i]
 		tr.Name = topo.Tiers[i].Name
-		tr.EndToEnd = stats.NewDigest(opts.Summary, 0)
 		if len(topo.Classes) == 0 {
 			continue
 		}
@@ -630,7 +659,6 @@ func newTopologyResult(topo Topology, opts Options) *TopologyResult {
 			if c < len(topo.Classes) {
 				tr.Classes[c].Name = topo.Classes[c].Name
 			}
-			tr.Classes[c].EndToEnd = stats.NewDigest(opts.Summary, 0)
 		}
 	}
 	return res
@@ -681,10 +709,6 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 		return nil, err
 	}
 
-	var perSite []stats.Digest
-	if x.tiers[0].home && !opts.NoPerSiteLatency {
-		perSite = newDigests(opts.Summary, topo.Tiers[0].Sites)
-	}
 	route := newRouter(topo, newNetStreams(opts.Seed, 0, topo.Tiers[0].Sites), classRng)
 	f := &feeder{
 		src:  src,
@@ -702,11 +726,11 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 		admit: x.admitEv,
 		probe: opts.Probe,
 	}
-	sk := &sink{tiers: res.Tiers, warmup: opts.Warmup, perSite: perSite,
-		timeline: res.Timeline, ctrls: ctrls, emitted: &f.count}
-	if len(topo.Tiers) > 1 {
-		sk.all = &res.EndToEnd
+	sk := newSink(res.Tiers, x.tiers, opts, 0, 1)
+	if x.tiers[0].home && !opts.NoPerSiteLatency {
+		sk.perSite = newDigests(opts.Summary, topo.Tiers[0].Sites)
 	}
+	sk.timeline, sk.ctrls, sk.emitted = res.Timeline, ctrls, &f.count
 	f.sink = sk
 	if len(ctrls) > 0 {
 		f.onDrained = sk.drain
@@ -734,26 +758,28 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 	}
 	res.Offered = f.count
 	sk.fold(res)
-	harvest(res, x.tiers, perSite, len(topo.Tiers) == 1, opts.Pricing)
+	harvest(res, x.tiers, nil, sk, opts.Pricing)
 	return res, nil
 }
 
 // harvest assembles per-tier and aggregate measurements once every
 // engine has closed its stations and every counter has been folded in:
-// station rows, wait digests, utilization, scaler telemetry and the
-// cost overlay. tiers[i] holds tier i's stations in global site order,
-// and the wait digests merge tiers outer, stations inner — the seed
-// runners' merge sequence. siteE2E, when non-nil, supplies the entry
-// tier's per-site end-to-end digests. tier0E2E says the caller left
-// res.EndToEnd to tier 0's digest, which then holds the same
-// observations in the same order.
+// latency digests, station rows, wait digests, utilization, scaler
+// telemetry and the cost overlay. It is the one harvest step of Run,
+// RunPipelined and the barrier oracle. tiers[i] holds tier i's stations
+// in global site order. home lists the phase-1 shards' sinks in global
+// site order (nil on Run), and sk is the engine sink that owns every
+// other tier: Run's or phase 2's.
 //
-// The wait digests are derived here, once, with stats.Merged, so a
-// one-station tier's wait is its station's; a one-tier run's aggregate
-// wait (and, with tier0E2E, end-to-end) digest is its tier's. They are
-// shared, not copied, and hold the values a merge into an empty digest
-// would, bit for bit.
-func harvest(res *TopologyResult, tiers []*tierRuntime, siteE2E []stats.Digest, tier0E2E bool, pricing *econ.Pricing) {
+// Every coarser digest is derived here, once, with stats.Merged, in one
+// fixed order (see deriveLatency). The wait digests merge tiers outer,
+// stations inner — the seed runners' merge sequence. A merge with one
+// non-empty input shares it: a one-station tier's wait is its
+// station's, and a one-tier run's aggregate wait and end-to-end digests
+// are its tier's. Shared digests hold the values a merge into an empty
+// digest would, bit for bit.
+func harvest(res *TopologyResult, tiers []*tierRuntime, home []*sink, sk *sink, pricing *econ.Pricing) {
+	siteE2E := deriveLatency(res, home, sk)
 	price := econ.DefaultPricing()
 	if pricing != nil {
 		price = *pricing
@@ -830,13 +856,76 @@ func harvest(res *TopologyResult, tiers []*tierRuntime, siteE2E []stats.Digest, 
 	} else {
 		res.Wait = stats.Merged(waits...)
 	}
-	if tier0E2E {
-		res.EndToEnd = res.Tiers[0].EndToEnd
-	}
 	if capAll > 0 {
 		res.Utilization = busyAll / capAll
 	}
 	if res.Completed > 0 {
 		res.CostPerRequest = res.TotalCost / float64(res.Completed)
 	}
+}
+
+// deriveLatency sets every class, tier and run end-to-end digest from
+// the sinks' cells and returns the entry tier's per-site digests (nil
+// unless per-site latency is reported). Each tier's cells live on
+// exactly one engine, so the orders below are independent of how sites
+// are split into shards:
+//   - a class merges its cells in global site order (the shards' slots,
+//     then the engine sink's one cell);
+//   - a tier merges its classes in rank order, or is its one cell when
+//     the topology declares no classes;
+//   - the run aggregate merges the tiers in tier order;
+//   - a site merges its home cells (tiers, then classes) from the shard
+//     holding it, then the engine sink's per-site digest.
+//
+// Merged counts, quantiles and extremes do not depend on merge order;
+// only the mean and variance of a digest merged from two or more
+// non-empty parts differ, in their last bits, from completion order.
+func deriveLatency(res *TopologyResult, home []*sink, sk *sink) []stats.Digest {
+	sinks := append(home[:len(home):len(home)], sk)
+	var parts []*stats.Digest
+	cells := func(ti, c int) []*stats.Digest {
+		parts = parts[:0]
+		for _, s := range sinks {
+			if s.cells[ti] == nil {
+				continue
+			}
+			for ls := 0; ls < s.slots; ls++ {
+				parts = append(parts, s.cell(ti, c, ls))
+			}
+		}
+		return parts
+	}
+	tierE2E := make([]*stats.Digest, len(res.Tiers))
+	for ti := range res.Tiers {
+		tr := &res.Tiers[ti]
+		if tr.Classes == nil {
+			tr.EndToEnd = stats.Merged(cells(ti, 0)...)
+		} else {
+			classE2E := make([]*stats.Digest, len(tr.Classes))
+			for c := range tr.Classes {
+				tr.Classes[c].EndToEnd = stats.Merged(cells(ti, c)...)
+				classE2E[c] = &tr.Classes[c].EndToEnd
+			}
+			tr.EndToEnd = stats.Merged(classE2E...)
+		}
+		tierE2E[ti] = &tr.EndToEnd
+	}
+	res.EndToEnd = stats.Merged(tierE2E...)
+
+	if sk.perSite == nil {
+		return nil
+	}
+	for _, h := range home {
+		for ls := 0; ls < h.slots; ls++ {
+			parts = parts[:0]
+			for ti, cs := range h.cells {
+				for c := 0; c < len(cs)/h.slots; c++ {
+					parts = append(parts, h.cell(ti, c, ls))
+				}
+			}
+			site := &sk.perSite[h.lo+ls]
+			*site = stats.Merged(append(parts, site)...)
+		}
+	}
+	return sk.perSite
 }

@@ -178,7 +178,7 @@ func directRunEdgeAutoscaled(t *testing.T, tr *WorkloadTrace, cfg edgeConfig, as
 	}
 	ctrl.Start()
 
-	res := &autoscaleOracle{oracleResult: oracleResult{Result: *newResult("edge+autoscale", cfg.Summary)}}
+	res := &autoscaleOracle{oracleResult: oracleResult{Result: Result{Label: "edge+autoscale", EndToEnd: stats.NewDigest(cfg.Summary, 0)}}}
 	if cfg.TimelineBin > 0 {
 		res.Timeline = stats.NewTimeSeries(0, cfg.TimelineBin)
 	}

@@ -48,9 +48,14 @@ type TopologySweepConfig struct {
 
 // Seed derivation. Point i generates its workload with seed
 // Seed + i*workloadSeedStride and replays it through shape k (0 is the
-// swept topology, k > 0 is Rivals[k-1]) with seed
-// Seed + i*shapeSeedStrides[k]. The strides are distinct primes, so no
-// two shapes or points share an engine seed.
+// swept topology, k > 0 is Rivals[k-1]) with engine seed
+// Seed + i*shapeSeedStrides[k]. Within a run the workload's and the
+// engine's streams are independent: the generator and the engine derive
+// theirs from their seeds in different layouts. The strides are distinct
+// primes, so past point 0 the shapes of a point replay with distinct
+// engine seeds. At point 0 every offset is zero: each shape's engine
+// seed is Seed, as is the workload seed, so point 0's shapes share
+// common random numbers (the same network streams per site).
 const workloadSeedStride = 7919
 
 var shapeSeedStrides = [...]int64{104729, 1299709, 15485863, 32452843}

@@ -21,7 +21,6 @@ type Stream struct {
 	m2   float64
 	min  float64
 	max  float64
-	sum  float64
 }
 
 // Add records one observation.
@@ -37,17 +36,9 @@ func (s *Stream) Add(x float64) {
 			s.max = x
 		}
 	}
-	s.sum += x
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
 	s.m2 += delta * (x - s.mean)
-}
-
-// AddN records the same observation n times.
-func (s *Stream) AddN(x float64, n int64) {
-	for i := int64(0); i < n; i++ {
-		s.Add(x)
-	}
 }
 
 // Merge folds other into s, as if every observation of other had been
@@ -66,7 +57,6 @@ func (s *Stream) Merge(other *Stream) {
 	s.m2 += other.m2 + delta*delta*n1*n2/tot
 	s.mean += delta * n2 / tot
 	s.n += other.n
-	s.sum += other.sum
 	if other.min < s.min {
 		s.min = other.min
 	}
@@ -80,9 +70,6 @@ func (s *Stream) Reset() { *s = Stream{} }
 
 // N returns the number of observations recorded.
 func (s *Stream) N() int64 { return s.n }
-
-// Sum returns the sum of all observations.
-func (s *Stream) Sum() float64 { return s.sum }
 
 // Mean returns the arithmetic mean, or 0 for an empty stream.
 func (s *Stream) Mean() float64 {
@@ -99,14 +86,6 @@ func (s *Stream) Variance() float64 {
 		return 0
 	}
 	return s.m2 / float64(s.n-1)
-}
-
-// PopVariance returns the population (biased) variance.
-func (s *Stream) PopVariance() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.m2 / float64(s.n)
 }
 
 // StdDev returns the sample standard deviation.
@@ -202,14 +181,6 @@ func (r *RateCounter) Rate() float64 {
 	return float64(r.events) / (r.end - r.start)
 }
 
-// Span returns the observed time span (end - start).
-func (r *RateCounter) Span() float64 {
-	if !r.init {
-		return 0
-	}
-	return r.end - r.start
-}
-
 // TimeWeighted tracks the time-average of a piecewise-constant quantity,
 // such as queue length or the number of busy servers. Call Set every time
 // the quantity changes; Finish before reading the average.
@@ -265,9 +236,6 @@ func (w *TimeWeighted) Average() float64 {
 	}
 	return w.area / (w.lastT - w.start)
 }
-
-// Current returns the current value of the tracked quantity.
-func (w *TimeWeighted) Current() float64 { return w.value }
 
 // Max returns the maximum value observed.
 func (w *TimeWeighted) Max() float64 { return w.maxVal }
