@@ -220,17 +220,16 @@ func exactBytesPerServed(t *testing.T, topo cluster.Topology) float64 {
 
 // TestOneTierExactAllocCeiling fails when a one-tier Exact run gains a
 // duplicate latency collector. An Exact collector that receives every
-// served request costs about 40 B per request: 8 B per value, several
-// times over as append regrows its sample. The edge collects three
-// digests per served request (its tier, the home site and the station
-// wait) and the cloud two (its tier and the station wait); the run
-// aggregates and the one-station tier wait share those. On this spec a
-// separate run aggregate plus wait copies made at harvest allocated
-// 206 B (edge) and 146 B (cloud) per served request; sharing them
-// allocates 121 B and 87 B. One more collector would cross either
-// ceiling.
+// served request costs 8 B per request: its sample fills fixed blocks
+// that are never regrown or copied. The edge collects three digests per
+// served request (its tier, the home site and the station wait) and the
+// cloud two (its tier and the station wait); the edge tier's wait is one
+// harvest merge of its five stations', 8 B per request more, and the
+// run aggregates share the tier's. On this spec that allocates 34 B
+// (edge) and 17 B (cloud) per served request; one more collector, 8 B
+// more, would cross either ceiling.
 func TestOneTierExactAllocCeiling(t *testing.T) {
-	ceilings := map[string]float64{"pair-edge": 150, "pair-cloud": 115}
+	ceilings := map[string]float64{"pair-edge": 39, "pair-cloud": 22}
 	for _, topo := range pairTopologies(t) {
 		got := exactBytesPerServed(t, topo)
 		t.Logf("%s: %.0f B allocated per served request", topo.Name, got)
@@ -244,11 +243,11 @@ func TestOneTierExactAllocCeiling(t *testing.T) {
 // TestMultiTierExactAllocCeiling fails when a multi-tier Exact run adds
 // a served request to more than one end-to-end collector plus its home
 // site's. The edge-with-overflow topology collects its tier cell, the
-// home-site digest and the station wait per served request, and derives
-// the run aggregate at harvest as one merge that allocates 8 B per
-// request once. On this spec that allocates 131 B per served request;
-// a run aggregate grown in completion order, an Exact sample regrown by
-// append, allocated 166 B and would cross the ceiling.
+// home-site digest and the station wait per served request, 8 B each,
+// and derives the run aggregate at harvest as one merge that allocates
+// 8 B per request once; the edge tier's and the run's waits are merged
+// the same way. On this spec that allocates 49 B per served request;
+// one more collector, 8 B more, would cross the ceiling.
 func TestMultiTierExactAllocCeiling(t *testing.T) {
 	topo, err := cluster.ParseTopology([]byte(overflowSpec))
 	if err != nil {
@@ -256,7 +255,7 @@ func TestMultiTierExactAllocCeiling(t *testing.T) {
 	}
 	got := exactBytesPerServed(t, topo)
 	t.Logf("%s: %.0f B allocated per served request", topo.Name, got)
-	const ceiling = 150.0
+	const ceiling = 54.0
 	if got > ceiling {
 		t.Errorf("%s: %.0f B allocated per served request, ceiling %.0f B: a multi-tier Exact run adds a request to a collector harvest should derive",
 			topo.Name, got, ceiling)

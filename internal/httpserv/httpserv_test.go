@@ -21,18 +21,24 @@ func newTestServer(workers int) (*InferenceServer, *httptest.Server) {
 
 func get(t *testing.T, url, svcHeader string) *http.Response {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if svcHeader != "" {
-		req.Header.Set(ServiceTimeHeader, svcHeader)
-	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := request(url, svcHeader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return resp
+}
+
+// request sends one GET, optionally naming its service time; unlike
+// get it may run off the test goroutine.
+func request(url, svcHeader string) (*http.Response, error) {
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	if svcHeader != "" {
+		req.Header.Set(ServiceTimeHeader, svcHeader)
+	}
+	return http.DefaultClient.Do(req)
 }
 
 func TestInferenceServerBasic(t *testing.T) {
@@ -107,23 +113,62 @@ func TestFCFSQueueing(t *testing.T) {
 	}
 }
 
+// overlapExecutor holds each execution until want executions are in
+// flight at once, or until a generous timeout, so a test can tell
+// concurrent execution from serial execution without timing the host.
+type overlapExecutor struct {
+	want       int
+	mu         sync.Mutex
+	inFlight   int
+	once       sync.Once
+	overlapped chan struct{} // closed once want executions overlap
+}
+
+func (e *overlapExecutor) Execute(time.Duration) {
+	e.mu.Lock()
+	e.inFlight++
+	if e.inFlight == e.want {
+		e.once.Do(func() { close(e.overlapped) })
+	}
+	e.mu.Unlock()
+	select {
+	case <-e.overlapped:
+	case <-time.After(10 * time.Second):
+	}
+	e.mu.Lock()
+	e.inFlight--
+	e.mu.Unlock()
+}
+
 // TestParallelWorkers: two workers execute two requests concurrently.
+// Each execution waits for the other, so the test checks overlap, not
+// how busy the machine is; one worker would time out instead.
 func TestParallelWorkers(t *testing.T) {
-	_, ts := newTestServer(2)
+	srv, ts := newTestServer(2)
 	defer ts.Close()
+	ex := &overlapExecutor{want: 2, overlapped: make(chan struct{})}
+	srv.Executor = ex
 	var wg sync.WaitGroup
-	start := time.Now()
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp := get(t, ts.URL, "0.050")
+			resp, err := request(ts.URL, "0.050")
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("status = %d", resp.StatusCode)
+			}
 		}()
 	}
 	wg.Wait()
-	if d := time.Since(start); d > 95*time.Millisecond {
-		t.Errorf("two workers should parallelize: took %v", d)
+	select {
+	case <-ex.overlapped:
+	default:
+		t.Error("two workers never executed two requests at once")
 	}
 }
 

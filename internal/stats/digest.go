@@ -7,8 +7,10 @@ type Mode int
 
 const (
 	// Exact retains every observation in a Sample: exact quantiles,
-	// O(N) memory. The right choice for small runs and for figures that
-	// need full distributions (box-plot outliers, violin curves).
+	// 8 B per observation, held in fixed blocks until the first
+	// quantile read folds them into one slice. The right choice for
+	// small runs and for figures that need full distributions (box-plot
+	// outliers, violin curves).
 	Exact Mode = iota
 	// Bounded keeps running moments via Stream plus a mergeable
 	// log-linear bucket sketch: every quantile lies within 2⁻⁷ ≈ 0.78%
@@ -46,8 +48,9 @@ type Digest struct {
 	sketch *sketch // Bounded mode
 }
 
-// NewDigest returns a digest in the given mode. In Exact mode sizeHint
-// pre-allocates the retained sample (0 is fine); Bounded ignores it.
+// NewDigest returns a digest in the given mode. In Exact mode a positive
+// sizeHint sizes the sample's first block, so up to sizeHint
+// observations fold without a copy (0 is fine); Bounded ignores it.
 func NewDigest(mode Mode, sizeHint int) Digest {
 	d := Digest{mode: mode}
 	if mode == Exact && sizeHint > 0 {

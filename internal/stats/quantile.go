@@ -9,99 +9,152 @@ import (
 // experiment sizes used in edgebench (10⁴–10⁶ latencies) exact quantiles
 // are affordable and avoid approximation error in tail-latency figures.
 // The zero value is ready to use.
+//
+// Add writes into fixed blocks that never regrow: they double from
+// firstBlock values up to blockCap, and a full block is kept, not
+// copied, so a sample of N values allocates 8·N bytes plus one partly
+// filled block. The first read (Values, Quantile, Mean, StdDev) folds
+// the blocks into one slice in insertion order, once; Values and
+// Quantile then sort that slice in place. Merge copies another sample's
+// blocks without folding it.
 type Sample struct {
-	xs     []float64
-	sorted bool
+	xs     []float64   // the open block; after a fold, every value
+	full   [][]float64 // filled blocks before xs, in insertion order
+	sorted bool        // xs is sorted and full is empty
 }
 
-// NewSample returns a Sample with capacity pre-allocated for n values.
+// Block sizes, in values: the first block a Sample allocates, and the
+// size at which doubling stops. 4096 values are 32 KB, the largest block
+// the allocator serves from its per-CPU caches, and they bound the
+// unused tail of a collector's open block.
+const (
+	firstBlock = 8
+	blockCap   = 4096
+)
+
+// NewSample returns a Sample whose first block holds n values.
 func NewSample(n int) *Sample { return &Sample{xs: make([]float64, 0, n)} }
 
 // Add records one observation.
 func (s *Sample) Add(x float64) {
+	if len(s.xs) == cap(s.xs) {
+		s.grow()
+	}
 	s.xs = append(s.xs, x)
 	s.sorted = false
 }
 
+// grow files the full open block and opens the next one.
+func (s *Sample) grow() {
+	if cap(s.xs) > 0 {
+		s.full = append(s.full, s.xs)
+	}
+	s.xs = make([]float64, 0, min(max(2*cap(s.xs), firstBlock), blockCap))
+}
+
 // AddAll records a batch of observations.
 func (s *Sample) AddAll(xs []float64) {
-	s.xs = append(s.xs, xs...)
+	for len(xs) > 0 {
+		if len(s.xs) == cap(s.xs) {
+			s.grow()
+		}
+		k := min(len(xs), cap(s.xs)-len(s.xs))
+		s.xs = append(s.xs, xs[:k]...)
+		xs = xs[k:]
+	}
 	s.sorted = false
 }
 
-// Merge folds the observations of other into s.
+// Merge appends the observations of other to s, copying other's blocks
+// as they are: other is neither folded nor changed.
 func (s *Sample) Merge(other *Sample) {
-	s.xs = append(s.xs, other.xs...)
-	s.sorted = false
+	full, xs := other.full, other.xs // read before s grows: other may be s
+	for _, b := range full {
+		s.AddAll(b)
+	}
+	s.AddAll(xs)
 }
 
 // N returns the number of observations.
-func (s *Sample) N() int { return len(s.xs) }
+func (s *Sample) N() int {
+	n := len(s.xs)
+	for _, b := range s.full {
+		n += len(b)
+	}
+	return n
+}
+
+// fold gathers the blocks into the one slice every read uses, keeping
+// insertion order, and returns it.
+func (s *Sample) fold() []float64 {
+	if s.full != nil {
+		xs := make([]float64, 0, s.N())
+		for _, b := range s.full {
+			xs = append(xs, b...)
+		}
+		s.xs = append(xs, s.xs...)
+		s.full = nil
+	}
+	return s.xs
+}
 
 // Values returns the observations sorted ascending. The returned slice is
 // owned by the Sample and must not be modified.
 func (s *Sample) Values() []float64 {
-	s.ensureSorted()
-	return s.xs
-}
-
-func (s *Sample) ensureSorted() {
+	xs := s.fold()
 	if !s.sorted {
-		sort.Float64s(s.xs)
+		sort.Float64s(xs)
 		s.sorted = true
 	}
+	return xs
 }
 
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) using linear
 // interpolation between order statistics (type-7, the R/NumPy default).
 // It returns 0 for an empty sample.
 func (s *Sample) Quantile(q float64) float64 {
-	n := len(s.xs)
-	if n == 0 {
+	xs := s.Values()
+	n := len(xs)
+	switch {
+	case n == 0:
 		return 0
+	case n == 1 || q <= 0:
+		return xs[0]
+	case q >= 1:
+		return xs[n-1]
 	}
-	if n == 1 {
-		return s.xs[0]
-	}
-	if q <= 0 {
-		s.ensureSorted()
-		return s.xs[0]
-	}
-	if q >= 1 {
-		s.ensureSorted()
-		return s.xs[n-1]
-	}
-	s.ensureSorted()
 	pos := q * float64(n-1)
 	lo := int(math.Floor(pos))
 	frac := pos - float64(lo)
 	if lo+1 >= n {
-		return s.xs[n-1]
+		return xs[n-1]
 	}
-	return s.xs[lo]*(1-frac) + s.xs[lo+1]*frac
+	return xs[lo]*(1-frac) + xs[lo+1]*frac
 }
 
 // Mean returns the arithmetic mean of the sample.
 func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
+	xs := s.fold()
+	if len(xs) == 0 {
 		return 0
 	}
 	var sum float64
-	for _, x := range s.xs {
+	for _, x := range xs {
 		sum += x
 	}
-	return sum / float64(len(s.xs))
+	return sum / float64(len(xs))
 }
 
 // StdDev returns the sample standard deviation.
 func (s *Sample) StdDev() float64 {
-	n := len(s.xs)
+	xs := s.fold()
+	n := len(xs)
 	if n < 2 {
 		return 0
 	}
 	m := s.Mean()
 	var m2 float64
-	for _, x := range s.xs {
+	for _, x := range xs {
 		d := x - m
 		m2 += d * d
 	}
@@ -117,8 +170,9 @@ func (s *Sample) P95() float64 { return s.Quantile(0.95) }
 // P99 returns the 99th percentile.
 func (s *Sample) P99() float64 { return s.Quantile(0.99) }
 
-// Reset discards all observations, keeping the backing array.
+// Reset discards all observations, keeping the open block.
 func (s *Sample) Reset() {
 	s.xs = s.xs[:0]
+	s.full = nil
 	s.sorted = true
 }

@@ -142,6 +142,11 @@ func (s *sketch) addAll(smp *Sample) {
 	if smp == nil {
 		return
 	}
+	for _, b := range smp.full {
+		for _, x := range b {
+			s.add(x)
+		}
+	}
 	for _, x := range smp.xs {
 		s.add(x)
 	}
