@@ -22,7 +22,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/lb"
 	"repro/internal/netem"
-	"repro/internal/stats"
 	"repro/internal/theory"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -407,7 +406,7 @@ func BenchmarkStream100M(b *testing.B) {
 	var mean float64
 	for i := 0; i < b.N; i++ {
 		res, err := cluster.Run(cluster.Stream(spec), topo, cluster.Options{
-			Warmup: 100, Seed: 72, Summary: stats.Bounded, NoPerSiteLatency: true,
+			Warmup: 100, Seed: 72, NoPerSiteLatency: true,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -476,7 +475,7 @@ func BenchmarkShowcaseMillionSites(b *testing.B) {
 	}
 	const shards = 4
 	opts := cluster.Options{
-		Warmup: 2, Seed: 98, Summary: stats.Bounded, NoPerSiteLatency: true,
+		Warmup: 2, Seed: 98, NoPerSiteLatency: true,
 	}
 	b.ReportAllocs()
 	resetPeakRSS()

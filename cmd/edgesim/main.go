@@ -18,9 +18,9 @@
 //	compile   -compile: convert a -trace/-azure file and exit
 //
 // Every mode but compile can generate its workload, streamed while it
-// replays (so -duration can describe 10⁸+ requests; pair with -summary
-// bounded); topology and sweep runs can replay a recorded -trace or
-// -azure file instead:
+// replays into bounded-memory latency summaries (so -duration can
+// describe 10⁸+ requests); topology and sweep runs can replay a recorded
+// -trace or -azure file instead:
 //
 //	edgesim -topology edge-regional-cloud -shards 4 -rate 11
 //	edgesim -topology edge-regional-cloud -trace requests.csv
@@ -144,7 +144,7 @@ var flagContexts = map[string]contexts{
 	"duration": generations, "arrival-scv": generations, "service-scv": generations,
 	"sites": pairedGen | topologyGen | gridGen, "servers": pairedGen | topologyGen, "rate": pairedGen | topologyGen,
 	// Every replay.
-	"warmup": replays, "summary": replays, "cpuprofile": replays, "memprofile": replays,
+	"warmup": replays, "cpuprofile": replays, "memprofile": replays,
 	"seed": replays | compileAzure,
 	// The paired deployment; a topology spec sets each of these per tier.
 	"policy": pairedGen, "edge-slowdown": pairedGen, "jockey": pairedGen, "detour-ms": pairedGen,
@@ -188,16 +188,15 @@ type options struct {
 	rate, duration, warmup, arrivalSCV, serviceSCV                               float64
 	slowdown, detourMs, rejectPenalty, azureBin                                  float64
 	seed                                                                         int64
-	scenario, summaryName, policy, skew, topology, scaler, admit, sweep          string
+	scenario, policy, skew, topology, scaler, admit, sweep                       string
 	trace, azure, compile, grid, gridBudgets, gridDepths                         string
 	cpuprofile, memprofile                                                       string
 	verbose                                                                      bool
 
-	set     map[string]bool // the flags given on the command line
-	sc      netem.Scenario
-	model   app.InferenceModel
-	summary stats.Mode
-	topo    cluster.Topology // topology and sweep mode
+	set   map[string]bool // the flags given on the command line
+	sc    netem.Scenario
+	model app.InferenceModel
+	topo  cluster.Topology // topology and sweep mode
 }
 
 // cli is edgesim's flags, registered on flag.CommandLine.
@@ -224,8 +223,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.Float64Var(&o.detourMs, "detour-ms", 5, `extra RTT for jockeyed requests in ms (a topology spec sets a home-routed tier's "detourMs")`)
 	fs.StringVar(&o.skew, "skew", "", "comma-separated per-site weights (e.g. 5,2,1,1,1); graph replays generate uniform per-site load")
 	fs.IntVar(&o.queueCap, "queue-cap", 0, `bound each queue at this many waiting requests, 0=unbounded (a topology spec sets a tier's "queueCap")`)
-	fs.StringVar(&o.summaryName, "summary", "exact", "latency summary memory model: exact (retain every sample) | bounded (streaming moments + "+
-		"a mergeable log-bucket sketch, quantiles within 0.78%, for huge replays)")
 	fs.IntVar(&o.autoscaleMax, "autoscale-max", 0, "also run an autoscaled edge growing each site up to this many servers (0=off); "+
 		"with -scaler, only sets that scaler's upper bound (under -topology it requires -scaler)")
 	fs.IntVar(&o.overflowAt, "overflow-at", 0, `also run a hierarchical edge overflowing to the cloud at this site load, 0=off (a topology spec sets a spill edge's "threshold")`)
@@ -334,14 +331,6 @@ func main() {
 	var ok bool
 	if o.sc, ok = netem.ScenarioByName(o.scenario); !ok {
 		fail("unknown -scenario %q (want one of %v)", o.scenario, scenarioNames())
-	}
-	switch o.summaryName {
-	case "exact":
-		o.summary = stats.Exact
-	case "bounded":
-		o.summary = stats.Bounded
-	default:
-		fail("unknown -summary %q (want exact|bounded)", o.summaryName)
 	}
 	if o.policy != cluster.CentralQueueDispatch && !lb.Known(o.policy) {
 		fail("unknown -policy %q (want %s or one of %v)",
@@ -494,8 +483,7 @@ func runPaired(o *options) {
 	sc := o.sc
 	variant := func(name string, seed int64, perSiteLatency bool, tiers ...cluster.Tier) cluster.Variant {
 		return cluster.Variant{Label: name, Topology: cluster.Topology{Name: name, Tiers: tiers},
-			Opts: cluster.Options{Warmup: o.warmup, Seed: seed, Summary: o.summary,
-				NoPerSiteLatency: !perSiteLatency}}
+			Opts: cluster.Options{Warmup: o.warmup, Seed: seed, NoPerSiteLatency: !perSiteLatency}}
 	}
 	edgeTier := cluster.Tier{
 		Name: "edge", Sites: o.sites, ServersPerSite: o.servers, Path: sc.Edge,
@@ -742,11 +730,12 @@ func parseAdmitSpec(arg string) (admit.Spec, error) {
 // prints aggregate and per-tier latency/spill/drop/cost metrics. The
 // workload is generated on the fly from the rate flags, or decoded row
 // by row from a -trace / -azure file; nothing trace-sized is ever held,
-// so -duration can describe 10⁸+ requests on a laptop (pair with
-// -summary bounded). With a positive shard resolution the replay fans
-// out across engines via cluster.RunPipelined, bit-identical for every
-// shard count; the single engine generates on one worker per CPU
-// (cluster.ParallelStream, bit-identical to the serial generator).
+// and the latency summaries are bounded-memory sketches, so -duration
+// can describe 10⁸+ requests on a laptop. With a positive shard
+// resolution the replay fans out across engines via
+// cluster.RunPipelined, bit-identical for every shard count; the single
+// engine generates on one worker per CPU (cluster.ParallelStream,
+// bit-identical to the serial generator).
 func runTopology(o *options) {
 	topo := o.topo
 	setting := o.shards
@@ -776,11 +765,7 @@ func runTopology(o *options) {
 			perSite = ingress.ServersPerSite
 		}
 	}
-	opts := cluster.Options{
-		Warmup:  o.warmup,
-		Seed:    o.seed + 1,
-		Summary: o.summary,
-	}
+	opts := cluster.Options{Warmup: o.warmup, Seed: o.seed + 1}
 	if o.rejectPenalty != 0 {
 		pricing := econ.DefaultPricing()
 		pricing.RejectPenalty = o.rejectPenalty
@@ -1027,7 +1012,6 @@ func runTopologySweepCLI(o *options) {
 		Seed:       o.seed,
 		Model:      o.model,
 		ArrivalSCV: o.arrivalSCV,
-		Summary:    o.summary,
 		Rivals:     []cluster.Topology{baseline},
 	}
 	if o.replaysFile() {
@@ -1134,7 +1118,6 @@ func runGridCLI(o *options) {
 		Seed:         o.seed,
 		Model:        o.model,
 		ArrivalSCV:   o.arrivalSCV,
-		Summary:      o.summary,
 	})
 	if err != nil {
 		die("-grid: %v", err)

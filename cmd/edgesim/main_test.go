@@ -93,7 +93,7 @@ func TestCheckGridFlags(t *testing.T) {
 	runCheckFlagsCases(t, []checkFlagsCase{
 		{"grid-defaults", gridGen, cluster.Topology{}, 5, nil, ""},
 		{"grid-flags-accepted", gridGen, cluster.Topology{}, 5, []string{"grid-budgets", "grid-depths", "grid-reps", "sites",
-			"duration", "warmup", "seed", "arrival-scv", "service-scv", "summary"}, ""},
+			"duration", "warmup", "seed", "arrival-scv", "service-scv"}, ""},
 		{"grid-skew", gridGen, cluster.Topology{}, 5, []string{"skew"}, "-skew"},
 		{"grid-policy", gridGen, cluster.Topology{}, 5, []string{"policy"}, "-policy"},
 		{"grid-jockey", gridGen, cluster.Topology{}, 5, []string{"jockey"}, "-jockey"},

@@ -38,17 +38,12 @@ func main() {
 	duration := flag.Float64("duration", 600, "simulated seconds per sweep point")
 	seed := flag.Int64("seed", 42, "random seed")
 	csvDir := flag.String("csv", "", "directory to write CSV series into (optional)")
-	workers := flag.Int("workers", 0, "worker pool size for sweep points and replications (0 = all CPUs, 1 = serial)")
 	flag.Parse()
-	for _, err := range []error{checkFig(*fig), checkNumbers(*duration, *workers)} {
+	for _, err := range []error{checkFig(*fig), checkNumbers(*duration)} {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "figures:", err)
 			os.Exit(2)
 		}
-	}
-
-	if *workers > 0 {
-		experiments.DefaultWorkers = *workers
 	}
 
 	if *csvDir != "" {
@@ -112,13 +107,10 @@ func checkFig(name string) error {
 }
 
 // checkNumbers rejects a -duration that is not a positive, finite
-// number of seconds and a negative -workers.
-func checkNumbers(duration float64, workers int) error {
+// number of seconds.
+func checkNumbers(duration float64) error {
 	if !(duration > 0) || math.IsInf(duration, 1) {
 		return fmt.Errorf("-duration %v must be a positive, finite number of seconds", duration)
-	}
-	if workers < 0 {
-		return fmt.Errorf("-workers %d must be 0 (all CPUs) or positive", workers)
 	}
 	return nil
 }
@@ -167,7 +159,7 @@ func admissionCost(duration float64, seed int64, csvDir string) {
 			label = fmt.Sprintf("rate=%g", r)
 		}
 		variants[i] = cluster.Variant{Label: label, Topology: topology(r),
-			Opts: cluster.Options{Seed: seed + 1, Pricing: &pricing, Summary: stats.Bounded}}
+			Opts: cluster.Options{Seed: seed + 1, Pricing: &pricing}}
 	}
 	spec := cluster.GenSpec{Sites: sites, Duration: duration, PerSiteRate: offered, Seed: seed}
 	if err := spec.Validate(); err != nil {

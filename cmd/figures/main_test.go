@@ -41,26 +41,24 @@ func TestCheckFig(t *testing.T) {
 func TestCheckNumbers(t *testing.T) {
 	for _, tc := range []struct {
 		duration float64
-		workers  int
-		flag     string // "" when the pair is valid
+		flag     string // "" when the value is valid
 	}{
-		{600, 0, ""},
-		{0.5, 4, ""},
-		{-5, 0, "-duration"},
-		{0, 0, "-duration"},
-		{math.NaN(), 0, "-duration"},
-		{math.Inf(1), 0, "-duration"},
-		{60, -1, "-workers"},
+		{600, ""},
+		{0.5, ""},
+		{-5, "-duration"},
+		{0, "-duration"},
+		{math.NaN(), "-duration"},
+		{math.Inf(1), "-duration"},
 	} {
-		err := checkNumbers(tc.duration, tc.workers)
+		err := checkNumbers(tc.duration)
 		if tc.flag == "" {
 			if err != nil {
-				t.Errorf("checkNumbers(%v, %d) = %v, want nil", tc.duration, tc.workers, err)
+				t.Errorf("checkNumbers(%v) = %v, want nil", tc.duration, err)
 			}
 			continue
 		}
 		if err == nil || !strings.Contains(err.Error(), tc.flag) {
-			t.Errorf("checkNumbers(%v, %d) = %v, want an error naming %s", tc.duration, tc.workers, err, tc.flag)
+			t.Errorf("checkNumbers(%v) = %v, want an error naming %s", tc.duration, err, tc.flag)
 		}
 	}
 }

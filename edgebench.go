@@ -48,7 +48,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/netem"
-	"repro/internal/stats"
 	"repro/internal/theory"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -120,11 +119,6 @@ type ScalerSpec = autoscale.Spec
 // other dispatch values are the lb policy names (round-robin,
 // least-connections, power-of-two, random).
 const CentralQueue = cluster.CentralQueueDispatch
-
-// BoundedSummary (for TopologyOptions.Summary) keeps streaming moments
-// and a mergeable log-bucket sketch whose quantiles lie within 0.78% of
-// the exact ones, so a run's memory does not grow with its length.
-const BoundedSummary = stats.Bounded
 
 // Simulation entry points. Stream generates a spec's records on the
 // fly in O(sites) memory; RunTopology replays them through one

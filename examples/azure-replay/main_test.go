@@ -38,12 +38,12 @@ func Example() {
 	// 10 of 20 minutes showed performance inversion.
 	//
 	// Per-site latency spread (the paper's Figure 10):
-	//   Edge 1   median   93.1 ms   q3  136.2 ms   whisker   235.3 ms
-	//   Edge 2   median   83.4 ms   q3  109.8 ms   whisker   176.8 ms
-	//   Edge 3   median   80.8 ms   q3  103.7 ms   whisker   164.9 ms
-	//   Edge 4   median   80.4 ms   q3  100.9 ms   whisker   158.4 ms
-	//   Edge 5   median  122.9 ms   q3  351.4 ms   whisker   760.0 ms
-	//   Cloud    median  101.2 ms   q3  118.0 ms   whisker   166.2 ms
+	//   Edge 1   median   93.3 ms   q3  135.7 ms   whisker   234.6 ms
+	//   Edge 2   median   83.5 ms   q3  109.9 ms   whisker   177.2 ms
+	//   Edge 3   median   80.6 ms   q3  104.0 ms   whisker   165.5 ms
+	//   Edge 4   median   80.6 ms   q3  101.1 ms   whisker   158.2 ms
+	//   Edge 5   median  122.6 ms   q3  351.6 ms   whisker   761.0 ms
+	//   Cloud    median  101.1 ms   q3  117.7 ms   whisker   166.0 ms
 	//
-	// overall: edge mean 562.6 ms vs cloud mean 103.5 ms; edge p95 3353.3 ms vs cloud p95 148.1 ms
+	// overall: edge mean 562.6 ms vs cloud mean 103.5 ms; edge p95 3359.4 ms vs cloud p95 147.5 ms
 }

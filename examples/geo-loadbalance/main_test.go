@@ -7,9 +7,9 @@ func Example() {
 	// Output:
 	// skewed workload: per-site shares [49% 21% 13% 9% 7%], aggregate 39.0 req/s (60% of capacity)
 	//
-	// edge (no balancing)    mean 71046.5 ms   p95 244630.6 ms
-	// edge (geographic LB)   mean   128.1 ms   p95    242.9 ms
-	// cloud (5 servers)      mean   109.1 ms   p95    162.5 ms
+	// edge (no balancing)    mean 71046.5 ms   p95 245000.0 ms
+	// edge (geographic LB)   mean   128.1 ms   p95    243.2 ms
+	// cloud (5 servers)      mean   109.1 ms   p95    163.1 ms
 	//
 	// geographic LB redirected 4573 requests (19.6% of the workload)
 	//

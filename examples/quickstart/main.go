@@ -70,12 +70,12 @@ func main() {
 	}
 
 	// Scale without the trace: Stream generates the spec on the fly in
-	// O(sites) memory, and BoundedSummary keeps the collectors O(1), so
-	// the same run shape works unchanged at 10⁸ requests (see
-	// `edgesim -topology ... -summary bounded`). Replaying the identical
-	// spec+seed again reproduces the edge numbers exactly.
+	// O(sites) memory, and the latency collectors are bounded sketches,
+	// so the same run shape works unchanged at 10⁸ requests (see
+	// `edgesim -topology ...`). Replaying the identical spec+seed again
+	// reproduces the edge numbers exactly.
 	streamed, err := edgebench.RunTopology(edgebench.Stream(spec), edgeTopo,
-		edgebench.TopologyOptions{Warmup: 60, Seed: 2, Summary: edgebench.BoundedSummary})
+		edgebench.TopologyOptions{Warmup: 60, Seed: 2})
 	if err != nil {
 		panic(err)
 	}

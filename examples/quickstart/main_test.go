@@ -6,8 +6,8 @@ func Example() {
 	main()
 	// Output:
 	// analytic cutoff utilization (exact M/M): 24%
-	// edge : mean 101.4 ms   p95  197.2 ms   (utilization 62%)
-	// cloud: mean 105.8 ms   p95  152.0 ms
+	// edge : mean 101.4 ms   p95  196.3 ms   (utilization 62%)
+	// cloud: mean 105.8 ms   p95  151.4 ms
 	// => tail inversion: the edge still wins on mean, but its p95 is already
 	//    worse than the cloud's — the paper's Figure 5 effect.
 	//

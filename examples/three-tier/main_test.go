@@ -7,9 +7,9 @@ func Example() {
 	// Output:
 	// skewed workload: 48.8 req/s aggregate, hottest site 46%
 	//
-	// edge (5x2)                   mean   151.7 ms   p95    472.0 ms
-	// cloud (10)                   mean   103.5 ms   p95    147.4 ms
-	// edge+regional+cloud (5+2+3)  mean   129.7 ms   p95    242.4 ms
+	// edge (5x2)                   mean   151.7 ms   p95    470.7 ms
+	// cloud (10)                   mean   103.5 ms   p95    147.5 ms
+	// edge+regional+cloud (5+2+3)  mean   129.7 ms   p95    243.2 ms
 	//
 	// where the chain served its requests:
 	//   edge      served 20183 (76.1%)  spilled on  7025  mean   136.5 ms

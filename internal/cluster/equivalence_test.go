@@ -37,7 +37,6 @@ type edgeConfig struct {
 	DetourRTT       float64
 	PerSiteServers  []int
 	TimelineBin     float64
-	Summary         stats.Mode
 }
 
 // topology is the one-tier topology equivalent to the seed's edge.
@@ -150,20 +149,29 @@ func replay(t testing.TB, tr *WorkloadTrace, topo Topology, opts Options) *Topol
 	return res
 }
 
+// The seed runners and the Run options equivalent to their configs
+// collect with exact digests, the reference the bounded sketch is
+// checked against: equal quantiles then mean equal observations.
+
+// exactResult is an oracle's empty result, with exact digests.
+func exactResult(label string) Result {
+	return Result{Label: label, EndToEnd: stats.NewDigest(stats.Exact, 0), Wait: stats.NewDigest(stats.Exact, 0)}
+}
+
 // options are the Run options equivalent to the seed edge config.
 func (c edgeConfig) options() Options {
-	return Options{Warmup: c.Warmup, Seed: c.Seed, Summary: c.Summary, TimelineBin: c.TimelineBin}
+	return Options{Warmup: c.Warmup, Seed: c.Seed, Summary: stats.Exact, TimelineBin: c.TimelineBin}
 }
 
 // options are the Run options equivalent to the seed cloud config.
 func (c cloudConfig) options() Options {
-	return Options{Warmup: c.Warmup, Seed: c.Seed, TimelineBin: c.TimelineBin}
+	return Options{Warmup: c.Warmup, Seed: c.Seed, Summary: stats.Exact, TimelineBin: c.TimelineBin}
 }
 
 // options are the Run options equivalent to the seed overflow config;
 // its per-site rows carried queueing metrics only.
 func (c overflowConfig) options() Options {
-	return Options{Warmup: c.Warmup, Seed: c.Seed, NoPerSiteLatency: true}
+	return Options{Warmup: c.Warmup, Seed: c.Seed, Summary: stats.Exact, NoPerSiteLatency: true}
 }
 
 // run replays tr through the equivalent edge topology.
@@ -208,6 +216,7 @@ func materializedRunEdge(tr *WorkloadTrace, cfg edgeConfig) *oracleResult {
 		stations[i] = queue.NewStation(eng, fmt.Sprintf("edge-%d", i), c, cfg.Discipline)
 		stations[i].QueueCap = cfg.QueueCap
 		stations[i].SetWarmup(cfg.Warmup)
+		stations[i].SetSummaryMode(stats.Exact)
 		servers[i] = stations[i]
 	}
 
@@ -216,11 +225,11 @@ func materializedRunEdge(tr *WorkloadTrace, cfg edgeConfig) *oracleResult {
 		geo = lb.NewGeographic(servers, cfg.JockeyThreshold, cfg.DetourRTT, routeStream(cfg.Seed, 0))
 	}
 
-	res := &oracleResult{Result: Result{Label: "edge"}}
+	res := &oracleResult{Result: exactResult("edge")}
 	if cfg.TimelineBin > 0 {
 		res.Timeline = stats.NewTimeSeries(0, cfg.TimelineBin)
 	}
-	perSiteE2E := make([]stats.Digest, cfg.Sites)
+	perSiteE2E := newDigests(stats.Exact, cfg.Sites)
 
 	slow := cfg.SlowdownFactor
 	if slow <= 0 {
@@ -310,6 +319,7 @@ func materializedRunCloud(tr *WorkloadTrace, cfg cloudConfig) *oracleResult {
 		st := queue.NewStation(eng, "cloud", cfg.Servers, cfg.Discipline)
 		st.QueueCap = cfg.QueueCap
 		st.SetWarmup(cfg.Warmup)
+		st.SetSummaryMode(stats.Exact)
 		stations = []*queue.Station{st}
 		dispatch = st.Arrive
 	default:
@@ -319,6 +329,7 @@ func materializedRunCloud(tr *WorkloadTrace, cfg cloudConfig) *oracleResult {
 			stations[i] = queue.NewStation(eng, fmt.Sprintf("cloud-%d", i), 1, cfg.Discipline)
 			stations[i].QueueCap = cfg.QueueCap
 			stations[i].SetWarmup(cfg.Warmup)
+			stations[i].SetSummaryMode(stats.Exact)
 			servers[i] = stations[i]
 		}
 		var d lb.Dispatcher
@@ -335,7 +346,7 @@ func materializedRunCloud(tr *WorkloadTrace, cfg cloudConfig) *oracleResult {
 		dispatch = d.Dispatch
 	}
 
-	res := &oracleResult{Result: Result{Label: "cloud"}}
+	res := &oracleResult{Result: exactResult("cloud")}
 	if cfg.TimelineBin > 0 {
 		res.Timeline = stats.NewTimeSeries(0, cfg.TimelineBin)
 	}
@@ -399,11 +410,15 @@ func materializedRunOverflow(tr *WorkloadTrace, cfg overflowConfig) *overflowOra
 	for i := range sites {
 		sites[i] = queue.NewStation(eng, fmt.Sprintf("edge-%d", i), cfg.ServersPerSite, queue.FCFS)
 		sites[i].SetWarmup(cfg.Warmup)
+		sites[i].SetSummaryMode(stats.Exact)
 	}
 	cloud := queue.NewStation(eng, "cloud-backstop", cfg.CloudServers, queue.FCFS)
 	cloud.SetWarmup(cfg.Warmup)
+	cloud.SetSummaryMode(stats.Exact)
 
-	res := &overflowOracle{oracleResult: oracleResult{Result: Result{Label: "edge+overflow"}}}
+	res := &overflowOracle{oracleResult: oracleResult{Result: exactResult("edge+overflow")},
+		EdgeOnly: stats.NewDigest(stats.Exact, 0), CloudOnly: stats.NewDigest(stats.Exact, 0),
+		InOrder: stats.NewDigest(stats.Exact, 0)}
 
 	var nextID uint64
 	for _, rec := range tr.Records {
@@ -684,17 +699,18 @@ func TestScalerTierMatchesLegacyReactiveConfig(t *testing.T) {
 	checkAutoscaled(t, "scaler-json", want, replay(t, tr, fromJSON, opts))
 }
 
-// TestBoundedSummaryConsistent: the bounded memory model must agree with
-// the exact one on counts and moments (identical Add sequences feed the
-// same Welford stream) and approximate its quantiles.
+// TestBoundedSummaryConsistent: the default bounded memory model must
+// agree with the exact reference on counts and moments (identical Add
+// sequences feed the same Welford stream) and approximate its quantiles.
 func TestBoundedSummaryConsistent(t *testing.T) {
 	tr := equivalenceTrace(104)
 	sc, _ := netem.ScenarioByName("typical-25ms")
 	base := edgeConfig{Sites: 5, ServersPerSite: 1, Path: sc.Edge, Warmup: 40, Seed: 13}
 	exact := base.run(t, tr)
-	bounded := base
-	bounded.Summary = stats.Bounded
-	got := bounded.run(t, tr)
+	got := replay(t, tr, base.topology(), Options{Warmup: base.Warmup, Seed: base.Seed})
+	if got.EndToEnd.Mode() != stats.Bounded || exact.EndToEnd.Mode() != stats.Exact {
+		t.Fatalf("modes: default run %s, reference %s", got.EndToEnd.Mode(), exact.EndToEnd.Mode())
+	}
 	if got.Completed != exact.Completed || got.EndToEnd.N() != exact.EndToEnd.N() {
 		t.Fatalf("bounded run lost observations: %d vs %d", got.Completed, exact.Completed)
 	}

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -133,11 +134,41 @@ func TestHarvestSharesSingleSourceDigests(t *testing.T) {
 	}
 }
 
+// sameModeEverywhere fails t unless every digest res collects is in
+// mode want: a digest an exact run left at its zero value reads as
+// bounded. A site's end-to-end digest is skipped when it holds nothing,
+// since only a home-routed entry tier reports per-site latency.
+func sameModeEverywhere(t *testing.T, label string, res *cluster.TopologyResult, want stats.Mode) {
+	t.Helper()
+	check := func(name string, d *stats.Digest) {
+		if d.Mode() != want {
+			t.Errorf("%s: %s is %s, want %s", label, name, d.Mode(), want)
+		}
+	}
+	check("EndToEnd", &res.EndToEnd)
+	check("Wait", &res.Wait)
+	for i := range res.Tiers {
+		tr := &res.Tiers[i]
+		check(tr.Name+" EndToEnd", &tr.EndToEnd)
+		check(tr.Name+" Wait", &tr.Wait)
+		for j := range tr.Sites {
+			check(fmt.Sprintf("%s site %d Wait", tr.Name, j), &tr.Sites[j].Wait)
+			if tr.Sites[j].EndToEnd.N() > 0 {
+				check(fmt.Sprintf("%s site %d EndToEnd", tr.Name, j), &tr.Sites[j].EndToEnd)
+			}
+		}
+		for c := range tr.Classes {
+			check(tr.Name+" class "+tr.Classes[c].Name, &tr.Classes[c].EndToEnd)
+		}
+	}
+}
+
 // TestAggregatesDeriveFromCells: every engine adds a served request to
 // one (tier, class) cell and derives the coarser digests at harvest, so
 // on every engine and in both summary modes the run aggregate is the
 // merge of the tiers in tier order, and a classed tier the merge of its
-// classes in rank order, bit for bit.
+// classes in rank order, bit for bit. Every digest of the result is in
+// the run's mode: Bounded from Options' zero Summary, Exact when named.
 func TestAggregatesDeriveFromCells(t *testing.T) {
 	topos := []cluster.Topology{deterministicTopology()}
 	for _, preset := range cluster.TopologyPresets() {
@@ -150,7 +181,10 @@ func TestAggregatesDeriveFromCells(t *testing.T) {
 	spec := cluster.GenSpec{Sites: 5, Duration: 200, PerSiteRate: 16, Seed: 9}
 	for _, topo := range topos {
 		for _, mode := range []stats.Mode{stats.Exact, stats.Bounded} {
-			opts := cluster.Options{Warmup: 20, Seed: 4, Summary: mode}
+			opts := cluster.Options{Warmup: 20, Seed: 4}
+			if mode == stats.Exact {
+				opts.Summary = stats.Exact
+			}
 			engines := []struct {
 				name string
 				run  func() (*cluster.TopologyResult, error)
@@ -179,6 +213,7 @@ func TestAggregatesDeriveFromCells(t *testing.T) {
 					t.Fatal(err)
 				}
 				label := topo.Name + " " + mode.String() + " " + e.name
+				sameModeEverywhere(t, label, res, mode)
 				tiers := make([]*stats.Digest, len(res.Tiers))
 				for i := range res.Tiers {
 					tr := &res.Tiers[i]

@@ -47,10 +47,8 @@ func (r *Result) P95Latency() float64 { return r.EndToEnd.P95() }
 // newDigests returns n empty digests in the given mode.
 func newDigests(mode stats.Mode, n int) []stats.Digest {
 	out := make([]stats.Digest, n)
-	if mode == stats.Bounded {
-		for i := range out {
-			out[i].SetBounded()
-		}
+	for i := range out {
+		out[i] = stats.NewDigest(mode, 0)
 	}
 	return out
 }

@@ -89,9 +89,9 @@ func TestShardCountInvariance(t *testing.T) {
 	}
 }
 
-// TestBoundedTailsMatchExact: a bounded-summary sharded replay of the
+// TestBoundedTailsMatchExact: a bounded sharded replay of the
 // edge-regional-cloud preset (200 s at 20 req/s per site, 60 s warmup)
-// reports the same tails as the exact-summary replay, within the
+// reports the same tails as the exact reference replay, within the
 // bounded digest's 1% error bound, at the aggregate and on every tier.
 // Every per-station and per-site digest reaches those figures through
 // cross-shard merges, which must not distort the mixture.

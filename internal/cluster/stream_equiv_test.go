@@ -11,7 +11,9 @@ package cluster_test
 // constant-bounded as the generated request count grows 10x/100x.
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -86,9 +88,9 @@ func streamScenarios(t *testing.T) map[string]func() cluster.GenSpec {
 			procs := make([]workload.ArrivalProcess, 4)
 			for i := range procs {
 				if i%2 == 0 {
-					procs[i] = workload.NewBatch(workload.NewRenewal(dist.Deterministic{Value: 1}), 7)
+					procs[i] = &batchArrivals{epochs: workload.NewRenewal(dist.Deterministic{Value: 1}), size: 7}
 				} else {
-					procs[i] = workload.NewBatch(workload.NewPoisson(2), 5)
+					procs[i] = &batchArrivals{epochs: workload.NewPoisson(2), size: 5}
 				}
 			}
 			return cluster.GenSpec{Sites: 4, Duration: 150, Seed: 24, Arrivals: procs}
@@ -101,6 +103,31 @@ func streamScenarios(t *testing.T) map[string]func() cluster.GenSpec {
 		},
 	}
 }
+
+// batchArrivals fires size simultaneous arrivals at every epoch of its
+// underlying process, so records of one site tie exactly on Time.
+type batchArrivals struct {
+	epochs  workload.ArrivalProcess
+	size    int
+	pending int
+	at      float64
+}
+
+func (b *batchArrivals) Next(t float64, rng *rand.Rand) (float64, bool) {
+	if b.pending > 0 {
+		b.pending--
+		return b.at, true
+	}
+	next, ok := b.epochs.Next(t, rng)
+	if !ok {
+		return 0, false
+	}
+	b.at, b.pending = next, b.size-1
+	return next, true
+}
+
+func (b *batchArrivals) Rate() float64  { return float64(b.size) * b.epochs.Rate() }
+func (b *batchArrivals) String() string { return fmt.Sprintf("batch(%d x %s)", b.size, b.epochs) }
 
 // TestStreamMatchesGenerateRecords: Stream yields Generate's record
 // sequence exactly, element for element, for every scenario family.
@@ -307,7 +334,7 @@ func TestStreamCalendarBounded(t *testing.T) {
 }
 
 // TestStreamMemoryBounded: allocation count and allocated bytes for a
-// full streamed bounded-summary replay stay constant-bounded as the
+// full streamed bounded replay stay constant-bounded as the
 // request count grows 10x and 100x — the resident-memory half of the
 // O(1) guarantee (the free list and digests stop growing once the
 // steady state is reached, so longer runs allocate no more).

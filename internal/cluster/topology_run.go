@@ -16,25 +16,25 @@ import (
 )
 
 // Options configures one topology run. The zero value replays with no
-// warmup, seed 0, exact latency summaries and no timeline.
+// warmup, seed 0, bounded latency summaries and no timeline.
 type Options struct {
 	// Warmup discards measurements for requests departing before this
 	// simulated time.
 	Warmup float64
 	// Seed derives every random stream of the run.
 	Seed int64
-	// Summary selects the latency-collection memory model: stats.Exact
-	// (the zero value) retains every observation for exact quantiles;
-	// stats.Bounded keeps per-collector state independent of the
-	// request count (running moments plus a mergeable log-bucket
-	// sketch, quantiles within 2⁻⁷ ≈ 0.78% relative error), the right
-	// choice for replays of millions of requests.
+	// Summary selects the latency-collection memory model.
+	// stats.Bounded (the zero value) keeps per-collector state
+	// independent of the request count: running moments plus a
+	// mergeable log-bucket sketch, quantiles within 2⁻⁷ ≈ 0.78%
+	// relative error. stats.Exact retains every observation, 8 B each,
+	// and serves as the reference the sketch is tested against.
 	Summary stats.Mode
 	// TimelineBin > 0 additionally collects a latency timeline with
 	// the given bin width.
 	TimelineBin float64
 	// NoPerSiteLatency skips the per-home-site end-to-end digests a
-	// home-routed entry tier otherwise collects, for long exact-mode
+	// home-routed entry tier otherwise collects, for many-site or exact
 	// replays whose caller only needs tier-level latency. It stops Run's
 	// sink and, on a sharded run, phase 2's from keeping a digest per
 	// site. A phase-1 shard keeps no per-site table either way: its

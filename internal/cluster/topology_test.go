@@ -170,7 +170,7 @@ func directRunEdgeAutoscaled(t *testing.T, tr *WorkloadTrace, cfg edgeConfig, as
 	stations := make([]*queue.Station, cfg.Sites)
 	for i := range stations {
 		stations[i] = newStation(eng, fmt.Sprintf("edge-%d", i), cfg.ServersPerSite,
-			cfg.Discipline, 0, cfg.Warmup, cfg.Summary, pool)
+			cfg.Discipline, 0, cfg.Warmup, stats.Exact, pool)
 	}
 	ctrl, err := autoscale.New(asSpec, eng, stations)
 	if err != nil {
@@ -178,7 +178,7 @@ func directRunEdgeAutoscaled(t *testing.T, tr *WorkloadTrace, cfg edgeConfig, as
 	}
 	ctrl.Start()
 
-	res := &autoscaleOracle{oracleResult: oracleResult{Result: Result{Label: "edge+autoscale", EndToEnd: stats.NewDigest(cfg.Summary, 0)}}}
+	res := &autoscaleOracle{oracleResult: oracleResult{Result: exactResult("edge+autoscale")}}
 	if cfg.TimelineBin > 0 {
 		res.Timeline = stats.NewTimeSeries(0, cfg.TimelineBin)
 	}

@@ -72,7 +72,7 @@ func RunFig6(duration float64, seed int64) ([]Fig6Scenario, error) {
 	}
 
 	out := make([]Fig6Scenario, len(setups))
-	err := forEachErr(len(setups), 0, func(i int) error {
+	err := forEachErr(len(setups), func(i int) error {
 		s := setups[i]
 		spec := cluster.GenSpec{
 			Sites:       5,

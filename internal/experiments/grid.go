@@ -8,7 +8,6 @@ import (
 	"repro/internal/app"
 	"repro/internal/cluster"
 	"repro/internal/netem"
-	"repro/internal/stats"
 )
 
 // Crossover grids: the full rate × capacity-budget × hierarchy-depth
@@ -50,11 +49,6 @@ type GridConfig struct {
 	Model  app.InferenceModel
 	// ArrivalSCV shapes inter-arrival variability (see GenSpec).
 	ArrivalSCV float64
-	Summary    stats.Mode
-	// Workers bounds the group-level worker pool: each worker claims
-	// whole (rate, replication) groups, so cells of a group always
-	// share one broadcast pass.
-	Workers int
 }
 
 // GridCell is one (rate, budget, depth) cell of the surface,
@@ -232,9 +226,9 @@ func gridBaseline(budget int) cluster.Topology {
 // distinct trace — one (rate, replication) pair — and each group's
 // budget × depth hierarchies plus per-budget pooled baselines replay
 // concurrently from one broadcast pass over a single generator source.
-// Groups are claimed by a bounded worker pool; every seed derives from
-// the group index alone, so the surface is byte-identical at any
-// Workers setting.
+// Groups are claimed by a pool of GOMAXPROCS workers; every seed
+// derives from the group index alone, so the surface is byte-identical
+// at any GOMAXPROCS.
 func RunGrid(cfg GridConfig) (GridResult, error) {
 	if cfg.Sites <= 0 {
 		cfg.Sites = 5
@@ -304,16 +298,12 @@ func RunGrid(cfg GridConfig) (GridResult, error) {
 		}
 	}
 	perGroup := make([][]*cluster.TopologyResult, groups)
-	err := forEachErr(groups, cfg.Workers, func(g int) error {
+	err := forEachErr(groups, func(g int) error {
 		rate := cfg.Rates[g/cfg.Replications]
 		vs := make([]cluster.Variant, len(variants))
 		copy(vs, variants)
 		for i := range vs {
-			vs[i].Opts = cluster.Options{
-				Warmup:  cfg.Warmup,
-				Seed:    cfg.Seed + int64(g)*104729,
-				Summary: cfg.Summary,
-			}
+			vs[i].Opts = cluster.Options{Warmup: cfg.Warmup, Seed: cfg.Seed + int64(g)*104729}
 		}
 		runs, err := cluster.RunBroadcast(cluster.Stream(specs[g]), vs, 0)
 		if err != nil {

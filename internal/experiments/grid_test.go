@@ -15,7 +15,6 @@ func smokeGridConfig() GridConfig {
 		Depths:   []int{1, 2},
 		Duration: 60,
 		Seed:     11,
-		Workers:  2,
 	}
 }
 
@@ -58,14 +57,12 @@ func TestRunGrid(t *testing.T) {
 func TestRunGridDeterministicAcrossWorkers(t *testing.T) {
 	cfg := smokeGridConfig()
 	cfg.Replications = 2
-	a, err := RunGrid(cfg)
-	if err != nil {
-		t.Fatalf("workers=2: %v", err)
-	}
-	cfg.Workers = 1
-	b, err := RunGrid(cfg)
-	if err != nil {
-		t.Fatalf("workers=1: %v", err)
+	var a, b GridResult
+	var errA, errB error
+	withProcs(4, func() { a, errA = RunGrid(cfg) })
+	withProcs(1, func() { b, errB = RunGrid(cfg) })
+	if errA != nil || errB != nil {
+		t.Fatalf("GOMAXPROCS=4: %v; GOMAXPROCS=1: %v", errA, errB)
 	}
 	if !reflect.DeepEqual(a.Cells, b.Cells) {
 		t.Errorf("cells differ across worker counts:\n%v\n%v", a.Cells, b.Cells)

@@ -2,19 +2,29 @@ package experiments
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
+// withProcs runs fn with GOMAXPROCS, forEach's pool size, set to n and
+// restores the previous setting.
+func withProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
 // TestForEachCoversAllIndices: every index runs exactly once at any pool
 // size.
 func TestForEachCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 7, 64} {
+	for _, workers := range []int{1, 2, 7, 64} {
 		const n = 37
 		counts := make([]int32, n)
-		forEach(n, workers, func(i int) { atomic.AddInt32(&counts[i], 1) })
+		withProcs(workers, func() {
+			forEach(n, func(i int) { atomic.AddInt32(&counts[i], 1) })
+		})
 		for i, c := range counts {
 			if c != 1 {
 				t.Errorf("workers=%d: index %d ran %d times", workers, i, c)
@@ -22,7 +32,7 @@ func TestForEachCoversAllIndices(t *testing.T) {
 		}
 	}
 	// n <= 0 must be a no-op.
-	forEach(0, 4, func(i int) { t.Error("fn called for n=0") })
+	forEach(0, func(i int) { t.Error("fn called for n=0") })
 }
 
 // TestForEachBoundsConcurrency: the pool actually runs work concurrently
@@ -31,15 +41,17 @@ func TestForEachBoundsConcurrency(t *testing.T) {
 	const workers, n = 3, 24
 	var cur, peak int32
 	var mu sync.Mutex
-	forEach(n, workers, func(i int) {
-		c := atomic.AddInt32(&cur, 1)
-		mu.Lock()
-		if c > peak {
-			peak = c
-		}
-		mu.Unlock()
-		time.Sleep(2 * time.Millisecond)
-		atomic.AddInt32(&cur, -1)
+	withProcs(workers, func() {
+		forEach(n, func(i int) {
+			c := atomic.AddInt32(&cur, 1)
+			mu.Lock()
+			if c > peak {
+				peak = c
+			}
+			mu.Unlock()
+			time.Sleep(2 * time.Millisecond)
+			atomic.AddInt32(&cur, -1)
+		})
 	})
 	if peak > workers {
 		t.Errorf("observed %d concurrent workers, bound is %d", peak, workers)
@@ -60,18 +72,12 @@ func TestRunSweepParallelMatchesSerial(t *testing.T) {
 	cfg.Warmup = 15
 	cfg.Seed = 77
 
-	serial := cfg
-	serial.Workers = 1
-	parallel := cfg
-	parallel.Workers = 4
-
-	a, err := RunTopologySweep(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunTopologySweep(parallel)
-	if err != nil {
-		t.Fatal(err)
+	var a, b TopologySweepResult
+	var errA, errB error
+	withProcs(1, func() { a, errA = RunTopologySweep(cfg) })
+	withProcs(4, func() { b, errB = RunTopologySweep(cfg) })
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
 	}
 	if len(a.Points) != len(b.Points) {
 		t.Fatalf("point counts differ: %d vs %d", len(a.Points), len(b.Points))
@@ -95,18 +101,12 @@ func TestReplicatedSweepParallelMatchesSerial(t *testing.T) {
 	cfg.Warmup = 12
 	cfg.Seed = 5
 
-	serial := cfg
-	serial.Workers = 1
-	parallel := cfg
-	parallel.Workers = 3
-
-	a, err := RunReplicatedSweep(serial, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunReplicatedSweep(parallel, 5)
-	if err != nil {
-		t.Fatal(err)
+	var a, b []ReplicatedPoint
+	var errA, errB error
+	withProcs(1, func() { a, errA = RunReplicatedSweep(cfg, 5) })
+	withProcs(4, func() { b, errB = RunReplicatedSweep(cfg, 5) })
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
 	}
 	if len(a) != len(b) {
 		t.Fatalf("point counts differ: %d vs %d", len(a), len(b))
@@ -117,13 +117,12 @@ func TestReplicatedSweepParallelMatchesSerial(t *testing.T) {
 		}
 	}
 
-	ra, ca, oka, err := CrossoverCI(serial, Mean, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, cb, okb, err := CrossoverCI(parallel, Mean, 4)
-	if err != nil {
-		t.Fatal(err)
+	var ra, ca, rb, cb float64
+	var oka, okb bool
+	withProcs(1, func() { ra, ca, oka, errA = CrossoverCI(cfg, Mean, 4) })
+	withProcs(4, func() { rb, cb, okb, errB = CrossoverCI(cfg, Mean, 4) })
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
 	}
 	if ra != rb || ca != cb || oka != okb {
 		t.Errorf("CrossoverCI diverged: serial (%v, %v, %v) vs parallel (%v, %v, %v)",

@@ -10,7 +10,6 @@ import (
 	"repro/internal/econ"
 	"repro/internal/forecast"
 	"repro/internal/netem"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -49,7 +48,8 @@ var scalerWorkloadBuilders = map[string]func(cfg ScalerComparisonConfig) []workl
 // (cluster.RunBroadcast): one generation pass in total, memory
 // independent of the request count. The nhpp and azure families still
 // hold their rate envelopes (O(Duration/binWidth) per site, nothing per
-// request); pair with stats.Bounded summaries for 10⁸-request sweeps.
+// request), and the rows' latency summaries are bounded-memory sketches,
+// so a sweep can run 10⁸ requests.
 type ScalerComparisonConfig struct {
 	// Workload selects the arrival family (default nhpp).
 	Workload string
@@ -76,7 +76,6 @@ type ScalerComparisonConfig struct {
 	Specs []autoscale.Spec
 	// Pricing prices the cost overlay (zero value = DefaultPricing).
 	Pricing econ.Pricing
-	Summary stats.Mode
 }
 
 // ScalerTierRow is one tier's share of a comparison row.
@@ -275,7 +274,6 @@ func RunScalerComparison(cfg ScalerComparisonConfig) (ScalerComparisonResult, er
 	rowOpts := cluster.Options{
 		Warmup:  cfg.Warmup,
 		Seed:    cfg.Seed + 1, // shared across specs: same streams, policy is the only delta
-		Summary: cfg.Summary,
 		Pricing: &cfg.Pricing,
 	}
 	variants := make([]cluster.Variant, len(specs))

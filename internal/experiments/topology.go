@@ -6,7 +6,6 @@ import (
 	"repro/internal/app"
 	"repro/internal/cluster"
 	"repro/internal/netem"
-	"repro/internal/stats"
 )
 
 // TopologySweepConfig describes a request-rate sweep: one streamed
@@ -34,12 +33,6 @@ type TopologySweepConfig struct {
 	Seed       int64
 	Model      app.InferenceModel // zero value: app.NewInferenceModel()
 	ArrivalSCV float64            // 0: cluster.DefaultArrivalSCV
-	Summary    stats.Mode
-	// Workers bounds the worker pool that evaluates sweep points
-	// concurrently. 0 uses DefaultWorkers; 1 forces serial execution.
-	// Every point derives its seeds from its index alone and results are
-	// merged by index, so the output is identical at any pool size.
-	Workers int
 	// Source, when set, supplies each point's workload instead of the
 	// generator — a recorded trace rescaled to the point's rate, say. It
 	// is called once per point with the point's fully derived GenSpec.
@@ -184,13 +177,13 @@ func RunTopologySweep(cfg TopologySweepConfig) (TopologySweepResult, error) {
 	for range cfg.Rivals {
 		res.Rivals = append(res.Rivals, make([]TopologyPoint, len(cfg.Rates)))
 	}
-	err := forEachErr(len(cfg.Rates), cfg.Workers, func(i int) error {
+	err := forEachErr(len(cfg.Rates), func(i int) error {
 		// One pass over the point's workload feeds every shape the
 		// identical record sequence, so the pairing is exact.
 		variants := make([]cluster.Variant, len(shapes))
 		for k, topo := range shapes {
 			variants[k] = cluster.Variant{Label: topo.Name, Topology: topo, Opts: cluster.Options{
-				Warmup: cfg.Warmup, Seed: cfg.Seed + int64(i)*shapeSeedStrides[k], Summary: cfg.Summary}}
+				Warmup: cfg.Warmup, Seed: cfg.Seed + int64(i)*shapeSeedStrides[k]}}
 		}
 		runs, err := cluster.RunBroadcast(src(specs[i]), variants, 0)
 		if err != nil {

@@ -23,13 +23,16 @@ func TestRunTopologySweep(t *testing.T) {
 		},
 		Spills: []cluster.SpillEdge{{From: "edge", To: "cloud", Threshold: 3, DetourPath: &cloud}},
 	}
-	res, err := RunTopologySweep(TopologySweepConfig{
+	cfg := TopologySweepConfig{
 		Topology: topo,
 		Rates:    []float64{6, 10, 12},
 		Duration: 150,
 		Warmup:   15,
 		Seed:     3,
-	})
+	}
+	var res TopologySweepResult
+	var err error
+	withProcs(4, func() { res, err = RunTopologySweep(cfg) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,10 +58,8 @@ func TestRunTopologySweep(t *testing.T) {
 		t.Error("highest rate never spilled; sweep should stress the hierarchy")
 	}
 	// Serial and parallel evaluation agree byte for byte.
-	serial, err := RunTopologySweep(TopologySweepConfig{
-		Topology: topo, Rates: []float64{6, 10, 12},
-		Duration: 150, Warmup: 15, Seed: 3, Workers: 1,
-	})
+	var serial TopologySweepResult
+	withProcs(1, func() { serial, err = RunTopologySweep(cfg) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,6 +41,18 @@ func request(url, svcHeader string) (*http.Response, error) {
 	return http.DefaultClient.Do(req)
 }
 
+// drain reads and closes a request's response body, passing on its
+// error, so a spawned goroutine can hand the result to the test
+// goroutine.
+func drain(resp *http.Response, err error) error {
+	if err != nil {
+		return err
+	}
+	_, err = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return err
+}
+
 func TestInferenceServerBasic(t *testing.T) {
 	srv, ts := newTestServer(1)
 	defer ts.Close()
@@ -94,16 +106,14 @@ func TestFCFSQueueing(t *testing.T) {
 	_, ts := newTestServer(1)
 	defer ts.Close()
 	start := time.Now()
-	done := make(chan struct{})
-	go func() {
-		resp := get(t, ts.URL, "0.050")
-		resp.Body.Close()
-		close(done)
-	}()
+	done := make(chan error, 1)
+	go func() { done <- drain(request(ts.URL, "0.050")) }()
 	time.Sleep(20 * time.Millisecond) // let the first request occupy the worker
 	resp := get(t, ts.URL, "0.050")
 	resp.Body.Close()
-	<-done
+	if err := <-done; err != nil {
+		t.Fatalf("first request: %v", err)
+	}
 	wait, _ := strconv.ParseFloat(resp.Header.Get("X-Wait-Time"), 64)
 	if time.Since(start) < 95*time.Millisecond {
 		t.Error("two 50ms requests on one worker should take >= 100ms total")
@@ -180,18 +190,26 @@ func TestQueueCapRejects(t *testing.T) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	codes := map[int]int{}
+	var errs []error
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp := get(t, ts.URL, "0.100")
-			resp.Body.Close()
+			resp, err := request(ts.URL, "0.100")
 			mu.Lock()
+			defer mu.Unlock()
+			if err != nil {
+				errs = append(errs, err)
+				return
+			}
+			resp.Body.Close()
 			codes[resp.StatusCode]++
-			mu.Unlock()
 		}()
 	}
 	wg.Wait()
+	if len(errs) > 0 {
+		t.Fatalf("%d of 8 requests failed: %v", len(errs), errs)
+	}
 	if codes[http.StatusServiceUnavailable] == 0 {
 		t.Errorf("expected 503s with QueueCap=1, got %v", codes)
 	}
@@ -241,18 +259,15 @@ func TestProxyLeastConn(t *testing.T) {
 
 	// Occupy backend 1 with a slow request, then fire a fast one: it
 	// must route to backend 2.
-	done := make(chan struct{})
-	go func() {
-		resp := get(t, tp.URL, "0.200")
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		close(done)
-	}()
+	done := make(chan error, 1)
+	go func() { done <- drain(request(tp.URL, "0.200")) }()
 	time.Sleep(30 * time.Millisecond)
 	resp := get(t, tp.URL, "0.001")
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	<-done
+	if err := <-done; err != nil {
+		t.Fatalf("slow request: %v", err)
+	}
 	if s2.Served() == 0 {
 		t.Error("least-conn should have routed the fast request to the idle backend")
 	}

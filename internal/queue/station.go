@@ -104,8 +104,8 @@ func (r *Request) Sojourn() float64 { return r.Departure - r.Arrival }
 // station sojourn time, the quantity T = n + w + s in Equations 1–2.
 func (r *Request) EndToEnd() float64 { return r.NetworkRTT + r.Sojourn() }
 
-// Metrics aggregates a station's observations. Wait is a Digest: exact
-// by default, switchable to bounded memory for long replays
+// Metrics aggregates a station's observations. Wait is a Digest:
+// bounded memory by default, switchable to an exact reference
 // (Station.SetSummaryMode).
 type Metrics struct {
 	Wait     stats.Digest       // per-request queueing delay
@@ -166,13 +166,15 @@ func NewStation(e *sim.Engine, name string, servers int, disc Discipline) *Stati
 	return s
 }
 
-// SetSummaryMode selects the metric memory model (stats.Exact retains
-// every wait observation; stats.Bounded keeps constant state).
-// Call before any request arrives.
+// SetSummaryMode selects the metric memory model (stats.Bounded, the
+// default, keeps constant state; stats.Exact retains every wait
+// observation). Switching after waits have been recorded panics: the
+// mode is chosen before the station's run, not halfway through it.
 func (s *Station) SetSummaryMode(m stats.Mode) {
-	if m == stats.Bounded {
-		s.m.Wait.SetBounded()
+	if n := s.m.Wait.N(); n > 0 {
+		panic(fmt.Sprintf("queue: station %q: SetSummaryMode after %d recorded waits", s.Name, n))
 	}
+	s.m.Wait = stats.NewDigest(m, 0)
 }
 
 // SetWarmup discards metric observations for requests that complete

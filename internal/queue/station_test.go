@@ -241,6 +241,29 @@ func TestStationPanicsOnZeroServers(t *testing.T) {
 	NewStation(sim.NewEngine(1), "bad", 0, FCFS)
 }
 
+// TestSetSummaryMode: a station's wait digest is bounded by default,
+// SetSummaryMode(stats.Exact) switches it before the run, and switching
+// once a wait has been recorded panics.
+func TestSetSummaryMode(t *testing.T) {
+	eng := sim.NewEngine(1)
+	st := NewStation(eng, "modes", 1, FCFS)
+	if m := st.Metrics().Wait.Mode(); m != stats.Bounded {
+		t.Fatalf("default wait digest is %s, want bounded", m)
+	}
+	st.SetSummaryMode(stats.Exact)
+	eng.At(0, func(*sim.Engine) { st.Arrive(&Request{ID: 1, ServiceTime: 1}) })
+	eng.Run()
+	if w := st.Metrics().Wait; w.Mode() != stats.Exact || w.N() != 1 {
+		t.Fatalf("after SetSummaryMode(Exact) and one request: %s digest of %d", w.Mode(), w.N())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("SetSummaryMode after a recorded wait should panic")
+		}
+	}()
+	st.SetSummaryMode(stats.Bounded)
+}
+
 // TestInterArrivalSCV: the inter-arrival SCV of a Poisson feed, read
 // from the arrival times the station stamps, is ~1. One FCFS server
 // completes requests in arrival order.

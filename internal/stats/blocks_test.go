@@ -267,7 +267,7 @@ func BenchmarkDigestAddExact(b *testing.B) {
 	var d Digest
 	for i := 0; i < b.N; i++ {
 		if i&(1<<16-1) == 0 {
-			d = Digest{}
+			d = NewDigest(Exact, 0)
 		}
 		d.Add(float64(i & 1023))
 	}

@@ -1,39 +1,35 @@
 package stats
 
-import "fmt"
-
 // Mode selects how a Digest stores its observations.
 type Mode int
 
 const (
+	// Bounded, the zero Mode, keeps running moments via Stream plus a
+	// mergeable log-linear bucket sketch: every quantile lies within
+	// 2⁻⁷ ≈ 0.78% relative error of the exact value, merges are exact
+	// and order-independent, and memory is bounded by the data's dynamic
+	// range (about 64 × 4 B per octave spanned), not by its count.
+	Bounded Mode = iota
 	// Exact retains every observation in a Sample: exact quantiles,
 	// 8 B per observation, held in fixed blocks until the first
-	// quantile read folds them into one slice. The right choice for
-	// small runs and for figures that need full distributions (box-plot
-	// outliers, violin curves).
-	Exact Mode = iota
-	// Bounded keeps running moments via Stream plus a mergeable
-	// log-linear bucket sketch: every quantile lies within 2⁻⁷ ≈ 0.78%
-	// relative error of Exact's, merges are exact and order-independent,
-	// and memory is bounded by the data's dynamic range (about 64 × 4 B
-	// per octave spanned), not by its count. The right choice for long
-	// trace replays where retaining millions of latencies would
-	// dominate memory.
-	Bounded
+	// quantile read folds them into one slice. It is the reference the
+	// sketch is checked against.
+	Exact
 )
 
 // String names the mode.
 func (m Mode) String() string {
-	if m == Bounded {
-		return "bounded"
+	if m == Exact {
+		return "exact"
 	}
-	return "exact"
+	return "bounded"
 }
 
-// Digest is a latency collector with a selectable memory model: Exact
-// mode wraps a Sample (every observation retained), Bounded mode keeps
-// running moments and a log-linear bucket sketch. The zero value is an
-// empty Exact digest, ready to use.
+// Digest is a latency collector with a selectable memory model: Bounded
+// mode keeps running moments and a log-linear bucket sketch, Exact mode
+// wraps a Sample (every observation retained). The zero value is an
+// empty Bounded digest, ready to use; its sketch is allocated at the
+// first Add or Merge.
 //
 // A Digest is a value type but shares internal state with its copies;
 // copy one only after the run that fills it has finished. Merged shares
@@ -45,36 +41,18 @@ type Digest struct {
 	mode   Mode
 	stream Stream  // moments, min/max, count — maintained in both modes
 	sample *Sample // Exact mode, lazily allocated
-	sketch *sketch // Bounded mode
+	sketch *sketch // Bounded mode, lazily allocated
 }
 
-// NewDigest returns a digest in the given mode. In Exact mode a positive
-// sizeHint sizes the sample's first block, so up to sizeHint
+// NewDigest returns an empty digest in the given mode. In Exact mode a
+// positive sizeHint sizes the sample's first block, so up to sizeHint
 // observations fold without a copy (0 is fine); Bounded ignores it.
 func NewDigest(mode Mode, sizeHint int) Digest {
 	d := Digest{mode: mode}
 	if mode == Exact && sizeHint > 0 {
 		d.sample = NewSample(sizeHint)
 	}
-	if mode == Bounded {
-		d.sketch = &sketch{}
-	}
 	return d
-}
-
-// SetBounded switches an empty digest to Bounded mode. Switching after
-// observations have been recorded panics: the mode is chosen before a
-// collector's run, not halfway through it.
-func (d *Digest) SetBounded() {
-	if d.mode == Bounded {
-		return
-	}
-	if d.stream.N() > 0 {
-		panic(fmt.Sprintf("stats: SetBounded on a digest holding %d observations", d.stream.N()))
-	}
-	d.mode = Bounded
-	d.sample = nil
-	d.sketch = &sketch{}
 }
 
 // Mode reports the digest's memory model.
@@ -84,6 +62,9 @@ func (d *Digest) Mode() Mode { return d.mode }
 func (d *Digest) Add(x float64) {
 	d.stream.Add(x)
 	if d.mode == Bounded {
+		if d.sketch == nil {
+			d.sketch = &sketch{}
+		}
 		d.sketch.add(x)
 		return
 	}
@@ -112,8 +93,10 @@ func (d *Digest) Merge(other *Digest) {
 		}
 		return
 	}
-	if d.mode == Exact {
+	if d.sketch == nil {
 		d.sketch = &sketch{}
+	}
+	if d.mode == Exact {
 		d.sketch.addAll(d.sample)
 		d.mode, d.sample = Bounded, nil
 	}
@@ -129,16 +112,17 @@ func (d *Digest) Merge(other *Digest) {
 // non-empty part it returns that part itself, sharing its state: merging
 // one digest into an empty one would copy its moments bit for bit and
 // its observations unchanged. With none it returns an empty digest in
-// the first part's mode (Exact when there are no parts). Otherwise it
-// merges every part into one new digest, as sequential Merge calls into
-// an empty digest would; an Exact result allocates its sample once, at
-// the final size.
+// the first part's mode (the zero value when there are no parts).
+// Otherwise it merges every part into one new digest, as sequential
+// Merge calls into an empty Exact digest would: the result is Bounded
+// when any non-empty part is, and an Exact result allocates its sample
+// once, at the final size.
 func Merged(parts ...*Digest) Digest {
 	var (
 		last  *Digest
-		n     int  // non-empty parts
-		total int  // their observations
-		mode  Mode // Bounded when any non-empty part is
+		n     int          // non-empty parts
+		total int          // their observations
+		mode  Mode = Exact // Bounded when any non-empty part is
 	)
 	for _, p := range parts {
 		if p.stream.N() == 0 {
@@ -152,7 +136,9 @@ func Merged(parts ...*Digest) Digest {
 	switch {
 	case n == 1:
 		return *last
-	case n == 0 && len(parts) > 0:
+	case n == 0 && len(parts) == 0:
+		return Digest{}
+	case n == 0:
 		return NewDigest(parts[0].mode, 0)
 	}
 	out := NewDigest(mode, total)
@@ -212,9 +198,10 @@ func (d *Digest) P95() float64 { return d.Quantile(0.95) }
 // P99 returns the 99th percentile.
 func (d *Digest) P99() float64 { return d.Quantile(0.99) }
 
-// Box computes the box-plot summary. Exact mode delegates to BoxPlotOf
-// (including outlier counting); Bounded mode builds the five-number
-// summary from the sketch with no outlier count.
+// Box computes the box-plot summary. Bounded mode builds the
+// five-number summary from the sketch and leaves Outliers at 0 (the
+// sketch keeps no individual values to count beyond the fences); Exact
+// mode delegates to BoxPlotOf, outlier count included.
 func (d *Digest) Box(label string) BoxPlot {
 	if d.mode == Exact {
 		if d.sample == nil {

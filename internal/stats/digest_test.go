@@ -6,31 +6,32 @@ import (
 	"testing"
 )
 
-func TestDigestZeroValueIsExact(t *testing.T) {
+// TestDigestZeroValueIsBounded: the zero value collects with the sketch,
+// allocated at the first Add, and its quantiles lie within 2⁻⁷ of an
+// Exact reference's while its moments match bit for bit.
+func TestDigestZeroValueIsBounded(t *testing.T) {
 	var d Digest
-	if d.Mode() != Exact {
-		t.Fatal("zero-value digest should be Exact")
+	if d.Mode() != Bounded || d.sketch != nil {
+		t.Fatalf("zero-value digest: mode %s, sketch allocated %v; want an unallocated bounded one", d.Mode(), d.sketch != nil)
 	}
-	for i := 1; i <= 100; i++ {
-		d.Add(float64(i))
+	if d.N() != 0 || d.Quantile(0.5) != 0 || d.Box("x").N != 0 {
+		t.Error("empty zero-value digest should read as empty")
 	}
-	if d.N() != 100 {
-		t.Errorf("N = %d", d.N())
+	e := NewDigest(Exact, 0)
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 20000; i++ {
+		x := 0.02 + 0.1*rng.ExpFloat64()
+		d.Add(x)
+		e.Add(x)
 	}
-	if got := d.Mean(); math.Abs(got-50.5) > 1e-12 {
-		t.Errorf("mean = %v, want 50.5", got)
+	if d.N() != e.N() || d.Mean() != e.Mean() || d.Variance() != e.Variance() {
+		t.Errorf("moments: n=%d mean=%v var=%v, exact n=%d mean=%v var=%v",
+			d.N(), d.Mean(), d.Variance(), e.N(), e.Mean(), e.Variance())
 	}
-	if got := d.Quantile(1); got != 100 {
-		t.Errorf("max quantile = %v, want 100", got)
-	}
-	// Exact quantiles must match the underlying Sample exactly.
-	s := NewSample(100)
-	for i := 1; i <= 100; i++ {
-		s.Add(float64(i))
-	}
-	for _, q := range []float64{0, 0.25, 0.5, 0.75, 0.95, 0.99, 1} {
-		if d.Quantile(q) != s.Quantile(q) {
-			t.Errorf("exact digest q=%v: %v != sample %v", q, d.Quantile(q), s.Quantile(q))
+	for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.75, 0.95, 0.99, 0.999, 1} {
+		exact, got := e.Quantile(q), d.Quantile(q)
+		if rel := math.Abs(got-exact) / exact; rel > boundedRelErr {
+			t.Errorf("q=%v: zero-value digest %v vs exact %v (rel err %.5f > 2⁻⁷)", q, got, exact, rel)
 		}
 	}
 }
@@ -69,24 +70,6 @@ func TestDigestBoundedQuantileAccuracy(t *testing.T) {
 	if d.Quantile(0) != e.Quantile(0) || d.Quantile(1) != e.Quantile(1) {
 		t.Error("bounded min/max quantiles should be exact")
 	}
-}
-
-func TestDigestSetBounded(t *testing.T) {
-	var d Digest
-	d.SetBounded()
-	if d.Mode() != Bounded {
-		t.Fatal("SetBounded did not switch mode")
-	}
-	d.Add(1)
-	d.SetBounded() // idempotent on an already-bounded digest
-	defer func() {
-		if recover() == nil {
-			t.Error("SetBounded after exact observations should panic")
-		}
-	}()
-	var e Digest
-	e.Add(1)
-	e.SetBounded()
 }
 
 func TestDigestExactMerge(t *testing.T) {

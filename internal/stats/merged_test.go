@@ -40,7 +40,7 @@ func sameDigest(t *testing.T, label string, got, want *Digest) {
 // sequential merges parts, in order, into an empty Exact digest: the
 // reference Merged must reproduce.
 func sequential(parts []*Digest) Digest {
-	var d Digest
+	d := NewDigest(Exact, 0)
 	for _, p := range parts {
 		d.Merge(p)
 	}
@@ -68,13 +68,13 @@ func mergedParts(seed int64, k int, modeOf func(i int) Mode) []*Digest {
 
 func TestMergedNoParts(t *testing.T) {
 	d := Merged()
-	if d.Mode() != Exact || d.N() != 0 || d.Quantile(0.5) != 0 {
-		t.Errorf("Merged() = %s digest of %d, want an empty exact one", d.Mode(), d.N())
+	if d.Mode() != Bounded || d.N() != 0 || d.Quantile(0.5) != 0 {
+		t.Errorf("Merged() = %s digest of %d, want the empty zero value", d.Mode(), d.N())
 	}
 }
 
 // TestMergedAllEmpty: with no observations anywhere, the result is an
-// empty digest in the parts' mode, not the zero value's Exact.
+// empty digest in the parts' mode, not the zero value's Bounded.
 func TestMergedAllEmpty(t *testing.T) {
 	for _, mode := range []Mode{Exact, Bounded} {
 		a, b := NewDigest(mode, 0), NewDigest(mode, 16)

@@ -41,7 +41,8 @@ func TestDigestBoundedSkewedMixtures(t *testing.T) {
 	}
 	for i, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			var bounded, exact Digest
+			var bounded Digest
+			exact := NewDigest(Exact, 0)
 			for _, d := range mixture(Bounded, int64(i), c.sites, c.hot, 5000, c.hotMul) {
 				bounded.Merge(&d)
 			}
@@ -98,7 +99,7 @@ func TestDigestBoundedMergeOrderFree(t *testing.T) {
 // when rng is nil, else as a random binary tree.
 func mergeTree(parts []Digest, order []int, rng *rand.Rand) Digest {
 	fresh := func(i int) Digest {
-		var d Digest // an empty Exact digest: Merge must not alias parts[i]
+		var d Digest // an empty digest: Merge must not alias parts[i]
 		d.Merge(&parts[i])
 		return d
 	}
