@@ -40,10 +40,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -853,31 +855,7 @@ func runTopology(o *options) {
 		[]string{"tier", "util", "mean (ms)", "p95 (ms)", "served", "spilled", "dropped",
 			"$/hr", "$/kreq"}, tierRows)
 
-	for _, tier := range res.Tiers {
-		if len(tier.Sites) < 2 {
-			continue
-		}
-		// The entry tier carries per-site client latency; deeper tiers
-		// report per-station queueing instead.
-		e2e := tier.Sites[0].EndToEnd.N() > 0
-		header := []string{"site", "req/s", "util", "wait mean (ms)", "wait p95 (ms)", "n"}
-		if e2e {
-			header = []string{"site", "req/s", "util", "mean (ms)", "p95 (ms)", "n"}
-		}
-		fmt.Println()
-		var siteRows [][]interface{}
-		for _, s := range tier.Sites {
-			d := s.Wait
-			if e2e {
-				d = s.EndToEnd
-			}
-			siteRows = append(siteRows, []interface{}{
-				fmt.Sprintf("%s-%d", tier.Name, s.Site), s.MeanRate, s.Utilization,
-				d.Mean() * 1000, d.P95() * 1000, d.N(),
-			})
-		}
-		asciiplot.Table(os.Stdout, header, siteRows)
-	}
+	printSiteTables(os.Stdout, res.Tiers)
 
 	// Per-SLO-class tables (classful topologies only): how each class
 	// fared at each tier it touched, plus the tier's Jain fairness
@@ -946,6 +924,36 @@ func runTopology(o *options) {
 		fmt.Printf("conservation: offered %d = served %d + dropped %d + warmup-discarded %d\n",
 			res.Offered, res.Completed, res.Dropped,
 			res.Consumed-res.Completed-res.Dropped)
+	}
+}
+
+// printSiteTables prints one table per multi-station tier: per-site
+// client latency where the run collected it (a home-routed entry
+// tier's sites), per-station queueing delay elsewhere. The choice is
+// the tier's, so a site that served nothing does not decide it.
+func printSiteTables(w io.Writer, tiers []cluster.TierResult) {
+	for _, tier := range tiers {
+		if len(tier.Sites) < 2 {
+			continue
+		}
+		e2e := slices.ContainsFunc(tier.Sites, func(s cluster.SiteResult) bool { return s.EndToEnd.N() > 0 })
+		header := []string{"site", "req/s", "util", "wait mean (ms)", "wait p95 (ms)", "n"}
+		if e2e {
+			header = []string{"site", "req/s", "util", "mean (ms)", "p95 (ms)", "n"}
+		}
+		fmt.Fprintln(w)
+		var siteRows [][]interface{}
+		for _, s := range tier.Sites {
+			d := s.Wait
+			if e2e {
+				d = s.EndToEnd
+			}
+			siteRows = append(siteRows, []interface{}{
+				fmt.Sprintf("%s-%d", tier.Name, s.Site), s.MeanRate, s.Utilization,
+				d.Mean() * 1000, d.P95() * 1000, d.N(),
+			})
+		}
+		asciiplot.Table(w, header, siteRows)
 	}
 }
 

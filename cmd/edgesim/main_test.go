@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/netem"
+	"repro/internal/trace"
 )
 
 // checkFlagsCase is one checkFlags call: the run's context, the graph
@@ -304,5 +306,43 @@ func TestCheckSweepSpans(t *testing.T) {
 	err := checkSweepSpans("trace t.csv", ws, preset, []float64{6, 12, 24}, 5)
 	if err == nil || !strings.Contains(err.Error(), "-warmup 5") || !strings.Contains(err.Error(), "at 12 req/s/server") {
 		t.Errorf("rate 12 squeezes the trace into 5s: error %v, want one naming -warmup and the rate", err)
+	}
+}
+
+// TestPrintSiteTablesIdleSiteZero: a replay whose trace has no site-0
+// records leaves the entry tier's first site empty, yet that tier's
+// table still shows per-site client latency, and the load-balanced
+// cloud pool's still shows per-station queueing delay.
+func TestPrintSiteTablesIdleSiteZero(t *testing.T) {
+	topo := cluster.Topology{
+		Name: "idle-site-zero",
+		Tiers: []cluster.Tier{
+			{Name: "edge", Sites: 3, ServersPerSite: 1, Path: netem.Constant("edge", 0.001)},
+			cluster.CloudTier(2, netem.Constant("cloud", 0.025), "round-robin"),
+		},
+		Spills: []cluster.SpillEdge{{From: "edge", To: "cloud", Threshold: 1}},
+	}
+	csv := "time,site,service\n"
+	for i := range 200 {
+		csv += fmt.Sprintf("%g,%d,0.12\n", 0.04*float64(i), 1+i%2)
+	}
+	res, err := cluster.Run(trace.StreamRequestsCSV(strings.NewReader(csv)), topo, cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Tiers[1].Served == 0 {
+		t.Fatal("the cloud pool served nothing; its table goes untested")
+	}
+	var out strings.Builder
+	printSiteTables(&out, res.Tiers)
+	tables := strings.Split(strings.TrimPrefix(out.String(), "\n"), "\n\n")
+	if len(tables) != 2 {
+		t.Fatalf("%d site tables, want 2:\n%s", len(tables), out.String())
+	}
+	for i, want := range []string{"mean (ms)  p95 (ms)", "wait mean (ms)"} {
+		header, _, _ := strings.Cut(tables[i], "\n")
+		if !strings.Contains(header, want) || (i == 0 && strings.Contains(header, "wait")) {
+			t.Errorf("table %d header %q, want %q columns", i, header, want)
+		}
 	}
 }

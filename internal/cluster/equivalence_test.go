@@ -169,7 +169,7 @@ func (c cloudConfig) options() Options {
 }
 
 // options are the Run options equivalent to the seed overflow config;
-// its per-site rows carried queueing metrics only.
+// its oracle reports no per-site latency.
 func (c overflowConfig) options() Options {
 	return Options{Warmup: c.Warmup, Seed: c.Seed, Summary: stats.Exact, NoPerSiteLatency: true}
 }
@@ -395,7 +395,10 @@ func materializedRunCloud(tr *WorkloadTrace, cfg cloudConfig) *oracleResult {
 	return res
 }
 
-// materializedRunOverflow is the seed's RunEdgeWithOverflow.
+// materializedRunOverflow is the seed's RunEdgeWithOverflow, run as
+// overflowConfig.options() asks: without per-site latency, so the edge
+// tier keeps one wait digest, booked in completion order, and the site
+// rows carry no wait digest.
 func materializedRunOverflow(tr *WorkloadTrace, cfg overflowConfig) *overflowOracle {
 	if cfg.Sites <= 0 {
 		cfg.Sites = tr.Sites
@@ -419,6 +422,7 @@ func materializedRunOverflow(tr *WorkloadTrace, cfg overflowConfig) *overflowOra
 	res := &overflowOracle{oracleResult: oracleResult{Result: exactResult("edge+overflow")},
 		EdgeOnly: stats.NewDigest(stats.Exact, 0), CloudOnly: stats.NewDigest(stats.Exact, 0),
 		InOrder: stats.NewDigest(stats.Exact, 0)}
+	edgeWait := stats.NewDigest(stats.Exact, 0)
 
 	var nextID uint64
 	for _, rec := range tr.Records {
@@ -446,6 +450,7 @@ func materializedRunOverflow(tr *WorkloadTrace, cfg overflowConfig) *overflowOra
 			} else {
 				res.EdgeServed++
 				res.EdgeOnly.Add(e2e)
+				edgeWait.Add(r.Wait())
 			}
 		})
 		eng.At(rec.Time+edgeRTT/2, func(e *sim.Engine) {
@@ -467,10 +472,8 @@ func materializedRunOverflow(tr *WorkloadTrace, cfg overflowConfig) *overflowOra
 	for i, s := range sites {
 		s.Finish()
 		m := s.Metrics()
-		res.Wait.Merge(&m.Wait)
 		res.Sites = append(res.Sites, SiteResult{
 			Site:        i,
-			Wait:        m.Wait,
 			Utilization: m.Utilization(s.Servers),
 			Arrivals:    s.TotalArrivals(),
 			MeanRate:    m.Arrivals.Rate(),
@@ -479,7 +482,7 @@ func materializedRunOverflow(tr *WorkloadTrace, cfg overflowConfig) *overflowOra
 		capSum += float64(s.Servers)
 	}
 	cloud.Finish()
-	res.Wait.Merge(&cloud.Metrics().Wait)
+	res.Wait = stats.Merged(&edgeWait, &cloud.Metrics().Wait)
 	if capSum > 0 {
 		res.Utilization = busySum / capSum
 	}

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/lb"
+	"repro/internal/netem"
 	"repro/internal/stats"
 )
 
@@ -163,6 +165,38 @@ func sameModeEverywhere(t *testing.T, label string, res *cluster.TopologyResult,
 	}
 }
 
+// engineRun is one engine replaying a generated spec through a
+// topology under the options it is given.
+type engineRun struct {
+	name string
+	run  func(cluster.Options) (*cluster.TopologyResult, error)
+}
+
+// everyEngine lists Run, a one-variant RunBroadcast and RunPipelined at
+// each of the shard counts, each replaying spec through topo.
+func everyEngine(spec cluster.GenSpec, topo cluster.Topology, shards ...int) []engineRun {
+	engines := []engineRun{
+		{"run", func(opts cluster.Options) (*cluster.TopologyResult, error) {
+			return cluster.Run(cluster.Stream(spec), topo, opts)
+		}},
+		{"broadcast", func(opts cluster.Options) (*cluster.TopologyResult, error) {
+			res, err := cluster.RunBroadcast(cluster.Stream(spec),
+				[]cluster.Variant{{Label: topo.Name, Topology: topo, Opts: opts}}, 0)
+			if err != nil {
+				return nil, err
+			}
+			return res[0], nil
+		}},
+	}
+	for _, n := range shards {
+		engines = append(engines, engineRun{fmt.Sprintf("pipelined-%d", n),
+			func(opts cluster.Options) (*cluster.TopologyResult, error) {
+				return cluster.RunPipelined(cluster.GenShards(spec), topo, opts, n)
+			}})
+	}
+	return engines
+}
+
 // TestAggregatesDeriveFromCells: every engine adds a served request to
 // one (tier, class) cell and derives the coarser digests at harvest, so
 // on every engine and in both summary modes the run aggregate is the
@@ -185,30 +219,8 @@ func TestAggregatesDeriveFromCells(t *testing.T) {
 			if mode == stats.Exact {
 				opts.Summary = stats.Exact
 			}
-			engines := []struct {
-				name string
-				run  func() (*cluster.TopologyResult, error)
-			}{
-				{"run", func() (*cluster.TopologyResult, error) {
-					return cluster.Run(cluster.Stream(spec), topo, opts)
-				}},
-				{"pipelined-1", func() (*cluster.TopologyResult, error) {
-					return cluster.RunPipelined(cluster.GenShards(spec), topo, opts, 1)
-				}},
-				{"pipelined-4", func() (*cluster.TopologyResult, error) {
-					return cluster.RunPipelined(cluster.GenShards(spec), topo, opts, 4)
-				}},
-				{"broadcast", func() (*cluster.TopologyResult, error) {
-					res, err := cluster.RunBroadcast(cluster.Stream(spec),
-						[]cluster.Variant{{Label: topo.Name, Topology: topo, Opts: opts}}, 0)
-					if err != nil {
-						return nil, err
-					}
-					return res[0], nil
-				}},
-			}
-			for _, e := range engines {
-				res, err := e.run()
+			for _, e := range everyEngine(spec, topo, 1, 4) {
+				res, err := e.run(opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -294,5 +306,154 @@ func TestMultiTierExactAllocCeiling(t *testing.T) {
 	if got > ceiling {
 		t.Errorf("%s: %.0f B allocated per served request, ceiling %.0f B: a multi-tier Exact run adds a request to a collector harvest should derive",
 			topo.Name, got, ceiling)
+	}
+}
+
+// manySiteTopology is the many-site probe topology: a 1-server edge
+// station per site, backed by a 64-server central-queue cloud that
+// takes every request whose home station already holds three.
+func manySiteTopology(sites int) cluster.Topology {
+	cloudPath := netem.CloudTypical
+	return cluster.Topology{
+		Name: "many-sites",
+		Tiers: []cluster.Tier{
+			{Name: "edge", Sites: sites, ServersPerSite: 1, Path: netem.EdgePath},
+			{Name: "cloud", Sites: 1, ServersPerSite: 64, Path: cloudPath,
+				Dispatch: cluster.CentralQueueDispatch},
+		},
+		Spills: []cluster.SpillEdge{
+			{From: "edge", To: "cloud", Threshold: 3, DetourPath: &cloudPath},
+		},
+	}
+}
+
+// TestManySiteHeapPerSite fails when a many-site run without per-site
+// latency keeps more state per station. It replays 10⁴ sites at 8 req/s
+// for 2.5 s (about 20 requests per site) through the serial Run and
+// reads, per site, the bytes the run allocated and the heap its result
+// still holds after a GC. Every edge station adds its waits to the
+// tier's one wait digest, so a station keeps no wait sketch of its own.
+// Measured on go1.24/amd64: 2,143 B allocated (2,213 B under -race) and
+// 211 B retained per site, against 4,811 B and 1,516 B with a wait
+// digest per station (its sketch, and the harvest merge of 10⁴ of
+// them). Most of what is retained is the result's site rows.
+func TestManySiteHeapPerSite(t *testing.T) {
+	const sites = 10_000
+	spec := cluster.GenSpec{Sites: sites, Duration: 2.5, PerSiteRate: 8, Seed: 97}
+	opts := cluster.Options{Seed: 98, NoPerSiteLatency: true}
+	var before, after, held runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := cluster.Run(cluster.Stream(spec), manySiteTopology(sites), opts)
+	runtime.ReadMemStats(&after)
+	runtime.GC()
+	runtime.ReadMemStats(&held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Tiers[0].Spilled == 0 || res.Completed < 15*sites {
+		t.Fatalf("spilled %d, completed %d: the probe exercises too little", res.Tiers[0].Spilled, res.Completed)
+	}
+	allocated := float64(after.TotalAlloc-before.TotalAlloc) / sites
+	retained := (float64(held.HeapAlloc) - float64(before.HeapAlloc)) / sites
+	runtime.KeepAlive(res)
+	t.Logf("%.0f B allocated, %.0f B retained per site", allocated, retained)
+	const allocCeiling, retainCeiling = 2300.0, 250.0
+	if allocated > allocCeiling {
+		t.Errorf("%.0f B allocated per site, ceiling %.0f B: a station keeps wait state the tier digest should hold",
+			allocated, allocCeiling)
+	}
+	if retained > retainCeiling {
+		t.Errorf("%.0f B retained per site, ceiling %.0f B: a station keeps wait state the tier digest should hold",
+			retained, retainCeiling)
+	}
+}
+
+// TestWaitConservation: on every engine, with and without per-site
+// latency, a tier's wait digest holds one wait per request it served and
+// the run's one per completed request, whether each station keeps its
+// own wait digest or the tier keeps one for all of them, and both hold
+// the same waits. With per-site latency the site rows' waits add up to
+// their tier's; without it no site row carries a digest. The topology spills from a home-routed
+// edge into a load-balanced cloud pool whose stations drop past a
+// one-request queue.
+func TestWaitConservation(t *testing.T) {
+	topo := cluster.Topology{
+		Name: "spill-into-pool",
+		Tiers: []cluster.Tier{
+			{Name: "edge", Sites: 5, ServersPerSite: 1, Path: netem.EdgePath},
+			{Name: "cloud", Sites: 4, ServersPerSite: 1, Path: netem.CloudTypical,
+				Dispatch: lb.PolicyRoundRobin, QueueCap: 1},
+		},
+		Spills: []cluster.SpillEdge{{From: "edge", To: "cloud", Threshold: 2, DetourRTT: 0.02}},
+	}
+	spec := cluster.GenSpec{Sites: 5, Duration: 120, PerSiteRate: 14, Seed: 5}
+	engines := everyEngine(spec, topo, 1, 2, 4)
+	for _, warmup := range []float64{0, 15} {
+		withSites := map[string]*cluster.TopologyResult{} // per engine, per-site latency reported
+		for _, noPerSite := range []bool{false, true} {
+			opts := cluster.Options{Warmup: warmup, Seed: 6, NoPerSiteLatency: noPerSite}
+			for _, e := range engines {
+				label := fmt.Sprintf("%s warmup %v noPerSite %v", e.name, warmup, noPerSite)
+				res, err := e.run(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cloud := res.Tier("cloud"); res.Tiers[0].Spilled == 0 || cloud.Dropped == 0 || cloud.Served == 0 {
+					t.Fatalf("%s: edge spilled %d, cloud dropped %d, served %d: the load exercises too little",
+						label, res.Tiers[0].Spilled, cloud.Dropped, cloud.Served)
+				}
+				if got := uint64(res.Wait.N()); got != res.Completed {
+					t.Errorf("%s: run wait holds %d, completed %d", label, got, res.Completed)
+				}
+				for i := range res.Tiers {
+					tr := &res.Tiers[i]
+					if got := uint64(tr.Wait.N()); got != tr.Served {
+						t.Errorf("%s: tier %s wait holds %d, served %d", label, tr.Name, got, tr.Served)
+					}
+					var siteWaits uint64
+					for j := range tr.Sites {
+						n, m := tr.Sites[j].Wait.N(), tr.Sites[j].EndToEnd.N()
+						siteWaits += uint64(n)
+						if noPerSite && (n != 0 || m != 0) {
+							t.Errorf("%s: tier %s site %d holds %d waits and %d latencies without per-site latency",
+								label, tr.Name, j, n, m)
+						}
+					}
+					if !noPerSite && siteWaits != tr.Served {
+						t.Errorf("%s: tier %s site rows hold %d waits, served %d", label, tr.Name, siteWaits, tr.Served)
+					}
+				}
+				if !noPerSite {
+					withSites[e.name] = res
+					continue
+				}
+				// The same waits either way: only the summation order of
+				// the mean and variance may differ.
+				ref := withSites[e.name]
+				sameWaits(t, label+" run", &res.Wait, &ref.Wait)
+				for i := range res.Tiers {
+					sameWaits(t, label+" tier "+res.Tiers[i].Name, &res.Tiers[i].Wait, &ref.Tiers[i].Wait)
+				}
+			}
+		}
+	}
+}
+
+// sameWaits fails t unless two wait digests hold the same observations:
+// equal counts, extremes and quantiles, and means within 1e-12
+// relative.
+func sameWaits(t *testing.T, label string, got, want *stats.Digest) {
+	t.Helper()
+	if got.N() != want.N() {
+		t.Fatalf("%s: wait holds %d, with per-site latency %d", label, got.N(), want.N())
+	}
+	for _, q := range digestProbes {
+		if g, w := got.Quantile(q), want.Quantile(q); g != w {
+			t.Errorf("%s: wait q=%v %v, with per-site latency %v", label, q, g, w)
+		}
+	}
+	if g, w := got.Mean(), want.Mean(); math.Abs(g-w) > 1e-12*math.Abs(w) {
+		t.Errorf("%s: wait mean %v, with per-site latency %v", label, g, w)
 	}
 }

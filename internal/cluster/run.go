@@ -9,11 +9,14 @@ import (
 )
 
 // SiteResult captures one station's measurements (one edge site on a
-// home-routed tier).
+// home-routed tier). Its digests are empty, not nil, when the run did
+// not collect them, so an empty digest reads the same as a site that
+// served nothing: EndToEnd is collected only on a home-routed entry
+// tier, and neither is under Options.NoPerSiteLatency.
 type SiteResult struct {
 	Site        int
-	EndToEnd    stats.Digest // client-observed latency, seconds
-	Wait        stats.Digest // queueing delay at the site
+	EndToEnd    stats.Digest // client-observed latency of requests from this home site, seconds
+	Wait        stats.Digest // queueing delay at the station
 	Utilization float64
 	Arrivals    uint64
 	MeanRate    float64

@@ -206,7 +206,7 @@ func runShardPhase1(topo Topology, plan shardPlan, st *shardState, src Source, o
 	for _, ti := range plan.home {
 		// The shard builds its site range of each home tier, with
 		// admission buckets keyed by local site.
-		rt, err := buildTier(eng, topo.Tiers[ti], st.lo, st.hi, opts, pool, nil)
+		rt, err := buildTier(eng, topo.Tiers[ti], st.lo, st.hi, opts, pool, nil, false)
 		if err != nil {
 			st.err = err
 			return
@@ -364,7 +364,7 @@ func buildPhase2(r *shardRun) (*p2build, error) {
 	for _, ti := range r.plan.shared {
 		t := topo.Tiers[ti]
 		rt, err := buildTier(eng, t, 0, t.Sites, opts, pool,
-			func() *rand.Rand { return seeds.tier(ti) })
+			func() *rand.Rand { return seeds.tier(ti) }, opts.NoPerSiteLatency)
 		if err != nil {
 			return nil, err
 		}
@@ -448,6 +448,6 @@ func finishSharded(r *shardRun, p2 *p2build) *TopologyResult {
 		}
 	}
 	p2.sink.fold(res)
-	harvest(res, tiers, home, p2.sink, opts.Pricing)
+	harvest(res, tiers, home, p2.sink, opts)
 	return res
 }

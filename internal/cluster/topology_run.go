@@ -33,13 +33,17 @@ type Options struct {
 	// TimelineBin > 0 additionally collects a latency timeline with
 	// the given bin width.
 	TimelineBin float64
-	// NoPerSiteLatency skips the per-home-site end-to-end digests a
-	// home-routed entry tier otherwise collects, for many-site or exact
-	// replays whose caller only needs tier-level latency. It stops Run's
-	// sink and, on a sharded run, phase 2's from keeping a digest per
-	// site. A phase-1 shard keeps no per-site table either way: its
-	// end-to-end cells are split by local site, and the per-site rows,
-	// when reported, are merged from them.
+	// NoPerSiteLatency drops per-site latency, for many-site or exact
+	// replays whose caller only needs tier-level latency: every
+	// SiteResult's EndToEnd and Wait is then empty. It skips the
+	// per-home-site end-to-end digests a home-routed entry tier
+	// otherwise collects, in Run's sink and, on a sharded run, phase
+	// 2's. It also drops the wait digest each station keeps: on Run,
+	// RunBroadcast and phase 2, every station of a tier adds its waits
+	// to one tier digest, published as TierResult.Wait. A phase-1 shard
+	// keeps a wait digest per station and no per-site end-to-end table
+	// either way (its end-to-end cells are split by local site), so its
+	// tiers' digests merge in site order whatever the shard count.
 	NoPerSiteLatency bool
 	// Probe, when set, observes the event-calendar size (sim.Engine's
 	// Pending) at every generated arrival, a diagnostic for the
@@ -81,7 +85,9 @@ type TierResult struct {
 	Rejected uint64
 	// EndToEnd is the client-observed latency of requests served at
 	// this tier, merged at harvest from its classes (or its one cell);
-	// Wait merges queueing delay across the tier's stations.
+	// Wait is the queueing delay at the tier's stations: their digests
+	// merged at harvest, or the one digest they all add to when the run
+	// reports no per-site latency.
 	EndToEnd    stats.Digest
 	Wait        stats.Digest
 	Utilization float64
@@ -169,8 +175,12 @@ type tierRuntime struct {
 	spec Tier
 	// stations[i] serves global site lo+i: lo is 0 on a whole tier and
 	// the shard's first site on a phase-1 shard's home tier.
-	lo         int
-	stations   []*queue.Station
+	lo       int
+	stations []*queue.Station
+	// wait is the one digest every station of the tier adds its waits
+	// to when the run reports no per-site latency; nil when each station
+	// keeps its own.
+	wait       *stats.Digest
 	geo        *lb.Geographic
 	dispatcher lb.Dispatcher
 	home       bool
@@ -201,9 +211,13 @@ type spillRuntime struct {
 // policy, keyed by local site on home-routed tiers and tier-wide
 // elsewhere. Run and phase 2 build whole tiers; a phase-1 shard builds
 // its site range of each home tier, which draws no stream (planShards
-// rejects jockeying there), so it passes a nil newStream.
+// rejects jockeying there), so it passes a nil newStream. oneWait makes
+// every station add its waits to one tier digest, rt.wait. A phase-1
+// shard passes false and keeps a digest per station, so the tier's
+// wait, merged at harvest in site order, is the same for every
+// partition.
 func buildTier(eng *sim.Engine, t Tier, lo, hi int, opts Options, pool *queue.FreeList,
-	newStream func() *rand.Rand) (*tierRuntime, error) {
+	newStream func() *rand.Rand, oneWait bool) (*tierRuntime, error) {
 	rt := &tierRuntime{
 		spec:     t,
 		lo:       lo,
@@ -213,6 +227,10 @@ func buildTier(eng *sim.Engine, t Tier, lo, hi int, opts Options, pool *queue.Fr
 		stations: make([]*queue.Station, hi-lo),
 	}
 	servers := make([]queue.Server, hi-lo)
+	if oneWait {
+		d := stats.NewDigest(opts.Summary, 0)
+		rt.wait = &d
+	}
 	for i := range rt.stations {
 		c := t.ServersPerSite
 		if t.PerSiteServers != nil {
@@ -224,6 +242,9 @@ func buildTier(eng *sim.Engine, t Tier, lo, hi int, opts Options, pool *queue.Fr
 		}
 		rt.stations[i] = newStation(eng, name, c, t.Discipline,
 			t.QueueCap, opts.Warmup, opts.Summary, pool)
+		if rt.wait != nil {
+			rt.stations[i].WaitInto(rt.wait)
+		}
 		servers[i] = rt.stations[i]
 	}
 	if t.JockeyThreshold > 0 {
@@ -692,7 +713,7 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 	x := newTopoExec(eng, pool, res.Tiers)
 	for ti, t := range topo.Tiers {
 		if x.tiers[ti], err = buildTier(eng, t, 0, t.Sites, opts, pool,
-			func() *rand.Rand { return seeds.tier(ti) }); err != nil {
+			func() *rand.Rand { return seeds.tier(ti) }, opts.NoPerSiteLatency); err != nil {
 			return nil, err
 		}
 	}
@@ -758,7 +779,7 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 	}
 	res.Offered = f.count
 	sk.fold(res)
-	harvest(res, x.tiers, nil, sk, opts.Pricing)
+	harvest(res, x.tiers, nil, sk, opts)
 	return res, nil
 }
 
@@ -772,33 +793,44 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 // other tier: Run's or phase 2's.
 //
 // Every coarser digest is derived here, once, with stats.Merged, in one
-// fixed order (see deriveLatency). The wait digests merge tiers outer,
-// stations inner — the seed runners' merge sequence. A merge with one
-// non-empty input shares it: a one-station tier's wait is its
-// station's, and a one-tier run's aggregate wait and end-to-end digests
-// are its tier's. Shared digests hold the values a merge into an empty
-// digest would, bit for bit.
-func harvest(res *TopologyResult, tiers []*tierRuntime, home []*sink, sk *sink, pricing *econ.Pricing) {
+// fixed order (see deriveLatency). A tier's wait digests are its one
+// tier digest when it has one (rt.wait), else its stations' in site
+// order; the run's wait merges every tier's, tiers outer — with
+// per-station waits, the seed runners' merge sequence. A merge with
+// one non-empty input shares it: a tier's one digest is its wait, a
+// one-station tier's wait is its station's, and a one-tier run's
+// aggregate wait and end-to-end digests are its tier's. Shared digests
+// hold the values a merge into an empty digest would, bit for bit.
+// Station rows carry their wait digest only when per-site latency is
+// reported, like their end-to-end digest.
+func harvest(res *TopologyResult, tiers []*tierRuntime, home []*sink, sk *sink, opts Options) {
 	siteE2E := deriveLatency(res, home, sk)
 	price := econ.DefaultPricing()
-	if pricing != nil {
-		price = *pricing
+	if opts.Pricing != nil {
+		price = *opts.Pricing
 	}
 	var busyAll, capAll float64
-	var waits []*stats.Digest // every station's, tiers outer
+	var waits []*stats.Digest // every tier's wait digests, tiers outer
 	for ti, rt := range tiers {
 		tr := &res.Tiers[ti]
 		var busy, capacity float64
 		tierWaits := len(waits)
+		if rt.wait != nil {
+			waits = append(waits, rt.wait)
+		}
 		for i, s := range rt.stations {
 			m := s.Metrics()
-			waits = append(waits, &m.Wait)
+			if rt.wait == nil {
+				waits = append(waits, &m.Wait)
+			}
 			sr := SiteResult{
 				Site:        i,
-				Wait:        m.Wait,
 				Utilization: m.Utilization(s.Servers),
 				Arrivals:    s.TotalArrivals(),
 				MeanRate:    m.Arrivals.Rate(),
+			}
+			if !opts.NoPerSiteLatency {
+				sr.Wait = m.Wait
 			}
 			if ti == 0 && siteE2E != nil {
 				sr.EndToEnd = siteE2E[i]

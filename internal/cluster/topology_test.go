@@ -152,10 +152,12 @@ type autoscaleOracle struct {
 }
 
 // directRunEdgeAutoscaled is the pre-topology RunEdgeAutoscaled,
-// ported verbatim onto the feeder API: stations built by hand, the
-// controller stopped on drain, results assembled inline. Run on a
-// home-routed tier carrying the equivalent reactive scaler must
-// reproduce it bit for bit.
+// ported onto the feeder API: stations built by hand, the controller
+// stopped on drain, results assembled inline. Run on a home-routed tier
+// carrying the equivalent reactive scaler, without per-site latency,
+// must reproduce it bit for bit. Such a run keeps one wait digest for
+// the tier, so the oracle books every measured wait in completion order
+// and its site rows carry no wait digest.
 func directRunEdgeAutoscaled(t *testing.T, tr *WorkloadTrace, cfg edgeConfig, asSpec autoscale.Spec) *autoscaleOracle {
 	if cfg.Sites <= 0 {
 		cfg.Sites = tr.Sites
@@ -203,6 +205,7 @@ func directRunEdgeAutoscaled(t *testing.T, tr *WorkloadTrace, cfg edgeConfig, as
 		}
 		e2e := r.EndToEnd()
 		res.EndToEnd.Add(e2e)
+		res.Wait.Add(r.Wait())
 		res.Completed++
 		if res.Timeline != nil {
 			res.Timeline.Add(r.Generated, e2e)
@@ -231,10 +234,8 @@ func directRunEdgeAutoscaled(t *testing.T, tr *WorkloadTrace, cfg edgeConfig, as
 	var busySum, capSum float64
 	for i, s := range stations {
 		m := s.Metrics()
-		res.Wait.Merge(&m.Wait)
 		res.Sites = append(res.Sites, SiteResult{
 			Site:        i,
-			Wait:        m.Wait,
 			Utilization: m.Utilization(s.Servers),
 			Arrivals:    s.TotalArrivals(),
 			MeanRate:    m.Arrivals.Rate(),
@@ -264,9 +265,9 @@ func autoscaledTopology(cfg edgeConfig, asSpec autoscale.Spec) Topology {
 }
 
 // checkAutoscaled asserts an autoscaled run reproduces the direct
-// runner bit for bit, controller telemetry included. The seed's
-// per-site rows carried queueing metrics only, so res must come from a
-// run with NoPerSiteLatency.
+// runner bit for bit, controller telemetry included. The oracle's
+// site rows carry no latency digests, so res must come from a run with
+// NoPerSiteLatency.
 func checkAutoscaled(t *testing.T, name string, want *autoscaleOracle, res *TopologyResult) {
 	t.Helper()
 	compareResults(t, name, &want.oracleResult, edgeView(res))

@@ -106,7 +106,9 @@ func (r *Request) EndToEnd() float64 { return r.NetworkRTT + r.Sojourn() }
 
 // Metrics aggregates a station's observations. Wait is a Digest:
 // bounded memory by default, switchable to an exact reference
-// (Station.SetSummaryMode).
+// (Station.SetSummaryMode). It holds the station's measured waits
+// unless Station.WaitInto handed the station another digest to add
+// them to, in which case it stays empty.
 type Metrics struct {
 	Wait     stats.Digest       // per-request queueing delay
 	QueueLen stats.TimeWeighted // queue length (excluding in-service)
@@ -147,7 +149,8 @@ type Station struct {
 	busy       int
 	waiting    []*Request
 	m          Metrics
-	warmup     float64 // observations before this time are not recorded
+	wait       *stats.Digest // where measured waits go: &m.Wait unless WaitInto
+	warmup     float64       // observations before this time are not recorded
 	totalCount uint64
 	completeFn sim.PayloadEvent
 }
@@ -158,6 +161,7 @@ func NewStation(e *sim.Engine, name string, servers int, disc Discipline) *Stati
 		panic(fmt.Sprintf("queue: station %q needs at least one server", name))
 	}
 	s := &Station{Name: name, Servers: servers, Disc: disc, engine: e}
+	s.wait = &s.m.Wait
 	// One completion callback for the station's lifetime: scheduling a
 	// service completion allocates no closure per request.
 	s.completeFn = func(e *sim.Engine, p any) { s.complete(p.(*Request)) }
@@ -176,6 +180,14 @@ func (s *Station) SetSummaryMode(m stats.Mode) {
 	}
 	s.m.Wait = stats.NewDigest(m, 0)
 }
+
+// WaitInto makes the station add each measured wait to d, a digest
+// other stations may add to as well, instead of to its own
+// Metrics().Wait, which then stays empty. A deployment whose stations
+// report no per-station waits hands all of a tier's stations one
+// digest, so each keeps no wait state of its own. Call it before the
+// run; d's mode is the caller's choice.
+func (s *Station) WaitInto(d *stats.Digest) { s.wait = d }
 
 // SetWarmup discards metric observations for requests that complete
 // before time t, removing transient startup bias from steady-state
@@ -276,7 +288,7 @@ func (s *Station) complete(r *Request) {
 	s.busy--
 	s.m.Busy.Set(now, float64(s.busy))
 	if now >= s.warmup {
-		s.m.Wait.Add(r.Wait())
+		s.wait.Add(r.Wait())
 	}
 	// Guarded on the server count so a shrink (SetServers) actually
 	// drains: while busy still exceeds the new target, completing

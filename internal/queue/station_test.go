@@ -264,6 +264,42 @@ func TestSetSummaryMode(t *testing.T) {
 	st.SetSummaryMode(stats.Bounded)
 }
 
+// TestWaitInto: stations handed one digest add every measured wait to
+// it, in completion order across stations, and keep none of their own;
+// a wait that completes before the warmup is still dropped.
+func TestWaitInto(t *testing.T) {
+	eng := sim.NewEngine(1)
+	shared := stats.NewDigest(stats.Exact, 0)
+	a, b := NewStation(eng, "a", 1, FCFS), NewStation(eng, "b", 1, FCFS)
+	for _, st := range []*Station{a, b} {
+		st.SetWarmup(2.5)
+		st.WaitInto(&shared)
+	}
+	// Service 2 everywhere. a: arrivals at 0, 0, 0.5 complete at 2 (wait
+	// 0, before the warmup), 4 (wait 2) and 6 (wait 3.5); b: arrivals at
+	// 1, 1.5 complete at 3 (wait 0) and 5 (wait 1.5).
+	for _, arr := range []struct {
+		at float64
+		st *Station
+	}{{0, a}, {0, a}, {0.5, a}, {1, b}, {1.5, b}} {
+		eng.At(arr.at, func(*sim.Engine) { arr.st.Arrive(&Request{ServiceTime: 2}) })
+	}
+	eng.Run()
+	if na, nb := a.Metrics().Wait.N(), b.Metrics().Wait.N(); na != 0 || nb != 0 {
+		t.Errorf("own wait digests hold %d and %d waits, want none", na, nb)
+	}
+	want := stats.NewDigest(stats.Exact, 0)
+	for _, w := range []float64{0, 2, 1.5, 3.5} { // completion order
+		want.Add(w)
+	}
+	if shared.N() != want.N() || shared.Mean() != want.Mean() || shared.Variance() != want.Variance() ||
+		shared.Max() != want.Max() {
+		t.Errorf("shared digest n=%d mean=%v var=%v max=%v, want n=%d mean=%v var=%v max=%v",
+			shared.N(), shared.Mean(), shared.Variance(), shared.Max(),
+			want.N(), want.Mean(), want.Variance(), want.Max())
+	}
+}
+
 // TestInterArrivalSCV: the inter-arrival SCV of a Poisson feed, read
 // from the arrival times the station stamps, is ~1. One FCFS server
 // completes requests in arrival order.
