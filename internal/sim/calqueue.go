@@ -2,38 +2,56 @@ package sim
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 const (
-	// cqMinBuckets is the smallest ring (power of two for mask
-	// indexing). It must sit well above typical steady-state event
-	// populations: small engines hold a handful of live events (one
-	// pending arrival per source, one completion per busy server, a
-	// pump), and a floor of 4 put that population astride both resize
-	// thresholds — grow at n > 2·len, shrink at n < len/4 — so nearly
-	// every push/pop pair triggered an allocating resize (~1 alloc per
-	// simulated request; the shards-2 allocation cliff of a 10⁶-request
-	// sharded replay: two 4-site engines thrashing at ~977k allocs per
-	// replay where shards-4's 2-site engines, under every threshold,
-	// sat at ~2.6k). At 64 buckets a
-	// population must exceed 128 before the ring ever resizes. The cost
-	// is 64 slice headers (~1.5 KB) per engine, paid once.
-	cqMinBuckets = 64
+	// cqPromote and cqDemote bound the small mode. A calendar holding
+	// fewer than cqPromote entries keeps them in one sorted list; at
+	// cqPromote it builds the bucket ring, and it returns to the list
+	// only when the count falls below cqDemote. The 4x gap between them
+	// keeps a population that swings around either threshold from
+	// switching on every push/pop pair. On BenchmarkCalendarHold's model
+	// the list and the ring cost about the same per event from 24 to 48
+	// entries; from 64 on the list costs more, as its shifts grow with
+	// the count.
+	cqPromote = 48
+	cqDemote  = cqPromote / 4
+
+	// cqMinBuckets is the ring's size at promotion and its floor: a
+	// power of two (for mask indexing) above cqPromote/2, so a promoted
+	// population of 48 entries sits at 1.5 per bucket and the ring first
+	// grows at 2·32 = 64 entries. Its shrink threshold (len/4 = 8) lies
+	// below cqDemote, so a shrinking population leaves the ring before
+	// the ring would halve below this size.
+	cqMinBuckets = 32
 	cqMaxBuckets = 1 << 22 // growth cap: beyond this, buckets just get denser
 	cqMinWidth   = 1e-9    // floor keeps t/width finite and monotone
 )
 
-// calendarQueue is the default calendar: a ring of time buckets in the
-// style of Brown's calendar queue. Each bucket covers `width` seconds
-// and holds its events sorted by eventBefore; bucket index is the
-// event's virtual bucket (⌊t/width⌋) masked into the ring, so one ring
-// lap spans width·len(buckets) seconds (a "year") and far-future events
-// share buckets with near ones. Insert appends at the bucket tail
-// (arrivals are mostly time-increasing, and same-instant FIFO events
-// always append), pop scans forward from the last popped event's
-// virtual bucket, and the ring doubles/halves around the live event
-// count — O(1) amortized insert and pop against the heap's O(log n).
+// calendarQueue is the default calendar. It has two modes.
+//
+// Small mode: fewer than cqPromote entries sit in one slice, list[head:],
+// sorted by eventBefore. peek and pop read and advance the head, so
+// neither searches nor shifts; push inserts from the tail, shifting
+// only the entries later than the new event. The slice compacts in
+// place when its tail reaches its capacity. Engines that replay a pair
+// of stations hold 6–18 events, so they never leave this mode.
+//
+// Big mode: a ring of time buckets in the style of Brown's calendar
+// queue. Each bucket covers `width` seconds and holds its events sorted
+// by eventBefore; bucket index is the event's virtual bucket
+// (⌊t/width⌋) masked into the ring, so one ring lap spans
+// width·len(buckets) seconds (a "year") and far-future events share
+// buckets with near ones. Insert is the same sorted insert into one
+// bucket, pop scans forward from the last popped event's virtual
+// bucket, and the ring doubles/halves around the live event count —
+// O(1) amortized insert and pop against the heap's O(log n). Every
+// rebuild (promotion and resize) measures the width from the sorted
+// entries: twice the mean spacing of their earlier half, so a bucket
+// near the head, where pops happen, holds a couple of events. The
+// whole span would not do: a tail of far events stretches it, and on
+// the hold model the head bucket then held 10 to 20 events.
 //
 // The pop scan accepts a bucket head only when its virtual bucket lies
 // at or before the scan position. Comparing integer virtual indices —
@@ -42,13 +60,26 @@ const (
 // minimum. A full lap with no acceptance means every pending event is
 // at least a year ahead; a direct scan over the bucket heads then finds
 // the minimum, and the pop itself advances the scan floor to it.
+//
+// Switching modes and resizing reuse the list's and the ring's storage,
+// so a population that oscillates between the modes allocates nothing
+// once the list and the buckets have grown to the sizes it needs. A
+// calendar keeps the storage of its largest population, as the
+// engine's free list of event nodes does.
 type calendarQueue struct {
-	buckets [][]*scheduledEvent
-	mask    int64   // len(buckets)-1
-	width   float64 // seconds per bucket
-	n       int     // entries, live + canceled
-	vb      int64   // scan floor: virtual bucket of the last popped event
-	curT    float64 // last popped event time; recomputes vb on resize
+	n    int // entries, live + canceled
+	big  bool
+	curT float64 // last popped event time: the ring's scan floor
+
+	// list holds the entries in small mode, sorted from head; in big
+	// mode it is empty and serves as resize's sort buffer.
+	list []*scheduledEvent
+	head int
+
+	buckets [][]*scheduledEvent // spare buckets past len keep their storage
+	mask    int64               // len(buckets)-1
+	width   float64             // seconds per bucket
+	vb      int64               // scan floor: virtual bucket of curT
 
 	// peek caches the located minimum's bucket so the pop following a
 	// horizon check re-locates nothing.
@@ -58,9 +89,8 @@ type calendarQueue struct {
 
 func newCalendarQueue() *calendarQueue {
 	return &calendarQueue{
-		buckets: make([][]*scheduledEvent, cqMinBuckets),
-		mask:    cqMinBuckets - 1,
-		width:   1,
+		list:  make([]*scheduledEvent, 0, 2*cqPromote),
+		width: 1,
 	}
 }
 
@@ -77,13 +107,14 @@ func (q *calendarQueue) vbucket(t float64) int64 {
 	return int64(v)
 }
 
-// insertSorted places ev into bucket slice b keeping eventBefore order.
-// Scanning from the tail makes the common cases — later times, and
-// same-instant FIFO sequences — a plain append.
-func insertSorted(b []*scheduledEvent, ev *scheduledEvent) []*scheduledEvent {
+// insertSorted places ev into b[lo:], which is sorted by eventBefore,
+// and returns the extended slice. Scanning from the tail makes the
+// common cases — later times, and same-instant FIFO sequences — a
+// plain append; nothing below lo moves.
+func insertSorted(b []*scheduledEvent, lo int, ev *scheduledEvent) []*scheduledEvent {
 	b = append(b, ev)
 	i := len(b) - 1
-	for i > 0 && eventBefore(ev, b[i-1]) {
+	for i > lo && eventBefore(ev, b[i-1]) {
 		b[i] = b[i-1]
 		i--
 	}
@@ -92,9 +123,22 @@ func insertSorted(b []*scheduledEvent, ev *scheduledEvent) []*scheduledEvent {
 }
 
 func (q *calendarQueue) push(ev *scheduledEvent) {
-	bi := q.vbucket(ev.t) & q.mask
-	q.buckets[bi] = insertSorted(q.buckets[bi], ev)
 	q.n++
+	if !q.big {
+		if len(q.list) == cap(q.list) && q.head > 0 {
+			live := copy(q.list, q.list[q.head:])
+			clear(q.list[live:])
+			q.list = q.list[:live]
+			q.head = 0
+		}
+		q.list = insertSorted(q.list, q.head, ev)
+		if q.n >= cqPromote {
+			q.promote()
+		}
+		return
+	}
+	bi := q.vbucket(ev.t) & q.mask
+	q.buckets[bi] = insertSorted(q.buckets[bi], 0, ev)
 	q.minCached = false
 	if q.n > 2*len(q.buckets) && len(q.buckets) < cqMaxBuckets {
 		q.resize(2 * len(q.buckets))
@@ -131,6 +175,9 @@ func (q *calendarQueue) peek() *scheduledEvent {
 	if q.n == 0 {
 		return nil
 	}
+	if !q.big {
+		return q.list[q.head]
+	}
 	if !q.minCached {
 		q.minBucket = q.findMin()
 		q.minCached = true
@@ -141,6 +188,14 @@ func (q *calendarQueue) peek() *scheduledEvent {
 func (q *calendarQueue) pop() *scheduledEvent {
 	if q.n == 0 {
 		panic("sim: pop from an empty calendar")
+	}
+	q.n--
+	if !q.big {
+		ev := q.list[q.head]
+		q.list[q.head] = nil
+		q.head++
+		q.curT = ev.t
+		return ev
 	}
 	var bi int64
 	if q.minCached {
@@ -154,37 +209,36 @@ func (q *calendarQueue) pop() *scheduledEvent {
 	copy(b, b[1:])
 	b[len(b)-1] = nil
 	q.buckets[bi] = b[:len(b)-1]
-	q.n--
 	q.curT = ev.t
 	q.vb = q.vbucket(ev.t)
-	// Shrink at a quarter, not half, of the bucket count: growth
-	// doubles at n > 2·len, so a half-threshold shrink sits one pop
-	// away from the population that just grew the ring — an oscillating
-	// population would resize on nearly every push/pop pair. The
-	// quarter threshold requires a 4x swing between resizes.
-	if q.n < len(q.buckets)/4 && len(q.buckets) > cqMinBuckets {
+	if q.n < cqDemote {
+		q.demote()
+	} else if q.n < len(q.buckets)/4 && len(q.buckets) > cqMinBuckets {
+		// Shrink at a quarter, not half, of the bucket count: growth
+		// doubles at n > 2·len, so a half-threshold shrink sits one pop
+		// away from the population that just grew the ring — an
+		// oscillating population would resize on nearly every push/pop
+		// pair. The quarter threshold requires a 4x swing between
+		// resizes.
 		q.resize(len(q.buckets) / 2)
 	}
 	return ev
 }
 
 func (q *calendarQueue) removeCanceled(release func(*scheduledEvent)) {
+	if !q.big {
+		live := q.dropCanceled(q.list[q.head:], release)
+		q.list = q.list[:q.head+len(live)]
+		return
+	}
 	for bi, b := range q.buckets {
-		live := b[:0]
-		for _, ev := range b {
-			if ev.canceled {
-				release(ev)
-				q.n--
-			} else {
-				live = append(live, ev)
-			}
-		}
-		for i := len(live); i < len(b); i++ {
-			b[i] = nil
-		}
-		q.buckets[bi] = live
+		q.buckets[bi] = q.dropCanceled(b, release)
 	}
 	q.minCached = false
+	if q.n < cqDemote {
+		q.demote()
+		return
+	}
 	nb := len(q.buckets)
 	for nb > cqMinBuckets && q.n < nb/4 {
 		nb /= 2
@@ -194,39 +248,86 @@ func (q *calendarQueue) removeCanceled(release func(*scheduledEvent)) {
 	}
 }
 
-// resize rebuilds the ring with nb buckets and a width matched to the
-// live events' spacing: roughly twice the mean gap, so a bucket holds a
-// couple of events on average. Rebuilding sorts all entries once by
-// eventBefore (a strict total order — seq is unique — so the unstable
-// sort is still deterministic) and refills buckets in that order,
-// keeping every bucket sorted with plain appends.
+// dropCanceled releases b's canceled entries and returns the survivors,
+// in order, in b's own storage.
+func (q *calendarQueue) dropCanceled(b []*scheduledEvent, release func(*scheduledEvent)) []*scheduledEvent {
+	live := b[:0]
+	for _, ev := range b {
+		if ev.canceled {
+			release(ev)
+			q.n--
+		} else {
+			live = append(live, ev)
+		}
+	}
+	clear(b[len(live):])
+	return live
+}
+
+// promote moves the small-mode list, already sorted, into a ring of
+// cqMinBuckets buckets.
+func (q *calendarQueue) promote() {
+	q.big = true
+	q.fill(cqMinBuckets)
+}
+
+// demote moves every entry from the ring back into the sorted list.
+func (q *calendarQueue) demote() {
+	q.list = q.gather(q.list[:0])
+	q.head = 0
+	q.big = false
+}
+
+// resize rebuilds the ring with nb buckets, sorting through the list.
 func (q *calendarQueue) resize(nb int) {
-	all := make([]*scheduledEvent, 0, q.n)
-	minT, maxT := math.Inf(1), math.Inf(-1)
-	for _, b := range q.buckets {
-		for _, ev := range b {
-			all = append(all, ev)
-			if ev.t < minT {
-				minT = ev.t
-			}
-			if ev.t > maxT {
-				maxT = ev.t
-			}
+	q.list = q.gather(q.list[:0])
+	q.fill(nb)
+}
+
+// gather empties every bucket into dst, sorted by eventBefore (a strict
+// total order — seq is unique — so the unstable sort is deterministic).
+func (q *calendarQueue) gather(dst []*scheduledEvent) []*scheduledEvent {
+	for i, b := range q.buckets {
+		dst = append(dst, b...)
+		clear(b)
+		q.buckets[i] = b[:0]
+	}
+	slices.SortFunc(dst, func(a, b *scheduledEvent) int {
+		if eventBefore(a, b) {
+			return -1
+		}
+		if eventBefore(b, a) {
+			return 1
+		}
+		return 0
+	})
+	return dst
+}
+
+// fill distributes the list's entries, sorted, into nb empty buckets,
+// reusing the ring's storage, and leaves the list empty. The width is
+// twice the mean spacing of the earlier half of the entries; entries
+// whose earlier half spans no time keep the old width. Filling in
+// sorted order keeps every bucket sorted with plain appends.
+func (q *calendarQueue) fill(nb int) {
+	sorted := q.list[q.head:]
+	if m := len(sorted) / 2; m > 0 {
+		if span := sorted[m].t - sorted[0].t; span > 0 {
+			q.width = max(span/float64(m)*2, cqMinWidth)
 		}
 	}
-	if len(all) > 1 && maxT > minT {
-		q.width = (maxT - minT) / float64(len(all)) * 2
-		if q.width < cqMinWidth {
-			q.width = cqMinWidth
-		}
+	if nb > cap(q.buckets) {
+		q.buckets = append(q.buckets[:cap(q.buckets)], make([][]*scheduledEvent, nb-cap(q.buckets))...)
 	}
-	sort.Slice(all, func(i, j int) bool { return eventBefore(all[i], all[j]) })
-	q.buckets = make([][]*scheduledEvent, nb)
+	q.buckets = q.buckets[:nb]
 	q.mask = int64(nb) - 1
 	q.vb = q.vbucket(q.curT)
 	q.minCached = false
-	for _, ev := range all {
+	for _, ev := range sorted {
 		bi := q.vbucket(ev.t) & q.mask
 		q.buckets[bi] = append(q.buckets[bi], ev)
 	}
+	clear(q.list)
+	q.list = q.list[:0]
+	q.head = 0
 }

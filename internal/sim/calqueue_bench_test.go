@@ -15,19 +15,17 @@ import (
 // next arrival a think time plus a half round trip later. The service
 // (mean 1/13 s) and think time (mean 1/20 s) are the paper pair's, and
 // the increments are drawn up front, so ns/op is the engine's cost per
-// event: one pop, one push and one callback. The populations bracket
-// the calendar's first resize at 129 events: 9 is the paper pair's
-// mean pending count, 125 sits just below the resize and 250 above it.
+// event: one pop, one push and one callback. The populations span both
+// calendar modes: 9 is the paper pair's mean pending count and 32 sits
+// in the small mode's sorted list; 48 is the promotion threshold, where
+// the bucket ring takes over with a width measured from the list; 64,
+// 125 and 250 bracket the ring's first doublings, and 10⁵ is a
+// many-site engine's population. The rows from 9 to 250 should cost
+// about the same per event; the 10⁵ row adds cache misses on its event
+// nodes and buckets.
 func BenchmarkCalendarHold(b *testing.B) {
-	const table = 1 << 12 // pre-drawn increments, reused cyclically
-	rng := rand.New(rand.NewSource(1))
-	service := make([]float64, table)
-	gap := make([]float64, table)
-	for i := range service {
-		service[i] = rng.ExpFloat64() / 13
-		gap[i] = rng.ExpFloat64()/20 + 0.0005 + 0.0001*rng.Float64()
-	}
-	for _, pending := range []int{9, 125, 250} {
+	service, gap := holdIncrements()
+	for _, pending := range []int{9, 32, 48, 64, 125, 250, 100000} {
 		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
 			e := NewEngine(1)
 			left, k := b.N, 0
@@ -38,7 +36,7 @@ func BenchmarkCalendarHold(b *testing.B) {
 					e.Stop()
 					return false
 				}
-				k = (k + 1) & (table - 1)
+				k = (k + 1) & (holdTable - 1)
 				return true
 			}
 			arrive = func(e *Engine, p any) {
@@ -53,9 +51,9 @@ func BenchmarkCalendarHold(b *testing.B) {
 			}
 			for i := 0; i < pending; i++ {
 				if i%2 == 0 {
-					e.AtPayloadFront(gap[i], arrive, nil)
+					e.AtPayloadFront(gap[i&(holdTable-1)], arrive, nil)
 				} else {
-					e.AfterPayload(service[i], complete, nil)
+					e.AfterPayload(service[i&(holdTable-1)], complete, nil)
 				}
 			}
 			b.ReportAllocs()
@@ -63,4 +61,22 @@ func BenchmarkCalendarHold(b *testing.B) {
 			e.Run()
 		})
 	}
+}
+
+// holdTable is the number of pre-drawn hold increments, reused
+// cyclically.
+const holdTable = 1 << 12
+
+// holdIncrements draws the hold model's service times (mean 1/13 s)
+// and arrival gaps (think time of mean 1/20 s plus a 0.5–0.6 ms half
+// round trip).
+func holdIncrements() (service, gap []float64) {
+	rng := rand.New(rand.NewSource(1))
+	service = make([]float64, holdTable)
+	gap = make([]float64, holdTable)
+	for i := range service {
+		service[i] = rng.ExpFloat64() / 13
+		gap[i] = rng.ExpFloat64()/20 + 0.0005 + 0.0001*rng.Float64()
+	}
+	return service, gap
 }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -218,65 +220,255 @@ func TestRunUntilAcrossBackends(t *testing.T) {
 	}
 }
 
-// TestCalendarQueueSmallPopulationAllocs pins the resize-thrash fix:
-// a small engine's live event population (a handful of pending
-// arrivals, completions, and a pump) oscillates by a few events per
-// simulated request, and with a 4-bucket floor and a half-count shrink
-// threshold that oscillation crossed a resize boundary on nearly every
-// push/pop pair — one allocating resize per simulated request (the
-// shards-2 allocation cliff of a 10⁶-request sharded replay: ~977k
-// allocs at two 4-site engines vs ~2.6k at four 2-site ones). Small
-// populations must never resize: total allocations for tens of
-// thousands of push/pop cycles stay in the dozens, not the tens of
-// thousands.
+// TestCalendarQueueSmallPopulationAllocs: a small engine's event
+// population oscillates by a few events per simulated request, so a
+// calendar that rebuilds storage where the population crosses a
+// threshold allocates on nearly every push/pop pair (a 4-bucket ring
+// once cost ~977k allocations per 10⁶-request sharded replay). Each row
+// fills a fresh calendar to its start population, swings it lo↔hi and
+// counts the exact allocations of the first 20,000 cycles and of cycles
+// 100,001–120,000. A population that stays in the small mode reuses the
+// list and allocates nothing at all. One that reaches the ring
+// allocates only when a bucket slice grows to a new peak load: over the
+// first cycles that measured 322 allocations for 8↔80, 158 for ±1
+// around cqPromote and 72 for 12↔13 in the ring (the table's ceilings
+// sit a little above), and the later window allocates nothing (on this
+// workload the totals stop rising by cycle 80,000). The calendar
+// switches mode only where the population crosses a threshold in the
+// direction that switches: twice per 8↔80 cycle, and at most once for a
+// ±1 oscillation.
 func TestCalendarQueueSmallPopulationAllocs(t *testing.T) {
-	const cycles = 20000
-	// Pre-built event nodes, recycled through a free stack, so the
-	// workload itself allocates nothing.
-	free := make([]*scheduledEvent, 16)
-	for i := range free {
-		free[i] = &scheduledEvent{}
+	const (
+		first   = 20000  // cycles counted from the fill
+		settled = 100000 // cycles run before the steady-state window
+		window  = 20000  // cycles in the steady-state window
+	)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mallocs := func() uint64 {
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.Mallocs
 	}
-	allocs := testing.AllocsPerRun(2, func() {
+	for _, c := range []struct {
+		name           string
+		start, lo, hi  int    // fill to start, then swing lo↔hi
+		firstAllocs    uint64 // at most, over the first cycles
+		switchPerCycle int
+		switchAtMost   int // over the first cycles, when switchPerCycle is 0
+	}{
+		{name: "3-9, a 4-site engine's band", start: 9, lo: 3, hi: 9},
+		{name: "around cqPromote, small", start: cqPromote - 2, lo: cqPromote - 2, hi: cqPromote - 1},
+		{name: "8-80", start: 8, lo: 8, hi: 80, firstAllocs: 340, switchPerCycle: 2},
+		{name: "around cqPromote, crossing", start: cqPromote - 1, lo: cqPromote - 1, hi: cqPromote + 1, firstAllocs: 170, switchAtMost: 1},
+		{name: "around cqDemote, big", start: cqPromote, lo: cqDemote, hi: cqDemote + 1, firstAllocs: 80},
+		{name: "around cqDemote, crossing", start: cqPromote, lo: cqDemote - 1, hi: cqDemote + 1, switchAtMost: 1},
+	} {
+		service, _ := holdIncrements()
+		// Pre-built event nodes, recycled through a free stack, so the
+		// workload itself allocates nothing.
+		free := make([]*scheduledEvent, max(c.start, c.hi))
+		for i := range free {
+			free[i] = &scheduledEvent{}
+		}
 		q := newCalendarQueue()
-		nfree := len(free)
 		var seq uint64
-		now := 0.0
+		k, switches := 0, 0
 		push := func() {
-			nfree--
-			ev := free[nfree]
-			now += 0.05
-			ev.t = now
-			ev.seq = seq
-			ev.canceled = false
+			ev := free[len(free)-1]
+			free = free[:len(free)-1]
+			k = (k + 1) & (holdTable - 1)
+			ev.t, ev.seq = q.curT+service[k], seq
 			seq++
+			was := q.big
 			q.push(ev)
+			if q.big != was {
+				switches++
+			}
 		}
 		pop := func() {
-			free[nfree] = q.pop()
-			nfree++
+			was := q.big
+			free = append(free, q.pop())
+			if q.big != was {
+				switches++
+			}
 		}
-		// Oscillate the live population between 3 and 9 — the band a
-		// 4-site engine's calendar lives in.
-		for i := 0; i < 9; i++ {
+		cycles := func(n int) {
+			for i := 0; i < n; i++ {
+				for q.len() < c.hi {
+					push()
+				}
+				for q.len() > c.lo {
+					pop()
+				}
+			}
+		}
+		for q.len() < c.start {
 			push()
 		}
-		for c := 0; c < cycles; c++ {
-			for q.len() > 3 {
-				pop()
+		switches = 0
+		m := mallocs()
+		cycles(first)
+		if got := mallocs() - m; got > c.firstAllocs {
+			t.Errorf("%s: %d allocations over the first %d cycles, want at most %d", c.name, got, first, c.firstAllocs)
+		}
+		switch {
+		case c.switchPerCycle > 0 && switches != c.switchPerCycle*first:
+			t.Errorf("%s: %d mode switches over %d cycles, want %d per cycle", c.name, switches, first, c.switchPerCycle)
+		case c.switchPerCycle == 0 && switches > c.switchAtMost:
+			t.Errorf("%s: %d mode switches, want at most %d", c.name, switches, c.switchAtMost)
+		}
+		cycles(settled - first)
+		m = mallocs()
+		cycles(window)
+		if got := mallocs() - m; got != 0 {
+			t.Errorf("%s: %d allocations over cycles %d-%d, want 0", c.name, got, settled+1, settled+window)
+		}
+	}
+}
+
+// swingRun is one run of runSwingSchedule: the execution trace, and for
+// the calendar-queue backend how often it switched mode and in which
+// modes compaction ran.
+type swingRun struct {
+	trace       []popTrace
+	peak        int
+	switches    int
+	compactions [2]int // in small mode, in big mode
+}
+
+// runSwingSchedule drives an engine through a population that rises
+// from 0 to 300 pending events and drains back to 0, four times, so the
+// calendar queue crosses both mode thresholds in both directions. Each
+// event schedules successors — at its own instant (a tie), on a coarse
+// grid of whole seconds (ties across events), or an exponential time
+// ahead — as front or non-front events, and sometimes cancels one
+// handle or, rarely while it drains, the 200 most recent ones, so
+// compaction runs in both modes. The run advances through random RunUntil horizons, and
+// schedules an event at the horizon between some of them. All
+// randomness is drawn in execution order, so two backends give the same
+// trace exactly when they pop in the same order.
+func runSwingSchedule(b Backend, seed int64) swingRun {
+	e := NewEngineBackend(seed, b)
+	cq, _ := e.cal.(*calendarQueue)
+	rng := rand.New(rand.NewSource(seed))
+	var run swingRun
+	var handles []Handle
+	rising, swings, nextID := true, 0, 0
+	big := false
+	observe := func() {
+		if cq != nil && cq.big != big {
+			big = cq.big
+			run.switches++
+		}
+		run.peak = max(run.peak, e.Pending())
+	}
+	var body func(id int) Event
+	schedule := func(at float64) {
+		id := nextID
+		nextID++
+		if rng.Intn(4) == 0 {
+			handles = append(handles, e.AtFront(at, body(id)))
+		} else {
+			handles = append(handles, e.At(at, body(id)))
+		}
+		observe()
+	}
+	cancel := func(h Handle) {
+		before, mode := e.Canceled(), 0
+		if cq != nil && cq.big {
+			mode = 1
+		}
+		h.Cancel()
+		if before > 0 && e.Canceled() == 0 {
+			run.compactions[mode]++
+		}
+		observe()
+	}
+	body = func(id int) Event {
+		return func(en *Engine) {
+			run.trace = append(run.trace, popTrace{id: id, at: en.Now()})
+			observe()
+			live := en.Pending() - en.Canceled()
+			if rising && live >= 300 {
+				rising = false
 			}
-			for q.len() < 9 {
-				push()
+			if !rising && live == 0 {
+				rising = true
+				swings++
+			}
+			if swings == 4 {
+				return
+			}
+			n := rng.Intn(2) // falling: half a successor on average
+			if rising {
+				n = 1 + rng.Intn(3)
+			}
+			for ; n > 0; n-- {
+				switch rng.Intn(3) {
+				case 0:
+					schedule(en.Now())
+				case 1:
+					schedule(math.Floor(en.Now()) + float64(1+rng.Intn(3)))
+				default:
+					schedule(en.Now() + rng.ExpFloat64())
+				}
+			}
+			switch r := rng.Intn(100); {
+			case r < 20 && len(handles) > 0:
+				cancel(handles[rng.Intn(len(handles))])
+			case r == 20 && !rising:
+				for _, h := range handles[max(0, len(handles)-200):] {
+					cancel(h)
+				}
 			}
 		}
-		for q.len() > 0 {
-			pop()
+	}
+	for {
+		if e.Pending() == 0 {
+			// Drained by a cancel no event saw: the swing is over.
+			if !rising {
+				rising = true
+				swings++
+			}
+			if swings == 4 {
+				return run
+			}
+			schedule(e.Now())
 		}
-	})
-	// One bucket-ring allocation plus one-time bucket-slice growth
-	// across the ring: a few hundred at most. Resize thrash puts this
-	// at ~2 per cycle (~40000).
-	if allocs > 500 {
-		t.Fatalf("small-population churn allocated %.0f times over %d cycles; calendar is resize-thrashing", allocs, cycles)
+		e.RunUntil(e.Now() + 5*rng.Float64())
+		if rng.Intn(3) == 0 && swings < 4 {
+			schedule(e.Now())
+		}
+	}
+}
+
+// TestCalendarQueueModeSwitchesMatchHeap: across repeated rises from an
+// empty calendar to 300 pending events and back, with cancels,
+// compactions, RunUntil horizons and same-instant front/non-front ties,
+// the calendar queue pops exactly as the binary heap does, while
+// switching between its sorted list and its bucket ring on every swing
+// and compacting in both modes.
+func TestCalendarQueueModeSwitchesMatchHeap(t *testing.T) {
+	var compactions [2]int
+	for seed := int64(1); seed <= 8; seed++ {
+		want := runSwingSchedule(BinaryHeap, seed)
+		got := runSwingSchedule(CalendarQueue, seed)
+		if len(got.trace) != len(want.trace) {
+			t.Fatalf("seed %d: %d events on calendar queue, %d on heap", seed, len(got.trace), len(want.trace))
+		}
+		for i := range want.trace {
+			if got.trace[i] != want.trace[i] {
+				t.Fatalf("seed %d: pop %d diverges: calendar queue %+v, heap %+v",
+					seed, i, got.trace[i], want.trace[i])
+			}
+		}
+		if got.peak < 300 || got.switches < 8 {
+			t.Errorf("seed %d: peak %d pending, %d mode switches; want 300+ and 8+ (four swings)", seed, got.peak, got.switches)
+		}
+		compactions[0] += got.compactions[0]
+		compactions[1] += got.compactions[1]
+	}
+	if compactions[0] == 0 || compactions[1] == 0 {
+		t.Errorf("compactions %d in small mode, %d in big mode; want both exercised", compactions[0], compactions[1])
 	}
 }

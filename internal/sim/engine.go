@@ -20,8 +20,12 @@
 //
 // Two calendar structures implement the same strict event order
 // (time, then front flag, then schedule sequence): the default calendar
-// queue (ring of adaptive time buckets, O(1) amortized insert/pop) and
-// the original binary heap (O(log n)), selectable with NewEngineBackend.
+// queue and the original binary heap (O(log n)), selectable with
+// NewEngineBackend. The calendar queue keeps a small population (under
+// 48 entries; a replayed station pair holds 6–18) in one sorted list,
+// where peek and pop take the head, and a larger one in a ring of time
+// buckets whose width is measured from the events' spacing (O(1)
+// amortized insert and pop).
 // Because the order is total, the two backends pop events in exactly the
 // same sequence, so every simulation result is bit-identical between
 // them — the equivalence suite asserts this.
@@ -86,7 +90,8 @@ type calendar interface {
 type Backend int
 
 const (
-	// CalendarQueue is the default: a ring of adaptive time buckets
+	// CalendarQueue is the default: a sorted list for small event
+	// populations and a ring of adaptive time buckets for large ones,
 	// with O(1) amortized insert and pop.
 	CalendarQueue Backend = iota
 	// BinaryHeap is the original container/heap calendar, kept
