@@ -1,8 +1,10 @@
 package autoscale
 
 import (
+	"math/rand"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/queue"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -33,12 +35,21 @@ func (s *sojourns) Consume(e *sim.Engine, r *queue.Request) {
 	}
 }
 
+// streams returns a function that derives one independent random
+// stream from seed per call.
+func streams(seed int64) func() *rand.Rand {
+	root := dist.NewRand(seed)
+	return func() *rand.Rand { return dist.NewRand(root.Int63()) }
+}
+
 // loadStation drives Poisson arrivals at the given rate into a station
-// for the duration and returns the sojourns of the requests it completes.
-func loadStation(eng *sim.Engine, st *queue.Station, rate, mu, duration float64) *sojourns {
+// for the duration and returns the sojourns of the requests it
+// completes. Its arrival and service streams derive from seed.
+func loadStation(eng *sim.Engine, seed int64, st *queue.Station, rate, mu, duration float64) *sojourns {
 	done := &sojourns{}
-	arrRng := eng.NewStream()
-	svcRng := eng.NewStream()
+	next := streams(seed)
+	arrRng := next()
+	svcRng := next()
 	var schedule func(e *sim.Engine)
 	schedule = func(e *sim.Engine) {
 		if e.Now() > duration {
@@ -57,7 +68,7 @@ func TestScalesUpUnderOverload(t *testing.T) {
 	ctrl := start(t, eng, []*queue.Station{st}, Spec{
 		Policy: PolicyReactive, Interval: 2, Min: 1, Max: 8, UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 4,
 	})
-	loadStation(eng, st, 30, 13, 300) // 230% of one server
+	loadStation(eng, 1, st, 30, 13, 300) // 230% of one server
 	eng.RunUntil(400)
 	tel := ctrl.Telemetry(400)
 	if tel.ScaleUps == 0 {
@@ -79,7 +90,7 @@ func TestScalesDownWhenIdle(t *testing.T) {
 	ctrl := start(t, eng, []*queue.Station{st}, Spec{
 		Policy: PolicyReactive, Interval: 2, Min: 1, Max: 8, UpThreshold: 1.5, DownThreshold: 0.4, Cooldown: 4,
 	})
-	loadStation(eng, st, 2, 13, 300) // ~3% utilization of 6 servers
+	loadStation(eng, 2, st, 2, 13, 300) // ~3% utilization of 6 servers
 	eng.RunUntil(400)
 	if ctrl.Telemetry(400).ScaleDowns == 0 {
 		t.Fatal("idle station never scaled down")
@@ -95,7 +106,7 @@ func TestRespectsBounds(t *testing.T) {
 	start(t, eng, []*queue.Station{st}, Spec{
 		Policy: PolicyReactive, Interval: 1, Min: 2, Max: 3, UpThreshold: 1.2, DownThreshold: 0.1, Cooldown: 1,
 	})
-	loadStation(eng, st, 100, 13, 200) // hopeless overload
+	loadStation(eng, 3, st, 100, 13, 200) // hopeless overload
 	eng.RunUntil(250)
 	if st.Servers != 3 {
 		t.Errorf("servers = %d, must stay at Max 3", st.Servers)
@@ -108,7 +119,7 @@ func TestCooldownLimitsActionRate(t *testing.T) {
 	ctrl := start(t, eng, []*queue.Station{st}, Spec{
 		Policy: PolicyReactive, Interval: 1, Min: 1, Max: 100, UpThreshold: 1.1, DownThreshold: 0.01, Cooldown: 10,
 	})
-	loadStation(eng, st, 120, 13, 100)
+	loadStation(eng, 4, st, 120, 13, 100)
 	eng.RunUntil(150)
 	// 150 s horizon / 10 s cooldown ⇒ at most ~15 actions.
 	events := ctrl.EventLog()
@@ -126,7 +137,7 @@ func TestEventTelemetry(t *testing.T) {
 	eng := sim.NewEngine(5)
 	st := queue.NewStation(eng, "telemetry", 1, queue.FCFS)
 	ctrl := start(t, eng, []*queue.Station{st}, DefaultReactiveSpec(1, 4))
-	loadStation(eng, st, 40, 13, 200)
+	loadStation(eng, 5, st, 40, 13, 200)
 	eng.RunUntil(250)
 	if len(ctrl.EventLog()) == 0 {
 		t.Fatal("no events recorded")
@@ -144,7 +155,7 @@ func TestStopHaltsController(t *testing.T) {
 	ctrl := start(t, eng, []*queue.Station{st}, Spec{
 		Policy: PolicyReactive, Interval: 1, Min: 1, Max: 50, UpThreshold: 1.1, DownThreshold: 0.01, Cooldown: 1,
 	})
-	loadStation(eng, st, 100, 13, 100)
+	loadStation(eng, 6, st, 100, 13, 100)
 	eng.At(10, func(*sim.Engine) { ctrl.Stop() })
 	eng.RunUntil(150)
 	for _, e := range ctrl.EventLog() {
@@ -185,7 +196,7 @@ func TestAutoscaleReducesLatencyUnderBurst(t *testing.T) {
 				Policy: PolicyReactive, Interval: 2, Min: 1, Max: 6, UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 4,
 			})
 		}
-		done := loadStation(eng, st, 25, 13, 400) // ~190% of one server
+		done := loadStation(eng, 8, st, 25, 13, 400) // ~190% of one server
 		done.from = 30
 		eng.RunUntil(600)
 		return done.Mean()

@@ -13,7 +13,7 @@ func TestPredictiveProvisionsForRate(t *testing.T) {
 	ctrl := start(t, eng, []*queue.Station{st}, Spec{
 		Policy: PolicyPredictive, Interval: 5, Min: 1, Max: 8, Mu: 13, TargetUtil: 0.6,
 	})
-	loadStation(eng, st, 30, 13, 300)
+	loadStation(eng, 11, st, 30, 13, 300)
 	// Stop observing while the load is still active (after it ends the
 	// controller rightly shrinks back to Min).
 	eng.RunUntil(295)
@@ -33,7 +33,7 @@ func TestPredictiveScalesBackDown(t *testing.T) {
 		Policy: PolicyPredictive, Interval: 5, Min: 1, Max: 8, Mu: 13, TargetUtil: 0.6,
 		Forecaster: "ewma", Alpha: 0.8,
 	})
-	loadStation(eng, st, 2, 13, 200) // trivial load
+	loadStation(eng, 12, st, 2, 13, 200) // trivial load
 	eng.RunUntil(260)
 	if st.Servers != 1 {
 		t.Errorf("idle predictive servers = %d, want 1", st.Servers)
@@ -46,7 +46,7 @@ func TestPredictiveRespectsBounds(t *testing.T) {
 	start(t, eng, []*queue.Station{st}, Spec{
 		Policy: PolicyPredictive, Interval: 2, Min: 1, Max: 3, Mu: 13, TargetUtil: 0.5,
 	})
-	loadStation(eng, st, 200, 13, 100)
+	loadStation(eng, 13, st, 200, 13, 100)
 	eng.RunUntil(95)
 	if st.Servers != 3 {
 		t.Errorf("servers = %d, must cap at Max 3", st.Servers)
@@ -63,8 +63,9 @@ func TestPredictiveTracksRamp(t *testing.T) {
 		Forecaster: "holt", Alpha: 0.6, Beta: 0.4,
 	})
 	// Ramp the arrival rate from 5 to 45 req/s over 300 s.
-	arrRng := eng.NewStream()
-	svcRng := eng.NewStream()
+	next := streams(14)
+	arrRng := next()
+	svcRng := next()
 	var schedule func(e *sim.Engine)
 	schedule = func(e *sim.Engine) {
 		if e.Now() > 300 {
@@ -89,7 +90,7 @@ func TestPredictiveServerSeconds(t *testing.T) {
 	ctrl := start(t, eng, []*queue.Station{st}, Spec{
 		Policy: PolicyPredictive, Interval: 10, Min: 1, Max: 8, Mu: 13, TargetUtil: 0.6,
 	})
-	loadStation(eng, st, 30, 13, 200)
+	loadStation(eng, 15, st, 30, 13, 200)
 	eng.RunUntil(200)
 	got := ctrl.Telemetry(200).ServerSeconds
 	// Must be at least the static minimum (1 server × 200 s) and at most
@@ -138,7 +139,7 @@ func TestPredictiveVsReactiveOnBurst(t *testing.T) {
 				Policy: PolicyPredictive, Interval: 5, Min: 1, Max: 6, Mu: 13, TargetUtil: 0.65,
 			})
 		}
-		done := loadStation(eng, st, 28, 13, 400)
+		done := loadStation(eng, 17, st, 28, 13, 400)
 		done.from = 20
 		eng.RunUntil(500)
 		return done.Mean()

@@ -108,7 +108,7 @@ func TestGoldenEventLog(t *testing.T) {
 		eng := sim.NewEngine(31)
 		st := queue.NewStation(eng, "s", 1, queue.FCFS)
 		c := start(t, eng, []*queue.Station{st}, tc.spec)
-		loadStation(eng, st, 30, 13, 300)
+		loadStation(eng, 31, st, 30, 13, 300)
 		eng.RunUntil(400)
 		got := c.EventLog()
 		if len(got) != len(tc.want) {
@@ -193,7 +193,7 @@ func TestPredictiveSpecUsesNamedForecaster(t *testing.T) {
 			Policy: PolicyPredictive, Interval: 5, Min: 1, Max: 8,
 			Mu: 13, TargetUtil: 0.6, Forecaster: name,
 		})
-		loadStation(eng, st, 30, 13, 200)
+		loadStation(eng, 41, st, 30, 13, 200)
 		eng.RunUntil(250)
 		tel := s.Telemetry(250)
 		if tel.Policy != PolicyPredictive {
@@ -286,7 +286,7 @@ func TestScalerStartIdempotent(t *testing.T) {
 		Interval: 1, Min: 1, Max: 50, UpThreshold: 1.1, DownThreshold: 0.01, Cooldown: 10,
 	})
 	c.Start()
-	loadStation(eng, st, 120, 13, 100)
+	loadStation(eng, 53, st, 120, 13, 100)
 	eng.RunUntil(150)
 	events := c.EventLog()
 	for i := 1; i < len(events); i++ {

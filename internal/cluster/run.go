@@ -59,15 +59,19 @@ func newDigests(mode stats.Mode, n int) []stats.Digest {
 // feeder is the streaming heart of the topology executor: it holds
 // exactly one pending trace record and keeps a single "generate next
 // arrival" pump event in the engine's arrival lane (sim.ArmLane), so
-// the event calendar holds no pump at all and never more than the
+// the engine holds no pump event at all and never more than the
 // in-flight arrivals, regardless of trace length. The prep hook fills
 // each request (network RTTs sampled at generation time in record
 // order, service demand, entry tier). The lane runs the pump
 // front-priority, and each arrival is scheduled front-priority
 // (sim.AtPayloadFront), so both win exact-time ties against
-// completions just as pre-scheduled arrivals would. Together they keep
-// the random sequence and the event order — and therefore every result
-// — identical to a run that materializes all arrivals up front.
+// completions just as pre-scheduled arrivals would. An arrival no
+// earlier than the last one still in flight — nearly all of them,
+// since requests are generated in time order and a path's jitter is
+// small next to the gaps between them — joins the engine's arrival
+// FIFO; the rest go to the calendar. Together they keep the random
+// sequence and the event order — and therefore every result —
+// identical to a run that materializes all arrivals up front.
 type feeder struct {
 	src  Source
 	pool *queue.FreeList
@@ -101,9 +105,9 @@ func (f *feeder) start(e *sim.Engine) {
 
 // emit fires at the pending record's generation time: it builds the
 // request from the free list, schedules its arrival rtt/2 later, and
-// re-arms the lane for the next record. The probe reads the calendar
-// before the re-arm, and the lane is never in the calendar, so it sees
-// the in-flight arrivals and completions only.
+// re-arms the lane for the next record. The probe reads the engine's
+// pending count before the re-arm, and the lane is never counted, so
+// it sees the in-flight arrivals and completions only.
 func (f *feeder) emit(e *sim.Engine) {
 	rec := f.pending
 	req := f.pool.Get()

@@ -2,7 +2,7 @@ package cluster
 
 // Source streams request records in nondecreasing Time order. The
 // deployment runners pull from a Source lazily — exactly one pending
-// "generate next arrival" event sits in the event calendar at any time —
+// "generate next arrival" event sits in the engine at any time —
 // so replay memory is bounded by the number of in-flight requests, not
 // by trace length. Generator sources (Stream, ParallelStream) and the
 // trace decoders produce records on the fly, so arbitrarily long

@@ -45,10 +45,10 @@ type Options struct {
 	// either way (its end-to-end cells are split by local site), so its
 	// tiers' digests merge in site order whatever the shard count.
 	NoPerSiteLatency bool
-	// Probe, when set, observes the event-calendar size (sim.Engine's
-	// Pending) at every generated arrival, a diagnostic for the
-	// O(1)-memory property. The count excludes the engine's arrival
-	// lane, which holds the feeder's pump.
+	// Probe, when set, observes the engine's pending events (sim.Engine's
+	// Pending: the calendar and the arrival FIFO) at every generated
+	// arrival, a diagnostic for the O(1)-memory property. The count
+	// excludes the engine's arrival lane, which holds the feeder's pump.
 	Probe func(pending int)
 	// Pricing prices each tier's integrated capacity for the cost
 	// overlay (nil = econ.DefaultPricing). Tiers may override their
@@ -686,7 +686,7 @@ func newTopologyResult(topo Topology, opts Options) *TopologyResult {
 }
 
 // Run replays the source through the deployment graph on the streaming
-// core: one pending arrival in the calendar, a shared sink, recycled
+// core: one pending pump event in the engine, a shared sink, recycled
 // requests. It returns per-tier breakdowns alongside the aggregate
 // Result. The paper's edge and cloud deployments are one-tier
 // topologies, and Run reproduces the seed's dedicated runners for them

@@ -2,11 +2,20 @@ package lb
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/queue"
 	"repro/internal/sim"
 )
+
+// streams returns a function that derives one independent random
+// stream from seed per call.
+func streams(seed int64) func() *rand.Rand {
+	root := dist.NewRand(seed)
+	return func() *rand.Rand { return dist.NewRand(root.Int63()) }
+}
 
 func makeStations(eng *sim.Engine, n int) ([]*queue.Station, []queue.Server) {
 	stations := make([]*queue.Station, n)
@@ -41,7 +50,7 @@ func TestRoundRobinCycles(t *testing.T) {
 func TestLeastConnectionsPicksIdle(t *testing.T) {
 	eng := sim.NewEngine(1)
 	stations, servers := makeStations(eng, 3)
-	d := NewLeastConnections(servers, eng.NewStream())
+	d := NewLeastConnections(servers, streams(1)())
 	eng.At(0, func(*sim.Engine) {
 		// Preload stations 0 and 1.
 		stations[0].Arrive(&queue.Request{ServiceTime: 100})
@@ -57,8 +66,9 @@ func TestLeastConnectionsPicksIdle(t *testing.T) {
 func TestPowerOfTwoAndRandomCoverAll(t *testing.T) {
 	eng := sim.NewEngine(1)
 	stations, servers := makeStations(eng, 4)
-	p2 := NewPowerOfTwo(servers, eng.NewStream())
-	rnd := NewRandom(servers, eng.NewStream())
+	next := streams(1)
+	p2 := NewPowerOfTwo(servers, next())
+	rnd := NewRandom(servers, next())
 	eng.At(0, func(*sim.Engine) {
 		for i := 0; i < 200; i++ {
 			p2.Dispatch(&queue.Request{ServiceTime: 0.001})
@@ -76,7 +86,7 @@ func TestPowerOfTwoAndRandomCoverAll(t *testing.T) {
 func TestPowerOfTwoSingleStation(t *testing.T) {
 	eng := sim.NewEngine(1)
 	stations, servers := makeStations(eng, 1)
-	d := NewPowerOfTwo(servers, eng.NewStream())
+	d := NewPowerOfTwo(servers, streams(1)())
 	eng.At(0, func(*sim.Engine) { d.Dispatch(&queue.Request{ServiceTime: 1}) })
 	eng.Run()
 	if stations[0].TotalArrivals() != 1 {
@@ -89,12 +99,13 @@ func TestPowerOfTwoSingleStation(t *testing.T) {
 // worst: least-conn ≤ po2 ≤ random. This is the ablation behind
 // the cloud model choice.
 func TestDispatcherQualityOrdering(t *testing.T) {
-	run := func(mk func(eng *sim.Engine, servers []queue.Server) Dispatcher) float64 {
+	run := func(mk func(servers []queue.Server, rng *rand.Rand) Dispatcher) float64 {
 		eng := sim.NewEngine(42)
 		stations, servers := makeStations(eng, 5)
-		d := mk(eng, servers)
-		arrRng := eng.NewStream()
-		svcRng := eng.NewStream()
+		next := streams(42)
+		d := mk(servers, next())
+		arrRng := next()
+		svcRng := next()
 		lambda, mu := 55.0, 13.0 // ρ≈0.85 over 5 servers
 		var schedule func(e *sim.Engine)
 		schedule = func(e *sim.Engine) {
@@ -116,14 +127,14 @@ func TestDispatcherQualityOrdering(t *testing.T) {
 		return total / n
 	}
 
-	lc := run(func(eng *sim.Engine, sv []queue.Server) Dispatcher {
-		return NewLeastConnections(sv, eng.NewStream())
+	lc := run(func(sv []queue.Server, rng *rand.Rand) Dispatcher {
+		return NewLeastConnections(sv, rng)
 	})
-	po2 := run(func(eng *sim.Engine, sv []queue.Server) Dispatcher {
-		return NewPowerOfTwo(sv, eng.NewStream())
+	po2 := run(func(sv []queue.Server, rng *rand.Rand) Dispatcher {
+		return NewPowerOfTwo(sv, rng)
 	})
-	random := run(func(eng *sim.Engine, sv []queue.Server) Dispatcher {
-		return NewRandom(sv, eng.NewStream())
+	random := run(func(sv []queue.Server, rng *rand.Rand) Dispatcher {
+		return NewRandom(sv, rng)
 	})
 
 	if !(lc < po2) {
@@ -137,7 +148,7 @@ func TestDispatcherQualityOrdering(t *testing.T) {
 func TestGeographicHomeRouting(t *testing.T) {
 	eng := sim.NewEngine(1)
 	stations, servers := makeStations(eng, 3)
-	g := NewGeographic(servers, 0, 0.005, eng.NewStream()) // jockeying disabled
+	g := NewGeographic(servers, 0, 0.005, streams(1)()) // jockeying disabled
 	eng.At(0, func(*sim.Engine) {
 		g.Dispatch(&queue.Request{Site: 2, ServiceTime: 1})
 		g.Dispatch(&queue.Request{Site: 0, ServiceTime: 1})
@@ -154,7 +165,7 @@ func TestGeographicHomeRouting(t *testing.T) {
 func TestGeographicJockeys(t *testing.T) {
 	eng := sim.NewEngine(1)
 	stations, servers := makeStations(eng, 3)
-	g := NewGeographic(servers, 2, 0.005, eng.NewStream())
+	g := NewGeographic(servers, 2, 0.005, streams(1)())
 	var detoured *queue.Request
 	eng.At(0, func(*sim.Engine) {
 		// Load site 0 to the threshold.
@@ -179,7 +190,7 @@ func TestGeographicJockeys(t *testing.T) {
 func TestGeographicNoBetterSiteStaysHome(t *testing.T) {
 	eng := sim.NewEngine(1)
 	stations, servers := makeStations(eng, 2)
-	g := NewGeographic(servers, 1, 0.005, eng.NewStream())
+	g := NewGeographic(servers, 1, 0.005, streams(1)())
 	eng.At(0, func(*sim.Engine) {
 		// Both sites equally loaded at the threshold.
 		stations[0].Arrive(&queue.Request{ServiceTime: 100})
@@ -198,7 +209,7 @@ func TestGeographicNoBetterSiteStaysHome(t *testing.T) {
 func TestGeographicPanicsOnBadSite(t *testing.T) {
 	eng := sim.NewEngine(1)
 	_, servers := makeStations(eng, 2)
-	g := NewGeographic(servers, 0, 0, eng.NewStream())
+	g := NewGeographic(servers, 0, 0, streams(1)())
 	defer func() {
 		if recover() == nil {
 			t.Error("out-of-range home site should panic")
@@ -208,12 +219,11 @@ func TestGeographicPanicsOnBadSite(t *testing.T) {
 }
 
 func TestConstructorsPanicOnEmpty(t *testing.T) {
-	eng := sim.NewEngine(1)
 	for _, fn := range []func(){
 		func() { NewRoundRobin(nil) },
 		func() { NewLeastConnections(nil, nil) },
-		func() { NewPowerOfTwo(nil, eng.NewStream()) },
-		func() { NewRandom(nil, eng.NewStream()) },
+		func() { NewPowerOfTwo(nil, streams(1)()) },
+		func() { NewRandom(nil, streams(1)()) },
 		func() { NewGeographic(nil, 0, 0, nil) },
 	} {
 		func() {

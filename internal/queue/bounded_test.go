@@ -15,8 +15,9 @@ func driveBounded(servers, queueCap int, lambda, mu, duration float64, seed int6
 	st := NewStation(eng, "bounded", servers, FCFS)
 	st.QueueCap = queueCap
 	st.SetWarmup(duration / 10)
-	arrRng := eng.NewStream()
-	svcRng := eng.NewStream()
+	next := streams(seed)
+	arrRng := next()
+	svcRng := next()
 	var schedule func(e *sim.Engine)
 	schedule = func(e *sim.Engine) {
 		if e.Now() > duration {

@@ -147,7 +147,8 @@ type Station struct {
 	Recycle    *FreeList
 	engine     *sim.Engine
 	busy       int
-	waiting    []*Request
+	waiting    []*Request // the line is waiting[head:]
+	head       int        // FCFS pops advance it; LIFO and SJF keep it 0
 	m          Metrics
 	wait       *stats.Digest // where measured waits go: &m.Wait unless WaitInto
 	warmup     float64       // observations before this time are not recorded
@@ -199,14 +200,14 @@ func (s *Station) Metrics() *Metrics { return &s.m }
 
 // QueueLength returns the current number of waiting (not in-service)
 // requests.
-func (s *Station) QueueLength() int { return len(s.waiting) }
+func (s *Station) QueueLength() int { return len(s.waiting) - s.head }
 
 // Busy returns the number of servers currently serving requests.
 func (s *Station) Busy() int { return s.busy }
 
 // Load returns waiting plus in-service requests, the signal used by
 // least-connection and power-of-two dispatchers.
-func (s *Station) Load() int { return len(s.waiting) + s.busy }
+func (s *Station) Load() int { return s.QueueLength() + s.busy }
 
 // TotalArrivals returns the number of requests ever admitted.
 func (s *Station) TotalArrivals() uint64 { return s.totalCount }
@@ -224,7 +225,7 @@ func (s *Station) Arrive(r *Request) {
 		s.startService(r)
 		return
 	}
-	if s.QueueCap > 0 && len(s.waiting) >= s.QueueCap {
+	if s.QueueCap > 0 && s.QueueLength() >= s.QueueCap {
 		r.Dropped = true
 		r.Departure = now
 		if now >= s.warmup {
@@ -239,12 +240,24 @@ func (s *Station) Arrive(r *Request) {
 		return
 	}
 	s.enqueue(r)
-	s.m.QueueLen.Set(now, float64(len(s.waiting)))
+	s.m.QueueLen.Set(now, float64(s.QueueLength()))
 }
 
+// enqueue adds r to the line. An FCFS line pops from its head index.
+// When its tail reaches the slice's capacity it compacts in place if
+// popped slots make up at least half of the slice, and grows otherwise,
+// so every push and pop costs O(1) amortized.
 func (s *Station) enqueue(r *Request) {
 	switch s.Disc {
-	case FCFS, LIFO:
+	case FCFS:
+		if len(s.waiting) == cap(s.waiting) && 2*s.head >= len(s.waiting) {
+			live := copy(s.waiting, s.waiting[s.head:])
+			clear(s.waiting[live:])
+			s.waiting = s.waiting[:live]
+			s.head = 0
+		}
+		s.waiting = append(s.waiting, r)
+	case LIFO:
 		s.waiting = append(s.waiting, r)
 	case SJF:
 		// Insert sorted by service time ascending.
@@ -261,7 +274,15 @@ func (s *Station) enqueue(r *Request) {
 func (s *Station) dequeue() *Request {
 	var r *Request
 	switch s.Disc {
-	case FCFS, SJF:
+	case FCFS:
+		r = s.waiting[s.head]
+		s.waiting[s.head] = nil
+		s.head++
+		if s.head == len(s.waiting) {
+			s.waiting = s.waiting[:0]
+			s.head = 0
+		}
+	case SJF:
 		r = s.waiting[0]
 		copy(s.waiting, s.waiting[1:])
 		s.waiting[len(s.waiting)-1] = nil
@@ -293,9 +314,9 @@ func (s *Station) complete(r *Request) {
 	// Guarded on the server count so a shrink (SetServers) actually
 	// drains: while busy still exceeds the new target, completing
 	// servers retire instead of pulling the next waiting request.
-	if s.busy < s.Servers && len(s.waiting) > 0 {
+	if s.busy < s.Servers && s.QueueLength() > 0 {
 		next := s.dequeue()
-		s.m.QueueLen.Set(now, float64(len(s.waiting)))
+		s.m.QueueLen.Set(now, float64(s.QueueLength()))
 		s.startService(next)
 	}
 	if r.Done != nil {
@@ -318,9 +339,9 @@ func (s *Station) SetServers(n int) {
 	}
 	s.Servers = n
 	now := s.engine.Now()
-	for s.busy < s.Servers && len(s.waiting) > 0 {
+	for s.busy < s.Servers && s.QueueLength() > 0 {
 		next := s.dequeue()
-		s.m.QueueLen.Set(now, float64(len(s.waiting)))
+		s.m.QueueLen.Set(now, float64(s.QueueLength()))
 		s.startService(next)
 	}
 }

@@ -2,12 +2,21 @@ package queue
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/theory"
 )
+
+// streams returns a function that derives one independent random
+// stream from seed per call.
+func streams(seed int64) func() *rand.Rand {
+	root := dist.NewRand(seed)
+	return func() *rand.Rand { return dist.NewRand(root.Int63()) }
+}
 
 // driveMM feeds a station with Poisson arrivals and exponential service
 // for the given duration and returns it finished. done, when non-nil,
@@ -17,8 +26,9 @@ func driveMM(t *testing.T, servers int, lambda, mu, duration float64, disc Disci
 	eng := sim.NewEngine(seed)
 	st := NewStation(eng, "test", servers, disc)
 	st.SetWarmup(duration / 10)
-	arrRng := eng.NewStream()
-	svcRng := eng.NewStream()
+	next := streams(seed)
+	arrRng := next()
+	svcRng := next()
 
 	var id uint64
 	var schedule func(e *sim.Engine)
@@ -327,7 +337,7 @@ func TestMD1HalvesWait(t *testing.T) {
 	rho := 0.8
 	st := NewStation(eng, "md1", 1, FCFS)
 	st.SetWarmup(300)
-	arrRng := eng.NewStream()
+	arrRng := streams(21)()
 	var schedule func(e *sim.Engine)
 	schedule = func(e *sim.Engine) {
 		if e.Now() > 6000 {
@@ -371,5 +381,76 @@ func TestMeanWaitInvariantUnderDisciplineMM(t *testing.T) {
 	vL := lf.Metrics().Wait.StdDev()
 	if vL <= vF {
 		t.Errorf("LIFO wait sd %.4f should exceed FCFS %.4f", vL, vF)
+	}
+}
+
+// fcfsLine is the Done sink of TestFCFSDeepLineDrainsInOrder. It checks
+// that each served request is the next in arrival order and that
+// QueueLength and Load count the requests still in the station, counts
+// the line's compactions, and re-admits each served request as a new
+// arrival until limit requests have arrived.
+type fcfsLine struct {
+	st                     *Station
+	arrived, served, limit uint64
+	lastHead, compactions  int
+	bad                    bool
+}
+
+func (l *fcfsLine) Consume(_ *sim.Engine, r *Request) {
+	l.served++
+	inStation := int(l.arrived - l.served)
+	if r.ID != l.served || l.st.Load() != inStation || l.st.QueueLength() != inStation-l.st.Busy() {
+		l.bad = true
+	}
+	if l.st.head < l.lastHead {
+		l.compactions++
+	}
+	l.lastHead = l.st.head
+	if l.arrived < l.limit {
+		l.arrived++
+		r.ID = l.arrived
+		l.st.Arrive(r)
+	}
+}
+
+// TestFCFSDeepLineDrainsInOrder: an FCFS line 10⁴ deep, which serves
+// one request and admits one at every completion for 3·10⁴ completions
+// and then drains, serves in arrival order, with QueueLength and Load
+// right at every completion, across the compactions of its storage.
+// Once its storage has grown, a whole cycle allocates nothing.
+func TestFCFSDeepLineDrainsInOrder(t *testing.T) {
+	const depth = 10000
+	eng := sim.NewEngine(1)
+	st := NewStation(eng, "line", 1, FCFS)
+	l := &fcfsLine{st: st, limit: 4 * depth}
+	reqs := make([]Request, depth)
+	cycle := func() {
+		l.arrived, l.served, l.lastHead = 0, 0, st.head
+		for i := range reqs {
+			l.arrived++
+			reqs[i] = Request{ID: l.arrived, ServiceTime: 0.001, Done: l}
+			st.Arrive(&reqs[i])
+		}
+		if st.QueueLength() != depth-1 || st.Load() != depth {
+			t.Fatalf("filled line: QueueLength %d, Load %d; want %d and %d", st.QueueLength(), st.Load(), depth-1, depth)
+		}
+		eng.Run()
+	}
+	cycle()
+	if l.bad || l.served != l.limit || st.Load() != 0 {
+		t.Fatalf("served %d of %d (out of order or miscounted: %v), Load %d after the drain", l.served, l.limit, l.bad, st.Load())
+	}
+	t.Logf("%d compactions; %d slots of line storage", l.compactions, cap(st.waiting))
+	if l.compactions == 0 {
+		t.Fatal("the line never compacted")
+	}
+	if c := cap(st.waiting); c > 4*depth {
+		t.Errorf("line storage holds %d slots for %d waiting requests", c, depth)
+	}
+	if allocs := testing.AllocsPerRun(2, cycle); allocs != 0 {
+		t.Errorf("a cycle on grown storage allocates %.0f times, want 0", allocs)
+	}
+	if l.bad {
+		t.Error("a later cycle served out of order or miscounted")
 	}
 }

@@ -9,10 +9,13 @@ import (
 // BenchmarkCalendarHold times the default calendar on a replay-like
 // hold model: a fixed population of pending events, each of which
 // schedules exactly one successor when it fires. Half of them are
-// requests arriving at a station (front-priority, as the feeder
-// schedules them), whose successor is their completion one service
-// time later; the other half are completions, whose successor is the
-// next arrival a think time plus a half round trip later. The service
+// requests arriving at a station, whose successor is their completion
+// one service time later; the other half are completions, whose
+// successor is the next arrival a think time plus a half round trip
+// later. The feeder schedules arrivals front-priority, but here they
+// are plain events, so every event goes through the calendar: front
+// events would mostly join the engine's arrival FIFO instead
+// (BenchmarkArrivalMix times that path). The service
 // (mean 1/13 s) and think time (mean 1/20 s) are the paper pair's, and
 // the increments are drawn up front, so ns/op is the engine's cost per
 // event: one pop, one push and one callback. The populations span both
@@ -46,12 +49,12 @@ func BenchmarkCalendarHold(b *testing.B) {
 			}
 			complete = func(e *Engine, p any) {
 				if fire(e) {
-					e.AtPayloadFront(e.Now()+gap[k], arrive, p)
+					e.AfterPayload(gap[k], arrive, p)
 				}
 			}
 			for i := 0; i < pending; i++ {
 				if i%2 == 0 {
-					e.AtPayloadFront(gap[i&(holdTable-1)], arrive, nil)
+					e.AfterPayload(gap[i&(holdTable-1)], arrive, nil)
 				} else {
 					e.AfterPayload(service[i&(holdTable-1)], complete, nil)
 				}
@@ -79,4 +82,18 @@ func holdIncrements() (service, gap []float64) {
 		gap[i] = rng.ExpFloat64()/20 + 0.0005 + 0.0001*rng.Float64()
 	}
 	return service, gap
+}
+
+// BenchmarkArrivalMix times the engine on the paper pair's event mix,
+// the arrival model of TestArrivalFIFOCounts on the edge path: a lane
+// pump per generated request, its arrival half an RTT later through
+// AtPayloadFront (nearly always into the arrival FIFO), and its
+// completion through AfterPayload (the calendar). ns/op is the engine's
+// cost per request: three events, one calendar push and one FIFO push.
+func BenchmarkArrivalMix(b *testing.B) {
+	draws := arrivalDraws()
+	edge := arrivalPath{"paper edge", []float64{1}, 0.2}
+	b.ReportAllocs()
+	b.ResetTimer()
+	runArrivalModel(NewEngine(1), draws, edge, b.N)
 }

@@ -1,22 +1,26 @@
 // Package sim implements the discrete-event simulation engine that
-// substitutes for the paper's EC2 testbed. It provides a simulation clock,
-// an event calendar keyed on time with FIFO tie-breaking, and seeded
-// random-number streams so every experiment is reproducible.
+// substitutes for the paper's EC2 testbed. It provides a simulation clock
+// and an event calendar keyed on time with FIFO tie-breaking. The engine
+// draws no randomness: models take their streams from internal/dist.
 //
 // The calendar recycles its event nodes through a free list and supports
 // payload-carrying events (AtPayload/AfterPayload), so steady-state
 // models — one completion event per in-service request, one in-flight
 // arrival per request on the wire — schedule without allocating.
-// Canceled events are compacted out of the calendar as soon as they
-// dominate it, keeping the calendar proportional to the number of live
-// events.
+// Canceled events are compacted out as soon as they dominate the
+// pending events, keeping storage proportional to the live ones.
 //
-// Beside the calendar, each engine has an arrival lane (ArmLane): one
-// front-priority event held in an engine field. A source that pulls its
-// next record one event at a time keeps that pump event in the lane, so
-// it never pays a calendar insert and pop. The lane reserves its
-// schedule sequence number when armed and runs exactly where the same
-// event would pop from the calendar, so using it reorders nothing.
+// Beside the calendar, each engine has two cheaper homes for
+// front-priority events. The arrival lane (ArmLane) holds one event in
+// an engine field: a source that pulls its next record one event at a
+// time keeps its pump event there. The arrival FIFO takes every front
+// event (AtFront, AtPayloadFront) scheduled no earlier than the front
+// event last appended to it, which is nearly every network arrival of
+// a replay, since requests reach their station in about the order they
+// were generated; any other front event goes to the calendar. Run
+// executes the earliest of the three heads in the calendar's own
+// order, so neither home reorders anything: they only skip calendar
+// inserts and pops.
 //
 // Two calendar structures implement the same strict event order
 // (time, then front flag, then schedule sequence): the default calendar
@@ -31,12 +35,7 @@
 // them — the equivalence suite asserts this.
 package sim
 
-import (
-	"fmt"
-	"math/rand"
-
-	"repro/internal/dist"
-)
+import "fmt"
 
 // Event is a callback scheduled to run at a simulated time.
 type Event func(e *Engine)
@@ -106,9 +105,8 @@ type Engine struct {
 	now       float64
 	cal       calendar
 	free      []*scheduledEvent // recycled event nodes
-	canceled  int               // canceled entries still in the calendar
+	canceled  int               // canceled entries still in the calendar or the FIFO
 	seq       uint64
-	rng       *rand.Rand
 	stopped   bool
 	horizon   float64 // 0 = no horizon
 	processed uint64
@@ -117,10 +115,16 @@ type Engine struct {
 	// the calendar, valid while laneArmed.
 	lane      scheduledEvent
 	laneArmed bool
+
+	// fifo is the arrival FIFO: front events appended in eventBefore
+	// order, live from fifoHead on (see pushFront).
+	fifo     []*scheduledEvent
+	fifoHead int
 }
 
-// NewEngine returns an engine whose random streams derive from seed,
-// running on the default calendar-queue backend.
+// NewEngine returns an engine on the default calendar-queue backend.
+// The engine draws no randomness, so seed selects nothing; it is kept
+// so existing callers compile unchanged.
 func NewEngine(seed int64) *Engine {
 	return NewEngineBackend(seed, CalendarQueue)
 }
@@ -128,9 +132,9 @@ func NewEngine(seed int64) *Engine {
 // NewEngineBackend returns an engine on an explicit calendar backend.
 // Both backends implement the same strict event order, so results are
 // bit-identical; BinaryHeap exists for the equivalence suite and as a
-// fallback reference.
+// fallback reference. As with NewEngine, seed selects nothing.
 func NewEngineBackend(seed int64, b Backend) *Engine {
-	e := &Engine{rng: dist.NewRand(seed)}
+	e := &Engine{}
 	if b == BinaryHeap {
 		e.cal = &heapCalendar{}
 	} else {
@@ -141,16 +145,6 @@ func NewEngineBackend(seed int64, b Backend) *Engine {
 
 // Now returns the current simulated time in seconds.
 func (e *Engine) Now() float64 { return e.now }
-
-// RNG returns the engine's primary random stream.
-func (e *Engine) RNG() *rand.Rand { return e.rng }
-
-// NewStream returns an independent random stream derived from the
-// engine's seed, for components that should not perturb each other's
-// random sequences.
-func (e *Engine) NewStream() *rand.Rand {
-	return dist.NewRand(e.rng.Int63())
-}
 
 // Handle identifies a scheduled event so it can be canceled.
 type Handle struct {
@@ -170,18 +164,29 @@ func (h Handle) Cancel() {
 	h.ev.canceled = true
 	e := h.engine
 	e.canceled++
-	// Compact once dead entries dominate the calendar, so models that
-	// cancel aggressively (e.g. rescheduling a pending departure on
-	// every arrival) keep the calendar proportional to the number of
-	// live events.
-	if e.canceled*2 > e.cal.len() {
+	// Compact once dead entries dominate the pending events, so models
+	// that cancel aggressively (e.g. rescheduling a pending departure on
+	// every arrival) keep the calendar and the FIFO proportional to the
+	// number of live events.
+	if e.canceled*2 > e.Pending() {
 		e.compact()
 	}
 }
 
-// compact removes canceled entries from the calendar and recycles them.
+// compact removes canceled entries from the calendar and the FIFO and
+// recycles them; the survivors keep their order.
 func (e *Engine) compact() {
 	e.cal.removeCanceled(e.release)
+	live := e.fifo[:e.fifoHead]
+	for _, ev := range e.fifo[e.fifoHead:] {
+		if ev.canceled {
+			e.release(ev)
+		} else {
+			live = append(live, ev)
+		}
+	}
+	clear(e.fifo[len(live):])
+	e.fifo = live
 	e.canceled = 0
 }
 
@@ -257,34 +262,59 @@ func (e *Engine) AfterPayload(delay float64, fn PayloadEvent, payload any) Handl
 // or later scheduled at the same instant (front events keep FIFO order
 // among themselves). A source that injects arrivals lazily uses this to
 // reproduce the tie-breaking of a calendar where all arrivals were
-// scheduled before the run began. A source's one pending pump event
-// belongs in the cheaper ArmLane instead; the only non-test caller left
-// is replaybench's stationNs micro-benchmark.
+// scheduled before the run began. An event no earlier than the last
+// front event still in the arrival FIFO joins the FIFO, at no calendar
+// cost; an earlier one goes to the calendar. A source's one pending
+// pump event belongs in ArmLane instead.
 func (e *Engine) AtFront(t float64, fn Event) Handle {
 	ev := e.acquire(t)
 	ev.front = true
 	ev.fn = fn
-	e.cal.push(ev)
+	e.pushFront(ev)
 	return Handle{engine: e, ev: ev, gen: ev.gen}
 }
 
-// AtPayloadFront is AtFront with an attached payload.
+// AtPayloadFront is AtFront with an attached payload: the form a
+// replay's network arrivals take, so in-order ones join the arrival
+// FIFO without allocating.
 func (e *Engine) AtPayloadFront(t float64, fn PayloadEvent, payload any) Handle {
 	ev := e.acquire(t)
 	ev.front = true
 	ev.pfn = fn
 	ev.payload = payload
-	e.cal.push(ev)
+	e.pushFront(ev)
 	return Handle{engine: e, ev: ev, gen: ev.gen}
+}
+
+// pushFront appends a front event to the arrival FIFO when that keeps
+// the FIFO sorted by eventBefore — its time is no earlier than the
+// tail's, and a later seq breaks a tie — and pushes it to the calendar
+// otherwise. At capacity the FIFO compacts in place if popped slots
+// make up at least half of it and grows otherwise, so an append costs
+// O(1) amortized at any length.
+func (e *Engine) pushFront(ev *scheduledEvent) {
+	n := len(e.fifo)
+	if n > e.fifoHead && ev.t < e.fifo[n-1].t {
+		e.cal.push(ev)
+		return
+	}
+	if n == cap(e.fifo) && 2*e.fifoHead >= n {
+		live := copy(e.fifo, e.fifo[e.fifoHead:])
+		clear(e.fifo[live:])
+		e.fifo = e.fifo[:live]
+		e.fifoHead = 0
+	}
+	e.fifo = append(e.fifo, ev)
 }
 
 // ArmLane arms the engine's arrival lane: fn runs at time t exactly
 // where AtFront(t, fn) would run it — after earlier events and earlier
 // front events at t, before every non-front event at t — but the event
-// is held in an engine field instead of the calendar, so it costs no
-// calendar insert or pop. The lane holds one event and has no Handle:
-// arming it while it is armed panics, as does arming it in the past.
-// An event may re-arm the lane from inside its own callback.
+// is held in an engine field instead of the calendar or the arrival
+// FIFO, so it costs no insert or pop, whatever its time. The lane holds
+// one event and has no Handle: arming it while it is armed panics, as
+// does arming it in the past. An event may re-arm the lane from inside
+// its own callback.
 func (e *Engine) ArmLane(t float64, fn Event) {
 	if e.laneArmed {
 		panic("sim: arrival lane armed twice")
@@ -303,26 +333,34 @@ func (e *Engine) ArmLane(t float64, fn Event) {
 // Stop halts the run loop after the current event returns.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Pending returns the number of events in the calendar, including
-// canceled events not yet popped or compacted. An armed arrival lane is
-// not in the calendar and is not counted.
-func (e *Engine) Pending() int { return e.cal.len() }
+// Pending returns the number of events in the calendar and the arrival
+// FIFO, including canceled events not yet popped or compacted. An armed
+// arrival lane is not counted.
+func (e *Engine) Pending() int { return e.cal.len() + len(e.fifo) - e.fifoHead }
 
 // Canceled returns the number of canceled events still occupying the
-// calendar. Compaction keeps this at no more than half of Pending().
+// calendar or the arrival FIFO. A cancel that would leave more than
+// half of Pending() canceled compacts them all away; live events that
+// run later can raise the share again until the next cancel.
 func (e *Engine) Canceled() int { return e.canceled }
 
 // Processed returns the number of events executed so far, arrival-lane
 // events included.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Run executes events until the calendar and the arrival lane are
-// empty, Stop is called, or the time horizon (if set with RunUntil) is
-// reached. It returns the final simulated time.
+// Run executes events until the calendar, the arrival FIFO and the
+// arrival lane are empty, Stop is called, or the time horizon (if set
+// with RunUntil) is reached. It returns the final simulated time.
 func (e *Engine) Run() float64 {
 	e.stopped = false
 	for !e.stopped {
 		next := e.cal.peek()
+		fromFIFO := false
+		if e.fifoHead < len(e.fifo) {
+			if f := e.fifo[e.fifoHead]; next == nil || eventBefore(f, next) {
+				next, fromFIFO = f, true
+			}
+		}
 		if e.laneArmed && (next == nil || eventBefore(&e.lane, next)) {
 			next = &e.lane
 		}
@@ -344,7 +382,18 @@ func (e *Engine) Run() float64 {
 			fn(e)
 			continue
 		}
-		ev := e.cal.pop()
+		var ev *scheduledEvent
+		if fromFIFO {
+			ev = next
+			e.fifo[e.fifoHead] = nil
+			e.fifoHead++
+			if e.fifoHead == len(e.fifo) {
+				e.fifo = e.fifo[:0]
+				e.fifoHead = 0
+			}
+		} else {
+			ev = e.cal.pop()
+		}
 		if ev.canceled {
 			e.canceled--
 			e.release(ev)
@@ -378,7 +427,7 @@ func (e *Engine) RunUntil(horizon float64) float64 {
 	e.horizon = horizon
 	t := e.Run()
 	e.horizon = 0
-	if t < horizon && e.cal.len() == 0 && !e.laneArmed {
+	if t < horizon && e.Pending() == 0 && !e.laneArmed {
 		// Calendar drained before the horizon: advance the clock so
 		// repeated RunUntil calls observe monotonic time.
 		e.now = horizon

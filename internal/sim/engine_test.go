@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/dist"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -199,24 +201,10 @@ func TestProcessedCount(t *testing.T) {
 	}
 }
 
-func TestNewStreamIndependence(t *testing.T) {
-	e := NewEngine(42)
-	s1, s2 := e.NewStream(), e.NewStream()
-	same := true
-	for i := 0; i < 10; i++ {
-		if s1.Float64() != s2.Float64() {
-			same = false
-		}
-	}
-	if same {
-		t.Error("derived streams should differ")
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	run := func() []float64 {
 		e := NewEngine(7)
-		rng := e.RNG()
+		rng := dist.NewRand(7)
 		var times []float64
 		var schedule func(en *Engine)
 		n := 0
