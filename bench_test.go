@@ -106,7 +106,7 @@ func BenchmarkFig6LatencyDistributions(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		spread = out[0].Box.IQR() / (out[3].Box.IQR() + 1e-9)
+		spread = out[0].EndToEnd.Box("").IQR() / (out[3].EndToEnd.Box("").IQR() + 1e-9)
 	}
 	b.ReportMetric(spread, "edge1-IQR/cloud10-IQR")
 }
@@ -146,7 +146,7 @@ func BenchmarkFig9AzureReplayTimeline(b *testing.B) {
 	spec.Minutes = 8
 	var edgeOverCloud float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAzureReplay(spec, 1.0, 7)
+		res, err := experiments.RunAzureReplay(spec, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -162,18 +162,15 @@ func BenchmarkFig10PerSiteBoxplot(b *testing.B) {
 	spec.Minutes = 8
 	var worstOverBest float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAzureReplay(spec, 1.0, 7)
+		res, err := experiments.RunAzureReplay(spec, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
-		best, worst := res.EdgeBoxes[0].Median, res.EdgeBoxes[0].Median
-		for _, bx := range res.EdgeBoxes {
-			if bx.Median < best {
-				best = bx.Median
-			}
-			if bx.Median > worst {
-				worst = bx.Median
-			}
+		sites := res.EdgeResult.Tiers[0].Sites
+		best, worst := sites[0].EndToEnd.Median(), sites[0].EndToEnd.Median()
+		for k := range sites {
+			median := sites[k].EndToEnd.Median()
+			best, worst = min(best, median), max(worst, median)
 		}
 		worstOverBest = worst / best
 	}

@@ -1061,8 +1061,8 @@ func runTopologySweepCLI(o *options) {
 	for i, p := range res.Points {
 		c := cloud[i]
 		rows = append(rows, []interface{}{
-			p.RatePerServer,
-			p.Mean * 1000, c.Mean * 1000, p.P95 * 1000, c.P95 * 1000,
+			rates[i],
+			p.EndToEnd.Mean() * 1000, c.EndToEnd.Mean() * 1000, p.EndToEnd.P95() * 1000, c.EndToEnd.P95() * 1000,
 			int(p.Dropped),
 		})
 	}
@@ -1075,8 +1075,8 @@ func runTopologySweepCLI(o *options) {
 	for i, p := range res.Points {
 		for _, t := range p.Tiers {
 			tierRows = append(tierRows, []interface{}{
-				res.Points[i].RatePerServer, t.Name, t.Utilization,
-				t.Mean * 1000, t.P95 * 1000, int(t.Served), int(t.Spilled),
+				rates[i], t.Name, t.Utilization,
+				t.EndToEnd.Mean() * 1000, t.EndToEnd.P95() * 1000, int(t.Served), int(t.Spilled),
 				t.PeakServers, t.CostPerReq * 1000,
 			})
 		}

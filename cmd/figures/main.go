@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -48,8 +50,7 @@ func main() {
 
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			os.Exit(1)
+			die("%v", err)
 		}
 	}
 
@@ -59,6 +60,28 @@ func main() {
 			fmt.Printf("\n================ Figure/Table %s ================\n", f.name)
 			f.run(a)
 		}
+	}
+}
+
+// die reports a run that failed after its flags were accepted: one
+// line and exit status 1.
+func die(format string, args ...interface{}) {
+	fmt.Fprintf(os.Stderr, "figures: "+format+"\n", args...)
+	os.Exit(1)
+}
+
+// writeCSV writes one figure's CSV file into dir when -csv named one. A
+// file that cannot be created, written or closed exits 1 naming it.
+func writeCSV(dir, name string, write func(io.Writer) error) {
+	if dir == "" {
+		return
+	}
+	f, err := os.Create(filepath.Join(dir, name))
+	if err != nil {
+		die("-csv: %v", err) // names the file
+	}
+	if err := errors.Join(write(f), f.Close()); err != nil {
+		die("-csv %s: %v", f.Name(), err)
 	}
 }
 
@@ -163,13 +186,11 @@ func admissionCost(duration float64, seed int64, csvDir string) {
 	}
 	spec := cluster.GenSpec{Sites: sites, Duration: duration, PerSiteRate: offered, Seed: seed}
 	if err := spec.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "figures: admission:", err)
-		os.Exit(1)
+		die("admission: %v", err)
 	}
 	results, err := cluster.RunBroadcast(cluster.Stream(spec), variants, 0)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures: admission:", err)
-		os.Exit(1)
+		die("admission: %v", err)
 	}
 
 	series := []asciiplot.Series{{Name: "total $ (capacity + penalty)"}, {Name: "capacity $"}}
@@ -198,13 +219,7 @@ func admissionCost(duration float64, seed int64, csvDir string) {
 	fmt.Println()
 	asciiplot.LineChart(os.Stdout, "Admission: total cost ($) vs admitted traffic (%)", series, 72, 16)
 
-	if csvDir != "" {
-		f, err := os.Create(filepath.Join(csvDir, "admission.csv"))
-		if err == nil {
-			defer f.Close()
-			_ = asciiplot.WriteSeriesCSV(f, series)
-		}
-	}
+	writeCSV(csvDir, "admission.csv", func(w io.Writer) error { return asciiplot.WriteSeriesCSV(w, series) })
 }
 
 // tailAnalytic prints the analytic tail-inversion extension: exact M/M
@@ -315,14 +330,13 @@ func loadSkew(loads []trace.CellLoad) (meanSkew, maxSkew float64) {
 func fig345(name, scenario string, metric experiments.Metric, duration float64, seed int64, csvDir string) {
 	res, err := experiments.RunFig3(scenario, duration, seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(1)
+		die("%v", err)
 	}
-	pick := func(p experiments.TopologyPoint) float64 {
+	pick := func(run *cluster.TopologyResult) float64 {
 		if metric == experiments.P95 {
-			return p.P95 * 1000
+			return run.EndToEnd.P95() * 1000
 		}
-		return p.Mean * 1000
+		return run.EndToEnd.Mean() * 1000
 	}
 	series := []asciiplot.Series{
 		{Name: "edge, 1 server"}, {Name: "edge, 2 servers"},
@@ -330,10 +344,10 @@ func fig345(name, scenario string, metric experiments.Metric, duration float64, 
 	}
 	sweeps := []experiments.TopologySweepResult{res.OneServer, res.TwoServer}
 	for s, sweep := range sweeps {
-		for i, p := range sweep.Points {
-			series[s].X = append(series[s].X, p.RatePerServer)
-			series[s].Y = append(series[s].Y, pick(p))
-			series[s+2].X = append(series[s+2].X, p.RatePerServer)
+		for i, rate := range sweep.Config.Rates {
+			series[s].X = append(series[s].X, rate)
+			series[s].Y = append(series[s].Y, pick(sweep.Points[i]))
+			series[s+2].X = append(series[s+2].X, rate)
 			series[s+2].Y = append(series[s+2].Y, pick(sweep.Rivals[0][i]))
 		}
 	}
@@ -342,9 +356,9 @@ func fig345(name, scenario string, metric experiments.Metric, duration float64, 
 	asciiplot.LineChart(os.Stdout, title, series, 72, 20)
 
 	var rows [][]interface{}
-	for i, p := range res.OneServer.Points {
+	for i, rate := range res.OneServer.Config.Rates {
 		rows = append(rows, []interface{}{
-			p.RatePerServer, pick(p), pick(res.TwoServer.Points[i]),
+			rate, pick(res.OneServer.Points[i]), pick(res.TwoServer.Points[i]),
 			pick(res.OneServer.Rivals[0][i]), pick(res.TwoServer.Rivals[0][i]),
 		})
 	}
@@ -362,13 +376,7 @@ func fig345(name, scenario string, metric experiments.Metric, duration float64, 
 		}
 	}
 
-	if csvDir != "" {
-		f, err := os.Create(filepath.Join(csvDir, "fig"+name+".csv"))
-		if err == nil {
-			defer f.Close()
-			_ = asciiplot.WriteSeriesCSV(f, series)
-		}
-	}
+	writeCSV(csvDir, "fig"+name+".csv", func(w io.Writer) error { return asciiplot.WriteSeriesCSV(w, series) })
 }
 
 // threeTier renders the new hierarchy figure: four capacity-matched
@@ -377,18 +385,17 @@ func fig345(name, scenario string, metric experiments.Metric, duration float64, 
 func threeTier(duration float64, seed int64, csvDir string) {
 	res, err := experiments.RunFigThreeTier(duration, seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(1)
+		die("%v", err)
 	}
 	series := []asciiplot.Series{
 		{Name: "edge (5x2)"}, {Name: "cloud (10)"},
 		{Name: "edge+overflow (5+5)"}, {Name: "edge+regional+cloud (5+2+3)"},
 	}
-	shapes := append([][]experiments.TopologyPoint{res.Points}, res.Rivals...)
-	for k, points := range shapes {
-		for _, p := range points {
-			series[k].X = append(series[k].X, p.RatePerServer)
-			series[k].Y = append(series[k].Y, p.Mean*1000)
+	shapes := append([][]*cluster.TopologyResult{res.Points}, res.Rivals...)
+	for k, runs := range shapes {
+		for i, run := range runs {
+			series[k].X = append(series[k].X, res.Config.Rates[i])
+			series[k].Y = append(series[k].Y, run.EndToEnd.Mean()*1000)
 		}
 	}
 	asciiplot.LineChart(os.Stdout,
@@ -402,9 +409,9 @@ func threeTier(duration float64, seed int64, csvDir string) {
 		// their home site at a tier.
 		spillPct := func(spilled uint64) float64 { return 100 * (float64(spilled) / float64(p.Offered)) }
 		rows = append(rows, []interface{}{
-			p.RatePerServer,
-			p.Mean * 1000, cloud.Mean * 1000, over.Mean * 1000, chain.Mean * 1000,
-			p.P95 * 1000, chain.P95 * 1000,
+			res.Config.Rates[i],
+			p.EndToEnd.Mean() * 1000, cloud.EndToEnd.Mean() * 1000, over.EndToEnd.Mean() * 1000, chain.EndToEnd.Mean() * 1000,
+			p.EndToEnd.P95() * 1000, chain.EndToEnd.P95() * 1000,
 			spillPct(over.Tiers[0].Spilled), spillPct(chain.Tiers[0].Spilled), spillPct(chain.Tiers[1].Spilled),
 		})
 	}
@@ -413,13 +420,7 @@ func threeTier(duration float64, seed int64, csvDir string) {
 		"edge p95", "chain p95", "ovfl %", "chain->reg %", "reg->cld %",
 	}, rows)
 
-	if csvDir != "" {
-		f, err := os.Create(filepath.Join(csvDir, "figthreetier.csv"))
-		if err == nil {
-			defer f.Close()
-			_ = asciiplot.WriteSeriesCSV(f, series)
-		}
-	}
+	writeCSV(csvDir, "figthreetier.csv", func(w io.Writer) error { return asciiplot.WriteSeriesCSV(w, series) })
 }
 
 // scalerFrontier renders the latency-vs-cost frontier of the scaler
@@ -435,22 +436,21 @@ func scalerFrontier(duration float64, seed int64, csvDir string) {
 		Seed:     seed,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(1)
+		die("%v", err)
 	}
-	rows := append([]experiments.ScalerComparisonRow(nil), res.Rows...)
-	sort.Slice(rows, func(i, j int) bool { return rows[i].CostPerRequest < rows[j].CostPerRequest })
+	runs := res.Runs
+	sort.Slice(runs, func(i, j int) bool { return runs[i].CostPerRequest < runs[j].CostPerRequest })
 	// Weakly dominated = some rival is no worse on both axes and
 	// strictly better on at least one.
 	pareto := func(i int) bool {
-		for j := range rows {
+		for j := range runs {
 			if j == i {
 				continue
 			}
-			if rows[j].CostPerRequest <= rows[i].CostPerRequest &&
-				rows[j].Mean <= rows[i].Mean &&
-				(rows[j].CostPerRequest < rows[i].CostPerRequest ||
-					rows[j].Mean < rows[i].Mean) {
+			if runs[j].CostPerRequest <= runs[i].CostPerRequest &&
+				runs[j].EndToEnd.Mean() <= runs[i].EndToEnd.Mean() &&
+				(runs[j].CostPerRequest < runs[i].CostPerRequest ||
+					runs[j].EndToEnd.Mean() < runs[i].EndToEnd.Mean()) {
 				return false
 			}
 		}
@@ -459,16 +459,16 @@ func scalerFrontier(duration float64, seed int64, csvDir string) {
 
 	frontier := asciiplot.Series{Name: "policies (cost asc)"}
 	var out [][]interface{}
-	for i, r := range rows {
+	for i, r := range runs {
 		edge := r.Tiers[0]
 		mark := ""
 		if pareto(i) {
 			mark = "*"
 		}
 		frontier.X = append(frontier.X, r.CostPerRequest*1000)
-		frontier.Y = append(frontier.Y, r.Mean*1000)
+		frontier.Y = append(frontier.Y, r.EndToEnd.Mean()*1000)
 		out = append(out, []interface{}{
-			r.Policy + mark, r.Mean * 1000, r.P95 * 1000,
+			r.Label + mark, r.EndToEnd.Mean() * 1000, r.EndToEnd.P95() * 1000,
 			edge.PeakServers, edge.ScaleUps + edge.ScaleDowns,
 			edge.ServerSeconds, r.TotalCost, r.CostPerRequest * 1000,
 		})
@@ -482,13 +482,9 @@ func scalerFrontier(duration float64, seed int64, csvDir string) {
 	}, out)
 	fmt.Println("* = on the latency-cost frontier (no policy is both cheaper and faster)")
 
-	if csvDir != "" {
-		f, err := os.Create(filepath.Join(csvDir, "figscaler.csv"))
-		if err == nil {
-			defer f.Close()
-			_ = asciiplot.WriteSeriesCSV(f, []asciiplot.Series{frontier})
-		}
-	}
+	writeCSV(csvDir, "figscaler.csv", func(w io.Writer) error {
+		return asciiplot.WriteSeriesCSV(w, []asciiplot.Series{frontier})
+	})
 }
 
 // gridSurface renders the crossover grid: the rate × budget × depth
@@ -507,8 +503,7 @@ func gridSurface(duration float64, seed int64, csvDir string) {
 	}
 	res, err := experiments.RunGrid(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(1)
+		die("%v", err)
 	}
 
 	// Heatmap of the surface itself: hierarchy mean minus pooled mean,
@@ -565,34 +560,28 @@ func gridSurface(duration float64, seed int64, csvDir string) {
 		}
 	}
 
-	if csvDir != "" {
-		f, err := os.Create(filepath.Join(csvDir, "figgrid.csv"))
-		if err == nil {
-			defer f.Close()
-			_ = asciiplot.WriteSeriesCSV(f, series)
-		}
-	}
+	writeCSV(csvDir, "figgrid.csv", func(w io.Writer) error { return asciiplot.WriteSeriesCSV(w, series) })
 }
 
 // fig6 renders the latency distributions at 10 req/server/s (Figure 6).
 func fig6(duration float64, seed int64) {
-	scenarios, err := experiments.RunFig6(duration, seed)
+	runs, err := experiments.RunFig6(duration, seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(1)
+		die("%v", err)
 	}
 	var strip []asciiplot.Box
 	var rows [][]interface{}
-	for _, s := range scenarios {
-		b := s.Box
+	for _, run := range runs {
+		sum := run.EndToEnd.Summarize(run.Label, nil)
+		b := run.EndToEnd.Box(run.Label)
 		strip = append(strip, asciiplot.Box{
 			Label: b.Label,
 			Min:   b.Min * 1000, Q1: b.Q1 * 1000, Med: b.Median * 1000,
 			Q3: b.Q3 * 1000, Max: b.UpperFence * 1000,
 		})
 		rows = append(rows, []interface{}{
-			s.Label, b.Mean * 1000, b.Median * 1000,
-			s.Summary.Quantile(0.95) * 1000, s.Summary.Quantile(0.99) * 1000, s.Summary.CoV,
+			run.Label, b.Mean * 1000, b.Median * 1000,
+			sum.Quantile(0.95) * 1000, sum.Quantile(0.99) * 1000, sum.CoV,
 		})
 	}
 	asciiplot.BoxStrips(os.Stdout, "Fig 6: response-time distribution (ms) at 10 req/server/s, distant cloud", strip, 60)
@@ -603,8 +592,7 @@ func fig6(duration float64, seed int64) {
 func fig7(duration float64, seed int64) {
 	points, err := experiments.RunFig7(duration, seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(1)
+		die("%v", err)
 	}
 	var rows [][]interface{}
 	for _, p := range points {
@@ -641,13 +629,7 @@ func fig8(seed int64, csvDir string) {
 	asciiplot.LineChart(os.Stdout, "Fig 8: per-site requests/minute (synthetic Azure trace)", plot, 72, 18)
 	meanSkew, maxSkew := trace.SkewStats(series)
 	fmt.Printf("cross-site skew (busiest/mean): mean=%.2f max=%.2f\n", meanSkew, maxSkew)
-	if csvDir != "" {
-		f, err := os.Create(filepath.Join(csvDir, "fig8.csv"))
-		if err == nil {
-			defer f.Close()
-			_ = trace.WriteSiteSeriesCSV(f, series)
-		}
-	}
+	writeCSV(csvDir, "fig8.csv", func(w io.Writer) error { return trace.WriteSiteSeriesCSV(w, series) })
 }
 
 // fig910 renders the Azure replay timeline (Figure 9) or per-site box
@@ -655,24 +637,20 @@ func fig8(seed int64, csvDir string) {
 func fig910(seed int64, timeline bool) {
 	spec := trace.DefaultAzureSpec()
 	spec.Seed = seed
-	res, err := experiments.RunAzureReplay(spec, 1.0, seed)
+	res, err := experiments.RunAzureReplay(spec, seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(1)
+		die("%v", err)
 	}
 	if timeline {
 		var edge, cloud asciiplot.Series
 		edge.Name, cloud.Name = "Edge servers", "Cloud servers"
-		n := res.EdgeTimeline.NumBins()
-		if m := res.CloudTimeline.NumBins(); m < n {
-			n = m
-		}
-		for i := 0; i < n; i++ {
-			t := res.EdgeTimeline.BinTime(i) / 60
+		edgeTL, cloudTL := res.EdgeResult.Timeline, res.CloudResult.Timeline
+		for i := range min(edgeTL.NumBins(), cloudTL.NumBins()) {
+			t := edgeTL.BinTime(i) / 60
 			edge.X = append(edge.X, t)
-			edge.Y = append(edge.Y, res.EdgeTimeline.BinMean(i)*1000)
+			edge.Y = append(edge.Y, edgeTL.BinMean(i)*1000)
 			cloud.X = append(cloud.X, t)
-			cloud.Y = append(cloud.Y, res.CloudTimeline.BinMean(i)*1000)
+			cloud.Y = append(cloud.Y, cloudTL.BinMean(i)*1000)
 		}
 		asciiplot.LineChart(os.Stdout, "Fig 9: mean response time (ms) per minute, Azure trace replay (Δn≈25ms)",
 			[]asciiplot.Series{edge, cloud}, 72, 18)
@@ -681,9 +659,14 @@ func fig910(seed int64, timeline bool) {
 			res.EdgeResult.P95Latency()*1000, res.CloudResult.P95Latency()*1000)
 		return
 	}
+	var boxes []stats.BoxPlot
+	for i := range res.EdgeResult.Tiers[0].Sites {
+		boxes = append(boxes, res.EdgeResult.Tiers[0].Sites[i].EndToEnd.Box(fmt.Sprintf("Edge %d", i+1)))
+	}
+	boxes = append(boxes, res.CloudResult.EndToEnd.Box("Cloud"))
 	var strip []asciiplot.Box
 	var rows [][]interface{}
-	for _, b := range append(res.EdgeBoxes, res.CloudBox) {
+	for _, b := range boxes {
 		strip = append(strip, asciiplot.Box{
 			Label: b.Label,
 			Min:   b.Min * 1000, Q1: b.Q1 * 1000, Med: b.Median * 1000,
@@ -699,8 +682,7 @@ func fig910(seed int64, timeline bool) {
 func validation(duration float64, seed int64) {
 	rows, err := experiments.RunValidation(duration, seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		os.Exit(1)
+		die("%v", err)
 	}
 	var out [][]interface{}
 	for _, r := range rows {

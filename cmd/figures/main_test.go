@@ -1,10 +1,50 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"math"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// TestMain lets TestCSVFailureExitsOne run the command itself: a child
+// started with FIGURES_RUN_MAIN=1 runs main on its arguments instead of
+// the tests.
+func TestMain(m *testing.M) {
+	if os.Getenv("FIGURES_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestCSVFailureExitsOne: a -csv file that cannot be written fails the
+// run with exit status 1 and one line naming the file, instead of
+// leaving the CSV silently missing. Figure 8 runs no simulation, so the
+// child is quick.
+func TestCSVFailureExitsOne(t *testing.T) {
+	dir := t.TempDir()
+	target := filepath.Join(dir, "fig8.csv")
+	if err := os.Mkdir(target, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-fig", "8", "-csv", dir)
+	cmd.Env = append(os.Environ(), "FIGURES_RUN_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("run error %v, want exit status 1; stderr %q", err, stderr.String())
+	}
+	if msg := stderr.String(); strings.Count(msg, "\n") != 1 || !strings.Contains(msg, target) {
+		t.Errorf("stderr %q, want one line naming %s", msg, target)
+	}
+}
 
 func TestCheckFig(t *testing.T) {
 	for _, tc := range []struct {

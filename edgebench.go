@@ -24,9 +24,11 @@
 //     examples/geo-loadbalance, and a ScalerSpec in
 //     examples/capacity-planner.
 //
-//   - Experiments: the paper's trace-driven runs. RunAzureReplay is
-//     shown by examples/azure-replay, RunScalerComparison by
-//     examples/predictive-edge; cmd/figures regenerates every figure.
+//   - Experiments: the paper's trace-driven runs. Each runner returns
+//     the engine's TopologyResults: RunAzureReplay one per deployment
+//     (examples/azure-replay), RunScalerComparison one per scaler
+//     policy, labelled with the policy (examples/predictive-edge);
+//     cmd/figures regenerates every figure.
 //
 // The live testbed (a net/http inference-service emulator and load
 // generator) is not re-exported: cmd/loadtest drives it.

@@ -76,12 +76,12 @@ func TestPublicAPIWorkloadHelpers(t *testing.T) {
 func TestPublicAPIAzure(t *testing.T) {
 	spec := edgebench.DefaultAzureSpec()
 	spec.Minutes = 3
-	res, err := edgebench.RunAzureReplay(spec, 1.0, 7)
+	res, err := edgebench.RunAzureReplay(spec, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Series) != spec.Sites || len(res.EdgeBoxes) != spec.Sites {
-		t.Fatalf("replay has %d series and %d edge boxes, want %d each", len(res.Series), len(res.EdgeBoxes), spec.Sites)
+	if sites := res.EdgeResult.Tiers[0].Sites; len(res.Series) != spec.Sites || len(sites) != spec.Sites {
+		t.Fatalf("replay has %d series and %d edge sites, want %d each", len(res.Series), len(sites), spec.Sites)
 	}
 }
 

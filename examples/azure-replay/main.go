@@ -13,7 +13,7 @@ import (
 
 func main() {
 	spec := edgebench.DefaultAzureSpec()
-	res, err := edgebench.RunAzureReplay(spec, 1.0, 7)
+	res, err := edgebench.RunAzureReplay(spec, 7)
 	if err != nil {
 		panic(err)
 	}
@@ -35,13 +35,11 @@ func main() {
 	fmt.Println("\nMinute-by-minute mean latency (ms):")
 	fmt.Printf("%-8s %12s %12s %s\n", "minute", "edge", "cloud", "leader")
 	inversions := 0
-	n := res.EdgeTimeline.NumBins()
-	if m := res.CloudTimeline.NumBins(); m < n {
-		n = m
-	}
+	edge, cloud := res.EdgeResult, res.CloudResult
+	n := min(edge.Timeline.NumBins(), cloud.Timeline.NumBins())
 	for i := 0; i < n; i++ {
-		e := res.EdgeTimeline.BinMean(i) * 1000
-		c := res.CloudTimeline.BinMean(i) * 1000
+		e := edge.Timeline.BinMean(i) * 1000
+		c := cloud.Timeline.BinMean(i) * 1000
 		leader := "edge"
 		if e > c {
 			leader = "CLOUD (inversion)"
@@ -52,15 +50,16 @@ func main() {
 	fmt.Printf("\n%d of %d minutes showed performance inversion.\n", inversions, n)
 
 	fmt.Println("\nPer-site latency spread (the paper's Figure 10):")
-	for _, b := range res.EdgeBoxes {
+	for i, site := range edge.Tiers[0].Sites {
+		b := site.EndToEnd.Box(fmt.Sprintf("Edge %d", i+1))
 		fmt.Printf("  %-8s median %6.1f ms   q3 %6.1f ms   whisker %7.1f ms\n",
 			b.Label, b.Median*1000, b.Q3*1000, b.UpperFence*1000)
 	}
-	b := res.CloudBox
+	b := cloud.EndToEnd.Box("Cloud")
 	fmt.Printf("  %-8s median %6.1f ms   q3 %6.1f ms   whisker %7.1f ms\n",
 		b.Label, b.Median*1000, b.Q3*1000, b.UpperFence*1000)
 
 	fmt.Printf("\noverall: edge mean %.1f ms vs cloud mean %.1f ms; edge p95 %.1f ms vs cloud p95 %.1f ms\n",
-		res.EdgeResult.MeanLatency()*1000, res.CloudResult.MeanLatency()*1000,
-		res.EdgeResult.P95Latency()*1000, res.CloudResult.P95Latency()*1000)
+		edge.MeanLatency()*1000, cloud.MeanLatency()*1000,
+		edge.P95Latency()*1000, cloud.P95Latency()*1000)
 }

@@ -45,14 +45,15 @@ func main() {
 	fmt.Println()
 	fmt.Printf("%-26s %10s %10s %6s %9s %8s %9s\n",
 		"policy", "mean (ms)", "p95 (ms)", "peak", "actions", "srv-sec", "$/kreq")
-	sorted := res.Rows
+	// One run per policy, labelled with the policy's name.
+	sorted := res.Runs
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].CostPerRequest < sorted[j].CostPerRequest })
-	for _, row := range sorted {
-		edge := row.Tiers[0]
+	for _, run := range sorted {
+		edge := run.Tiers[0]
 		fmt.Printf("%-26s %10.1f %10.1f %6d %9d %8.0f %9.4f\n",
-			row.Policy, row.Mean*1000, row.P95*1000,
+			run.Label, run.MeanLatency()*1000, run.P95Latency()*1000,
 			edge.PeakServers, edge.ScaleUps+edge.ScaleDowns,
-			edge.ServerSeconds, row.CostPerRequest*1000)
+			edge.ServerSeconds, run.CostPerRequest*1000)
 	}
 
 	// The frontier verdict: reactive thresholds only react after queues
@@ -60,18 +61,18 @@ func main() {
 	// ahead (holt tracks the trend, window-max provisions for the
 	// recent peak) buys lower latency for nearly the same spend.
 	best := sorted[0]
-	for _, row := range sorted {
-		if row.Mean < best.Mean {
-			best = row
+	for _, run := range sorted {
+		if run.MeanLatency() < best.MeanLatency() {
+			best = run
 		}
 	}
 	fmt.Printf("\nlowest mean latency: %s (%.1f ms at %.4f $/kreq)\n",
-		best.Policy, best.Mean*1000, best.CostPerRequest*1000)
-	for _, row := range sorted {
-		if row.Policy == "reactive" {
+		best.Label, best.MeanLatency()*1000, best.CostPerRequest*1000)
+	for _, run := range sorted {
+		if run.Label == "reactive" {
 			fmt.Printf("reactive baseline:   %.1f ms at %.4f $/kreq\n",
-				row.Mean*1000, row.CostPerRequest*1000)
-			if best.Mean < row.Mean {
+				run.MeanLatency()*1000, run.CostPerRequest*1000)
+			if best.MeanLatency() < run.MeanLatency() {
 				fmt.Println("\n=> prediction pays: provisioning for the forecast beats chasing the queue.")
 			} else {
 				fmt.Println("\n=> on this trace the threshold controller holds its own; burstier")

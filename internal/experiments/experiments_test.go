@@ -90,6 +90,30 @@ func TestRunnersRejectBadNumbers(t *testing.T) {
 		"RunValidation":      {func() error { _, err := RunValidation(nan, 1); return err }, "GenSpec"},
 		"RunReplicatedSweep": {func() error { _, err := RunReplicatedSweep(nanDuration, 3); return err }, "GenSpec"},
 		"CrossoverCI":        {func() error { _, _, _, err := CrossoverCI(nanDuration, Mean, 3); return err }, "GenSpec"},
+		"RunAzureReplay-no-sites": {func() error {
+			spec := trace.DefaultAzureSpec()
+			spec.Sites = 0
+			_, err := RunAzureReplay(spec, 1)
+			return err
+		}, "0 sites"},
+		"RunAzureReplay-negative-minutes": {func() error {
+			spec := trace.DefaultAzureSpec()
+			spec.Minutes = -3
+			_, err := RunAzureReplay(spec, 1)
+			return err
+		}, "-3 minutes"},
+		"RunAzureReplay-nan-load": {func() error {
+			spec := trace.DefaultAzureSpec()
+			spec.BaseLoad = nan
+			_, err := RunAzureReplay(spec, 1)
+			return err
+		}, "base load NaN"},
+		"RunAzureReplay-infinite-load": {func() error {
+			spec := trace.DefaultAzureSpec()
+			spec.BaseLoad = math.Inf(1)
+			_, err := RunAzureReplay(spec, 1)
+			return err
+		}, "base load +Inf"},
 
 		"RunFig3-warmup-past-duration":       {func() error { _, err := RunFig3("typical-25ms", 30, 1); return err }, "warmup 60"},
 		"RunFig7-warmup-past-duration":       {func() error { _, err := RunFig7(30, 1); return err }, "warmup 60"},
@@ -128,24 +152,24 @@ func TestSweepShape(t *testing.T) {
 	}
 	// Latencies positive and edge grows with rate.
 	prevEdge := 0.0
-	for i, p := range res.Points {
-		c := res.Rivals[0][i]
-		if p.Mean <= 0 || c.Mean <= 0 || p.P95 <= 0 || c.P95 <= 0 {
-			t.Fatalf("non-positive latency at rate %v", p.RatePerServer)
+	for i, run := range res.Points {
+		rate, p, c := res.Config.Rates[i], &run.EndToEnd, &res.Rivals[0][i].EndToEnd
+		if p.Mean() <= 0 || c.Mean() <= 0 || p.P95() <= 0 || c.P95() <= 0 {
+			t.Fatalf("non-positive latency at rate %v", rate)
 		}
-		if p.P95 < p.Mean || c.P95 < c.Mean {
-			t.Fatalf("p95 below mean at rate %v", p.RatePerServer)
+		if p.P95() < p.Mean() || c.P95() < c.Mean() {
+			t.Fatalf("p95 below mean at rate %v", rate)
 		}
-		if p.Mean < prevEdge {
-			t.Errorf("edge mean decreased at rate %v", p.RatePerServer)
+		if p.Mean() < prevEdge {
+			t.Errorf("edge mean decreased at rate %v", rate)
 		}
-		prevEdge = p.Mean
-		if p.N == 0 || c.N == 0 {
+		prevEdge = p.Mean()
+		if p.N() == 0 || c.N() == 0 {
 			t.Fatal("empty samples")
 		}
 	}
 	// Offered utilization bookkeeping.
-	if got := res.Points[0].RatePerServer / res.Config.Model.Mu(); math.Abs(got-6.0/13) > 1e-9 {
+	if got := res.Config.Rates[0] / res.Config.Model.Mu(); math.Abs(got-6.0/13) > 1e-9 {
 		t.Errorf("utilization = %v", got)
 	}
 }
@@ -209,15 +233,11 @@ func TestTailInvertsBeforeMean(t *testing.T) {
 func TestCrossoverInterpolation(t *testing.T) {
 	// Synthetic sweep: edge−cloud diff goes −10ms at rate 8 to +10ms at
 	// rate 9 → crossover at exactly 8.5.
+	// The rival's p95 stays above the edge's at both rates.
 	res := TopologySweepResult{Config: paperPair("typical-25ms", 1)}
-	res.Points = []TopologyPoint{
-		{RatePerServer: 8, Mean: 0.090, P95: 0.1},
-		{RatePerServer: 9, Mean: 0.110, P95: 0.15},
-	}
-	res.Rivals = [][]TopologyPoint{{
-		{RatePerServer: 8, Mean: 0.100, P95: 0.2},
-		{RatePerServer: 9, Mean: 0.100, P95: 0.2},
-	}}
+	res.Config.Rates = []float64{8, 9}
+	res.Points = []*cluster.TopologyResult{latencies(0.080, 0.100), latencies(0.100, 0.120)}
+	res.Rivals = [][]*cluster.TopologyResult{{latencies(0.100, 0.100), latencies(0.050, 0.150)}}
 	rate, _, ok := res.Crossover(Mean, 0)
 	if !ok {
 		t.Fatal("expected crossover")
@@ -236,12 +256,22 @@ func TestCrossoverInterpolation(t *testing.T) {
 
 func TestCrossoverFirstPointAlreadyInverted(t *testing.T) {
 	res := TopologySweepResult{Config: paperPair("typical-25ms", 1)}
-	res.Points = []TopologyPoint{{RatePerServer: 6, Mean: 0.2}}
-	res.Rivals = [][]TopologyPoint{{{RatePerServer: 6, Mean: 0.1}}}
-	rate, _, ok := res.Crossover(Mean, 0)
-	if !ok || rate != 6 {
-		t.Errorf("already-inverted sweep: rate=%v ok=%v", rate, ok)
+	res.Config.Rates = []float64{6}
+	res.Points = []*cluster.TopologyResult{latencies(0.2)}
+	res.Rivals = [][]*cluster.TopologyResult{{latencies(0.1)}}
+	rate, atFloor, ok := res.Crossover(Mean, 0)
+	if !ok || !atFloor || rate != 6 {
+		t.Errorf("already-inverted sweep: rate=%v atFloor=%v ok=%v", rate, atFloor, ok)
 	}
+}
+
+// latencies returns a run whose end-to-end latencies are xs (seconds).
+func latencies(xs ...float64) *cluster.TopologyResult {
+	run := &cluster.TopologyResult{}
+	for _, x := range xs {
+		run.EndToEnd.Add(x)
+	}
+	return run
 }
 
 func TestMetricString(t *testing.T) {
@@ -255,21 +285,25 @@ func TestRunFig6Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 4 {
-		t.Fatalf("Fig6 scenarios = %d, want 4", len(out))
+	labels := []string{"edge, 1 server", "edge, 2 servers", "cloud, 5 servers", "cloud, 10 servers"}
+	if len(out) != len(labels) {
+		t.Fatalf("Fig6 runs = %d, want %d", len(out), len(labels))
 	}
-	for _, s := range out {
-		if s.Box.N == 0 {
-			t.Fatalf("%s: empty distribution", s.Label)
+	for i, run := range out {
+		if run.Label != labels[i] {
+			t.Errorf("run %d labelled %q, want %q", i, run.Label, labels[i])
 		}
-		if s.Summary.Mean <= 0 {
-			t.Fatalf("%s: non-positive mean", s.Label)
+		if run.EndToEnd.N() == 0 {
+			t.Fatalf("%s: empty distribution", run.Label)
+		}
+		if run.EndToEnd.Mean() <= 0 {
+			t.Fatalf("%s: non-positive mean", run.Label)
 		}
 	}
 	// Figure 6's visual: the 1-server edge has the widest distribution
 	// (longest whisker-to-whisker span) at 10 req/s.
-	edge1 := out[0].Box
-	cloud10 := out[3].Box
+	edge1 := out[0].EndToEnd.Box(out[0].Label)
+	cloud10 := out[3].EndToEnd.Box(out[3].Label)
 	if edge1.IQR() <= cloud10.IQR() {
 		t.Errorf("edge-1 IQR %v should exceed cloud-10 IQR %v", edge1.IQR(), cloud10.IQR())
 	}
@@ -302,27 +336,28 @@ func TestRunFig7Monotone(t *testing.T) {
 func TestRunAzureReplayShapes(t *testing.T) {
 	spec := trace.DefaultAzureSpec()
 	spec.Minutes = 6
-	res, err := RunAzureReplay(spec, 1.0, 2)
+	res, err := RunAzureReplay(spec, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Series) != spec.Sites {
 		t.Fatal("series count wrong")
 	}
-	if res.EdgeTimeline == nil || res.CloudTimeline == nil {
+	edge, cloud := res.EdgeResult, res.CloudResult
+	if edge.Timeline == nil || cloud.Timeline == nil {
 		t.Fatal("timelines missing")
 	}
-	if len(res.EdgeBoxes) != spec.Sites {
-		t.Fatalf("edge boxes = %d", len(res.EdgeBoxes))
+	if sites := edge.Tiers[0].Sites; len(sites) != spec.Sites {
+		t.Fatalf("edge sites = %d", len(sites))
 	}
-	if res.CloudBox.N == 0 {
-		t.Fatal("cloud box empty")
+	if cloud.EndToEnd.N() == 0 {
+		t.Fatal("cloud run empty")
 	}
 	// The aggregated cloud sees a smoother latency series than the edge
 	// (the paper's smoothing observation): compare coefficient of
 	// variation across minute bins.
-	cvE := seriesCV(res.EdgeTimeline.Means())
-	cvC := seriesCV(res.CloudTimeline.Means())
+	cvE := seriesCV(edge.Timeline.Means())
+	cvC := seriesCV(cloud.Timeline.Means())
 	if cvC >= cvE {
 		t.Errorf("cloud timeline CV %v should be below edge %v", cvC, cvE)
 	}

@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/app"
 	"repro/internal/cluster"
 	"repro/internal/netem"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -15,7 +15,6 @@ import (
 // and 10 servers (Rivals[0]).
 type Fig3Result struct {
 	Scenario  netem.Scenario
-	Rates     []float64
 	OneServer TopologySweepResult // edge 1 server/site vs cloud 5 servers
 	TwoServer TopologySweepResult // edge 2 servers/site vs cloud 10 servers
 }
@@ -34,7 +33,7 @@ func RunFig3(scenarioName string, duration float64, seed int64) (Fig3Result, err
 	two := PaperPairSweep(sc, 2)
 	two.Duration, two.Seed = duration, seed+1
 
-	res := Fig3Result{Scenario: sc, Rates: one.Rates}
+	res := Fig3Result{Scenario: sc}
 	if res.OneServer, err = RunTopologySweep(one); err != nil {
 		return Fig3Result{}, err
 	}
@@ -44,16 +43,11 @@ func RunFig3(scenarioName string, duration float64, seed int64) (Fig3Result, err
 	return res, nil
 }
 
-// Fig6Scenario is one violin of Figure 6.
-type Fig6Scenario struct {
-	Label   string
-	Summary stats.DistSummary
-	Box     stats.BoxPlot
-}
-
 // RunFig6 reproduces Figure 6: the full response-time distributions of
 // the four deployments at 10 req/server/s with the distant (54 ms) cloud.
-func RunFig6(duration float64, seed int64) ([]Fig6Scenario, error) {
+// It returns one run per deployment, labelled with its setup name
+// ("edge, 1 server", ..., "cloud, 10 servers").
+func RunFig6(duration float64, seed int64) ([]*cluster.TopologyResult, error) {
 	sc, _ := netem.ScenarioByName("distant-54ms")
 	model := app.NewInferenceModel()
 	const rate = 10.0
@@ -71,7 +65,7 @@ func RunFig6(duration float64, seed int64) ([]Fig6Scenario, error) {
 		{label: "cloud, 10 servers", cloud: true, cloudServers: 10, serversPerSite: 2},
 	}
 
-	out := make([]Fig6Scenario, len(setups))
+	out := make([]*cluster.TopologyResult, len(setups))
 	err := forEachErr(len(setups), func(i int) error {
 		s := setups[i]
 		spec := cluster.GenSpec{
@@ -81,23 +75,18 @@ func RunFig6(duration float64, seed int64) ([]Fig6Scenario, error) {
 			Model:       model,
 			Seed:        seed + int64(i),
 		}
-		topo := cluster.Topology{Name: "edge", Tiers: []cluster.Tier{{
+		topo := cluster.Topology{Name: s.label, Tiers: []cluster.Tier{{
 			Name: "edge", Sites: 5, ServersPerSite: s.serversPerSite, Path: sc.Edge,
 		}}}
 		if s.cloud {
-			topo = cluster.Topology{Name: "cloud", Tiers: []cluster.Tier{cluster.CloudTier(s.cloudServers, sc.Cloud, "")}}
+			topo.Tiers = []cluster.Tier{cluster.CloudTier(s.cloudServers, sc.Cloud, "")}
 		}
 		runs, err := runVariants(spec, cluster.Variant{Topology: topo,
 			Opts: cluster.Options{Warmup: duration / 10, Seed: seed + 100 + int64(i)}})
 		if err != nil {
 			return err
 		}
-		sample := &runs[0].EndToEnd
-		out[i] = Fig6Scenario{
-			Label:   s.label,
-			Summary: sample.Summarize(s.label, nil),
-			Box:     sample.Box(s.label),
-		}
+		out[i] = runs[0]
 		return nil
 	})
 	if err != nil {
@@ -156,32 +145,36 @@ func RunFig7(duration float64, seed int64) ([]Fig7Point, error) {
 	return out, nil
 }
 
-// AzureReplayResult bundles Figures 8–10: the per-site workload series,
-// the edge and cloud latency timelines, and per-site latency box plots.
+// AzureReplayResult bundles Figures 8–10: the per-site workload series
+// and the edge and cloud runs, each with a one-minute latency Timeline.
+// Figure 10's per-site boxes are the edge run's Tiers[0].Sites digests.
 type AzureReplayResult struct {
-	Series        []trace.SiteSeries
-	EdgeTimeline  *stats.TimeSeries
-	CloudTimeline *stats.TimeSeries
-	EdgeBoxes     []stats.BoxPlot // one per edge site
-	CloudBox      stats.BoxPlot
-	EdgeResult    *cluster.TopologyResult
-	CloudResult   *cluster.TopologyResult
+	Series      []trace.SiteSeries
+	EdgeResult  *cluster.TopologyResult
+	CloudResult *cluster.TopologyResult
 }
 
-// RunAzureReplay reproduces the §4.5 experiment: generate (or accept)
-// 5-site Azure-like traces, replay them at the edge (Ohio, 1 ms) and at
-// the cloud (Montreal, ~25 ms, 5 servers), and collect timelines and
-// per-site distributions. scale multiplies trace rates to hit the
-// desired utilization regime (the paper's sites operate near or beyond
-// one server's capacity at peaks).
-func RunAzureReplay(spec trace.AzureSpec, scale float64, seed int64) (AzureReplayResult, error) {
+// RunAzureReplay reproduces the §4.5 experiment: generate 5-site
+// Azure-like traces, replay them at the edge (Ohio, 1 ms) and at the
+// cloud (Montreal, ~25 ms, 5 servers), and collect timelines and
+// per-site distributions. spec.BaseLoad sets the load level (the
+// paper's sites operate near or beyond one server's capacity at
+// peaks). A spec with no sites or no minutes is an error, and so is one
+// whose trace holds no requests or infinitely many (a NaN, negative or
+// infinite load, say).
+func RunAzureReplay(spec trace.AzureSpec, seed int64) (AzureReplayResult, error) {
+	if spec.Sites <= 0 || spec.Minutes <= 0 {
+		return AzureReplayResult{}, fmt.Errorf("experiments: Azure spec needs sites and minutes, got %d sites over %d minutes",
+			spec.Sites, spec.Minutes)
+	}
 	series := trace.GenerateAzure(spec)
-	if scale != 1 && scale > 0 {
-		for si := range series {
-			for i := range series[si].Counts {
-				series[si].Counts[i] *= scale
-			}
-		}
+	var total float64
+	for _, s := range series {
+		total += s.Total()
+	}
+	if !(total > 0) || math.IsInf(total, 1) {
+		return AzureReplayResult{}, fmt.Errorf("experiments: Azure spec with base load %v generates %v requests, want a positive, finite count",
+			spec.BaseLoad, total)
 	}
 	sc, _ := netem.ScenarioByName("typical-25ms")
 	model := app.NewInferenceModel()
@@ -205,18 +198,5 @@ func RunAzureReplay(spec trace.AzureSpec, scale float64, seed int64) (AzureRepla
 	if err != nil {
 		return AzureReplayResult{}, err
 	}
-	edge, cloud := runs[0], runs[1]
-
-	res := AzureReplayResult{
-		Series:        series,
-		EdgeTimeline:  edge.Timeline,
-		CloudTimeline: cloud.Timeline,
-		EdgeResult:    edge,
-		CloudResult:   cloud,
-	}
-	for i, site := range edge.Tiers[0].Sites {
-		res.EdgeBoxes = append(res.EdgeBoxes, site.EndToEnd.Box(fmt.Sprintf("Edge %d", i+1)))
-	}
-	res.CloudBox = cloud.EndToEnd.Box("Cloud")
-	return res, nil
+	return AzureReplayResult{Series: series, EdgeResult: runs[0], CloudResult: runs[1]}, nil
 }

@@ -49,10 +49,10 @@ func RunReplicatedSweep(cfg TopologySweepConfig, n int) ([]ReplicatedPoint, erro
 	for _, res := range reps {
 		for i, p := range res.Points {
 			rival := res.Rivals[0][i]
-			accs[i].edgeMean.Add(p.Mean)
-			accs[i].cloudMean.Add(rival.Mean)
-			accs[i].edgeP95.Add(p.P95)
-			accs[i].cloudP95.Add(rival.P95)
+			accs[i].edgeMean.Add(p.EndToEnd.Mean())
+			accs[i].cloudMean.Add(rival.EndToEnd.Mean())
+			accs[i].edgeP95.Add(p.EndToEnd.P95())
+			accs[i].cloudP95.Add(rival.EndToEnd.P95())
 		}
 	}
 	out := make([]ReplicatedPoint, len(cfg.Rates))

@@ -43,12 +43,12 @@ var scalerWorkloadBuilders = map[string]func(cfg ScalerComparisonConfig) []workl
 // ScalerComparisonConfig sweeps scaler policies over one workload: each
 // spec drives the same two-tier deployment (scaled edge sites spilling
 // to a static cloud backstop) on the same trace with the same run seed,
-// so every difference between rows is the policy alone. One generator
-// source (cluster.Stream) broadcasts to every row through bounded rings
+// so every difference between runs is the policy alone. One generator
+// source (cluster.Stream) broadcasts to every run through bounded rings
 // (cluster.RunBroadcast): one generation pass in total, memory
 // independent of the request count. The nhpp and azure families still
 // hold their rate envelopes (O(Duration/binWidth) per site, nothing per
-// request), and the rows' latency summaries are bounded-memory sketches,
+// request), and the runs' latency summaries are bounded-memory sketches,
 // so a sweep can run 10⁸ requests.
 type ScalerComparisonConfig struct {
 	// Workload selects the arrival family (default nhpp).
@@ -78,37 +78,11 @@ type ScalerComparisonConfig struct {
 	Pricing econ.Pricing
 }
 
-// ScalerTierRow is one tier's share of a comparison row.
-type ScalerTierRow struct {
-	Tier          string
-	Served        uint64
-	Spilled       uint64
-	ScaleUps      int
-	ScaleDowns    int
-	PeakServers   int
-	ServerSeconds float64
-	Cost          float64
-	CostPerHour   float64
-	CostPerReq    float64
-}
-
-// ScalerComparisonRow is one policy's outcome on the shared workload.
-type ScalerComparisonRow struct {
-	Policy  string
-	Mean    float64 // seconds
-	P95     float64
-	Dropped uint64
-	// TotalCost and CostPerRequest aggregate the cost overlay across
-	// tiers (conserved: TotalCost == Σ Tiers[i].Cost).
-	TotalCost      float64
-	CostPerRequest float64
-	Tiers          []ScalerTierRow
-}
-
-// ScalerComparisonResult is a completed policy sweep.
+// ScalerComparisonResult is a completed policy sweep: one run per spec,
+// in spec order, each labelled with its spec's Label.
 type ScalerComparisonResult struct {
 	Workload string
-	Rows     []ScalerComparisonRow
+	Runs     []*cluster.TopologyResult
 }
 
 // DefaultScalerSpecs returns the standard comparison set: the default
@@ -191,12 +165,13 @@ func scalerSpecFrom(cfg ScalerComparisonConfig,
 }
 
 // scalerTopology builds the comparison deployment for one spec: scaled
-// edge sites spilling overload to a static cloud backstop.
+// edge sites spilling overload to a static cloud backstop. It is named
+// after the spec's Label, so its run's Label names the policy.
 func scalerTopology(cfg ScalerComparisonConfig, spec autoscale.Spec) cluster.Topology {
 	s := spec
 	cloudPath := netem.CloudTypical
 	return cluster.Topology{
-		Name: "edge+" + spec.Label(),
+		Name: spec.Label(),
 		Tiers: []cluster.Tier{
 			{Name: "edge", Sites: cfg.Sites, ServersPerSite: cfg.MinServers,
 				Path: netem.EdgePath, Scaler: &s},
@@ -216,7 +191,7 @@ func scalerTopology(cfg ScalerComparisonConfig, spec autoscale.Spec) cluster.Top
 // telemetry, and the per-tier cost overlay — the reactive-vs-predictive
 // per-tier comparison the ROADMAP names, with §7 economics attached.
 // Specs are evaluated concurrently; all share one trace and one run
-// seed, so rows differ only by policy.
+// seed, so runs differ only by policy.
 func RunScalerComparison(cfg ScalerComparisonConfig) (ScalerComparisonResult, error) {
 	if cfg.Workload == "" {
 		cfg.Workload = ScalerWorkloadNHPP
@@ -271,7 +246,7 @@ func RunScalerComparison(cfg ScalerComparisonConfig) (ScalerComparisonResult, er
 	if err := spec.Validate(); err != nil {
 		return ScalerComparisonResult{}, fmt.Errorf("experiments: %w", err)
 	}
-	rowOpts := cluster.Options{
+	opts := cluster.Options{
 		Warmup:  cfg.Warmup,
 		Seed:    cfg.Seed + 1, // shared across specs: same streams, policy is the only delta
 		Pricing: &cfg.Pricing,
@@ -281,46 +256,12 @@ func RunScalerComparison(cfg ScalerComparisonConfig) (ScalerComparisonResult, er
 		variants[i] = cluster.Variant{
 			Label:    s.Label(),
 			Topology: scalerTopology(cfg, s),
-			Opts:     rowOpts,
+			Opts:     opts,
 		}
 	}
 	runs, err := cluster.RunBroadcast(cluster.Stream(spec), variants, 0)
 	if err != nil {
 		return ScalerComparisonResult{}, err
 	}
-	res := ScalerComparisonResult{
-		Workload: cfg.Workload,
-		Rows:     make([]ScalerComparisonRow, len(specs)),
-	}
-	for i, run := range runs {
-		res.Rows[i] = scalerRow(specs[i].Label(), run)
-	}
-	return res, nil
-}
-
-// scalerRow flattens one policy's run into a comparison row.
-func scalerRow(label string, run *cluster.TopologyResult) ScalerComparisonRow {
-	row := ScalerComparisonRow{
-		Policy:         label,
-		Mean:           run.EndToEnd.Mean(),
-		P95:            run.EndToEnd.P95(),
-		Dropped:        run.Dropped,
-		TotalCost:      run.TotalCost,
-		CostPerRequest: run.CostPerRequest,
-	}
-	for _, tier := range run.Tiers {
-		row.Tiers = append(row.Tiers, ScalerTierRow{
-			Tier:          tier.Name,
-			Served:        tier.Served,
-			Spilled:       tier.Spilled,
-			ScaleUps:      tier.ScaleUps,
-			ScaleDowns:    tier.ScaleDowns,
-			PeakServers:   tier.PeakServers,
-			ServerSeconds: tier.ServerSeconds,
-			Cost:          tier.Cost,
-			CostPerHour:   tier.CostPerHour,
-			CostPerReq:    tier.CostPerReq,
-		})
-	}
-	return row
+	return ScalerComparisonResult{Workload: cfg.Workload, Runs: runs}, nil
 }

@@ -30,38 +30,38 @@ func TestRunScalerComparisonNHPP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Workload != ScalerWorkloadNHPP || len(res.Rows) != 2 {
-		t.Fatalf("unexpected result shape: workload %q, %d rows", res.Workload, len(res.Rows))
+	if res.Workload != ScalerWorkloadNHPP || len(res.Runs) != 2 {
+		t.Fatalf("unexpected result shape: workload %q, %d runs", res.Workload, len(res.Runs))
 	}
-	reactive, predictive := res.Rows[0], res.Rows[1]
-	if reactive.Policy != "reactive" {
-		t.Errorf("row 0 policy = %q", reactive.Policy)
+	reactive, predictive := res.Runs[0], res.Runs[1]
+	if reactive.Label != "reactive" {
+		t.Errorf("run 0 policy = %q", reactive.Label)
 	}
-	for _, row := range res.Rows {
-		if row.Mean <= 0 || row.P95 < row.Mean {
-			t.Errorf("%s: implausible latency mean %v p95 %v", row.Policy, row.Mean, row.P95)
+	for _, run := range res.Runs {
+		if mean := run.EndToEnd.Mean(); mean <= 0 || run.EndToEnd.P95() < mean {
+			t.Errorf("%s: implausible latency mean %v p95 %v", run.Label, mean, run.EndToEnd.P95())
 		}
-		if len(row.Tiers) != 2 {
-			t.Fatalf("%s: %d tier rows, want 2", row.Policy, len(row.Tiers))
+		if len(run.Tiers) != 2 {
+			t.Fatalf("%s: %d tiers, want 2", run.Label, len(run.Tiers))
 		}
-		edge := row.Tiers[0]
+		edge := run.Tiers[0]
 		if edge.ScaleUps == 0 {
-			t.Errorf("%s: edge tier never scaled up on a 2.5x rate swing", row.Policy)
+			t.Errorf("%s: edge tier never scaled up on a 2.5x rate swing", run.Label)
 		}
 		if edge.CostPerReq <= 0 {
-			t.Errorf("%s: edge $/request not reported: %v", row.Policy, edge.CostPerReq)
+			t.Errorf("%s: edge $/request not reported: %v", run.Label, edge.CostPerReq)
 		}
 		var tierSum float64
-		for _, tr := range row.Tiers {
+		for _, tr := range run.Tiers {
 			if tr.ServerSeconds <= 0 || tr.Cost <= 0 {
 				t.Errorf("%s/%s: missing cost overlay: server-seconds %v cost %v",
-					row.Policy, tr.Tier, tr.ServerSeconds, tr.Cost)
+					run.Label, tr.Name, tr.ServerSeconds, tr.Cost)
 			}
 			tierSum += tr.Cost
 		}
-		if math.Abs(tierSum-row.TotalCost) > 1e-9 {
+		if math.Abs(tierSum-run.TotalCost) > 1e-9 {
 			t.Errorf("%s: tier costs %v not conserved against total %v",
-				row.Policy, tierSum, row.TotalCost)
+				run.Label, tierSum, run.TotalCost)
 		}
 	}
 	edgeR, edgeP := reactive.Tiers[0], predictive.Tiers[0]
@@ -84,12 +84,12 @@ func TestRunScalerComparisonDefaults(t *testing.T) {
 			t.Fatalf("%s: %v", wl, err)
 		}
 		// reactive + one predictive per registered forecaster.
-		if len(res.Rows) != 6 {
-			t.Fatalf("%s: %d rows, want 6 (reactive + 5 forecasters)", wl, len(res.Rows))
+		if len(res.Runs) != 6 {
+			t.Fatalf("%s: %d runs, want 6 (reactive + 5 forecasters)", wl, len(res.Runs))
 		}
-		for _, row := range res.Rows {
-			if row.Mean <= 0 || row.TotalCost <= 0 {
-				t.Errorf("%s/%s: empty row: mean %v cost %v", wl, row.Policy, row.Mean, row.TotalCost)
+		for _, run := range res.Runs {
+			if run.EndToEnd.Mean() <= 0 || run.TotalCost <= 0 {
+				t.Errorf("%s/%s: empty run: mean %v cost %v", wl, run.Label, run.EndToEnd.Mean(), run.TotalCost)
 			}
 		}
 	}

@@ -74,7 +74,7 @@ func TestScalerComparisonStreamingMatchesMaterialized(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := materialize(scalerSpecFrom(cfg, build))
-		want := make([]ScalerComparisonRow, len(cfg.Specs))
+		want := make([]*cluster.TopologyResult, len(cfg.Specs))
 		for i, s := range cfg.Specs {
 			run, err := cluster.Run(tr.Source(), scalerTopology(cfg, s), cluster.Options{
 				Warmup: cfg.Warmup, Seed: cfg.Seed + 1, Pricing: &cfg.Pricing,
@@ -82,15 +82,15 @@ func TestScalerComparisonStreamingMatchesMaterialized(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s materialized: %v", wl, err)
 			}
-			want[i] = scalerRow(s.Label(), run)
+			want[i] = run
 		}
-		if len(got.Rows) != len(want) {
-			t.Fatalf("%s: %d streaming rows, %d materialized", wl, len(got.Rows), len(want))
+		if len(got.Runs) != len(want) {
+			t.Fatalf("%s: %d streaming runs, %d materialized", wl, len(got.Runs), len(want))
 		}
 		for i := range want {
-			if !reflect.DeepEqual(got.Rows[i], want[i]) {
-				t.Errorf("%s: row %d (%s) diverges between streaming and materialized:\n got %+v\nwant %+v",
-					wl, i, want[i].Policy, got.Rows[i], want[i])
+			if !reflect.DeepEqual(got.Runs[i], want[i]) {
+				t.Errorf("%s: run %d (%s) diverges between streaming and materialized:\n got %+v\nwant %+v",
+					wl, i, want[i].Label, got.Runs[i], want[i])
 			}
 		}
 	}
@@ -157,7 +157,7 @@ func TestTopologySweepStreamingMatchesMaterialized(t *testing.T) {
 	}
 	// The oracle: the sweep's per-point spec and seeds, one Run per
 	// shape over fresh iterators of one materialized trace.
-	want := TopologySweepResult{Rivals: make([][]TopologyPoint, 1)}
+	want := TopologySweepResult{Rivals: make([][]*cluster.TopologyResult, 1)}
 	for i, rate := range cfg.Rates {
 		tr := materialize(cluster.GenSpec{
 			Sites:       topo.Tiers[0].Sites,
@@ -169,7 +169,7 @@ func TestTopologySweepStreamingMatchesMaterialized(t *testing.T) {
 		for _, shape := range []struct {
 			topo cluster.Topology
 			seed int64
-			out  *[]TopologyPoint
+			out  *[]*cluster.TopologyResult
 		}{
 			{topo, cfg.Seed + int64(i)*104729, &want.Points},
 			{baseline, cfg.Seed + int64(i)*1299709, &want.Rivals[0]},
@@ -178,7 +178,7 @@ func TestTopologySweepStreamingMatchesMaterialized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			*shape.out = append(*shape.out, topologyPoint(rate, run))
+			*shape.out = append(*shape.out, run)
 		}
 	}
 	if !reflect.DeepEqual(got.Points, want.Points) {

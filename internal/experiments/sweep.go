@@ -7,8 +7,10 @@
 // capacity table. Every rate sweep — Figures 3–5 and 7, the replicated
 // sweeps, the three-tier hierarchy figure — is a TopologySweepConfig run
 // by RunTopologySweep; PaperPairSweep builds the paper's edge/cloud
-// pair. Each runner returns plain data structures that cmd/figures
-// renders and bench_test.go regenerates.
+// pair. Each runner returns the engine's run results
+// (cluster.TopologyResult), or values derived from several of them
+// (crossovers, replication averages); cmd/figures renders them and
+// bench_test.go regenerates them.
 package experiments
 
 import (

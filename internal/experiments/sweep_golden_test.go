@@ -38,10 +38,10 @@ func TestSweepGolden(t *testing.T) {
 		sweep TopologySweepResult
 	}{{1, fig3.OneServer}, {2, fig3.TwoServer}} {
 		for i, p := range c.sweep.Points {
-			cloud := c.sweep.Rivals[0][i]
+			e, cloud := &p.EndToEnd, &c.sweep.Rivals[0][i].EndToEnd
 			fmt.Fprintf(&b, "fig3 m=%d rate=%v util=%v edge mean=%v median=%v p95=%v n=%d cloud mean=%v median=%v p95=%v n=%d\n",
-				c.m, p.RatePerServer, p.Tiers[0].Utilization, p.Mean, p.Median, p.P95, p.N,
-				cloud.Mean, cloud.Median, cloud.P95, cloud.N)
+				c.m, c.sweep.Config.Rates[i], p.Tiers[0].Utilization, e.Mean(), e.Median(), e.P95(), e.N(),
+				cloud.Mean(), cloud.Median(), cloud.P95(), cloud.N())
 		}
 		for _, m := range []Metric{Mean, P95} {
 			rate, _, ok := c.sweep.Crossover(m, 0)
@@ -70,8 +70,8 @@ func TestSweepGolden(t *testing.T) {
 		cloud, over, chain := tiers.Rivals[0][i], tiers.Rivals[1][i], tiers.Rivals[2][i]
 		share := func(spilled uint64) float64 { return float64(spilled) / float64(p.Offered) }
 		fmt.Fprintf(&b, "three-tier rate=%v edge %v/%v cloud %v/%v overflow %v/%v chain %v/%v spill overflow=%v chain-reg=%v chain-cld=%v\n",
-			p.RatePerServer, p.Mean, p.P95, cloud.Mean, cloud.P95,
-			over.Mean, over.P95, chain.Mean, chain.P95,
+			tiers.Config.Rates[i], p.EndToEnd.Mean(), p.EndToEnd.P95(), cloud.EndToEnd.Mean(), cloud.EndToEnd.P95(),
+			over.EndToEnd.Mean(), over.EndToEnd.P95(), chain.EndToEnd.Mean(), chain.EndToEnd.P95(),
 			share(over.Tiers[0].Spilled), share(chain.Tiers[0].Spilled), share(chain.Tiers[1].Spilled))
 	}
 

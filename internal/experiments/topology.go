@@ -53,62 +53,30 @@ const workloadSeedStride = 7919
 
 var shapeSeedStrides = [...]int64{104729, 1299709, 15485863, 32452843}
 
-// TierPoint is one tier's share of a topology sweep point.
-type TierPoint struct {
-	Name        string
-	Served      uint64
-	Spilled     uint64
-	Dropped     uint64
-	Rejected    uint64  // admission refusals at this tier (warmup included)
-	Mean        float64 // seconds, requests served at this tier
-	P95         float64
-	Utilization float64
-	// Scaler/cost overlay: peak provisioned servers (0 for static
-	// tiers) and the tier's cost per served request.
-	PeakServers int
-	CostPerReq  float64
-}
-
-// TopologyPoint is one measured rate of a topology sweep.
-type TopologyPoint struct {
-	RatePerServer float64
-	Offered       uint64 // records replayed, warmup included
-	Mean          float64
-	Median        float64
-	P95           float64
-	N             int
-	Dropped       uint64
-	Rejected      uint64
-	Tiers         []TierPoint
-}
-
-// metric returns the point's latency statistic m.
-func (p TopologyPoint) metric(m Metric) float64 {
-	if m == P95 {
-		return p.P95
-	}
-	return p.Mean
-}
-
-// TopologySweepResult is a completed topology sweep.
+// TopologySweepResult is a completed topology sweep. Points[i] is the
+// swept topology's run at Config.Rates[i].
 type TopologySweepResult struct {
 	Config TopologySweepConfig
-	Points []TopologyPoint
-	// Rivals[k] holds Config.Rivals[k]'s points, parallel to Points:
+	Points []*cluster.TopologyResult
+	// Rivals[k] holds Config.Rivals[k]'s runs, parallel to Points:
 	// each index replays the same trace as Points[i].
-	Rivals [][]TopologyPoint
+	Rivals [][]*cluster.TopologyResult
 }
 
 // Crossover locates where the swept topology first loses to rival k on
 // metric m: the rate at which its latency first exceeds the rival's,
 // interpolated between sampled rates (see FirstCrossing).
 func (r TopologySweepResult) Crossover(m Metric, rival int) (rate float64, atFloor, found bool) {
-	rates := make([]float64, len(r.Points))
 	gaps := make([]float64, len(r.Points))
 	for i, p := range r.Points {
-		rates[i], gaps[i] = p.RatePerServer, p.metric(m)-r.Rivals[rival][i].metric(m)
+		q := r.Rivals[rival][i]
+		if m == P95 {
+			gaps[i] = p.EndToEnd.P95() - q.EndToEnd.P95()
+		} else {
+			gaps[i] = p.EndToEnd.Mean() - q.EndToEnd.Mean()
+		}
 	}
-	return FirstCrossing(rates, gaps)
+	return FirstCrossing(r.Config.Rates, gaps)
 }
 
 // RunTopologySweep sweeps request rates through the topology and its
@@ -173,9 +141,9 @@ func RunTopologySweep(cfg TopologySweepConfig) (TopologySweepResult, error) {
 		}
 		src = cluster.Stream
 	}
-	res := TopologySweepResult{Config: cfg, Points: make([]TopologyPoint, len(cfg.Rates))}
+	res := TopologySweepResult{Config: cfg, Points: make([]*cluster.TopologyResult, len(cfg.Rates))}
 	for range cfg.Rivals {
-		res.Rivals = append(res.Rivals, make([]TopologyPoint, len(cfg.Rates)))
+		res.Rivals = append(res.Rivals, make([]*cluster.TopologyResult, len(cfg.Rates)))
 	}
 	err := forEachErr(len(cfg.Rates), func(i int) error {
 		// One pass over the point's workload feeds every shape the
@@ -189,9 +157,9 @@ func RunTopologySweep(cfg TopologySweepConfig) (TopologySweepResult, error) {
 		if err != nil {
 			return err
 		}
-		res.Points[i] = topologyPoint(cfg.Rates[i], runs[0])
+		res.Points[i] = runs[0]
 		for k := range res.Rivals {
-			res.Rivals[k][i] = topologyPoint(cfg.Rates[i], runs[k+1])
+			res.Rivals[k][i] = runs[k+1]
 		}
 		return nil
 	})
@@ -208,35 +176,6 @@ func rivalErr(shape int, topo cluster.Topology, err error) error {
 		return err
 	}
 	return fmt.Errorf("experiments: rival %q: %w", topo.Name, err)
-}
-
-// topologyPoint flattens one run into a sweep point.
-func topologyPoint(rate float64, run *cluster.TopologyResult) TopologyPoint {
-	p := TopologyPoint{
-		RatePerServer: rate,
-		Offered:       run.Offered,
-		Mean:          run.EndToEnd.Mean(),
-		Median:        run.EndToEnd.Median(),
-		P95:           run.EndToEnd.P95(),
-		N:             run.EndToEnd.N(),
-		Dropped:       run.Dropped,
-		Rejected:      run.Rejected,
-	}
-	for _, tier := range run.Tiers {
-		p.Tiers = append(p.Tiers, TierPoint{
-			Name:        tier.Name,
-			Served:      tier.Served,
-			Spilled:     tier.Spilled,
-			Dropped:     tier.Dropped,
-			Rejected:    tier.Rejected,
-			Mean:        tier.EndToEnd.Mean(),
-			P95:         tier.EndToEnd.P95(),
-			Utilization: tier.Utilization,
-			PeakServers: tier.PeakServers,
-			CostPerReq:  tier.CostPerReq,
-		})
-	}
-	return p
 }
 
 // threeTierChain is the capacity-matched chain used by the figure:

@@ -3,13 +3,13 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/app"
 	"repro/internal/cluster"
 	"repro/internal/netem"
+	"repro/internal/stats"
 )
 
 func TestRunTopologySweep(t *testing.T) {
@@ -39,19 +39,20 @@ func TestRunTopologySweep(t *testing.T) {
 	if len(res.Points) != 3 {
 		t.Fatalf("points = %d", len(res.Points))
 	}
-	for _, p := range res.Points {
-		if p.N == 0 || p.Mean <= 0 {
-			t.Errorf("rate %v: empty point %+v", p.RatePerServer, p)
+	for i, p := range res.Points {
+		rate := cfg.Rates[i]
+		if p.EndToEnd.N() == 0 || p.EndToEnd.Mean() <= 0 {
+			t.Errorf("rate %v: empty point %+v", rate, p)
 		}
 		if len(p.Tiers) != 2 {
-			t.Fatalf("rate %v: %d tier points", p.RatePerServer, len(p.Tiers))
+			t.Fatalf("rate %v: %d tier results", rate, len(p.Tiers))
 		}
 		var served uint64
 		for _, tier := range p.Tiers {
 			served += tier.Served
 		}
-		if served != uint64(p.N) {
-			t.Errorf("rate %v: tier served %d != N %d", p.RatePerServer, served, p.N)
+		if served != uint64(p.EndToEnd.N()) {
+			t.Errorf("rate %v: tier served %d != N %d", rate, served, p.EndToEnd.N())
 		}
 	}
 	if last := res.Points[2].Tiers[0]; last.Spilled == 0 {
@@ -63,9 +64,9 @@ func TestRunTopologySweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range res.Points {
-		if res.Points[i].Mean != serial.Points[i].Mean || res.Points[i].N != serial.Points[i].N {
-			t.Errorf("point %d: parallel %+v != serial %+v", i, res.Points[i], serial.Points[i])
+	for i, p := range res.Points {
+		if q := serial.Points[i]; p.EndToEnd.Mean() != q.EndToEnd.Mean() || p.EndToEnd.N() != q.EndToEnd.N() {
+			t.Errorf("point %d: parallel %+v != serial %+v", i, p, q)
 		}
 	}
 }
@@ -117,10 +118,10 @@ func TestRunFigThreeTier(t *testing.T) {
 		t.Fatalf("points %d, rivals %d; want %d points, 3 rivals",
 			len(res.Points), len(res.Rivals), len(res.Config.Rates))
 	}
-	for i, p := range res.Points {
-		for k, shape := range [][]TopologyPoint{res.Points, res.Rivals[0], res.Rivals[1], res.Rivals[2]} {
-			if shape[i].Mean <= 0 {
-				t.Errorf("rate %v: shape %d empty %+v", p.RatePerServer, k, shape[i])
+	for i, rate := range res.Config.Rates {
+		for k, shape := range append([][]*cluster.TopologyResult{res.Points}, res.Rivals...) {
+			if shape[i].EndToEnd.Mean() <= 0 {
+				t.Errorf("rate %v: shape %d empty %+v", rate, k, shape[i])
 			}
 		}
 	}
@@ -179,36 +180,46 @@ func TestTopologySweepMatchesSharded(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s rate %v shards %d: %v", shape.Name, rate, shards, err)
 				}
-				pointsAgree(t, fmt.Sprintf("%s rate %v shards %d", shape.Name, rate, shards), got, topologyPoint(rate, run))
+				runsAgree(t, fmt.Sprintf("%s rate %v shards %d", shape.Name, rate, shards), got, run)
 			}
 		}
 	}
 }
 
-// pointsAgree asserts got and want share every field exactly except
-// their means (the point's and each tier's), which it holds to 1e-12
-// relative.
-func pointsAgree(t *testing.T, name string, got, want TopologyPoint) {
+// runsAgree asserts got and want share every counter, utilization,
+// cost and latency quantile a sweep figure reads, and hold their means
+// (the run's and each tier's) to 1e-12 relative.
+func runsAgree(t *testing.T, name string, got, want *cluster.TopologyResult) {
 	t.Helper()
-	means := func(p TopologyPoint) ([]float64, TopologyPoint) {
-		ms := []float64{p.Mean}
-		p.Mean = 0
-		p.Tiers = append([]TierPoint(nil), p.Tiers...)
-		for j := range p.Tiers {
-			ms = append(ms, p.Tiers[j].Mean)
-			p.Tiers[j].Mean = 0
+	same := func(what string, g, w any) {
+		if g != w {
+			t.Errorf("%s: %s is %v, sharded %v", name, what, g, w)
 		}
-		return ms, p
 	}
-	gm, g := means(got)
-	wm, w := means(want)
-	if !reflect.DeepEqual(g, w) {
-		t.Errorf("%s:\nsweep   %+v\nsharded %+v", name, got, want)
-		return
-	}
-	for j := range wm {
-		if math.Abs(gm[j]-wm[j]) > 1e-12*math.Abs(wm[j]) {
-			t.Errorf("%s: mean %d is %v, sharded %v", name, j, gm[j], wm[j])
+	latency := func(what string, g, w *stats.Digest) {
+		same(what+" n", g.N(), w.N())
+		same(what+" median", g.Median(), w.Median())
+		same(what+" p95", g.P95(), w.P95())
+		if gm, wm := g.Mean(), w.Mean(); math.Abs(gm-wm) > 1e-12*math.Abs(wm) {
+			t.Errorf("%s: %s mean is %v, sharded %v", name, what, gm, wm)
 		}
+	}
+	same("offered", got.Offered, want.Offered)
+	same("dropped", got.Dropped, want.Dropped)
+	same("rejected", got.Rejected, want.Rejected)
+	latency("end-to-end", &got.EndToEnd, &want.EndToEnd)
+	same("tiers", len(got.Tiers), len(want.Tiers))
+	for j := range want.Tiers {
+		g, w := &got.Tiers[j], &want.Tiers[j]
+		tier := "tier " + w.Name
+		same(tier+" name", g.Name, w.Name)
+		same(tier+" served", g.Served, w.Served)
+		same(tier+" spilled", g.Spilled, w.Spilled)
+		same(tier+" dropped", g.Dropped, w.Dropped)
+		same(tier+" rejected", g.Rejected, w.Rejected)
+		same(tier+" utilization", g.Utilization, w.Utilization)
+		same(tier+" peak servers", g.PeakServers, w.PeakServers)
+		same(tier+" cost per request", g.CostPerReq, w.CostPerReq)
+		latency(tier+" end-to-end", &g.EndToEnd, &w.EndToEnd)
 	}
 }
