@@ -330,42 +330,65 @@ func manySiteTopology(sites int) cluster.Topology {
 // TestManySiteHeapPerSite fails when a many-site run without per-site
 // latency keeps more state per station. It replays 10⁴ sites at 8 req/s
 // for 2.5 s (about 20 requests per site) through the serial Run and
-// reads, per site, the bytes the run allocated and the heap its result
-// still holds after a GC. Every edge station adds its waits to the
-// tier's one wait digest, so a station keeps no wait sketch of its own.
-// Measured on go1.24/amd64: 2,143 B allocated (2,213 B under -race) and
-// 211 B retained per site, against 4,811 B and 1,516 B with a wait
-// digest per station (its sketch, and the harvest merge of 10⁴ of
-// them). Most of what is retained is the result's site rows.
+// through RunPipelined on 2 shards, and reads, per site, the bytes the
+// run allocated and the heap its result still holds after a GC.
+//
+// On Run every edge station adds its waits to the tier's one wait
+// digest, so a station keeps no wait sketch of its own. Measured on
+// go1.24/amd64: 2,143 B allocated (2,213 B under -race) and 211 B
+// retained per site, against 4,811 B and 1,516 B with a wait digest per
+// station (its sketch, and the harvest merge of 10⁴ of them). Most of
+// what is retained is the result's site rows.
+//
+// A phase-1 shard still keeps a wait digest per station, so its tier
+// wait merges in site order whatever the partition. Measured on
+// go1.24/amd64 at 2 shards: 6,660 B allocated (6,735 B under -race) and
+// 211 B retained per site. The result is the same, so what it retains
+// is too.
 func TestManySiteHeapPerSite(t *testing.T) {
 	const sites = 10_000
 	spec := cluster.GenSpec{Sites: sites, Duration: 2.5, PerSiteRate: 8, Seed: 97}
 	opts := cluster.Options{Seed: 98, NoPerSiteLatency: true}
-	var before, after, held runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	res, err := cluster.Run(cluster.Stream(spec), manySiteTopology(sites), opts)
-	runtime.ReadMemStats(&after)
-	runtime.GC()
-	runtime.ReadMemStats(&held)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tiers[0].Spilled == 0 || res.Completed < 15*sites {
-		t.Fatalf("spilled %d, completed %d: the probe exercises too little", res.Tiers[0].Spilled, res.Completed)
-	}
-	allocated := float64(after.TotalAlloc-before.TotalAlloc) / sites
-	retained := (float64(held.HeapAlloc) - float64(before.HeapAlloc)) / sites
-	runtime.KeepAlive(res)
-	t.Logf("%.0f B allocated, %.0f B retained per site", allocated, retained)
-	const allocCeiling, retainCeiling = 2300.0, 250.0
-	if allocated > allocCeiling {
-		t.Errorf("%.0f B allocated per site, ceiling %.0f B: a station keeps wait state the tier digest should hold",
-			allocated, allocCeiling)
-	}
-	if retained > retainCeiling {
-		t.Errorf("%.0f B retained per site, ceiling %.0f B: a station keeps wait state the tier digest should hold",
-			retained, retainCeiling)
+	topo := manySiteTopology(sites)
+	for _, tc := range []struct {
+		name                        string
+		run                         func() (*cluster.TopologyResult, error)
+		allocCeiling, retainCeiling float64
+	}{
+		{"run", func() (*cluster.TopologyResult, error) {
+			return cluster.Run(cluster.Stream(spec), topo, opts)
+		}, 2300, 250},
+		{"pipelined-2", func() (*cluster.TopologyResult, error) {
+			return cluster.RunPipelined(cluster.GenShards(spec), topo, opts, 2)
+		}, 7000, 250},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after, held runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			res, err := tc.run()
+			runtime.ReadMemStats(&after)
+			runtime.GC()
+			runtime.ReadMemStats(&held)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Tiers[0].Spilled == 0 || res.Completed < 15*sites {
+				t.Fatalf("spilled %d, completed %d: the probe exercises too little", res.Tiers[0].Spilled, res.Completed)
+			}
+			allocated := float64(after.TotalAlloc-before.TotalAlloc) / sites
+			retained := (float64(held.HeapAlloc) - float64(before.HeapAlloc)) / sites
+			runtime.KeepAlive(res)
+			t.Logf("%.0f B allocated, %.0f B retained per site", allocated, retained)
+			if allocated > tc.allocCeiling {
+				t.Errorf("%.0f B allocated per site, ceiling %.0f B: a station keeps wait state the tier digest should hold",
+					allocated, tc.allocCeiling)
+			}
+			if retained > tc.retainCeiling {
+				t.Errorf("%.0f B retained per site, ceiling %.0f B: a station keeps wait state the tier digest should hold",
+					retained, tc.retainCeiling)
+			}
+		})
 	}
 }
 

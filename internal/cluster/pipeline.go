@@ -172,7 +172,7 @@ type p2rec struct {
 // the order it would over the whole sorted stream — including
 // autoscaler ticks, which fire only once the clock is allowed to reach
 // them.
-func runPhase2Pump(b *p2build, feed <-chan []p2rec, free chan<- []p2rec, total *uint64, gauge *backlogGauge) {
+func runPhase2Pump(b *engine, feed <-chan []p2rec, free chan<- []p2rec, total *uint64, gauge *backlogGauge) {
 	var (
 		buf []p2rec
 		bi  int

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand"
 
 	"repro/internal/queue"
 	"repro/internal/sim"
@@ -136,25 +137,100 @@ func (f *feeder) emit(e *sim.Engine) {
 	}
 }
 
-// runDeployment is the topology-independent replay core: stream the
-// source through the feeder, run the calendar dry, and close the
-// stations' time-weighted metrics.
-func runDeployment(eng *sim.Engine, f *feeder, res *Result, stations []*queue.Station) {
-	f.start(eng)
-	res.Duration = eng.Run()
-	for _, s := range stations {
-		s.Finish()
-	}
+// engine is one sim.Engine of a run with everything built on it: the
+// exec routing through the tiers it owns and the sink booking their
+// completions (which holds the owned tiers' controllers). Run builds
+// one, a sharded run one per phase-1 shard plus phase 2's, all through
+// buildEngine.
+type engine struct {
+	x    *topoExec
+	sink *sink
 }
 
-// newStation builds a deployment station wired for the run: warmup,
-// queue bound, summary mode, and the shared request free list.
-func newStation(eng *sim.Engine, name string, servers int, disc queue.Discipline,
-	queueCap int, warmup float64, mode stats.Mode, pool *queue.FreeList) *queue.Station {
-	st := queue.NewStation(eng, name, servers, disc)
-	st.QueueCap = queueCap
-	st.SetWarmup(warmup)
-	st.SetSummaryMode(mode)
-	st.Recycle = pool
-	return st
+// buildEngine builds one engine of a run over the tiers it owns (owned,
+// in tier order), booking spills, rejections and completions into
+// counts: the run's result table on Run and phase 2, a shard's own on a
+// phase-1 shard. It builds each tier, wires the spill edges out of the
+// owned tiers and starts their controllers in tier order, so each
+// ticker takes its place in the calendar before the feeder or the pump
+// arms the arrival lane.
+//
+// Run and phase 2 pass a nil shard: each owned tier spans its whole
+// site range, its stations add their waits to one tier digest under
+// NoPerSiteLatency, and a home-routed entry tier keeps per-site
+// end-to-end digests unless NoPerSiteLatency is set. A phase-1 shard
+// passes its state: each owned home tier spans the shard's sites
+// [lo, hi), each station keeps its own wait digest and the sink splits
+// its cells by local site, so harvest merges both in global site order
+// whatever the partition.
+func buildEngine(topo Topology, opts Options, counts []TierResult, owned []int, shard *shardState) (*engine, error) {
+	eng := sim.NewEngineBackend(opts.Seed, opts.backend)
+	// Streams follow the layout in streams.go. A phase-1 shard is handed
+	// the routing seeds too but draws none: planShards rejects
+	// jockeying, home-tier scalers and sampled detours on non-entry home
+	// spill edges, the only home-tier consumers of a routing stream.
+	seeds := newRouteSeeds(topo, opts.Seed)
+	pool := &queue.FreeList{}
+	x := newTopoExec(eng, pool, counts)
+	for _, ti := range owned {
+		t := topo.Tiers[ti]
+		lo, hi, oneWait := 0, t.Sites, opts.NoPerSiteLatency
+		if shard != nil {
+			lo, hi, oneWait = shard.lo, shard.hi, false
+		}
+		rt, err := buildTier(eng, t, lo, hi, opts, pool,
+			func() *rand.Rand { return seeds.tier(ti) }, oneWait)
+		if err != nil {
+			return nil, err
+		}
+		x.tiers[ti] = rt
+	}
+	attachSpills(topo, x.tiers, seeds.spill)
+	ctrls, err := startScalers(eng, x.tiers)
+	if err != nil {
+		return nil, err
+	}
+	var sk *sink
+	if shard != nil {
+		sk = newSink(counts, x.tiers, opts, shard.lo, shard.hi-shard.lo)
+	} else {
+		sk = newSink(counts, x.tiers, opts, 0, 1)
+		if topo.Tiers[0].homeRouted() && !opts.NoPerSiteLatency {
+			sk.perSite = newDigests(opts.Summary, topo.Tiers[0].Sites)
+		}
+	}
+	sk.ctrls = ctrls
+	return &engine{x: x, sink: sk}, nil
+}
+
+// replay streams src through the engine on a feeder whose prep fills
+// each request's generation-time fields, runs the calendar dry and
+// stops the controllers; the caller closes the stations. A prep that
+// cannot place a record sets x.err and stops the engine. replay returns
+// the records pulled from src and the first error of the exec, the
+// feeder and src: a FallibleSource that ended on a decode failure must
+// surface it, since a replay over the decoded prefix would look like a
+// clean result over a silently truncated workload. what names src in
+// that error.
+func (e *engine) replay(src Source, what string, prep func(RequestRecord, *queue.Request), probe func(pending int)) (uint64, error) {
+	f := &feeder{src: src, pool: e.x.pool, prep: prep, sink: e.sink, admit: e.x.admitEv, probe: probe}
+	e.sink.emitted = &f.count
+	if len(e.sink.ctrls) > 0 {
+		f.onDrained = e.sink.drain
+	}
+	f.start(e.x.eng)
+	e.x.eng.Run()
+	e.sink.stopScalers()
+	if e.x.err != nil {
+		return f.count, e.x.err
+	}
+	if f.err != nil {
+		return f.count, f.err
+	}
+	if fs, ok := src.(FallibleSource); ok {
+		if err := fs.Err(); err != nil {
+			return f.count, fmt.Errorf("cluster: %s failed after %d records: %w", what, f.count, err)
+		}
+	}
+	return f.count, nil
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 
 	"repro/internal/queue"
@@ -25,10 +24,13 @@ import (
 //     (time, site, per-site order) sequence and replayed on one engine
 //     that owns every shared tier.
 //
-// Every engine — Run's, each shard's and phase 2's — routes requests
+// Every engine — Run's, each shard's and phase 2's — is built by the
+// one builder, buildEngine, over the tiers it owns, and routes requests
 // through the one admission-and-spill gate, topoExec.admit. A shard's
 // gate owns only the home tiers, and its cross hook turns a request
-// bound for a shared tier into a boundary record.
+// bound for a shared tier into a boundary record. Run and each shard
+// replay their source through engine.replay; phase 2 is fed by
+// runPhase2Pump.
 //
 // Because phase-1 dynamics are site-local and the boundary sequence is
 // canonical, the result is bit-identical for every shard count: the
@@ -163,24 +165,18 @@ type boundaryPublisher interface {
 	finish()
 }
 
-// shardState is one phase-1 shard's working set. Its sink books every
-// completion in phase 1 — each happens at a home tier of this shard —
-// into the shard's own tier table and into end-to-end cells split by
-// local site, which harvest merges in global site order.
+// shardState is one phase-1 shard's working set. Its engine books
+// every completion in phase 1 — each happens at a home tier of this
+// shard — into the shard's own tier table, e.x.counts, and into
+// end-to-end cells split by local site, which harvest merges in global
+// site order.
 type shardState struct {
 	lo, hi int // global site range
 
-	tiers   []*tierRuntime // per tier index: home tiers' site ranges, nil for shared tiers
-	siteSeq []uint64       // per local site: boundary capture counter
-
+	siteSeq []uint64 // per local site: boundary capture counter
 	offered uint64
-	// counts is the shard's own tier table: served, dropped, spilled
-	// and rejected counters per tier and class (home tiers only).
-	counts []TierResult
-	sink   *sink
-
-	eng *sim.Engine
-	err error
+	e       *engine // nil until built
+	err     error
 }
 
 // runShardPhase1 replays one shard's sites through the home tiers,
@@ -195,33 +191,17 @@ type shardState struct {
 // stall.
 func runShardPhase1(topo Topology, plan shardPlan, st *shardState, src Source, opts Options, pub boundaryPublisher) {
 	defer pub.finish()
-	eng := sim.NewEngineBackend(opts.Seed, opts.backend)
-	st.eng = eng
-	pool := &queue.FreeList{}
-	width := st.hi - st.lo
-
-	st.counts = newTopologyResult(topo, opts).Tiers
-	st.siteSeq = make([]uint64, width)
-	x := newTopoExec(eng, pool, st.counts)
-	for _, ti := range plan.home {
-		// The shard builds its site range of each home tier, with
-		// admission buckets keyed by local site.
-		rt, err := buildTier(eng, topo.Tiers[ti], st.lo, st.hi, opts, pool, nil, false)
-		if err != nil {
-			st.err = err
-			return
-		}
-		x.tiers[ti] = rt
+	e, err := buildEngine(topo, opts, newTopologyResult(topo, opts).Tiers, plan.home, st)
+	if err != nil {
+		st.err = err
+		return
 	}
-	st.tiers = x.tiers
-	st.sink = newSink(st.counts, x.tiers, opts, st.lo, width)
-	// Spill edges out of home tiers. planShards rejected sampled detours
-	// on every home edge but the entry tier's, whose detour the router
-	// draws at generation time, so no edge here needs a stream.
-	attachSpills(topo, x.tiers, nil)
+	st.e = e
+	width := st.hi - st.lo
+	st.siteSeq = make([]uint64, width)
 	// A shared tier's admission policy runs in phase 2, where it
 	// observes the canonical merged order — exactly what Run sees.
-	x.cross = func(at float64, req *queue.Request, tier int) {
+	e.x.cross = func(at float64, req *queue.Request, tier int) {
 		ls := req.Site - st.lo
 		pub.capture(boundaryRec{
 			at:        at,
@@ -235,46 +215,28 @@ func runShardPhase1(topo Topology, plan shardPlan, st *shardState, src Source, o
 			class:     req.Class,
 		})
 		st.siteSeq[ls]++
-		pool.Put(req)
+		e.x.pool.Put(req)
 	}
 
 	// Site-pinned classes only: planShards rejected Bernoulli fractions,
 	// so the router never draws a class stream here.
 	route := newRouter(topo, newNetStreams(opts.Seed, st.lo, width), nil)
-	f := &feeder{
-		src:  src,
-		pool: pool,
-		sink: st.sink,
-		prep: func(rec RequestRecord, req *queue.Request) {
-			ls := rec.Site - st.lo
-			if uint(ls) >= uint(width) {
-				// The engine halts after this event, before the
-				// request's arrival can fire.
-				st.err = fmt.Errorf("cluster: sharded source yielded site %d outside shard [%d,%d)",
-					rec.Site, st.lo, st.hi)
-				eng.Stop()
-				return
-			}
-			// The shard clock sits at rec.Time: every boundary capture
-			// from here on carries at >= rec.Time, which is what lets the
-			// publisher release and watermark.
-			pub.advance(rec.Time)
-			route.prep(rec, req)
-		},
-		admit: x.admitEv,
-	}
-	f.start(eng)
-	eng.Run()
-	st.offered = f.count
-	if st.err == nil {
-		st.err = f.err
-	}
-	if fs, ok := src.(FallibleSource); ok && st.err == nil {
-		if err := fs.Err(); err != nil {
-			st.err = fmt.Errorf("cluster: shard [%d,%d) source failed after %d records: %w",
-				st.lo, st.hi, f.count, err)
+	what := fmt.Sprintf("shard [%d,%d) source", st.lo, st.hi)
+	st.offered, st.err = e.replay(src, what, func(rec RequestRecord, req *queue.Request) {
+		if uint(rec.Site-st.lo) >= uint(width) {
+			// The engine halts after this event, before the request's
+			// arrival can fire.
+			e.x.err = fmt.Errorf("cluster: sharded source yielded site %d outside shard [%d,%d)",
+				rec.Site, st.lo, st.hi)
+			e.x.eng.Stop()
+			return
 		}
-	}
+		// The shard clock sits at rec.Time: every boundary capture from
+		// here on carries at >= rec.Time, which is what lets the
+		// publisher release and watermark.
+		pub.advance(rec.Time)
+		route.prep(rec, req)
+	}, nil)
 }
 
 // shardRun is one sharded run's shared state: the validated plan, the
@@ -344,43 +306,10 @@ func newShardRun(src ShardedSource, topo Topology, opts Options, shards int) (*s
 	}, nil
 }
 
-// p2build is phase 2's constructed world: the exec routing through
-// every shared tier on one engine, and its sink (which holds the
-// controllers).
-type p2build struct {
-	x    *topoExec
-	sink *sink
-}
-
-// buildPhase2 constructs every shared tier on a fresh engine, following
-// Run's construction scoped to the shared tiers, with the same routing
-// streams Run builds for them.
-func buildPhase2(r *shardRun) (*p2build, error) {
-	topo, opts := r.topo, r.opts
-	eng := sim.NewEngineBackend(opts.Seed, opts.backend)
-	seeds := newRouteSeeds(topo, opts.Seed)
-	pool := &queue.FreeList{}
-	x := newTopoExec(eng, pool, r.res.Tiers)
-	for _, ti := range r.plan.shared {
-		t := topo.Tiers[ti]
-		rt, err := buildTier(eng, t, 0, t.Sites, opts, pool,
-			func() *rand.Rand { return seeds.tier(ti) }, opts.NoPerSiteLatency)
-		if err != nil {
-			return nil, err
-		}
-		x.tiers[ti] = rt
-	}
-	attachSpills(topo, x.tiers, seeds.spill)
-	ctrls, err := startScalers(eng, x.tiers)
-	if err != nil {
-		return nil, err
-	}
-	sk := newSink(r.res.Tiers, x.tiers, opts, 0, 1)
-	sk.ctrls = ctrls
-	if topo.Tiers[0].homeRouted() && !opts.NoPerSiteLatency {
-		sk.perSite = newDigests(opts.Summary, r.sites)
-	}
-	return &p2build{x: x, sink: sk}, nil
+// buildPhase2 builds phase 2's engine over every shared tier, booking
+// into the run's result.
+func buildPhase2(r *shardRun) (*engine, error) {
+	return buildEngine(r.topo, r.opts, r.res.Tiers, r.plan.shared, nil)
 }
 
 // finishSharded closes every engine at the global end time, adds the
@@ -389,7 +318,7 @@ func buildPhase2(r *shardRun) (*p2build, error) {
 // harvest, which derives every latency digest. No merge depends on the
 // shard partition, which is what keeps the result bit-identical for
 // every shard count.
-func finishSharded(r *shardRun, p2 *p2build) *TopologyResult {
+func finishSharded(r *shardRun, p2 *engine) *TopologyResult {
 	topo, plan, opts, res := r.topo, r.plan, r.opts, r.res
 
 	// Tier index -> its runtime: phase 2's exec already holds the shared
@@ -399,7 +328,7 @@ func finishSharded(r *shardRun, p2 *p2build) *TopologyResult {
 	for _, ti := range plan.home {
 		view := &tierRuntime{spec: topo.Tiers[ti], home: true}
 		for _, st := range r.states {
-			view.stations = append(view.stations, st.tiers[ti].stations...)
+			view.stations = append(view.stations, st.e.x.tiers[ti].stations...)
 		}
 		tiers[ti] = view
 	}
@@ -410,7 +339,7 @@ func finishSharded(r *shardRun, p2 *p2build) *TopologyResult {
 	// per-site last-event times, which no partition changes.
 	engines := []*sim.Engine{p2.x.eng}
 	for _, st := range r.states {
-		engines = append(engines, st.eng)
+		engines = append(engines, st.e.x.eng)
 	}
 	var globalDur float64
 	for _, eng := range engines {
@@ -431,11 +360,11 @@ func finishSharded(r *shardRun, p2 *p2build) *TopologyResult {
 	// Harvest the shards' tier tables and every sink's locals.
 	home := make([]*sink, len(r.states))
 	for i, st := range r.states {
-		home[i] = st.sink
+		home[i] = st.e.sink
 		res.Offered += st.offered
-		st.sink.fold(res)
+		st.e.sink.fold(res)
 		for _, ti := range plan.home {
-			tier, c := &res.Tiers[ti], &st.counts[ti]
+			tier, c := &res.Tiers[ti], &st.e.x.counts[ti]
 			tier.Served += c.Served
 			tier.Dropped += c.Dropped
 			tier.Spilled += c.Spilled

@@ -209,13 +209,12 @@ type spillRuntime struct {
 // on eng, its routing — a jockeying lb.Geographic or an lb dispatcher,
 // each drawing the stream newStream supplies — and its admission
 // policy, keyed by local site on home-routed tiers and tier-wide
-// elsewhere. Run and phase 2 build whole tiers; a phase-1 shard builds
-// its site range of each home tier, which draws no stream (planShards
-// rejects jockeying there), so it passes a nil newStream. oneWait makes
-// every station add its waits to one tier digest, rt.wait. A phase-1
-// shard passes false and keeps a digest per station, so the tier's
-// wait, merged at harvest in site order, is the same for every
-// partition.
+// elsewhere. buildEngine builds whole tiers for Run and phase 2, and a
+// phase-1 shard's site range of each home tier, which draws no stream
+// (planShards rejects jockeying there). oneWait makes every station add
+// its waits to one tier digest, rt.wait. A phase-1 shard passes false
+// and keeps a digest per station, so the tier's wait, merged at harvest
+// in site order, is the same for every partition.
 func buildTier(eng *sim.Engine, t Tier, lo, hi int, opts Options, pool *queue.FreeList,
 	newStream func() *rand.Rand, oneWait bool) (*tierRuntime, error) {
 	rt := &tierRuntime{
@@ -240,12 +239,16 @@ func buildTier(eng *sim.Engine, t Tier, lo, hi int, opts Options, pool *queue.Fr
 		if rt.central && t.Sites == 1 {
 			name = t.Name
 		}
-		rt.stations[i] = newStation(eng, name, c, t.Discipline,
-			t.QueueCap, opts.Warmup, opts.Summary, pool)
+		st := queue.NewStation(eng, name, c, t.Discipline)
+		st.QueueCap = t.QueueCap
+		st.SetWarmup(opts.Warmup)
+		st.SetSummaryMode(opts.Summary)
+		st.Recycle = pool
 		if rt.wait != nil {
-			rt.stations[i].WaitInto(rt.wait)
+			st.WaitInto(rt.wait)
 		}
-		servers[i] = rt.stations[i]
+		rt.stations[i] = st
+		servers[i] = st
 	}
 	if t.JockeyThreshold > 0 {
 		rt.geo = lb.NewGeographic(servers, t.JockeyThreshold, t.DetourRTT, newStream())
@@ -704,82 +707,46 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 		return nil, fmt.Errorf("cluster: Run has no boundary backlog for Options.BacklogProbe to observe; use RunPipelined")
 	}
 
-	// Streams follow the layout in streams.go, shared with
-	// RunPipelined.
-	eng := sim.NewEngineBackend(opts.Seed, opts.backend)
-	seeds := newRouteSeeds(topo, opts.Seed)
-	pool := &queue.FreeList{}
 	res := newTopologyResult(topo, opts)
-	x := newTopoExec(eng, pool, res.Tiers)
-	for ti, t := range topo.Tiers {
-		if x.tiers[ti], err = buildTier(eng, t, 0, t.Sites, opts, pool,
-			func() *rand.Rand { return seeds.tier(ti) }, opts.NoPerSiteLatency); err != nil {
-			return nil, err
-		}
+	owned := make([]int, len(topo.Tiers))
+	for ti := range owned {
+		owned[ti] = ti
 	}
-	attachSpills(topo, x.tiers, seeds.spill)
-	var classRng *rand.Rand
-	for _, c := range topo.Classes {
-		if c.Fraction > 0 && c.Fraction < 1 {
-			classRng = seeds.class()
-			break
-		}
-	}
-	ctrls, err := startScalers(eng, x.tiers)
+	e, err := buildEngine(topo, opts, res.Tiers, owned, nil)
 	if err != nil {
 		return nil, err
 	}
-
-	route := newRouter(topo, newNetStreams(opts.Seed, 0, topo.Tiers[0].Sites), classRng)
-	f := &feeder{
-		src:  src,
-		pool: pool,
-		prep: func(rec RequestRecord, req *queue.Request) {
-			if rec.Site < 0 {
-				// The engine halts after this event, before the
-				// request's arrival can fire.
-				x.err = fmt.Errorf("cluster: record site %d is negative", rec.Site)
-				eng.Stop()
-				return
-			}
-			route.prep(rec, req)
-		},
-		admit: x.admitEv,
-		probe: opts.Probe,
-	}
-	sk := newSink(res.Tiers, x.tiers, opts, 0, 1)
-	if x.tiers[0].home && !opts.NoPerSiteLatency {
-		sk.perSite = newDigests(opts.Summary, topo.Tiers[0].Sites)
-	}
-	sk.timeline, sk.ctrls, sk.emitted = res.Timeline, ctrls, &f.count
-	f.sink = sk
-	if len(ctrls) > 0 {
-		f.onDrained = sk.drain
-	}
-
-	var stations []*queue.Station
-	for _, rt := range x.tiers {
-		stations = append(stations, rt.stations...)
-	}
-	runDeployment(eng, f, &res.Result, stations)
-	sk.stopScalers()
-	if x.err != nil {
-		return nil, x.err
-	}
-	if f.err != nil {
-		return nil, f.err
-	}
-	// A source that ended on a decode failure (FallibleSource) must
-	// surface it: a replay over the decoded prefix would look like a
-	// clean result over a silently truncated workload.
-	if e, ok := src.(FallibleSource); ok {
-		if err := e.Err(); err != nil {
-			return nil, fmt.Errorf("cluster: source failed after %d records: %w", f.count, err)
+	e.sink.timeline = res.Timeline
+	var classRng *rand.Rand
+	for _, c := range topo.Classes {
+		if c.Fraction > 0 && c.Fraction < 1 {
+			classRng = newRouteSeeds(topo, opts.Seed).class()
+			break
 		}
 	}
-	res.Offered = f.count
-	sk.fold(res)
-	harvest(res, x.tiers, nil, sk, opts)
+	route := newRouter(topo, newNetStreams(opts.Seed, 0, topo.Tiers[0].Sites), classRng)
+	offered, err := e.replay(src, "source", func(rec RequestRecord, req *queue.Request) {
+		if rec.Site < 0 {
+			// The engine halts after this event, before the request's
+			// arrival can fire.
+			e.x.err = fmt.Errorf("cluster: record site %d is negative", rec.Site)
+			e.x.eng.Stop()
+			return
+		}
+		route.prep(rec, req)
+	}, opts.Probe)
+	if err != nil {
+		return nil, err
+	}
+	res.Duration = e.x.eng.Now()
+	for _, rt := range e.x.tiers {
+		for _, s := range rt.stations {
+			s.Finish()
+		}
+	}
+	res.Offered = offered
+	e.sink.fold(res)
+	harvest(res, e.x.tiers, nil, e.sink, opts)
 	return res, nil
 }
 
@@ -787,10 +754,11 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 // engine has closed its stations and every counter has been folded in:
 // latency digests, station rows, wait digests, utilization, scaler
 // telemetry and the cost overlay. It is the one harvest step of Run,
-// RunPipelined and the barrier oracle. tiers[i] holds tier i's stations
-// in global site order. home lists the phase-1 shards' sinks in global
-// site order (nil on Run), and sk is the engine sink that owns every
-// other tier: Run's or phase 2's.
+// RunPipelined and the barrier oracle, over engines buildEngine built.
+// tiers[i] holds tier i's stations in global site order. home lists the
+// phase-1 shards' sinks in global site order (nil on Run), and sk is
+// the sink of the engine that owns every other tier: Run's or phase
+// 2's.
 //
 // Every coarser digest is derived here, once, with stats.Merged, in one
 // fixed order (see deriveLatency). A tier's wait digests are its one

@@ -171,8 +171,11 @@ func directRunEdgeAutoscaled(t *testing.T, tr *WorkloadTrace, cfg edgeConfig, as
 
 	stations := make([]*queue.Station, cfg.Sites)
 	for i := range stations {
-		stations[i] = newStation(eng, fmt.Sprintf("edge-%d", i), cfg.ServersPerSite,
-			cfg.Discipline, 0, cfg.Warmup, stats.Exact, pool)
+		st := queue.NewStation(eng, fmt.Sprintf("edge-%d", i), cfg.ServersPerSite, cfg.Discipline)
+		st.SetWarmup(cfg.Warmup)
+		st.SetSummaryMode(stats.Exact)
+		st.Recycle = pool
+		stations[i] = st
 	}
 	ctrl, err := autoscale.New(asSpec, eng, stations)
 	if err != nil {
@@ -228,7 +231,11 @@ func directRunEdgeAutoscaled(t *testing.T, tr *WorkloadTrace, cfg edgeConfig, as
 			maybeStop()
 		},
 	}
-	runDeployment(eng, f, &res.Result, stations)
+	f.start(eng)
+	res.Duration = eng.Run()
+	for _, s := range stations {
+		s.Finish()
+	}
 	ctrl.Stop()
 
 	var busySum, capSum float64

@@ -54,7 +54,8 @@ func TestRunSweepRejectsUnknownCloudPolicy(t *testing.T) {
 
 // TestRunnersRejectBadNumbers: a spec that cannot be generated — a NaN
 // duration or rate, no sites — comes back from every runner as an error
-// naming the bad setting, not a generator panic; so does a warmup at or
+// naming the bad setting, not a generator panic; so does an infinite
+// rate, which would never let the generator return, and a warmup at or
 // past the duration, which would measure nothing.
 func TestRunnersRejectBadNumbers(t *testing.T) {
 	nan := math.NaN()
@@ -83,6 +84,22 @@ func TestRunnersRejectBadNumbers(t *testing.T) {
 			_, err := RunScalerComparison(ScalerComparisonConfig{Workload: ScalerWorkloadMMPP, Duration: nan})
 			return err
 		}, "GenSpec"},
+		"RunScalerComparison-infinite-rate": {func() error {
+			_, err := RunScalerComparison(ScalerComparisonConfig{BaseRate: math.Inf(1), Duration: 60})
+			return err
+		}, "BaseRate +Inf"},
+		"RunScalerComparison-negative-rate": {func() error {
+			_, err := RunScalerComparison(ScalerComparisonConfig{BaseRate: -2, Duration: 60})
+			return err
+		}, "BaseRate -2"},
+		"RunScalerComparison-nan-mu": {func() error {
+			_, err := RunScalerComparison(ScalerComparisonConfig{Mu: nan, Duration: 60})
+			return err
+		}, "Mu NaN"},
+		"RunScalerComparison-infinite-mu": {func() error {
+			_, err := RunScalerComparison(ScalerComparisonConfig{Mu: math.Inf(1), Duration: 60})
+			return err
+		}, "Mu +Inf"},
 		"RunFig3":            {func() error { _, err := RunFig3("typical-25ms", nan, 1); return err }, "GenSpec"},
 		"RunFig6":            {func() error { _, err := RunFig6(nan, 1); return err }, "GenSpec"},
 		"RunFig7":            {func() error { _, err := RunFig7(nan, 1); return err }, "GenSpec"},

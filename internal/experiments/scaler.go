@@ -62,14 +62,16 @@ type ScalerComparisonConfig struct {
 	// explicit warmup must lie below Duration.
 	Warmup float64
 	Seed   int64
-	// BaseRate is the mean per-site arrival rate in req/s (default 8).
-	// The time-varying envelopes swing around it.
+	// BaseRate is the mean per-site arrival rate in req/s (zero selects
+	// the default, 8; a NaN, infinite or negative rate is an error). The
+	// time-varying envelopes swing around it.
 	BaseRate float64
 	// MinServers/MaxServers bound each edge site's capacity
 	// (defaults 1 and 6).
 	MinServers, MaxServers int
 	// Mu is the per-server service rate handed to predictive specs
-	// (default app.SaturationRate).
+	// (zero selects the default, app.SaturationRate; a NaN, infinite or
+	// negative rate is an error).
 	Mu float64
 	// Specs are the policies to compare; nil selects
 	// DefaultScalerSpecs (reactive + predictive × every forecaster).
@@ -186,6 +188,19 @@ func scalerTopology(cfg ScalerComparisonConfig, spec autoscale.Spec) cluster.Top
 	}
 }
 
+// rateOrDefault returns def for a zero rate and v for a positive finite
+// one. Any other value is an error naming the config field: an
+// infinite rate would never let the generator return.
+func rateOrDefault(field string, v, def float64) (float64, error) {
+	switch {
+	case v == 0:
+		return def, nil
+	case !(v > 0) || math.IsInf(v, 1):
+		return 0, fmt.Errorf("experiments: scaler comparison %s %v is not a positive finite rate", field, v)
+	}
+	return v, nil
+}
+
 // RunScalerComparison replays one time-varying workload through the
 // same deployment under every scaler spec and reports latency, scaling
 // telemetry, and the per-tier cost overlay — the reactive-vs-predictive
@@ -209,8 +224,9 @@ func RunScalerComparison(cfg ScalerComparisonConfig) (ScalerComparisonResult, er
 		return ScalerComparisonResult{}, fmt.Errorf("experiments: warmup %v is not below duration %v: the run would measure nothing",
 			cfg.Warmup, cfg.Duration)
 	}
-	if cfg.BaseRate <= 0 {
-		cfg.BaseRate = 8
+	var err error
+	if cfg.BaseRate, err = rateOrDefault("BaseRate", cfg.BaseRate, 8); err != nil {
+		return ScalerComparisonResult{}, err
 	}
 	if cfg.MinServers <= 0 {
 		cfg.MinServers = 1
@@ -218,8 +234,8 @@ func RunScalerComparison(cfg ScalerComparisonConfig) (ScalerComparisonResult, er
 	if cfg.MaxServers <= 0 {
 		cfg.MaxServers = 6
 	}
-	if cfg.Mu <= 0 {
-		cfg.Mu = app.SaturationRate
+	if cfg.Mu, err = rateOrDefault("Mu", cfg.Mu, app.SaturationRate); err != nil {
+		return ScalerComparisonResult{}, err
 	}
 	if cfg.Pricing == (econ.Pricing{}) {
 		cfg.Pricing = econ.DefaultPricing()
