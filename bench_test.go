@@ -688,51 +688,56 @@ func BenchmarkStreamSites(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceDecode measures replay-input decoding on a pre-encoded
-// ~200k-record trace: the request-CSV text decoder against the .etb
-// binary decoder over the identical records. The binary path's
-// acceptance bar is ≥5x less time and strictly fewer allocations per
-// drain (the allocs/op regression tests pin both decoders at a small
-// constant; -benchmem shows it here). Bytes-on-disk for each format
-// ride along as metrics. In short mode the trace shrinks ~10x.
+// BenchmarkTraceDecode measures replay-input decoding on pre-encoded
+// ~200k-record traces: the request-CSV text decoder against the .etb
+// binary decoder over the identical 8-site records, plus the binary
+// decoder over 200 sites (etb-hierarchy-2core's shape, whose site ids
+// from 128 up take 2-byte varints). Each reports ns/rec, the drain's
+// time per decoded record. The allocs/op regression tests pin both
+// decoders at a small constant; -benchmem shows it here. Bytes-on-disk
+// for each trace ride along as metrics. In short mode the traces shrink
+// ~10x.
 func BenchmarkTraceDecode(b *testing.B) {
-	duration := 1250.0 // 8 sites x 20 req/s x 1250 s = 200k records
+	scale := 1.0
 	if testing.Short() {
-		duration = 125
+		scale = 0.1
 	}
-	spec := cluster.GenSpec{Sites: 8, Duration: duration, PerSiteRate: 20, Seed: 93}
-	var csvBuf, etbBuf bytes.Buffer
-	if _, err := trace.WriteRequestsCSV(&csvBuf, cluster.Stream(spec)); err != nil {
+	narrow := cluster.GenSpec{Sites: 8, Duration: 1250 * scale, PerSiteRate: 20, Seed: 93}
+	wide := cluster.GenSpec{Sites: 200, Duration: 62.5 * scale, PerSiteRate: 16, Seed: 93}
+	var csvBuf, etbBuf, wideBuf bytes.Buffer
+	if _, err := trace.WriteRequestsCSV(&csvBuf, cluster.Stream(narrow)); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := trace.WriteBinary(&etbBuf, cluster.Stream(spec)); err != nil {
+	if _, err := trace.WriteBinary(&etbBuf, cluster.Stream(narrow)); err != nil {
 		b.Fatal(err)
 	}
-	csvData, etbData := csvBuf.Bytes(), etbBuf.Bytes()
-	b.Run("csv", func(b *testing.B) {
-		b.ReportAllocs()
-		var n uint64
-		for i := 0; i < b.N; i++ {
-			src := trace.StreamRequestsCSV(bytes.NewReader(csvData))
-			n = drainCount(src)
-			if err := src.Err(); err != nil {
-				b.Fatal(err)
+	if _, err := trace.WriteBinary(&wideBuf, cluster.Stream(wide)); err != nil {
+		b.Fatal(err)
+	}
+	csv := func(data []byte) cluster.FallibleSource { return trace.StreamRequestsCSV(bytes.NewReader(data)) }
+	etb := func(data []byte) cluster.FallibleSource { return trace.StreamBinary(bytes.NewReader(data)) }
+	for _, c := range []struct {
+		name string
+		data []byte
+		open func([]byte) cluster.FallibleSource
+	}{
+		{"csv", csvBuf.Bytes(), csv},
+		{"binary", etbBuf.Bytes(), etb},
+		{"binary-200site", wideBuf.Bytes(), etb},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var n uint64
+			for i := 0; i < b.N; i++ {
+				src := c.open(c.data)
+				n = drainCount(src)
+				if err := src.Err(); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		b.ReportMetric(float64(n), "requests")
-		b.ReportMetric(float64(len(csvData)), "file-bytes")
-	})
-	b.Run("binary", func(b *testing.B) {
-		b.ReportAllocs()
-		var n uint64
-		for i := 0; i < b.N; i++ {
-			src := trace.StreamBinary(bytes.NewReader(etbData))
-			n = drainCount(src)
-			if err := src.Err(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(n), "requests")
-		b.ReportMetric(float64(len(etbData)), "file-bytes")
-	})
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/rec")
+			b.ReportMetric(float64(n), "requests")
+			b.ReportMetric(float64(len(c.data)), "file-bytes")
+		})
+	}
 }

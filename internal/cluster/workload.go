@@ -60,7 +60,9 @@ const DefaultArrivalSCV = 0.4
 // Validate reports the first setting that makes the spec ungeneratable:
 // no sites, a duration that is not positive and finite, a missing or
 // non-finite per-site rate (when Arrivals is nil), a negative or
-// non-finite ArrivalSCV, or an Arrivals slice whose length is not Sites.
+// non-finite ArrivalSCV, an Arrivals slice whose length is not Sites,
+// or a nil arrival process or one whose Rate is negative, NaN or
+// infinite.
 // Front ends call it before a run so bad numbers become errors instead
 // of a panic inside a generator.
 func (spec GenSpec) Validate() error {
@@ -75,6 +77,16 @@ func (spec GenSpec) Validate() error {
 	if spec.Arrivals != nil {
 		if len(spec.Arrivals) != spec.Sites {
 			return fmt.Errorf("cluster: %d arrival processes for %d sites", len(spec.Arrivals), spec.Sites)
+		}
+		for i, p := range spec.Arrivals {
+			if p == nil {
+				return fmt.Errorf("cluster: site %d has no arrival process", i)
+			}
+			// An infinite rate yields every arrival at one instant, so the
+			// generator never reaches Duration; a NaN one poisons every draw.
+			if r := p.Rate(); r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
+				return fmt.Errorf("cluster: site %d arrival process %v has rate %v, want finite and >= 0", i, p, r)
+			}
 		}
 		return nil
 	}

@@ -26,6 +26,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 
 	"repro/internal/cluster"
 )
@@ -144,17 +145,20 @@ func WriteBinary(w io.Writer, src cluster.Source) (int, error) {
 	return total, bw.Flush()
 }
 
-// BinarySource streams cluster.RequestRecords from a .etb reader one
-// record at a time — the binary counterpart of RequestSource, holding
-// one block's payload instead of the file. Truncation, CRC mismatches
-// and impossible field values end the stream and are reported by Err;
-// the source never panics and never silently drops records.
+// BinarySource streams cluster.RequestRecords from a .etb reader — the
+// binary counterpart of RequestSource, holding one block's payload and
+// that block's decoded records instead of the file. Truncation, CRC
+// mismatches and impossible field values end the stream and are
+// reported by Err; the source never panics and never silently drops
+// records.
 type BinarySource struct {
 	br       *bufio.Reader
 	scratch  [8]byte // reused for header/CRC reads (a local would escape into io.ReadFull, one alloc per block)
 	payload  []byte
-	off      int
-	left     int // records remaining in the current block
+	recs     []cluster.RequestRecord // the current block's decoded records
+	next     int                     // index in recs of the record Next returns next
+	pend     error                   // the bad record that stopped the block's decode, reported once recs drain
+	pendSite int                     // that record's site when it decoded before the error, else -1
 	prevBits uint64
 	err      error
 	done     bool
@@ -190,15 +194,30 @@ func StreamBinary(r io.Reader) *BinarySource {
 	return s
 }
 
-// fail ends the stream with err.
+// fail ends the stream with err, dropping any records not yet returned.
 func (s *BinarySource) fail(err error) {
 	s.err = err
 	s.done = true
+	s.recs, s.next = s.recs[:0], 0
 }
 
-// nextBlock loads and CRC-checks the next block, or observes a clean
-// end of stream. Returns false when no further records exist.
+// outside is the LimitSites error for record s.n at site.
+func (s *BinarySource) outside(site int) error {
+	return fmt.Errorf("trace: binary record %d: site %d outside the replay's %d sites", s.n, site, s.maxSites)
+}
+
+// nextBlock loads, CRC-checks and decodes the next block, or observes a
+// clean end of stream. Returns false when no further records exist.
 func (s *BinarySource) nextBlock() bool {
+	if s.pend != nil {
+		// A record checks LimitSites before its service field and its
+		// block's trailing bytes, so a bad record's site can fail first.
+		if s.maxSites > 0 && s.pendSite >= s.maxSites {
+			s.pend = s.outside(s.pendSite)
+		}
+		s.fail(s.pend)
+		return false
+	}
 	n, err := binary.ReadUvarint(s.br)
 	if err != nil {
 		s.fail(fmt.Errorf("trace: binary trace truncated at block header: %w", err))
@@ -250,81 +269,116 @@ func (s *BinarySource) nextBlock() bool {
 		s.fail(fmt.Errorf("trace: binary block checksum %08x, want %08x; block is corrupt", got, want))
 		return false
 	}
-	s.off, s.left = 0, int(n)
+	s.decodeBlock(int(n))
 	return true
 }
 
-// uvarint decodes one varint from the current payload.
-func (s *BinarySource) uvarint(what string) (uint64, bool) {
-	v, n := binary.Uvarint(s.payload[s.off:])
-	if n <= 0 {
-		s.fail(fmt.Errorf("trace: binary record %d: %s field truncated or overlong", s.n, what))
-		return 0, false
+// decodeBlock decodes the payload's n records into s.recs in one loop.
+// The first bad record stops it: the records before it stay for Next to
+// return, and its error waits in s.pend. A time delta of up to 8 bytes
+// decodes from one little-endian word, whose first clear high bit ends
+// the varint; site ids below 2^14 take a 1- or 2-byte path; longer
+// varints and a payload's last bytes go through binary.Uvarint.
+func (s *BinarySource) decodeBlock(n int) {
+	if cap(s.recs) < n {
+		s.recs = make([]cluster.RequestRecord, n)
 	}
-	s.off += n
-	return v, true
+	recs, p, prev := s.recs[:n], s.payload, s.prevBits
+	off, i, site, why := 0, 0, -1, ""
+	for ; i < n; i++ {
+		site = -1
+		v, k := uint64(0), 0
+		if len(p)-off >= 8 {
+			w := binary.LittleEndian.Uint64(p[off:])
+			if stop := ^w & 0x8080808080808080; stop != 0 {
+				end := bits.TrailingZeros64(stop) + 1
+				v, k = pack7(w&(1<<end-1)), end/8
+			}
+		}
+		if k == 0 {
+			if v, k = binary.Uvarint(p[off:]); k <= 0 {
+				why = "time field truncated or overlong"
+				break
+			}
+		}
+		off += k
+		t := prev + v
+		if t < prev || t > maxFloatBits {
+			// Wrapped uint64 arithmetic or a pattern past MaxFloat64: no
+			// valid writer emits either, so the block decodes to garbage.
+			why = "time delta overflows to an invalid value"
+			break
+		}
+		k = 0
+		if off+1 < len(p) {
+			// Sites mix 1- and 2-byte ids at random, so pick without a branch.
+			b0, b1 := uint64(p[off]), uint64(p[off+1])
+			if two := b0 >> 7; two&(b1>>7) == 0 {
+				v, k = b0&0x7f|b1<<7&-two, 1+int(two)
+			}
+		}
+		if k == 0 {
+			if v, k = binary.Uvarint(p[off:]); k <= 0 {
+				why = "site field truncated or overlong"
+				break
+			}
+		}
+		off += k
+		if v > math.MaxInt32 {
+			why = fmt.Sprintf("site %d implausibly large", v)
+			break
+		}
+		site = int(v)
+		if len(p)-off < 8 {
+			why = "service field truncated"
+			break
+		}
+		// One unsigned compare rejects negatives, Inf and NaN; -0 sits
+		// above it too, but WriteBinary encodes -0, so it decodes.
+		svc := binary.LittleEndian.Uint64(p[off:])
+		if svc > maxFloatBits && svc != 1<<63 {
+			why = fmt.Sprintf("bad service time %v", math.Float64frombits(svc))
+			break
+		}
+		off += 8
+		recs[i] = cluster.RequestRecord{Time: math.Float64frombits(t), Site: site, ServiceTime: math.Float64frombits(svc)}
+		prev = t
+	}
+	if why != "" {
+		s.pend = fmt.Errorf("trace: binary record %d: %s", s.n+uint64(i), why)
+	} else if off != len(p) {
+		s.pend = fmt.Errorf("trace: binary block carries %d undeclared trailing bytes", len(p)-off)
+		i-- // the last record is withheld: its block is malformed
+	}
+	s.recs, s.next, s.prevBits, s.pendSite = recs[:i], 0, prev, site
+}
+
+// pack7 packs the 7-bit groups of a varint's little-endian bytes
+// (continuation bits included, bytes past its end zeroed) into its value.
+func pack7(w uint64) uint64 {
+	w &= 0x7f7f7f7f7f7f7f7f
+	w = w&0x007f007f007f007f | (w&0x7f007f007f007f00)>>1
+	w = w&0x00003fff00003fff | (w&0x3fff00003fff0000)>>2
+	return w&0x000000000fffffff | (w&0x0fffffff00000000)>>4
 }
 
 // Next implements cluster.Source. After the first false it keeps
 // returning false; check Err to learn whether the stream ended cleanly.
 func (s *BinarySource) Next() (cluster.RequestRecord, bool) {
-	if s.done {
-		return cluster.RequestRecord{}, false
-	}
-	for s.left == 0 {
-		if !s.nextBlock() {
+	for s.next == len(s.recs) {
+		if s.done || !s.nextBlock() {
 			return cluster.RequestRecord{}, false
 		}
 	}
-	delta, ok := s.uvarint("time")
-	if !ok {
+	rec := s.recs[s.next]
+	if s.maxSites > 0 && rec.Site >= s.maxSites {
+		s.fail(s.outside(rec.Site))
 		return cluster.RequestRecord{}, false
 	}
-	bits := s.prevBits + delta
-	if bits < s.prevBits || bits > maxFloatBits {
-		// Wrapped uint64 arithmetic or a pattern past MaxFloat64: no
-		// valid writer emits either, so the block decodes to garbage.
-		s.fail(fmt.Errorf("trace: binary record %d: time delta overflows to an invalid value", s.n))
-		return cluster.RequestRecord{}, false
-	}
-	site, ok := s.uvarint("site")
-	if !ok {
-		return cluster.RequestRecord{}, false
-	}
-	if site > math.MaxInt32 {
-		s.fail(fmt.Errorf("trace: binary record %d: site %d implausibly large", s.n, site))
-		return cluster.RequestRecord{}, false
-	}
-	if s.maxSites > 0 && int(site) >= s.maxSites {
-		s.fail(fmt.Errorf("trace: binary record %d: site %d outside the replay's %d sites",
-			s.n, site, s.maxSites))
-		return cluster.RequestRecord{}, false
-	}
-	if s.off+8 > len(s.payload) {
-		s.fail(fmt.Errorf("trace: binary record %d: service field truncated", s.n))
-		return cluster.RequestRecord{}, false
-	}
-	svc := math.Float64frombits(binary.LittleEndian.Uint64(s.payload[s.off:]))
-	s.off += 8
-	if svc < 0 || math.IsNaN(svc) || math.IsInf(svc, 0) {
-		s.fail(fmt.Errorf("trace: binary record %d: bad service time %v", s.n, svc))
-		return cluster.RequestRecord{}, false
-	}
-	s.left--
-	if s.left == 0 && s.off != len(s.payload) {
-		s.fail(fmt.Errorf("trace: binary block carries %d undeclared trailing bytes", len(s.payload)-s.off))
-		return cluster.RequestRecord{}, false
-	}
-	s.prevBits = bits
-	if int(site)+1 > s.sites {
-		s.sites = int(site) + 1
-	}
+	s.next++
+	s.sites = max(s.sites, rec.Site+1)
 	s.n++
-	return cluster.RequestRecord{
-		Time:        math.Float64frombits(bits),
-		Site:        int(site),
-		ServiceTime: svc,
-	}, true
+	return rec, true
 }
 
 // Err returns the decode error that ended the stream, or nil after a

@@ -144,6 +144,13 @@ func FuzzStreamBinary(f *testing.F) {
 	f.Add([]byte("time,site,service\n1,0,0.1\n"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The block decoder must match the record-at-a-time reference on
+		// every input, with and without a site limit set mid-stream.
+		for _, l := range [][2]int{{0, 0}, {2, 1}} {
+			if d := binaryDiff(data, l[0], l[1]); d != "" {
+				t.Fatalf("LimitSites(%d) before Next %d: %s", l[0], l[1], d)
+			}
+		}
 		src := StreamBinary(bytes.NewReader(data))
 		last := math.Inf(-1)
 		n := 0

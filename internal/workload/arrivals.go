@@ -155,14 +155,16 @@ type NHPP struct {
 }
 
 // NewNHPP builds a nonhomogeneous Poisson process from a rate envelope.
+// It panics on an empty envelope, a non-positive bin width, or a bin
+// whose rate is negative, NaN or infinite.
 func NewNHPP(rates []float64, binWidth float64, cycle bool) *NHPP {
 	if len(rates) == 0 || binWidth <= 0 {
 		panic("workload: NHPP needs a non-empty envelope and positive bin width")
 	}
 	p := &NHPP{Rates: append([]float64(nil), rates...), BinWidth: binWidth, Cycle: cycle}
 	for _, r := range rates {
-		if r < 0 {
-			panic("workload: negative rate in NHPP envelope")
+		if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
+			panic("workload: negative or non-finite rate in NHPP envelope")
 		}
 		p.active = p.active || r > 0
 	}

@@ -183,6 +183,22 @@ func TestNHPPZeroEnvelope(t *testing.T) {
 	}
 }
 
+// TestNHPPRejectsBadBins: a negative, NaN or infinite bin panics at
+// construction. An infinite bin would yield every arrival at one
+// instant and a NaN one would never advance the clock.
+func TestNHPPRejectsBadBins(t *testing.T) {
+	for _, r := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewNHPP accepted a bin of rate %v", r)
+				}
+			}()
+			NewNHPP([]float64{3, r}, 1, false)
+		}()
+	}
+}
+
 // TestMMPPStructLiteral: an MMPP built without NewMMPP must lazily
 // derive its sampling distributions instead of nil-panicking.
 func TestMMPPStructLiteral(t *testing.T) {
