@@ -11,10 +11,10 @@ package edgebench_test
 
 import (
 	"bytes"
-	"os"
+	"runtime/metrics"
 	"strconv"
-	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/app"
 	"repro/internal/autoscale"
@@ -415,41 +415,42 @@ func BenchmarkStream100M(b *testing.B) {
 	b.ReportMetric(mean*1000, "mean-ms")
 }
 
-// peakRSSMB reads the process peak resident set (VmHWM) in MB.
-func peakRSSMB(b *testing.B) float64 {
-	data, err := os.ReadFile("/proc/self/status")
-	if err != nil {
-		return 0 // not Linux: report 0 rather than fail the bench
+// heapPeak samples the bytes held by live and unswept heap objects
+// (runtime/metrics) every millisecond until the returned stop is
+// called, and stop returns the largest sample in MB. A peak shorter
+// than a millisecond can fall between samples.
+func heapPeak() (stop func() float64) {
+	sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	read := func() uint64 {
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
 	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if !strings.HasPrefix(line, "VmHWM:") {
-			continue
+	done, peak := make(chan struct{}), make(chan uint64)
+	go func() {
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		p := read()
+		for {
+			select {
+			case <-done:
+				peak <- max(p, read())
+				return
+			case <-tick.C:
+				p = max(p, read())
+			}
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return 0
-		}
-		kb, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			return 0
-		}
-		return kb / 1024
+	}()
+	return func() float64 {
+		close(done)
+		return float64(<-peak) / (1 << 20)
 	}
-	return 0
-}
-
-// resetPeakRSS clears the VmHWM watermark so each sub-benchmark
-// measures its own peak, not its predecessors'. Best effort: kernels
-// without clear_refs keep the cumulative watermark.
-func resetPeakRSS() {
-	os.WriteFile("/proc/self/clear_refs", []byte("5"), 0o200)
 }
 
 // BenchmarkShowcaseMillionSites replays 10⁸ requests through a
 // million-station edge backed by a shared cloud pool on 4 sharded
-// engines. Reported metrics: peak RSS (boundary memory is bounded by
-// ring capacity, not by the boundary count) and the peak resident
-// boundary backlog. In short mode the same pipeline runs 10⁶ requests
+// engines. Reported metrics: the peak live heap (boundary memory is
+// bounded by ring capacity, not by the boundary count) and the peak
+// resident boundary backlog. In short mode the same pipeline runs 10⁶ requests
 // over 10⁴ sites. Run with -benchmem.
 func BenchmarkShowcaseMillionSites(b *testing.B) {
 	sites := 1_000_000
@@ -475,7 +476,7 @@ func BenchmarkShowcaseMillionSites(b *testing.B) {
 		Warmup: 2, Seed: 98, NoPerSiteLatency: true,
 	}
 	b.ReportAllocs()
-	resetPeakRSS()
+	stopPeak := heapPeak()
 	var backlog int
 	opts.BacklogProbe = func(p int) { backlog = p }
 	var offered uint64
@@ -487,7 +488,7 @@ func BenchmarkShowcaseMillionSites(b *testing.B) {
 		offered = res.Offered
 	}
 	b.ReportMetric(float64(offered), "requests")
-	b.ReportMetric(peakRSSMB(b), "peak-RSS-MB")
+	b.ReportMetric(stopPeak(), "peak-heap-MB")
 	b.ReportMetric(float64(backlog), "peak-backlog-records")
 }
 

@@ -40,13 +40,14 @@ func deterministicTopology() cluster.Topology {
 // TestSerialMatchesSharded: both engines build every random stream from
 // one per-site layout, so the serial Run and the sharded RunPipelined
 // replay the same events on every shardable graph and must agree on
-// every counter, duration, utilization and exact or bounded quantile,
-// per tier and per site. Means may differ in the last bits only: Run
-// adds completions in completion order, the sharded merge in site
-// order. The graphs cover constant and jittered client paths, sampled
-// spill detours at generation time and between shared tiers, a
-// site-pinned class, an autoscaled shared tier, a randomized dispatcher
-// and a slowed edge whose spills are rescaled to the next tier.
+// every counter, duration, utilization, mean, variance and exact or
+// bounded quantile, per tier and per site, bit for bit: Run adds
+// completions in completion order and the sharded engine merges the
+// shards' digests, and neither order moves a bit. The graphs cover
+// constant and jittered client paths, sampled spill detours at
+// generation time and between shared tiers, a site-pinned class, an
+// autoscaled shared tier, a randomized dispatcher and a slowed edge
+// whose spills are rescaled to the next tier.
 func TestSerialMatchesSharded(t *testing.T) {
 	topos := []cluster.Topology{deterministicTopology()}
 	for _, preset := range cluster.TopologyPresets() {
@@ -105,8 +106,8 @@ func TestSerialMatchesSharded(t *testing.T) {
 	}
 }
 
-// agreeAcrossEngines asserts equal counters, durations, utilizations
-// and quantiles, and means within 1e-12 relative.
+// agreeAcrossEngines asserts equal counters, durations, utilizations,
+// quantiles, means and variances.
 func agreeAcrossEngines(t *testing.T, name string, want, got *cluster.TopologyResult) {
 	t.Helper()
 	same := func(what string, w, g any) {
@@ -119,8 +120,13 @@ func agreeAcrossEngines(t *testing.T, name string, want, got *cluster.TopologyRe
 		for _, q := range []float64{0.5, 0.95, 0.99, 1} {
 			same(fmt.Sprintf("%s q%v", what, q), w.Quantile(q), g.Quantile(q))
 		}
-		if wm, gm := w.Mean(), g.Mean(); math.Abs(gm-wm) > 1e-12*math.Abs(wm) {
-			t.Errorf("%s: %s mean %v != %v beyond 1e-12 relative", name, what, gm, wm)
+		for _, m := range []struct {
+			name string
+			w, g float64
+		}{{"mean", w.Mean(), g.Mean()}, {"variance", w.Variance(), g.Variance()}} {
+			if math.Float64bits(m.w) != math.Float64bits(m.g) {
+				t.Errorf("%s: %s %s %v != %v", name, what, m.name, m.g, m.w)
+			}
 		}
 	}
 	same("offered", want.Offered, got.Offered)

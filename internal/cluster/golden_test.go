@@ -6,8 +6,8 @@ package cluster_test
 // event calendar. This test replays every shipped preset, and the
 // admission-and-drops deterministicTopology, through the serial Run and
 // through RunPipelined at 1 and 4 shards, checks that the engines
-// agree, and compares per-tier counters, the run duration and
-// end-to-end latency at full float64 precision against
+// agree and print identical rows, and compares per-tier counters, the
+// run duration and end-to-end latency at full float64 precision against
 // testdata/replay_golden.txt.
 //
 // A change that alters results on purpose regenerates the file with
@@ -40,21 +40,23 @@ func goldenLatency(d *stats.Digest) string {
 	return fmt.Sprintf("mean=%v p50=%v p95=%v p99=%v", d.Mean(), d.Median(), d.P95(), d.P99())
 }
 
-// writeGolden appends one run's pinned figures to b.
-func writeGolden(b *bytes.Buffer, label string, res *cluster.TopologyResult) {
-	fmt.Fprintf(b, "%s duration=%v offered=%d completed=%d dropped=%d rejected=%d e2e %s\n",
-		label, res.Duration, res.Offered, res.Completed, res.Dropped, res.Rejected, goldenLatency(&res.EndToEnd))
+// goldenRows formats one run's pinned figures, to follow its label.
+func goldenRows(res *cluster.TopologyResult) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "duration=%v offered=%d completed=%d dropped=%d rejected=%d e2e %s\n",
+		res.Duration, res.Offered, res.Completed, res.Dropped, res.Rejected, goldenLatency(&res.EndToEnd))
 	for i := range res.Tiers {
 		tr := &res.Tiers[i]
-		fmt.Fprintf(b, "  tier %s served=%d spilled=%d dropped=%d rejected=%d e2e %s\n",
+		fmt.Fprintf(&b, "  tier %s served=%d spilled=%d dropped=%d rejected=%d e2e %s\n",
 			tr.Name, tr.Served, tr.Spilled, tr.Dropped, tr.Rejected, goldenLatency(&tr.EndToEnd))
 	}
+	return b.String()
 }
 
 // TestReplayGolden: every preset's replay output, plus that of
 // deterministicTopology (admission, a capped queue and a pinned class),
 // matches the committed golden on both engines at a moderate and an
-// overloaded per-site rate.
+// overloaded per-site rate, and the engines' rows are identical.
 func TestReplayGolden(t *testing.T) {
 	topos := []cluster.Topology{deterministicTopology()}
 	for _, preset := range cluster.TopologyPresets() {
@@ -75,14 +77,20 @@ func TestReplayGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: Run: %v", label, err)
 			}
-			writeGolden(&b, label+" run", res)
+			rows := goldenRows(res)
+			fmt.Fprintf(&b, "%s run %s", label, rows)
 			for _, shards := range []int{1, 4} {
 				pres, err := cluster.RunPipelined(cluster.GenShards(spec), topo, opts, shards)
 				if err != nil {
 					t.Fatalf("%s: RunPipelined(%d): %v", label, shards, err)
 				}
-				writeGolden(&b, fmt.Sprintf("%s pipelined-%d", label, shards), pres)
-				agreeAcrossEngines(t, fmt.Sprintf("%s pipelined-%d", label, shards), res, pres)
+				plabel := fmt.Sprintf("%s pipelined-%d", label, shards)
+				prows := goldenRows(pres)
+				fmt.Fprintf(&b, "%s %s", plabel, prows)
+				if prows != rows {
+					t.Errorf("%s rows:\n%swant Run's:\n%s", plabel, prows, rows)
+				}
+				agreeAcrossEngines(t, plabel, res, pres)
 			}
 		}
 	}

@@ -155,14 +155,14 @@ type engine struct {
 // ticker takes its place in the calendar before the feeder or the pump
 // arms the arrival lane.
 //
-// Run and phase 2 pass a nil shard: each owned tier spans its whole
-// site range, its stations add their waits to one tier digest under
-// NoPerSiteLatency, and a home-routed entry tier keeps per-site
-// end-to-end digests unless NoPerSiteLatency is set. A phase-1 shard
+// Every engine keeps the same state: one end-to-end cell per owned
+// (tier, class), and, unless NoPerSiteLatency is set, a wait digest per
+// station and a per-site end-to-end table when the entry tier is
+// home-routed; with it set, one wait digest per owned tier. Run and
+// phase 2 pass a nil shard: each owned tier spans its whole site range
+// and the engine allocates its own per-site table. A phase-1 shard
 // passes its state: each owned home tier spans the shard's sites
-// [lo, hi), each station keeps its own wait digest and the sink splits
-// its cells by local site, so harvest merges both in global site order
-// whatever the partition.
+// [lo, hi), and the sink adds to the table the run's shards share.
 func buildEngine(topo Topology, opts Options, counts []TierResult, owned []int, shard *shardState) (*engine, error) {
 	eng := sim.NewEngineBackend(opts.Seed, opts.backend)
 	// Streams follow the layout in streams.go. A phase-1 shard is handed
@@ -174,12 +174,12 @@ func buildEngine(topo Topology, opts Options, counts []TierResult, owned []int, 
 	x := newTopoExec(eng, pool, counts)
 	for _, ti := range owned {
 		t := topo.Tiers[ti]
-		lo, hi, oneWait := 0, t.Sites, opts.NoPerSiteLatency
+		lo, hi := 0, t.Sites
 		if shard != nil {
-			lo, hi, oneWait = shard.lo, shard.hi, false
+			lo, hi = shard.lo, shard.hi
 		}
 		rt, err := buildTier(eng, t, lo, hi, opts, pool,
-			func() *rand.Rand { return seeds.tier(ti) }, oneWait)
+			func() *rand.Rand { return seeds.tier(ti) })
 		if err != nil {
 			return nil, err
 		}
@@ -190,14 +190,12 @@ func buildEngine(topo Topology, opts Options, counts []TierResult, owned []int, 
 	if err != nil {
 		return nil, err
 	}
-	var sk *sink
-	if shard != nil {
-		sk = newSink(counts, x.tiers, opts, shard.lo, shard.hi-shard.lo)
-	} else {
-		sk = newSink(counts, x.tiers, opts, 0, 1)
-		if topo.Tiers[0].homeRouted() && !opts.NoPerSiteLatency {
-			sk.perSite = newDigests(opts.Summary, topo.Tiers[0].Sites)
-		}
+	sk := newSink(counts, x.tiers, opts)
+	switch {
+	case shard != nil:
+		sk.perSite = shard.perSite
+	case topo.Tiers[0].homeRouted() && !opts.NoPerSiteLatency:
+		sk.perSite = newDigests(opts.Summary, topo.Tiers[0].Sites)
 	}
 	sk.ctrls = ctrls
 	return &engine{x: x, sink: sk}, nil

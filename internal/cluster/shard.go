@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/queue"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // Sharded topology replay splits a run into two phases along the
@@ -32,15 +33,15 @@ import (
 // replay their source through engine.replay; phase 2 is fed by
 // runPhase2Pump.
 //
-// Because phase-1 dynamics are site-local and the boundary sequence is
-// canonical, the result is bit-identical for every shard count: the
+// Because phase-1 dynamics are site-local, the boundary sequence is
+// canonical and a digest's moments and quantiles do not depend on merge
+// order, the result is bit-identical for every shard count: the
 // shard-determinism suite asserts -shards N == -shards 1 across the
 // presets, sources, seeds and summary modes. Both engines draw from the
 // one stream layout of streams.go and replay the same events through
 // the same tier builder, router, gate, sink and harvest, so the sharded
-// result also agrees with Run's on every counter, duration, utilization
-// and quantile, with means equal up to summation order:
-// TestSerialMatchesSharded is that oracle.
+// result also equals Run's on every counter, duration, utilization,
+// mean and quantile: TestSerialMatchesSharded is that oracle.
 //
 // RunPipelined (pipeline.go) runs the two phases concurrently: boundary
 // records stream through watermarked bounded rings, so phase 2 starts
@@ -167,11 +168,14 @@ type boundaryPublisher interface {
 
 // shardState is one phase-1 shard's working set. Its engine books
 // every completion in phase 1 — each happens at a home tier of this
-// shard — into the shard's own tier table, e.x.counts, and into
-// end-to-end cells split by local site, which harvest merges in global
-// site order.
+// shard — into the shard's own tier table, e.x.counts, and into its own
+// end-to-end cells, which harvest merges with the other engines'.
 type shardState struct {
 	lo, hi int // global site range
+	// perSite is the run's per-site end-to-end table for phase 1, shared
+	// by every shard, each adding to its own sites only; nil unless
+	// per-site latency is reported.
+	perSite []stats.Digest
 
 	siteSeq []uint64 // per local site: boundary capture counter
 	offered uint64
@@ -282,6 +286,10 @@ func newShardRun(src ShardedSource, topo Topology, opts Options, shards int) (*s
 		shards = sites
 	}
 
+	var perSite []stats.Digest
+	if topo.Tiers[0].homeRouted() && !opts.NoPerSiteLatency {
+		perSite = newDigests(opts.Summary, sites)
+	}
 	// Contiguous balanced site ranges, one shard each.
 	states := make([]*shardState, shards)
 	lo := 0
@@ -290,7 +298,7 @@ func newShardRun(src ShardedSource, topo Topology, opts Options, shards int) (*s
 		if k < sites%shards {
 			width++
 		}
-		states[k] = &shardState{lo: lo, hi: lo + width}
+		states[k] = &shardState{lo: lo, hi: lo + width, perSite: perSite}
 		lo += width
 	}
 
@@ -313,22 +321,32 @@ func buildPhase2(r *shardRun) (*engine, error) {
 }
 
 // finishSharded closes every engine at the global end time, adds the
-// shards' tier tables and every sink's counters into the result, and
-// hands the shards' sinks, in global site order, and phase 2's sink to
-// harvest, which derives every latency digest. No merge depends on the
-// shard partition, which is what keeps the result bit-identical for
-// every shard count.
+// shards' tier tables and every sink's counters into the result, merges
+// phase 1's per-site end-to-end digests into phase 2's, and hands the
+// shards' sinks and phase 2's sink to harvest, which derives every
+// latency digest. A merge gives the same bits in any order, which is
+// what keeps the result bit-identical for every shard count.
 func finishSharded(r *shardRun, p2 *engine) *TopologyResult {
 	topo, plan, opts, res := r.topo, r.plan, r.opts, r.res
 
 	// Tier index -> its runtime: phase 2's exec already holds the shared
 	// tiers; each home tier gets a view of every shard's stations in
-	// global site order.
+	// global site order, and of their wait digests merged.
 	tiers := p2.x.tiers
+	var waits []*stats.Digest
 	for _, ti := range plan.home {
 		view := &tierRuntime{spec: topo.Tiers[ti], home: true}
+		waits = waits[:0]
 		for _, st := range r.states {
-			view.stations = append(view.stations, st.e.x.tiers[ti].stations...)
+			rt := st.e.x.tiers[ti]
+			view.stations = append(view.stations, rt.stations...)
+			if rt.wait != nil {
+				waits = append(waits, rt.wait)
+			}
+		}
+		if len(waits) > 0 {
+			wait := stats.Merged(waits...)
+			view.wait = &wait
 		}
 		tiers[ti] = view
 	}
@@ -377,6 +395,11 @@ func finishSharded(r *shardRun, p2 *engine) *TopologyResult {
 		}
 	}
 	p2.sink.fold(res)
+	if p1 := r.states[0].perSite; p1 != nil {
+		for i := range p2.sink.perSite {
+			p2.sink.perSite[i] = stats.Merged(&p1[i], &p2.sink.perSite[i])
+		}
+	}
 	harvest(res, tiers, home, p2.sink, opts)
 	return res
 }

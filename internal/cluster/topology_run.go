@@ -37,13 +37,11 @@ type Options struct {
 	// replays whose caller only needs tier-level latency: every
 	// SiteResult's EndToEnd and Wait is then empty. It skips the
 	// per-home-site end-to-end digests a home-routed entry tier
-	// otherwise collects, in Run's sink and, on a sharded run, phase
-	// 2's. It also drops the wait digest each station keeps: on Run,
-	// RunBroadcast and phase 2, every station of a tier adds its waits
-	// to one tier digest, published as TierResult.Wait. A phase-1 shard
-	// keeps a wait digest per station and no per-site end-to-end table
-	// either way (its end-to-end cells are split by local site), so its
-	// tiers' digests merge in site order whatever the shard count.
+	// otherwise collects, in every engine's sink. It also drops the wait
+	// digest each station keeps: every station of a tier adds its waits
+	// to one tier digest, published as TierResult.Wait; on a sharded
+	// run each shard keeps one per home tier, and the tier's wait merges
+	// them.
 	NoPerSiteLatency bool
 	// Probe, when set, observes the engine's pending events (sim.Engine's
 	// Pending: the calendar and the arrival FIFO) at every generated
@@ -177,9 +175,9 @@ type tierRuntime struct {
 	// the shard's first site on a phase-1 shard's home tier.
 	lo       int
 	stations []*queue.Station
-	// wait is the one digest every station of the tier adds its waits
-	// to when the run reports no per-site latency; nil when each station
-	// keeps its own.
+	// wait is the one digest every station of the tier (or of a shard's
+	// share of it) adds its waits to when the run reports no per-site
+	// latency; nil when each station keeps its own.
 	wait       *stats.Digest
 	geo        *lb.Geographic
 	dispatcher lb.Dispatcher
@@ -211,12 +209,10 @@ type spillRuntime struct {
 // policy, keyed by local site on home-routed tiers and tier-wide
 // elsewhere. buildEngine builds whole tiers for Run and phase 2, and a
 // phase-1 shard's site range of each home tier, which draws no stream
-// (planShards rejects jockeying there). oneWait makes every station add
-// its waits to one tier digest, rt.wait. A phase-1 shard passes false
-// and keeps a digest per station, so the tier's wait, merged at harvest
-// in site order, is the same for every partition.
+// (planShards rejects jockeying there). Without per-site latency every
+// station adds its waits to one digest, rt.wait.
 func buildTier(eng *sim.Engine, t Tier, lo, hi int, opts Options, pool *queue.FreeList,
-	newStream func() *rand.Rand, oneWait bool) (*tierRuntime, error) {
+	newStream func() *rand.Rand) (*tierRuntime, error) {
 	rt := &tierRuntime{
 		spec:     t,
 		lo:       lo,
@@ -226,7 +222,7 @@ func buildTier(eng *sim.Engine, t Tier, lo, hi int, opts Options, pool *queue.Fr
 		stations: make([]*queue.Station, hi-lo),
 	}
 	servers := make([]queue.Server, hi-lo)
-	if oneWait {
+	if opts.NoPerSiteLatency {
 		d := stats.NewDigest(opts.Summary, 0)
 		rt.wait = &d
 	}
@@ -539,14 +535,13 @@ type sink struct {
 	tiers  []TierResult
 	warmup float64
 	// cells[t] holds tier t's end-to-end cells, one per class rank (one
-	// when the topology declares no classes), each split into slots
-	// local-site slots from global site lo; nil for a tier another engine
-	// owns. Only a phase-1 shard has more than one slot, so harvest can
-	// merge its cells in global site order whatever the partition.
-	cells    [][]stats.Digest
-	lo       int
-	slots    int
-	perSite  []stats.Digest    // per home site end-to-end; Run and phase 2, when reported
+	// when the topology declares no classes); nil for a tier another
+	// engine owns.
+	cells [][]stats.Digest
+	// perSite holds each home site's end-to-end digest, by global site,
+	// when per-site latency is reported. The phase-1 shards of a run
+	// share one table, each adding to its own sites only.
+	perSite  []stats.Digest
 	timeline *stats.TimeSeries // Run only
 
 	consumed, completed, dropped uint64
@@ -560,22 +555,15 @@ type sink struct {
 }
 
 // newSink returns a sink booking into counts, with end-to-end cells for
-// every tier the engine owns (a non-nil entry of owned), split into
-// slots local-site slots from global site lo.
-func newSink(counts []TierResult, owned []*tierRuntime, opts Options, lo, slots int) *sink {
-	s := &sink{tiers: counts, warmup: opts.Warmup, lo: lo, slots: slots,
-		cells: make([][]stats.Digest, len(counts))}
+// every tier the engine owns (a non-nil entry of owned).
+func newSink(counts []TierResult, owned []*tierRuntime, opts Options) *sink {
+	s := &sink{tiers: counts, warmup: opts.Warmup, cells: make([][]stats.Digest, len(counts))}
 	for ti, rt := range owned {
 		if rt != nil {
-			s.cells[ti] = newDigests(opts.Summary, max(len(counts[ti].Classes), 1)*slots)
+			s.cells[ti] = newDigests(opts.Summary, max(len(counts[ti].Classes), 1))
 		}
 	}
 	return s
-}
-
-// cell returns tier ti's class c cell at local-site slot ls.
-func (s *sink) cell(ti, c, ls int) *stats.Digest {
-	return &s.cells[ti][c*s.slots+ls]
 }
 
 // Consume implements queue.Sink.
@@ -606,12 +594,8 @@ func (s *sink) Consume(e *sim.Engine, r *queue.Request) {
 	if tier.Classes != nil {
 		tier.Classes[r.Class].Served++
 	}
-	ls := 0
-	if s.slots > 1 {
-		ls = r.Site - s.lo
-	}
 	e2e := r.EndToEnd()
-	s.cell(int(r.Tag), r.Class, ls).Add(e2e)
+	s.cells[r.Tag][r.Class].Add(e2e)
 	if uint(r.Site) < uint(len(s.perSite)) {
 		s.perSite[r.Site].Add(e2e)
 	}
@@ -756,33 +740,34 @@ func Run(src Source, topo Topology, opts Options) (*TopologyResult, error) {
 // telemetry and the cost overlay. It is the one harvest step of Run,
 // RunPipelined and the barrier oracle, over engines buildEngine built.
 // tiers[i] holds tier i's stations in global site order. home lists the
-// phase-1 shards' sinks in global site order (nil on Run), and sk is
-// the sink of the engine that owns every other tier: Run's or phase
-// 2's.
+// phase-1 shards' sinks (nil on Run), and sk is the sink of the engine
+// that owns every other tier: Run's or phase 2's. sk's per-site table
+// (merged with phase 1's by finishSharded) fills the entry tier's site
+// rows.
 //
-// Every coarser digest is derived here, once, with stats.Merged, in one
-// fixed order (see deriveLatency). A tier's wait digests are its one
-// tier digest when it has one (rt.wait), else its stations' in site
-// order; the run's wait merges every tier's, tiers outer — with
-// per-station waits, the seed runners' merge sequence. A merge with
-// one non-empty input shares it: a tier's one digest is its wait, a
-// one-station tier's wait is its station's, and a one-tier run's
-// aggregate wait and end-to-end digests are its tier's. Shared digests
-// hold the values a merge into an empty digest would, bit for bit.
-// Station rows carry their wait digest only when per-site latency is
-// reported, like their end-to-end digest.
+// Every coarser digest is derived here, once, with stats.Merged (see
+// deriveLatency). A tier's wait is its one tier digest when it has one
+// (rt.wait), else the merge of its stations'; the run's wait merges the
+// tiers'. A merge with one non-empty input shares it: a tier's one
+// digest is its wait, a one-station tier's wait is its station's, and a
+// one-tier run's aggregate wait and end-to-end digests are its tier's.
+// A digest's moments and quantiles do not depend on merge order, so
+// neither the order here nor the shard partition moves a bit. Station
+// rows carry their wait digest only when per-site latency is reported,
+// like their end-to-end digest.
 func harvest(res *TopologyResult, tiers []*tierRuntime, home []*sink, sk *sink, opts Options) {
-	siteE2E := deriveLatency(res, home, sk)
+	deriveLatency(res, home, sk)
 	price := econ.DefaultPricing()
 	if opts.Pricing != nil {
 		price = *opts.Pricing
 	}
 	var busyAll, capAll float64
-	var waits []*stats.Digest // every tier's wait digests, tiers outer
+	var waits []*stats.Digest
+	tierWaits := make([]*stats.Digest, len(tiers))
 	for ti, rt := range tiers {
 		tr := &res.Tiers[ti]
 		var busy, capacity float64
-		tierWaits := len(waits)
+		waits = waits[:0]
 		if rt.wait != nil {
 			waits = append(waits, rt.wait)
 		}
@@ -800,15 +785,16 @@ func harvest(res *TopologyResult, tiers []*tierRuntime, home []*sink, sk *sink, 
 			if !opts.NoPerSiteLatency {
 				sr.Wait = m.Wait
 			}
-			if ti == 0 && siteE2E != nil {
-				sr.EndToEnd = siteE2E[i]
+			if ti == 0 && sk.perSite != nil {
+				sr.EndToEnd = sk.perSite[i]
 			}
 			tr.Sites = append(tr.Sites, sr)
 			tr.FinalServers = append(tr.FinalServers, s.Servers)
 			busy += m.Busy.Average()
 			capacity += float64(s.Servers)
 		}
-		tr.Wait = stats.Merged(waits[tierWaits:]...)
+		tr.Wait = stats.Merged(waits...)
+		tierWaits[ti] = &tr.Wait
 		if capacity > 0 {
 			tr.Utilization = busy / capacity
 		}
@@ -851,11 +837,7 @@ func harvest(res *TopologyResult, tiers []*tierRuntime, home []*sink, sk *sink, 
 		busyAll += busy
 		capAll += capacity
 	}
-	if len(tiers) == 1 {
-		res.Wait = res.Tiers[0].Wait
-	} else {
-		res.Wait = stats.Merged(waits...)
-	}
+	res.Wait = stats.Merged(tierWaits...)
 	if capAll > 0 {
 		res.Utilization = busyAll / capAll
 	}
@@ -865,32 +847,17 @@ func harvest(res *TopologyResult, tiers []*tierRuntime, home []*sink, sk *sink, 
 }
 
 // deriveLatency sets every class, tier and run end-to-end digest from
-// the sinks' cells and returns the entry tier's per-site digests (nil
-// unless per-site latency is reported). Each tier's cells live on
-// exactly one engine, so the orders below are independent of how sites
-// are split into shards:
-//   - a class merges its cells in global site order (the shards' slots,
-//     then the engine sink's one cell);
-//   - a tier merges its classes in rank order, or is its one cell when
-//     the topology declares no classes;
-//   - the run aggregate merges the tiers in tier order;
-//   - a site merges its home cells (tiers, then classes) from the shard
-//     holding it, then the engine sink's per-site digest.
-//
-// Merged counts, quantiles and extremes do not depend on merge order;
-// only the mean and variance of a digest merged from two or more
-// non-empty parts differ, in their last bits, from completion order.
-func deriveLatency(res *TopologyResult, home []*sink, sk *sink) []stats.Digest {
+// the sinks' cells: a class merges its cells from every engine that
+// owns its tier, a tier merges its classes or is its one cell when the
+// topology declares no classes, and the run merges the tiers.
+func deriveLatency(res *TopologyResult, home []*sink, sk *sink) {
 	sinks := append(home[:len(home):len(home)], sk)
 	var parts []*stats.Digest
 	cells := func(ti, c int) []*stats.Digest {
 		parts = parts[:0]
 		for _, s := range sinks {
-			if s.cells[ti] == nil {
-				continue
-			}
-			for ls := 0; ls < s.slots; ls++ {
-				parts = append(parts, s.cell(ti, c, ls))
+			if s.cells[ti] != nil {
+				parts = append(parts, &s.cells[ti][c])
 			}
 		}
 		return parts
@@ -911,21 +878,4 @@ func deriveLatency(res *TopologyResult, home []*sink, sk *sink) []stats.Digest {
 		tierE2E[ti] = &tr.EndToEnd
 	}
 	res.EndToEnd = stats.Merged(tierE2E...)
-
-	if sk.perSite == nil {
-		return nil
-	}
-	for _, h := range home {
-		for ls := 0; ls < h.slots; ls++ {
-			parts = parts[:0]
-			for ti, cs := range h.cells {
-				for c := 0; c < len(cs)/h.slots; c++ {
-					parts = append(parts, h.cell(ti, c, ls))
-				}
-			}
-			site := &sk.perSite[h.lo+ls]
-			*site = stats.Merged(append(parts, site)...)
-		}
-	}
-	return sk.perSite
 }

@@ -137,8 +137,7 @@ func TestRunFigThreeTier(t *testing.T) {
 // TestTopologySweepMatchesSharded: every sweep point — the swept
 // topology's and each rival's — equals the sharded engine's replay of
 // that point's GenSpec under that shape's seed, at 1 and 4 shards. The
-// engines agree on every counter and quantile; means may differ in the
-// last bits (summation order), so they are held to 1e-12 relative.
+// engines agree on every counter, quantile and mean, bit for bit.
 func TestTopologySweepMatchesSharded(t *testing.T) {
 	cloud := netem.CloudTypical
 	topo := cluster.Topology{
@@ -187,8 +186,8 @@ func TestTopologySweepMatchesSharded(t *testing.T) {
 }
 
 // runsAgree asserts got and want share every counter, utilization,
-// cost and latency quantile a sweep figure reads, and hold their means
-// (the run's and each tier's) to 1e-12 relative.
+// cost, latency quantile and mean a sweep figure reads (the run's and
+// each tier's), bit for bit.
 func runsAgree(t *testing.T, name string, got, want *cluster.TopologyResult) {
 	t.Helper()
 	same := func(what string, g, w any) {
@@ -200,7 +199,7 @@ func runsAgree(t *testing.T, name string, got, want *cluster.TopologyResult) {
 		same(what+" n", g.N(), w.N())
 		same(what+" median", g.Median(), w.Median())
 		same(what+" p95", g.P95(), w.P95())
-		if gm, wm := g.Mean(), w.Mean(); math.Abs(gm-wm) > 1e-12*math.Abs(wm) {
+		if gm, wm := g.Mean(), w.Mean(); math.Float64bits(gm) != math.Float64bits(wm) {
 			t.Errorf("%s: %s mean is %v, sharded %v", name, what, gm, wm)
 		}
 	}

@@ -18,24 +18,16 @@ func blockValues(seed int64, n int) []float64 {
 	return xs
 }
 
-// refMean and refStdDev are the plain-slice reference: one pass over
-// the values in the order given.
+// refMean and refStdDev are the math/big reference: the correctly
+// rounded mean and the square root of the correctly rounded variance.
 func refMean(xs []float64) float64 {
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
+	m, _ := bigMoments(xs)
+	return m
 }
 
 func refStdDev(xs []float64) float64 {
-	m := refMean(xs)
-	var m2 float64
-	for _, x := range xs {
-		d := x - m
-		m2 += d * d
-	}
-	return math.Sqrt(m2 / float64(len(xs)-1))
+	_, v := bigMoments(xs)
+	return math.Sqrt(v)
 }
 
 // refQuantile is the type-7 quantile of an ascending slice.
@@ -70,8 +62,8 @@ func checkLayout(t *testing.T, s *Sample) {
 }
 
 // TestSampleBlocksKeepInsertionOrder: values that span many blocks fold
-// back in insertion order, so Mean and StdDev are bit-identical to a
-// plain slice's.
+// back in insertion order, and Mean and StdDev, read from the blocks in
+// place, are the math/big reference's bit for bit.
 func TestSampleBlocksKeepInsertionOrder(t *testing.T) {
 	xs := blockValues(1, 5*blockCap+123)
 	var s Sample
@@ -83,10 +75,10 @@ func TestSampleBlocksKeepInsertionOrder(t *testing.T) {
 		t.Fatalf("%d values in %d full blocks, want %d values over at least 10", s.N(), len(s.full), len(xs))
 	}
 	if got, want := s.Mean(), refMean(xs); got != want {
-		t.Errorf("mean %v, plain slice %v", got, want)
+		t.Errorf("mean %v, reference %v", got, want)
 	}
 	if got, want := s.StdDev(), refStdDev(xs); got != want {
-		t.Errorf("stddev %v, plain slice %v", got, want)
+		t.Errorf("stddev %v, reference %v", got, want)
 	}
 	if !slices.Equal(s.fold(), xs) || s.full != nil {
 		t.Error("fold did not leave one slice in insertion order")

@@ -4,7 +4,7 @@ package stats
 type Mode int
 
 const (
-	// Bounded, the zero Mode, keeps running moments via Stream plus a
+	// Bounded, the zero Mode, keeps its moments in a Stream plus a
 	// mergeable log-linear bucket sketch: every quantile lies within
 	// 2⁻⁷ ≈ 0.78% relative error of the exact value, merges are exact
 	// and order-independent, and memory is bounded by the data's dynamic
@@ -12,8 +12,9 @@ const (
 	Bounded Mode = iota
 	// Exact retains every observation in a Sample: exact quantiles,
 	// 8 B per observation, held in fixed blocks until the first
-	// quantile read folds them into one slice. It is the reference the
-	// sketch is checked against.
+	// quantile read folds them into one slice. It keeps no running
+	// moments: a read derives them from the sample. It is the reference
+	// the sketch is checked against.
 	Exact
 )
 
@@ -26,10 +27,14 @@ func (m Mode) String() string {
 }
 
 // Digest is a latency collector with a selectable memory model: Bounded
-// mode keeps running moments and a log-linear bucket sketch, Exact mode
-// wraps a Sample (every observation retained). The zero value is an
-// empty Bounded digest, ready to use; its sketch is allocated at the
-// first Add or Merge.
+// mode keeps a Stream and a log-linear bucket sketch, Exact mode wraps a
+// Sample (every observation retained). The zero value is an empty
+// Bounded digest, ready to use; its sketch is allocated at the first Add
+// or Merge.
+//
+// Its count, mean, variance, min and max are the Stream's for the same
+// observations in both modes: correctly rounded functions of the
+// multiset, the same bits for every add order, merge tree and mode.
 //
 // A Digest is a value type but shares internal state with its copies;
 // copy one only after the run that fills it has finished. Merged shares
@@ -38,8 +43,11 @@ func (m Mode) String() string {
 // its tier's): treat them as read-only, and Merged or Merge them into a
 // new digest rather than into one of them.
 type Digest struct {
-	mode   Mode
-	stream Stream  // moments, min/max, count — maintained in both modes
+	mode Mode
+	// stream holds the moments in Bounded mode. In Exact mode it caches
+	// the sample's, derived at the first read after an Add or Merge: it
+	// is current while its count is the sample's.
+	stream Stream
 	sample *Sample // Exact mode, lazily allocated
 	sketch *sketch // Bounded mode, lazily allocated
 }
@@ -60,52 +68,76 @@ func (d *Digest) Mode() Mode { return d.mode }
 
 // Add records one observation.
 func (d *Digest) Add(x float64) {
-	d.stream.Add(x)
-	if d.mode == Bounded {
-		if d.sketch == nil {
-			d.sketch = &sketch{}
+	if d.mode == Exact {
+		if d.sample == nil {
+			d.sample = &Sample{}
 		}
-		d.sketch.add(x)
+		d.sample.Add(x)
 		return
 	}
-	if d.sample == nil {
-		d.sample = &Sample{}
+	d.stream.Add(x)
+	if d.sketch == nil {
+		d.sketch = &sketch{}
 	}
-	d.sample.Add(x)
+	d.sketch.add(x)
 }
 
 // Merge folds other into d. Two Exact digests merge exactly. When either
 // side is Bounded, d becomes Bounded: every retained Exact observation
-// folds into the sketch, and two sketches merge by summing buckets. The
-// moments (mean, variance, min, max, count) merge exactly either way,
-// and the merged quantiles do not depend on merge order.
+// is added to its stream and sketch, and two sketches merge by summing
+// buckets. Neither the moments nor the quantiles of the result depend
+// on merge order.
 func (d *Digest) Merge(other *Digest) {
-	if other.stream.N() == 0 {
+	if other.N() == 0 {
 		return
 	}
 	if d.mode == Exact && other.mode == Exact {
-		d.stream.Merge(&other.stream)
-		if other.sample != nil {
-			if d.sample == nil {
-				d.sample = &Sample{}
-			}
-			d.sample.Merge(other.sample)
+		if d.sample == nil {
+			d.sample = &Sample{}
 		}
+		d.sample.Merge(other.sample)
+		return
+	}
+	if d.mode == Exact {
+		// The cached stream may be shared with a copy of d: start anew.
+		exact := d.sample
+		d.mode, d.stream, d.sample = Bounded, Stream{}, nil
+		d.addAll(exact)
+	}
+	if other.mode == Exact {
+		d.addAll(other.sample)
 		return
 	}
 	if d.sketch == nil {
 		d.sketch = &sketch{}
 	}
-	if d.mode == Exact {
-		d.sketch.addAll(d.sample)
-		d.mode, d.sample = Bounded, nil
-	}
-	if other.mode == Bounded {
-		d.sketch.merge(other.sketch)
-	} else {
-		d.sketch.addAll(other.sample)
-	}
+	d.sketch.merge(other.sketch)
 	d.stream.Merge(&other.stream)
+}
+
+// addAll adds every observation smp retains, which may be nil, to a
+// Bounded d.
+func (d *Digest) addAll(smp *Sample) {
+	if smp == nil {
+		return
+	}
+	for _, b := range smp.full {
+		for _, x := range b {
+			d.Add(x)
+		}
+	}
+	for _, x := range smp.xs {
+		d.Add(x)
+	}
+}
+
+// moments returns the stream holding d's moments, deriving an Exact
+// digest's from its sample when the cached one is stale.
+func (d *Digest) moments() *Stream {
+	if d.mode == Exact && d.stream.N() != int64(d.N()) {
+		d.stream = d.sample.moments()
+	}
+	return &d.stream
 }
 
 // Merged returns the merge of parts, in order. With exactly one
@@ -125,7 +157,7 @@ func Merged(parts ...*Digest) Digest {
 		mode  Mode = Exact // Bounded when any non-empty part is
 	)
 	for _, p := range parts {
-		if p.stream.N() == 0 {
+		if p.N() == 0 {
 			continue
 		}
 		last, n, total = p, n+1, total+p.N()
@@ -149,22 +181,30 @@ func Merged(parts ...*Digest) Digest {
 }
 
 // N returns the number of observations recorded.
-func (d *Digest) N() int { return int(d.stream.N()) }
+func (d *Digest) N() int {
+	if d.mode == Bounded {
+		return int(d.stream.N())
+	}
+	if d.sample == nil {
+		return 0
+	}
+	return d.sample.N()
+}
 
 // Mean returns the arithmetic mean, or 0 when empty.
-func (d *Digest) Mean() float64 { return d.stream.Mean() }
+func (d *Digest) Mean() float64 { return d.moments().Mean() }
 
 // StdDev returns the sample standard deviation.
-func (d *Digest) StdDev() float64 { return d.stream.StdDev() }
+func (d *Digest) StdDev() float64 { return d.moments().StdDev() }
 
 // Variance returns the unbiased sample variance.
-func (d *Digest) Variance() float64 { return d.stream.Variance() }
+func (d *Digest) Variance() float64 { return d.moments().Variance() }
 
 // Min returns the smallest observation, or 0 when empty.
-func (d *Digest) Min() float64 { return d.stream.Min() }
+func (d *Digest) Min() float64 { return d.moments().Min() }
 
 // Max returns the largest observation, or 0 when empty.
-func (d *Digest) Max() float64 { return d.stream.Max() }
+func (d *Digest) Max() float64 { return d.moments().Max() }
 
 // Quantile returns the q-th quantile. Exact mode computes it from the
 // retained sample. Bounded mode reads it from the sketch, within 2⁻⁷

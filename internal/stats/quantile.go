@@ -13,9 +13,9 @@ import (
 // Add writes into fixed blocks that never regrow: they double from
 // firstBlock values up to blockCap, and a full block is kept, not
 // copied, so a sample of N values allocates 8·N bytes plus one partly
-// filled block. The first read (Values, Quantile, Mean, StdDev) folds
-// the blocks into one slice in insertion order, once; Values and
-// Quantile then sort that slice in place. Merge copies another sample's
+// filled block. The first Values or Quantile read folds the blocks into
+// one slice in insertion order, once, and sorts it in place; Mean and
+// StdDev walk the blocks as they are. Merge copies another sample's
 // blocks without folding it.
 type Sample struct {
 	xs     []float64   // the open block; after a fold, every value
@@ -104,9 +104,37 @@ func (s *Sample) Values() []float64 {
 	xs := s.fold()
 	if !s.sorted {
 		sort.Float64s(xs)
+		canonicalize(xs)
 		s.sorted = true
 	}
 	return xs
+}
+
+// canonicalize fixes what sort.Float64s leaves to the input order in
+// sorted xs: every NaN, sorted first, becomes the one math.NaN, and
+// every −0 goes before every +0. The sorted values, and so every
+// quantile, then depend only on the multiset.
+func canonicalize(xs []float64) {
+	i := 0
+	for ; i < len(xs) && xs[i] != xs[i]; i++ {
+		xs[i] = math.NaN()
+	}
+	lo := i + sort.SearchFloat64s(xs[i:], 0)
+	hi, neg := lo, lo
+	for ; hi < len(xs) && xs[hi] == 0; hi++ {
+		if math.Signbit(xs[hi]) {
+			neg++
+		}
+	}
+	if neg == lo {
+		return
+	}
+	for k := lo; k < hi; k++ {
+		xs[k] = 0
+		if k < neg {
+			xs[k] = math.Copysign(0, -1)
+		}
+	}
 }
 
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) using linear
@@ -132,33 +160,33 @@ func (s *Sample) Quantile(q float64) float64 {
 	return xs[lo]*(1-frac) + xs[lo+1]*frac
 }
 
-// Mean returns the arithmetic mean of the sample.
+// Mean returns the arithmetic mean of the sample, as a Stream fed the
+// same values would.
 func (s *Sample) Mean() float64 {
-	xs := s.fold()
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
+	m := s.moments()
+	return m.Mean()
 }
 
-// StdDev returns the sample standard deviation.
+// StdDev returns the sample standard deviation, as a Stream fed the
+// same values would.
 func (s *Sample) StdDev() float64 {
-	xs := s.fold()
-	n := len(xs)
-	if n < 2 {
-		return 0
+	m := s.moments()
+	return m.StdDev()
+}
+
+// moments returns the moments of the sample's values, walking its
+// blocks in place: it neither folds nor copies them.
+func (s *Sample) moments() Stream {
+	var m Stream
+	for _, b := range s.full {
+		for _, x := range b {
+			m.Add(x)
+		}
 	}
-	m := s.Mean()
-	var m2 float64
-	for _, x := range xs {
-		d := x - m
-		m2 += d * d
+	for _, x := range s.xs {
+		m.Add(x)
 	}
-	return math.Sqrt(m2 / float64(n-1))
+	return m
 }
 
 // Median returns the 50th percentile.

@@ -136,18 +136,3 @@ func (s *sketch) mid(i int, lo, hi float64) float64 {
 	}
 	return min(max(v, lo), hi)
 }
-
-// addAll adds every observation retained by smp, which may be nil.
-func (s *sketch) addAll(smp *Sample) {
-	if smp == nil {
-		return
-	}
-	for _, b := range smp.full {
-		for _, x := range b {
-			s.add(x)
-		}
-	}
-	for _, x := range smp.xs {
-		s.add(x)
-	}
-}

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -62,35 +63,62 @@ func TestDigestBoundedSkewedMixtures(t *testing.T) {
 	}
 }
 
-// TestDigestBoundedMergeOrderFree: any merge order or merge tree over
-// the same bounded digests gives bit-identical quantiles.
-func TestDigestBoundedMergeOrderFree(t *testing.T) {
-	probes := []float64{0.01, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999}
+// TestDigestMergeOrderFree: in both modes, any merge order or merge
+// tree over the same digests gives bit-identical counts, moments,
+// extremes and quantiles, and the two modes' moments are equal.
+func TestDigestMergeOrderFree(t *testing.T) {
+	probes := []float64{0, 0.01, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1}
 	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		parts := make([]Digest, 2+rng.Intn(30))
-		for p := range parts {
-			parts[p] = NewDigest(Bounded, 0)
-			scale := math.Pow(10, rng.Float64()*6-3)
-			for i, n := 0, rng.Intn(500); i < n; i++ {
-				x := scale * rng.ExpFloat64()
-				if rng.Intn(20) == 0 {
-					x = 0 // an unqueued wait
+		var first [2]Digest // each mode's left-to-right merge
+		for _, mode := range []Mode{Bounded, Exact} {
+			rng := rand.New(rand.NewSource(seed))
+			parts := make([]Digest, 2+rng.Intn(30))
+			for p := range parts {
+				parts[p] = NewDigest(mode, 0)
+				scale := math.Pow(10, rng.Float64()*6-3)
+				for i, n := 0, rng.Intn(500); i < n; i++ {
+					x := scale * rng.ExpFloat64()
+					if rng.Intn(20) == 0 {
+						x = 0 // an unqueued wait
+					}
+					parts[p].Add(x)
 				}
-				parts[p].Add(x)
+			}
+			want := mergeTree(parts, rng.Perm(len(parts)), nil)
+			first[mode] = want
+			for trial := 0; trial < 5; trial++ {
+				got := mergeTree(parts, rng.Perm(len(parts)), rng)
+				label := fmt.Sprintf("%s seed %d trial %d", mode, seed, trial)
+				sameMoments(t, label, &got, &want)
+				for _, q := range probes {
+					if g, w := got.Quantile(q), want.Quantile(q); math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("%s q=%v: %v vs %v", label, q, g, w)
+					}
+				}
 			}
 		}
-		want := mergeTree(parts, rng.Perm(len(parts)), nil)
-		for trial := 0; trial < 5; trial++ {
-			got := mergeTree(parts, rng.Perm(len(parts)), rng)
-			if got.N() != want.N() {
-				t.Fatalf("seed %d: merged N %d vs %d", seed, got.N(), want.N())
-			}
-			for _, q := range probes {
-				if g, w := got.Quantile(q), want.Quantile(q); math.Float64bits(g) != math.Float64bits(w) {
-					t.Fatalf("seed %d trial %d q=%v: %v vs %v", seed, trial, q, g, w)
-				}
-			}
+		sameMoments(t, fmt.Sprintf("seed %d exact vs bounded", seed), &first[Exact], &first[Bounded])
+	}
+}
+
+// sameMoments fails t unless two digests agree bit for bit on their
+// count, mean, variance, min and max.
+func sameMoments(t *testing.T, label string, got, want *Digest) {
+	t.Helper()
+	if got.N() != want.N() {
+		t.Fatalf("%s: N %d vs %d", label, got.N(), want.N())
+	}
+	for _, m := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"mean", got.Mean(), want.Mean()},
+		{"variance", got.Variance(), want.Variance()},
+		{"min", got.Min(), want.Min()},
+		{"max", got.Max(), want.Max()},
+	} {
+		if math.Float64bits(m.got) != math.Float64bits(m.want) {
+			t.Fatalf("%s: %s %v vs %v", label, m.name, m.got, m.want)
 		}
 	}
 }
@@ -99,7 +127,7 @@ func TestDigestBoundedMergeOrderFree(t *testing.T) {
 // when rng is nil, else as a random binary tree.
 func mergeTree(parts []Digest, order []int, rng *rand.Rand) Digest {
 	fresh := func(i int) Digest {
-		var d Digest // an empty digest: Merge must not alias parts[i]
+		d := NewDigest(parts[i].Mode(), 0) // empty: Merge must not alias parts[i]
 		d.Merge(&parts[i])
 		return d
 	}

@@ -1,5 +1,5 @@
 // Package stats provides streaming and batch statistics used throughout
-// edgebench: running moments, exact quantiles and a mergeable
+// edgebench: order-free moments, exact quantiles and a mergeable
 // log-bucket sketch for bounded ones, binned time series, and
 // distribution summaries (box plots).
 //
@@ -13,56 +13,58 @@ import (
 	"math"
 )
 
-// Stream accumulates running moments of a sequence of observations using
-// Welford's numerically stable algorithm. The zero value is an empty stream.
+// Stream accumulates the moments of a sequence of observations: their
+// count, extremes, and exact sums of x and x² (see sums). Every moment
+// is one correctly rounded function of the multiset of observations, so
+// any add order or merge tree gives the same bits. Any NaN makes every
+// moment NaN, and an infinity makes the mean that infinity (NaN with
+// both) and the variance NaN.
+//
+// The zero value is an empty stream; the sums are allocated at the
+// first Add. A copy of a stream shares them, so add to one copy only;
+// Merge into an empty stream copies them.
 type Stream struct {
-	n    int64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
+	n        int64
+	min, max float64
+	sums     *sums
 }
 
 // Add records one observation.
 func (s *Stream) Add(x float64) {
-	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
+	if s.n == 0 {
+		s.min, s.max, s.sums = x, x, &sums{}
 	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
+		s.extend(x, x)
 	}
-	delta := x - s.mean
-	s.mean += delta / float64(s.n)
-	s.m2 += delta * (x - s.mean)
+	s.n++
+	s.sums.add(x)
+}
+
+// extend widens the extremes to lo and hi. On ties it keeps −0 as the
+// minimum and +0 as the maximum, so their bits do not depend on order.
+func (s *Stream) extend(lo, hi float64) {
+	if lo < s.min || lo == s.min && math.Signbit(lo) {
+		s.min = lo
+	}
+	if hi > s.max || hi == s.max && !math.Signbit(hi) {
+		s.max = hi
+	}
 }
 
 // Merge folds other into s, as if every observation of other had been
-// added to s. It uses the parallel variance combination formula.
+// added to s.
 func (s *Stream) Merge(other *Stream) {
 	if other.n == 0 {
 		return
 	}
 	if s.n == 0 {
 		*s = *other
+		s.sums = other.sums.clone()
 		return
 	}
-	n1, n2 := float64(s.n), float64(other.n)
-	delta := other.mean - s.mean
-	tot := n1 + n2
-	s.m2 += other.m2 + delta*delta*n1*n2/tot
-	s.mean += delta * n2 / tot
 	s.n += other.n
-	if other.min < s.min {
-		s.min = other.min
-	}
-	if other.max > s.max {
-		s.max = other.max
-	}
+	s.extend(other.min, other.max)
+	s.sums.merge(other.sums)
 }
 
 // Reset returns the stream to its empty state.
@@ -71,12 +73,15 @@ func (s *Stream) Reset() { *s = Stream{} }
 // N returns the number of observations recorded.
 func (s *Stream) N() int64 { return s.n }
 
+// nan reports whether a NaN was recorded.
+func (s *Stream) nan() bool { return s.n > 0 && s.sums.wide != nil && s.sums.wide.nan > 0 }
+
 // Mean returns the arithmetic mean, or 0 for an empty stream.
 func (s *Stream) Mean() float64 {
 	if s.n == 0 {
 		return 0
 	}
-	return s.mean
+	return s.sums.mean(s.n)
 }
 
 // Variance returns the unbiased sample variance, or 0 with fewer than
@@ -85,7 +90,7 @@ func (s *Stream) Variance() float64 {
 	if s.n < 2 {
 		return 0
 	}
-	return s.m2 / float64(s.n-1)
+	return s.sums.variance(s.n)
 }
 
 // StdDev returns the sample standard deviation.
@@ -111,16 +116,22 @@ func (s *Stream) SCV() float64 {
 
 // Min returns the smallest observation, or 0 for an empty stream.
 func (s *Stream) Min() float64 {
-	if s.n == 0 {
+	switch {
+	case s.n == 0:
 		return 0
+	case s.nan():
+		return math.NaN()
 	}
 	return s.min
 }
 
 // Max returns the largest observation, or 0 for an empty stream.
 func (s *Stream) Max() float64 {
-	if s.n == 0 {
+	switch {
+	case s.n == 0:
 		return 0
+	case s.nan():
+		return math.NaN()
 	}
 	return s.max
 }

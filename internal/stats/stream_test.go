@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func almostEqual(a, b, tol float64) bool {
@@ -43,6 +44,10 @@ func TestStreamBasic(t *testing.T) {
 
 func TestStreamEmpty(t *testing.T) {
 	var s Stream
+	// Every station and site row holds empty streams: keep them small.
+	if size := unsafe.Sizeof(s); size > 40 {
+		t.Errorf("an empty Stream takes %d B, want at most 40", size)
+	}
 	if s.Mean() != 0 || s.Variance() != 0 || s.StdDev() != 0 || s.CoV() != 0 {
 		t.Error("empty stream should report zeros")
 	}
@@ -62,8 +67,8 @@ func TestStreamSingle(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesNaive checks Welford against the two-pass formula on
-// random data.
+// TestStreamMatchesNaive checks the exact sums against the two-pass
+// formula on random data.
 func TestStreamMatchesNaive(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -131,6 +136,11 @@ func TestStreamMergeEmpty(t *testing.T) {
 	b.Merge(&a)
 	if b.N() != 2 || b.Mean() != 1.5 {
 		t.Error("merging into an empty stream failed")
+	}
+	// The merge copied a's sums: adding to b leaves a as it was.
+	b.Add(10)
+	if a.N() != 2 || a.Mean() != 1.5 || b.Mean() != 13.0/3 {
+		t.Errorf("after adding to the merged copy: a n=%d mean=%v, b mean=%v", a.N(), a.Mean(), b.Mean())
 	}
 }
 

@@ -107,6 +107,9 @@ func WriteBinary(w io.Writer, src cluster.Source) (int, error) {
 		if rec.Time < 0 || math.IsNaN(rec.Time) || math.IsInf(rec.Time, 0) {
 			return total, fmt.Errorf("trace: binary record %d: bad time %v", total, rec.Time)
 		}
+		if rec.Time == 0 {
+			rec.Time = 0 // −0 passes the sign check; its bits would sort last
+		}
 		bits := math.Float64bits(rec.Time)
 		if bits < prevBits {
 			return total, fmt.Errorf("trace: binary record %d: time %v regresses (records must be nondecreasing)",

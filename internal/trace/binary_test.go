@@ -79,30 +79,50 @@ func TestBinaryRoundTrip(t *testing.T) {
 
 // TestBinaryMatchesCSV: the same source encoded through both formats
 // decodes to identical records — the contract `edgesim -compile` relies
-// on when it converts CSV traces to .etb.
+// on when it converts CSV traces to .etb. A generated workload's .etb
+// is also smaller than its CSV. A CSV whose first time is −0 compiles
+// to an .etb its decoder accepts, with the time read as +0.
 func TestBinaryMatchesCSV(t *testing.T) {
 	spec := binaryFixtureSpec()
-	var csvBuf, etbBuf bytes.Buffer
-	if _, err := WriteRequestsCSV(&csvBuf, cluster.Stream(spec)); err != nil {
+	var generated bytes.Buffer
+	if _, err := WriteRequestsCSV(&generated, cluster.Stream(spec)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := WriteBinary(&etbBuf, cluster.Stream(spec)); err != nil {
-		t.Fatal(err)
-	}
-	fromCSV := drain(t, StreamRequestsCSV(bytes.NewReader(csvBuf.Bytes())))
-	fromETB := drain(t, StreamBinary(bytes.NewReader(etbBuf.Bytes())))
-	if len(fromCSV) != len(fromETB) {
-		t.Fatalf("CSV decoded %d records, binary %d", len(fromCSV), len(fromETB))
-	}
-	for i := range fromCSV {
-		if fromCSV[i] != fromETB[i] {
-			t.Fatalf("record %d diverges across formats: csv %+v, etb %+v",
-				i, fromCSV[i], fromETB[i])
+	for _, tc := range []struct {
+		name    string
+		csv     string
+		src     func() cluster.Source // what WriteBinary encodes
+		smaller bool                  // the .etb must be smaller than the CSV
+	}{
+		{"generated", generated.String(), func() cluster.Source { return cluster.Stream(spec) }, true},
+		{"negative zero", "time,site,service\n-0,0,0.1\n0,1,0.2\n", nil, false},
+	} {
+		if tc.src == nil {
+			tc.src = func() cluster.Source { return StreamRequestsCSV(strings.NewReader(tc.csv)) }
 		}
-	}
-	if etbBuf.Len() >= csvBuf.Len() {
-		t.Errorf("binary trace (%d bytes) not smaller than CSV (%d bytes)",
-			etbBuf.Len(), csvBuf.Len())
+		var etbBuf bytes.Buffer
+		if _, err := WriteBinary(&etbBuf, tc.src()); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		csvSrc := StreamRequestsCSV(strings.NewReader(tc.csv))
+		etbSrc := StreamBinary(bytes.NewReader(etbBuf.Bytes()))
+		fromCSV, fromETB := drain(t, csvSrc), drain(t, etbSrc)
+		if err := etbSrc.Err(); err != nil {
+			t.Fatalf("%s: decoding the .etb: %v", tc.name, err)
+		}
+		if len(fromCSV) != len(fromETB) || len(fromCSV) == 0 {
+			t.Fatalf("%s: CSV decoded %d records, binary %d", tc.name, len(fromCSV), len(fromETB))
+		}
+		for i := range fromCSV {
+			if fromCSV[i] != fromETB[i] {
+				t.Fatalf("%s: record %d diverges across formats: csv %+v, etb %+v",
+					tc.name, i, fromCSV[i], fromETB[i])
+			}
+		}
+		if tc.smaller && etbBuf.Len() >= len(tc.csv) {
+			t.Errorf("%s: binary trace (%d bytes) not smaller than CSV (%d bytes)",
+				tc.name, etbBuf.Len(), len(tc.csv))
+		}
 	}
 }
 
