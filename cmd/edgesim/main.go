@@ -10,7 +10,7 @@
 //
 // The flags pick one of five modes:
 //
-//	paired    no -topology: the paper's edge/cloud pair plus mitigation rows
+//	paired    no -topology: the paper's edge/cloud pair, plus a -scaler row
 //	topology  -topology: one replay through a deployment graph (a preset
 //	          name, @file.json or inline JSON), with per-tier metrics
 //	sweep     -topology with -sweep: a rate sweep against a pooled cloud
@@ -27,6 +27,10 @@
 //	edgesim -topology edge-regional-cloud -azure counts.csv -sweep 6,9,12
 //	edgesim -grid 6,12,18,24 -grid-budgets 10,15 -grid-depths 1,2,3
 //
+// Only a topology spec describes a tier's behaviour (slowdown, queue
+// cap, jockeying, spills); -scaler and -admit attach a scaler or an
+// admission policy to the entry tier.
+//
 // One table, flagContexts, lists the (mode, workload) contexts whose
 // code reads each flag, and -help prints them next to each flag. A flag
 // set on the command line that the run's context does not read is a
@@ -38,6 +42,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -148,9 +153,8 @@ var flagContexts = map[string]contexts{
 	// Every replay.
 	"warmup": replays, "cpuprofile": replays, "memprofile": replays,
 	"seed": replays | compileAzure,
-	// The paired deployment; a topology spec sets each of these per tier.
-	"policy": pairedGen, "edge-slowdown": pairedGen, "jockey": pairedGen, "detour-ms": pairedGen,
-	"queue-cap": pairedGen, "overflow-at": pairedGen, "skew": pairedGen, "scenario": pairedGen | sweepAll,
+	// The paired deployment.
+	"policy": pairedGen, "skew": pairedGen, "scenario": pairedGen | sweepAll,
 	"scaler": pairedGen | topologyAll | sweepAll, "autoscale-max": pairedGen | topologyAll | sweepAll,
 	// Deployment graphs and recorded workloads.
 	"topology": topologyAll | sweepAll, "admit": topologyAll | sweepAll, "shards": topologyAll, "v": topologyAll,
@@ -186,14 +190,13 @@ func (cs contexts) String() string {
 // options holds every parsed flag plus what main derives from them
 // once; each mode's runner reads what it needs from it.
 type options struct {
-	sites, servers, jockey, queueCap, autoscaleMax, overflowAt, shards, gridReps int
-	rate, duration, warmup, arrivalSCV, serviceSCV                               float64
-	slowdown, detourMs, rejectPenalty, azureBin                                  float64
-	seed                                                                         int64
-	scenario, policy, skew, topology, scaler, admit, sweep                       string
-	trace, azure, compile, grid, gridBudgets, gridDepths                         string
-	cpuprofile, memprofile                                                       string
-	verbose                                                                      bool
+	sites, servers, autoscaleMax, shards, gridReps                          int
+	rate, duration, warmup, arrivalSCV, serviceSCV, rejectPenalty, azureBin float64
+	seed                                                                    int64
+	scenario, policy, skew, topology, scaler, admit, sweep                  string
+	trace, azure, compile, grid, gridBudgets, gridDepths                    string
+	cpuprofile, memprofile                                                  string
+	verbose                                                                 bool
 
 	set   map[string]bool // the flags given on the command line
 	sc    netem.Scenario
@@ -220,14 +223,9 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.Float64Var(&o.serviceSCV, "service-scv", app.DefaultServiceSCV, "squared CoV of service times")
 	fs.StringVar(&o.policy, "policy", "central-queue", "cloud dispatch: central-queue|round-robin|least-connections|power-of-two|random "+
 		`(a topology spec sets a tier's "dispatch")`)
-	fs.Float64Var(&o.slowdown, "edge-slowdown", 1, `edge service-time slowdown factor, a resource-constrained edge (a topology spec sets a tier's "slowdown")`)
-	fs.IntVar(&o.jockey, "jockey", 0, `geographic LB: redirect when home-site load >= this, 0=off (a topology spec sets a home-routed tier's "jockey")`)
-	fs.Float64Var(&o.detourMs, "detour-ms", 5, `extra RTT for jockeyed requests in ms (a topology spec sets a home-routed tier's "detourMs")`)
 	fs.StringVar(&o.skew, "skew", "", "comma-separated per-site weights (e.g. 5,2,1,1,1); graph replays generate uniform per-site load")
-	fs.IntVar(&o.queueCap, "queue-cap", 0, `bound each queue at this many waiting requests, 0=unbounded (a topology spec sets a tier's "queueCap")`)
-	fs.IntVar(&o.autoscaleMax, "autoscale-max", 0, "also run an autoscaled edge growing each site up to this many servers (0=off); "+
-		"with -scaler, only sets that scaler's upper bound (under -topology it requires -scaler)")
-	fs.IntVar(&o.overflowAt, "overflow-at", 0, `also run a hierarchical edge overflowing to the cloud at this site load, 0=off (a topology spec sets a spill edge's "threshold")`)
+	fs.IntVar(&o.autoscaleMax, "autoscale-max", 0, "the -scaler controller's upper bound on servers per site "+
+		"(0 = 4x the starting servers); requires -scaler")
 	fs.StringVar(&o.topology, "topology", "", "replay through a deployment graph instead: preset name ("+
 		strings.Join(cluster.TopologyPresets(), "|")+"), @file.json, or inline JSON spec")
 	fs.StringVar(&o.scaler, "scaler", "", "attach a capacity scaler to the edge (entry) tier: "+
@@ -326,7 +324,7 @@ func main() {
 			fail("-topology: %v", err)
 		}
 	}
-	if err = checkFlags(contextOf(m, src), o.set, o.topo, o.sites, o.servers); err != nil {
+	if err = checkFlags(contextOf(m, src), o.set, o.topo, o.sites, o.servers, o.autoscaleMax); err != nil {
 		fail("%v", err)
 	}
 
@@ -385,13 +383,11 @@ func main() {
 
 // checkFlags rejects every flag given on the command line (set) that
 // the run context does not read, naming the flag and the contexts that
-// do. Under a graph (topology or sweep mode) it then rejects three
-// combinations that depend on values: -autoscale-max without -scaler
-// (there it only bounds the -scaler controller), and an explicit -sites
-// or -servers that disagrees with a home-routed ingress tier, whose
-// station count fixes the trace's site count and whose own servers per
-// site replace -servers.
-func checkFlags(run contexts, set map[string]bool, topo cluster.Topology, sites, servers int) error {
+// do. It then rejects the values no run can honor: an -autoscale-max
+// without -scaler (it only bounds that controller) or below zero, and,
+// under a graph, an explicit -sites or -servers that disagrees with a
+// home-routed ingress tier (its stations fix the trace's sites).
+func checkFlags(run contexts, set map[string]bool, topo cluster.Topology, sites, servers, autoscaleMax int) error {
 	names := make([]string, 0, len(set))
 	for name := range set {
 		names = append(names, name)
@@ -402,12 +398,15 @@ func checkFlags(run contexts, set map[string]bool, topo cluster.Topology, sites,
 			return fmt.Errorf("-%s is not read by a %s run; it applies to %s", name, run, where)
 		}
 	}
+	if set["autoscale-max"] && !set["scaler"] {
+		return fmt.Errorf("-autoscale-max only bounds -scaler; set -scaler too, " +
+			`or a tier's "scaler" block in a topology spec`)
+	}
+	if autoscaleMax < 0 {
+		return fmt.Errorf("-autoscale-max must be >= 0 (got %d)", autoscaleMax)
+	}
 	if run&(topologyAll|sweepAll) == 0 {
 		return nil
-	}
-	if set["autoscale-max"] && !set["scaler"] {
-		return fmt.Errorf("-autoscale-max only bounds -scaler under -topology; set -scaler too, " +
-			`or a tier's "scaler" block in the topology spec`)
 	}
 	ingress := topo.Tiers[0]
 	if set["sites"] && ingress.Dispatch == "" && sites != ingress.Sites {
@@ -447,8 +446,8 @@ func checkGenFlags(sites, servers int, rate, duration, warmup, arrivalSCV, servi
 }
 
 // runPaired replays one generated workload through the paper's
-// edge/cloud pair plus the mitigation rows the flags ask for, and
-// prints the latency table, the per-site table and the verdict.
+// edge/cloud pair, plus a scaled edge when -scaler is set, and prints
+// the latency table, the per-site table and the verdict.
 func runPaired(o *options) {
 	// Validate -scaler before the expensive paired replay so a typo'd
 	// policy fails in milliseconds, not after the runs.
@@ -487,38 +486,12 @@ func runPaired(o *options) {
 		return cluster.Variant{Label: name, Topology: cluster.Topology{Name: name, Tiers: tiers},
 			Opts: cluster.Options{Warmup: o.warmup, Seed: seed, NoPerSiteLatency: !perSiteLatency}}
 	}
-	edgeTier := cluster.Tier{
-		Name: "edge", Sites: o.sites, ServersPerSite: o.servers, Path: sc.Edge,
-		SlowdownFactor: o.slowdown, QueueCap: o.queueCap,
-		JockeyThreshold: o.jockey, DetourRTT: o.detourMs / 1000,
-	}
+	edgeTier := cluster.Tier{Name: "edge", Sites: o.sites, ServersPerSite: o.servers, Path: sc.Edge}
 	variants := []cluster.Variant{
 		variant("edge", o.seed+1, true, edgeTier),
 		variant("cloud", o.seed+2, false, cluster.CloudTier(o.sites*o.servers, sc.Cloud, o.policy)),
 	}
-	// The mitigation rows start from the plain edge. With -scaler set,
-	// -autoscale-max only supplies the scaler's upper bound; the
-	// fixed-threshold edge+autoscale row would duplicate the scaled row
-	// under different hardcoded parameters.
-	plainEdge := cluster.Tier{Name: "edge", Sites: o.sites, ServersPerSite: o.servers, Path: sc.Edge}
-	autoscaled := o.autoscaleMax > 0 && o.scaler == ""
-	if autoscaled {
-		reactive := autoscale.Spec{
-			Policy: autoscale.PolicyReactive, Interval: 2, Min: o.servers, Max: o.autoscaleMax,
-			UpThreshold: 1.5, DownThreshold: 0.2, Cooldown: 6,
-		}
-		tier := plainEdge
-		tier.Scaler = &reactive
-		variants = append(variants, variant("edge+autoscale", o.seed+1, false, tier))
-	}
-	if o.overflowAt > 0 {
-		over := variant("edge+overflow", o.seed+1, false, plainEdge, cluster.CloudTier(o.sites*o.servers, sc.Cloud, ""))
-		over.Topology.Spills = []cluster.SpillEdge{{From: "edge", To: "cloud", Threshold: o.overflowAt, DetourPath: &sc.Cloud}}
-		variants = append(variants, over)
-	}
 	if scalerSpec != nil {
-		// Carry every edge-shaping flag the baseline row uses, so the
-		// scaled row differs from "edge" by the controller alone.
 		tier := edgeTier
 		tier.Scaler = scalerSpec
 		variants = append(variants, variant("edge+"+scalerSpec.Label(), o.seed+1, false, tier))
@@ -534,29 +507,8 @@ func runPaired(o *options) {
 	printWorkload(o, edge)
 
 	rows := [][]interface{}{latencyRow("edge", &edge.Result), latencyRow("cloud", &cloud.Result)}
-	next := 2
-	if autoscaled {
-		scaled := runs[next]
-		next++
-		rows = append(rows, latencyRow(scaled.Label, &scaled.Result))
-		tier := scaled.Tiers[0]
-		defer fmt.Printf("autoscaler: %d scale-ups, %d scale-downs, peak %d servers/site\n",
-			tier.ScaleUps, tier.ScaleDowns, tier.PeakServers)
-	}
-	if o.overflowAt > 0 {
-		over := runs[next]
-		next++
-		// The backstop absorbs overflow; utilization reports the edge
-		// investment only.
-		row := over.Result
-		row.Utilization = over.Tiers[0].Utilization
-		rows = append(rows, latencyRow(over.Label, &row))
-		spilled := over.Tiers[0].Spilled
-		defer fmt.Printf("overflow: %d requests (%.1f%%) served by the cloud backstop\n",
-			spilled, 100*float64(spilled)/float64(over.Offered))
-	}
 	if scalerSpec != nil {
-		scaled := runs[next]
+		scaled := runs[2]
 		rows = append(rows, latencyRow(scaled.Label, &scaled.Result))
 		tier := scaled.Tiers[0]
 		defer fmt.Printf("scaler[%s]: %d ups, %d downs, peak %d servers, %.0f server-sec, $%.4f total (%.4f $/kreq)\n",
@@ -564,9 +516,6 @@ func runPaired(o *options) {
 			tier.ServerSeconds, tier.Cost, tier.CostPerReq*1000)
 	}
 	asciiplot.Table(os.Stdout, []string{"deployment", "util", "mean (ms)", "median", "p95", "p99", "max", "n"}, rows)
-	if edge.Dropped > 0 {
-		fmt.Printf("bounded queues dropped %d requests\n", edge.Dropped)
-	}
 
 	fmt.Println()
 	var siteRows [][]interface{}
@@ -577,9 +526,6 @@ func runPaired(o *options) {
 		})
 	}
 	asciiplot.Table(os.Stdout, []string{"site", "req/s", "util", "mean (ms)", "p95 (ms)", "n"}, siteRows)
-	if edge.Redirected > 0 {
-		fmt.Printf("geographic LB redirected %d requests\n", edge.Redirected)
-	}
 
 	fmt.Println()
 	switch {
@@ -692,38 +638,26 @@ func parseScalerSpec(arg string, minServers, maxFlag int, mu float64) (autoscale
 	return spec, spec.Validate()
 }
 
-// parseAdmitSpec resolves the -admit flag: "policy[:k=v,...]" — e.g.
-// "token-bucket:rate=6,burst=3", "queue-length:threshold=4", or
-// "priority:threshold=4,cutoff=1".
+// parseAdmitSpec resolves the -admit flag, "policy[:key=value,...]"
+// (e.g. "token-bucket:rate=6,burst=3"), as a spec file's "admission"
+// block: admit.Spec's JSON tags decode it, so the keys are the file's.
 func parseAdmitSpec(arg string) (admit.Spec, error) {
-	policy, params := arg, ""
-	if i := strings.IndexByte(arg, ':'); i >= 0 {
-		policy, params = arg[:i], arg[i+1:]
-	}
-	spec := admit.Spec{Policy: policy}
+	policy, params, _ := strings.Cut(arg, ":")
+	fields := []string{`"policy":` + strconv.Quote(policy)}
 	if params != "" {
 		for _, kv := range strings.Split(params, ",") {
 			k, v, ok := strings.Cut(kv, "=")
 			if !ok {
 				return admit.Spec{}, fmt.Errorf("parameter %q is not key=value", kv)
 			}
-			var err error
-			switch k {
-			case "rate":
-				spec.Rate, err = strconv.ParseFloat(v, 64)
-			case "burst":
-				spec.Burst, err = strconv.ParseFloat(v, 64)
-			case "threshold":
-				spec.Threshold, err = strconv.Atoi(v)
-			case "cutoff":
-				spec.Cutoff, err = strconv.Atoi(v)
-			default:
-				return admit.Spec{}, fmt.Errorf("unknown parameter %q (want rate, burst, threshold, cutoff)", k)
-			}
-			if err != nil {
-				return admit.Spec{}, fmt.Errorf("%s: %v", k, err)
-			}
+			fields = append(fields, strconv.Quote(k)+":"+v)
 		}
+	}
+	dec := json.NewDecoder(strings.NewReader("{" + strings.Join(fields, ",") + "}"))
+	dec.DisallowUnknownFields()
+	var spec admit.Spec
+	if err := dec.Decode(&spec); err != nil {
+		return admit.Spec{}, err
 	}
 	return spec, spec.Validate()
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/admit"
 	"repro/internal/cluster"
 	"repro/internal/netem"
 	"repro/internal/trace"
@@ -25,8 +26,8 @@ type checkFlagsCase struct {
 }
 
 // runCheckFlagsCases runs each case through checkFlags, with -servers
-// at its default 1: an accepted case must pass, a rejected one must
-// fail with an error naming the flag.
+// at its default 1 and -autoscale-max at 0: an accepted case must pass,
+// a rejected one must fail with an error naming the flag.
 func runCheckFlagsCases(t *testing.T, cases []checkFlagsCase) {
 	t.Helper()
 	for _, tc := range cases {
@@ -34,7 +35,7 @@ func runCheckFlagsCases(t *testing.T, cases []checkFlagsCase) {
 		for _, name := range tc.set {
 			set[name] = true
 		}
-		err := checkFlags(tc.run, set, tc.topo, tc.sites, 1)
+		err := checkFlags(tc.run, set, tc.topo, tc.sites, 1, 0)
 		if tc.want == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", tc.name, err)
@@ -75,18 +76,50 @@ func TestCheckTopologyFlags(t *testing.T) {
 		{"dispatcher-ingress-takes-servers", topologyGen, pooled, 20, []string{"sites", "servers"}, ""},
 		{"dispatcher-ingress-rejects-skew", topologyGen, pooled, 2, []string{"skew", "sites"}, "-skew"},
 		{"policy", topologyGen, preset, 5, []string{"policy"}, "-policy"},
-		{"jockey", topologyGen, preset, 5, []string{"jockey"}, "-jockey"},
-		{"detour-ms", topologyGen, preset, 5, []string{"detour-ms"}, "-detour-ms"},
-		{"edge-slowdown", topologyGen, preset, 5, []string{"edge-slowdown"}, "-edge-slowdown"},
-		{"queue-cap", topologyGen, preset, 5, []string{"queue-cap"}, "-queue-cap"},
-		{"overflow-at", topologyGen, preset, 5, []string{"overflow-at"}, "-overflow-at"},
 		{"pooled-rejects-policy", topologyGen, pooled, 20, []string{"sites", "policy"}, "-policy"},
 		{"topology-flags-accepted", topologyGen, preset, 5, []string{"rate", "servers", "shards", "admit"}, ""},
 		{"autoscale-max-without-scaler", topologyGen, preset, 5, []string{"autoscale-max"}, "-scaler"},
 		{"pooled-autoscale-max-without-scaler", topologyGen, pooled, 20, []string{"sites", "autoscale-max"}, "-scaler"},
 		{"autoscale-max-bounds-scaler", topologyGen, preset, 5, []string{"autoscale-max", "scaler"}, ""},
 		{"sweep-autoscale-max-without-scaler", sweepGen, preset, 5, []string{"sweep", "autoscale-max"}, "-scaler"},
+		{"paired-autoscale-max-without-scaler", pairedGen, cluster.Topology{}, 5, []string{"autoscale-max"}, "-scaler"},
+		{"paired-autoscale-max-bounds-scaler", pairedGen, cluster.Topology{}, 5, []string{"autoscale-max", "scaler"}, ""},
 	})
+	// A negative -autoscale-max used to mean "unset" (4x bounds) in
+	// every mode.
+	set := map[string]bool{"scaler": true, "autoscale-max": true}
+	for _, run := range []contexts{pairedGen, topologyGen, sweepGen} {
+		err := checkFlags(run, set, preset, 5, 1, -3)
+		if err == nil || !strings.Contains(err.Error(), "-autoscale-max ") {
+			t.Errorf("%s run, -autoscale-max -3: error %v, want one naming -autoscale-max", run, err)
+		}
+	}
+}
+
+// TestParseAdmitSpec: -admit decodes through admit.Spec's JSON tags, so
+// it takes exactly a spec file's admission keys and number types.
+func TestParseAdmitSpec(t *testing.T) {
+	got, err := parseAdmitSpec("priority:threshold=4,cutoff=1")
+	if want := (admit.Spec{Policy: admit.Priority, Threshold: 4, Cutoff: 1}); err != nil || got != want {
+		t.Errorf("priority:threshold=4,cutoff=1 = %+v, %v; want %+v", got, err, want)
+	}
+	got, err = parseAdmitSpec("token-bucket:rate=6.5,burst=3")
+	if want := (admit.Spec{Policy: admit.TokenBucket, Rate: 6.5, Burst: 3}); err != nil || got != want {
+		t.Errorf("token-bucket:rate=6.5,burst=3 = %+v, %v; want %+v", got, err, want)
+	}
+	for _, arg := range []string{
+		"token-bucket:rate=6,bust=3",       // unknown key
+		"queue-length:threshold=2.5",       // not an int
+		"token-bucket:rate=fast",           // not a number
+		"token-bucket:rate",                // not key=value
+		"queue-length:policy=token-bucket", // the policy is not a parameter
+		"leaky-bucket:rate=6",              // unknown policy
+		"token-bucket:rate=6,burst=-1",     // Validate
+	} {
+		if spec, err := parseAdmitSpec(arg); err == nil {
+			t.Errorf("%s: accepted as %+v", arg, spec)
+		}
+	}
 }
 
 // TestCheckGridFlags: in a -grid run, every flag the grid would ignore
@@ -98,11 +131,6 @@ func TestCheckGridFlags(t *testing.T) {
 			"duration", "warmup", "seed", "arrival-scv", "service-scv"}, ""},
 		{"grid-skew", gridGen, cluster.Topology{}, 5, []string{"skew"}, "-skew"},
 		{"grid-policy", gridGen, cluster.Topology{}, 5, []string{"policy"}, "-policy"},
-		{"grid-jockey", gridGen, cluster.Topology{}, 5, []string{"jockey"}, "-jockey"},
-		{"grid-detour-ms", gridGen, cluster.Topology{}, 5, []string{"detour-ms"}, "-detour-ms"},
-		{"grid-edge-slowdown", gridGen, cluster.Topology{}, 5, []string{"edge-slowdown"}, "-edge-slowdown"},
-		{"grid-queue-cap", gridGen, cluster.Topology{}, 5, []string{"queue-cap"}, "-queue-cap"},
-		{"grid-overflow-at", gridGen, cluster.Topology{}, 5, []string{"overflow-at"}, "-overflow-at"},
 		{"grid-scaler", gridGen, cluster.Topology{}, 5, []string{"scaler"}, "-scaler"},
 		{"grid-autoscale-max", gridGen, cluster.Topology{}, 5, []string{"autoscale-max"}, "-autoscale-max"},
 		{"grid-scenario", gridGen, cluster.Topology{}, 5, []string{"scenario"}, "-scenario"},

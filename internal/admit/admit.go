@@ -55,24 +55,25 @@ func Known(name string) bool {
 
 // Spec declares an admission policy: the policy name plus the union of
 // all policies' parameters. The zero Spec is invalid; Validate names
-// what is wrong.
+// what is wrong. cluster.Tier carries one, and the JSON topology codec
+// decodes a tier's "admission" block straight into one.
 type Spec struct {
 	// Policy selects the admission rule (see Policies).
-	Policy string
+	Policy string `json:"policy"`
 	// Rate is the token-bucket refill rate in tokens (admissions) per
 	// second per bucket — per home site on a home-routed tier, for the
 	// whole tier elsewhere.
-	Rate float64
+	Rate float64 `json:"rate,omitempty"`
 	// Burst is the token-bucket capacity; buckets start full. 0 defaults
 	// to max(1, Rate): one second of refill, never below one admission.
-	Burst float64
+	Burst float64 `json:"burst,omitempty"`
 	// Threshold is the pressure bound for queue-length and priority:
 	// the policy engages while the observed waiting count is at or
 	// beyond it.
-	Threshold int
+	Threshold int `json:"threshold,omitempty"`
 	// Cutoff is the priority policy's first rejected class rank: under
 	// pressure, requests with class rank >= Cutoff are turned away.
-	Cutoff int
+	Cutoff int `json:"cutoff,omitempty"`
 }
 
 // Label names the spec for result tables.

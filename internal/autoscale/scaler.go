@@ -44,24 +44,26 @@ type Telemetry struct {
 
 // Spec declaratively selects and parameterizes a scaler policy. It is
 // the only description of a scaler: cluster.Tier carries one, the JSON
-// topology codec serializes one, and New builds its Controller. A spec
-// sets only the fields its policy reads; Validate rejects the rest.
+// topology codec decodes a tier's "scaler" block (times in seconds)
+// straight into one, and New builds its Controller. A spec sets only
+// the fields its policy reads; Validate rejects the rest.
 type Spec struct {
 	// Policy is PolicyReactive or PolicyPredictive.
-	Policy string
+	Policy string `json:"policy"`
 	// Interval is the control period, seconds; Min and Max bound each
 	// station's server count. Shared by both policies.
-	Interval float64
-	Min, Max int
+	Interval float64 `json:"intervalS"`
+	Min      int     `json:"min"`
+	Max      int     `json:"max"`
 
 	// Reactive parameters: scale up when in-flight requests per server
 	// is at or above UpThreshold, down when at or below DownThreshold,
 	// by Step servers per action (0 = 1), at most once per Cooldown
 	// seconds at each station.
-	UpThreshold   float64
-	DownThreshold float64
-	Cooldown      float64
-	Step          int
+	UpThreshold   float64 `json:"up,omitempty"`
+	DownThreshold float64 `json:"down,omitempty"`
+	Cooldown      float64 `json:"cooldownS,omitempty"`
+	Step          int     `json:"step,omitempty"`
 
 	// Predictive parameters: provision servers of service rate Mu
 	// (req/s) so the forecast utilization stays at or below TargetUtil.
@@ -69,12 +71,12 @@ type Spec struct {
 	// is the window of the windowed models (sma, window-max); Alpha and
 	// Beta are the smoothing factors of ewma and holt (0 = model
 	// defaults).
-	Mu         float64
-	TargetUtil float64
-	Forecaster string
-	Horizon    int
-	Alpha      float64
-	Beta       float64
+	Mu         float64 `json:"mu,omitempty"`
+	TargetUtil float64 `json:"targetUtil,omitempty"`
+	Forecaster string  `json:"forecaster,omitempty"`
+	Horizon    int     `json:"horizon,omitempty"`
+	Alpha      float64 `json:"alpha,omitempty"`
+	Beta       float64 `json:"beta,omitempty"`
 }
 
 // DefaultReactiveSpec returns a conservative reactive policy: check

@@ -104,17 +104,17 @@ type SpillEdge struct {
 // default entry at the topology's first tier — e.g. a compliance
 // class that must be served from the cloud in an otherwise
 // edge-first deployment. Rules are evaluated in order; the first
-// match wins.
+// match wins. A spec's "classes" entries decode straight into these.
 type ClassRule struct {
-	Name string
+	Name string `json:"name"`
 	// Sites restricts the rule to requests whose home site is in the
 	// set (nil matches every site).
-	Sites []int
+	Sites []int `json:"sites,omitzero"`
 	// Fraction, when in (0,1), matches that share of the otherwise
 	// eligible requests via an independent Bernoulli stream.
-	Fraction float64
+	Fraction float64 `json:"fraction,omitempty"`
 	// Tier is the entry tier for matched requests.
-	Tier string
+	Tier string `json:"tier"`
 }
 
 // Topology is a declarative deployment graph: tiers connected by spill
@@ -157,11 +157,16 @@ func (tp Topology) normalized() Topology {
 	return out
 }
 
+// badDelay reports a delay no event can be scheduled after: negative,
+// NaN or infinite (NaN fails every ordered comparison, so "< 0" alone
+// misses it).
+func badDelay(x float64) bool { return !(x >= 0) || math.IsInf(x, 1) }
+
 // Validate checks the graph's static shape: unique tier names, known
 // dispatch policies, consistent per-site overrides, resolvable and
-// acyclic spill edges (at most one out-edge per tier), resolvable
-// class rules, and a client path RTT on every entry tier and per-site
-// path. Run validates implicitly.
+// acyclic spill edges (at most one out-edge per tier), finite
+// non-negative detour RTTs, resolvable class rules, and a client path
+// RTT on every entry tier and per-site path. Run validates implicitly.
 func (tp Topology) Validate() error {
 	if len(tp.Tiers) == 0 {
 		return fmt.Errorf("cluster: topology %q has no tiers", tp.Name)
@@ -207,6 +212,9 @@ func (tp Topology) Validate() error {
 		if t.QueueCap < 0 {
 			return fmt.Errorf("cluster: tier %q has a negative queue cap %d", t.Name, t.QueueCap)
 		}
+		if badDelay(t.DetourRTT) {
+			return fmt.Errorf("cluster: tier %q has an invalid detour RTT %v (want finite and >= 0)", t.Name, t.DetourRTT)
+		}
 		// NaN slips through normalized()'s "<= 0 means default" floor —
 		// every ordered comparison against NaN is false — so non-finite
 		// factors must be rejected by name here.
@@ -250,6 +258,10 @@ func (tp Topology) Validate() error {
 		}
 		if sp.Threshold <= 0 {
 			return fmt.Errorf("cluster: spill %s->%s needs a positive threshold", sp.From, sp.To)
+		}
+		if badDelay(sp.DetourRTT) {
+			return fmt.Errorf("cluster: spill %s->%s has an invalid detour RTT %v (want finite and >= 0)",
+				sp.From, sp.To, sp.DetourRTT)
 		}
 		if outEdge[sp.From] {
 			return fmt.Errorf("cluster: tier %q has more than one spill edge", sp.From)

@@ -122,6 +122,22 @@ func TestTopologyValidate(t *testing.T) {
 			Tiers: []Tier{{Name: "edge", Sites: 5,
 				Admission: &admit.Spec{Policy: admit.TokenBucket, Rate: math.NaN()}}},
 		},
+		// A negative detour schedules the redirected or spilled request
+		// in the past: the engine panicked on the first crossing.
+		"negative jockey detour": {
+			Tiers: []Tier{{Name: "edge", Sites: 5, Path: edgePath(), JockeyThreshold: 2, DetourRTT: -0.005}},
+		},
+		"NaN jockey detour": {
+			Tiers: []Tier{{Name: "edge", Sites: 5, Path: edgePath(), DetourRTT: math.NaN()}},
+		},
+		"negative spill detour": {
+			Tiers:  []Tier{edge, cloud},
+			Spills: []SpillEdge{{From: "edge", To: "cloud", Threshold: 3, DetourRTT: -0.03}},
+		},
+		"Inf spill detour": {
+			Tiers:  []Tier{edge, cloud},
+			Spills: []SpillEdge{{From: "edge", To: "cloud", Threshold: 3, DetourRTT: math.Inf(1)}},
+		},
 	}
 	for name, topo := range cases {
 		if err := topo.normalized().Validate(); err == nil {
@@ -533,11 +549,24 @@ func TestTopologySpecParse(t *testing.T) {
 		t.Fatalf("parsed topology failed to run: %v", err)
 	}
 
-	if _, err := ParseTopology([]byte(`{"tiers": [{"name": "x", "sites": 1, "rttMsTypo": 3}]}`)); err == nil {
-		t.Error("unknown spec fields should be rejected")
-	}
-	if _, err := ParseTopology([]byte(`{"tiers": [{"name": "x", "sites": 1, "discipline": "nope"}]}`)); err == nil {
-		t.Error("unknown discipline should be rejected")
+	// Each rejected spec's error names the offending key or value. A
+	// negative latency used to build: it shifted latencies below zero,
+	// was ignored, or (a spill's detour) panicked the engine.
+	for _, tc := range []struct{ spec, want string }{
+		{`{"tiers": [{"name": "x", "sites": 1, "rttMsTypo": 3}]}`, "rttMsTypo"},
+		{`{"tiers": [{"name": "x", "sites": 1, "discipline": "nope"}]}`, "nope"},
+		{`{"tiers": [{"name": "x", "sites": 1, "rttMs": -4}]}`, "rttMs"},
+		{`{"tiers": [{"name": "x", "sites": 1, "rttMs": 1, "jitterMs": -3}]}`, "jitterMs"},
+		{`{"tiers": [{"name": "x", "sites": 2, "rttMs": 1, "perSiteRttMs": [1, -2]}]}`, "perSiteRttMs[1]"},
+		{`{"tiers": [{"name": "x", "sites": 1, "rttMs": 1, "tailScv": -1}]}`, "tailScv"},
+		{`{"tiers": [{"name": "x", "sites": 2, "rttMs": 1, "jockey": 2, "detourMs": -5}]}`, "detourMs"},
+		{`{"tiers": [{"name": "edge", "sites": 2, "rttMs": 1},
+			{"name": "cloud", "sites": 1, "rttMs": 25, "dispatch": "central-queue"}],
+			"spills": [{"from": "edge", "to": "cloud", "threshold": 1, "detourMs": -30}]}`, "detourMs"},
+	} {
+		if _, err := ParseTopology([]byte(tc.spec)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one naming %s", tc.spec, err, tc.want)
+		}
 	}
 }
 

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/admit"
@@ -15,21 +17,24 @@ import (
 // behind cmd/edgesim's -topology flag. Times are in milliseconds
 // (matching the CLI's other flags) and paths are described
 // parametrically; Build converts to the simulator's seconds and
-// netem.Path values.
+// netem.Path values. Admission, scaler and class blocks decode straight
+// into admit.Spec, autoscale.Spec and ClassRule. Lists are omitzero, so
+// an empty list ("perSiteServers": [] is an error) survives a round trip.
 type TopologySpec struct {
 	Name    string      `json:"name"`
 	Tiers   []TierSpec  `json:"tiers"`
-	Spills  []SpillSpec `json:"spills,omitempty"`
-	Classes []ClassSpec `json:"classes,omitempty"`
+	Spills  []SpillSpec `json:"spills,omitzero"`
+	Classes []ClassRule `json:"classes,omitzero"`
 }
 
-// TierSpec describes one tier.
+// TierSpec describes one tier. Every latency key (rttMs, jitterMs,
+// tailScv, perSiteRttMs, detourMs) must be finite and >= 0.
 type TierSpec struct {
 	Name    string `json:"name"`
 	Sites   int    `json:"sites"`
 	Servers int    `json:"servers"`
 	// PerSiteServers optionally overrides Servers per station.
-	PerSiteServers []int `json:"perSiteServers,omitempty"`
+	PerSiteServers []int `json:"perSiteServers,omitzero"`
 	// RTTMs/JitterMs parameterize the client→tier path: base round
 	// trip plus uniform jitter in [0, JitterMs].
 	RTTMs    float64 `json:"rttMs"`
@@ -39,7 +44,7 @@ type TierSpec struct {
 	TailSCV float64 `json:"tailScv,omitempty"`
 	// PerSiteRTTMs gives each home site its own mean RTT
 	// (heterogeneous per-site paths); JitterMs/TailSCV apply to each.
-	PerSiteRTTMs []float64 `json:"perSiteRttMs,omitempty"`
+	PerSiteRTTMs []float64 `json:"perSiteRttMs,omitzero"`
 	// Dispatch: "" = home routing, "central-queue", or an
 	// lb.Policies() name.
 	Dispatch string `json:"dispatch,omitempty"`
@@ -51,81 +56,14 @@ type TierSpec struct {
 	Jockey   int     `json:"jockey,omitempty"`
 	DetourMs float64 `json:"detourMs,omitempty"`
 	// Scaler attaches a capacity controller by policy name (reactive
-	// or predictive; see autoscale.Policies).
-	Scaler *ScalerSpec `json:"scaler,omitempty"`
+	// or predictive; see autoscale.Policies). Its times are in seconds.
+	Scaler *autoscale.Spec `json:"scaler,omitempty"`
 	// PricePerServerHour prices the tier's capacity for the cost
 	// overlay (0 = the run pricing's default for the tier's shape).
 	PricePerServerHour float64 `json:"pricePerServerHour,omitempty"`
 	// Admission gates entry to the tier with an admit policy (see
 	// admit.Policies); rejected requests count in TierResult.Rejected.
-	Admission *AdmitSpec `json:"admission,omitempty"`
-}
-
-// AdmitSpec serializes an admit.Spec: the policy name plus the union
-// of all policies' parameters. Rate is in admissions per second (per
-// home site on a home-routed tier, tier-wide elsewhere) — already the
-// simulator's units, so no millisecond conversion applies.
-type AdmitSpec struct {
-	Policy    string  `json:"policy"`
-	Rate      float64 `json:"rate,omitempty"`
-	Burst     float64 `json:"burst,omitempty"`
-	Threshold int     `json:"threshold,omitempty"`
-	Cutoff    int     `json:"cutoff,omitempty"`
-}
-
-// spec converts the JSON block to the admit layer's Spec.
-func (s AdmitSpec) spec() admit.Spec {
-	return admit.Spec{
-		Policy:    s.Policy,
-		Rate:      s.Rate,
-		Burst:     s.Burst,
-		Threshold: s.Threshold,
-		Cutoff:    s.Cutoff,
-	}
-}
-
-// ScalerSpec serializes an autoscale.Spec: the policy name plus the
-// union of both policies' parameters (reactive threshold fields,
-// predictive forecast fields). Times are in seconds — control periods
-// are autoscaler-scale, not network-scale, so the codec keeps the
-// simulator's units here.
-type ScalerSpec struct {
-	Policy    string  `json:"policy"`
-	IntervalS float64 `json:"intervalS"`
-	Min       int     `json:"min"`
-	Max       int     `json:"max"`
-	// Reactive parameters.
-	Up        float64 `json:"up,omitempty"`
-	Down      float64 `json:"down,omitempty"`
-	CooldownS float64 `json:"cooldownS,omitempty"`
-	Step      int     `json:"step,omitempty"`
-	// Predictive parameters (see autoscale.Spec and forecast.Names).
-	Mu         float64 `json:"mu,omitempty"`
-	TargetUtil float64 `json:"targetUtil,omitempty"`
-	Forecaster string  `json:"forecaster,omitempty"`
-	Horizon    int     `json:"horizon,omitempty"`
-	Alpha      float64 `json:"alpha,omitempty"`
-	Beta       float64 `json:"beta,omitempty"`
-}
-
-// spec converts the JSON block to the autoscale layer's Spec.
-func (s ScalerSpec) spec() autoscale.Spec {
-	return autoscale.Spec{
-		Policy:        s.Policy,
-		Interval:      s.IntervalS,
-		Min:           s.Min,
-		Max:           s.Max,
-		UpThreshold:   s.Up,
-		DownThreshold: s.Down,
-		Cooldown:      s.CooldownS,
-		Step:          s.Step,
-		Mu:            s.Mu,
-		TargetUtil:    s.TargetUtil,
-		Forecaster:    s.Forecaster,
-		Horizon:       s.Horizon,
-		Alpha:         s.Alpha,
-		Beta:          s.Beta,
-	}
+	Admission *admit.Spec `json:"admission,omitempty"`
 }
 
 // SpillSpec describes one overflow edge.
@@ -140,12 +78,14 @@ type SpillSpec struct {
 	SampleToRTT bool    `json:"sampleToRtt,omitempty"`
 }
 
-// ClassSpec describes one pinned traffic class.
-type ClassSpec struct {
-	Name     string  `json:"name"`
-	Sites    []int   `json:"sites,omitempty"`
-	Fraction float64 `json:"fraction,omitempty"`
-	Tier     string  `json:"tier"`
+// nonNegative rejects a spec key holding a negative or non-finite
+// value, naming the key: a negative RTT would shift latencies below
+// zero, and a negative detour would schedule an event in the past.
+func nonNegative(key string, v float64) error {
+	if badDelay(v) {
+		return fmt.Errorf("%s must be finite and >= 0 (got %v)", key, v)
+	}
+	return nil
 }
 
 // pathFrom builds one client path from the spec's parameters.
@@ -170,7 +110,9 @@ func disciplineByName(s string) (queue.Discipline, error) {
 	}
 }
 
-// Build converts the spec into an executable Topology.
+// Build converts the spec into an executable Topology. The Topology
+// shares no block or slice with the spec, so mutating it leaves the
+// spec (a preset's included) unchanged.
 func (s TopologySpec) Build() (Topology, error) {
 	topo := Topology{Name: s.Name}
 	for _, ts := range s.Tiers {
@@ -178,18 +120,29 @@ func (s TopologySpec) Build() (Topology, error) {
 		if err != nil {
 			return Topology{}, fmt.Errorf("tier %q: %w", ts.Name, err)
 		}
+		err = cmp.Or(nonNegative("rttMs", ts.RTTMs), nonNegative("jitterMs", ts.JitterMs),
+			nonNegative("tailScv", ts.TailSCV), nonNegative("detourMs", ts.DetourMs))
+		for i, ms := range ts.PerSiteRTTMs {
+			if err == nil && badDelay(ms) {
+				err = nonNegative(fmt.Sprintf("perSiteRttMs[%d]", i), ms)
+			}
+		}
+		if err != nil {
+			return Topology{}, fmt.Errorf("cluster: tier %q: %w", ts.Name, err)
+		}
 		t := Tier{
-			Name:            ts.Name,
-			Sites:           ts.Sites,
-			ServersPerSite:  ts.Servers,
-			PerSiteServers:  ts.PerSiteServers,
-			Path:            pathFrom(ts.Name, ts.RTTMs, ts.JitterMs, ts.TailSCV),
-			Discipline:      disc,
-			QueueCap:        ts.QueueCap,
-			Dispatch:        ts.Dispatch,
-			SlowdownFactor:  ts.Slowdown,
-			JockeyThreshold: ts.Jockey,
-			DetourRTT:       ts.DetourMs / 1000,
+			Name:               ts.Name,
+			Sites:              ts.Sites,
+			ServersPerSite:     ts.Servers,
+			PerSiteServers:     slices.Clone(ts.PerSiteServers),
+			Path:               pathFrom(ts.Name, ts.RTTMs, ts.JitterMs, ts.TailSCV),
+			Discipline:         disc,
+			QueueCap:           ts.QueueCap,
+			Dispatch:           ts.Dispatch,
+			SlowdownFactor:     ts.Slowdown,
+			JockeyThreshold:    ts.Jockey,
+			DetourRTT:          ts.DetourMs / 1000,
+			PricePerServerHour: ts.PricePerServerHour,
 		}
 		if ts.PerSiteRTTMs != nil {
 			t.PerSitePaths = make([]netem.Path, len(ts.PerSiteRTTMs))
@@ -197,18 +150,20 @@ func (s TopologySpec) Build() (Topology, error) {
 				t.PerSitePaths[i] = pathFrom(fmt.Sprintf("%s-%d", ts.Name, i), ms, ts.JitterMs, ts.TailSCV)
 			}
 		}
-		t.PricePerServerHour = ts.PricePerServerHour
-		if a := ts.Admission; a != nil {
-			spec := a.spec()
-			t.Admission = &spec
+		if ts.Admission != nil {
+			a := *ts.Admission
+			t.Admission = &a
 		}
-		if sc := ts.Scaler; sc != nil {
-			spec := sc.spec()
-			t.Scaler = &spec
+		if ts.Scaler != nil {
+			sc := *ts.Scaler
+			t.Scaler = &sc
 		}
 		topo.Tiers = append(topo.Tiers, t)
 	}
 	for _, sp := range s.Spills {
+		if err := nonNegative("detourMs", sp.DetourMs); err != nil {
+			return Topology{}, fmt.Errorf("cluster: spill %s->%s: %w", sp.From, sp.To, err)
+		}
 		edge := SpillEdge{
 			From:      sp.From,
 			To:        sp.To,
@@ -226,12 +181,8 @@ func (s TopologySpec) Build() (Topology, error) {
 		topo.Spills = append(topo.Spills, edge)
 	}
 	for _, c := range s.Classes {
-		topo.Classes = append(topo.Classes, ClassRule{
-			Name:     c.Name,
-			Sites:    c.Sites,
-			Fraction: c.Fraction,
-			Tier:     c.Tier,
-		})
+		c.Sites = slices.Clone(c.Sites)
+		topo.Classes = append(topo.Classes, c)
 	}
 	topo = topo.normalized()
 	if err := topo.Validate(); err != nil {
@@ -291,7 +242,7 @@ var presetSpecs = map[string]TopologySpec{
 		Spills: []SpillSpec{
 			{From: "edge", To: "cloud", Threshold: 4, SampleToRTT: true},
 		},
-		Classes: []ClassSpec{
+		Classes: []ClassRule{
 			{Name: "cloud-pinned", Sites: []int{3, 4}, Tier: "cloud"},
 		},
 	},
@@ -309,9 +260,9 @@ var presetSpecs = map[string]TopologySpec{
 			{
 				Name: "regional", Sites: 1, Servers: 2, RTTMs: 13, JitterMs: 2,
 				Dispatch: CentralQueueDispatch,
-				Scaler: &ScalerSpec{
-					Policy:    "reactive",
-					IntervalS: 5, Min: 2, Max: 8, Up: 1.5, Down: 0.3, CooldownS: 15,
+				Scaler: &autoscale.Spec{
+					Policy:   autoscale.PolicyReactive,
+					Interval: 5, Min: 2, Max: 8, UpThreshold: 1.5, DownThreshold: 0.3, Cooldown: 15,
 				},
 			},
 		},

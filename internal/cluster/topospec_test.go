@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -244,9 +245,99 @@ func TestLegacyAutoscaleBlockRejected(t *testing.T) {
 	}
 }
 
+// everyKeySpecJSON sets every admission, scaler and class key to a
+// distinct non-zero value: a reactive edge with a token bucket, and a
+// predictive cloud.
+const everyKeySpecJSON = `{
+	"name": "every-key",
+	"tiers": [
+		{
+			"name": "edge", "sites": 3, "servers": 1, "rttMs": 1,
+			"scaler": {"policy": "reactive", "intervalS": 2, "min": 1, "max": 7,
+				"up": 1.25, "down": 0.125, "cooldownS": 9, "step": 3},
+			"admission": {"policy": "token-bucket", "rate": 6.5, "burst": 4.5, "threshold": 5, "cutoff": 2}
+		},
+		{
+			"name": "cloud", "sites": 1, "servers": 3, "rttMs": 25, "dispatch": "central-queue",
+			"scaler": {"policy": "predictive", "intervalS": 4, "min": 3, "max": 11, "mu": 13.5,
+				"targetUtil": 0.65, "forecaster": "holt", "horizon": 6, "alpha": 0.375, "beta": 0.25}
+		}
+	],
+	"classes": [{"name": "gold", "sites": [2, 0], "fraction": 0.75, "tier": "cloud"}]
+}`
+
+// TestTopologySpecEveryKeyLands: each JSON key of an admission, scaler
+// or class block lands in its own field of the built Topology, so a
+// tag typo (a key decoding into the wrong field, or none) fails here.
+func TestTopologySpecEveryKeyLands(t *testing.T) {
+	topo, err := ParseTopology([]byte(everyKeySpecJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge, cloud := topo.Tiers[0], topo.Tiers[1]
+	wantAdmit := admit.Spec{Policy: admit.TokenBucket, Rate: 6.5, Burst: 4.5, Threshold: 5, Cutoff: 2}
+	if edge.Admission == nil || *edge.Admission != wantAdmit {
+		t.Errorf("edge admission = %+v, want %+v", edge.Admission, wantAdmit)
+	}
+	wantReactive := autoscale.Spec{Policy: autoscale.PolicyReactive, Interval: 2, Min: 1, Max: 7,
+		UpThreshold: 1.25, DownThreshold: 0.125, Cooldown: 9, Step: 3}
+	if edge.Scaler == nil || *edge.Scaler != wantReactive {
+		t.Errorf("edge scaler = %+v, want %+v", edge.Scaler, wantReactive)
+	}
+	wantPredictive := autoscale.Spec{Policy: autoscale.PolicyPredictive, Interval: 4, Min: 3, Max: 11,
+		Mu: 13.5, TargetUtil: 0.65, Forecaster: "holt", Horizon: 6, Alpha: 0.375, Beta: 0.25}
+	if cloud.Scaler == nil || *cloud.Scaler != wantPredictive {
+		t.Errorf("cloud scaler = %+v, want %+v", cloud.Scaler, wantPredictive)
+	}
+	wantClasses := []ClassRule{{Name: "gold", Sites: []int{2, 0}, Fraction: 0.75, Tier: "cloud"}}
+	if !reflect.DeepEqual(topo.Classes, wantClasses) {
+		t.Errorf("classes = %+v, want %+v", topo.Classes, wantClasses)
+	}
+}
+
+// TestPresetTopologySharesNothing: a built preset owns its blocks and
+// slices, so mutating one leaves the next build of the preset as
+// shipped.
+func TestPresetTopologySharesNothing(t *testing.T) {
+	hetero, _ := PresetTopology("hetero-paths")
+	hetero.Tiers[1].Scaler.Max = 99
+	if again, _ := PresetTopology("hetero-paths"); again.Tiers[1].Scaler.Max != 8 {
+		t.Errorf("mutating a built preset's scaler changed the preset: Max = %d, want 8", again.Tiers[1].Scaler.Max)
+	}
+	hybrid, _ := PresetTopology("hybrid-pinned-cloud")
+	hybrid.Classes[0].Sites[0] = 0
+	if again, _ := PresetTopology("hybrid-pinned-cloud"); again.Classes[0].Sites[0] != 3 {
+		t.Errorf("mutating a built preset's class sites changed the preset: %v, want [3 4]", again.Classes[0].Sites)
+	}
+}
+
+// negativeDetourSpecJSON spills with a negative detour, which once
+// panicked the engine ("sim: negative delay") instead of failing Build.
+const negativeDetourSpecJSON = `{"name":"x","tiers":[{"name":"edge","sites":2,"servers":1,"rttMs":1},
+	{"name":"cloud","sites":1,"servers":2,"rttMs":25,"dispatch":"central-queue"}],
+	"spills":[{"from":"edge","to":"cloud","threshold":1,"detourMs":-30}]}`
+
+// fuzzRunnable reports whether a built spec is small enough to run in
+// one fuzz iteration: at most 64 sites and servers per tier (scaler
+// bounds included), and scaler ticks no closer than 0.1 s.
+func fuzzRunnable(s TopologySpec) bool {
+	for _, ts := range s.Tiers {
+		if ts.Sites > 64 || ts.Servers > 64 || slices.ContainsFunc(ts.PerSiteServers, func(n int) bool { return n > 64 }) {
+			return false
+		}
+		if sc := ts.Scaler; sc != nil && (sc.Max > 64 || sc.Interval < 0.1) {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzParseTopologySpec: any bytes that decode must re-encode and
 // decode to the same spec, and Build must never panic — the codec's
-// error paths are total.
+// error paths are total. Every spec that builds (and is small enough)
+// then runs 20 simulated seconds of generated load: the run must not
+// panic, and every request it takes from the source must be accounted
+// for.
 func FuzzParseTopologySpec(f *testing.F) {
 	f.Add([]byte(scalerSpecJSON))
 	f.Add([]byte(admitSpecJSON))
@@ -261,6 +352,15 @@ func FuzzParseTopologySpec(f *testing.F) {
 		"autoscale":{"intervalS":5,"min":1,"max":2,"up":1.5,"down":0.3,"cooldownS":15}}]}`))
 	f.Add([]byte(`{"tiers":[]}`))
 	f.Add([]byte(`not json`))
+	f.Add([]byte(negativeDetourSpecJSON))
+	f.Add([]byte(everyKeySpecJSON))
+	// Every tier key the presets leave unset, on a jockeying edge that
+	// spills to a load-balanced pool.
+	f.Add([]byte(`{"name":"knobs","tiers":[{"name":"edge","sites":3,"servers":1,"perSiteServers":[1,2,1],
+		"rttMs":1,"tailScv":2,"discipline":"lifo","queueCap":2,"slowdown":1.5,"jockey":1,"detourMs":5},
+		{"name":"pool","sites":3,"servers":1,"rttMs":25,"jitterMs":3,"dispatch":"power-of-two","discipline":"sjf"}],
+		"spills":[{"from":"edge","to":"pool","threshold":3,"detourMs":3}],
+		"classes":[{"name":"half","fraction":0.5,"tier":"pool"}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := ParseTopologySpec(data)
 		if err != nil {
@@ -278,6 +378,20 @@ func FuzzParseTopologySpec(f *testing.F) {
 			t.Errorf("round trip diverges:\n  out:  %+v\n  back: %+v", spec, back)
 		}
 		// Build may reject the spec, but must do so via error.
-		_, _ = spec.Build()
+		topo, err := spec.Build()
+		if err != nil || !fuzzRunnable(spec) {
+			return
+		}
+		sites := 1
+		if ingress := topo.Tiers[0]; ingress.homeRouted() {
+			sites = ingress.Sites
+		}
+		res, err := Run(Stream(GenSpec{Sites: sites, Duration: 20, PerSiteRate: 12, Seed: 1}), topo, Options{Seed: 2})
+		if err != nil {
+			return
+		}
+		if res.Offered != res.Consumed {
+			t.Errorf("offered %d != consumed %d", res.Offered, res.Consumed)
+		}
 	})
 }
